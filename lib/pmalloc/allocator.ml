@@ -15,6 +15,9 @@
     never need to be durable because recovery recomputes them), kept in an
     OCaml-side table rather than in simulated PM so that the Section 5.4
     trace checker sees no in-place PM writes from refcount maintenance.
+    The table is a dense int array indexed by [body / min_capacity] (see
+    {!Rc}), so the per-pointer retain/release path neither hashes nor
+    allocates.
 
     Reclamation through {!release} is {e epoch-deferred}: a superseded
     version is released right after the commit's 8-byte root write, but
@@ -65,13 +68,100 @@ let dbuf_reset b =
   b.len <- 0;
   b.dwords <- 0
 
+(* The refcount table.  Blocks start at least [Block.min_capacity] words
+   apart, so [body / min_capacity] gives every live block its own slot:
+   one OCaml int per [min_capacity] words of heap.  A slot packs three
+   fields -- the table generation it was written in, the count, and
+   [body mod min_capacity] -- so a slot answers only for the exact body
+   that wrote it, and only until the next [clear].  Clearing bumps the
+   generation, which keeps the explorer's per-sample heap reset O(1). *)
+module Rc = struct
+  type t = { mutable slots : int array; mutable gen : int }
+
+  (* [Block.min_capacity] as a literal, so the slot division compiles to
+     a multiply. *)
+  let stride = 3
+  let () = assert (stride = Block.min_capacity)
+  let residue_bits = 2
+  let count_bits = 30
+  let gen_shift = residue_bits + count_bits
+  let residue_mask = (1 lsl residue_bits) - 1
+  let max_count = (1 lsl count_bits) - 1
+  let max_gen = max_int lsr gen_shift
+
+  (* Generation 0 marks never-written and vacated slots. *)
+  let create () = { slots = Array.make 1024 0; gen = 1 }
+
+  let clear t =
+    if t.gen = max_gen then begin
+      Array.fill t.slots 0 (Array.length t.slots) 0;
+      t.gen <- 1
+    end
+    else t.gen <- t.gen + 1
+
+  let live t e = e lsr gen_shift = t.gen
+  let holds t e residue = live t e && e land residue_mask = residue
+
+  (* Slot [i] of [body], or an empty word when it lies off the table. *)
+  let slot t body i =
+    if body < 0 || i >= Array.length t.slots then 0 else t.slots.(i)
+
+  (* [body]'s count, or -1 when it holds no slot in this generation. *)
+  let find t body =
+    let i = body / stride in
+    let e = slot t body i in
+    if holds t e (body - (i * stride)) then
+      (e lsr residue_bits) land max_count
+    else -1
+
+  let set t body n =
+    if body < 0 then invalid_arg "Allocator: negative block offset";
+    if n < 0 || n > max_count then
+      invalid_arg "Allocator: reference count out of range";
+    let i = body / stride in
+    let residue = body - (i * stride) in
+    let len = Array.length t.slots in
+    if i >= len then begin
+      let grown = Array.make (max (2 * len) (i + 1)) 0 in
+      Array.blit t.slots 0 grown 0 len;
+      t.slots <- grown
+    end;
+    let e = t.slots.(i) in
+    if live t e && not (holds t e residue) then
+      invalid_arg
+        (Printf.sprintf "Allocator: block at %d overlaps a live block" body);
+    t.slots.(i) <- (t.gen lsl gen_shift) lor (n lsl residue_bits) lor residue
+
+  (* Add [d] to [body]'s count (no slot counts as 0) and return the new
+     count: one slot read and one write on the retain/release path. *)
+  let add t body d =
+    let i = body / stride in
+    let e = slot t body i in
+    if holds t e (body - (i * stride)) then begin
+      let n = ((e lsr residue_bits) land max_count) + d in
+      if n < 0 then invalid_arg "Allocator.rc_decr: count underflow";
+      if n > max_count then
+        invalid_arg "Allocator: reference count out of range";
+      t.slots.(i) <- e + (d lsl residue_bits);
+      n
+    end
+    else begin
+      if d < 0 then invalid_arg "Allocator.rc_decr: count underflow";
+      set t body d;
+      d
+    end
+
+  (* Only called on a body that [find] reports present. *)
+  let remove t body = t.slots.(body / stride) <- 0
+end
+
 type t = {
   region : Pmem.Region.t;
   heap_start : int;
   mutable frontier : int;
   freelist : Freelist.t;
   arena : Arena.t;
-  rc : (int, int) Hashtbl.t; (* body offset -> reference count *)
+  rc : Rc.t;
   mutable deferred : dbuf; (* awaiting first fence *)
   mutable deferred_prev : dbuf; (* aged one fence; recycle at next *)
   mutable live_words : int;
@@ -93,7 +183,7 @@ let create region ~heap_start =
     frontier = heap_start;
     freelist = Freelist.create ();
     arena = Arena.create ();
-    rc = Hashtbl.create 4096;
+    rc = Rc.create ();
     deferred = dbuf_create ();
     deferred_prev = dbuf_create ();
     live_words = 0;
@@ -232,7 +322,7 @@ let alloc t ~kind ~words =
     (Pmem.Trace.Alloc { off = Block.header_of_body body; words = capacity });
   write_header t ~body ~capacity ~kind ~used:words;
   account_alloc t capacity;
-  Hashtbl.replace t.rc body 1;
+  Rc.set t.rc body 1;
   body
 
 let block_info t body =
@@ -256,19 +346,19 @@ let used_of t body =
    reclamation after a commit would look like an in-place write to the
    Section 5.4 checker.  Recovery never reads a free bit either --
    reachability decides. *)
-let is_allocated t body = Hashtbl.mem t.rc body
+let is_allocated t body = Rc.find t.rc body >= 0
 
 let dealloc t body ~defer =
   (* Validate liveness before touching the header: a stale or corrupt
      body must fail loudly here, not decode garbage capacity into the
      accounting first. *)
-  if not (Hashtbl.mem t.rc body) then
+  if not (is_allocated t body) then
     invalid_arg (Printf.sprintf "Allocator.free: double free at %d" body);
   let header = Block.header_of_body body in
   let capacity, _kind, _ =
     Block.decode_info (Pmem.Region.peek_current t.region header)
   in
-  Hashtbl.remove t.rc body;
+  Rc.remove t.rc body;
   if defer then dbuf_push t.deferred body capacity
   else stash_free t ~body ~capacity;
   t.live_words <- t.live_words - capacity;
@@ -301,18 +391,9 @@ let flush_block t body =
   let used = used_of t body in
   Pmem.Region.clwb_range t.region header (Block.header_words + used)
 
-let rc_get t body = try Hashtbl.find t.rc body with Not_found -> 0
-
-let rc_incr t body =
-  Hashtbl.replace t.rc body (rc_get t body + 1)
-
-let rc_decr t body =
-  let n = rc_get t body - 1 in
-  if n < 0 then invalid_arg "Allocator.rc_decr: count underflow";
-  Hashtbl.replace t.rc body n;
-  n
-
-let rc_set t body n = Hashtbl.replace t.rc body n
+let rc_get t body = max 0 (Rc.find t.rc body)
+let rc_incr t body = ignore (Rc.add t.rc body 1 : int)
+let rc_decr t body = Rc.add t.rc body (-1)
 
 (* Drop a reference to [body]; when the count reaches zero, release the
    block's children (for Scanned blocks) and free it.  This is the
@@ -342,7 +423,7 @@ let retain t body = rc_incr t body
 let reset_fresh t =
   Freelist.clear t.freelist;
   Arena.reset t.arena;
-  Hashtbl.reset t.rc;
+  Rc.clear t.rc;
   dbuf_reset t.deferred;
   dbuf_reset t.deferred_prev;
   t.live_words <- 0;
@@ -358,7 +439,7 @@ let reset_fresh t =
 let recovery_reset t ~frontier =
   Freelist.clear t.freelist;
   Arena.reset t.arena;
-  Hashtbl.reset t.rc;
+  Rc.clear t.rc;
   dbuf_reset t.deferred;
   dbuf_reset t.deferred_prev;
   t.live_words <- 0;
@@ -369,6 +450,6 @@ let recovery_insert_free t ~body ~capacity =
   Freelist.insert t.freelist ~body ~capacity
 
 let recovery_declare_live t ~body ~capacity ~rc =
-  Hashtbl.replace t.rc body rc;
+  Rc.set t.rc body rc;
   t.live_words <- t.live_words + capacity;
   if t.live_words > t.high_water_words then t.high_water_words <- t.live_words

@@ -50,7 +50,6 @@ val retain : t -> int -> unit
 val rc_get : t -> int -> int
 val rc_incr : t -> int -> unit
 val rc_decr : t -> int -> int
-val rc_set : t -> int -> int -> unit
 
 val flush_block : t -> int -> unit
 (** clwb header + initialized body; no fence (recipe step 3). *)

@@ -10,6 +10,7 @@
 
 type t = {
   sets : int;
+  set_mask : int; (* sets - 1: every set count is a power of two *)
   ways : int;
   tags : int array; (* sets * ways; -1 = invalid. tag = line address *)
   dirty : bool array;
@@ -25,8 +26,11 @@ type t = {
 }
 
 let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
+  if sets <= 0 || sets land (sets - 1) <> 0 then
+    invalid_arg "Cache.create: set count must be a power of two";
   {
     sets;
+    set_mask = sets - 1;
     ways;
     tags = Array.make (sets * ways) (-1);
     dirty = Array.make (sets * ways) false;
@@ -47,82 +51,84 @@ let invalidate t =
   t.epoch <- t.epoch + 1;
   t.tick <- 0
 
-let set_of t line = line mod t.sets
-
-(* Wipe [set]'s ways if it predates the last [invalidate]. *)
-let refresh_set t set =
+(* Wipe [set]'s ways if it predates the last [invalidate]; returns the
+   index of the set's first way. *)
+let open_set t line =
+  let set = line land t.set_mask in
   if t.set_epoch.(set) <> t.epoch then begin
     t.set_epoch.(set) <- t.epoch;
     let base = set * t.ways in
     Array.fill t.tags base t.ways (-1);
     Array.fill t.dirty base t.ways false;
     Array.fill t.last_use base t.ways 0
-  end
+  end;
+  set * t.ways
 
-(* Returns [true] on hit.  On a miss the LRU way of the set is evicted; if
-   it held a dirty line, [writeback] is called with that line address before
-   the new line is installed. *)
-let access t ~writeback ~line ~write =
-  t.tick <- t.tick + 1;
-  let set = set_of t line in
-  refresh_set t set;
-  let base = set * t.ways in
-  let hit_way = ref (-1) in
-  for w = 0 to t.ways - 1 do
-    if t.tags.(base + w) = line then hit_way := w
+(* Index of [line]'s way in the set starting at [base], or -1.  A line
+   is installed only on a miss, so it occupies at most one way and the
+   first match is the only one. *)
+let find_way t base line =
+  let stop = base + t.ways in
+  let i = ref base in
+  while !i < stop && t.tags.(!i) <> line do
+    incr i
   done;
-  if !hit_way >= 0 then begin
-    let i = base + !hit_way in
+  if !i < stop then !i else -1
+
+(* [access] results: [hit]; [miss] when the displaced way was empty or
+   clean; otherwise the (non-negative) line address of a dirty victim,
+   which the caller must write back.  Handing the victim back keeps the
+   per-word path free of closures. *)
+let hit = -1
+let miss = -2
+
+(* On a miss the victim is the first invalid way, else the
+   least-recently-used one (first on ties). *)
+let access t ~line ~write =
+  t.tick <- t.tick + 1;
+  let base = open_set t line in
+  let i = find_way t base line in
+  if i >= 0 then begin
     t.last_use.(i) <- t.tick;
     if write then t.dirty.(i) <- true;
-    true
+    hit
   end
   else begin
-    (* choose victim: first invalid way, else least-recently-used *)
-    let victim = ref 0 in
-    let found_invalid = ref false in
-    for w = 0 to t.ways - 1 do
-      if (not !found_invalid) && t.tags.(base + w) = -1 then begin
-        victim := w;
-        found_invalid := true
+    let stop = base + t.ways in
+    let victim = ref base in
+    let best = ref max_int in
+    let w = ref base in
+    while !w < stop do
+      let i = !w in
+      if t.tags.(i) = -1 then begin
+        victim := i;
+        w := stop
+      end
+      else begin
+        let u = t.last_use.(i) in
+        if u < !best then begin
+          best := u;
+          victim := i
+        end;
+        incr w
       end
     done;
-    if not !found_invalid then begin
-      let best = ref max_int in
-      for w = 0 to t.ways - 1 do
-        if t.last_use.(base + w) < !best then begin
-          best := t.last_use.(base + w);
-          victim := w
-        end
-      done
-    end;
-    let i = base + !victim in
-    if t.tags.(i) >= 0 && t.dirty.(i) then writeback t.tags.(i);
+    let i = !victim in
+    let old = t.tags.(i) in
+    let result = if old >= 0 && t.dirty.(i) then old else miss in
     t.tags.(i) <- line;
     t.dirty.(i) <- write;
     t.last_use.(i) <- t.tick;
-    false
+    result
   end
 
 (* Mark a line clean in the cache (its data has been written back by a
    clwb+sfence), without evicting it: clwb writes back but need not evict. *)
 let mark_clean t ~line =
-  let set = set_of t line in
-  refresh_set t set;
-  let base = set * t.ways in
-  for w = 0 to t.ways - 1 do
-    if t.tags.(base + w) = line then t.dirty.(base + w) <- false
-  done
+  let i = find_way t (open_set t line) line in
+  if i >= 0 then t.dirty.(i) <- false
 
-let resident t ~line =
-  let set = set_of t line in
-  refresh_set t set;
-  let base = set * t.ways in
-  let found = ref false in
-  for w = 0 to t.ways - 1 do
-    if t.tags.(base + w) = line then found := true
-  done;
-  !found
+let resident t ~line = find_way t (open_set t line) line >= 0
 
 let dirty_lines t =
   let acc = ref [] in

@@ -259,7 +259,9 @@ let check_off t off fn =
     invalid_arg (Printf.sprintf "Region.%s: offset %d out of bounds" fn off)
 
 let mark_file_dirty t line =
-  if t.backing <> None then Hashtbl.replace t.file_dirty line ()
+  match t.backing with
+  | Some _ -> Hashtbl.replace t.file_dirty line ()
+  | None -> ()
 
 (* Copy the volatile contents of [line] into the durable image. *)
 let writeback_line t line =
@@ -298,8 +300,8 @@ let file_commit t =
           t.stats.Stats.file_fsyncs + Backing.fsyncs_per_commit
       end
 
-(* Cache-eviction callback: hardware replacement writes the victim's data
-   back to PM, incidentally making it durable. *)
+(* Cache-eviction writeback: hardware replacement writes the victim's
+   data back to PM, incidentally making it durable. *)
 let evict_writeback t victim_line =
   if victim_line < Array.length t.state then begin
     journal_touch t victim_line;
@@ -310,24 +312,21 @@ let evict_writeback t victim_line =
     t.state.(victim_line) <- Clean
   end
 
-let no_writeback _ = ()
-
 (* Walk the cache hierarchy for latency purposes.  Durability only cares
    about L1D evictions (a dirty line leaving L1D is written back to PM,
    conservatively); L2 and LLC model where a miss is served from. *)
 let touch_cache t off ~write =
   let line = line_of_word off in
-  let hit = Cache.access t.cache ~writeback:(evict_writeback t) ~line ~write in
-  if hit then begin
+  let r = Cache.access t.cache ~line ~write in
+  if r = Cache.hit then begin
     t.stats.Stats.l1_hits <- t.stats.Stats.l1_hits + 1;
     Latency.L1
   end
   else begin
+    if r >= 0 then evict_writeback t r;
     t.stats.Stats.l1_misses <- t.stats.Stats.l1_misses + 1;
-    if Cache.access t.l2 ~writeback:no_writeback ~line ~write:false then
-      Latency.L2
-    else if Cache.access t.llc ~writeback:no_writeback ~line ~write:false then
-      Latency.Llc
+    if Cache.access t.l2 ~line ~write:false = Cache.hit then Latency.L2
+    else if Cache.access t.llc ~line ~write:false = Cache.hit then Latency.Llc
     else Latency.Pm
   end
 

@@ -367,6 +367,135 @@ let freelist_tests =
            drained = total && Pmalloc.Freelist.free_words fl = 0));
   ]
 
+(* The refcount table against a [Hashtbl] model of body -> count over
+   random traces of alloc, retain, release, free, fence, [reset_fresh]
+   and a recovery rebuild.  After every step each body ever handed out
+   (and its two neighbours, which share its table slot) must agree with
+   the model on [is_allocated] and [rc_get]: nothing allocated before a
+   reset survives it.  Words recovery cannot re-list (gaps below a
+   block's minimum) are tracked as [lost] in the conservation check. *)
+let rc_model_test =
+  let module A = Pmalloc.Allocator in
+  let heap_start = 64 in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"refcounts agree with a Hashtbl model (qcheck)"
+         ~count:200
+         QCheck.(list_of_size (Gen.int_range 1 150) (int_range 0 4095))
+         (fun ops ->
+           let region = Pmem.Region.create ~capacity_words:(1 lsl 14) () in
+           let alloc = A.create region ~heap_start in
+           let model : (int, int) Hashtbl.t = Hashtbl.create 64 in
+           let seen = Hashtbl.create 64 in
+           let lost = ref 0 in
+           let live () =
+             List.sort compare (List.of_seq (Hashtbl.to_seq_keys model))
+           in
+           let pick n =
+             match live () with
+             | [] -> None
+             | l -> Some (List.nth l (n mod List.length l))
+           in
+           let raises f =
+             match f () with _ -> false | exception Invalid_argument _ -> true
+           in
+           (* Rebuild the volatile state from the model's live blocks, as
+              the recovery walk does from reachability. *)
+           let recover n =
+             let blocks =
+               List.map (fun b -> (b, A.capacity_of alloc b)) (live ())
+             in
+             let frontier =
+               List.fold_left
+                 (fun acc (b, c) -> max acc (b - 1 + c))
+                 heap_start blocks
+             in
+             A.recovery_reset alloc ~frontier;
+             lost := 0;
+             let cursor = ref heap_start in
+             List.iter
+               (fun (b, c) ->
+                 let gap = b - 1 - !cursor in
+                 if gap >= Pmalloc.Block.min_capacity then
+                   A.recovery_insert_free alloc ~body:(!cursor + 1)
+                     ~capacity:gap
+                 else lost := !lost + gap;
+                 let rc = 1 + ((n + b) mod 3) in
+                 A.recovery_declare_live alloc ~body:b ~capacity:c ~rc;
+                 Hashtbl.replace model b rc;
+                 cursor := b - 1 + c)
+               blocks
+           in
+           let step n =
+             let arg = n / 16 in
+             match n mod 16 with
+             | 0 | 1 | 2 | 3 | 4 ->
+                 let words = 1 + (arg mod 40) in
+                 let b = A.alloc alloc ~kind:Pmalloc.Block.Raw ~words in
+                 Hashtbl.replace model b 1;
+                 Hashtbl.replace seen b ()
+             | 5 | 6 | 7 ->
+                 Option.iter
+                   (fun b ->
+                     A.retain alloc b;
+                     Hashtbl.replace model b (Hashtbl.find model b + 1))
+                   (pick arg)
+             | 8 | 9 | 10 ->
+                 Option.iter
+                   (fun b ->
+                     A.release alloc b;
+                     let rc = Hashtbl.find model b - 1 in
+                     if rc = 0 then Hashtbl.remove model b
+                     else Hashtbl.replace model b rc)
+                   (pick arg)
+             | 11 when arg mod 2 = 0 ->
+                 Option.iter
+                   (fun b ->
+                     A.free alloc b;
+                     Hashtbl.remove model b)
+                   (pick arg)
+             | 11 ->
+                 (* a stale body: every path must refuse it *)
+                 Hashtbl.iter
+                   (fun b () ->
+                     if not (Hashtbl.mem model b) then begin
+                       assert (raises (fun () -> A.free alloc b));
+                       assert (raises (fun () -> A.release alloc b));
+                       assert (raises (fun () -> A.rc_decr alloc b))
+                     end)
+                   seen
+             | 12 | 13 -> A.epoch_flush alloc
+             | 14 ->
+                 A.reset_fresh alloc;
+                 Hashtbl.reset model;
+                 lost := 0
+             | _ -> recover arg
+           in
+           let agrees () =
+             let ok = ref true in
+             Hashtbl.iter
+               (fun b () ->
+                 List.iter
+                   (fun x ->
+                     let rc = Option.value ~default:0 (Hashtbl.find_opt model x) in
+                     if
+                       A.is_allocated alloc x <> Hashtbl.mem model x
+                       || A.rc_get alloc x <> rc
+                     then ok := false)
+                   [ b - 1; b; b + 1 ])
+               seen;
+             !ok
+             && A.live_words alloc + A.free_words alloc + A.deferred_words alloc
+                + A.pad_words alloc + !lost
+                = A.frontier alloc - A.heap_start alloc
+           in
+           List.for_all
+             (fun n ->
+               step n;
+               agrees ())
+             ops));
+  ]
+
 let root_tests =
   [
     Alcotest.test_case "root slots start null" `Quick (fun () ->
@@ -480,6 +609,7 @@ let () =
       ("coalescing", coalescing_tests);
       ("conservation", conservation_test);
       ("refcounts", rc_tests);
+      ("refcount-model", rc_model_test);
       ("freelist", freelist_tests);
       ("roots", root_tests);
       ("recovery", recovery_tests);

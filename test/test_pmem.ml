@@ -220,35 +220,29 @@ let cache_tests =
   [
     Alcotest.test_case "repeat access hits" `Quick (fun () ->
         let c = Cache.create () in
-        let wb _ = () in
-        Alcotest.(check bool) "first miss" false
-          (Cache.access c ~writeback:wb ~line:5 ~write:false);
-        Alcotest.(check bool) "second hit" true
-          (Cache.access c ~writeback:wb ~line:5 ~write:false));
+        Alcotest.(check int) "first miss" Cache.miss
+          (Cache.access c ~line:5 ~write:false);
+        Alcotest.(check int) "second hit" Cache.hit
+          (Cache.access c ~line:5 ~write:false));
     Alcotest.test_case "conflict misses evict LRU" `Quick (fun () ->
         let c = Cache.create ~sets:1 ~ways:2 () in
-        let wb _ = () in
-        ignore (Cache.access c ~writeback:wb ~line:1 ~write:false);
-        ignore (Cache.access c ~writeback:wb ~line:2 ~write:false);
-        ignore (Cache.access c ~writeback:wb ~line:3 ~write:false);
+        ignore (Cache.access c ~line:1 ~write:false);
+        ignore (Cache.access c ~line:2 ~write:false);
+        ignore (Cache.access c ~line:3 ~write:false);
         (* line 1 was LRU and must be gone *)
         Alcotest.(check bool) "line1 evicted" false (Cache.resident c ~line:1);
         Alcotest.(check bool) "line3 resident" true (Cache.resident c ~line:3));
     Alcotest.test_case "dirty eviction triggers writeback" `Quick (fun () ->
         let c = Cache.create ~sets:1 ~ways:1 () in
-        let written = ref [] in
-        let wb l = written := l :: !written in
-        ignore (Cache.access c ~writeback:wb ~line:1 ~write:true);
-        ignore (Cache.access c ~writeback:wb ~line:2 ~write:false);
-        Alcotest.(check (list int)) "victim written back" [ 1 ] !written);
+        ignore (Cache.access c ~line:1 ~write:true);
+        Alcotest.(check int) "victim written back" 1
+          (Cache.access c ~line:2 ~write:false));
     Alcotest.test_case "mark_clean suppresses writeback" `Quick (fun () ->
         let c = Cache.create ~sets:1 ~ways:1 () in
-        let written = ref [] in
-        let wb l = written := l :: !written in
-        ignore (Cache.access c ~writeback:wb ~line:1 ~write:true);
+        ignore (Cache.access c ~line:1 ~write:true);
         Cache.mark_clean c ~line:1;
-        ignore (Cache.access c ~writeback:wb ~line:2 ~write:false);
-        Alcotest.(check (list int)) "no writeback" [] !written);
+        Alcotest.(check int) "no writeback" Cache.miss
+          (Cache.access c ~line:2 ~write:false));
     Alcotest.test_case "eviction writeback makes line durable" `Quick
       (fun () ->
         (* region-level: write many lines so the 32KB L1D must evict;
@@ -264,6 +258,110 @@ let cache_tests =
         Alcotest.(check bool)
           (Printf.sprintf "%d lines evicted to PM" !durable)
           true (!durable > 4000));
+  ]
+
+(* Naive reference for [Cache]: [line mod sets] picks the set, each set
+   is an explicit recency list (most recent first), and lookups scan to
+   the last match.  The optimized cache must agree on every hit/miss and
+   every dirty victim. *)
+module Cache_model = struct
+  type t = { sets : int; ways : int; lru : (int * bool) list array }
+
+  let create ~sets ~ways = { sets; ways; lru = Array.make sets [] }
+  let clear t = Array.fill t.lru 0 t.sets []
+
+  let lookup set line =
+    List.fold_left
+      (fun acc (l, d) -> if l = line then Some d else acc)
+      None set
+
+  (* [`Hit], or [`Miss v] with the dirty victim [v], if any *)
+  let access t ~line ~write =
+    let s = line mod t.sets in
+    let set = t.lru.(s) in
+    match lookup set line with
+    | Some d ->
+        t.lru.(s) <- (line, d || write) :: List.remove_assoc line set;
+        `Hit
+    | None ->
+        let kept = List.filteri (fun i _ -> i < t.ways - 1) set in
+        let victim =
+          if List.length set < t.ways then None
+          else
+            match List.nth set (t.ways - 1) with
+            | l, true -> Some l
+            | _, false -> None
+        in
+        t.lru.(s) <- (line, write) :: kept;
+        `Miss victim
+
+  let mark_clean t ~line =
+    let s = line mod t.sets in
+    t.lru.(s) <- List.map (fun (l, d) -> (l, d && l <> line)) t.lru.(s)
+
+  let dirty_lines t =
+    Array.fold_left
+      (fun acc set ->
+        List.filter_map (fun (l, d) -> if d then Some l else None) set @ acc)
+      [] t.lru
+end
+
+let cache_model_tests =
+  let open Pmem in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 12,
+            map2 (fun line write -> `Access (line, write)) (int_bound 40) bool
+          );
+          (3, map (fun line -> `Mark_clean line) (int_bound 40));
+          (1, return `Invalidate);
+          (1, return `Reset);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      triple (int_bound 3) (int_range 1 4)
+        (list_size (int_range 1 300) op_gen))
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"cache agrees with naive LRU model (qcheck)"
+         ~count:300 (QCheck.make gen) (fun (log_sets, ways, ops) ->
+           let sets = 1 lsl log_sets in
+           let c = Cache.create ~sets ~ways () in
+           let m = Cache_model.create ~sets ~ways in
+           List.for_all
+             (fun op ->
+               match op with
+               | `Access (line, write) ->
+                   let r = Cache.access c ~line ~write in
+                   let got =
+                     if r = Cache.hit then `Hit
+                     else if r = Cache.miss then `Miss None
+                     else `Miss (Some r)
+                   in
+                   got = Cache_model.access m ~line ~write
+                   && Cache.resident c ~line
+               | `Mark_clean line ->
+                   Cache.mark_clean c ~line;
+                   Cache_model.mark_clean m ~line;
+                   List.sort compare (Cache.dirty_lines c)
+                   = List.sort compare (Cache_model.dirty_lines m)
+               | `Invalidate ->
+                   Cache.invalidate c;
+                   Cache_model.clear m;
+                   Cache.dirty_lines c = []
+               | `Reset ->
+                   Cache.reset c;
+                   Cache_model.clear m;
+                   Cache.dirty_lines c = [])
+             ops));
+    Alcotest.test_case "set count must be a power of two" `Quick (fun () ->
+        Alcotest.check_raises "3 sets"
+          (Invalid_argument "Cache.create: set count must be a power of two")
+          (fun () -> ignore (Cache.create ~sets:3 ~ways:2 ())));
   ]
 
 let stats_tests =
@@ -488,6 +586,70 @@ let snapshot_tests =
               below it)") (fun () -> Region.restore r inner));
   ]
 
+(* Golden pin: every simulated clock and counter of one fixed-seed map
+   run, crash and recovery, recorded exactly.  Host-side work on the
+   per-word path (cache lookups, refcounts) must leave each simulated
+   event bit-identical.  A dropped eviction writeback, for one, moves
+   these numbers while every output check still passes. *)
+let golden_run () =
+  let module M = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int) in
+  (* odd multiplier mod 2^20: distinct, scattered keys *)
+  let key i = i * 40503 land 0xFFFFF in
+  let heap = Pmalloc.Heap.create () in
+  let map = M.open_or_create heap ~slot:0 in
+  for i = 0 to 19_999 do
+    M.insert map (key i) i
+  done;
+  let rng = Random.State.make [| 12 |] in
+  for _ = 1 to 2_000 do
+    M.insert map (key (Random.State.int rng 40_000)) (Random.State.bits rng)
+  done;
+  let hits = ref 0 in
+  for _ = 1 to 2_000 do
+    if M.find map (key (Random.State.int rng 40_000)) <> None then incr hits
+  done;
+  Pmalloc.Heap.crash ~mode:Pmem.Region.Randomize ~seed:7 heap;
+  let report = Mod_core.Recovery.recover_exn heap in
+  let s = Pmalloc.Heap.stats heap in
+  ( [
+      ("now_ns bits", Int64.bits_of_float s.Pmem.Stats.now_ns);
+      ("ns_flush bits", Int64.bits_of_float s.Pmem.Stats.ns_flush);
+      ("l1_hits", Int64.of_int s.Pmem.Stats.l1_hits);
+      ("l1_misses", Int64.of_int s.Pmem.Stats.l1_misses);
+      ("lines_drained", Int64.of_int s.Pmem.Stats.lines_drained);
+      ( "live_words",
+        Int64.of_int
+          (Pmalloc.Allocator.live_words (Pmalloc.Heap.allocator heap)) );
+      ("find hits", Int64.of_int !hits);
+    ],
+    Format.asprintf "%a" Mod_core.Recovery.pp_report report )
+
+let golden_tests =
+  [
+    Alcotest.test_case "map run, crash and recovery are pinned" `Quick
+      (fun () ->
+        let counters, report = golden_run () in
+        List.iter2
+          (fun (name, expected) (name', actual) ->
+            assert (name = name');
+            Alcotest.(check int64) name expected actual)
+          [
+            ("now_ns bits", 4719993203568525695L);
+            ("ns_flush bits", 4717712281208325150L);
+            ("l1_hits", 5690079L);
+            ("l1_misses", 85895L);
+            ("lines_drained", 307078L);
+            ("live_words", 71400L);
+            ("find hits", 1061L);
+          ]
+          counters;
+        Alcotest.(check string)
+          "recovery report"
+          "recovery: 5734 live blocks (71400 words), reclaimed 280 extents \
+           (20456 words), frontier 92432"
+          report);
+  ]
+
 let () =
   Alcotest.run "pmem"
     [
@@ -495,8 +657,10 @@ let () =
       ("region", region_tests);
       ("latency", latency_tests);
       ("cache", cache_tests);
+      ("cache-model", cache_model_tests);
       ("hierarchy", hierarchy_tests);
       ("stats", stats_tests);
       ("trace", trace_tests);
       ("snapshot", snapshot_tests);
+      ("golden", golden_tests);
     ]

@@ -609,7 +609,7 @@ let () =
       ("coalescing", coalescing_tests);
       ("conservation", conservation_test);
       ("refcounts", rc_tests);
-      ("refcount-model", rc_model_test);
+      ("rc-model", rc_model_test);
       ("freelist", freelist_tests);
       ("roots", root_tests);
       ("recovery", recovery_tests);

@@ -657,7 +657,7 @@ let () =
       ("region", region_tests);
       ("latency", latency_tests);
       ("cache", cache_tests);
-      ("cache-model", cache_model_tests);
+      ("lru-model", cache_model_tests);
       ("hierarchy", hierarchy_tests);
       ("stats", stats_tests);
       ("trace", trace_tests);

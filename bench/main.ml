@@ -24,29 +24,6 @@ let usage () =
      | --shards N";
   exit 1
 
-(* Machine-readable counterpart of a Runner sweep entry (BENCH_*.json). *)
-let runner_json (r : Runner.result) =
-  Report.Json.(
-    Obj
-      [
-        ("workload", String r.Runner.workload);
-        ("backend", String (Backend.kind_name r.Runner.backend));
-        ("ops", Int r.Runner.ops);
-        ("batch", Int r.Runner.batch);
-        ("commits", Int r.Runner.commits);
-        ("sim_ns_total", Float r.Runner.ns_total);
-        ("sim_ns_flush", Float r.Runner.ns_flush);
-        ("sim_ns_log", Float r.Runner.ns_log);
-        ("sim_ns_other", Float r.Runner.ns_other);
-        ("fences", Int r.Runner.fences);
-        ("flushes", Int r.Runner.flushes);
-        ("loads", Int r.Runner.loads);
-        ("stores", Int r.Runner.stores);
-        ("cache_miss_ratio", Float r.Runner.miss_ratio);
-        ("live_words", Int r.Runner.live_words);
-        ("high_water_words", Int r.Runner.high_water_words);
-      ])
-
 (* ------------------------------------------------------------------ *)
 (* Figure 4: average flush latency vs flushes overlapped per fence     *)
 (* ------------------------------------------------------------------ *)
@@ -60,23 +37,10 @@ let fig4 () =
   Report.row_r
     [ "flushes/fence"; "observed (ns)"; "amdahl (ns)"; "" ]
     [ 14; 14; 12; 30 ];
-  let lines_total = 320 in
   let points = ref [] in
   List.iter
     (fun n ->
-      let region = Pmem.Region.create ~capacity_words:(1 lsl 16) () in
-      (* fault in 320 distinct cachelines (<= 32KB worth: they fit L1D) *)
-      let offs = Array.init lines_total (fun i -> i * Pmem.Config.words_per_line) in
-      Array.iter (fun off -> Pmem.Region.store region off (Pmem.Word.of_int 1)) offs;
-      let stats = Pmem.Region.stats region in
-      let t0 = stats.Pmem.Stats.now_ns in
-      Array.iteri
-        (fun i off ->
-          Pmem.Region.clwb region off;
-          if (i + 1) mod n = 0 then Pmem.Region.sfence region)
-        offs;
-      if lines_total mod n <> 0 then Pmem.Region.sfence region;
-      let avg = (stats.Pmem.Stats.now_ns -. t0) /. float_of_int lines_total in
+      let avg = Profile.avg_flush_ns ~flushes_per_fence:n in
       let model = Pmem.Latency.amdahl_avg_ns n in
       points :=
         Report.Json.(
@@ -370,9 +334,9 @@ let batch_sizes = [ 1; 2; 4; 8; 16; 32 ]
 
 (* One N-op group is one FASE: N staged shadows, one ordering point.
    The sweep shows simulated ns/op strictly decreasing as the fence cost
-   amortizes, and fences/commit -> 1 on MOD; the optional baseline check
-   (--baseline) turns the shape into a regression gate. *)
-let batch_section ~scale ~baseline () =
+   amortizes, and fences/commit -> 1 on MOD; the baseline bounds turn
+   the shape into a regression gate. *)
+let batch_section ~scale ~gate () =
   Report.section
     "Group commit: simulated cost vs batch size (micro map workload)";
   Printf.printf
@@ -432,18 +396,16 @@ let batch_section ~scale ~baseline () =
     (ns 1 mod_runs /. ns 32 mod_runs)
     (Runner.fences_per_op (List.assoc 1 mod_runs))
     (Runner.fences_per_op (List.assoc 32 mod_runs));
-  (* regression gate *)
-  let failures = ref [] in
-  let check cond msg = if not cond then failures := msg :: !failures in
-  check
+  let section = "bench.batch" in
+  Gate.require gate ~section ~metric:"fase_profile"
     (profile.Mod_core.Fase.fences = 1 && profile.Mod_core.Fase.commits = 1)
     (Printf.sprintf
-       "FASE profile: an 8-insert batch used %d fences / %d commits \
-        (expected 1 / 1)"
+       "an 8-insert batch used %d fences / %d commits (expected 1 / 1)"
        profile.Mod_core.Fase.fences profile.Mod_core.Fase.commits);
   let rec strictly_decreasing = function
     | (b1, r1) :: ((b2, r2) :: _ as rest) ->
-        check
+        Gate.require gate ~section
+          ~metric:(Printf.sprintf "ns_per_op_%d_to_%d" b1 b2)
           (Runner.ns_per_op r2 < Runner.ns_per_op r1)
           (Printf.sprintf
              "MOD ns/op did not decrease from batch=%d (%.1f) to batch=%d \
@@ -453,46 +415,10 @@ let batch_section ~scale ~baseline () =
     | _ -> ()
   in
   strictly_decreasing mod_runs;
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match Option.bind (member "batch" (of_file path)) (member "mod_map") with
-      | exception Sys_error e ->
-          check false (Printf.sprintf "baseline %s unreadable: %s" path e)
-      | exception Parse_error e ->
-          check false (Printf.sprintf "baseline %s: bad JSON: %s" path e)
-      | None ->
-          check false (Printf.sprintf "baseline %s has no batch.mod_map" path)
-      | Some base ->
-          let bound key =
-            match Option.bind (member key base) to_number_opt with
-            | Some v -> v
-            | None ->
-                check false
-                  (Printf.sprintf "baseline batch.mod_map has no %s" key);
-                nan
-          in
-          let max_f32 = bound "max_fences_per_op_at_32" in
-          let min_speedup = bound "min_speedup_1_to_32" in
-          let f32 = Runner.fences_per_op (List.assoc 32 mod_runs) in
-          let speedup = ns 1 mod_runs /. ns 32 mod_runs in
-          check
-            (Float.is_nan max_f32 || f32 <= max_f32)
-            (Printf.sprintf
-               "fences/op at batch=32 is %.3f, above the baseline bound %.3f"
-               f32 max_f32);
-          check
-            (Float.is_nan min_speedup || speedup >= min_speedup)
-            (Printf.sprintf
-               "batch=1 -> batch=32 speedup is %.2fx, below the baseline \
-                bound %.2fx"
-               speedup min_speedup)));
-  (match List.rev !failures with
-  | [] -> print_endline "\nbatch regression gate: ok"
-  | fs ->
-      List.iter (fun m -> Printf.eprintf "BATCH REGRESSION: %s\n" m) fs;
-      exit 1);
+  Gate.bound gate ~section ~metric:"fences_per_op_at_32"
+    (Runner.fences_per_op (List.assoc 32 mod_runs));
+  Gate.bound gate ~section ~metric:"speedup_1_to_32"
+    (ns 1 mod_runs /. ns 32 mod_runs);
   let runs_json backend runs =
     Report.Json.(
       List
@@ -530,15 +456,14 @@ let batch_section ~scale ~baseline () =
 (* Telemetry: per-op histograms, attribution identity, sink overhead   *)
 (* ------------------------------------------------------------------ *)
 
-let telemetry_section ~scale ~baseline () =
+let telemetry_section ~scale ~gate () =
   Report.section
     "Telemetry: per-(structure x op) histograms and fence-stall attribution";
   Printf.printf
     "A Memory-sink run of the micro map workload, its attribution identity\n\
      (sum of per-op stalls + unattributed = global Pmem.Stats stall), and\n\
      the wall-clock overhead of an installed-but-Null collector.\n\n";
-  let failures = ref [] in
-  let check cond msg = if not cond then failures := msg :: !failures in
+  let section = "bench.telemetry" in
   (* -- Memory-sink run: histograms + attribution ------------------- *)
   let r =
     Runner.run_one ~metrics:Telemetry.Sink.Memory "map" Backend.Mod ~scale
@@ -556,24 +481,25 @@ let telemetry_section ~scale ~baseline () =
       -. rep.Telemetry.total_fence_stall_ns)
   in
   let tol = 1e-6 +. (1e-9 *. Float.abs rep.Telemetry.total_fence_stall_ns) in
-  check (rep.Telemetry.rows <> [])
-    "telemetry: Memory-sink run produced no per-op rows";
-  check (attr_gap <= tol)
+  Gate.require gate ~section ~metric:"rows" (rep.Telemetry.rows <> [])
+    "the Memory-sink run produced no per-op rows";
+  Gate.require gate ~section ~metric:"attribution_gap" (attr_gap <= tol)
     (Printf.sprintf
-       "telemetry: attribution does not sum to the global stall counter \
-        (%.3f + %.3f vs %.3f, gap %.3g)"
+       "attribution does not sum to the global stall counter (%.3f + %.3f \
+        vs %.3f, gap %.3g)"
        rep.Telemetry.attributed_fence_stall_ns
        rep.Telemetry.unattributed_fence_stall_ns
        rep.Telemetry.total_fence_stall_ns attr_gap);
   List.iter
     (fun row ->
-      let h = row.Telemetry.r_lat in
-      check
-        (Telemetry.Histogram.count h = row.Telemetry.r_spans)
-        (Printf.sprintf "telemetry: row %s/%s histogram holds %d samples, \
-                         expected %d spans"
-           row.Telemetry.r_structure row.Telemetry.r_op
-           (Telemetry.Histogram.count h) row.Telemetry.r_spans))
+      let n = Telemetry.Histogram.count row.Telemetry.r_lat in
+      Gate.require gate ~section
+        ~metric:
+          (Printf.sprintf "histogram_count.%s/%s" row.Telemetry.r_structure
+             row.Telemetry.r_op)
+        (n = row.Telemetry.r_spans)
+        (Printf.sprintf "histogram holds %d samples, expected %d spans" n
+           row.Telemetry.r_spans))
     rep.Telemetry.rows;
   (* -- Null-sink overhead: interleaved min-of-trials --------------- *)
   let time f =
@@ -603,39 +529,7 @@ let telemetry_section ~scale ~baseline () =
     "null-sink overhead: off %.1f ms, null %.1f ms -> %.2f%% (min of %d \
      interleaved trials)\n"
     (!best_off *. 1e3) (!best_null *. 1e3) overhead_pct trials;
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match member "telemetry" (of_file path) with
-      | exception Sys_error e ->
-          check false (Printf.sprintf "baseline %s unreadable: %s" path e)
-      | exception Parse_error e ->
-          check false (Printf.sprintf "baseline %s: bad JSON: %s" path e)
-      | None ->
-          check false (Printf.sprintf "baseline %s has no telemetry block" path)
-      | Some base ->
-          let bound =
-            match
-              Option.bind (member "max_null_sink_overhead_pct" base)
-                to_number_opt
-            with
-            | Some v -> v
-            | None ->
-                check false
-                  "baseline telemetry block has no max_null_sink_overhead_pct";
-                nan
-          in
-          check
-            (Float.is_nan bound || overhead_pct <= bound)
-            (Printf.sprintf
-               "null-sink overhead %.2f%% exceeds the baseline bound %.2f%%"
-               overhead_pct bound)));
-  (match List.rev !failures with
-  | [] -> print_endline "\ntelemetry regression gate: ok"
-  | fs ->
-      List.iter (fun m -> Printf.eprintf "TELEMETRY REGRESSION: %s\n" m) fs;
-      exit 1);
+  Gate.bound gate ~section ~metric:"null_sink_overhead_pct" overhead_pct;
   let row_json row =
     let h = row.Telemetry.r_lat in
     Report.Json.(
@@ -670,7 +564,7 @@ let telemetry_section ~scale ~baseline () =
 (* Faults: torn-crash + media-fault sweep throughput and detection     *)
 (* ------------------------------------------------------------------ *)
 
-let faults_section () =
+let faults_section ~gate () =
   Report.section
     "Faults: torn-crash and media-fault sweep (detection-or-recovery gate)";
   Printf.printf
@@ -687,20 +581,20 @@ let faults_section () =
       faults = true;
     }
   in
-  let violations = ref 0 in
   let results =
     List.map
       (fun name ->
         let w = Crashtest.Workload.build name ~ops:16 in
         let r = Crashtest.Explorer.explore ~cfg w in
         Format.printf "%a@." Crashtest.Explorer.pp_result r;
-        if not (Crashtest.Explorer.ok r) then
-          violations := !violations + List.length r.Crashtest.Explorer.failures;
         (name, r))
       Crashtest.Workload.basic_names
   in
-  let sum f =
-    List.fold_left (fun a (_, r) -> a + f r) 0 results
+  let sum f = List.fold_left (fun a (_, r) -> a + f r) 0 results in
+  let violations =
+    sum (fun r ->
+        if Crashtest.Explorer.ok r then 0
+        else List.length r.Crashtest.Explorer.failures)
   in
   let samples = sum (fun r -> r.Crashtest.Explorer.fault_samples) in
   let recovered = sum (fun r -> r.Crashtest.Explorer.fault_recovered) in
@@ -719,11 +613,9 @@ let faults_section () =
     "\nfault sweep: %d samples (%d recovered, %d degraded, %d root \
      fallbacks), %.0f points/s\n"
     samples recovered degraded fallbacks points_per_sec;
-  if !violations > 0 then begin
-    Printf.eprintf "FAULT SWEEP: %d oracle violation(s)\n" !violations;
-    exit 1
-  end;
-  print_endline "fault detection gate: ok";
+  Gate.require gate ~section:"bench.faults" ~metric:"violations"
+    (violations = 0)
+    (Printf.sprintf "%d oracle violation(s)" violations);
   Report.Json.(
     Obj
       [
@@ -734,7 +626,7 @@ let faults_section () =
         ("points_tested", Int points);
         ("wall_seconds", Float wall);
         ("points_per_sec", Float points_per_sec);
-        ("violations", Int !violations);
+        ("violations", Int violations);
         ( "workloads",
           List
             (List.map
@@ -763,7 +655,7 @@ let faults_section () =
    rebuilding the volatile interior).  Gates: Backup must strictly
    reduce flushes/op on both map and vec, and the committed baseline
    bounds the reconstruction latency. *)
-let persist_section ~scale ~baseline () =
+let persist_section ~scale ~gate () =
   Report.section
     "Commit policies: Full vs Backup (\"don't persist all\", Section 2.3)";
   Printf.printf
@@ -851,44 +743,15 @@ let persist_section ~scale ~baseline () =
      at the price of a bounded log replay on reopen.\n"
     (map_full /. Float.max map_backup 1e-9)
     (vec_full /. Float.max vec_backup 1e-9);
-  if map_backup >= map_full || vec_backup >= vec_full then begin
-    Printf.eprintf
-      "PERSIST GATE: Backup does not strictly reduce flushes/op (map %.3f \
-       vs %.3f, vec %.3f vs %.3f)\n"
-      map_backup map_full vec_backup vec_full;
-    exit 1
-  end;
+  let section = "bench.persist" in
+  Gate.require gate ~section ~metric:"backup_fewer_flushes"
+    (map_backup < map_full && vec_backup < vec_full)
+    (Printf.sprintf
+       "Backup does not strictly reduce flushes/op (map %.3f vs %.3f, vec \
+        %.3f vs %.3f)"
+       map_backup map_full vec_backup vec_full);
   let recovery_ms = Float.max map_rec vec_rec in
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match
-        Option.bind
-          (Option.bind (member "persist" (of_file path))
-             (member "max_recovery_ms"))
-          to_number_opt
-      with
-      | exception Sys_error e ->
-          Printf.eprintf "baseline %s unreadable: %s\n" path e;
-          exit 1
-      | exception Parse_error e ->
-          Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-          exit 1
-      | None ->
-          Printf.eprintf "baseline %s has no persist.max_recovery_ms\n" path;
-          exit 1
-      | Some bound_ms ->
-          Printf.printf "recovery max %.2f ms (baseline bound %.2f ms)\n"
-            recovery_ms bound_ms;
-          if recovery_ms > bound_ms then begin
-            Printf.eprintf
-              "PERSIST REGRESSION: recovery %.2f ms exceeds the committed \
-               bound %.2f ms\n"
-              recovery_ms bound_ms;
-            exit 1
-          end));
-  print_endline "persist-policy gate: ok";
+  Gate.bound gate ~section ~metric:"max_recovery_ms" recovery_ms;
   Report.Json.(
     Obj
       [
@@ -913,7 +776,7 @@ let persist_section ~scale ~baseline () =
 (* Kill9: real fork+SIGKILL durability sweep on the file backend       *)
 (* ------------------------------------------------------------------ *)
 
-let killtest_section ~baseline () =
+let killtest_section ~gate () =
   Report.section
     "Kill9: fork + SIGKILL durability on the file-backed heap";
   Printf.printf
@@ -944,40 +807,12 @@ let killtest_section ~baseline () =
       (fun a r -> Float.max a (r.Crashtest.Kill9.max_reopen_ns /. 1e6))
       0.0 results
   in
-  if violations > 0 || escaped > 0 then begin
-    Printf.eprintf "KILL9 SWEEP: %d violation(s), %d escaped exception(s)\n"
-      violations escaped;
-    exit 1
-  end;
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match
-        Option.bind
-          (Option.bind (member "kill9" (of_file path)) (member "max_reopen_ms"))
-          to_number_opt
-      with
-      | exception Sys_error e ->
-          Printf.eprintf "baseline %s unreadable: %s\n" path e;
-          exit 1
-      | exception Parse_error e ->
-          Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-          exit 1
-      | None ->
-          Printf.eprintf "baseline %s has no kill9.max_reopen_ms\n" path;
-          exit 1
-      | Some bound_ms ->
-          Printf.printf "reopen max %.2f ms (baseline bound %.2f ms)\n"
-            max_reopen_ms bound_ms;
-          if max_reopen_ms > bound_ms then begin
-            Printf.eprintf
-              "KILL9 REGRESSION: reopen max %.2f ms exceeds the committed \
-               bound %.2f ms\n"
-              max_reopen_ms bound_ms;
-            exit 1
-          end));
-  print_endline "kill9 durability gate: ok";
+  let section = "bench.killtest" in
+  Gate.require gate ~section ~metric:"violations" (violations = 0)
+    (Printf.sprintf "%d oracle violation(s)" violations);
+  Gate.require gate ~section ~metric:"escaped" (escaped = 0)
+    (Printf.sprintf "%d escaped exception(s)" escaped);
+  Gate.bound gate ~section ~metric:"max_reopen_ms" max_reopen_ms;
   Report.Json.(
     Obj
       [
@@ -1016,12 +851,11 @@ let killtest_section ~baseline () =
        to seconds per GB of high-water footprint.
    Simulated numbers and allocs/op are deterministic, so the committed
    baseline gates them; wall-clock is reported for the trajectory. *)
-let alloc_section ~scale ~baseline () =
+let alloc_section ~scale ~gate () =
   Report.section
     "Allocator: arena hot path, map inserts at scale, recovery per GB";
   let module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int) in
-  let failures = ref [] in
-  let check cond msg = if not cond then failures := msg :: !failures in
+  let section = "bench.alloc" in
   (* -- (a) raw churn ------------------------------------------------ *)
   let churn_ops = max 10_000 scale in
   let churn_live = 512 in
@@ -1051,7 +885,7 @@ let alloc_section ~scale ~baseline () =
     let hw = Pmalloc.Allocator.high_water_words al in
     (* churn at a bounded live set must reuse memory, not chase the
        frontier: the high-water mark stays O(live set + epoch lag) *)
-    check
+    Gate.require gate ~section ~metric:"churn_reuse"
       (hw < 128 * churn_live * 16)
       (Printf.sprintf
          "churn leaked through the reuse path: high water %d words for a \
@@ -1102,46 +936,14 @@ let alloc_section ~scale ~baseline () =
      (%.1f wall s/GB), %d blocks live\n"
     gb rec_sim_s rec_sim_s_gb rec_wall_s rec_wall_s_gb
     report.Mod_core.Recovery.gc.Pmalloc.Recovery_gc.live_blocks;
-  check
+  Gate.require gate ~section ~metric:"recovered_cardinality"
     (Imap.cardinal m = map_n)
     (Printf.sprintf "recovered map holds %d keys, expected %d"
        (Imap.cardinal m) map_n);
-  (* -- regression gate ---------------------------------------------- *)
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match member "alloc" (of_file path) with
-      | exception Sys_error e ->
-          check false (Printf.sprintf "baseline %s unreadable: %s" path e)
-      | exception Parse_error e ->
-          check false (Printf.sprintf "baseline %s: bad JSON: %s" path e)
-      | None ->
-          check false (Printf.sprintf "baseline %s has no alloc block" path)
-      | Some base ->
-          let bound key =
-            match Option.bind (member key base) to_number_opt with
-            | Some v -> v
-            | None ->
-                check false (Printf.sprintf "baseline alloc has no %s" key);
-                nan
-          in
-          let gate name v bound_v =
-            check
-              (Float.is_nan bound_v || v <= bound_v)
-              (Printf.sprintf "%s is %.3f, above the baseline bound %.3f"
-                 name v bound_v)
-          in
-          gate "churn sim ns/op" churn_sim_ns (bound "max_churn_sim_ns_per_op");
-          gate "map allocs/op" map_allocs_op (bound "max_map_allocs_per_op");
-          gate "map sim ns/op" map_sim_ns (bound "max_map_sim_ns_per_op");
-          gate "recovery sim s/GB" rec_sim_s_gb
-            (bound "max_recovery_sim_s_per_gb")));
-  (match List.rev !failures with
-  | [] -> print_endline "\nalloc regression gate: ok"
-  | fs ->
-      List.iter (fun m -> Printf.eprintf "ALLOC REGRESSION: %s\n" m) fs;
-      exit 1);
+  Gate.bound gate ~section ~metric:"churn_sim_ns_per_op" churn_sim_ns;
+  Gate.bound gate ~section ~metric:"map_allocs_per_op" map_allocs_op;
+  Gate.bound gate ~section ~metric:"map_sim_ns_per_op" map_sim_ns;
+  Gate.bound gate ~section ~metric:"recovery_sim_s_per_gb" rec_sim_s_gb;
   Report.Json.(
     Obj
       [
@@ -1236,7 +1038,7 @@ headline: hashmap outperforms ctree by %.0f%% -- the paper compares
    the slowest shard's clock -- their ratio is the aggregate throughput
    gain hash partitioning buys under zipfian skew, independent of how
    many host cores the CI runner has. *)
-let shard_section ~seed ~nshards ~baseline () =
+let shard_section ~seed ~nshards ~gate () =
   Report.section
     "Serving layer: sharded zipfian loop (sim speedup) + single-shard crashes";
   let requests = 8_000 in
@@ -1281,43 +1083,13 @@ let shard_section ~seed ~nshards ~baseline () =
     sw.Shard.sw_points sw.Shard.sw_consistent
     (List.length sw.Shard.sw_violations)
     sw.Shard.sw_sibling_mismatches;
-  if not (Shard.sweep_ok sw) then begin
-    List.iter
-      (fun v -> Printf.eprintf "SHARD SWEEP FAIL: %s\n" v)
-      sw.Shard.sw_violations;
-    Printf.eprintf "SHARD SWEEP: crash independence violated\n";
-    exit 1
-  end;
-  (match baseline with
-  | None -> ()
-  | Some path -> (
-      let open Report.Json in
-      match
-        Option.bind
-          (Option.bind (member "shard" (of_file path))
-             (member "min_sim_speedup"))
-          to_number_opt
-      with
-      | exception Sys_error e ->
-          Printf.eprintf "baseline %s unreadable: %s\n" path e;
-          exit 1
-      | exception Parse_error e ->
-          Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-          exit 1
-      | None ->
-          Printf.eprintf "baseline %s has no shard.min_sim_speedup\n" path;
-          exit 1
-      | Some bound ->
-          Printf.printf "sim speedup %.2fx (baseline floor %.2fx)\n" speedup
-            bound;
-          if speedup < bound then begin
-            Printf.eprintf
-              "SHARD REGRESSION: %d-shard sim speedup %.2fx is below the \
-               committed floor %.2fx\n"
-              nshards speedup bound;
-            exit 1
-          end));
-  print_endline "shard serving gate: ok";
+  List.iter
+    (fun v -> Printf.eprintf "SHARD SWEEP FAIL: %s\n" v)
+    sw.Shard.sw_violations;
+  let section = "bench.shard" in
+  Gate.require gate ~section ~metric:"sweep_ok" (Shard.sweep_ok sw)
+    "single-shard crash independence violated";
+  Gate.bound gate ~section ~metric:"sim_speedup" speedup;
   Report.Json.(
     Obj
       [
@@ -1452,6 +1224,7 @@ let () =
   let scale = !scale in
   print_endline (Pmem.Config.describe ());
   Printf.printf "\nworkload scale: %d operations (paper: 1,000,000)\n" scale;
+  let gate = Gate.create ?baseline:!baseline () in
   let t_start = Unix.gettimeofday () in
   let results = lazy (sweep ~scale) in
   (* Each section renders its terminal figure and hands back a JSON
@@ -1474,56 +1247,53 @@ let () =
   run "fig11" (wants "fig11")
     (unit_section (fun () -> fig11 (Lazy.force results)));
   run "table3" (wants "table3") (fun () -> table3 ~scale);
-  run "batch" (wants "batch")
-    (batch_section ~scale:(min scale 20_000) ~baseline:!baseline);
+  run "batch" (wants "batch") (batch_section ~scale:(min scale 20_000) ~gate);
   run "telemetry" (wants "telemetry")
-    (telemetry_section ~scale:(min scale 10_000) ~baseline:!baseline);
-  run "faults" (wants "faults") (fun () -> faults_section ());
+    (telemetry_section ~scale:(min scale 10_000) ~gate);
+  run "faults" (wants "faults") (faults_section ~gate);
   run "persist" (wants "persist")
-    (persist_section ~scale:(min scale 10_000) ~baseline:!baseline);
-  run "killtest" (wants "killtest") (killtest_section ~baseline:!baseline);
-  run "alloc" (wants "alloc") (alloc_section ~scale ~baseline:!baseline);
+    (persist_section ~scale:(min scale 10_000) ~gate);
+  run "killtest" (wants "killtest") (killtest_section ~gate);
+  run "alloc" (wants "alloc") (alloc_section ~scale ~gate);
   run "shard" (wants "shard")
-    (shard_section ~seed:!seed ~nshards:!shards ~baseline:!baseline);
+    (shard_section ~seed:!seed ~nshards:!shards ~gate);
   run "ctree" (wants "ctree") (fun () -> ctree ~scale);
   run "ablations" (wants "ablations") (fun () -> ablations ~scale);
   run "bechamel" (wants "bechamel") (fun () -> bechamel ());
-  (match !json_out with
-  | None -> ()
-  | Some path ->
-      let open Report.Json in
-      let sweep_json =
-        if Lazy.is_val results then
-          List
-            (List.concat_map
-               (fun (_, per_backend) ->
-                 List.map (fun (_, r) -> runner_json r) per_backend)
-               (Lazy.force results))
-        else List []
-      in
-      let section_json =
-        List
-          (List.rev_map
-             (fun (name, dt, payload) ->
-               let fields =
-                 [ ("name", String name); ("wall_seconds", Float dt) ]
-               in
-               Obj
-                 (match payload with
-                 | Null -> fields
-                 | p -> fields @ [ ("data", p) ]))
-             !collected)
-      in
-      let doc =
-        Obj
-          [
-            ("schema", String "modpm-bench/1");
-            ("scale", Int scale);
-            ("wall_seconds", Float (Unix.gettimeofday () -. t_start));
-            ("sections", section_json);
-            ("sweep", sweep_json);
-          ]
-      in
-      to_file path doc;
-      Printf.printf "\nwrote %s\n" path);
+  let open Report.Json in
+  let sweep_json =
+    if Lazy.is_val results then
+      List
+        (List.concat_map
+           (fun (_, per_backend) ->
+             List.map (fun (_, r) -> Runner.to_json r) per_backend)
+           (Lazy.force results))
+    else List []
+  in
+  let section_json =
+    List
+      (List.rev_map
+         (fun (name, dt, payload) ->
+           let fields = [ ("name", String name); ("wall_seconds", Float dt) ] in
+           Obj
+             (match payload with
+             | Null -> fields
+             | p -> fields @ [ ("data", p) ]))
+         !collected)
+  in
+  Gate.write gate !json_out ~command:"bench"
+    ~config:
+      [
+        ("scale", Int scale);
+        ("seed", Int !seed);
+        ("shards", Int !shards);
+        ("sections", List (List.map (fun s -> String s) sections));
+      ]
+    (Obj
+       [
+         ("wall_seconds", Float (Unix.gettimeofday () -. t_start));
+         ("sections", section_json);
+         ("sweep", sweep_json);
+       ]);
+  Gate.finish gate;
   Printf.printf "\ndone.\n"

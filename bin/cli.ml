@@ -11,16 +11,17 @@ open Cmdliner
 (* --persist: commit policy for whatever structure the subcommand
    drives.  "full" maps to None (the structures' default) so
    policy-free paths stay untouched. *)
+let persist_name = function
+  | None -> "full"
+  | Some p -> Pmalloc.Heap.policy_name p
+
 let persist_conv =
   let parse = function
     | "full" -> Ok None
     | "backup" -> Ok (Some Pmalloc.Heap.Backup)
     | s -> Error (`Msg (Printf.sprintf "unknown --persist %S (full|backup)" s))
   in
-  let print ppf = function
-    | None -> Format.pp_print_string ppf "full"
-    | Some p -> Format.pp_print_string ppf (Pmalloc.Heap.policy_name p)
-  in
+  let print ppf p = Format.pp_print_string ppf (persist_name p) in
   Arg.conv (parse, print)
 
 let persist_arg =
@@ -41,8 +42,10 @@ let json_arg =
 
 let baseline_arg =
   let doc =
-    "Gate the run against a committed baseline JSON (bench/BASELINE.json \
-     shape) and exit non-zero on regression."
+    "Gate the run against a baseline file (schema modpm-baseline/2, the \
+     bench/BASELINE.json shape: a flat list of section/metric bounds).  \
+     Exits 1 when a bound is violated, 2 when the file is unreadable, \
+     malformed, or has no entry for a metric the command checks."
   in
   Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
 

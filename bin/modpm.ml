@@ -24,6 +24,8 @@
    subcommand that accepts them. *)
 
 open Cmdliner
+module Json = Workloads.Report.Json
+module Gate = Workloads.Gate
 
 let backend_conv =
   let parse = function
@@ -142,35 +144,17 @@ let run_cmd =
     Printf.printf "L1D misses  %.2f%%\n" (100.0 *. r.miss_ratio);
     Printf.printf "live words  %d (high water %d)\n" r.live_words
       r.high_water_words;
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        let open Workloads.Report.Json in
-        let doc =
-          Obj
-            [
-              ("schema", String "modpm-run/1");
-              ("workload", String r.workload);
-              ("backend", String (Workloads.Backend.kind_name r.backend));
-              ("ops", Int r.ops);
-              ("batch", Int r.batch);
-              ( "persist",
-                String
-                  (match persist with
-                  | Some Pmalloc.Heap.Backup -> "backup"
-                  | _ -> "full") );
-              ("seed", Int seed);
-              ("sim_ns", Float r.ns_total);
-              ("ns_per_op", Float (Workloads.Runner.ns_per_op r));
-              ("fences_per_op", Float (Workloads.Runner.fences_per_op r));
-              ("flushes_per_op", Float (Workloads.Runner.flushes_per_op r));
-              ("miss_ratio", Float r.miss_ratio);
-              ("live_words", Int r.live_words);
-              ("high_water_words", Int r.high_water_words);
-            ]
-        in
-        to_file path doc;
-        Printf.printf "wrote %s\n" path);
+    Gate.write (Gate.create ()) json_out ~command:"run"
+      ~config:
+        [
+          ("workload", Json.String name);
+          ("backend", Json.String (Workloads.Backend.kind_name backend));
+          ("ops", Json.Int scale);
+          ("batch", Json.Int batch);
+          ("persist", Json.String (Cli.persist_name persist));
+          ("seed", Json.Int seed);
+        ]
+      (Workloads.Runner.to_json r);
     match (metrics, r.telemetry) with
     | Some format, Some report -> emit_metrics ~out:metrics_out format report
     | _ -> ()
@@ -219,33 +203,129 @@ let crash_cmd =
 
 (* -- crashtest ---------------------------------------------------------- *)
 
+(* One swept workload, reduced to what the shared sweep report needs. *)
+type swept = {
+  name : string;
+  negative : bool;
+  ok : bool;
+  points : int;
+  wall : float;
+  failures : int;
+  shown : (string * string) list;
+      (* the first failures: (description, replay command) *)
+  counters : (string * int) list;  (* summed across workloads *)
+  fields : (string * Json.t) list;  (* extra per-workload JSON *)
+}
+
+let first_failures pp command fs =
+  List.filteri (fun i _ -> i < 5) fs
+  |> List.map (fun f -> (Format.asprintf "%a" pp f, command f))
+
+(* The report shared by the sequential and --writers sweeps.  Each
+   workload is judged as soon as it is swept: a negative control must
+   be caught (its first replay command is printed), a positive workload
+   must sweep clean (its first failures are printed with replay
+   commands).  Returns the aggregate points/s, the positive-workload
+   violation count, the summed counters and the JSON data. *)
+let report_sweeps gate ~section names sweep =
+  let results =
+    List.map
+      (fun name ->
+        let s = sweep name in
+        (if s.negative then begin
+           Gate.require gate ~section ~metric:(name ^ ".caught") (not s.ok)
+             (name ^ ": negative control missed, expected an oracle \
+                      violation");
+           match s.shown with
+           | (_, cmd) :: _ ->
+               Format.printf
+                 "  negative control caught as expected; replay with:@.    \
+                  %s@."
+                 cmd
+           | [] -> ()
+         end
+         else begin
+           Gate.require gate ~section ~metric:(name ^ ".ok") s.ok
+             (Printf.sprintf "%s: %d oracle violation(s)" name s.failures);
+           List.iter
+             (fun (d, cmd) -> Format.printf "  %s@.    replay: %s@." d cmd)
+             s.shown
+         end);
+        s)
+      names
+  in
+  let total f = List.fold_left (fun a s -> a + f s) 0 results in
+  let points = total (fun s -> s.points) in
+  let wall = List.fold_left (fun a s -> a +. s.wall) 0.0 results in
+  let points_per_sec =
+    if wall <= 0.0 then 0.0 else float_of_int points /. wall
+  in
+  let positive_violations =
+    total (fun s -> if s.negative then 0 else s.failures)
+  in
+  let counters =
+    match results with
+    | [] -> []
+    | s :: _ ->
+        List.map
+          (fun (k, _) -> (k, total (fun s -> List.assoc k s.counters)))
+          s.counters
+  in
+  let ints = List.map (fun (k, v) -> (k, Json.Int v)) in
+  let data =
+    Json.Obj
+      ([
+         ("wall_seconds", Json.Float wall);
+         ("points_tested", Json.Int points);
+         ("points_per_sec", Json.Float points_per_sec);
+         ("positive_violations", Json.Int positive_violations);
+       ]
+      @ ints counters
+      @ [
+          ( "workloads",
+            Json.List
+              (List.map
+                 (fun s ->
+                   Json.Obj
+                     ([
+                        ("workload", Json.String s.name);
+                        ("negative", Json.Bool s.negative);
+                        ("points_tested", Json.Int s.points);
+                        ("wall_seconds", Json.Float s.wall);
+                        ("failures", Json.Int s.failures);
+                        ("ok", Json.Bool s.ok);
+                      ]
+                     @ s.fields @ ints s.counters))
+                 results) );
+        ])
+  in
+  (points_per_sec, positive_violations, counters, data)
+
+(* Bad crashtest arguments (an unknown mode, schedule, workload or an
+   unsupported flag combination) are usage errors: print the message
+   and exit 2. *)
+let usage_error msg =
+  prerr_endline msg;
+  exit 2
+
+let ok_or_usage = function Ok v -> v | Error e -> usage_error e
+
+let build_or_usage build name =
+  try build name with Invalid_argument msg -> usage_error msg
+
 (* The concurrent sweep/replay path of the crashtest command: [writers]
    interleaved writers per workload, every (schedule, crash point) pair
    swept and judged by the concurrent durable-linearizability oracle. *)
 let crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
-    ~schedule ~json_out ~baseline =
-  let cbuild name =
-    try Crashtest.Workload.cbuild name ~writers ~ops
-    with Invalid_argument msg ->
-      prerr_endline msg;
-      exit 2
-  in
-  let parse_mode () =
-    match Crashtest.Explorer.mode_of_name mode with
-    | Ok m -> m
-    | Error e ->
-        prerr_endline e;
-        exit 2
+    ~schedule ~gate ~write =
+  let cbuild =
+    build_or_usage (fun name -> Crashtest.Workload.cbuild name ~writers ~ops)
   in
   match replay with
   | Some crash_index -> (
-      let m = parse_mode () in
+      let m = ok_or_usage (Crashtest.Explorer.mode_of_name mode) in
       let sched =
-        match Crashtest.Interleave.schedule_of_name schedule with
-        | Ok s -> s
-        | Error e ->
-            prerr_endline e;
-            exit 2
+        ok_or_usage (Crashtest.Interleave.schedule_of_name schedule)
       in
       let cw = cbuild workload in
       match
@@ -274,138 +354,39 @@ let crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
         | "all" -> Crashtest.Workload.concurrent_names
         | n -> [ n ]
       in
-      let bad = ref false in
-      let results = ref [] in
-      List.iter
-        (fun name ->
-          let cw = cbuild name in
-          let r = Crashtest.Explorer.explore_concurrent ~cfg cw in
-          results := (cw, r) :: !results;
-          Format.printf "%a@." Crashtest.Explorer.pp_cresult r;
-          let failed = not (Crashtest.Explorer.cok r) in
-          if cw.Crashtest.Workload.cnegative then
-            if not failed then begin
-              Format.printf
-                "  NEGATIVE CONTROL MISSED: expected an oracle violation, \
-                 none found@.";
-              bad := true
-            end
-            else
-              let f = List.hd r.Crashtest.Explorer.cr_failures in
-              Format.printf
-                "  negative control caught as expected; replay with:@.    %s@."
-                (Crashtest.Replay.ccommand f)
-          else if failed then begin
-            bad := true;
-            List.iteri
-              (fun i f ->
-                if i < 5 then
-                  Format.printf "  %a@.    replay: %s@."
-                    Crashtest.Explorer.pp_cfailure f
-                    (Crashtest.Replay.ccommand f))
-              r.Crashtest.Explorer.cr_failures
-          end)
-        names;
-      let results = List.rev !results in
-      let sum f = List.fold_left (fun a (_, r) -> a + f r) 0 results in
-      let total_points =
-        sum (fun r -> r.Crashtest.Explorer.cr_points_tested)
+      let sweep name =
+        let cw = cbuild name in
+        let r = Crashtest.Explorer.explore_concurrent ~cfg cw in
+        Format.printf "%a@." Crashtest.Explorer.pp_cresult r;
+        {
+          name;
+          negative = cw.Crashtest.Workload.cnegative;
+          ok = Crashtest.Explorer.cok r;
+          points = r.cr_points_tested;
+          wall = r.cr_wall_seconds;
+          failures = List.length r.cr_failures;
+          shown =
+            first_failures Crashtest.Explorer.pp_cfailure
+              Crashtest.Replay.ccommand r.cr_failures;
+          counters = [];
+          fields =
+            [
+              ("writers", Json.Int r.cr_writers);
+              ("ops", Json.Int r.cr_ops);
+              ("schedules", Json.Int r.cr_schedules);
+              ("total_events", Json.Int r.cr_total_events);
+              ("crashes_sampled", Json.Int r.cr_crashes_sampled);
+            ];
+        }
       in
-      let positive_violations =
-        List.fold_left
-          (fun a ((cw : Crashtest.Workload.ct), r) ->
-            if cw.Crashtest.Workload.cnegative then a
-            else a + List.length r.Crashtest.Explorer.cr_failures)
-          0 results
+      let section = "crashtest-concurrent" in
+      let _, positive_violations, _, data =
+        report_sweeps gate ~section names sweep
       in
-      let total_wall =
-        List.fold_left
-          (fun a (_, r) -> a +. r.Crashtest.Explorer.cr_wall_seconds)
-          0.0 results
-      in
-      let points_per_sec =
-        if total_wall <= 0.0 then 0.0
-        else float_of_int total_points /. total_wall
-      in
-      (match json_out with
-      | None -> ()
-      | Some path ->
-          let open Workloads.Report.Json in
-          let doc =
-            Obj
-              [
-                ("schema", String "modpm-crashtest-concurrent/1");
-                ("writers", Int writers);
-                ("ops", Int ops);
-                ("wall_seconds", Float total_wall);
-                ("points_tested", Int total_points);
-                ("points_per_sec", Float points_per_sec);
-                ("positive_violations", Int positive_violations);
-                ( "workloads",
-                  List
-                    (List.map
-                       (fun ((cw : Crashtest.Workload.ct), r) ->
-                         Obj
-                           [
-                             ( "workload",
-                               String r.Crashtest.Explorer.cr_workload );
-                             ("writers", Int r.Crashtest.Explorer.cr_writers);
-                             ("ops", Int r.Crashtest.Explorer.cr_ops);
-                             ( "negative",
-                               Bool cw.Crashtest.Workload.cnegative );
-                             ( "schedules",
-                               Int r.Crashtest.Explorer.cr_schedules );
-                             ( "total_events",
-                               Int r.Crashtest.Explorer.cr_total_events );
-                             ( "points_tested",
-                               Int r.Crashtest.Explorer.cr_points_tested );
-                             ( "crashes_sampled",
-                               Int r.Crashtest.Explorer.cr_crashes_sampled );
-                             ( "wall_seconds",
-                               Float r.Crashtest.Explorer.cr_wall_seconds );
-                             ( "failures",
-                               Int
-                                 (List.length
-                                    r.Crashtest.Explorer.cr_failures) );
-                             ("ok", Bool (Crashtest.Explorer.cok r));
-                           ])
-                       results) );
-              ]
-          in
-          to_file path doc;
-          Printf.printf "wrote %s\n" path);
-      (match baseline with
-      | None -> ()
-      | Some path -> (
-          let open Workloads.Report.Json in
-          match
-            let doc = of_file path in
-            Option.bind (member "concurrent" doc) (member "max_violations")
-            |> Fun.flip Option.bind to_number_opt
-          with
-          | exception Sys_error e ->
-              Printf.eprintf "baseline %s unreadable: %s\n" path e;
-              exit 2
-          | exception Parse_error e ->
-              Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-              exit 2
-          | None ->
-              Printf.eprintf "baseline %s has no concurrent.max_violations\n"
-                path;
-              exit 2
-          | Some max_v ->
-              Printf.printf
-                "concurrent sweep: %d positive-workload violation(s) vs \
-                 baseline bound %.0f\n"
-                positive_violations max_v;
-              if float_of_int positive_violations > max_v then begin
-                Printf.eprintf
-                  "CONCURRENT REGRESSION: %d violation(s) exceed the \
-                   committed bound (%.0f)\n"
-                  positive_violations max_v;
-                bad := true
-              end));
-      if !bad then exit 1
+      Gate.bound gate ~section ~metric:"positive_violations"
+        (float_of_int positive_violations);
+      write data;
+      Gate.finish gate
 
 (* --shards N: the single-shard crash sweep of the serving layer.  Kill
    one shard (rotating targets) at swept PM-event budgets of its own
@@ -413,68 +394,65 @@ let crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
    and that every sibling's dump is bit-identically untouched.  In
    memory the crash is Heap.crash + Recovery.recover; with [file] the
    crashed region is abandoned as kill -9 would leave it and the image
-   is reopened via Recovery.open_file. *)
-let shard_sweep ~nshards ~requests ~stride ~max_points ~seed ~file ~json_out =
-  if nshards < 1 then begin
-    Printf.eprintf "--shards must be >= 1\n";
-    exit 2
-  end;
+   is reopened via Recovery.open_file.  [command] names the gate
+   section, [command]-shards. *)
+let shard_sweep ~command ~nshards ~requests ~stride ~max_points ~seed ~file
+    ~json_out ~gate =
+  if nshards < 1 then usage_error "--shards must be >= 1";
   let stride = if stride = 1 then 97 else stride in
   let r =
     Shard.crash_sweep ~nshards ~requests ~stride ?max_points ~seed ?file ()
   in
+  let backing = match file with Some _ -> "file" | None -> "memory" in
   Printf.printf
     "shard sweep (%d shards, %s): %d crash points, %d consistent, %d \
      violations, %d sibling perturbations%s\n"
-    r.Shard.sw_nshards
-    (match file with Some _ -> "file-backed" | None -> "in-memory")
-    r.Shard.sw_points r.Shard.sw_consistent
+    r.Shard.sw_nshards backing r.Shard.sw_points r.Shard.sw_consistent
     (List.length r.Shard.sw_violations)
     r.Shard.sw_sibling_mismatches
     (if r.Shard.sw_exhausted then " (script exhausted: full coverage)" else "");
   List.iteri
     (fun i v -> if i < 5 then Printf.printf "  VIOLATION %s\n" v)
     r.Shard.sw_violations;
-  (match json_out with
-  | None -> ()
-  | Some path ->
-      let open Workloads.Report.Json in
-      let doc =
-        Obj
-          [
-            ("schema", String "modpm-shard-sweep/1");
-            ("nshards", Int r.Shard.sw_nshards);
-            ("requests", Int requests);
-            ("seed", Int seed);
-            ( "backing",
-              String (match file with Some _ -> "file" | None -> "memory") );
-            ("points", Int r.Shard.sw_points);
-            ("consistent", Int r.Shard.sw_consistent);
-            ("violations", Int (List.length r.Shard.sw_violations));
-            ("sibling_mismatches", Int r.Shard.sw_sibling_mismatches);
-            ("exhausted", Bool r.Shard.sw_exhausted);
-            ("ok", Bool (Shard.sweep_ok r));
-          ]
-      in
-      to_file path doc;
-      Printf.printf "wrote %s\n" path);
-  if not (Shard.sweep_ok r) then exit 1
+  let section = command ^ "-shards" in
+  let violations = List.length r.Shard.sw_violations in
+  Gate.require gate ~section ~metric:"sweep_ok" (Shard.sweep_ok r)
+    (Printf.sprintf "%d violation(s), %d sibling perturbation(s)" violations
+       r.Shard.sw_sibling_mismatches);
+  Gate.bound gate ~section ~metric:"violations" (float_of_int violations);
+  Gate.write gate json_out ~command
+    ~config:
+      [
+        ("nshards", Json.Int r.Shard.sw_nshards);
+        ("requests", Json.Int requests);
+        ("seed", Json.Int seed);
+        ("backing", Json.String backing);
+      ]
+    (Json.Obj
+       [
+         ("points", Json.Int r.Shard.sw_points);
+         ("consistent", Json.Int r.Shard.sw_consistent);
+         ("violations", Json.Int violations);
+         ("sibling_mismatches", Json.Int r.Shard.sw_sibling_mismatches);
+         ("exhausted", Json.Bool r.Shard.sw_exhausted);
+       ]);
+  Gate.finish gate
 
 let crashtest_cmd =
   let run action workload ops stride samples seed max_points quick replay mode
       sseed shrink jobs full_snapshots faults json_out baseline persist
       writers schedule shards =
+    let gate = Gate.create ?baseline () in
     match shards with
     | Some nshards ->
         let requests = if quick then min (ops * 4) 64 else ops * 4 in
-        shard_sweep ~nshards ~requests ~stride ~max_points ~seed ~file:None
-          ~json_out
+        shard_sweep ~command:"crashtest" ~nshards ~requests ~stride
+          ~max_points ~seed ~file:None ~json_out ~gate
     | None ->
     (match action with
     | None | Some "sweep" -> ()
     | Some other ->
-        Printf.eprintf "unknown action %S (only: sweep)\n" other;
-        exit 2);
+        usage_error (Printf.sprintf "unknown action %S (only: sweep)" other));
     let ops = if quick then min ops 8 else ops in
     let samples = if quick then min samples 2 else samples in
     let snapshot_mode =
@@ -493,38 +471,42 @@ let crashtest_cmd =
         log = prerr_endline;
       }
     in
+    let write =
+      Gate.write gate json_out ~command:"crashtest"
+        ~config:
+          [
+            ("workload", Json.String workload);
+            ("ops", Json.Int ops);
+            ("stride", Json.Int stride);
+            ("samples", Json.Int samples);
+            ("seed", Json.Int seed);
+            ( "snapshot_mode",
+              Json.String (if full_snapshots then "full-copy" else "journal")
+            );
+            ("jobs", Json.Int jobs);
+            ("faults", Json.Bool faults);
+            ("persist", Json.String (Cli.persist_name persist));
+            ("writers", Json.Int writers);
+          ]
+    in
     if writers > 0 then begin
-      if persist <> None then begin
-        prerr_endline
+      if persist <> None then
+        usage_error
           "--persist is not supported with --writers (Backup commits are \
            serialized by log-append order, not a root CAS)";
-        exit 2
-      end;
-      if faults then begin
-        prerr_endline "--faults is not supported with --writers yet";
-        exit 2
-      end;
+      if faults then usage_error "--faults is not supported with --writers yet";
       let workload = if workload = "mod" then "all" else workload in
       crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
-        ~schedule ~json_out ~baseline
+        ~schedule ~gate ~write
     end
     else
-    let build name =
-      try Crashtest.Workload.build ?persist name ~ops
-      with Invalid_argument msg ->
-        prerr_endline msg;
-        exit 2
+    let build =
+      build_or_usage (fun name -> Crashtest.Workload.build ?persist name ~ops)
     in
     match replay with
     | Some crash_index -> (
         (* deterministic single-point replay of a reported failure *)
-        let m =
-          match Crashtest.Explorer.mode_of_name mode with
-          | Ok m -> m
-          | Error e ->
-              prerr_endline e;
-              exit 2
-        in
+        let m = ok_or_usage (Crashtest.Explorer.mode_of_name mode) in
         let w = build workload in
         match
           Crashtest.Replay.replay ~cfg w ~crash_index ~mode:m ?seed:sseed ()
@@ -571,177 +553,54 @@ let crashtest_cmd =
           | "mod" -> Crashtest.Workload.mod_names
           | n -> [ n ]
         in
-        let bad = ref false in
-        let results = ref [] in
-        List.iter
-          (fun name ->
-            let w = build name in
-            let r = Crashtest.Explorer.explore ~cfg w in
-            results := (w, r) :: !results;
-            Format.printf "%a@." Crashtest.Explorer.pp_result r;
-            let failed = not (Crashtest.Explorer.ok r) in
-            if w.Crashtest.Workload.negative then
-              if not failed then begin
-                Format.printf
-                  "  NEGATIVE CONTROL MISSED: expected an oracle violation, \
-                   none found@.";
-                bad := true
-              end
-              else
-                let f = List.hd r.Crashtest.Explorer.failures in
-                Format.printf
-                  "  negative control caught as expected; replay with:@.  \
-                   \  %s@."
-                  (Crashtest.Replay.command f)
-            else if failed then begin
-              bad := true;
-              List.iteri
-                (fun i f ->
-                  if i < 5 then
-                    Format.printf "  %a@.    replay: %s@."
-                      Crashtest.Explorer.pp_failure f
-                      (Crashtest.Replay.command f))
-                r.Crashtest.Explorer.failures
-            end)
-          names;
-        let results = List.rev !results in
-        let total_points =
-          List.fold_left
-            (fun a (_, r) -> a + r.Crashtest.Explorer.points_tested)
-            0 results
+        let sweep name =
+          let w = build name in
+          let r = Crashtest.Explorer.explore ~cfg w in
+          Format.printf "%a@." Crashtest.Explorer.pp_result r;
+          {
+            name;
+            negative = w.Crashtest.Workload.negative;
+            ok = Crashtest.Explorer.ok r;
+            points = r.points_tested;
+            wall = r.wall_seconds;
+            failures = List.length r.failures;
+            shown =
+              first_failures Crashtest.Explorer.pp_failure
+                Crashtest.Replay.command r.failures;
+            counters =
+              [
+                ("fault_samples", r.fault_samples);
+                ("fault_recovered", r.fault_recovered);
+                ("fault_degraded", r.fault_degraded);
+                ("fault_fallbacks", r.fault_fallbacks);
+              ];
+            fields =
+              [
+                ("ops", Json.Int r.ops);
+                ("total_events", Json.Int r.total_events);
+                ("points_skipped", Json.Int r.points_skipped);
+                ("crashes_sampled", Json.Int r.crashes_sampled);
+                ( "points_per_sec",
+                  Json.Float (Crashtest.Explorer.points_per_sec r) );
+                ("shards_resequenced", Json.Int r.shards_resequenced);
+              ];
+          }
         in
-        let total_wall =
-          List.fold_left
-            (fun a (_, r) -> a +. r.Crashtest.Explorer.wall_seconds)
-            0.0 results
-        in
-        let points_per_sec =
-          if total_wall <= 0.0 then 0.0
-          else float_of_int total_points /. total_wall
-        in
-        let sum f = List.fold_left (fun a (_, r) -> a + f r) 0 results in
-        let total_fault_samples =
-          sum (fun r -> r.Crashtest.Explorer.fault_samples)
-        in
-        let total_fault_recovered =
-          sum (fun r -> r.Crashtest.Explorer.fault_recovered)
-        in
-        let total_fault_degraded =
-          sum (fun r -> r.Crashtest.Explorer.fault_degraded)
-        in
-        let total_fault_fallbacks =
-          sum (fun r -> r.Crashtest.Explorer.fault_fallbacks)
+        let points_per_sec, _, counters, data =
+          report_sweeps gate ~section:"crashtest" names sweep
         in
         if faults then
           Printf.printf
             "fault sweep: %d samples, %d recovered, %d degraded (typed), %d \
              root fallbacks\n"
-            total_fault_samples total_fault_recovered total_fault_degraded
-            total_fault_fallbacks;
-        (match json_out with
-        | None -> ()
-        | Some path ->
-            let open Workloads.Report.Json in
-            let doc =
-              Obj
-                [
-                  ("schema", String "modpm-crashtest/1");
-                  ("ops", Int ops);
-                  ("stride", Int stride);
-                  ("samples", Int samples);
-                  ("seed", Int seed);
-                  ( "snapshot_mode",
-                    String
-                      (match snapshot_mode with
-                      | Pmem.Region.Journal -> "journal"
-                      | Pmem.Region.Full_copy -> "full-copy") );
-                  ("jobs", Int jobs);
-                  ("faults", Bool faults);
-                  ( "persist",
-                    String
-                      (match persist with
-                      | Some Pmalloc.Heap.Backup -> "backup"
-                      | _ -> "full") );
-                  ("wall_seconds", Float total_wall);
-                  ("points_tested", Int total_points);
-                  ("points_per_sec", Float points_per_sec);
-                  ("fault_samples", Int total_fault_samples);
-                  ("fault_recovered", Int total_fault_recovered);
-                  ("fault_degraded", Int total_fault_degraded);
-                  ("fault_fallbacks", Int total_fault_fallbacks);
-                  ( "workloads",
-                    List
-                      (List.map
-                         (fun ((w : Crashtest.Workload.t), r) ->
-                           Obj
-                             [
-                               ("workload", String r.Crashtest.Explorer.workload);
-                               ("ops", Int r.Crashtest.Explorer.ops);
-                               ("negative", Bool w.Crashtest.Workload.negative);
-                               ( "total_events",
-                                 Int r.Crashtest.Explorer.total_events );
-                               ( "points_tested",
-                                 Int r.Crashtest.Explorer.points_tested );
-                               ( "points_skipped",
-                                 Int r.Crashtest.Explorer.points_skipped );
-                               ( "crashes_sampled",
-                                 Int r.Crashtest.Explorer.crashes_sampled );
-                               ( "wall_seconds",
-                                 Float r.Crashtest.Explorer.wall_seconds );
-                               ( "points_per_sec",
-                                 Float (Crashtest.Explorer.points_per_sec r) );
-                               ( "fault_samples",
-                                 Int r.Crashtest.Explorer.fault_samples );
-                               ( "fault_recovered",
-                                 Int r.Crashtest.Explorer.fault_recovered );
-                               ( "fault_degraded",
-                                 Int r.Crashtest.Explorer.fault_degraded );
-                               ( "fault_fallbacks",
-                                 Int r.Crashtest.Explorer.fault_fallbacks );
-                               ( "shards_resequenced",
-                                 Int r.Crashtest.Explorer.shards_resequenced );
-                               ( "failures",
-                                 Int
-                                   (List.length r.Crashtest.Explorer.failures)
-                               );
-                               ("ok", Bool (Crashtest.Explorer.ok r));
-                             ])
-                         results) );
-                ]
-            in
-            to_file path doc;
-            Printf.printf "wrote %s\n" path);
-        (match baseline with
-        | None -> ()
-        | Some path -> (
-            (* fail if throughput regressed to less than half the committed
-               baseline (generous: CI machines vary, 2x does not) *)
-            let open Workloads.Report.Json in
-            match
-              let doc = of_file path in
-              Option.bind (member "points_per_sec" doc) to_number_opt
-            with
-            | exception Sys_error e ->
-                Printf.eprintf "baseline %s unreadable: %s\n" path e;
-                exit 2
-            | exception Parse_error e ->
-                Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-                exit 2
-            | None ->
-                Printf.eprintf "baseline %s has no points_per_sec\n" path;
-                exit 2
-            | Some base ->
-                Printf.printf
-                  "throughput %.0f points/s vs baseline %.0f points/s\n"
-                  points_per_sec base;
-                if points_per_sec < base /. 2.0 then begin
-                  Printf.eprintf
-                    "PERF REGRESSION: %.0f points/s is more than 2x below \
-                     the committed baseline (%.0f points/s)\n"
-                    points_per_sec base;
-                  bad := true
-                end));
-        if !bad then exit 1
+            (List.assoc "fault_samples" counters)
+            (List.assoc "fault_recovered" counters)
+            (List.assoc "fault_degraded" counters)
+            (List.assoc "fault_fallbacks" counters);
+        Gate.bound gate ~section:"crashtest" ~metric:"points_per_sec"
+          points_per_sec;
+        write data;
+        Gate.finish gate
   in
   let workload =
     Arg.(
@@ -1104,45 +963,43 @@ let serve_sharded ~nshards ~file ~requests ~keyspace ~theta ~seed ~persist
         m.Shard.m_id m.Shard.m_routed m.Shard.m_executed m.Shard.m_stolen
         (m.Shard.m_sim_ns /. 1e6) m.Shard.m_p50_ns m.Shard.m_p99_ns)
     r.Shard.lr_shards;
-  (match json_out with
-  | None -> ()
-  | Some path ->
-      let open Workloads.Report.Json in
-      let doc =
-        Obj
-          [
-            ("schema", String "modpm-serve-shard/1");
-            ("nshards", Int nshards);
-            ("mode", String (Shard.mode_name mode));
-            ("requests", Int requests);
-            ("theta", Float theta);
-            ("keyspace", Int keyspace);
-            ("seed", Int seed);
-            ("wall_req_s", Float r.Shard.lr_wall_req_s);
-            ("sim_req_s", Float r.Shard.lr_sim_req_s);
-            ("sim_makespan_ns", Float r.Shard.lr_sim_makespan_ns);
-            ("sim_total_ns", Float r.Shard.lr_sim_total_ns);
-            ( "shards",
-              List
-                (List.map
-                   (fun m ->
-                     Obj
-                       [
-                         ("id", Int m.Shard.m_id);
-                         ("routed", Int m.Shard.m_routed);
-                         ("executed", Int m.Shard.m_executed);
-                         ("stolen", Int m.Shard.m_stolen);
-                         ("sim_ns", Float m.Shard.m_sim_ns);
-                         ("fences", Int m.Shard.m_fences);
-                         ("p50_ns", Float m.Shard.m_p50_ns);
-                         ("p99_ns", Float m.Shard.m_p99_ns);
-                       ])
-                   r.Shard.lr_shards) );
-          ]
-      in
-      to_file path doc;
-      Printf.printf "wrote %s\n" path;
-      (* one telemetry-v1 document per shard, for stats --validate *)
+  Gate.write (Gate.create ()) json_out ~command:"serve"
+    ~config:
+      [
+        ("nshards", Json.Int nshards);
+        ("mode", Json.String (Shard.mode_name mode));
+        ("requests", Json.Int requests);
+        ("theta", Json.Float theta);
+        ("keyspace", Json.Int keyspace);
+        ("seed", Json.Int seed);
+        ("persist", Json.String (Cli.persist_name persist));
+      ]
+    (Json.Obj
+       [
+         ("wall_req_s", Json.Float r.Shard.lr_wall_req_s);
+         ("sim_req_s", Json.Float r.Shard.lr_sim_req_s);
+         ("sim_makespan_ns", Json.Float r.Shard.lr_sim_makespan_ns);
+         ("sim_total_ns", Json.Float r.Shard.lr_sim_total_ns);
+         ( "shards",
+           Json.List
+             (List.map
+                (fun m ->
+                  Json.Obj
+                    [
+                      ("id", Json.Int m.Shard.m_id);
+                      ("routed", Json.Int m.Shard.m_routed);
+                      ("executed", Json.Int m.Shard.m_executed);
+                      ("stolen", Json.Int m.Shard.m_stolen);
+                      ("sim_ns", Json.Float m.Shard.m_sim_ns);
+                      ("fences", Json.Int m.Shard.m_fences);
+                      ("p50_ns", Json.Float m.Shard.m_p50_ns);
+                      ("p99_ns", Json.Float m.Shard.m_p99_ns);
+                    ])
+                r.Shard.lr_shards) );
+       ]);
+  (* one telemetry-v1 document per shard, for stats --validate *)
+  Option.iter
+    (fun path ->
       let base = Filename.remove_extension path in
       List.iter
         (fun m ->
@@ -1152,7 +1009,8 @@ let serve_sharded ~nshards ~file ~requests ~keyspace ~theta ~seed ~persist
           output_char oc '\n';
           close_out oc;
           Printf.printf "wrote %s\n" p)
-        r.Shard.lr_shards);
+        r.Shard.lr_shards)
+    json_out;
   Shard.close t
 
 let serve_cmd =
@@ -1270,6 +1128,7 @@ let serve_cmd =
 
 let killtest_cmd =
   let run workload kills ops seed dir keep json_out baseline persist shards =
+    let gate = Gate.create ?baseline () in
     match shards with
     | Some nshards ->
         (* sharded kill test: file-backed single-shard crash sweep -- the
@@ -1280,8 +1139,9 @@ let killtest_cmd =
         in
         if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
         let base = Filename.concat dir "modpm_shard_kill.img" in
-        shard_sweep ~nshards ~requests:(ops * 4) ~stride:97
-          ~max_points:(Some (max 1 kills)) ~seed ~file:(Some base) ~json_out
+        shard_sweep ~command:"killtest" ~nshards ~requests:(ops * 4)
+          ~stride:97 ~max_points:(Some (max 1 kills)) ~seed
+          ~file:(Some base) ~json_out ~gate
     | None ->
     let names = kill9_workloads workload in
     let names =
@@ -1343,94 +1203,55 @@ let killtest_cmd =
        escaped; reopen mean %.2fms max %.2fms\n"
       trials (List.length names) violations escaped (mean_reopen_ns /. 1e6)
       (max_reopen_ns /. 1e6);
-    let bad = ref (violations > 0 || escaped > 0) in
-    (match json_out with
-    | None -> ()
-    | Some path ->
-        let open Workloads.Report.Json in
-        let doc =
-          Obj
-            [
-              ("schema", String "modpm-kill9/1");
-              ("ops", Int ops);
-              ("seed", Int seed);
-              ( "persist",
-                String
-                  (match persist with
-                  | Some Pmalloc.Heap.Backup -> "backup"
-                  | _ -> "full") );
-              ("trials", Int trials);
-              ("violations", Int violations);
-              ("escaped", Int escaped);
-              ("mean_reopen_ms", Float (mean_reopen_ns /. 1e6));
-              ("max_reopen_ms", Float (max_reopen_ns /. 1e6));
-              ( "workloads",
-                List
-                  (List.map
-                     (fun (r : Crashtest.Kill9.result) ->
-                       Obj
-                         [
-                           ("workload", String r.workload);
-                           ("trials", Int r.kills);
-                           ("completed", Int r.completed_runs);
-                           ("violations", Int r.violations);
-                           ("escaped", Int r.escaped);
-                           ("typed_errors", Int r.typed_errors);
-                           ("journal_replayed", Int r.replayed);
-                           ("journal_discarded", Int r.discarded);
-                           ("journal_clean", Int r.clean_journals);
-                           ("fsck_clean", Int r.fsck_clean);
-                           ("fsck_degraded", Int r.fsck_degraded);
-                           ("fsck_corrupt", Int r.fsck_corrupt);
-                           ("mean_reopen_ms", Float (r.mean_reopen_ns /. 1e6));
-                           ("max_reopen_ms", Float (r.max_reopen_ns /. 1e6));
-                           ("wall_seconds", Float r.wall_seconds);
-                           ("ok", Bool (Crashtest.Kill9.ok r));
-                         ])
-                     results) );
-            ]
-        in
-        to_file path doc;
-        Printf.printf "wrote %s\n" path);
-    (match baseline with
-    | None -> ()
-    | Some path -> (
-        (* the hard gate is zero violations (checked above); the baseline
-           additionally bounds reopen latency -- generous 10x headroom, CI
-           machines vary *)
-        let open Workloads.Report.Json in
-        match
-          let doc = of_file path in
-          (* accept both bench/BASELINE.json (nested under "kill9") and a
-             previous BENCH_kill9.json (top-level) *)
-          let nested =
-            Option.bind (member "kill9" doc) (member "max_reopen_ms")
-          in
-          let field =
-            match nested with Some v -> Some v | None -> member "max_reopen_ms" doc
-          in
-          Option.bind field to_number_opt
-        with
-        | exception Sys_error e ->
-            Printf.eprintf "baseline %s unreadable: %s\n" path e;
-            exit 2
-        | exception Parse_error e ->
-            Printf.eprintf "baseline %s: bad JSON: %s\n" path e;
-            exit 2
-        | None ->
-            Printf.eprintf "baseline %s has no max_reopen_ms\n" path;
-            exit 2
-        | Some base_ms ->
-            let ms = max_reopen_ns /. 1e6 in
-            Printf.printf "reopen max %.2fms vs baseline %.2fms\n" ms base_ms;
-            if base_ms > 0.0 && ms > base_ms *. 10.0 then begin
-              Printf.eprintf
-                "REOPEN REGRESSION: %.2fms is more than 10x the committed \
-                 baseline (%.2fms)\n"
-                ms base_ms;
-              bad := true
-            end));
-    if !bad then exit 1
+    let section = "killtest" in
+    Gate.require gate ~section ~metric:"violations" (violations = 0)
+      (Printf.sprintf "%d oracle violation(s)" violations);
+    Gate.require gate ~section ~metric:"escaped" (escaped = 0)
+      (Printf.sprintf "%d escaped exception(s)" escaped);
+    Gate.bound gate ~section ~metric:"max_reopen_ms" (max_reopen_ns /. 1e6);
+    Gate.write gate json_out ~command:"killtest"
+      ~config:
+        [
+          ("workload", Json.String workload);
+          ("kills", Json.Int kills);
+          ("ops", Json.Int ops);
+          ("seed", Json.Int seed);
+          ("persist", Json.String (Cli.persist_name persist));
+        ]
+      (Json.Obj
+         [
+           ("trials", Json.Int trials);
+           ("violations", Json.Int violations);
+           ("escaped", Json.Int escaped);
+           ("mean_reopen_ms", Json.Float (mean_reopen_ns /. 1e6));
+           ("max_reopen_ms", Json.Float (max_reopen_ns /. 1e6));
+           ( "workloads",
+             Json.List
+               (List.map
+                  (fun (r : Crashtest.Kill9.result) ->
+                    Json.Obj
+                      [
+                        ("workload", Json.String r.workload);
+                        ("trials", Json.Int r.kills);
+                        ("completed", Json.Int r.completed_runs);
+                        ("violations", Json.Int r.violations);
+                        ("escaped", Json.Int r.escaped);
+                        ("typed_errors", Json.Int r.typed_errors);
+                        ("journal_replayed", Json.Int r.replayed);
+                        ("journal_discarded", Json.Int r.discarded);
+                        ("journal_clean", Json.Int r.clean_journals);
+                        ("fsck_clean", Json.Int r.fsck_clean);
+                        ("fsck_degraded", Json.Int r.fsck_degraded);
+                        ("fsck_corrupt", Json.Int r.fsck_corrupt);
+                        ( "mean_reopen_ms",
+                          Json.Float (r.mean_reopen_ns /. 1e6) );
+                        ("max_reopen_ms", Json.Float (r.max_reopen_ns /. 1e6));
+                        ("wall_seconds", Json.Float r.wall_seconds);
+                        ("ok", Json.Bool (Crashtest.Kill9.ok r));
+                      ])
+                  results) );
+         ]);
+    Gate.finish gate
   in
   let workload =
     Arg.(
@@ -1518,28 +1339,11 @@ let fsck_cmd =
 
 let fig4_cmd =
   let run () =
-    (* measure through the simulated hardware, like bench/main.exe fig4 *)
     Printf.printf "flushes/fence  measured (ns)  amdahl (ns)\n";
     List.iter
       (fun n ->
-        let region = Pmem.Region.create ~capacity_words:(1 lsl 16) () in
-        let lines = 320 in
-        let offs =
-          Array.init lines (fun i -> i * Pmem.Config.words_per_line)
-        in
-        Array.iter
-          (fun off -> Pmem.Region.store region off (Pmem.Word.of_int 1))
-          offs;
-        let stats = Pmem.Region.stats region in
-        let t0 = stats.Pmem.Stats.now_ns in
-        Array.iteri
-          (fun i off ->
-            Pmem.Region.clwb region off;
-            if (i + 1) mod n = 0 then Pmem.Region.sfence region)
-          offs;
-        if lines mod n <> 0 then Pmem.Region.sfence region;
         Printf.printf "%13d  %13.1f  %11.1f\n" n
-          ((stats.Pmem.Stats.now_ns -. t0) /. float_of_int lines)
+          (Workloads.Profile.avg_flush_ns ~flushes_per_fence:n)
           (Pmem.Latency.amdahl_avg_ns n))
       [ 1; 2; 4; 8; 16; 32 ]
   in

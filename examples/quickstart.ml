@@ -62,15 +62,15 @@ let () =
   Printf.printf "recovered history length: %d\n"
     (Mod_core.Dstack.length (Mod_core.Dstack.open_or_create heap ~slot:2));
 
-  (* Metrics: install a telemetry collector and every Basic-interface
-     call reports itself -- per-(structure x op) latency histograms and
-     a fence-stall attribution that sums back to the global counter.
-     The CLI equivalents: `modpm run map --metrics json` and
-     `modpm stats`. *)
-  let collector = Telemetry.install (Pmalloc.Heap.stats heap) in
+  (* Metrics: attach a telemetry collector to the heap and every
+     Basic-interface call on it reports itself -- per-(structure x op)
+     latency histograms and a fence-stall attribution that sums back to
+     the global counter.  The CLI equivalents: `modpm run map --metrics
+     json` and `modpm stats`. *)
+  let collector = Pmalloc.Heap.attach_telemetry heap in
   for i = 0 to 199 do
     Imap.insert inventory (2000 + i) i
   done;
   Imap.insert_many inventory (List.init 32 (fun i -> (3000 + i, i)));
-  Telemetry.uninstall ();
+  Pmalloc.Heap.set_telemetry heap None;
   Format.printf "@.%a@." Telemetry.pp_report (Telemetry.report collector)

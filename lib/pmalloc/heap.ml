@@ -151,8 +151,7 @@ let attach_telemetry ?sink t =
   c
 
 let span t ~structure ~op ?ops f =
-  Telemetry.span_on t.telemetry (Pmem.Region.stats t.region) ~structure ~op
-    ?ops f
+  Telemetry.span_on t.telemetry ~structure ~op ?ops f
 let root_torn_detected t = t.root_torn_detected
 let root_fallbacks t = t.root_fallbacks
 let commit_mode t = t.commit_mode

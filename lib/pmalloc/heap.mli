@@ -106,9 +106,8 @@ val attach_telemetry : ?sink:Telemetry.Sink.t -> t -> Telemetry.t
 val span :
   t -> structure:string -> op:string -> ?ops:int -> (unit -> 'a) -> 'a
 (** [span t ~structure ~op f] runs [f] under the heap's collector (see
-    {!Telemetry.span_on}); with no collector attached it falls back to
-    the deprecated process-wide one, and with neither it is a couple of
-    word reads. *)
+    {!Telemetry.span_on}); with no collector attached it just runs
+    [f]. *)
 
 val root_get : t -> int -> Pmem.Word.t
 (** Read a root slot (a persistent pointer or null).  Validates both

@@ -35,12 +35,6 @@ type t = {
   mutable last_gauges : gauges option;
 }
 
-(* Deprecated process-wide fallback.  New code carries the collector on
-   the heap ([Pmalloc.Heap.attach_telemetry]) and spans through
-   [span_on]; this ref only serves callers of the legacy [install] /
-   [span] entry points until they migrate. *)
-let global_collector : t option ref = ref None
-
 let create ?(sink = Sink.Memory) ?gauges stats =
   {
     stats;
@@ -52,26 +46,10 @@ let create ?(sink = Sink.Memory) ?gauges stats =
     last_gauges = None;
   }
 
-let set_global c = global_collector := c
-
-let install ?sink ?gauges stats =
-  let t = create ?sink ?gauges stats in
-  set_global (Some t);
-  t
-
-let uninstall () = set_global None
-let current () = !global_collector
-let watches t stats = t.stats == stats
-
 let reset t =
   Hashtbl.reset t.table;
   t.base <- Pmem.Stats.snapshot t.stats;
   t.last_gauges <- None
-
-let on_stats_reset stats =
-  match !global_collector with
-  | Some t when watches t stats -> reset t
-  | _ -> ()
 
 let find_agg t key =
   match Hashtbl.find_opt t.table key with
@@ -174,17 +152,10 @@ let span_run t ~structure ~op ~ops f =
             record t ~structure ~op ~ops ~before ~alloc_before)
           f
 
-let span_on collector stats ~structure ~op ?(ops = 1) f =
+let span_on collector ~structure ~op ?(ops = 1) f =
   match collector with
   | Some t -> span_run t ~structure ~op ~ops f
-  | None -> (
-      (* legacy fallback: a process-wide collector installed with
-         [install] still records, but only for the heap it watches *)
-      match !global_collector with
-      | Some t when t.stats == stats -> span_run t ~structure ~op ~ops f
-      | _ -> f ())
-
-let span stats ~structure ~op ?ops f = span_on None stats ~structure ~op ?ops f
+  | None -> f ()
 
 type row = {
   r_structure : string;
@@ -394,7 +365,7 @@ module Export = struct
           (row.r_shadow_alloc_words * 8))
       r.rows;
     buf_addf buf
-      "# HELP modpm_fences_total Ordering points since install/reset.\n\
+      "# HELP modpm_fences_total Ordering points since create/reset.\n\
        # TYPE modpm_fences_total counter\nmodpm_fences_total %d\n"
       r.total_fences;
     buf_addf buf

@@ -15,13 +15,9 @@
     once and the per-op fence-stall sum plus the unattributed remainder
     provably equals that heap's [Pmem.Stats] flush-stall counter.
 
-    With no collector attached (or a foreign heap) a span is a couple of
-    word reads on the fast path.
-
-    The previous process-wide-singleton API ({!install} / {!uninstall} /
-    {!span}) survives as a deprecated shim over one global fallback
-    collector consulted only when the heap carries none; it will be
-    removed after one release. *)
+    With no collector attached a span is one match on the fast path.
+    There is no process-wide collector: work on a heap that carries none
+    is not recorded anywhere. *)
 
 (** Log-bucketed latency histograms (re-exported; the library's root
     module is the only one visible to dependents). *)
@@ -56,61 +52,18 @@ type t
     zero.  Default sink: [Memory]. *)
 val create : ?sink:Sink.t -> ?gauges:(unit -> gauges) -> Pmem.Stats.t -> t
 
-(** {1 Deprecated process-wide shim}
-
-    One release of compatibility for the pre-sharding singleton API.
-    The global collector is consulted by {!span_on} only when the heap
-    carries no collector of its own. *)
-
-(** Replace (or clear) the process-wide fallback collector.
-    @deprecated attach collectors to their heap instead. *)
-val set_global : t option -> unit
-
-(** [install ?sink ?gauges stats] = [create] + [set_global (Some t)].
-    @deprecated use {!create} / [Pmalloc.Heap.attach_telemetry]. *)
-val install : ?sink:Sink.t -> ?gauges:(unit -> gauges) -> Pmem.Stats.t -> t
-
-(** @deprecated [set_global None]. *)
-val uninstall : unit -> unit
-
-(** The process-wide fallback collector, if any.
-    @deprecated instance-scoped collectors live on their heap. *)
-val current : unit -> t option
-
-(** Physical identity: does [t] watch this stats block? *)
-val watches : t -> Pmem.Stats.t -> bool
-
 (** Drop all aggregates and re-base totals on the stats block's current
     contents. *)
 val reset : t -> unit
 
-(** Hook for code that resets a stats block underneath the collector
-    (e.g. [Backend.start_measuring]): if the current collector watches
-    [stats], it is {!reset} so totals stay consistent. *)
-val on_stats_reset : Pmem.Stats.t -> unit
-
-(** [span_on collector stats ~structure ~op ?ops f] runs [f],
-    attributing its stats delta to [(structure, op)] on [collector] if
-    this is the outermost span.  [collector] is the one the heap
-    carries ([Pmalloc.Heap.telemetry]); with [None], the deprecated
-    process-wide collector is consulted and records iff it watches
-    [stats].  [ops] is the number of logical operations the span
-    retires (batch size; default 1). *)
+(** [span_on collector ~structure ~op ?ops f] runs [f], attributing
+    its stats delta to [(structure, op)] on [collector] if this is the
+    outermost span.  [collector] is the one the heap carries
+    ([Pmalloc.Heap.telemetry]); with [None], [f] just runs.  [ops] is
+    the number of logical operations the span retires (batch size;
+    default 1). *)
 val span_on :
-  t option ->
-  Pmem.Stats.t ->
-  structure:string ->
-  op:string ->
-  ?ops:int ->
-  (unit -> 'a) ->
-  'a
-
-(** [span stats ...] = [span_on None stats ...]: records only through
-    the process-wide fallback collector.
-    @deprecated thread the heap's collector through {!span_on} (or use
-    [Pmalloc.Heap.span]). *)
-val span :
-  Pmem.Stats.t -> structure:string -> op:string -> ?ops:int -> (unit -> 'a) -> 'a
+  t option -> structure:string -> op:string -> ?ops:int -> (unit -> 'a) -> 'a
 
 (** {1 Extraction} *)
 
@@ -133,7 +86,7 @@ type report = {
   rows : row list;  (** sorted by (structure, op) *)
   total_ns : float;
   total_fence_stall_ns : float;
-      (** global [Pmem.Stats] flush-stall delta since install/reset *)
+      (** global [Pmem.Stats] flush-stall delta since create/reset *)
   attributed_fence_stall_ns : float;  (** sum over [rows] *)
   unattributed_fence_stall_ns : float;
       (** [total - attributed]: stalls outside any span *)

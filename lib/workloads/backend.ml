@@ -71,24 +71,10 @@ let op_pause t =
   s.Pmem.Stats.l1_hits <- s.Pmem.Stats.l1_hits + app_accesses_per_op
 
 (* Reset the measurement clock after setup so results cover only the
-   measured operation loop.  Any installed telemetry collector watching
-   this heap re-bases with the stats block, or its attribution totals
-   would go negative against the zeroed counters. *)
+   measured operation loop.  A telemetry collector attached to this
+   heap re-bases with the stats block, or its attribution totals would
+   go negative against the zeroed counters. *)
 let start_measuring t =
   Pmem.Stats.reset (stats t);
-  (match Pmalloc.Heap.telemetry t.heap with
-  | Some c -> Telemetry.reset c
-  | None -> Telemetry.on_stats_reset (stats t));
+  Option.iter Telemetry.reset (Pmalloc.Heap.telemetry t.heap);
   Pmem.Trace.clear (Pmalloc.Heap.trace t.heap)
-
-(* Telemetry gauge sampler over this context's allocator. *)
-let gauges t =
-  let a = Pmalloc.Heap.allocator t.heap in
-  fun () ->
-    {
-      Telemetry.g_live_words = Pmalloc.Allocator.live_words a;
-      g_free_words = Pmalloc.Allocator.free_words a;
-      g_deferred_words = Pmalloc.Allocator.deferred_words a;
-      g_high_water_words = Pmalloc.Allocator.high_water_words a;
-      g_alloc_words_total = Pmalloc.Allocator.alloc_words_total a;
-    }

@@ -104,3 +104,21 @@ let all ?(samples = 500) ?(size = 10_000) () =
       @ stack_ops backend ~samples ~size
       @ vector_ops backend ~samples ~size)
     [ Backend.Pmdk15; Backend.Mod ]
+
+(* Figure 4: average simulated latency of one flush when
+   [flushes_per_fence] clwbs share each sfence, over 320 distinct
+   cachelines that fit the L1D. *)
+let avg_flush_ns ~flushes_per_fence:n =
+  let lines = 320 in
+  let region = Pmem.Region.create ~capacity_words:(1 lsl 16) () in
+  let offs = Array.init lines (fun i -> i * Pmem.Config.words_per_line) in
+  Array.iter (fun off -> Pmem.Region.store region off (Pmem.Word.of_int 1)) offs;
+  let stats = Pmem.Region.stats region in
+  let t0 = stats.Pmem.Stats.now_ns in
+  Array.iteri
+    (fun i off ->
+      Pmem.Region.clwb region off;
+      if (i + 1) mod n = 0 then Pmem.Region.sfence region)
+    offs;
+  if lines mod n <> 0 then Pmem.Region.sfence region;
+  (stats.Pmem.Stats.now_ns -. t0) /. float_of_int lines

@@ -98,3 +98,30 @@ let fences_per_op r = float_of_int r.fences /. float_of_int (max 1 r.ops)
 let flushes_per_op r = float_of_int r.flushes /. float_of_int (max 1 r.ops)
 let ns_per_op r = r.ns_total /. float_of_int (max 1 r.ops)
 let fences_per_commit r = float_of_int r.fences /. float_of_int (max 1 r.commits)
+
+(* The machine-readable form of a result, shared by bench's sweep and
+   [modpm run --json]. *)
+let to_json r =
+  Report.Json.(
+    Obj
+      [
+        ("workload", String r.workload);
+        ("backend", String (Backend.kind_name r.backend));
+        ("ops", Int r.ops);
+        ("batch", Int r.batch);
+        ("commits", Int r.commits);
+        ("sim_ns_total", Float r.ns_total);
+        ("sim_ns_flush", Float r.ns_flush);
+        ("sim_ns_log", Float r.ns_log);
+        ("sim_ns_other", Float r.ns_other);
+        ("ns_per_op", Float (ns_per_op r));
+        ("fences", Int r.fences);
+        ("fences_per_op", Float (fences_per_op r));
+        ("flushes", Int r.flushes);
+        ("flushes_per_op", Float (flushes_per_op r));
+        ("loads", Int r.loads);
+        ("stores", Int r.stores);
+        ("cache_miss_ratio", Float r.miss_ratio);
+        ("live_words", Int r.live_words);
+        ("high_water_words", Int r.high_water_words);
+      ])

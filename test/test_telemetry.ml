@@ -10,24 +10,8 @@ let mk_heap ?(capacity = 1 lsl 18) () =
 
 module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int)
 
-let gauges_of heap =
-  let a = Pmalloc.Heap.allocator heap in
-  fun () ->
-    {
-      Telemetry.g_live_words = Pmalloc.Allocator.live_words a;
-      g_free_words = Pmalloc.Allocator.free_words a;
-      g_deferred_words = Pmalloc.Allocator.deferred_words a;
-      g_high_water_words = Pmalloc.Allocator.high_water_words a;
-      g_alloc_words_total = Pmalloc.Allocator.alloc_words_total a;
-    }
-
-(* Always leave the process-wide collector clean, even on failure. *)
 let with_collector ?(sink = Telemetry.Sink.Memory) heap f =
-  let c =
-    Telemetry.install ~sink ~gauges:(gauges_of heap)
-      (Pmalloc.Heap.stats heap)
-  in
-  Fun.protect ~finally:Telemetry.uninstall (fun () -> f c)
+  f (Pmalloc.Heap.attach_telemetry ~sink heap)
 
 (* ------------------------------------------------------------------ *)
 (* Histogram                                                          *)
@@ -149,9 +133,8 @@ let test_unattributed_remainder () =
 let test_nested_spans () =
   let heap = mk_heap () in
   with_collector heap (fun c ->
-      let stats = Pmalloc.Heap.stats heap in
-      Telemetry.span stats ~structure:"outer" ~op:"op" (fun () ->
-          Telemetry.span stats ~structure:"inner" ~op:"op" (fun () ->
+      Telemetry.span_on (Some c) ~structure:"outer" ~op:"op" (fun () ->
+          Telemetry.span_on (Some c) ~structure:"inner" ~op:"op" (fun () ->
               run_map_ops heap 4));
       let r = Telemetry.report c in
       let names =
@@ -201,7 +184,7 @@ let test_stats_reset_rebase () =
       run_map_ops heap 32;
       (* measurement restart under the collector, Backend-style *)
       Pmem.Stats.reset (Pmalloc.Heap.stats heap);
-      Telemetry.on_stats_reset (Pmalloc.Heap.stats heap);
+      Telemetry.reset c;
       let m = Imap.open_or_create heap ~slot:0 in
       Imap.insert m 999 1;
       let r = Telemetry.report c in

@@ -181,6 +181,160 @@ let ablation_tests =
         | _ -> Alcotest.fail "expected two results");
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Gate: baseline loading, bound checks, the result envelope          *)
+(* ------------------------------------------------------------------ *)
+
+module Gate = Workloads.Gate
+module Json = Workloads.Report.Json
+
+let contains hay needle =
+  let n = String.length needle in
+  let rec scan i =
+    i + n <= String.length hay && (String.sub hay i n = needle || scan (i + 1))
+  in
+  scan 0
+
+(* temporary files and directories are removed when the suite exits *)
+let rec remove path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let temp make =
+  let path = make "gate" "" in
+  at_exit (fun () -> if Sys.file_exists path then remove path);
+  path
+
+let write_file contents =
+  let path = temp Filename.temp_file in
+  let oc = open_out path in
+  output_string oc contents;
+  close_out oc;
+  path
+
+let entry ?(direction = "max") ?(bound = "1.5") section metric =
+  Printf.sprintf
+    {|{"section": "%s", "metric": "%s", "direction": "%s", "bound": %s, "why": "test"}|}
+    section metric direction bound
+
+let baseline entries =
+  Printf.sprintf {|{"schema": "modpm-baseline/2", "gates": [%s]}|}
+    (String.concat ", " entries)
+
+let gate_of entries = Gate.create ~baseline:(write_file (baseline entries)) ()
+
+(* status after checking [v] against a single entry *)
+let status_for ~direction ~bound v =
+  let g =
+    gate_of [ entry ~direction ~bound:(Printf.sprintf "%.17g" bound) "s" "m" ]
+  in
+  Gate.bound g ~section:"s" ~metric:"m" v;
+  Gate.status g
+
+let load_error contents =
+  match Gate.load (write_file contents) with
+  | Ok _ -> Alcotest.fail "expected a load error"
+  | Error _ -> ()
+
+let gate_tests =
+  [
+    Alcotest.test_case "bounds pass at equality, fail one ulp beyond" `Quick
+      (fun () ->
+        let b = 0.03 in
+        Alcotest.(check int) "max at equality" 0
+          (status_for ~direction:"max" ~bound:b b);
+        Alcotest.(check int) "max one ulp above" 1
+          (status_for ~direction:"max" ~bound:b (Float.succ b));
+        Alcotest.(check int) "min at equality" 0
+          (status_for ~direction:"min" ~bound:b b);
+        Alcotest.(check int) "min one ulp below" 1
+          (status_for ~direction:"min" ~bound:b (Float.pred b)));
+    Alcotest.test_case "a NaN value fails either direction" `Quick (fun () ->
+        Alcotest.(check int) "max" 1
+          (status_for ~direction:"max" ~bound:1.0 Float.nan);
+        Alcotest.(check int) "min" 1
+          (status_for ~direction:"min" ~bound:1.0 Float.nan));
+    Alcotest.test_case "bad baselines are load errors" `Quick (fun () ->
+        let g = gate_of [ entry "other" "m" ] in
+        Gate.bound g ~section:"crashtest-shards" ~metric:"violations" 0.0;
+        Alcotest.(check int) "missing entry exits 2" 2 (Gate.status g);
+        Alcotest.(check bool) "message names the section" true
+          (List.exists (fun l -> contains l "crashtest-shards") (Gate.failures g));
+        load_error (baseline [ entry "s" "m"; entry ~bound:"2" "s" "m" ]);
+        load_error (baseline [ entry ~direction:"above" "s" "m" ]);
+        load_error (baseline [ {|{"section": "s", "metric": "m"}|} ]);
+        load_error {|{"schema": "modpm-baseline/2", "gates": [|};
+        load_error {|{"schema": "modpm-crashtest-baseline/1", "gates": []}|};
+        match Gate.load "/nonexistent/BASELINE.json" with
+        | Ok _ -> Alcotest.fail "loaded a missing file"
+        | Error _ -> ());
+    Alcotest.test_case "committed BASELINE.json has 13 unique entries" `Quick
+      (fun () ->
+        match Gate.load "../bench/BASELINE.json" with
+        | Error e -> Alcotest.fail e
+        | Ok entries ->
+            Alcotest.(check int) "entries" 13 (List.length entries);
+            let keys =
+              List.sort_uniq compare
+                (List.map (fun (e : Gate.entry) -> (e.section, e.metric)) entries)
+            in
+            Alcotest.(check int) "unique (section, metric)" 13
+              (List.length keys));
+    Alcotest.test_case "envelope round-trips; ok = all gates ok" `Quick
+      (fun () ->
+        let g = gate_of [ entry "s" "m" ] in
+        Gate.bound g ~section:"s" ~metric:"m" 1.25;
+        Gate.require g ~section:"s" ~metric:"inv" true "";
+        let path = temp Filename.temp_file in
+        let doc = Gate.envelope g ~command:"test" ~config:[] (Json.Int 7) in
+        Json.to_file path doc;
+        let back = Json.of_file path in
+        Alcotest.(check bool) "round-trips" true (back = doc);
+        let str k = Option.bind (Json.member k back) Json.to_string_opt in
+        Alcotest.(check (option string)) "schema" (Some "modpm-result/1")
+          (str "schema");
+        let gates =
+          Option.get (Option.bind (Json.member "gates" back) Json.to_list_opt)
+        in
+        Alcotest.(check int) "two gates" 2 (List.length gates);
+        let all_ok =
+          List.for_all (fun j -> Json.member "ok" j = Some (Json.Bool true)) gates
+        in
+        Alcotest.(check bool) "ok is the conjunction" true
+          (Json.member "ok" back = Some (Json.Bool all_ok));
+        Gate.require g ~section:"s" ~metric:"broken" false "fails";
+        Alcotest.(check bool) "one failed gate clears ok" true
+          (Json.member "ok" (Gate.envelope g ~command:"test" ~config:[] Json.Null)
+          = Some (Json.Bool false)));
+    Alcotest.test_case "shard sweeps honour --baseline" `Quick (fun () ->
+        (* a baseline without the command's section is exit 2, naming it *)
+        List.iter
+          (fun (args, section) ->
+            let err = temp Filename.temp_file in
+            let rc =
+              Sys.command
+                (Printf.sprintf
+                   "../bin/modpm.exe %s --shards 2 --ops 4 --baseline \
+                    ../bench/BASELINE.json > /dev/null 2> %s"
+                   args err)
+            in
+            Alcotest.(check int) (args ^ " exit status") 2 rc;
+            let ic = open_in err in
+            let msg = really_input_string ic (in_channel_length ic) in
+            close_in ic;
+            Alcotest.(check bool) (args ^ " names " ^ section) true
+              (contains msg section))
+          [
+            ("crashtest --quick", "crashtest-shards");
+            ( Printf.sprintf "killtest --kills 2 --dir %s"
+                (temp (fun p s -> Filename.temp_dir p s)),
+              "killtest-shards" );
+          ]);
+  ]
+
 let () =
   Alcotest.run "workloads"
     [
@@ -191,4 +345,5 @@ let () =
       ("space", space_tests);
       ("graph", graph_tests);
       ("ablations", ablation_tests);
+      ("gate", gate_tests);
     ]

@@ -172,8 +172,8 @@ type t = {
       (* monotone: words ever handed out; telemetry spans diff it to
          attribute shadow-allocation volume per operation *)
   mutable pad_words : int;
-      (* sub-min_capacity slivers stranded by segment alignment; they
-         re-merge into gaps at the next recovery walk *)
+      (* sub-min_capacity slivers: stranded by segment alignment, or gaps
+         between live blocks that recovery finds too narrow to free *)
 }
 
 let create region ~heap_start =
@@ -208,6 +208,10 @@ let coalesces t = Freelist.coalesces t.freelist
 let freelist_entries t = Freelist.live_entries t.freelist
 let arena_segments t = Arena.segments t.arena
 let arena_recycled_words t = Arena.recycled_words t.arena
+
+let iter_free t f =
+  Freelist.iter t.freelist (fun e ->
+      f ~body:e.Freelist.body ~capacity:e.Freelist.capacity)
 
 (* The one word-conservation identity everything above maintains (and
    the property tests check): every word between the heap start and the
@@ -434,22 +438,33 @@ let reset_fresh t =
   t.pad_words <- 0;
   t.frontier <- t.heap_start
 
-(* Recovery support: wipe all volatile allocator state and reinstall it
-   from the reachability analysis. *)
-let recovery_reset t ~frontier =
+(* Recovery support.  The reachability walk counts in-degrees straight
+   into the refcount table, then [recovery_reset] reinstalls the rest of
+   the volatile state around the counted blocks. *)
+let recovery_begin t = Rc.clear t.rc
+
+let recovery_ref t body =
+  if Rc.find t.rc body < 0 then false
+  else begin
+    ignore (Rc.add t.rc body 1 : int);
+    true
+  end
+
+let recovery_visit t body = Rc.set t.rc body 1
+
+let recovery_reset t ~frontier ~live_words =
   Freelist.clear t.freelist;
   Arena.reset t.arena;
-  Rc.clear t.rc;
   dbuf_reset t.deferred;
   dbuf_reset t.deferred_prev;
-  t.live_words <- 0;
+  t.live_words <- live_words;
+  if live_words > t.high_water_words then t.high_water_words <- live_words;
   t.pad_words <- 0;
   t.frontier <- frontier
 
+(* A gap too narrow to hold a block is ledgered as pad, like the slivers
+   segment alignment strands. *)
 let recovery_insert_free t ~body ~capacity =
-  Freelist.insert t.freelist ~body ~capacity
-
-let recovery_declare_live t ~body ~capacity ~rc =
-  Rc.set t.rc body rc;
-  t.live_words <- t.live_words + capacity;
-  if t.live_words > t.high_water_words then t.high_water_words <- t.live_words
+  if capacity >= Block.min_capacity then
+    Freelist.insert t.freelist ~body ~capacity
+  else t.pad_words <- t.pad_words + capacity

@@ -73,10 +73,11 @@ val alloc_words_total : t -> int
     diffing it across a span measures that span's shadow allocations. *)
 
 val pad_words : t -> int
-(** Sub-[min_capacity] alignment slivers stranded by arena segment
-    alignment.  Part of the conservation identity: [live_words +
-    free_words + deferred_words + pad_words = frontier - heap_start]
-    for any crash-free alloc/release/fence history. *)
+(** Sub-[min_capacity] slivers: those arena segment alignment strands,
+    and the gaps between live blocks recovery finds too narrow to free.
+    Part of the conservation identity: [live_words + free_words +
+    deferred_words + pad_words = frontier - heap_start] for any
+    alloc/release/fence history, recoveries included. *)
 
 val coalesces : t -> int
 (** Neighbor merges the free lists have performed (fragmentation
@@ -93,14 +94,41 @@ val arena_recycled_words : t -> int
 (** Words currently parked on arena recycle stacks (a component of
     {!free_words}). *)
 
+val iter_free : t -> (body:int -> capacity:int -> unit) -> unit
+(** Every free-list extent, in no particular order; arena recycle
+    stacks are not included (for tests). *)
+
 val reset_fresh : t -> unit
 (** Return all volatile state (free lists, refcounts, deferral list,
     counters, frontier) to the just-created state.  Pairs with rewinding
     the region to a pristine snapshot: together they are equivalent to a
     fresh heap without the O(capacity) construction cost. *)
 
-(** {1 Recovery support} ({!Recovery_gc})} *)
+(** {1 Recovery support} ({!Recovery_gc})
 
-val recovery_reset : t -> frontier:int -> unit
+    The reachability walk counts each reachable block's in-degree
+    directly in the refcount table: {!recovery_begin}, then per pointer
+    {!recovery_ref}, falling back to {!recovery_visit} on a block's first
+    reference.  {!recovery_reset} and {!recovery_insert_free} then rebuild
+    the rest of the volatile state. *)
+
+val recovery_begin : t -> unit
+(** Clear every reference count, in O(1).  A walk that raises leaves the
+    counts cleared: discard the heap or recover it again. *)
+
+val recovery_ref : t -> int -> bool
+(** Count one more reference to a block the walk has visited; [false],
+    counting nothing, when it has not. *)
+
+val recovery_visit : t -> int -> unit
+(** Give a block its first reference.  Raises [Invalid_argument] when it
+    overlaps a block already visited. *)
+
+val recovery_reset : t -> frontier:int -> live_words:int -> unit
+(** Empty the free lists, arenas and deferral pipeline and set the
+    frontier and live words; keeps the counts. *)
+
 val recovery_insert_free : t -> body:int -> capacity:int -> unit
-val recovery_declare_live : t -> body:int -> capacity:int -> rc:int -> unit
+(** Return the gap [[body - header_words, body - header_words +
+    capacity)] between live blocks: a free extent, or pad words when it
+    is narrower than [Block.min_capacity]. *)

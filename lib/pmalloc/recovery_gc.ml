@@ -37,6 +37,23 @@ let pp_report ppf r =
      frontier %d"
     r.live_blocks r.live_words r.reclaimed_extents r.reclaimed_words r.frontier
 
+(* A growable int stack: the walk's worklists are flat buffers, so a
+   recovery allocates no cell or tuple per block. *)
+type ints = { mutable a : int array; mutable n : int }
+
+let push b x =
+  if b.n = Array.length b.a then begin
+    let bigger = Array.make (2 * b.n) 0 in
+    Array.blit b.a 0 bigger 0 b.n;
+    b.a <- bigger
+  end;
+  b.a.(b.n) <- x;
+  b.n <- b.n + 1
+
+let pop b =
+  b.n <- b.n - 1;
+  b.a.(b.n)
+
 let recover heap =
   let region = Heap.region heap in
   let allocator = Heap.allocator heap in
@@ -55,92 +72,91 @@ let recover heap =
      armed faults every load succeeds, so skip the extra payload reads
      (raw blocks can be large -- e.g. the PM-STM undo log). *)
   let scrub = Pmem.Region.media_fault_count region > 0 in
-  (* body offset -> (header offset, capacity, in-degree) *)
-  let reachable : (int, int * int * int) Hashtbl.t = Hashtbl.create 4096 in
-  (* Explicit worklist: recursion here would be unbounded in the depth of
-     the object graph, and list spines (dstack/dseq) reach hundreds of
-     thousands of nodes. *)
-  let pending = Stack.create () in
+  (* In-degrees are counted in the allocator's refcount table, which
+     clears in O(1); a walk that raises leaves it cleared. *)
+  Allocator.recovery_begin allocator;
+  (* every reachable body, in visit order *)
+  let found = { a = Array.make 64 0; n = 0 } in
+  (* Explicit worklist of (body, scan) pairs: recursion here would be
+     unbounded in the depth of the object graph, and list spines
+     (dstack/dseq) reach hundreds of thousands of nodes.  [scan] is the
+     used word count of a Scanned block, or its complement for a Raw
+     block to scrub; Raw blocks with nothing to scrub are never pushed. *)
+  let pending = { a = Array.make 64 0; n = 0 } in
   let visit body =
-    match Hashtbl.find_opt reachable body with
-    | Some (header, capacity, indeg) ->
-        Hashtbl.replace reachable body (header, capacity, indeg + 1)
-    | None ->
-        let header = Block.header_of_body body in
-        (* one load serves capacity, kind *and* the scan limit: the
-           packed header keeps the whole walk at one header read per
-           block *)
-        let hw = Pmem.Region.load region header in
-        let capacity, kind, _allocated = Block.decode_info hw in
-        let used = Block.decode_used hw in
-        Hashtbl.replace reachable body (header, capacity, 1);
-        Stack.push (body, used, kind) pending
-  in
-  let scan (body, used, kind) =
-    match kind with
-    | Block.Raw ->
-        if scrub then
-          for i = 0 to used - 1 do
-            ignore (Pmem.Region.load region (body + i) : Pmem.Word.t)
-          done
-    | Block.Scanned ->
-        for i = 0 to used - 1 do
-          let w = Pmem.Region.load region (body + i) in
-          if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
-            visit (Pmem.Word.to_ptr w)
-        done
+    if not (Allocator.recovery_ref allocator body) then begin
+      (* one load serves capacity, kind *and* the scan limit: the packed
+         header keeps the whole walk at one header read per block *)
+      let hw = Pmem.Region.load region (Block.header_of_body body) in
+      let _capacity, kind, _allocated = Block.decode_info hw in
+      let used = Block.decode_used hw in
+      Allocator.recovery_visit allocator body;
+      push found body;
+      match kind with
+      | Block.Scanned ->
+          push pending body;
+          push pending used
+      | Block.Raw ->
+          if scrub then begin
+            push pending body;
+            push pending (lnot used)
+          end
+    end
   in
   for slot = 0 to Heap.root_slots - 1 do
     let w = Heap.root_get heap slot in
     if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
       visit (Pmem.Word.to_ptr w)
   done;
-  while not (Stack.is_empty pending) do
-    scan (Stack.pop pending)
+  while pending.n > 0 do
+    let scan = pop pending in
+    let body = pop pending in
+    if scan >= 0 then
+      for i = 0 to scan - 1 do
+        let w = Pmem.Region.load region (body + i) in
+        if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
+          visit (Pmem.Word.to_ptr w)
+      done
+    else
+      for i = 0 to lnot scan - 1 do
+        ignore (Pmem.Region.load region (body + i) : Pmem.Word.t)
+      done
   done;
   (* Sort live blocks by address to find the gaps between them. *)
-  let blocks =
-    Hashtbl.fold (fun body (header, cap, indeg) acc ->
-        (header, cap, body, indeg) :: acc)
-      reachable []
-  in
-  let blocks =
-    List.sort (fun (h1, _, _, _) (h2, _, _, _) -> compare h1 h2) blocks
-  in
-  let frontier =
-    List.fold_left
-      (fun acc (h, cap, _, _) -> max acc (h + cap))
-      Heap.heap_start_words blocks
-  in
-  Allocator.recovery_reset allocator ~frontier;
+  let bodies = Array.sub found.a 0 found.n in
+  Array.sort Int.compare bodies;
+  let frontier = ref Heap.heap_start_words in
   let live_words = ref 0 in
-  List.iter
-    (fun (_, cap, body, indeg) ->
-      Allocator.recovery_declare_live allocator ~body ~capacity:cap ~rc:indeg;
+  Array.iter
+    (fun body ->
+      let cap = Allocator.capacity_of allocator body in
+      frontier := max !frontier (Block.header_of_body body + cap);
       live_words := !live_words + cap)
-    blocks;
+    bodies;
+  Allocator.recovery_reset allocator ~frontier:!frontier
+    ~live_words:!live_words;
   let extents = ref 0 in
   let reclaimed = ref 0 in
   let cursor = ref Heap.heap_start_words in
-  let reclaim_gap gap_start gap_end =
-    let size = gap_end - gap_start in
-    if size >= Block.min_capacity then begin
-      Allocator.recovery_insert_free allocator
-        ~body:(Block.body_of_header gap_start)
-        ~capacity:size;
-      incr extents;
-      reclaimed := !reclaimed + size
-    end
-  in
-  List.iter
-    (fun (header, cap, _, _) ->
-      if header > !cursor then reclaim_gap !cursor header;
-      cursor := max !cursor (header + cap))
-    blocks;
+  Array.iter
+    (fun body ->
+      let header = Block.header_of_body body in
+      if header > !cursor then begin
+        let size = header - !cursor in
+        Allocator.recovery_insert_free allocator
+          ~body:(Block.body_of_header !cursor)
+          ~capacity:size;
+        if size >= Block.min_capacity then begin
+          incr extents;
+          reclaimed := !reclaimed + size
+        end
+      end;
+      cursor := max !cursor (header + Allocator.capacity_of allocator body))
+    bodies;
   {
-    live_blocks = List.length blocks;
+    live_blocks = found.n;
     live_words = !live_words;
     reclaimed_extents = !extents;
     reclaimed_words = !reclaimed;
-    frontier;
+    frontier = !frontier;
   }

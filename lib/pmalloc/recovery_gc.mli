@@ -24,4 +24,7 @@ val recover : Heap.t -> report
     (typed by {!Mod_core.Recovery}): [Heap.Torn_root] when both copies
     of a root record fail validation, [Pmem.Region.Media_fault] when an
     armed line is reached by a root read, the policy refresh, a header
-    read, or the Raw scrub. *)
+    read, or the Raw scrub, and [Invalid_argument] for a header that
+    does not decode or two reachable bodies in one refcount slot.  A
+    recovery that raises leaves the reference counts cleared: discard
+    the heap or recover it again. *)

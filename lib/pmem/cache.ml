@@ -8,21 +8,30 @@
       to the durable image, exactly as hardware cache replacement can make
       un-flushed data durable at arbitrary times. *)
 
+(* Epoch-stamped tags give O(1) invalidation: a way's tag is
+   [base lor line], where [base] is the current epoch shifted above every
+   line address, and a tag below [base] is an invalid way.  [invalidate]
+   bumps [base], so every way of every set turns invalid at once without
+   touching the arrays -- the crash-point explorer drops a 33MB LLC
+   between samples this way.  Only a miss fills a way, always the first
+   invalid one, so the valid ways of a set stay a prefix of it and the
+   victim rule reads no stale [last_use]. *)
+let line_bits = 40
+let line_span = 1 lsl line_bits
+let max_base = (max_int lsr line_bits) lsl line_bits
+
+(* Invalidations between two full wipes (see [invalidate]). *)
+let epochs = max_base / line_span
+
 type t = {
   sets : int;
   set_mask : int; (* sets - 1: every set count is a power of two *)
   ways : int;
-  tags : int array; (* sets * ways; -1 = invalid. tag = line address *)
+  tags : int array; (* sets * ways; stamped line, invalid below [base] *)
   dirty : bool array;
   last_use : int array; (* LRU timestamps *)
   mutable tick : int;
-  (* Epoch-based O(1) invalidation: a set whose [set_epoch] lags [epoch]
-     holds stale entries from before the last [invalidate] and is wiped
-     lazily on first access.  Observably identical to [reset], but the
-     crash-point explorer can drop a 33MB LLC between samples without
-     touching its arrays. *)
-  set_epoch : int array; (* one per set *)
-  mutable epoch : int;
+  mutable base : int; (* current epoch lsl line_bits *)
 }
 
 let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
@@ -32,48 +41,40 @@ let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
     sets;
     set_mask = sets - 1;
     ways;
-    tags = Array.make (sets * ways) (-1);
+    tags = Array.make (sets * ways) 0;
     dirty = Array.make (sets * ways) false;
     last_use = Array.make (sets * ways) 0;
     tick = 0;
-    set_epoch = Array.make sets 0;
-    epoch = 0;
+    base = line_span;
   }
 
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.tags 0 (Array.length t.tags) 0;
   Array.fill t.dirty 0 (Array.length t.dirty) false;
   Array.fill t.last_use 0 (Array.length t.last_use) 0;
   t.tick <- 0;
-  Array.fill t.set_epoch 0 t.sets t.epoch
+  t.base <- line_span
 
+(* When the epoch would overflow, one full wipe restarts it. *)
 let invalidate t =
-  t.epoch <- t.epoch + 1;
-  t.tick <- 0
+  if t.base = max_base then reset t
+  else begin
+    t.base <- t.base + line_span;
+    t.tick <- 0
+  end
 
-(* Wipe [set]'s ways if it predates the last [invalidate]; returns the
-   index of the set's first way. *)
-let open_set t line =
-  let set = line land t.set_mask in
-  if t.set_epoch.(set) <> t.epoch then begin
-    t.set_epoch.(set) <- t.epoch;
-    let base = set * t.ways in
-    Array.fill t.tags base t.ways (-1);
-    Array.fill t.dirty base t.ways false;
-    Array.fill t.last_use base t.ways 0
-  end;
-  set * t.ways
-
-(* Index of [line]'s way in the set starting at [base], or -1.  A line
-   is installed only on a miss, so it occupies at most one way and the
-   first match is the only one. *)
-let find_way t base line =
-  let stop = base + t.ways in
-  let i = ref base in
-  while !i < stop && t.tags.(!i) <> line do
+(* Index of the way holding stamped tag [key] in the set starting at
+   [first], or -1.  A line is installed only on a miss, so it occupies at
+   most one way and the first match is the only one. *)
+let find_way t first key =
+  let stop = first + t.ways in
+  let i = ref first in
+  while !i < stop && t.tags.(!i) <> key do
     incr i
   done;
   if !i < stop then !i else -1
+
+let first_way t line = (line land t.set_mask) * t.ways
 
 (* [access] results: [hit]; [miss] when the displaced way was empty or
    clean; otherwise the (non-negative) line address of a dirty victim,
@@ -86,21 +87,23 @@ let miss = -2
    least-recently-used one (first on ties). *)
 let access t ~line ~write =
   t.tick <- t.tick + 1;
-  let base = open_set t line in
-  let i = find_way t base line in
+  let first = first_way t line in
+  let key = t.base lor line in
+  let i = find_way t first key in
   if i >= 0 then begin
     t.last_use.(i) <- t.tick;
     if write then t.dirty.(i) <- true;
     hit
   end
   else begin
-    let stop = base + t.ways in
-    let victim = ref base in
+    let base = t.base in
+    let stop = first + t.ways in
+    let victim = ref first in
     let best = ref max_int in
-    let w = ref base in
+    let w = ref first in
     while !w < stop do
       let i = !w in
-      if t.tags.(i) = -1 then begin
+      if t.tags.(i) < base then begin
         victim := i;
         w := stop
       end
@@ -115,8 +118,8 @@ let access t ~line ~write =
     done;
     let i = !victim in
     let old = t.tags.(i) in
-    let result = if old >= 0 && t.dirty.(i) then old else miss in
-    t.tags.(i) <- line;
+    let result = if old >= base && t.dirty.(i) then old - base else miss in
+    t.tags.(i) <- key;
     t.dirty.(i) <- write;
     t.last_use.(i) <- t.tick;
     result
@@ -125,16 +128,15 @@ let access t ~line ~write =
 (* Mark a line clean in the cache (its data has been written back by a
    clwb+sfence), without evicting it: clwb writes back but need not evict. *)
 let mark_clean t ~line =
-  let i = find_way t (open_set t line) line in
+  let i = find_way t (first_way t line) (t.base lor line) in
   if i >= 0 then t.dirty.(i) <- false
 
-let resident t ~line = find_way t (open_set t line) line >= 0
+let resident t ~line = find_way t (first_way t line) (t.base lor line) >= 0
 
 let dirty_lines t =
   let acc = ref [] in
   Array.iteri
     (fun i tag ->
-      if tag >= 0 && t.dirty.(i) && t.set_epoch.(i / t.ways) = t.epoch then
-        acc := tag :: !acc)
+      if tag >= t.base && t.dirty.(i) then acc := (tag - t.base) :: !acc)
     t.tags;
   !acc

@@ -51,6 +51,17 @@ type t = {
      (eviction writeback, a re-dirtying store) -- the drain re-checks the
      state and skips them. *)
   mutable flushing_q : int list;
+  (* crash worklist: the lines a crash must visit, so it costs O(dirty
+     lines) instead of a scan of the region.  Invariant: every Dirty or
+     Flushing line is listed exactly once ([crash_mark]).  Lines that
+     went Clean since (fence drain, eviction writeback) stay listed until
+     the next trim, which drops them once the list reaches [crash_trim]
+     and re-arms it at twice the survivors: amortized O(1) per listing,
+     and the list stays O(dirty lines) in runs that never crash. *)
+  mutable crash_q : int array;
+  mutable crash_len : int;
+  mutable crash_mark : bool array; (* per line: listed in crash_q *)
+  mutable crash_trim : int;
   (* ablation knob: order every clwb individually, as if each flush were
      followed by its own sfence (the paper's Section 3 worst case) *)
   mutable fence_per_flush : bool;
@@ -105,6 +116,19 @@ type snapshot =
 
 let line_of_word off = off lsr Config.line_shift
 
+let crash_trim_floor = 64
+
+(* [arr] extended to [n] elements with [fill], or [arr] itself when it
+   already has them. *)
+let extend arr n fill =
+  let len = Array.length arr in
+  if n <= len then arr
+  else begin
+    let a = Array.make n fill in
+    Array.blit arr 0 a 0 len;
+    a
+  end
+
 let next_stamp = ref 0
 
 let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
@@ -130,6 +154,10 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
     rng = Random.State.make [| seed |];
     inflight = 0;
     flushing_q = [];
+    crash_q = Array.make crash_trim_floor 0;
+    crash_len = 0;
+    crash_mark = Array.make lines false;
+    crash_trim = crash_trim_floor;
     fence_per_flush = false;
     events = 0;
     crash_budget = -1;
@@ -169,12 +197,8 @@ let snapshot_mode t = t.snap_mode
 (* -- snapshot journal ---------------------------------------------------- *)
 
 let journal_push t e =
-  let n = Array.length t.j_entries in
-  if t.j_len = n then begin
-    let bigger = Array.make (max 64 (2 * n)) dummy_entry in
-    Array.blit t.j_entries 0 bigger 0 n;
-    t.j_entries <- bigger
-  end;
+  if t.j_len = Array.length t.j_entries then
+    t.j_entries <- extend t.j_entries (max 64 (2 * t.j_len)) dummy_entry;
   t.j_entries.(t.j_len) <- e;
   t.j_len <- t.j_len + 1
 
@@ -195,6 +219,49 @@ let journal_touch t line =
   end
 
 let journal_entries t = t.j_len
+
+(* -- crash worklist ------------------------------------------------------ *)
+
+(* Keep the listed lines [keep] accepts; unlist the others. *)
+let crash_list_filter t keep =
+  let n = ref 0 in
+  for i = 0 to t.crash_len - 1 do
+    let line = t.crash_q.(i) in
+    if keep line then begin
+      t.crash_q.(!n) <- line;
+      incr n
+    end
+    else t.crash_mark.(line) <- false
+  done;
+  t.crash_len <- !n
+
+(* Drop the listed lines that went Clean. *)
+let crash_list_trim t =
+  crash_list_filter t (fun line ->
+      match t.state.(line) with Clean -> false | Dirty | Flushing -> true);
+  t.crash_trim <- max crash_trim_floor (2 * t.crash_len)
+
+(* Called whenever [line] may have left Clean. *)
+let crash_list t line =
+  if not t.crash_mark.(line) then begin
+    if t.crash_len >= t.crash_trim then crash_list_trim t;
+    if t.crash_len = Array.length t.crash_q then
+      t.crash_q <- extend t.crash_q (2 * t.crash_len) 0;
+    t.crash_q.(t.crash_len) <- line;
+    t.crash_len <- t.crash_len + 1;
+    t.crash_mark.(line) <- true
+  end
+
+let crash_worklist t = Array.to_list (Array.sub t.crash_q 0 t.crash_len)
+
+let dirty_lines t =
+  let acc = ref [] in
+  for line = Array.length t.state - 1 downto 0 do
+    match t.state.(line) with
+    | Clean -> ()
+    | Dirty | Flushing -> acc := line :: !acc
+  done;
+  !acc
 
 (* ------------------------------------------------------------------------ *)
 
@@ -235,22 +302,12 @@ let ensure_capacity t n =
       cap := !cap * 2
     done;
     let cap = !cap in
-    let grow arr =
-      let bigger = Array.make cap 0 in
-      Array.blit arr 0 bigger 0 t.capacity;
-      bigger
-    in
-    t.current <- grow t.current;
-    t.durable <- grow t.durable;
+    t.current <- extend t.current cap 0;
+    t.durable <- extend t.durable cap 0;
     let lines = (cap + Config.words_per_line - 1) / Config.words_per_line in
-    let st = Array.make lines Clean in
-    Array.blit t.state 0 st 0 (Array.length t.state);
-    t.state <- st;
-    if lines > Array.length t.j_mark then begin
-      let marks = Array.make lines (-1) in
-      Array.blit t.j_mark 0 marks 0 (Array.length t.j_mark);
-      t.j_mark <- marks
-    end;
+    t.state <- extend t.state lines Clean;
+    t.j_mark <- extend t.j_mark lines (-1);
+    t.crash_mark <- extend t.crash_mark lines false;
     t.capacity <- cap
   end
 
@@ -359,7 +416,9 @@ let store t off w =
   Stats.advance t.stats Latency.store_ns;
   t.current.(off) <- Word.bits w;
   (match t.state.(line) with
-  | Clean -> t.state.(line) <- Dirty
+  | Clean ->
+      t.state.(line) <- Dirty;
+      crash_list t line
   | Dirty -> ()
   | Flushing ->
       (* The store raced a writeback already launched by a clwb.  On
@@ -472,13 +531,18 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
   t.last_crash_seed <- Some seed_used;
   t.crash_budget <- -1;
   t.integrity_epoch <- t.integrity_epoch + 1;
-  Array.iteri
-    (fun line st ->
-      (* Clean lines are already durable with no writeback in flight, so
-         their volatile and durable contents agree: losing power changes
-         nothing.  Only dirty / in-flight lines need work (or undo
-         journaling), keeping a crash O(lines + dirty words). *)
-      match st with
+  (* Clean lines are already durable with no writeback in flight, so
+     their volatile and durable contents agree: losing power changes
+     nothing.  Only dirty / in-flight lines need work (or undo
+     journaling), and the worklist lists every one of them; visiting it
+     in ascending line order draws the survival coins in line order. *)
+  let lines = Array.sub t.crash_q 0 t.crash_len in
+  Array.sort Int.compare lines;
+  t.crash_len <- 0;
+  Array.iter
+    (fun line ->
+      t.crash_mark.(line) <- false;
+      match t.state.(line) with
       | Clean -> ()
       | Dirty | Flushing when torn ->
           (* Torn persistence: the line was partially written back when
@@ -502,7 +566,7 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
           (* the volatile view reverts to what PM now holds *)
           Array.blit t.durable base t.current base len;
           t.state.(line) <- Clean
-      | Dirty | Flushing ->
+      | (Dirty | Flushing) as st ->
           let survives =
             match (st, mode) with
             | Clean, _ -> false (* already durable, nothing in flight *)
@@ -526,7 +590,7 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
             Array.blit t.durable base t.current base len
           end;
           t.state.(line) <- Clean)
-    t.state;
+    lines;
   t.inflight <- 0;
   t.flushing_q <- [];
   reset_caches t;
@@ -600,6 +664,7 @@ let truncate_image t cap =
     t.state <- Array.sub t.state 0 lines;
     (* drop worklist entries for lines that no longer exist *)
     t.flushing_q <- List.filter (fun l -> l < lines) t.flushing_q;
+    crash_list_filter t (fun l -> l < lines);
     t.capacity <- cap
   end
 
@@ -611,12 +676,20 @@ let restore t s =
       t.state <- Array.copy f.s_state;
       t.capacity <- f.s_capacity;
       t.inflight <- f.s_inflight;
-      (* rebuild the flushing worklist from the restored state array (the
+      (* rebuild both worklists from the restored state array (the
          full-copy path is already O(capacity)) *)
       t.flushing_q <- [];
+      t.crash_len <- 0;
+      t.crash_mark <- extend t.crash_mark (Array.length t.state) false;
+      Array.fill t.crash_mark 0 (Array.length t.crash_mark) false;
       Array.iteri
         (fun line st ->
-          if st = Flushing then t.flushing_q <- line :: t.flushing_q)
+          match st with
+          | Clean -> ()
+          | Dirty -> crash_list t line
+          | Flushing ->
+              t.flushing_q <- line :: t.flushing_q;
+              crash_list t line)
         t.state;
       Stats.assign ~into:t.stats f.s_stats;
       t.rng <- Random.State.copy f.s_rng;
@@ -641,8 +714,14 @@ let restore t s =
         Array.blit e.e_dur 0 t.durable base (Array.length e.e_dur);
         t.state.(e.e_line) <- e.e_state;
         (* a replayed line returning to Flushing must be on the fence
-           worklist; lines untouched since the snapshot never left it *)
-        if e.e_state = Flushing then t.flushing_q <- e.e_line :: t.flushing_q;
+           worklist, and one leaving Clean on the crash worklist; lines
+           untouched since the snapshot never left them *)
+        (match e.e_state with
+        | Clean -> ()
+        | Dirty -> crash_list t e.e_line
+        | Flushing ->
+            t.flushing_q <- e.e_line :: t.flushing_q;
+            crash_list t e.e_line);
         t.j_entries.(i) <- dummy_entry
       done;
       t.j_len <- tok.t_pos;
@@ -664,10 +743,12 @@ let restore t s =
   (* the rewound durable image diverges from the file again; every line is
      conservatively re-committed at the next fence (restore on a
      file-backed region is a test-only combination) *)
-  if t.backing <> None then
-    for line = 0 to Array.length t.state - 1 do
-      Hashtbl.replace t.file_dirty line ()
-    done;
+  (match t.backing with
+  | Some _ ->
+      for line = 0 to Array.length t.state - 1 do
+        Hashtbl.replace t.file_dirty line ()
+      done
+  | None -> ());
   reset_caches t
 
 let durable_load t off =
@@ -704,7 +785,7 @@ let images_equal a b =
 
 (* -- file backend -------------------------------------------------------- *)
 
-let file_backed t = t.backing <> None
+let file_backed t = match t.backing with Some _ -> true | None -> false
 
 let backing_path t = Option.map Backing.path t.backing
 
@@ -732,6 +813,10 @@ let open_file ?(trace = false) ?(seed = 42) ~path () =
       rng = Random.State.make [| seed |];
       inflight = 0;
       flushing_q = [];
+      crash_q = Array.make crash_trim_floor 0;
+      crash_len = 0;
+      crash_mark = Array.make lines false;
+      crash_trim = crash_trim_floor;
       fence_per_flush = false;
       events = 0;
       crash_budget = -1;

@@ -202,6 +202,15 @@ val restore : t -> snapshot -> unit
 val journal_entries : t -> int
 (** Number of live undo records in the snapshot journal (for tests). *)
 
+val dirty_lines : t -> int list
+(** Lines in the Dirty or Flushing state, ascending: the lines a crash
+    can lose (O(lines); for tests). *)
+
+val crash_worklist : t -> int list
+(** The lines the next {!crash} visits, in list order: every line of
+    {!dirty_lines} once, plus lines that went Clean since they were
+    listed (for tests). *)
+
 val images_equal : t -> t -> bool
 (** Word-for-word equality of two regions' volatile views, durable
     images, line states, capacities and in-flight counts (differential

@@ -34,8 +34,6 @@ type t = {
   mutable file_commits : int;
   mutable file_lines : int;
   mutable file_fsyncs : int;
-  (* histogram: number of fences that drained exactly [n] in-flight lines *)
-  drain_histogram : (int, int) Hashtbl.t;
 }
 
 let create () =
@@ -57,7 +55,6 @@ let create () =
     file_commits = 0;
     file_lines = 0;
     file_fsyncs = 0;
-    drain_histogram = Hashtbl.create 16;
   }
 
 let reset t =
@@ -77,12 +74,11 @@ let reset t =
   t.cur_phase <- Other;
   t.file_commits <- 0;
   t.file_lines <- 0;
-  t.file_fsyncs <- 0;
-  Hashtbl.reset t.drain_histogram
+  t.file_fsyncs <- 0
 
 (* Deep copy, for region snapshots: a crash-point sample must not leak
    its simulated time or event counts into the next sample. *)
-let copy t = { t with drain_histogram = Hashtbl.copy t.drain_histogram }
+let copy t = { t with now_ns = t.now_ns }
 
 (* Overwrite [into] with the contents of [src] (the restore half). *)
 let assign ~into src =
@@ -102,9 +98,7 @@ let assign ~into src =
   into.cur_phase <- src.cur_phase;
   into.file_commits <- src.file_commits;
   into.file_lines <- src.file_lines;
-  into.file_fsyncs <- src.file_fsyncs;
-  Hashtbl.reset into.drain_histogram;
-  Hashtbl.iter (Hashtbl.replace into.drain_histogram) src.drain_histogram
+  into.file_fsyncs <- src.file_fsyncs
 
 (* Advance simulated time, attributing it to the current phase. *)
 let advance t ns =
@@ -130,9 +124,7 @@ let in_phase t phase f =
 
 let record_fence t ~drained =
   t.fences <- t.fences + 1;
-  t.lines_drained <- t.lines_drained + drained;
-  let prev = try Hashtbl.find t.drain_histogram drained with Not_found -> 0 in
-  Hashtbl.replace t.drain_histogram drained (prev + 1)
+  t.lines_drained <- t.lines_drained + drained
 
 let miss_ratio t =
   let total = t.l1_hits + t.l1_misses in

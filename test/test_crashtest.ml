@@ -348,6 +348,77 @@ let seed_tests =
           (report2.Mod_core.Recovery.crash_seed <> None));
   ]
 
+(* -- golden pins for the crash paths the benchmark does not run -------- *)
+
+(* Small sweeps under the fault schedule, the Backup policy and full-copy
+   snapshots, pinned to the points, samples and verdicts they report and
+   to the summed simulated time of every sample's recovery (exact float
+   bits, read by wrapping the workload's [recover]).  The per-sample work
+   -- restore, crash, recovery -- must stay bit-identical: a crash that
+   visits lines in another order draws other survival coins, and one
+   that misses a restored dirty line recovers another image. *)
+let pinned_sweep ?persist ~cfg name ~ops =
+  let w = Crashtest.Workload.build ?persist name ~ops in
+  let sim = ref 0.0 in
+  let make heap =
+    let i = w.Crashtest.Workload.make heap in
+    {
+      i with
+      Crashtest.Workload.recover =
+        (fun () ->
+          let st = Pmalloc.Heap.stats heap in
+          let s0 = st.Pmem.Stats.now_ns in
+          i.Crashtest.Workload.recover ();
+          sim := !sim +. (st.Pmem.Stats.now_ns -. s0));
+    }
+  in
+  let r =
+    Crashtest.Explorer.explore ~cfg { w with Crashtest.Workload.make }
+  in
+  [
+    ("points", Int64.of_int r.Crashtest.Explorer.points_tested);
+    ("samples", Int64.of_int r.Crashtest.Explorer.crashes_sampled);
+    ("fault samples", Int64.of_int r.Crashtest.Explorer.fault_samples);
+    ("fault recovered", Int64.of_int r.Crashtest.Explorer.fault_recovered);
+    ("fault degraded", Int64.of_int r.Crashtest.Explorer.fault_degraded);
+    ("root fallbacks", Int64.of_int r.Crashtest.Explorer.fault_fallbacks);
+    ("violations", Int64.of_int (List.length r.Crashtest.Explorer.failures));
+    ("recovery sim ns bits", Int64.bits_of_float !sim);
+  ]
+
+let golden_tests =
+  let full_copy =
+    {
+      quick_cfg with
+      Crashtest.Explorer.snapshot_mode = Pmem.Region.Full_copy;
+      stride = 3;
+    }
+  in
+  let pin label run expected =
+    Alcotest.test_case label `Quick (fun () ->
+        List.iter2
+          (fun (name, actual) expected ->
+            Alcotest.(check int64) name expected actual)
+          (run ()) expected)
+  in
+  [
+    pin "faults sweep (map, torn + media)"
+      (fun () ->
+        pinned_sweep ~cfg:{ quick_cfg with Crashtest.Explorer.faults = true }
+          "map" ~ops:5)
+      [ 22L; 88L; 88L; 44L; 44L; 32L; 0L; 4703560101942788096L ];
+    pin "Backup policy sweep (vec)"
+      (fun () ->
+        pinned_sweep ~persist:Pmalloc.Heap.Backup ~cfg:quick_cfg "vec" ~ops:5)
+      [ 96L; 384L; 0L; 0L; 0L; 0L; 0L; 4710961725384425472L ];
+    pin "full-copy sweep (queue)"
+      (fun () -> pinned_sweep ~cfg:full_copy "queue" ~ops:5)
+      [ 25L; 100L; 0L; 0L; 0L; 0L; 0L; 4702154893870235648L ];
+    pin "full-copy sweep (stm-broken control)"
+      (fun () -> pinned_sweep ~cfg:full_copy "stm-broken" ~ops:4)
+      [ 29L; 116L; 0L; 0L; 0L; 0L; 27L; 4702915075164340224L ];
+  ]
+
 let () =
   Alcotest.run "crashtest"
     [
@@ -359,4 +430,5 @@ let () =
       ("negative", negative_tests);
       ("parity", parity_tests);
       ("seed", seed_tests);
+      ("golden", golden_tests);
     ]

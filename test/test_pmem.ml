@@ -320,17 +320,26 @@ let cache_model_tests =
           (1, return `Reset);
         ])
   in
+  (* [Some k]: start the cache [k] invalidations short of its epoch
+     wrap, so the trace's invalidations cross it *)
   let gen =
     QCheck.Gen.(
-      triple (int_bound 3) (int_range 1 4)
+      quad (int_bound 3) (int_range 1 4)
+        (frequency [ (3, return None); (1, map Option.some (int_bound 2)) ])
         (list_size (int_range 1 300) op_gen))
   in
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"cache agrees with naive LRU model (qcheck)"
-         ~count:300 (QCheck.make gen) (fun (log_sets, ways, ops) ->
+         ~count:300 (QCheck.make gen) (fun (log_sets, ways, aged, ops) ->
            let sets = 1 lsl log_sets in
            let c = Cache.create ~sets ~ways () in
+           Option.iter
+             (fun k ->
+               for _ = 1 to Cache.epochs - 1 - k do
+                 Cache.invalidate c
+               done)
+             aged;
            let m = Cache_model.create ~sets ~ways in
            List.for_all
              (fun op ->
@@ -586,6 +595,136 @@ let snapshot_tests =
               below it)") (fun () -> Region.restore r inner));
   ]
 
+(* The crash worklist against the line states, over random traces of
+   stores, FASEs (store, clwb, sfence), stray clwbs and fences, evicting
+   loads, snapshots, restores, growth and crashes (every mode, plus
+   torn), run on a journaled and a full-copy region side by side.  After
+   every step each region's worklist must list each Dirty or Flushing
+   line exactly once and stay within a constant factor of the most
+   non-Clean lines seen: the factor is 4, not 2, because a journaled
+   restore can trim mid-replay, while both the abandoned and the
+   restored dirty lines are non-Clean.  After a crash every line must be
+   durable, and after every crash and restore the two regions' images
+   must agree. *)
+let worklist_tests =
+  let open Pmem in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (40, map (fun w -> `Fase w) nat);
+          (6, map (fun w -> `Store w) nat);
+          (6, map (fun w -> `Clwb w) nat);
+          (4, return `Sfence);
+          (5, map (fun w -> `Evict w) nat);
+          (2, return `Snapshot);
+          (2, map (fun i -> `Restore i) (int_bound 3));
+          (1, map2 (fun m s -> `Crash (m, s)) (int_bound 3) nat);
+          (1, return `Grow);
+        ])
+  in
+  let step r snaps op =
+    let cap = Region.capacity_words r in
+    match op with
+    | `Fase w ->
+        Region.store r (w mod cap) (Word.of_int w);
+        Region.clwb r (w mod cap);
+        Region.sfence r
+    | `Store w -> Region.store r (w mod cap) (Word.of_int w)
+    | `Clwb w -> Region.clwb r (w mod cap)
+    | `Sfence -> Region.sfence r
+    | `Evict w ->
+        (* fill [w]'s L1D set with other lines: evicts its whole set *)
+        let line = Region.line_of_word (w mod cap) in
+        for k = 1 to Config.l1d_ways do
+          let off = (line + (k * Config.l1d_sets)) lsl Config.line_shift in
+          if off < cap then ignore (Region.load r off : Word.t)
+        done
+    | `Snapshot -> snaps := Region.snapshot r :: !snaps
+    | `Restore i -> (
+        (* restoring a snapshot retires every newer one *)
+        match List.filteri (fun j _ -> j >= i) !snaps with
+        | [] -> ()
+        | s :: _ as rest ->
+            Region.restore r s;
+            snaps := rest)
+    | `Crash (m, seed) ->
+        let mode, torn =
+          match m with
+          | 0 -> (Region.Drop_inflight, false)
+          | 1 -> (Region.Keep_inflight, false)
+          | 2 -> (Region.Randomize, false)
+          | _ -> (Region.Randomize, true)
+        in
+        Region.crash ~mode ~seed ~torn r
+    | `Grow -> if cap < 1 lsl 15 then Region.ensure_capacity r (2 * cap)
+  in
+  let sound r ~peak ~crashed =
+    let dirty = Region.dirty_lines r in
+    let listed = Region.crash_worklist r in
+    let unique = List.sort_uniq compare listed in
+    let rec covers d u =
+      match (d, u) with
+      | [], _ -> true
+      | _, [] -> false
+      | x :: d', y :: u' ->
+          if x = y then covers d' u' else if x > y then covers d u' else false
+    in
+    peak := max !peak (List.length dirty);
+    List.length unique = List.length listed
+    && covers dirty unique
+    && List.length listed <= max 64 (4 * !peak)
+    && ((not crashed)
+       || dirty = []
+          && List.for_all
+               (Region.is_durable_line r)
+               (List.init
+                  (Region.capacity_words r / Config.words_per_line)
+                  Fun.id))
+  in
+  let region_of mode =
+    let r = Region.create ~capacity_words:8192 ~seed:3 () in
+    Region.set_snapshot_mode r mode;
+    r
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"crash worklist lists every dirty line (qcheck)" ~count:60
+         (QCheck.make QCheck.Gen.(list_size (int_range 1 500) op_gen))
+         (fun ops ->
+           let rj = region_of Region.Journal in
+           let rf = region_of Region.Full_copy in
+           let sj = ref [] and sf = ref [] in
+           let pj = ref 0 and pf = ref 0 in
+           List.for_all
+             (fun op ->
+               step rj sj op;
+               step rf sf op;
+               let crashed = match op with `Crash _ -> true | _ -> false in
+               let rewound = match op with `Restore _ -> true | _ -> false in
+               sound rj ~peak:pj ~crashed
+               && sound rf ~peak:pf ~crashed
+               && ((not (crashed || rewound)) || Region.images_equal rj rf))
+             ops));
+    Alcotest.test_case "crash worklist stays bounded without crashes" `Quick
+      (fun () ->
+        let r = Region.create ~capacity_words:(1 lsl 16) () in
+        (* 100 lines stay dirty throughout, as in a Backup heap *)
+        for line = 0 to 99 do
+          Region.store r (line lsl Config.line_shift) (Word.of_int 1)
+        done;
+        for i = 0 to 20_000 do
+          let off = (100 + (i mod 8000)) lsl Config.line_shift in
+          Region.store r off (Word.of_int i);
+          Region.clwb r off;
+          Region.sfence r;
+          let n = List.length (Region.crash_worklist r) in
+          if n > 2 * 101 then
+            Alcotest.failf "worklist holds %d lines after FASE %d" n i
+        done);
+  ]
+
 (* Golden pin: every simulated clock and counter of one fixed-seed map
    run, crash and recovery, recorded exactly.  Host-side work on the
    per-word path (cache lookups, refcounts) must leave each simulated
@@ -662,5 +801,6 @@ let () =
       ("stats", stats_tests);
       ("trace", trace_tests);
       ("snapshot", snapshot_tests);
+      ("worklist", worklist_tests);
       ("golden", golden_tests);
     ]

@@ -217,9 +217,11 @@ type swept = {
   fields : (string * Json.t) list;  (* extra per-workload JSON *)
 }
 
-let first_failures pp command fs =
+let first_failures fs =
   List.filteri (fun i _ -> i < 5) fs
-  |> List.map (fun f -> (Format.asprintf "%a" pp f, command f))
+  |> List.map (fun f ->
+         ( Format.asprintf "%a" Crashtest.Explorer.pp_failure f,
+           Crashtest.Replay.command f ))
 
 (* The report shared by the sequential and --writers sweeps.  Each
    workload is judged as soon as it is swept: a negative control must
@@ -329,8 +331,9 @@ let crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
       in
       let cw = cbuild workload in
       match
-        Crashtest.Replay.creplay ~cfg cw ~schedule:sched ~crash_index ~mode:m
-          ?seed:sseed ()
+        Crashtest.Replay.replay ~cfg
+          (Crashtest.Explorer.Conc (cw, sched))
+          ~crash_index ~mode:m ?seed:sseed ()
       with
       | None ->
           Printf.printf
@@ -365,9 +368,7 @@ let crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
           points = r.cr_points_tested;
           wall = r.cr_wall_seconds;
           failures = List.length r.cr_failures;
-          shown =
-            first_failures Crashtest.Explorer.pp_cfailure
-              Crashtest.Replay.ccommand r.cr_failures;
+          shown = first_failures r.cr_failures;
           counters = [];
           fields =
             [
@@ -399,7 +400,6 @@ let crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
 let shard_sweep ~command ~nshards ~requests ~stride ~max_points ~seed ~file
     ~json_out ~gate =
   if nshards < 1 then usage_error "--shards must be >= 1";
-  let stride = if stride = 1 then 97 else stride in
   let r =
     Shard.crash_sweep ~nshards ~requests ~stride ?max_points ~seed ?file ()
   in
@@ -440,13 +440,25 @@ let shard_sweep ~command ~nshards ~requests ~stride ~max_points ~seed ~file
 
 let crashtest_cmd =
   let run action workload ops stride samples seed max_points quick replay mode
-      sseed shrink jobs full_snapshots faults json_out baseline persist
-      writers schedule shards =
+      sseed shrink jobs faults json_out baseline persist writers schedule shards
+      =
     let gate = Gate.create ?baseline () in
     match shards with
     | Some nshards ->
+        List.iter
+          (fun (given, flag) ->
+            if given then
+              usage_error (flag ^ " is not supported with --shards"))
+          [
+            (faults, "--faults");
+            (writers > 0, "--writers");
+            (persist <> None, "--persist");
+            (replay <> None, "--replay");
+            (jobs <> None, "--jobs");
+          ];
         let requests = if quick then min (ops * 4) 64 else ops * 4 in
-        shard_sweep ~command:"crashtest" ~nshards ~requests ~stride
+        shard_sweep ~command:"crashtest" ~nshards ~requests
+          ~stride:(Option.value stride ~default:97)
           ~max_points ~seed ~file:None ~json_out ~gate
     | None ->
     (match action with
@@ -455,9 +467,8 @@ let crashtest_cmd =
         usage_error (Printf.sprintf "unknown action %S (only: sweep)" other));
     let ops = if quick then min ops 8 else ops in
     let samples = if quick then min samples 2 else samples in
-    let snapshot_mode =
-      if full_snapshots then Pmem.Region.Full_copy else Pmem.Region.Journal
-    in
+    let stride = Option.value stride ~default:1 in
+    let jobs = Option.value jobs ~default:1 in
     let cfg =
       {
         Crashtest.Explorer.default with
@@ -465,7 +476,6 @@ let crashtest_cmd =
         randomize_samples = samples;
         seed;
         max_points;
-        snapshot_mode;
         jobs;
         faults;
         log = prerr_endline;
@@ -480,9 +490,6 @@ let crashtest_cmd =
             ("stride", Json.Int stride);
             ("samples", Json.Int samples);
             ("seed", Json.Int seed);
-            ( "snapshot_mode",
-              Json.String (if full_snapshots then "full-copy" else "journal")
-            );
             ("jobs", Json.Int jobs);
             ("faults", Json.Bool faults);
             ("persist", Json.String (Cli.persist_name persist));
@@ -509,7 +516,8 @@ let crashtest_cmd =
         let m = ok_or_usage (Crashtest.Explorer.mode_of_name mode) in
         let w = build workload in
         match
-          Crashtest.Replay.replay ~cfg w ~crash_index ~mode:m ?seed:sseed ()
+          Crashtest.Replay.replay ~cfg (Crashtest.Explorer.Seq w) ~crash_index
+            ~mode:m ?seed:sseed ()
         with
         | None ->
             Printf.printf
@@ -527,7 +535,9 @@ let crashtest_cmd =
               let f =
                 {
                   Crashtest.Explorer.workload;
+                  writers = 0;
                   ops;
+                  schedule = None;
                   crash_index;
                   mode = m;
                   survival_seed = sseed;
@@ -564,9 +574,7 @@ let crashtest_cmd =
             points = r.points_tested;
             wall = r.wall_seconds;
             failures = List.length r.failures;
-            shown =
-              first_failures Crashtest.Explorer.pp_failure
-                Crashtest.Replay.command r.failures;
+            shown = first_failures r.failures;
             counters =
               [
                 ("fault_samples", r.fault_samples);
@@ -619,8 +627,11 @@ let crashtest_cmd =
   in
   let stride =
     Arg.(
-      value & opt int 1
-      & info [ "stride" ] ~doc:"Test every STRIDE-th crash point.")
+      value
+      & opt (some int) None
+      & info [ "stride" ]
+          ~doc:
+            "Test every STRIDE-th crash point (default 1; 97 with --shards).")
   in
   let samples =
     Arg.(
@@ -670,19 +681,12 @@ let crashtest_cmd =
   in
   let jobs =
     Arg.(
-      value & opt int 1
+      value
+      & opt (some int) None
       & info [ "jobs"; "j" ]
           ~doc:
-            "Worker processes for the sweep (forked); 1 = sequential, 0 = \
-             one per core.")
-  in
-  let full_snapshots =
-    Arg.(
-      value & flag
-      & info [ "full-snapshots" ]
-          ~doc:
-            "Use the original full-image snapshot path instead of \
-             copy-on-write journaling (slow; differential reference).")
+            "Worker processes for the sweep (forked); 1 = sequential (the \
+             default), 0 = one per core.")
   in
   let faults =
     Arg.(
@@ -718,7 +722,7 @@ let crashtest_cmd =
     Term.(
       const run $ action $ workload $ ops $ stride $ samples
       $ Cli.seed_arg () $ max_points $ quick $ replay $ mode $ sseed $ shrink
-      $ jobs $ full_snapshots $ faults $ Cli.json_arg $ Cli.baseline_arg
+      $ jobs $ faults $ Cli.json_arg $ Cli.baseline_arg
       $ Cli.persist_arg $ Cli.writers_arg $ schedule $ Cli.shards_arg)
 
 (* -- check ------------------------------------------------------------- *)

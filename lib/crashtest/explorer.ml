@@ -7,18 +7,21 @@
     the three crash modes -- [Drop_inflight] and [Keep_inflight] are
     deterministic corner cases; [Randomize] is sampled K times from
     explicit, replayable survival seeds -- then recovered and checked
-    against the durable-linearizability oracle.  A full (uncrashed) run
-    is also traced and fed to the Section 5.4 consistency checker as a
-    second invariant.
+    against the durable-linearizability oracle.
 
-    Sweeps default to the fast path: the region journals copy-on-write
-    undo records ({!Pmem.Region.snapshot_mode} [Journal]), so each crash
-    point costs O(state touched) instead of O(capacity), and one scratch
-    heap is rewound to a pristine snapshot between budgets instead of
-    being rebuilt.  [snapshot_mode = Full_copy] selects the original
-    full-image path, kept as a differential reference: both paths must
-    produce identical oracle verdicts.  With [jobs > 1] the budget list
-    is partitioned round-robin across forked worker processes and the
+    Sequential and concurrent sweeps share one driver whose work items
+    are (schedule, budget) pairs: a sequential workload is the
+    one-schedule case, concurrent writers add an interleaving-schedule
+    axis.  Each schedule first runs uncrashed, which sizes its budget
+    list and is checked once: a sequential run's trace goes to the
+    Section 5.4 consistency checker, a concurrent run's final state must
+    equal the serialized model.
+
+    Every crash point rewinds one scratch heap to its pristine snapshot
+    ({!Pmalloc.Heap.reset_fresh}) instead of building a fresh heap, and
+    the region's undo journal makes each crash sample O(state touched)
+    instead of O(capacity).  With [jobs > 1] the work items are
+    partitioned round-robin across forked worker processes, and the
     per-worker reports are merged deterministically (identical to a
     sequential sweep); on platforms without [fork] the sweep falls back
     to sequential.
@@ -34,9 +37,6 @@ type config = {
   capacity_words : int;
   heap_seed : int;
   max_points : int option;  (** cap on tested points (strided sweeps) *)
-  snapshot_mode : Pmem.Region.snapshot_mode;
-      (** [Journal] = O(touched) copy-on-write sweeps (default);
-          [Full_copy] = the original O(capacity) reference path *)
   jobs : int;  (** worker processes; 1 = sequential, 0 = one per core *)
   faults : bool;
       (** also sample each crash point under the fault schedule: torn
@@ -63,7 +63,6 @@ let default =
     capacity_words = 1 lsl 14;
     heap_seed = 42;
     max_points = None;
-    snapshot_mode = Pmem.Region.Journal;
     jobs = 1;
     faults = false;
     worker_kill = None;
@@ -72,8 +71,12 @@ let default =
 
 type failure = {
   workload : string;
-  ops : int;
-  crash_index : int;  (** PM event the power failed after *)
+  writers : int;  (** concurrent writers; 0 = a sequential workload *)
+  ops : int;  (** per writer *)
+  schedule : Interleave.schedule option;  (** [None] = sequential *)
+  crash_index : int;
+      (** PM event the power failed after; -1 = the uncrashed run's
+          final-state check *)
   mode : Pmem.Region.crash_mode;
   survival_seed : int option;  (** Randomize line-survival seed *)
   detail : string;
@@ -107,6 +110,25 @@ let points_per_sec r =
   if r.wall_seconds <= 0.0 then 0.0
   else float_of_int r.points_tested /. r.wall_seconds
 
+type cresult = {
+  cr_workload : string;
+  cr_writers : int;
+  cr_ops : int;
+  cr_schedules : int;
+  cr_total_events : int;  (** summed over schedules *)
+  cr_points_tested : int;
+  cr_points_skipped : int;
+  cr_crashes_sampled : int;
+  cr_wall_seconds : float;
+  cr_failures : failure list;
+}
+
+let cok r = r.cr_failures = []
+
+let cpoints_per_sec r =
+  if r.cr_wall_seconds <= 0.0 then 0.0
+  else float_of_int r.cr_points_tested /. r.cr_wall_seconds
+
 let mode_name = function
   | Pmem.Region.Drop_inflight -> "drop"
   | Pmem.Region.Keep_inflight -> "keep"
@@ -132,76 +154,123 @@ let fault_seed cfg ~crash_index ~k =
    injection kinds on top of a torn crash. *)
 let fault_kinds = 4
 
+(* -- one run to a budget ------------------------------------------------- *)
+
+(* What a sweep drives.  The interleaving of concurrent writers is a pure
+   function of the schedule, so a (subject, budget) pair reproduces the
+   same interrupted image bit-for-bit. *)
+type subject = Seq of Workload.t | Conc of Workload.ct * Interleave.schedule
+
 type crashed = {
   c_heap : Pmalloc.Heap.t;
-  c_inst : Workload.instance;
-  c_history : Workload.state list;  (** distinct committed states, newest first *)
-  c_pending : Workload.state option;
+  c_recover : unit -> unit;
+  c_dump : unit -> Workload.state;
+  c_judge : (Workload.state, exn) Stdlib.result -> Oracle.verdict;
+  c_latest : unit -> Workload.state;
 }
 
-(* A reusable execution context: one heap whose region journals undo
-   records, rewound to its pristine snapshot between crash points.
-   Equivalent to a fresh heap per budget (the reference behavior) but
+(* A reusable execution context: one heap rewound to its pristine
+   snapshot between runs, equivalent to a fresh heap per run but
    O(state touched) instead of O(capacity + cache hierarchy). *)
 type scratch = { s_heap : Pmalloc.Heap.t; s_pristine : Pmem.Region.snapshot }
 
+let fresh_heap cfg =
+  Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
+    ~seed:cfg.heap_seed ()
+
 let make_scratch cfg =
-  let heap =
-    Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
-      ~seed:cfg.heap_seed ()
-  in
-  Pmem.Region.set_snapshot_mode (Pmalloc.Heap.region heap) Pmem.Region.Journal;
+  let heap = fresh_heap cfg in
   { s_heap = heap; s_pristine = Pmalloc.Heap.pristine_snapshot heap }
 
-(* Run [w] on a fresh deterministic heap (or a rewound scratch heap); if
-   [budget] is given, power fails after that many PM events (counted from
-   just after heap creation) and the interrupted execution is returned. *)
-let run_until ?scratch cfg (w : Workload.t) ~budget =
+(* Run [subject] on a rewound scratch heap (or a fresh one); if [budget]
+   is given, power fails after that many PM events (counted from just
+   after heap creation) and the interrupted execution is returned. *)
+let run ?scratch cfg subject ~budget =
   let heap =
     match scratch with
     | Some s ->
         Pmalloc.Heap.reset_fresh s.s_heap ~pristine:s.s_pristine;
         s.s_heap
-    | None ->
-        Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
-          ~seed:cfg.heap_seed ()
+    | None -> fresh_heap cfg
   in
   let region = Pmalloc.Heap.region heap in
   let base_events = Pmem.Region.pm_events region in
-  (match budget with
-  | Some n -> Pmem.Region.set_crash_after region n
-  | None -> ());
-  let history = ref [ w.model.(0) ] in
-  let pending = ref None in
-  let inst = w.make heap in
-  match
-    inst.Workload.init ();
-    for i = 0 to w.ops - 1 do
-      pending := Some w.model.(i + 1);
-      inst.Workload.run_op i;
-      pending := None;
-      if w.model.(i + 1) <> List.hd !history then
-        history := w.model.(i + 1) :: !history
-    done
-  with
+  Option.iter (Pmem.Region.set_crash_after region) budget;
+  let c, body =
+    match subject with
+    | Seq w ->
+        (* committed states, newest first, and the mid-flight op's *)
+        let history = ref [ w.model.(0) ] in
+        let pending = ref None in
+        let inst = w.make heap in
+        ( {
+            c_heap = heap;
+            c_recover = inst.recover;
+            c_dump = inst.dump;
+            c_judge =
+              (fun recovered ->
+                Oracle.check ~history:!history ~pending:!pending ~recovered);
+            c_latest = (fun () -> List.hd !history);
+          },
+          fun () ->
+            inst.init ();
+            for i = 0 to w.ops - 1 do
+              pending := Some w.model.(i + 1);
+              inst.run_op i;
+              pending := None;
+              history := w.model.(i + 1) :: !history
+            done )
+    | Conc (cw, schedule) ->
+        let inst = cw.cmake heap in
+        ( {
+            c_heap = heap;
+            c_recover = inst.c_recover;
+            c_dump = inst.c_dump;
+            c_judge =
+              (fun recovered ->
+                Oracle.check_concurrent inst.c_tracker ~recovered);
+            c_latest = (fun () -> Oracle.latest inst.c_tracker);
+          },
+          fun () ->
+            inst.c_init ();
+            Interleave.run region ~schedule inst.c_writers )
+  in
+  match body () with
   | () ->
       Pmem.Region.clear_crash_point region;
-      `Completed (Pmem.Region.pm_events region - base_events, heap)
-  | exception Pmem.Region.Crash_point ->
-      `Crashed
-        { c_heap = heap; c_inst = inst; c_history = !history;
-          c_pending = !pending }
+      `Completed (Pmem.Region.pm_events region - base_events, c)
+  | exception Pmem.Region.Crash_point -> `Crashed c
+
+let run_until ?scratch cfg w ~budget =
+  match run ?scratch cfg (Seq w) ~budget with
+  | `Completed (events, c) -> `Completed (events, c.c_heap)
+  | `Crashed c -> `Crashed c
 
 let recover_and_check (c : crashed) =
-  let recovered =
-    match
-      c.c_inst.Workload.recover ();
-      c.c_inst.Workload.dump ()
-    with
+  c.c_judge
+    (match
+       c.c_recover ();
+       c.c_dump ()
+     with
     | s -> Ok s
-    | exception e -> Error e
-  in
-  Oracle.check ~history:c.c_history ~pending:c.c_pending ~recovered
+    | exception e -> Error e)
+
+(* An uncrashed run must end in the newest committed model state: the
+   serializability check of concurrent sweeps. *)
+let check_final (c : crashed) =
+  match c.c_dump () with
+  | final ->
+      let expect = c.c_latest () in
+      if final = expect then Oracle.Consistent
+      else
+        Oracle.Violation
+          (Printf.sprintf
+             "final state %s does not match the serialized model %s" final
+             expect)
+  | exception e ->
+      Oracle.Violation
+        (Printf.sprintf "reading the final state raised %s"
+           (Printexc.to_string e))
 
 (* Classify one fault sample against the degradation contract.  Unlike
    the fault-free oracle, a typed error is an acceptable outcome here:
@@ -213,22 +282,19 @@ let recover_and_classify_faulted (c : crashed) =
     | Mod_core.Error.Error te -> Some te
     | e -> Mod_core.Recovery.typed_of_exn e
   in
-  match c.c_inst.Workload.recover () with
+  match c.c_recover () with
   | exception e -> (
       match typed e with
       | Some te -> `Degraded te
       | None -> `Escaped e)
   | () -> (
-      match c.c_inst.Workload.dump () with
+      match c.c_dump () with
       | exception e -> (
           match typed e with
           | Some te -> `Degraded te
           | None -> `Escaped e)
       | s -> (
-          match
-            Oracle.check ~history:c.c_history ~pending:c.c_pending
-              ~recovered:(Ok s)
-          with
+          match c.c_judge (Ok s) with
           | Oracle.Consistent -> `Recovered
           | Oracle.Violation d -> `Violation d))
 
@@ -264,6 +330,17 @@ let arm_fault_kind region ~k ~seed =
       let line = first_heap_line + (abs (seed * 2_654_435_761) mod span) in
       Pmem.Region.arm_media_fault region ~line
 
+(* -- the sampler ---------------------------------------------------------- *)
+
+let failure subject ~crash_index ~mode ~survival_seed detail =
+  let workload, writers, ops, schedule =
+    match subject with
+    | Seq w -> (w.Workload.name, 0, w.Workload.ops, None)
+    | Conc (cw, s) ->
+        (cw.Workload.cname, cw.Workload.cwriters, cw.Workload.cops, Some s)
+  in
+  { workload; writers; ops; schedule; crash_index; mode; survival_seed; detail }
+
 type point_stats = {
   p_sampled : int;
   p_fsampled : int;
@@ -278,11 +355,15 @@ type point_stats = {
    recover and consult the oracle.  With [cfg.faults] the same point is
    additionally sampled under the fault schedule (torn crashes and armed
    media faults) against the weaker degradation contract. *)
-let sample_point cfg (w : Workload.t) ~crash_index (c : crashed) =
+let sample_point cfg subject ~crash_index (c : crashed) =
   let region = Pmalloc.Heap.region c.c_heap in
   let snap = Pmem.Region.snapshot region in
   let sampled = ref 0 in
   let failures = ref [] in
+  let fail ~mode ~survival_seed detail =
+    failures :=
+      failure subject ~crash_index ~mode ~survival_seed detail :: !failures
+  in
   List.iter
     (fun mode ->
       let samples =
@@ -302,17 +383,7 @@ let sample_point cfg (w : Workload.t) ~crash_index (c : crashed) =
         incr sampled;
         match recover_and_check c with
         | Oracle.Consistent -> ()
-        | Oracle.Violation detail ->
-            failures :=
-              {
-                workload = w.Workload.name;
-                ops = w.Workload.ops;
-                crash_index;
-                mode;
-                survival_seed = seed;
-                detail;
-              }
-              :: !failures
+        | Oracle.Violation detail -> fail ~mode ~survival_seed:seed detail
       done)
     cfg.modes;
   let fsampled = ref 0 in
@@ -327,18 +398,7 @@ let sample_point cfg (w : Workload.t) ~crash_index (c : crashed) =
       arm_fault_kind region ~k ~seed;
       incr fsampled;
       let fb0 = Pmalloc.Heap.root_fallbacks c.c_heap in
-      let fail detail =
-        failures :=
-          {
-            workload = w.Workload.name;
-            ops = w.Workload.ops;
-            crash_index;
-            mode = Pmem.Region.Randomize;
-            survival_seed = Some seed;
-            detail;
-          }
-          :: !failures
-      in
+      let fail = fail ~mode:Pmem.Region.Randomize ~survival_seed:(Some seed) in
       (match recover_and_classify_faulted c with
       | `Recovered -> incr frecovered
       | `Degraded _ -> incr fdegraded
@@ -360,10 +420,10 @@ let sample_point cfg (w : Workload.t) ~crash_index (c : crashed) =
     p_failures = List.rev !failures;
   }
 
-(* -- sweep driver -------------------------------------------------------- *)
+(* -- the sweep driver ----------------------------------------------------- *)
 
-(* The crash points a sweep must test, honoring stride and cap.  The
-   parallel driver partitions exactly this list, so sequential and
+(* The crash points a schedule must test, honoring stride and cap.  The
+   parallel driver partitions exactly these items, so sequential and
    parallel sweeps test identical point sets. *)
 let sweep_budgets cfg ~total_events =
   let rec go b n acc =
@@ -383,17 +443,13 @@ type chunk = {
   ch_fdegraded : int;
   ch_ffallbacks : int;
   ch_resweeps : int;  (** shards re-run sequentially after worker death *)
-  ch_failures : failure list;  (** in ascending crash-point order *)
+  ch_failures : (int * failure) list;
+      (** tagged with their schedule's index, in work-item order *)
 }
 
-(* Test every budget in [bs] (ascending), reusing one scratch heap on
-   the journaled path. *)
-let sweep_chunk cfg (w : Workload.t) bs =
-  let scratch =
-    match cfg.snapshot_mode with
-    | Pmem.Region.Journal -> Some (make_scratch cfg)
-    | Pmem.Region.Full_copy -> None
-  in
+(* Test every (schedule index, budget) item of [items], in order, on the
+   scratch heap. *)
+let sweep_chunk cfg scratch subjects items =
   let tested = ref 0 in
   let sampled = ref 0 in
   let fsampled = ref 0 in
@@ -402,19 +458,19 @@ let sweep_chunk cfg (w : Workload.t) bs =
   let ffallbacks = ref 0 in
   let failures = ref [] in
   List.iter
-    (fun budget ->
-      match run_until ?scratch cfg w ~budget:(Some budget) with
+    (fun (si, budget) ->
+      match run ~scratch cfg subjects.(si) ~budget:(Some budget) with
       | `Completed _ -> ()
       | `Crashed c ->
           incr tested;
-          let p = sample_point cfg w ~crash_index:budget c in
+          let p = sample_point cfg subjects.(si) ~crash_index:budget c in
           sampled := !sampled + p.p_sampled;
           fsampled := !fsampled + p.p_fsampled;
           frecovered := !frecovered + p.p_frecovered;
           fdegraded := !fdegraded + p.p_fdegraded;
           ffallbacks := !ffallbacks + p.p_ffallbacks;
-          failures := List.rev_append p.p_failures !failures)
-    bs;
+          List.iter (fun f -> failures := (si, f) :: !failures) p.p_failures)
+    items;
   {
     ch_tested = !tested;
     ch_sampled = !sampled;
@@ -426,20 +482,21 @@ let sweep_chunk cfg (w : Workload.t) bs =
     ch_failures = List.rev !failures;
   }
 
-(* Fork one worker per budget partition; each marshals its chunk back
-   over a pipe.  Round-robin partitioning plus a stable merge keyed on
-   the crash index reproduces the sequential failure order exactly
-   (within one crash point all samples come from the same worker, in
-   canonical mode/seed order).
+(* Fork one worker per partition of the work items; each inherits the
+   scratch heap and marshals its chunk back over a pipe.  Round-robin
+   partitioning plus a stable merge keyed on (schedule, crash index)
+   reproduces the sequential failure order exactly (within one crash
+   point all samples come from the same worker, in canonical mode/seed
+   order).
 
    A worker that dies -- killed by the OS, or crashing before it could
-   marshal its chunk -- must not abort the sweep: its budget partition is
-   re-swept sequentially in the parent (budgets are pure inputs, so the
-   re-run is identical to what the worker would have produced) and the
-   rescue is counted in the summary. *)
-let sweep_parallel cfg w bs ~jobs =
+   marshal its chunk -- must not abort the sweep: its partition is
+   re-swept sequentially in the parent (work items are pure inputs, so
+   the re-run is identical to what the worker would have produced) and
+   the rescue is counted in the summary. *)
+let sweep_parallel cfg scratch subjects items ~jobs =
   let parts = Array.make jobs [] in
-  List.iteri (fun i b -> parts.(i mod jobs) <- b :: parts.(i mod jobs)) bs;
+  List.iteri (fun i x -> parts.(i mod jobs) <- x :: parts.(i mod jobs)) items;
   flush stdout;
   flush stderr;
   let children =
@@ -454,7 +511,7 @@ let sweep_parallel cfg w bs ~jobs =
                  Unix.close rd;
                  if cfg.worker_kill = Some idx then Unix._exit 117;
                  let status =
-                   match sweep_chunk cfg w part with
+                   match sweep_chunk cfg scratch subjects part with
                    | chunk ->
                        let oc = Unix.out_channel_of_descr wr in
                        Marshal.to_channel oc chunk [];
@@ -497,7 +554,7 @@ let sweep_parallel cfg w bs ~jobs =
                  | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
                  | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)
                  (List.length part));
-            (sweep_chunk cfg w part :: chunks, resweeps + 1))
+            (sweep_chunk cfg scratch subjects part :: chunks, resweeps + 1))
       ([], 0) children
   in
   let chunks = List.rev chunks in
@@ -510,9 +567,7 @@ let sweep_parallel cfg w bs ~jobs =
     ch_fdegraded = sum (fun c -> c.ch_fdegraded);
     ch_ffallbacks = sum (fun c -> c.ch_ffallbacks);
     ch_resweeps = resweeps;
-    ch_failures =
-      List.concat_map (fun c -> c.ch_failures) chunks
-      |> List.stable_sort (fun a b -> compare a.crash_index b.crash_index);
+    ch_failures = List.concat_map (fun c -> c.ch_failures) chunks;
   }
 
 let resolve_jobs cfg =
@@ -526,89 +581,86 @@ let resolve_jobs cfg =
   end
   else requested
 
-let explore ?(cfg = default) (w : Workload.t) =
-  let t0 = Unix.gettimeofday () in
-  let total_events, trace_report =
-    match run_until cfg w ~budget:None with
-    | `Completed (events, heap) ->
-        let report =
-          if w.Workload.check_trace then
-            Some (Mod_core.Consistency.check (Pmalloc.Heap.trace heap))
-          else None
-        in
-        (events, report)
-    | `Crashed _ -> assert false (* no budget armed *)
+type swept = {
+  total_events : int;  (** summed over schedules *)
+  skipped : int;
+  chunk : chunk;
+}
+
+(* The one sweep driver: test every (schedule, budget) work item, the
+   budgets of [subjects.(si)] sized by [events.(si)], the PM events of
+   its uncrashed run, sequentially or across forked workers. *)
+let sweep cfg scratch subjects ~events ~name ~concurrent =
+  let items =
+    List.concat
+      (List.mapi
+         (fun si total_events ->
+           List.map (fun b -> (si, b)) (sweep_budgets cfg ~total_events))
+         (Array.to_list events))
   in
-  let bs = sweep_budgets cfg ~total_events in
-  let jobs = min (resolve_jobs cfg) (max 1 (List.length bs)) in
+  let jobs = min (resolve_jobs cfg) (max 1 (List.length items)) in
   let chunk =
-    if jobs > 1 then sweep_parallel cfg w bs ~jobs else sweep_chunk cfg w bs
+    if jobs > 1 then sweep_parallel cfg scratch subjects items ~jobs
+    else sweep_chunk cfg scratch subjects items
   in
+  let total_events = Array.fold_left ( + ) 0 events in
   let skipped = max 0 (total_events - chunk.ch_tested) in
   if skipped > 0 then
     cfg.log
       (Printf.sprintf
-         "%s: tested %d of %d crash points (stride %d%s), %d skipped"
-         w.Workload.name chunk.ch_tested total_events cfg.stride
+         "%s: tested %d of %d %scrash points (stride %d%s), %d skipped" name
+         chunk.ch_tested total_events
+         (if concurrent then "concurrent " else "")
+         cfg.stride
          (match cfg.max_points with
+         | Some m when concurrent -> Printf.sprintf ", cap %d/schedule" m
          | Some m -> Printf.sprintf ", cap %d" m
          | None -> "")
          skipped);
+  { total_events; skipped; chunk }
+
+(* Failures by schedule, then crash index (each schedule's uncrashed
+   check, index -1, first); samples of one point keep their order. *)
+let merge_failures tagged =
+  List.stable_sort
+    (fun (si, (a : failure)) (sj, (b : failure)) ->
+      compare (si, a.crash_index) (sj, b.crash_index))
+    tagged
+  |> List.map snd
+
+let explore ?(cfg = default) (w : Workload.t) =
+  let t0 = Unix.gettimeofday () in
+  (* one uncrashed run sizes the sweep; its trace goes to the Section 5.4
+     checker *)
+  let events, trace_report =
+    match run cfg (Seq w) ~budget:None with
+    | `Completed (events, c) ->
+        ( events,
+          if w.check_trace then
+            Some (Mod_core.Consistency.check (Pmalloc.Heap.trace c.c_heap))
+          else None )
+    | `Crashed _ -> assert false (* no budget armed *)
+  in
+  let s =
+    sweep cfg (make_scratch cfg) [| Seq w |] ~events:[| events |]
+      ~name:w.name ~concurrent:false
+  in
   {
-    workload = w.Workload.name;
-    ops = w.Workload.ops;
-    total_events;
-    points_tested = chunk.ch_tested;
-    points_skipped = skipped;
-    crashes_sampled = chunk.ch_sampled;
-    fault_samples = chunk.ch_fsampled;
-    fault_recovered = chunk.ch_frecovered;
-    fault_degraded = chunk.ch_fdegraded;
-    fault_fallbacks = chunk.ch_ffallbacks;
-    shards_resequenced = chunk.ch_resweeps;
+    workload = w.name;
+    ops = w.ops;
+    total_events = s.total_events;
+    points_tested = s.chunk.ch_tested;
+    points_skipped = s.skipped;
+    crashes_sampled = s.chunk.ch_sampled;
+    fault_samples = s.chunk.ch_fsampled;
+    fault_recovered = s.chunk.ch_frecovered;
+    fault_degraded = s.chunk.ch_fdegraded;
+    fault_fallbacks = s.chunk.ch_ffallbacks;
+    shards_resequenced = s.chunk.ch_resweeps;
     wall_seconds = Unix.gettimeofday () -. t0;
     trace_report;
-    failures = chunk.ch_failures;
+    failures = merge_failures s.chunk.ch_failures;
   }
-
-(* -- concurrent sweeps --------------------------------------------------- *)
-
-(* A concurrent crash point is identified by (schedule, budget): the
-   interleaving is a pure function of the schedule, so re-running the
-   writers under the same schedule with the same budget reproduces the
-   same interrupted image bit-for-bit.  Sweeps are sequential (no fork):
-   a concurrent run is a few writers x a few ops, and the schedule axis
-   already multiplies the point count. *)
-
-type cfailure = {
-  cf_workload : string;
-  cf_writers : int;
-  cf_ops : int;  (** per writer *)
-  cf_schedule : Interleave.schedule;
-  cf_crash_index : int;  (** -1 = uncrashed-run final-state check *)
-  cf_mode : Pmem.Region.crash_mode;
-  cf_survival_seed : int option;
-  cf_detail : string;
-}
-
-type cresult = {
-  cr_workload : string;
-  cr_writers : int;
-  cr_ops : int;
-  cr_schedules : int;
-  cr_total_events : int;  (** summed over schedules *)
-  cr_points_tested : int;
-  cr_points_skipped : int;
-  cr_crashes_sampled : int;
-  cr_wall_seconds : float;
-  cr_failures : cfailure list;
-}
-
-let cok r = r.cr_failures = []
-
-let cpoints_per_sec r =
-  if r.cr_wall_seconds <= 0.0 then 0.0
-  else float_of_int r.cr_points_tested /. r.cr_wall_seconds
 
 (* The default schedule set: round-robin at co-prime quanta (tight
    alternation through coarse slices) plus seeded random walks. *)
@@ -621,193 +673,67 @@ let default_schedules =
     Interleave.Seeded 2;
   ]
 
-(* Run the concurrent workload under [schedule] on a fresh (or rewound
-   scratch) heap; [budget] arms the crash scheduler exactly like the
-   sequential [run_until]. *)
-let crun_until ?scratch cfg (cw : Workload.ct) ~schedule ~budget =
-  let heap =
-    match scratch with
-    | Some s ->
-        Pmalloc.Heap.reset_fresh s.s_heap ~pristine:s.s_pristine;
-        s.s_heap
-    | None ->
-        Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
-          ~seed:cfg.heap_seed ()
-  in
-  let region = Pmalloc.Heap.region heap in
-  let base_events = Pmem.Region.pm_events region in
-  (match budget with
-  | Some n -> Pmem.Region.set_crash_after region n
-  | None -> ());
-  let inst = cw.Workload.cmake heap in
-  match
-    inst.Workload.c_init ();
-    Interleave.run region ~schedule inst.Workload.c_writers
-  with
-  | () ->
-      Pmem.Region.clear_crash_point region;
-      `Completed (Pmem.Region.pm_events region - base_events, heap, inst)
-  | exception Pmem.Region.Crash_point -> `Crashed (heap, inst)
-
-let crecover_and_check (inst : Workload.cinstance) =
-  let recovered =
-    match
-      inst.Workload.c_recover ();
-      inst.Workload.c_dump ()
-    with
-    | s -> Ok s
-    | exception e -> Error e
-  in
-  Oracle.check_concurrent inst.Workload.c_tracker ~recovered
-
-(* Sample one concurrent crash point under every mode (and survival
-   seed), sharing the sequential sweep's seed streams so any failure
-   replays from its (schedule, crash index, mode, seed) tuple. *)
-let csample_point cfg (cw : Workload.ct) ~schedule ~crash_index heap inst =
-  let region = Pmalloc.Heap.region heap in
-  let snap = Pmem.Region.snapshot region in
-  let sampled = ref 0 in
-  let failures = ref [] in
-  List.iter
-    (fun mode ->
-      let samples =
-        match mode with
-        | Pmem.Region.Randomize -> cfg.randomize_samples
-        | Pmem.Region.Drop_inflight | Pmem.Region.Keep_inflight -> 1
-      in
-      for k = 0 to samples - 1 do
-        Pmem.Region.restore region snap;
-        let seed =
-          match mode with
-          | Pmem.Region.Randomize -> Some (survival_seed cfg ~crash_index ~k)
-          | _ -> None
-        in
-        Pmalloc.Heap.crash ~mode ?seed heap;
-        incr sampled;
-        match crecover_and_check inst with
-        | Oracle.Consistent -> ()
-        | Oracle.Violation detail ->
-            failures :=
-              {
-                cf_workload = cw.Workload.cname;
-                cf_writers = cw.Workload.cwriters;
-                cf_ops = cw.Workload.cops;
-                cf_schedule = schedule;
-                cf_crash_index = crash_index;
-                cf_mode = mode;
-                cf_survival_seed = seed;
-                cf_detail = detail;
-              }
-              :: !failures
-      done)
-    cfg.modes;
-  (!sampled, List.rev !failures)
-
 let explore_concurrent ?(cfg = default) ?(schedules = default_schedules)
     (cw : Workload.ct) =
   let t0 = Unix.gettimeofday () in
-  let scratch =
-    match cfg.snapshot_mode with
-    | Pmem.Region.Journal -> Some (make_scratch cfg)
-    | Pmem.Region.Full_copy -> None
+  let subjects = Array.of_list (List.map (fun s -> Conc (cw, s)) schedules) in
+  let scratch = make_scratch cfg in
+  (* each schedule's uncrashed run sizes its budgets and must end in the
+     serialized model state *)
+  let uncrashed =
+    Array.map
+      (fun subject ->
+        match run ~scratch cfg subject ~budget:None with
+        | `Completed (events, c) -> (events, check_final c)
+        | `Crashed _ -> assert false (* no budget armed *))
+      subjects
   in
-  let tested = ref 0 in
-  let skipped = ref 0 in
-  let sampled = ref 0 in
-  let total = ref 0 in
-  let failures = ref [] in
-  List.iter
-    (fun schedule ->
-      (* the uncrashed run: its final durable state must equal the
-         newest tracked model state (serializability), and it sizes the
-         budget sweep *)
-      let events =
-        match crun_until ?scratch cfg cw ~schedule ~budget:None with
-        | `Crashed _ -> assert false (* no budget armed *)
-        | `Completed (events, _heap, inst) ->
-            (match inst.Workload.c_dump () with
-            | final ->
-                let expect = Oracle.latest inst.Workload.c_tracker in
-                if final <> expect then
-                  failures :=
-                    {
-                      cf_workload = cw.Workload.cname;
-                      cf_writers = cw.Workload.cwriters;
-                      cf_ops = cw.Workload.cops;
-                      cf_schedule = schedule;
-                      cf_crash_index = -1;
-                      cf_mode = Pmem.Region.Keep_inflight;
-                      cf_survival_seed = None;
-                      cf_detail =
-                        Printf.sprintf
-                          "final state %s does not match the serialized \
-                           model %s"
-                          final expect;
-                    }
-                    :: !failures
-            | exception e ->
-                failures :=
-                  {
-                    cf_workload = cw.Workload.cname;
-                    cf_writers = cw.Workload.cwriters;
-                    cf_ops = cw.Workload.cops;
-                    cf_schedule = schedule;
-                    cf_crash_index = -1;
-                    cf_mode = Pmem.Region.Keep_inflight;
-                    cf_survival_seed = None;
-                    cf_detail =
-                      Printf.sprintf "reading the final state raised %s"
-                        (Printexc.to_string e);
-                  }
-                  :: !failures);
-            events
-      in
-      total := !total + events;
-      let bs = sweep_budgets cfg ~total_events:events in
-      List.iter
-        (fun budget ->
-          match crun_until ?scratch cfg cw ~schedule ~budget:(Some budget) with
-          | `Completed _ -> ()
-          | `Crashed (heap, inst) ->
-              incr tested;
-              let n, fs =
-                csample_point cfg cw ~schedule ~crash_index:budget heap inst
-              in
-              sampled := !sampled + n;
-              failures := List.rev_append fs !failures)
-        bs;
-      skipped := !skipped + max 0 (events - List.length bs))
-    schedules;
-  if !skipped > 0 then
-    cfg.log
-      (Printf.sprintf
-         "%s: tested %d of %d concurrent crash points (stride %d%s), %d \
-          skipped"
-         cw.Workload.cname !tested !total cfg.stride
-         (match cfg.max_points with
-         | Some m -> Printf.sprintf ", cap %d/schedule" m
-         | None -> "")
-         !skipped);
+  let s =
+    sweep cfg scratch subjects ~events:(Array.map fst uncrashed)
+      ~name:cw.cname ~concurrent:true
+  in
+  let finals =
+    List.concat
+      (List.mapi
+         (fun si (_, verdict) ->
+           match verdict with
+           | Oracle.Consistent -> []
+           | Oracle.Violation d ->
+               [
+                 ( si,
+                   failure subjects.(si) ~crash_index:(-1)
+                     ~mode:Pmem.Region.Keep_inflight ~survival_seed:None d );
+               ])
+         (Array.to_list uncrashed))
+  in
   {
-    cr_workload = cw.Workload.cname;
-    cr_writers = cw.Workload.cwriters;
-    cr_ops = cw.Workload.cops;
+    cr_workload = cw.cname;
+    cr_writers = cw.cwriters;
+    cr_ops = cw.cops;
     cr_schedules = List.length schedules;
-    cr_total_events = !total;
-    cr_points_tested = !tested;
-    cr_points_skipped = !skipped;
-    cr_crashes_sampled = !sampled;
+    cr_total_events = s.total_events;
+    cr_points_tested = s.chunk.ch_tested;
+    cr_points_skipped = s.skipped;
+    cr_crashes_sampled = s.chunk.ch_sampled;
     cr_wall_seconds = Unix.gettimeofday () -. t0;
-    cr_failures = List.rev !failures;
+    cr_failures = merge_failures (finals @ s.chunk.ch_failures);
   }
 
 let pp_failure ppf (f : failure) =
-  Format.fprintf ppf "%s: crash after PM event %d (mode %s%s): %s"
-    f.workload f.crash_index (mode_name f.mode)
-    (match f.survival_seed with
-    | Some s -> Printf.sprintf ", survival seed %d" s
-    | None -> "")
-    f.detail
+  Format.fprintf ppf "%s" f.workload;
+  Option.iter
+    (fun s ->
+      Format.fprintf ppf " (%d writers, schedule %s)" f.writers
+        (Interleave.schedule_name s))
+    f.schedule;
+  Format.fprintf ppf ": ";
+  if f.crash_index >= 0 then
+    Format.fprintf ppf "crash after PM event %d (mode %s%s): " f.crash_index
+      (mode_name f.mode)
+      (match f.survival_seed with
+      | Some s -> Printf.sprintf ", survival seed %d" s
+      | None -> "");
+  Format.pp_print_string ppf f.detail
 
 let pp_result ppf r =
   Format.fprintf ppf
@@ -833,23 +759,6 @@ let pp_result ppf r =
        Printf.sprintf ", %d shard(s) re-swept after worker death"
          r.shards_resequenced
      else "")
-
-let pp_cfailure ppf (f : cfailure) =
-  if f.cf_crash_index < 0 then
-    Format.fprintf ppf "%s (%d writers, schedule %s): %s" f.cf_workload
-      f.cf_writers
-      (Interleave.schedule_name f.cf_schedule)
-      f.cf_detail
-  else
-    Format.fprintf ppf
-      "%s (%d writers, schedule %s): crash after PM event %d (mode %s%s): %s"
-      f.cf_workload f.cf_writers
-      (Interleave.schedule_name f.cf_schedule)
-      f.cf_crash_index (mode_name f.cf_mode)
-      (match f.cf_survival_seed with
-      | Some s -> Printf.sprintf ", survival seed %d" s
-      | None -> "")
-      f.cf_detail
 
 let pp_cresult ppf r =
   Format.fprintf ppf

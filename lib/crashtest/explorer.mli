@@ -5,9 +5,13 @@
     failure is injected after every single PM event; each crash point
     is sampled under the crash modes (and survival seeds, under
     [Randomize]), recovered, and checked against the
-    durable-linearizability oracle.  Concurrent workloads add a
-    schedule axis: every (interleaving schedule, crash point) pair is
-    swept and judged by the concurrent oracle. *)
+    durable-linearizability oracle.  Sequential and concurrent sweeps
+    share one driver over (schedule, budget) work items: a sequential
+    workload is the one-schedule case, concurrent writers add an
+    interleaving-schedule axis judged by the concurrent oracle.  Every
+    crash point rewinds one scratch heap through the region's snapshot
+    journal, and [jobs > 1] spreads the work items over forked
+    workers. *)
 
 type config = {
   stride : int;  (** test every [stride]-th crash point *)
@@ -16,10 +20,8 @@ type config = {
   modes : Pmem.Region.crash_mode list;
   capacity_words : int;
   heap_seed : int;
-  max_points : int option;  (** cap on tested points (strided sweeps) *)
-  snapshot_mode : Pmem.Region.snapshot_mode;
-      (** [Journal] = O(touched) copy-on-write sweeps (default);
-          [Full_copy] = the original O(capacity) reference path *)
+  max_points : int option;
+      (** cap on tested points (strided sweeps), per schedule *)
   jobs : int;  (** worker processes; 1 = sequential, 0 = one per core *)
   faults : bool;
       (** also sample each crash point under the fault schedule (torn
@@ -34,8 +36,12 @@ val default : config
 
 type failure = {
   workload : string;
-  ops : int;
-  crash_index : int;  (** PM event the power failed after *)
+  writers : int;  (** concurrent writers; 0 = a sequential workload *)
+  ops : int;  (** per writer *)
+  schedule : Interleave.schedule option;  (** [None] = sequential *)
+  crash_index : int;
+      (** PM event the power failed after; -1 = the uncrashed run's
+          final-state check *)
   mode : Pmem.Region.crash_mode;
   survival_seed : int option;  (** Randomize line-survival seed *)
   detail : string;
@@ -60,59 +66,6 @@ type result = {
 
 val ok : result -> bool
 val points_per_sec : result -> float
-val mode_name : Pmem.Region.crash_mode -> string
-val mode_of_name : string -> (Pmem.Region.crash_mode, string) Stdlib.result
-
-val survival_seed : config -> crash_index:int -> k:int -> int
-(** The survival seed of sample [k] at a crash point: a pure function
-    of the master seed, so failures replay from their triple. *)
-
-type crashed = {
-  c_heap : Pmalloc.Heap.t;
-  c_inst : Workload.instance;
-  c_history : Workload.state list;
-      (** distinct committed states, newest first *)
-  c_pending : Workload.state option;
-}
-
-type scratch
-
-val run_until :
-  ?scratch:scratch ->
-  config ->
-  Workload.t ->
-  budget:int option ->
-  [ `Completed of int * Pmalloc.Heap.t | `Crashed of crashed ]
-(** Run the workload on a fresh deterministic heap; with a budget, power
-    fails after that many PM events and the interrupted execution is
-    returned ([`Completed] carries the total event count). *)
-
-val recover_and_check : crashed -> Oracle.verdict
-
-val explore : ?cfg:config -> Workload.t -> result
-(** The full sweep: every strided crash point x every mode x every
-    survival seed, plus the uncrashed trace check. *)
-
-val pp_failure : Format.formatter -> failure -> unit
-val pp_result : Format.formatter -> result -> unit
-
-(** {1 Concurrent sweeps}
-
-    A concurrent crash point is identified by (schedule, budget): the
-    interleaving is a pure function of the schedule, so re-running the
-    writers under the same schedule and budget reproduces the same
-    interrupted image bit-for-bit. *)
-
-type cfailure = {
-  cf_workload : string;
-  cf_writers : int;
-  cf_ops : int;  (** per writer *)
-  cf_schedule : Interleave.schedule;
-  cf_crash_index : int;  (** -1 = uncrashed-run final-state check *)
-  cf_mode : Pmem.Region.crash_mode;
-  cf_survival_seed : int option;
-  cf_detail : string;
-}
 
 type cresult = {
   cr_workload : string;
@@ -124,32 +77,81 @@ type cresult = {
   cr_points_skipped : int;
   cr_crashes_sampled : int;
   cr_wall_seconds : float;
-  cr_failures : cfailure list;
+  cr_failures : failure list;
 }
 
 val cok : cresult -> bool
 val cpoints_per_sec : cresult -> float
+val mode_name : Pmem.Region.crash_mode -> string
+val mode_of_name : string -> (Pmem.Region.crash_mode, string) Stdlib.result
+
+val survival_seed : config -> crash_index:int -> k:int -> int
+(** The survival seed of sample [k] at a crash point: a pure function
+    of the master seed, so failures replay from their triple. *)
+
+(** {1 One run} *)
+
+type subject =
+  | Seq of Workload.t
+  | Conc of Workload.ct * Interleave.schedule
+      (** concurrent writers under one interleaving schedule: a pure
+          function of the schedule, so (subject, budget) reproduces the
+          same interrupted image bit-for-bit *)
+
+type crashed = {
+  c_heap : Pmalloc.Heap.t;
+  c_recover : unit -> unit;  (** the workload's post-crash recovery *)
+  c_dump : unit -> Workload.state;
+  c_judge : (Workload.state, exn) Stdlib.result -> Oracle.verdict;
+      (** the oracle over the states the run committed *)
+  c_latest : unit -> Workload.state;  (** newest committed model state *)
+}
+
+type scratch
+(** A sweep's heap, rewound to its pristine snapshot before each run. *)
+
+val run :
+  ?scratch:scratch ->
+  config ->
+  subject ->
+  budget:int option ->
+  [ `Completed of int * crashed | `Crashed of crashed ]
+(** Run the subject on a fresh deterministic heap (or the rewound
+    scratch heap); with a budget, power fails after that many PM events
+    and the interrupted execution is returned ([`Completed] carries the
+    total event count). *)
+
+val run_until :
+  ?scratch:scratch ->
+  config ->
+  Workload.t ->
+  budget:int option ->
+  [ `Completed of int * Pmalloc.Heap.t | `Crashed of crashed ]
+(** {!run} on a sequential workload. *)
+
+val recover_and_check : crashed -> Oracle.verdict
+(** Recover, read the state back and consult the oracle. *)
+
+val check_final : crashed -> Oracle.verdict
+(** An uncrashed run's final state must equal the newest committed
+    model state (the serializability check of concurrent sweeps). *)
+
+(** {1 Sweeps} *)
+
+val explore : ?cfg:config -> Workload.t -> result
+(** The full sweep: every strided crash point x every mode x every
+    survival seed, plus the uncrashed trace check. *)
 
 val default_schedules : Interleave.schedule list
 (** Round-robin at co-prime quanta plus seeded random walks. *)
 
-val crun_until :
-  ?scratch:scratch ->
-  config ->
-  Workload.ct ->
-  schedule:Interleave.schedule ->
-  budget:int option ->
-  [ `Completed of int * Pmalloc.Heap.t * Workload.cinstance
-  | `Crashed of Pmalloc.Heap.t * Workload.cinstance ]
-
-val crecover_and_check : Workload.cinstance -> Oracle.verdict
-
 val explore_concurrent :
   ?cfg:config -> ?schedules:Interleave.schedule list -> Workload.ct -> cresult
 (** Sweep every (schedule, strided crash point, mode, survival seed)
-    tuple sequentially, preceded per schedule by an uncrashed run whose
-    final state must equal the newest tracked model state (the
-    serializability check; reported as [cf_crash_index = -1]). *)
+    tuple, plus one uncrashed run per schedule whose final state must
+    equal the newest tracked model state (the serializability check;
+    reported with [crash_index = -1]). *)
 
-val pp_cfailure : Format.formatter -> cfailure -> unit
+val pp_failure : Format.formatter -> failure -> unit
+val pp_result : Format.formatter -> result -> unit
 val pp_cresult : Format.formatter -> cresult -> unit

@@ -11,15 +11,21 @@
 type verdict = Consistent | Violation of string
 
 (* [acceptable] is the window of states a crash may legally expose:
-   the most recent committed state, the distinct state before it (its
-   root write was the only one whose flush could still be in flight --
-   every older root write was drained by a later FASE's fence), and the
-   state of the operation that was mid-flight when power failed. *)
+   the most recent committed state, the newest state that differs from
+   it (the root write that left it was the only one whose flush could
+   still be in flight -- every older root write was drained by a later
+   FASE's fence), and the state of the operation that was mid-flight
+   when power failed.  A history may repeat a state -- a read leaves it
+   unchanged -- so the previous state is the newest distinct one, not
+   the second entry. *)
 let acceptable ~history ~pending =
   let committed =
     match history with
-    | latest :: previous :: _ -> [ latest; previous ]
-    | l -> l
+    | [] -> []
+    | latest :: older -> (
+        match List.find_opt (fun s -> s <> latest) older with
+        | Some previous -> [ latest; previous ]
+        | None -> [ latest ])
   in
   match pending with None -> committed | Some s -> s :: committed
 

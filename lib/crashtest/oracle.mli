@@ -16,8 +16,10 @@ type verdict = Consistent | Violation of string
 
 val acceptable : history:string list -> pending:string option -> string list
 (** The window of states a crash may legally expose: the latest
-    committed state, the distinct state before it, and the mid-flight
-    operation's state if any.  [history] is newest-first. *)
+    committed state, the newest committed state that differs from it,
+    and the mid-flight operation's state if any.  [history] is
+    newest-first and may repeat states (a read leaves the state
+    unchanged). *)
 
 val check :
   history:string list ->

@@ -1,40 +1,62 @@
 (** Minimal-repro replay and shrinking.
 
-    Every explorer failure is identified by the triple
-    [(workload/ops, crash event index, survival seed)]; [replay] re-runs
+    Every explorer failure is identified by a small tuple: (workload,
+    ops, crash event index, mode, survival seed), plus (writers,
+    interleaving schedule) for concurrent workloads.  [replay] re-runs
     exactly that crash deterministically, [command] prints the CLI
     incantation that does the same, and [minimize] shrinks the workload
     to the smallest operation count that still reproduces the failure.
 
     Replay always executes on a fresh heap and crashes the live image
     directly -- no snapshots, no workers -- so a repro command reproduces
-    bit-for-bit regardless of the [snapshot_mode] ([--full-snapshots])
-    and [jobs] ([--jobs]) settings the sweep that found it ran under. *)
+    bit-for-bit regardless of the [jobs] ([--jobs]) setting the sweep
+    that found it ran under. *)
 
 (* Re-run one crash point, single sample.  [None] means the crash index
-   lies beyond the workload's last PM event (nothing to inject). *)
-let replay ?(cfg = Explorer.default) (w : Workload.t) ~crash_index ~mode
-    ?seed () =
-  match Explorer.run_until cfg w ~budget:(Some crash_index) with
-  | `Completed _ -> None
-  | `Crashed c ->
-      Pmalloc.Heap.crash ~mode ?seed c.Explorer.c_heap;
-      Some (Explorer.recover_and_check c)
+   lies beyond the run's last PM event (nothing to inject); index -1
+   replays the uncrashed final-state check. *)
+let replay ?(cfg = Explorer.default) subject ~crash_index ~mode ?seed () =
+  if crash_index < 0 then
+    match Explorer.run cfg subject ~budget:None with
+    | `Completed (_, c) -> Some (Explorer.check_final c)
+    | `Crashed _ -> None
+  else
+    match Explorer.run cfg subject ~budget:(Some crash_index) with
+    | `Completed _ -> None
+    | `Crashed c ->
+        Pmalloc.Heap.crash ~mode ?seed c.Explorer.c_heap;
+        Some (Explorer.recover_and_check c)
 
 let command (f : Explorer.failure) =
-  Printf.sprintf "modpm crashtest --workload %s --ops %d --replay %d --mode %s%s"
-    f.Explorer.workload f.Explorer.ops f.Explorer.crash_index
-    (Explorer.mode_name f.Explorer.mode)
-    (match f.Explorer.survival_seed with
+  let writers, schedule =
+    match f.schedule with
+    | Some s ->
+        ( Printf.sprintf " --writers %d" f.writers,
+          Printf.sprintf " --schedule %s" (Interleave.schedule_name s) )
+    | None -> ("", "")
+  in
+  Printf.sprintf
+    "modpm crashtest --workload %s%s --ops %d%s --replay %d --mode %s%s"
+    f.workload writers f.ops schedule f.crash_index
+    (Explorer.mode_name f.mode)
+    (match f.survival_seed with
     | Some s -> Printf.sprintf " --survival-seed %d" s
     | None -> "")
 
+(* The failing run, rebuilt with [ops] operations (per writer). *)
+let subject_of (f : Explorer.failure) ~ops =
+  match f.schedule with
+  | None -> Explorer.Seq (Workload.build f.workload ~ops)
+  | Some s ->
+      Explorer.Conc (Workload.cbuild f.workload ~writers:f.writers ~ops, s)
+
+(* The failure's crash point replayed with [ops] operations. *)
+let rerun ?cfg (f : Explorer.failure) ~ops =
+  replay ?cfg (subject_of f ~ops) ~crash_index:f.crash_index ~mode:f.mode
+    ?seed:f.survival_seed ()
+
 let reproduces ?cfg (f : Explorer.failure) =
-  let w = Workload.build f.Explorer.workload ~ops:f.Explorer.ops in
-  match
-    replay ?cfg w ~crash_index:f.Explorer.crash_index ~mode:f.Explorer.mode
-      ?seed:f.Explorer.survival_seed ()
-  with
+  match rerun ?cfg f ~ops:f.ops with
   | Some (Oracle.Violation _) -> true
   | Some Oracle.Consistent | None -> false
 
@@ -43,78 +65,11 @@ let reproduces ?cfg (f : Explorer.failure) =
    violates the oracle there (the crash index and survival seed are
    preserved, so the repro stays bit-for-bit deterministic). *)
 let minimize ?cfg (f : Explorer.failure) =
-  let fails ops =
-    let w = Workload.build f.Explorer.workload ~ops in
-    match
-      replay ?cfg w ~crash_index:f.Explorer.crash_index
-        ~mode:f.Explorer.mode ?seed:f.Explorer.survival_seed ()
-    with
-    | Some (Oracle.Violation detail) ->
-        Some { f with Explorer.ops; detail }
-    | Some Oracle.Consistent | None -> None
-  in
   let rec go ops =
-    if ops >= f.Explorer.ops then f
-    else match fails ops with Some f' -> f' | None -> go (ops * 2)
+    if ops >= f.ops then f
+    else
+      match rerun ?cfg f ~ops with
+      | Some (Oracle.Violation detail) -> { f with ops; detail }
+      | Some Oracle.Consistent | None -> go (ops * 2)
   in
   go 1
-
-(* -- concurrent failures -------------------------------------------------- *)
-
-(* A concurrent crash point is the pair (schedule, crash event index):
-   the interleaving is a pure function of the schedule, so re-running
-   the writers under the same schedule and budget reconstructs the same
-   interrupted image bit-for-bit.  [crash_index = -1] replays the
-   uncrashed serializability check instead of a crash. *)
-let creplay ?(cfg = Explorer.default) (cw : Workload.ct) ~schedule
-    ~crash_index ~mode ?seed () =
-  if crash_index < 0 then
-    match Explorer.crun_until cfg cw ~schedule ~budget:None with
-    | `Crashed _ -> None
-    | `Completed (_, _, inst) -> (
-        match inst.Workload.c_dump () with
-        | final ->
-            let expect = Oracle.latest inst.Workload.c_tracker in
-            Some
-              (if String.equal final expect then Oracle.Consistent
-               else
-                 Oracle.Violation
-                   (Printf.sprintf
-                      "final state %s does not match the serialized model %s"
-                      final expect))
-        | exception e ->
-            Some
-              (Oracle.Violation
-                 (Printf.sprintf "reading the final state raised %s"
-                    (Printexc.to_string e))))
-  else
-    match Explorer.crun_until cfg cw ~schedule ~budget:(Some crash_index) with
-    | `Completed _ -> None
-    | `Crashed (heap, inst) ->
-        Pmalloc.Heap.crash ~mode ?seed heap;
-        Some (Explorer.crecover_and_check inst)
-
-let ccommand (f : Explorer.cfailure) =
-  Printf.sprintf
-    "modpm crashtest --workload %s --writers %d --ops %d --schedule %s \
-     --replay %d --mode %s%s"
-    f.Explorer.cf_workload f.Explorer.cf_writers f.Explorer.cf_ops
-    (Interleave.schedule_name f.Explorer.cf_schedule)
-    f.Explorer.cf_crash_index
-    (Explorer.mode_name f.Explorer.cf_mode)
-    (match f.Explorer.cf_survival_seed with
-    | Some s -> Printf.sprintf " --survival-seed %d" s
-    | None -> "")
-
-let creproduces ?cfg (f : Explorer.cfailure) =
-  let cw =
-    Workload.cbuild f.Explorer.cf_workload ~writers:f.Explorer.cf_writers
-      ~ops:f.Explorer.cf_ops
-  in
-  match
-    creplay ?cfg cw ~schedule:f.Explorer.cf_schedule
-      ~crash_index:f.Explorer.cf_crash_index ~mode:f.Explorer.cf_mode
-      ?seed:f.Explorer.cf_survival_seed ()
-  with
-  | Some (Oracle.Violation _) -> true
-  | Some Oracle.Consistent | None -> false

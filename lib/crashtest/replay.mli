@@ -1,26 +1,26 @@
 (** Minimal-repro replay and shrinking.
 
-    Every explorer failure is identified by a small tuple -- sequential:
-    (workload/ops, crash event index, mode, survival seed); concurrent:
-    the same plus (writers, interleaving schedule).  [replay]/[creplay]
-    re-run exactly that crash deterministically, [command]/[ccommand]
-    print the CLI incantation that does the same, and [minimize] shrinks
-    a sequential workload to the smallest operation count that still
-    reproduces.  Replay always executes on a fresh heap and crashes the
-    live image directly -- no snapshots, no workers -- so a repro
-    command reproduces bit-for-bit regardless of the sweep settings that
-    found it. *)
+    Every explorer failure is identified by a small tuple: (workload,
+    ops, crash event index, mode, survival seed), plus (writers,
+    interleaving schedule) for concurrent workloads.  [replay] re-runs
+    exactly that crash deterministically, [command] prints the CLI
+    incantation that does the same, and [minimize] shrinks the workload
+    to the smallest operation count that still reproduces.  Replay
+    always executes on a fresh heap and crashes the live image directly
+    -- no snapshots, no workers -- so a repro command reproduces
+    bit-for-bit regardless of the sweep settings that found it. *)
 
 val replay :
   ?cfg:Explorer.config ->
-  Workload.t ->
+  Explorer.subject ->
   crash_index:int ->
   mode:Pmem.Region.crash_mode ->
   ?seed:int ->
   unit ->
   Oracle.verdict option
 (** Re-run one crash point, single sample.  [None] means the crash
-    index lies beyond the workload's last PM event. *)
+    index lies beyond the run's last PM event.  [crash_index = -1]
+    replays the uncrashed final-state check instead of a crash. *)
 
 val command : Explorer.failure -> string
 val reproduces : ?cfg:Explorer.config -> Explorer.failure -> bool
@@ -28,22 +28,3 @@ val reproduces : ?cfg:Explorer.config -> Explorer.failure -> bool
 val minimize : ?cfg:Explorer.config -> Explorer.failure -> Explorer.failure
 (** Shrink the operation count (1, 2, 4, ...) to the smallest workload
     that still reaches the crash index and still violates there. *)
-
-(** {1 Concurrent failures} *)
-
-val creplay :
-  ?cfg:Explorer.config ->
-  Workload.ct ->
-  schedule:Interleave.schedule ->
-  crash_index:int ->
-  mode:Pmem.Region.crash_mode ->
-  ?seed:int ->
-  unit ->
-  Oracle.verdict option
-(** Re-run one concurrent crash point: the interleaving is a pure
-    function of the schedule, so the same (schedule, budget) pair
-    reconstructs the same interrupted image bit-for-bit.
-    [crash_index = -1] replays the uncrashed serializability check. *)
-
-val ccommand : Explorer.cfailure -> string
-val creproduces : ?cfg:Explorer.config -> Explorer.cfailure -> bool

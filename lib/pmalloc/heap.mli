@@ -284,8 +284,7 @@ val pristine_snapshot : t -> Pmem.Region.snapshot
 val reset_fresh : t -> pristine:Pmem.Region.snapshot -> unit
 (** Rewind the region to the pristine snapshot and reset all volatile
     allocator state: observably equivalent to a fresh {!create} with the
-    same parameters, but O(state touched since the snapshot) when the
-    region is in [Journal] snapshot mode. *)
+    same parameters, but O(state touched since the snapshot). *)
 
 val record_copy_off : copy:int -> int -> int
 (** Word offset of copy [copy] (0 or 1) of slot [s]'s root record --

@@ -6,8 +6,6 @@ exception Crash_point
 
 exception Media_fault of { off : int }
 
-type snapshot_mode = Journal | Full_copy
-
 (* One undo-journal record: the full pre-image of a cacheline (volatile
    view, durable image, durability state) captured on its first mutation
    after a snapshot or restore.  Replaying records newest-to-oldest
@@ -21,7 +19,7 @@ type jentry = {
 
 let dummy_entry = { e_line = 0; e_state = Clean; e_cur = [||]; e_dur = [||] }
 
-type jtoken = {
+type snapshot = {
   t_region : int;  (** stamp of the region this token belongs to *)
   t_pos : int;  (** journal length when the snapshot was taken *)
   mutable t_valid : bool;  (** cleared when the log is truncated below *)
@@ -79,13 +77,12 @@ type t = {
   mutable hook_suspended : bool;
   (* snapshot journal (see [snapshot]) *)
   region_stamp : int;
-  mutable snap_mode : snapshot_mode;
   mutable j_on : bool; (* journaling armed: first-touch undo records *)
   mutable j_entries : jentry array;
   mutable j_len : int;
   mutable j_mark : int array; (* per line: epoch of its current record *)
   mutable j_epoch : int;
-  mutable j_tokens : jtoken list; (* live journaled snapshots *)
+  mutable j_tokens : snapshot list; (* live journaled snapshots *)
   (* fault injection: lines armed as media-bad raise Media_fault on any
      load until cleared (restore clears them) *)
   media_bad : (int, unit) Hashtbl.t;
@@ -100,19 +97,6 @@ type t = {
   mutable backing : Backing.t option;
   file_dirty : (int, unit) Hashtbl.t;
 }
-
-type snapshot =
-  | Full of {
-      s_current : int array;
-      s_durable : int array;
-      s_state : line_state array;
-      s_capacity : int;
-      s_inflight : int;
-      s_stats : Stats.t;
-      s_rng : Random.State.t;
-      s_trace_len : int;
-    }
-  | Journaled of jtoken
 
 let line_of_word off = off lsr Config.line_shift
 
@@ -165,7 +149,6 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
     event_hook = None;
     hook_suspended = false;
     region_stamp = !next_stamp;
-    snap_mode = Full_copy;
     j_on = false;
     j_entries = [||];
     j_len = 0;
@@ -190,9 +173,6 @@ let set_crash_after t n =
 
 let clear_crash_point t = t.crash_budget <- -1
 let last_crash_seed t = t.last_crash_seed
-
-let set_snapshot_mode t mode = t.snap_mode <- mode
-let snapshot_mode t = t.snap_mode
 
 (* -- snapshot journal ---------------------------------------------------- *)
 
@@ -480,19 +460,11 @@ let clwb_range t off words =
 
 let set_fence_per_flush t enabled = t.fence_per_flush <- enabled
 
-(* Invalidate the cache hierarchy.  The full wipe is kept on the
-   full-copy reference path; journaled snapshots use the O(1) epoch
-   invalidation (observably identical -- see Cache). *)
+(* Invalidate the cache hierarchy: O(1) per level (see Cache). *)
 let reset_caches t =
-  match t.snap_mode with
-  | Full_copy ->
-      Cache.reset t.cache;
-      Cache.reset t.l2;
-      Cache.reset t.llc
-  | Journal ->
-      Cache.invalidate t.cache;
-      Cache.invalidate t.l2;
-      Cache.invalidate t.llc
+  Cache.invalidate t.cache;
+  Cache.invalidate t.l2;
+  Cache.invalidate t.llc
 
 let arm_media_fault t ~line =
   if line < 0 || line >= Array.length t.state then
@@ -603,16 +575,12 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
    one execution to a crash point can be sampled under many survival
    seeds without re-running the workload.
 
-   Two implementations, selected by {!set_snapshot_mode}:
-   - [Full_copy] (the differential reference): three whole-image array
-     copies, O(capacity) per snapshot and restore.
-   - [Journal] (the default for sweeps): [snapshot] is O(1) -- it records
-     a position in a copy-on-write undo journal; every subsequent
-     first-touch mutation of a cacheline saves that line's pre-image, and
-     [restore] replays the records newest-to-oldest, O(lines touched).
-     Tokens stack (an outer "pristine" snapshot survives inner crash-point
-     snapshots); truncating the journal below a token's position
-     invalidates it.
+   [snapshot] is O(1): it records a position in a copy-on-write undo
+   journal.  Every later first-touch mutation of a cacheline saves that
+   line's pre-image, and [restore] replays the records newest-to-oldest,
+   O(lines touched).  Tokens stack (an outer "pristine" snapshot survives
+   inner crash-point snapshots); truncating the journal below a token's
+   position invalidates it.
 
    Cache contents are not captured -- restore invalidates the hierarchy,
    which only matters for latency stats, not durability, because the
@@ -621,41 +589,27 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
    image so crash samples do not leak time into each other, and the
    region RNG and trace position rewind with them. *)
 let snapshot t =
-  match t.snap_mode with
-  | Full_copy ->
-      Full
-        {
-          s_current = Array.copy t.current;
-          s_durable = Array.copy t.durable;
-          s_state = Array.copy t.state;
-          s_capacity = t.capacity;
-          s_inflight = t.inflight;
-          s_stats = Stats.copy t.stats;
-          s_rng = Random.State.copy t.rng;
-          s_trace_len = Trace.length t.trace;
-        }
-  | Journal ->
-      let tok =
-        {
-          t_region = t.region_stamp;
-          t_pos = t.j_len;
-          t_valid = true;
-          t_capacity = t.capacity;
-          t_inflight = t.inflight;
-          t_stats = Stats.copy t.stats;
-          t_rng = Random.State.copy t.rng;
-          t_trace_len = Trace.length t.trace;
-        }
-      in
-      t.j_on <- true;
-      t.j_epoch <- t.j_epoch + 1;
-      t.j_tokens <- tok :: t.j_tokens;
-      Journaled tok
+  let tok =
+    {
+      t_region = t.region_stamp;
+      t_pos = t.j_len;
+      t_valid = true;
+      t_capacity = t.capacity;
+      t_inflight = t.inflight;
+      t_stats = Stats.copy t.stats;
+      t_rng = Random.State.copy t.rng;
+      t_trace_len = Trace.length t.trace;
+    }
+  in
+  t.j_on <- true;
+  t.j_epoch <- t.j_epoch + 1;
+  t.j_tokens <- tok :: t.j_tokens;
+  tok
 
 (* Shrink the image arrays back to [cap] (undoing ensure_capacity growth
    that happened after the snapshot).  The journal already rewound every
-   surviving line; words beyond [cap] simply cease to exist, exactly as
-   under the full-copy path, and any later re-growth re-zeroes them. *)
+   surviving line; words beyond [cap] simply cease to exist, and any
+   later re-growth re-zeroes them. *)
 let truncate_image t cap =
   if cap < t.capacity then begin
     t.current <- Array.sub t.current 0 cap;
@@ -668,74 +622,42 @@ let truncate_image t cap =
     t.capacity <- cap
   end
 
-let restore t s =
-  (match s with
-  | Full f ->
-      t.current <- Array.copy f.s_current;
-      t.durable <- Array.copy f.s_durable;
-      t.state <- Array.copy f.s_state;
-      t.capacity <- f.s_capacity;
-      t.inflight <- f.s_inflight;
-      (* rebuild both worklists from the restored state array (the
-         full-copy path is already O(capacity)) *)
-      t.flushing_q <- [];
-      t.crash_len <- 0;
-      t.crash_mark <- extend t.crash_mark (Array.length t.state) false;
-      Array.fill t.crash_mark 0 (Array.length t.crash_mark) false;
-      Array.iteri
-        (fun line st ->
-          match st with
-          | Clean -> ()
-          | Dirty -> crash_list t line
-          | Flushing ->
-              t.flushing_q <- line :: t.flushing_q;
-              crash_list t line)
-        t.state;
-      Stats.assign ~into:t.stats f.s_stats;
-      t.rng <- Random.State.copy f.s_rng;
-      Trace.truncate t.trace f.s_trace_len;
-      (* a full restore orphans any journal state *)
-      List.iter (fun tk -> tk.t_valid <- false) t.j_tokens;
-      t.j_tokens <- [];
-      t.j_len <- 0;
-      t.j_epoch <- t.j_epoch + 1
-  | Journaled tok ->
-      if tok.t_region <> t.region_stamp then
-        invalid_arg "Region.restore: journaled snapshot from another region";
-      if not (tok.t_valid && tok.t_pos <= t.j_len) then
-        invalid_arg
-          "Region.restore: stale journaled snapshot (journal truncated below \
-           it)";
-      (* replay undo records newest-to-oldest down to the token *)
-      for i = t.j_len - 1 downto tok.t_pos do
-        let e = t.j_entries.(i) in
-        let base = e.e_line lsl Config.line_shift in
-        Array.blit e.e_cur 0 t.current base (Array.length e.e_cur);
-        Array.blit e.e_dur 0 t.durable base (Array.length e.e_dur);
-        t.state.(e.e_line) <- e.e_state;
-        (* a replayed line returning to Flushing must be on the fence
-           worklist, and one leaving Clean on the crash worklist; lines
-           untouched since the snapshot never left them *)
-        (match e.e_state with
-        | Clean -> ()
-        | Dirty -> crash_list t e.e_line
-        | Flushing ->
-            t.flushing_q <- e.e_line :: t.flushing_q;
-            crash_list t e.e_line);
-        t.j_entries.(i) <- dummy_entry
-      done;
-      t.j_len <- tok.t_pos;
-      List.iter
-        (fun tk -> if tk.t_pos > tok.t_pos then tk.t_valid <- false)
-        t.j_tokens;
-      t.j_tokens <- List.filter (fun tk -> tk.t_valid) t.j_tokens;
-      truncate_image t tok.t_capacity;
-      t.inflight <- tok.t_inflight;
-      Stats.assign ~into:t.stats tok.t_stats;
-      t.rng <- Random.State.copy tok.t_rng;
-      Trace.truncate t.trace tok.t_trace_len;
-      (* mutations after this restore need fresh undo records *)
-      t.j_epoch <- t.j_epoch + 1);
+let restore t tok =
+  if tok.t_region <> t.region_stamp then
+    invalid_arg "Region.restore: journaled snapshot from another region";
+  if not (tok.t_valid && tok.t_pos <= t.j_len) then
+    invalid_arg
+      "Region.restore: stale journaled snapshot (journal truncated below it)";
+  (* replay undo records newest-to-oldest down to the token *)
+  for i = t.j_len - 1 downto tok.t_pos do
+    let e = t.j_entries.(i) in
+    let base = e.e_line lsl Config.line_shift in
+    Array.blit e.e_cur 0 t.current base (Array.length e.e_cur);
+    Array.blit e.e_dur 0 t.durable base (Array.length e.e_dur);
+    t.state.(e.e_line) <- e.e_state;
+    (* a replayed line returning to Flushing must be on the fence
+       worklist, and one leaving Clean on the crash worklist; lines
+       untouched since the snapshot never left them *)
+    (match e.e_state with
+    | Clean -> ()
+    | Dirty -> crash_list t e.e_line
+    | Flushing ->
+        t.flushing_q <- e.e_line :: t.flushing_q;
+        crash_list t e.e_line);
+    t.j_entries.(i) <- dummy_entry
+  done;
+  t.j_len <- tok.t_pos;
+  List.iter
+    (fun tk -> if tk.t_pos > tok.t_pos then tk.t_valid <- false)
+    t.j_tokens;
+  t.j_tokens <- List.filter (fun tk -> tk.t_valid) t.j_tokens;
+  truncate_image t tok.t_capacity;
+  t.inflight <- tok.t_inflight;
+  Stats.assign ~into:t.stats tok.t_stats;
+  t.rng <- Random.State.copy tok.t_rng;
+  Trace.truncate t.trace tok.t_trace_len;
+  (* mutations after this restore need fresh undo records *)
+  t.j_epoch <- t.j_epoch + 1;
   t.crash_budget <- -1;
   t.integrity_epoch <- t.integrity_epoch + 1;
   (* armed media faults belong to the timeline being abandoned *)
@@ -776,7 +698,7 @@ let is_durable_line t line =
   !same
 
 (* Bit-level comparison of two regions' images (differential testing of
-   the two snapshot implementations). *)
+   restore against re-execution). *)
 let images_equal a b =
   a.capacity = b.capacity && a.inflight = b.inflight
   && Array.sub a.current 0 a.capacity = Array.sub b.current 0 b.capacity
@@ -824,7 +746,6 @@ let open_file ?(trace = false) ?(seed = 42) ~path () =
       event_hook = None;
       hook_suspended = false;
       region_stamp = !next_stamp;
-      snap_mode = Full_copy;
       j_on = false;
       j_entries = [||];
       j_len = 0;

@@ -160,44 +160,24 @@ val atomic : t -> (unit -> 'a) -> 'a
 type snapshot
 (** A rewind point for the memory image (volatile view, durable image,
     per-line durability state, simulated-time counters, RNG and trace
-    position).  Representation depends on the {!snapshot_mode} in force
-    when {!snapshot} was called. *)
-
-type snapshot_mode =
-  | Journal
-      (** Copy-on-write undo journaling: [snapshot] records a position in
-          the region's journal (O(1)); every subsequent first mutation of
-          a cacheline saves that line's pre-image; [restore] replays the
-          records newest-to-oldest -- O(lines touched) instead of
-          O(capacity).  Snapshots stack: an outer snapshot remains valid
-          across inner snapshot/restore cycles, but truncating the
-          journal below a token (restoring past it) invalidates it, and
-          [restore] rejects such stale tokens. *)
-  | Full_copy
-      (** Whole-image array copies on every snapshot and restore
-          (O(capacity)).  Kept as the differential reference for the
-          journal: both modes must produce bit-identical images and
-          oracle verdicts. *)
-
-val set_snapshot_mode : t -> snapshot_mode -> unit
-(** Select the implementation used by subsequent {!snapshot} calls.
-    Fresh regions start in [Full_copy].  Once a [Journal] snapshot has
-    been taken, the region keeps journaling until it is discarded. *)
-
-val snapshot_mode : t -> snapshot_mode
+    position): a position in the region's copy-on-write undo journal.
+    Taking one is O(1); from then on every first mutation of a cacheline
+    saves that line's pre-image.  Snapshots stack: an outer snapshot
+    remains valid across inner snapshot/restore cycles, but restoring
+    past a snapshot truncates the journal below it and invalidates it. *)
 
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
 (** [restore t s] rewinds the memory image to [s] so the same crash
     point can be sampled under several survival seeds without re-running
-    the workload.  The cache hierarchy is invalidated rather than
+    the workload, replaying the journal newest-to-oldest: O(lines touched
+    since [s]).  The cache hierarchy is invalidated rather than
     restored; that affects only latency accounting, so the intended next
     step after a restore is another [crash].  Stats (simulated time,
     event counters), the region RNG and the trace position are restored
     alongside the image, so samples do not leak time into each other.
-    Raises [Invalid_argument] for a journaled snapshot that was
-    invalidated by an earlier restore past it, or that belongs to a
-    different region. *)
+    Raises [Invalid_argument] for a snapshot that was invalidated by an
+    earlier restore past it, or that belongs to a different region. *)
 
 val journal_entries : t -> int
 (** Number of live undo records in the snapshot journal (for tests). *)
@@ -213,8 +193,8 @@ val crash_worklist : t -> int list
 
 val images_equal : t -> t -> bool
 (** Word-for-word equality of two regions' volatile views, durable
-    images, line states, capacities and in-flight counts (differential
-    testing of the two snapshot modes). *)
+    images, line states, capacities and in-flight counts (for tests: a
+    restored region against one re-executed to the same point). *)
 
 val durable_load : t -> int -> Word.t
 (** Read the durable image directly (recovery-time inspection; charges PM

@@ -1,6 +1,6 @@
 (* Concurrent-writer regression suite: a corpus of (workload, writers,
    schedule, crash point, mode, survival seed) tuples replayed
-   deterministically through {!Replay.creplay}, a qcheck property that
+   deterministically through {!Replay.replay}, a qcheck property that
    two interleaved single-op CAS transactions serialize, bounded
    [explore_concurrent] sweeps (positive must be clean, the nofence
    negative control must be caught), and NOrec STM unit tests.
@@ -89,7 +89,7 @@ let tuple_name tu =
 let replay_tuple tu () =
   let cw = Workload.cbuild tu.wname ~writers:tu.writers ~ops:tu.ops in
   match
-    Replay.creplay cw ~schedule:tu.schedule ~crash_index:tu.crash_index
+    Replay.replay (Explorer.Conc (cw, tu.schedule)) ~crash_index:tu.crash_index
       ~mode:tu.mode ?seed:tu.seed ()
   with
   | None ->
@@ -114,7 +114,7 @@ let test_replay_deterministic () =
   let tu = List.find (fun tu -> tu.expect_violation) corpus in
   let go () =
     let cw = Workload.cbuild tu.wname ~writers:tu.writers ~ops:tu.ops in
-    Replay.creplay cw ~schedule:tu.schedule ~crash_index:tu.crash_index
+    Replay.replay (Explorer.Conc (cw, tu.schedule)) ~crash_index:tu.crash_index
       ~mode:tu.mode ?seed:tu.seed ()
   in
   match (go (), go ()) with
@@ -223,7 +223,7 @@ let test_positive_sweep_clean () =
       | f :: _ ->
           Alcotest.failf "%s: %d failures, first: %s" name
             (List.length r.Explorer.cr_failures)
-            (Format.asprintf "%a" Explorer.pp_cfailure f))
+            (Format.asprintf "%a" Explorer.pp_failure f))
     Workload.concurrent_positive_names
 
 let test_negative_caught () =
@@ -238,8 +238,8 @@ let test_negative_caught () =
   | f :: _ ->
       (* every recorded failure must replay from its tuple alone, and
          the printed repro command must carry the concurrent axes *)
-      Alcotest.(check bool) "failure reproduces" true (Replay.creproduces f);
-      let cmd = Replay.ccommand f in
+      Alcotest.(check bool) "failure reproduces" true (Replay.reproduces f);
+      let cmd = Replay.command f in
       let contains needle =
         let n = String.length needle and l = String.length cmd in
         let rec go i = i + n <= l && (String.sub cmd i n = needle || go (i + 1)) in
@@ -251,6 +251,83 @@ let test_negative_caught () =
             (Printf.sprintf "repro command mentions %S" needle)
             true (contains needle))
         [ "--writers 2"; "--schedule"; "--replay" ]
+
+(* A forked sweep must match the sequential one, and both must match
+   re-execution: every sample replayed on a fresh heap through
+   {!Replay.replay}, each schedule's uncrashed check included. *)
+let key ~schedule ~crash_index ~mode ~seed detail =
+  Printf.sprintf "%s:%d:%s:%s:%s"
+    (Interleave.schedule_name schedule)
+    crash_index (Explorer.mode_name mode)
+    (match seed with Some s -> string_of_int s | None -> "-")
+    detail
+
+let failure_key (f : Explorer.failure) =
+  key ~schedule:(Option.get f.schedule) ~crash_index:f.crash_index
+    ~mode:f.mode ~seed:f.survival_seed f.detail
+
+let reexec_sweep (cfg : Explorer.config) cw schedules =
+  let points = ref 0 and samples = ref 0 and failures = ref [] in
+  let judge schedule ~crash_index ~mode ~seed =
+    match
+      Replay.replay ~cfg (Explorer.Conc (cw, schedule)) ~crash_index ~mode
+        ?seed ()
+    with
+    | None -> Alcotest.failf "crash index %d never fired" crash_index
+    | Some Oracle.Consistent -> ()
+    | Some (Oracle.Violation d) ->
+        failures := key ~schedule ~crash_index ~mode ~seed d :: !failures
+  in
+  List.iter
+    (fun schedule ->
+      judge schedule ~crash_index:(-1) ~mode:keep ~seed:None;
+      let total =
+        match Explorer.run cfg (Explorer.Conc (cw, schedule)) ~budget:None with
+        | `Completed (events, _) -> events
+        | `Crashed _ -> assert false
+      in
+      for crash_index = 1 to total do
+        incr points;
+        List.iter
+          (fun mode ->
+            let seeds =
+              if mode = rand then
+                List.init cfg.randomize_samples (fun k ->
+                    Some (Explorer.survival_seed cfg ~crash_index ~k))
+              else [ None ]
+            in
+            List.iter
+              (fun seed ->
+                incr samples;
+                judge schedule ~crash_index ~mode ~seed)
+              seeds)
+          cfg.modes
+      done)
+    schedules;
+  (!points, !samples, List.rev !failures)
+
+let test_parallel_matches_reexec name ~caught () =
+  let cw = Workload.cbuild name ~writers:2 ~ops:2 in
+  let cfg = { quiet with randomize_samples = 1 } in
+  let schedules = [ Interleave.Round_robin 3; Interleave.Seeded 2 ] in
+  let sweep jobs =
+    let r =
+      Explorer.explore_concurrent ~cfg:{ cfg with jobs } ~schedules cw
+    in
+    ( r.Explorer.cr_points_tested,
+      r.Explorer.cr_crashes_sampled,
+      List.map failure_key r.Explorer.cr_failures )
+  in
+  let check what (points, samples, failures) (points', samples', failures') =
+    Alcotest.(check int) (what ^ ": points") points points';
+    Alcotest.(check int) (what ^ ": samples") samples samples';
+    Alcotest.(check (list string)) (what ^ ": failures") failures failures'
+  in
+  let sequential = sweep 1 in
+  let (_, _, failures) as reference = reexec_sweep cfg cw schedules in
+  Alcotest.(check bool) "violations found" caught (failures <> []);
+  check "jobs 2 vs jobs 1" sequential (sweep 2);
+  check "jobs 1 vs re-execution" reference sequential
 
 (* -- NOrec unit tests ------------------------------------------------------- *)
 
@@ -330,6 +407,11 @@ let () =
             test_positive_sweep_clean;
           Alcotest.test_case "nofence negative control is caught" `Quick
             test_negative_caught;
+          Alcotest.test_case "cmap: jobs 2 = jobs 1 = re-execution" `Quick
+            (test_parallel_matches_reexec "cmap" ~caught:false);
+          Alcotest.test_case "cmap-nofence: jobs 2 = jobs 1 = re-execution"
+            `Quick
+            (test_parallel_matches_reexec "cmap-nofence" ~caught:true);
         ] );
       ( "norec",
         [

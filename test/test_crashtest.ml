@@ -164,6 +164,18 @@ let oracle_tests =
           (chk (Ok "c"));
         Alcotest.check verdict "pending-only state now stale"
           (Crashtest.Oracle.Violation "") (chk (Ok "d")));
+    Alcotest.test_case "a repeated state keeps the previous one" `Quick
+      (fun () ->
+        (* a read appends the unchanged state: the window is the newest
+           state and the newest one that differs from it *)
+        let chk recovered =
+          Crashtest.Oracle.check ~history:[ "c"; "c"; "b"; "a" ]
+            ~pending:None ~recovered
+        in
+        Alcotest.check verdict "previous distinct state"
+          Crashtest.Oracle.Consistent (chk (Ok "b"));
+        Alcotest.check verdict "older state" (Crashtest.Oracle.Violation "")
+          (chk (Ok "a")));
   ]
 
 (* -- Section 5.4 checker: deterministic violation order --------------------- *)
@@ -252,7 +264,7 @@ let negative_tests =
             (Crashtest.Replay.reproduces ~cfg:quick_cfg f')))
     Crashtest.Workload.negative_names
 
-(* -- journaled + parallel sweeps match the full-copy reference ---------------- *)
+(* -- journaled + parallel sweeps match re-execution ------------------------- *)
 
 let failure_key (f : Crashtest.Explorer.failure) =
   Printf.sprintf "%d:%s:%s:%s" f.crash_index
@@ -260,61 +272,99 @@ let failure_key (f : Crashtest.Explorer.failure) =
     (match f.survival_seed with Some s -> string_of_int s | None -> "-")
     f.detail
 
-let parity_tests =
-  let sweep w mode jobs =
-    let cfg =
-      { quick_cfg with Crashtest.Explorer.snapshot_mode = mode; jobs }
-    in
-    Crashtest.Explorer.explore ~cfg w
+(* The differential reference: every sample re-executed on a fresh heap
+   -- no scratch heap, no snapshot -- crashed and recovered: (points,
+   samples, failure keys). *)
+let reexec_sweep (cfg : Crashtest.Explorer.config) w =
+  let module E = Crashtest.Explorer in
+  let total =
+    match E.run_until cfg w ~budget:None with
+    | `Completed (events, _) -> events
+    | `Crashed _ -> assert false
   in
-  let check_matches name (reference : Crashtest.Explorer.result)
+  let points = ref 0 and samples = ref 0 and failures = ref [] in
+  let budget = ref 1 in
+  while
+    !budget <= total
+    && match cfg.max_points with Some m -> !points < m | None -> true
+  do
+    incr points;
+    List.iter
+      (fun mode ->
+        let seeds =
+          match mode with
+          | Pmem.Region.Randomize ->
+              List.init cfg.randomize_samples (fun k ->
+                  Some (E.survival_seed cfg ~crash_index:!budget ~k))
+          | _ -> [ None ]
+        in
+        List.iter
+          (fun seed ->
+            match E.run_until cfg w ~budget:(Some !budget) with
+            | `Completed _ -> Alcotest.failf "budget %d never fired" !budget
+            | `Crashed c -> (
+                Pmalloc.Heap.crash ~mode ?seed c.E.c_heap;
+                incr samples;
+                match E.recover_and_check c with
+                | Crashtest.Oracle.Consistent -> ()
+                | Crashtest.Oracle.Violation detail ->
+                    failures :=
+                      failure_key
+                        {
+                          E.workload = w.Crashtest.Workload.name;
+                          writers = 0;
+                          ops = w.Crashtest.Workload.ops;
+                          schedule = None;
+                          crash_index = !budget;
+                          mode;
+                          survival_seed = seed;
+                          detail;
+                        }
+                      :: !failures))
+          seeds)
+      cfg.modes;
+    budget := !budget + cfg.stride
+  done;
+  (!points, !samples, List.rev !failures)
+
+let parity_tests =
+  let sweep w jobs =
+    Crashtest.Explorer.explore ~cfg:{ quick_cfg with Crashtest.Explorer.jobs } w
+  in
+  let check_matches name (points, samples, failures)
       (r : Crashtest.Explorer.result) =
     Alcotest.(check int)
       (name ^ ": same points tested")
-      reference.Crashtest.Explorer.points_tested
-      r.Crashtest.Explorer.points_tested;
+      points r.Crashtest.Explorer.points_tested;
     Alcotest.(check int)
       (name ^ ": same crashes sampled")
-      reference.Crashtest.Explorer.crashes_sampled
-      r.Crashtest.Explorer.crashes_sampled;
+      samples r.Crashtest.Explorer.crashes_sampled;
     Alcotest.(check (list string))
       (name ^ ": identical failures at identical crash points")
-      (List.map failure_key reference.Crashtest.Explorer.failures)
+      failures
       (List.map failure_key r.Crashtest.Explorer.failures)
+  in
+  let agree ~ops ~caught name =
+    let w = Crashtest.Workload.build name ~ops in
+    let ((_, _, failures) as reference) = reexec_sweep quick_cfg w in
+    Alcotest.(check bool) "reference catches the defect" caught
+      (failures <> []);
+    check_matches "journaled" reference (sweep w 1);
+    check_matches "parallel (3 workers)" reference (sweep w 3)
   in
   List.map
     (fun name ->
       Alcotest.test_case
-        (name ^ ": journaled and parallel sweeps match full-copy") `Quick
+        (name ^ ": journaled and parallel sweeps match re-execution") `Quick
         (fun () ->
-          (* the negative-control guard: every violation the slow
-             reference path finds, the fast paths must find at the same
-             crash point with the same detail -- and vice versa *)
-          let w = Crashtest.Workload.build name ~ops:6 in
-          let reference = sweep w Pmem.Region.Full_copy 1 in
-          Alcotest.(check bool)
-            "reference catches the defect" false
-            (Crashtest.Explorer.ok reference);
-          check_matches "journaled" reference (sweep w Pmem.Region.Journal 1);
-          check_matches "parallel (3 workers)" reference
-            (sweep w Pmem.Region.Journal 3)))
+          (* the negative-control guard: every violation re-execution
+             finds, the journaled sweeps must find at the same crash
+             point with the same detail -- and vice versa *)
+          agree ~ops:6 ~caught:true name))
     Crashtest.Workload.negative_names
   @ [
       Alcotest.test_case "clean workload agrees across all paths" `Quick
-        (fun () ->
-          let w = Crashtest.Workload.build "vec" ~ops:4 in
-          let full = sweep w Pmem.Region.Full_copy 1 in
-          let par = sweep w Pmem.Region.Journal 2 in
-          Alcotest.(check bool) "full ok" true (Crashtest.Explorer.ok full);
-          Alcotest.(check bool) "parallel ok" true (Crashtest.Explorer.ok par);
-          Alcotest.(check int)
-            "same point set"
-            full.Crashtest.Explorer.points_tested
-            par.Crashtest.Explorer.points_tested;
-          Alcotest.(check int)
-            "same samples"
-            full.Crashtest.Explorer.crashes_sampled
-            par.Crashtest.Explorer.crashes_sampled);
+        (fun () -> agree ~ops:4 ~caught:false "vec");
       Alcotest.test_case "sweeps report wall-clock throughput" `Quick
         (fun () ->
           let w = Crashtest.Workload.build "map" ~ops:3 in
@@ -350,14 +400,14 @@ let seed_tests =
 
 (* -- golden pins for the crash paths the benchmark does not run -------- *)
 
-(* Small sweeps under the fault schedule, the Backup policy and full-copy
-   snapshots, pinned to the points, samples and verdicts they report and
+(* Small sweeps under the fault schedule, the Backup policy and a stride,
+   pinned to the points, samples and verdicts they report and
    to the summed simulated time of every sample's recovery (exact float
    bits, read by wrapping the workload's [recover]).  The per-sample work
    -- restore, crash, recovery -- must stay bit-identical: a crash that
    visits lines in another order draws other survival coins, and one
    that misses a restored dirty line recovers another image. *)
-let pinned_sweep ?persist ~cfg name ~ops =
+let pinned_sweep ?persist ?(reexec = false) ~cfg name ~ops =
   let w = Crashtest.Workload.build ?persist name ~ops in
   let sim = ref 0.0 in
   let make heap =
@@ -372,27 +422,48 @@ let pinned_sweep ?persist ~cfg name ~ops =
           sim := !sim +. (st.Pmem.Stats.now_ns -. s0));
     }
   in
-  let r =
-    Crashtest.Explorer.explore ~cfg { w with Crashtest.Workload.make }
+  let w = { w with Crashtest.Workload.make } in
+  let counts =
+    if reexec then
+      (* the re-execution reference: no fault schedule *)
+      let points, samples, failures = reexec_sweep cfg w in
+      [ points; samples; 0; 0; 0; 0; List.length failures ]
+    else
+      let r = Crashtest.Explorer.explore ~cfg w in
+      Crashtest.Explorer.
+        [
+          r.points_tested;
+          r.crashes_sampled;
+          r.fault_samples;
+          r.fault_recovered;
+          r.fault_degraded;
+          r.fault_fallbacks;
+          List.length r.failures;
+        ]
   in
-  [
-    ("points", Int64.of_int r.Crashtest.Explorer.points_tested);
-    ("samples", Int64.of_int r.Crashtest.Explorer.crashes_sampled);
-    ("fault samples", Int64.of_int r.Crashtest.Explorer.fault_samples);
-    ("fault recovered", Int64.of_int r.Crashtest.Explorer.fault_recovered);
-    ("fault degraded", Int64.of_int r.Crashtest.Explorer.fault_degraded);
-    ("root fallbacks", Int64.of_int r.Crashtest.Explorer.fault_fallbacks);
-    ("violations", Int64.of_int (List.length r.Crashtest.Explorer.failures));
-    ("recovery sim ns bits", Int64.bits_of_float !sim);
-  ]
+  List.combine
+    [
+      "points";
+      "samples";
+      "fault samples";
+      "fault recovered";
+      "fault degraded";
+      "root fallbacks";
+      "violations";
+      "recovery sim ns bits";
+    ]
+    (List.map Int64.of_int counts @ [ Int64.bits_of_float !sim ])
 
 let golden_tests =
-  let full_copy =
-    {
-      quick_cfg with
-      Crashtest.Explorer.snapshot_mode = Pmem.Region.Full_copy;
-      stride = 3;
-    }
+  let strided = { quick_cfg with Crashtest.Explorer.stride = 3 } in
+  (* the strided pins hold for re-execution on fresh heaps too, down to
+     the recovery sim-ns bits *)
+  let journaled_and_reexecuted name ~ops =
+    let journaled = pinned_sweep ~cfg:strided name ~ops in
+    Alcotest.(check (list (pair string int64)))
+      "re-execution agrees" journaled
+      (pinned_sweep ~reexec:true ~cfg:strided name ~ops);
+    journaled
   in
   let pin label run expected =
     Alcotest.test_case label `Quick (fun () ->
@@ -411,11 +482,11 @@ let golden_tests =
       (fun () ->
         pinned_sweep ~persist:Pmalloc.Heap.Backup ~cfg:quick_cfg "vec" ~ops:5)
       [ 96L; 384L; 0L; 0L; 0L; 0L; 0L; 4710961725384425472L ];
-    pin "full-copy sweep (queue)"
-      (fun () -> pinned_sweep ~cfg:full_copy "queue" ~ops:5)
+    pin "strided sweep (queue)"
+      (fun () -> journaled_and_reexecuted "queue" ~ops:5)
       [ 25L; 100L; 0L; 0L; 0L; 0L; 0L; 4702154893870235648L ];
-    pin "full-copy sweep (stm-broken control)"
-      (fun () -> pinned_sweep ~cfg:full_copy "stm-broken" ~ops:4)
+    pin "strided sweep (stm-broken)"
+      (fun () -> journaled_and_reexecuted "stm-broken" ~ops:4)
       [ 29L; 116L; 0L; 0L; 0L; 0L; 27L; 4702915075164340224L ];
   ]
 

@@ -107,7 +107,7 @@ let differential_property =
               QCheck.Test.fail_reportf "oracle violation @ event %d: %s"
                 budget d);
           let s =
-            match c.Crashtest.Explorer.c_inst.Crashtest.Workload.dump () with
+            match c.Crashtest.Explorer.c_dump () with
             | s -> s
             | exception e ->
                 QCheck.Test.fail_reportf "post-recovery dump raised: %s"

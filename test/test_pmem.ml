@@ -428,27 +428,52 @@ let trace_tests =
         Alcotest.(check int) "all kept" 5001 (Trace.length t));
   ]
 
+(* Re-execution, the differential reference for the snapshot journal: a
+   fresh twin region with the same capacity and seed, fed the same ops,
+   never snapshots; restoring a snapshot rebuilds the twin from the ops
+   before it.  A restore empties the caches and only L1D evictions move
+   the image, so the rebuilt twin invalidates its L1D where the original
+   restored.  The L2 and LLC model latency alone, which is why the two
+   sim clocks agree only while the replayed prefix holds no restore. *)
+type 'op reexec = {
+  fresh : unit -> Pmem.Region.t;
+  apply : Pmem.Region.t -> 'op -> unit;
+  mutable twin : Pmem.Region.t;
+  mutable timeline : 'op option list;
+      (* every op since creation, newest first; [None] marks a restore *)
+}
+
+let reexec fresh apply = { fresh; apply; twin = fresh (); timeline = [] }
+
+let reexec_op x op =
+  x.apply x.twin op;
+  x.timeline <- Some op :: x.timeline
+
+(* Rewind the twin to [prefix], a timeline taken when the original
+   snapshotted. *)
+let reexec_restore x prefix =
+  let twin = x.fresh () in
+  let invalidate () = Pmem.Cache.invalidate (Pmem.Region.cache twin) in
+  List.iter
+    (function Some op -> x.apply twin op | None -> invalidate ())
+    (List.rev prefix);
+  invalidate ();
+  x.twin <- twin;
+  x.timeline <- None :: prefix
+
+let restore_free prefix = List.for_all Option.is_some prefix
+
 let snapshot_tests =
   let open Pmem in
-  let both_modes = [ Region.Full_copy; Region.Journal ] in
-  (* Apply one random PM operation identically to both regions.  Crash
-     seeds are drawn from the test rng so the two regions cannot diverge
-     through their internal survival rngs. *)
-  let apply_op rng rj rf =
-    let cap = Region.capacity_words rj in
+  (* One random PM operation; a crash carries its survival seed, so the
+     twin draws the same coins. *)
+  let gen_op rng cap =
     match Random.State.int rng 100 with
     | n when n < 55 ->
         let off = Random.State.int rng cap in
-        let v = Word.of_int (Random.State.int rng 1_000_000) in
-        Region.store rj off v;
-        Region.store rf off v
-    | n when n < 75 ->
-        let off = Random.State.int rng cap in
-        Region.clwb rj off;
-        Region.clwb rf off
-    | n when n < 88 ->
-        Region.sfence rj;
-        Region.sfence rf
+        `Store (off, Random.State.int rng 1_000_000)
+    | n when n < 75 -> `Clwb (Random.State.int rng cap)
+    | n when n < 88 -> `Sfence
     | n when n < 96 ->
         let mode =
           match Random.State.int rng 3 with
@@ -456,119 +481,112 @@ let snapshot_tests =
           | 1 -> Region.Keep_inflight
           | _ -> Region.Randomize
         in
-        let seed = Random.State.int rng 1_000_000 in
-        Region.crash ~mode ~seed rj;
-        Region.crash ~mode ~seed rf
-    | _ ->
-        let grow =
-          cap + (Config.words_per_line * (1 + Random.State.int rng 4))
-        in
-        Region.ensure_capacity rj grow;
-        Region.ensure_capacity rf grow
+        `Crash (mode, Random.State.int rng 1_000_000)
+    | _ -> `Grow (cap + (Config.words_per_line * (1 + Random.State.int rng 4)))
+  in
+  let apply r = function
+    | `Store (off, v) -> Region.store r off (Word.of_int v)
+    | `Clwb off -> Region.clwb r off
+    | `Sfence -> Region.sfence r
+    | `Crash (mode, seed) -> Region.crash ~mode ~seed r
+    | `Grow n -> Region.ensure_capacity r n
   in
   [
-    Alcotest.test_case "journaled restore == full-copy restore (randomized)"
-      `Quick (fun () ->
-        (* differential property: a journaled region and a full-copy
-           region fed identical store/clwb/sfence/crash/grow sequences
-           have bit-identical images after every (possibly stacked)
-           snapshot/restore *)
+    Alcotest.test_case "journaled restore == re-execution" `Quick (fun () ->
+        (* a journaled region has the image of a twin fed the same
+           store/clwb/sfence/crash/grow sequence after every crash and
+           every (possibly stacked) snapshot/restore *)
         let rng = Random.State.make [| 0xC0FFEE |] in
         for _trial = 1 to 40 do
-          let rj = Region.create ~capacity_words:256 ~seed:7 () in
-          let rf = Region.create ~capacity_words:256 ~seed:7 () in
-          Region.set_snapshot_mode rj Region.Journal;
+          let region () = Region.create ~capacity_words:256 ~seed:7 () in
+          let r = region () in
+          let x = reexec region apply in
+          let same what =
+            Alcotest.(check bool) ("images equal " ^ what) true
+              (Region.images_equal r x.twin)
+          in
+          let restore snap prefix what =
+            Region.restore r snap;
+            reexec_restore x prefix;
+            same what;
+            (* a trial's snapshots precede its restores, so no replayed
+               prefix holds a restore and the clocks agree too *)
+            Alcotest.(check (float 0.))
+              ("sim clocks agree " ^ what) (Region.stats x.twin).Stats.now_ns
+              (Region.stats r).Stats.now_ns
+          in
           let steps () =
             for _ = 1 to 25 do
-              apply_op rng rj rf
+              let op = gen_op rng (Region.capacity_words r) in
+              apply r op;
+              reexec_op x op;
+              match op with `Crash _ -> same "after a crash" | _ -> ()
             done
           in
           steps ();
-          let sj = Region.snapshot rj and sf = Region.snapshot rf in
+          let outer = Region.snapshot r and outer_prefix = x.timeline in
           steps ();
           (if Random.State.bool rng then begin
              (* stacked: restore an inner snapshot before the outer one *)
-             let ij = Region.snapshot rj and inf = Region.snapshot rf in
+             let inner = Region.snapshot r and inner_prefix = x.timeline in
              steps ();
-             Region.restore rj ij;
-             Region.restore rf inf;
-             Alcotest.(check bool)
-               "images equal after inner restore" true
-               (Region.images_equal rj rf)
+             restore inner inner_prefix "after inner restore"
            end);
-          Region.restore rj sj;
-          Region.restore rf sf;
-          Alcotest.(check bool)
-            "images equal after restore" true
-            (Region.images_equal rj rf);
-          Alcotest.(check (float 1e-9))
-            "sim clocks agree" (Region.stats rf).Stats.now_ns
-            (Region.stats rj).Stats.now_ns
+          restore outer outer_prefix "after restore"
         done);
     Alcotest.test_case "restore after growth rewinds capacity, zeroes tail"
       `Quick (fun () ->
-        List.iter
-          (fun mode ->
-            let r = Region.create ~capacity_words:256 () in
-            Region.set_snapshot_mode r mode;
-            Region.store r 10 (Word.of_int 5);
-            Region.clwb r 10;
-            Region.sfence r;
-            let snap = Region.snapshot r in
-            let cap0 = Region.capacity_words r in
-            Region.ensure_capacity r 1024;
-            Region.store r 900 (Word.of_int 77);
-            Region.clwb r 900;
-            Region.sfence r;
-            Region.restore r snap;
-            Alcotest.(check int)
-              "capacity rewound" cap0
-              (Region.capacity_words r);
-            Alcotest.(check int)
-              "pre-growth data intact" 5
-              (Word.to_int (Region.peek_current r 10));
-            (* growing again must expose zeroed words, not stale ones *)
-            Region.ensure_capacity r 1024;
-            Alcotest.(check int)
-              "grown tail zeroed (current)" 0
-              (Word.bits (Region.peek_current r 900));
-            Alcotest.(check int)
-              "grown tail zeroed (durable)" 0
-              (Word.bits (Region.peek_durable r 900)))
-          both_modes);
+        let r = Region.create ~capacity_words:256 () in
+        Region.store r 10 (Word.of_int 5);
+        Region.clwb r 10;
+        Region.sfence r;
+        let snap = Region.snapshot r in
+        let cap0 = Region.capacity_words r in
+        Region.ensure_capacity r 1024;
+        Region.store r 900 (Word.of_int 77);
+        Region.clwb r 900;
+        Region.sfence r;
+        Region.restore r snap;
+        Alcotest.(check int) "capacity rewound" cap0 (Region.capacity_words r);
+        Alcotest.(check int)
+          "pre-growth data intact" 5
+          (Word.to_int (Region.peek_current r 10));
+        (* growing again must expose zeroed words, not stale ones *)
+        Region.ensure_capacity r 1024;
+        Alcotest.(check int)
+          "grown tail zeroed (current)" 0
+          (Word.bits (Region.peek_current r 900));
+        Alcotest.(check int)
+          "grown tail zeroed (durable)" 0
+          (Word.bits (Region.peek_durable r 900)));
     Alcotest.test_case "restore pins stats across crash sampling" `Quick
       (fun () ->
         (* the Stats.t fix: sweep timing used to drift because restore
            left the clock and counters where the sampled crash pushed
            them *)
-        List.iter
-          (fun mode ->
-            let r = Region.create ~capacity_words:256 () in
-            Region.set_snapshot_mode r mode;
-            Region.store r 0 (Word.of_int 1);
-            Region.clwb r 0;
-            Region.sfence r;
-            let s = Region.stats r in
-            let ns0 = s.Stats.now_ns in
-            let fences0 = s.Stats.fences in
-            let snap = Region.snapshot r in
-            Region.store r 8 (Word.of_int 2);
-            Region.clwb r 8;
-            Region.sfence r;
-            Region.crash r;
-            Alcotest.(check bool)
-              "clock advanced before restore" true
-              ((Region.stats r).Stats.now_ns > ns0);
-            Region.restore r snap;
-            Alcotest.(check (float 1e-9))
-              "now_ns rewound" ns0 (Region.stats r).Stats.now_ns;
-            Alcotest.(check int)
-              "fences rewound" fences0 (Region.stats r).Stats.fences)
-          both_modes);
+        let r = Region.create ~capacity_words:256 () in
+        Region.store r 0 (Word.of_int 1);
+        Region.clwb r 0;
+        Region.sfence r;
+        let s = Region.stats r in
+        let ns0 = s.Stats.now_ns in
+        let fences0 = s.Stats.fences in
+        let snap = Region.snapshot r in
+        Region.store r 8 (Word.of_int 2);
+        Region.clwb r 8;
+        Region.sfence r;
+        Region.crash r;
+        Alcotest.(check bool)
+          "clock advanced before restore" true
+          ((Region.stats r).Stats.now_ns > ns0);
+        Region.restore r snap;
+        Alcotest.(check (float 1e-9))
+          "now_ns rewound" ns0 (Region.stats r).Stats.now_ns;
+        Alcotest.(check int)
+          "fences rewound" fences0 (Region.stats r).Stats.fences);
     Alcotest.test_case "journal records first touch per line only" `Quick
       (fun () ->
         let r = Region.create ~capacity_words:256 () in
-        Region.set_snapshot_mode r Region.Journal;
         let _snap = Region.snapshot r in
         Alcotest.(check int) "empty journal" 0 (Region.journal_entries r);
         Region.store r 0 (Word.of_int 1);
@@ -584,7 +602,6 @@ let snapshot_tests =
     Alcotest.test_case "restoring a stale journal token raises" `Quick
       (fun () ->
         let r = Region.create ~capacity_words:256 () in
-        Region.set_snapshot_mode r Region.Journal;
         let outer = Region.snapshot r in
         Region.store r 0 (Word.of_int 1);
         let inner = Region.snapshot r in
@@ -598,14 +615,15 @@ let snapshot_tests =
 (* The crash worklist against the line states, over random traces of
    stores, FASEs (store, clwb, sfence), stray clwbs and fences, evicting
    loads, snapshots, restores, growth and crashes (every mode, plus
-   torn), run on a journaled and a full-copy region side by side.  After
+   torn), run on a journaled region and its re-executed twin.  After
    every step each region's worklist must list each Dirty or Flushing
    line exactly once and stay within a constant factor of the most
    non-Clean lines seen: the factor is 4, not 2, because a journaled
    restore can trim mid-replay, while both the abandoned and the
    restored dirty lines are non-Clean.  After a crash every line must be
-   durable, and after every crash and restore the two regions' images
-   must agree. *)
+   durable; after every crash and restore the twin must hold the same
+   image, and the same sim clock where its replayed prefix holds no
+   earlier restore. *)
 let worklist_tests =
   let open Pmem in
   let op_gen =
@@ -623,7 +641,7 @@ let worklist_tests =
           (1, return `Grow);
         ])
   in
-  let step r snaps op =
+  let step r op =
     let cap = Region.capacity_words r in
     match op with
     | `Fase w ->
@@ -640,14 +658,6 @@ let worklist_tests =
           let off = (line + (k * Config.l1d_sets)) lsl Config.line_shift in
           if off < cap then ignore (Region.load r off : Word.t)
         done
-    | `Snapshot -> snaps := Region.snapshot r :: !snaps
-    | `Restore i -> (
-        (* restoring a snapshot retires every newer one *)
-        match List.filteri (fun j _ -> j >= i) !snaps with
-        | [] -> ()
-        | s :: _ as rest ->
-            Region.restore r s;
-            snaps := rest)
     | `Crash (m, seed) ->
         let mode, torn =
           match m with
@@ -682,30 +692,47 @@ let worklist_tests =
                   (Region.capacity_words r / Config.words_per_line)
                   Fun.id))
   in
-  let region_of mode =
-    let r = Region.create ~capacity_words:8192 ~seed:3 () in
-    Region.set_snapshot_mode r mode;
-    r
-  in
+  let region () = Region.create ~capacity_words:8192 ~seed:3 () in
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make
          ~name:"crash worklist lists every dirty line (qcheck)" ~count:60
          (QCheck.make QCheck.Gen.(list_size (int_range 1 500) op_gen))
          (fun ops ->
-           let rj = region_of Region.Journal in
-           let rf = region_of Region.Full_copy in
-           let sj = ref [] and sf = ref [] in
-           let pj = ref 0 and pf = ref 0 in
+           let r = region () in
+           let x = reexec region step in
+           (* live snapshots, newest first, with the twin's timeline *)
+           let snaps = ref [] in
+           let pr = ref 0 and px = ref 0 in
            List.for_all
              (fun op ->
-               step rj sj op;
-               step rf sf op;
                let crashed = match op with `Crash _ -> true | _ -> false in
-               let rewound = match op with `Restore _ -> true | _ -> false in
-               sound rj ~peak:pj ~crashed
-               && sound rf ~peak:pf ~crashed
-               && ((not (crashed || rewound)) || Region.images_equal rj rf))
+               let compare_images, compare_clocks =
+                 match op with
+                 | `Snapshot ->
+                     snaps := (Region.snapshot r, x.timeline) :: !snaps;
+                     (false, false)
+                 | `Restore i -> (
+                     (* restoring a snapshot retires every newer one *)
+                     match List.filteri (fun j _ -> j >= i) !snaps with
+                     | [] -> (false, false)
+                     | (snap, prefix) :: _ as rest ->
+                         Region.restore r snap;
+                         reexec_restore x prefix;
+                         snaps := rest;
+                         (true, restore_free prefix))
+                 | ( `Fase _ | `Store _ | `Clwb _ | `Sfence | `Evict _
+                   | `Crash _ | `Grow ) as op ->
+                     step r op;
+                     reexec_op x op;
+                     (crashed, false)
+               in
+               sound r ~peak:pr ~crashed
+               && sound x.twin ~peak:px ~crashed
+               && ((not compare_images) || Region.images_equal r x.twin)
+               && ((not compare_clocks)
+                  || (Region.stats r).Stats.now_ns
+                     = (Region.stats x.twin).Stats.now_ns))
              ops));
     Alcotest.test_case "crash worklist stays bounded without crashes" `Quick
       (fun () ->

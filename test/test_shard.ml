@@ -119,6 +119,14 @@ let test_crash_sweep () =
     "every point consistent" r.Shard.sw_points r.Shard.sw_consistent;
   Alcotest.(check bool) "sweep_ok" true (Shard.sweep_ok r)
 
+(* A GET routed to the crashed shard repeats its newest state in the
+   oracle's history; the window must still reach back to the state
+   before the last SET, whose root write may be in flight. *)
+let test_crash_sweep_repeated_state () =
+  let r = Shard.crash_sweep ~nshards:4 ~requests:160 ~seed:1 () in
+  Alcotest.(check (list string)) "no oracle violations" [] r.Shard.sw_violations;
+  Alcotest.(check bool) "sweep_ok" true (Shard.sweep_ok r)
+
 (* -- Domains mode ----------------------------------------------------------- *)
 
 let test_domains_matches_inline () =
@@ -158,7 +166,11 @@ let () =
       ( "equivalence",
         [ QCheck_alcotest.to_alcotest prop_sharded_equals_single ] );
       ( "crash",
-        [ Alcotest.test_case "single-shard sweep" `Quick test_crash_sweep ] );
+        [
+          Alcotest.test_case "single-shard sweep" `Quick test_crash_sweep;
+          Alcotest.test_case "reads between writes (4 shards, seed 1)" `Quick
+            test_crash_sweep_repeated_state;
+        ] );
       ( "domains",
         [
           Alcotest.test_case "matches inline" `Quick

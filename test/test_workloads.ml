@@ -333,6 +333,38 @@ let gate_tests =
                 (temp (fun p s -> Filename.temp_dir p s)),
               "killtest-shards" );
           ]);
+    Alcotest.test_case "crashtest --shards flag handling" `Quick (fun () ->
+        (* flags the shard sweep would ignore are usage errors; an
+           explicit --stride is honoured, 97 is only the default *)
+        let out = temp Filename.temp_file in
+        let run args =
+          let rc =
+            Sys.command
+              (Printf.sprintf
+                 "../bin/modpm.exe crashtest --shards 2 --ops 1 %s > %s 2>&1"
+                 args out)
+          in
+          let ic = open_in out in
+          let text = really_input_string ic (in_channel_length ic) in
+          close_in ic;
+          (rc, text)
+        in
+        List.iter
+          (fun flag ->
+            let rc, text = run flag in
+            Alcotest.(check int) (flag ^ " exit status") 2 rc;
+            let name = List.hd (String.split_on_char ' ' flag) in
+            Alcotest.(check bool) (flag ^ " named") true (contains text name))
+          [ "--faults"; "--writers 2"; "--persist backup"; "--replay 3"; "--jobs 2" ];
+        let points args =
+          match run args with
+          | 0, text ->
+              Scanf.sscanf text "shard sweep (2 shards, memory): %d crash points"
+                Fun.id
+          | rc, _ -> Alcotest.failf "%S exited %d" args rc
+        in
+        Alcotest.(check bool) "--stride 1 tests more points than 97" true
+          (points "--stride 1 --max-points 1000" > points "--max-points 1000"));
   ]
 
 let () =

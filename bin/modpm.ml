@@ -2,7 +2,6 @@
 
    Subcommands:
      run         -- run a Table 2 workload on a backend, print measurements
-     crash-test  -- randomized crash/recover rounds on a MOD map
      crashtest   -- exhaustive crash-point exploration with the
                     durable-linearizability oracle (and --replay); with
                     --shards N, the single-shard crash sweep instead
@@ -165,41 +164,6 @@ let run_cmd =
       const run $ workload_arg $ backend_arg $ scale_arg $ batch_arg
       $ metrics_arg $ metrics_out_arg $ Cli.persist_arg $ Cli.seed_arg ()
       $ Cli.json_arg)
-
-(* -- crash-test -------------------------------------------------------- *)
-
-let crash_cmd =
-  let module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int) in
-  let run rounds seed =
-    let heap = Pmalloc.Heap.create ~capacity_words:(1 lsl 20) () in
-    let rng = Random.State.make [| seed |] in
-    let survived = ref 0 in
-    for round = 1 to rounds do
-      let m = Imap.open_or_create heap ~slot:0 in
-      let before = Imap.cardinal m in
-      let batch = 1 + Random.State.int rng 20 in
-      for _ = 1 to batch do
-        let k = Random.State.int rng 1000 in
-        if Random.State.bool rng then Imap.insert m k k
-        else ignore (Imap.remove m k : bool)
-      done;
-      let report = Mod_core.Recovery.crash_and_recover_exn heap in
-      let m' = Imap.open_or_create heap ~slot:0 in
-      let after = Imap.cardinal m' in
-      incr survived;
-      Printf.printf "round %3d: %2d ops, crash, recovered %d->%d entries; %s\n"
-        round batch before after
-        (Format.asprintf "%a" Mod_core.Recovery.pp_report report)
-    done;
-    Printf.printf "\n%d/%d rounds recovered to a consistent state.\n" !survived
-      rounds
-  in
-  let rounds =
-    Arg.(value & opt int 10 & info [ "rounds" ] ~doc:"Crash/recover rounds.")
-  in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"RNG seed.") in
-  let doc = "Randomized crash/recovery demonstration on a MOD map." in
-  Cmd.v (Cmd.info "crash-test" ~doc) Term.(const run $ rounds $ seed)
 
 (* -- crashtest ---------------------------------------------------------- *)
 
@@ -581,6 +545,7 @@ let crashtest_cmd =
                 ("fault_recovered", r.fault_recovered);
                 ("fault_degraded", r.fault_degraded);
                 ("fault_fallbacks", r.fault_fallbacks);
+                ("fault_scans", r.fault_scans);
               ];
             fields =
               [
@@ -600,11 +565,12 @@ let crashtest_cmd =
         if faults then
           Printf.printf
             "fault sweep: %d samples, %d recovered, %d degraded (typed), %d \
-             root fallbacks\n"
+             root fallbacks, %d summary fallbacks\n"
             (List.assoc "fault_samples" counters)
             (List.assoc "fault_recovered" counters)
             (List.assoc "fault_degraded" counters)
-            (List.assoc "fault_fallbacks" counters);
+            (List.assoc "fault_fallbacks" counters)
+            (List.assoc "fault_scans" counters);
         Gate.bound gate ~section:"crashtest" ~metric:"points_per_sec"
           points_per_sec;
         write data;
@@ -1366,6 +1332,6 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            run_cmd; crash_cmd; crashtest_cmd; check_cmd; stats_cmd;
+            run_cmd; crashtest_cmd; check_cmd; stats_cmd;
             serve_cmd; killtest_cmd; fsck_cmd; fig4_cmd; machine_cmd;
           ]))

@@ -18,7 +18,12 @@
 
     Reclamation (Section 5.3): after the root moves, the superseded
     version and any intermediate shadows are released; reference counts
-    make sure structurally shared nodes survive. *)
+    make sure structurally shared nodes survive.
+
+    Every commit binds its slots in the heap's root summary
+    ({!Pmalloc.Heap.bind}) before its fence, so a slot's first commit
+    makes its summary bit durable with the shadows, at no extra fence,
+    and later commits pay one bit test. *)
 
 let release_version heap w =
   if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
@@ -39,6 +44,7 @@ let mark_commit heap fn =
    ablation knob: skip reference-count reclamation and leave superseded
    versions to recovery-time GC. *)
 let single ?(intermediates = []) ?(reclaim = true) heap ~slot latest =
+  Pmalloc.Heap.bind heap slot;
   Pmalloc.Heap.sfence heap;
   (* the one ordering point *)
   let old, old_seq = Pmalloc.Heap.root_get_versioned heap slot in
@@ -94,6 +100,7 @@ let commit_cas ?(reclaim = true) ?(before_swing = ignore)
         if reclaim then List.iter (release_version heap) intermediates;
         n
     | Some (latest, intermediates) ->
+        Pmalloc.Heap.bind heap slot;
         Pmalloc.Heap.sfence heap;
         (* shadows durable; from here to the CAS: no PM events *)
         before_swing ();
@@ -200,7 +207,9 @@ let checkpoint ?(intermediates = []) heap ~slot latest =
    at the promotion commit's fence, before the root swing's own clwb is
    launched -- so a crash can leave Backup-policy + pre-promotion root
    (re-promoted on next open, see [reconstruct]) but never a descriptor
-   root with a Full policy word. *)
+   root with a Full policy word.  A slot no commit has bound yet pays
+   one extra fence here: its root-summary bit must be durable before
+   the policy word says Backup. *)
 let enable heap ~slot =
   let root = Pmalloc.Heap.root_get heap slot in
   Pmalloc.Heap.set_policy_durable heap slot Pmalloc.Heap.Backup;
@@ -332,6 +341,7 @@ let sibling_shadow heap ~slot fields =
 let siblings heap ~slot fields =
   let old_parent_w = Pmalloc.Heap.root_get heap slot in
   let fresh = sibling_shadow heap ~slot fields in
+  Pmalloc.Heap.bind heap slot;
   Pmalloc.Heap.sfence heap;
   (* the one ordering point *)
   mark_commit heap (fun () -> Pmalloc.Heap.root_set heap slot fresh);
@@ -342,6 +352,7 @@ let siblings heap ~slot fields =
    transaction then updates the persistent pointers atomically, at the
    cost of the transaction's own ordering points. *)
 let unrelated heap tx updates =
+  List.iter (fun (slot, _) -> Pmalloc.Heap.bind heap slot) updates;
   Pmalloc.Heap.sfence heap;
   let olds = List.map (fun (slot, _) -> Pmalloc.Heap.root_get heap slot) updates in
   mark_commit heap (fun () ->

@@ -3,8 +3,9 @@
 type t =
   | Corrupt_root of { slot : int; detail : string }
       (** The slot's word cannot be a version: a scalar where a pointer
-          should be, or a dangling pointer.  Heap-wide failures (from
-          {!Recovery}) use [slot = -1]. *)
+          should be, a dangling pointer, or a policy word that is neither
+          Full nor Backup.  Heap-wide failures (from {!Recovery}) use
+          [slot = -1]. *)
   | Slot_out_of_range of { slot : int; limit : int }
   | Codec_mismatch of { slot : int; expected : string; found : string }
       (** The root block's shape disagrees with the structure's

@@ -26,6 +26,15 @@ let typed_of_exn = function
       Some
         (Error.Torn_root
            { slot; detail = "both root-record copies failed validation" })
+  | Pmalloc.Heap.Corrupt_policy { slot; word } ->
+      Some
+        (Error.Corrupt_root
+           {
+             slot;
+             detail =
+               Printf.sprintf "policy word %d is neither Full nor Backup"
+                 (Pmem.Word.bits word);
+           })
   | Pmem.Region.Media_fault { off } ->
       Some (Error.Media_error { off; detail = "unrecoverable read fault" })
   | Pmem.Backing.Bad_image { path; detail } ->

@@ -40,9 +40,10 @@ type config = {
   jobs : int;  (** worker processes; 1 = sequential, 0 = one per core *)
   faults : bool;
       (** also sample each crash point under the fault schedule: torn
-          (per-word) line persistence plus armed media faults, asserting
-          the degradation contract -- recovery succeeds or fails with a
-          typed error, never silently corrupts *)
+          (per-word) line persistence plus armed media faults or a
+          corrupted root summary, asserting the degradation contract --
+          recovery succeeds or fails with a typed error, never silently
+          corrupts, and a corrupted summary alone still recovers *)
   worker_kill : int option;
       (** test hook: the given parallel worker index dies before doing
           any work, exercising the shard-resweep path *)
@@ -93,6 +94,9 @@ type result = {
   fault_recovered : int;  (** fault samples recovery fully absorbed *)
   fault_degraded : int;  (** fault samples that failed with a typed error *)
   fault_fallbacks : int;  (** root reads rescued by the secondary copy *)
+  fault_scans : int;
+      (** fault-sample recoveries that found no valid root summary and
+          scanned every root slot *)
   shards_resequenced : int;
       (** parallel-sweep shards re-run sequentially after a worker died *)
   wall_seconds : float;
@@ -150,9 +154,10 @@ let survival_seed cfg ~crash_index ~k =
 let fault_seed cfg ~crash_index ~k =
   (cfg.seed * 7_368_787) + (crash_index * 257) + k
 
-(* Per-point fault schedule: sample [k = 0..3] cycles through the four
+(* Per-point fault schedule: sample [k = 0..4] cycles through the five
    injection kinds on top of a torn crash. *)
-let fault_kinds = 4
+let fault_kinds = 5
+let summary_fault_kind = 4
 
 (* -- one run to a budget ------------------------------------------------- *)
 
@@ -298,14 +303,16 @@ let recover_and_classify_faulted (c : crashed) =
           | Oracle.Consistent -> `Recovered
           | Oracle.Violation d -> `Violation d))
 
-(* Arm the media faults of fault-schedule kind [k mod 4]:
+(* Inject the fault of fault-schedule kind [k mod 5] after the crash:
    0 = pure torn crash, no media fault;
-   1 = primary root-record line bad (typed Media_error: the survivor's
-       freshness cannot be proven, so the heap degrades instead of
-       serving a possibly-stale root);
+   1 = primary root-record line bad, which also holds the root summary
+       (typed Media_error: the survivor's freshness cannot be proven, so
+       the heap degrades instead of serving a possibly-stale root);
    2 = both root-record lines bad (typed Media_error path);
-   3 = a seed-derived heap line bad (reachable-graph scrub path). *)
-let arm_fault_kind region ~k ~seed =
+   3 = a seed-derived heap line bad (reachable-graph scrub path);
+   4 = the root-summary word corrupted, no media fault: the records are
+       intact, so recovery must scan every slot and fully recover. *)
+let inject_fault_kind region ~k ~seed =
   let record_lines =
     List.map
       (fun (off, _) -> Pmem.Region.line_of_word off)
@@ -315,6 +322,7 @@ let arm_fault_kind region ~k ~seed =
   let secondary_line = List.nth record_lines 1 in
   match k mod fault_kinds with
   | 0 -> ()
+  | 4 -> Pmem.Region.corrupt_word region Pmalloc.Heap.summary_off
   | 1 -> Pmem.Region.arm_media_fault region ~line:primary_line
   | 2 ->
       Pmem.Region.arm_media_fault region ~line:primary_line;
@@ -347,6 +355,7 @@ type point_stats = {
   p_frecovered : int;
   p_fdegraded : int;
   p_ffallbacks : int;
+  p_fscans : int;
   p_failures : failure list;
 }
 
@@ -390,17 +399,25 @@ let sample_point cfg subject ~crash_index (c : crashed) =
   let frecovered = ref 0 in
   let fdegraded = ref 0 in
   let ffallbacks = ref 0 in
+  let fscans = ref 0 in
   if cfg.faults then
     for k = 0 to fault_kinds - 1 do
       Pmem.Region.restore region snap;
       let seed = fault_seed cfg ~crash_index ~k in
       Pmalloc.Heap.crash ~mode:Pmem.Region.Randomize ~seed ~torn:true c.c_heap;
-      arm_fault_kind region ~k ~seed;
+      inject_fault_kind region ~k ~seed;
       incr fsampled;
       let fb0 = Pmalloc.Heap.root_fallbacks c.c_heap in
+      let sc0 = Pmalloc.Heap.summary_fallbacks c.c_heap in
       let fail = fail ~mode:Pmem.Region.Randomize ~survival_seed:(Some seed) in
       (match recover_and_classify_faulted c with
       | `Recovered -> incr frecovered
+      | `Degraded te when k = summary_fault_kind ->
+          (* the records are intact: only the summary is damaged *)
+          fail
+            (Printf.sprintf
+               "faults(kind %d): a corrupt root summary degraded recovery: %s"
+               k (Mod_core.Error.to_string te))
       | `Degraded _ -> incr fdegraded
       | `Violation d ->
           fail (Printf.sprintf "faults(kind %d): silent corruption: %s" k d)
@@ -409,6 +426,7 @@ let sample_point cfg subject ~crash_index (c : crashed) =
             (Printf.sprintf "faults(kind %d): untyped exception escaped: %s" k
                (Printexc.to_string e)));
       ffallbacks := !ffallbacks + Pmalloc.Heap.root_fallbacks c.c_heap - fb0;
+      fscans := !fscans + Pmalloc.Heap.summary_fallbacks c.c_heap - sc0;
       Pmem.Region.clear_media_faults region
     done;
   {
@@ -417,6 +435,7 @@ let sample_point cfg subject ~crash_index (c : crashed) =
     p_frecovered = !frecovered;
     p_fdegraded = !fdegraded;
     p_ffallbacks = !ffallbacks;
+    p_fscans = !fscans;
     p_failures = List.rev !failures;
   }
 
@@ -442,6 +461,7 @@ type chunk = {
   ch_frecovered : int;
   ch_fdegraded : int;
   ch_ffallbacks : int;
+  ch_fscans : int;
   ch_resweeps : int;  (** shards re-run sequentially after worker death *)
   ch_failures : (int * failure) list;
       (** tagged with their schedule's index, in work-item order *)
@@ -456,6 +476,7 @@ let sweep_chunk cfg scratch subjects items =
   let frecovered = ref 0 in
   let fdegraded = ref 0 in
   let ffallbacks = ref 0 in
+  let fscans = ref 0 in
   let failures = ref [] in
   List.iter
     (fun (si, budget) ->
@@ -469,6 +490,7 @@ let sweep_chunk cfg scratch subjects items =
           frecovered := !frecovered + p.p_frecovered;
           fdegraded := !fdegraded + p.p_fdegraded;
           ffallbacks := !ffallbacks + p.p_ffallbacks;
+          fscans := !fscans + p.p_fscans;
           List.iter (fun f -> failures := (si, f) :: !failures) p.p_failures)
     items;
   {
@@ -478,6 +500,7 @@ let sweep_chunk cfg scratch subjects items =
     ch_frecovered = !frecovered;
     ch_fdegraded = !fdegraded;
     ch_ffallbacks = !ffallbacks;
+    ch_fscans = !fscans;
     ch_resweeps = 0;
     ch_failures = List.rev !failures;
   }
@@ -566,6 +589,7 @@ let sweep_parallel cfg scratch subjects items ~jobs =
     ch_frecovered = sum (fun c -> c.ch_frecovered);
     ch_fdegraded = sum (fun c -> c.ch_fdegraded);
     ch_ffallbacks = sum (fun c -> c.ch_ffallbacks);
+    ch_fscans = sum (fun c -> c.ch_fscans);
     ch_resweeps = resweeps;
     ch_failures = List.concat_map (fun c -> c.ch_failures) chunks;
   }
@@ -656,6 +680,7 @@ let explore ?(cfg = default) (w : Workload.t) =
     fault_recovered = s.chunk.ch_frecovered;
     fault_degraded = s.chunk.ch_fdegraded;
     fault_fallbacks = s.chunk.ch_ffallbacks;
+    fault_scans = s.chunk.ch_fscans;
     shards_resequenced = s.chunk.ch_resweeps;
     wall_seconds = Unix.gettimeofday () -. t0;
     trace_report;
@@ -752,8 +777,9 @@ let pp_result ppf r =
     | fs -> Printf.sprintf "oracle: %d violation(s)" (List.length fs))
     (if r.fault_samples > 0 then
        Printf.sprintf ", faults: %d samples (%d recovered, %d degraded, %d \
-                       root fallbacks)"
+                       root fallbacks, %d summary fallbacks)"
          r.fault_samples r.fault_recovered r.fault_degraded r.fault_fallbacks
+         r.fault_scans
      else "")
     (if r.shards_resequenced > 0 then
        Printf.sprintf ", %d shard(s) re-swept after worker death"

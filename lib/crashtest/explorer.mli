@@ -25,7 +25,9 @@ type config = {
   jobs : int;  (** worker processes; 1 = sequential, 0 = one per core *)
   faults : bool;
       (** also sample each crash point under the fault schedule (torn
-          lines + armed media faults) against the degradation contract *)
+          lines + armed media faults, or a corrupted root summary)
+          against the degradation contract; a corrupted summary alone
+          must still recover fully *)
   worker_kill : int option;
       (** test hook: the given parallel worker index dies before doing
           any work, exercising the shard-resweep path *)
@@ -58,6 +60,10 @@ type result = {
   fault_recovered : int;
   fault_degraded : int;
   fault_fallbacks : int;
+  fault_scans : int;
+      (** fault-sample recoveries that found no valid root summary (its
+          line faulted or, in kind 4, its word was corrupted) and
+          scanned every root slot *)
   shards_resequenced : int;
   wall_seconds : float;
   trace_report : Mod_core.Consistency.report option;

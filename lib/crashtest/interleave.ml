@@ -128,9 +128,16 @@ let run region ~schedule (writers : (unit -> unit) array) =
           end
           else alive.(i) <- false (* finished writer picked again *)
     in
-    Pmem.Region.set_event_hook region (Some (fun () -> perform Yield));
+    (* a hook already installed (an observer in the tests) still runs
+       after every event, before the yield *)
+    let outer = Pmem.Region.event_hook region in
+    Pmem.Region.set_event_hook region
+      (Some
+         (fun () ->
+           (match outer with Some hook -> hook () | None -> ());
+           perform Yield));
     Fun.protect
-      ~finally:(fun () -> Pmem.Region.set_event_hook region None)
+      ~finally:(fun () -> Pmem.Region.set_event_hook region outer)
       (fun () ->
         let rec loop () =
           if Array.exists Fun.id alive then begin

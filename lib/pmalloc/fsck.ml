@@ -11,22 +11,28 @@
       commit protocol, which catches out-of-band corruption of any line,
       not just root records;
     + root directory: both record copies of every slot validated against
-      their (value, slot, seq) checksums;
+      their (value, slot, seq) checksums, every policy word Full or
+      Backup, and the root summary valid and covering every slot with a
+      live root or a Backup policy word;
     + object graph: a bounds- and header-validating reachability walk
       from every readable root.
 
     Verdicts: [Clean] (everything above passes, no journal pending,
-    full root redundancy), [Degraded] (openable, but redundancy reduced
-    or a journal is awaiting replay/discard), [Corrupt] (the open path
-    would fail or serve detectably damaged data), and -- only with
-    repair -- [Repaired] (the image was rewritten and now reopens).
+    full root redundancy), [Degraded] (openable, but redundancy reduced,
+    the root summary invalid so recovery will scan all 64 slots, or a
+    journal is awaiting replay/discard), [Corrupt] (the open path would
+    fail, serve detectably damaged data, or reclaim a live slot the
+    summary omits), and -- only with repair -- [Repaired] (the image was
+    rewritten and now reopens).
 
     Repair is deliberately lossy-but-safe: resolve the journal, restore
     dual-copy redundancy from each slot's surviving copy, quarantine
-    slots with no usable copy or an unwalkable object graph (nulling
-    them), and atomically rewrite the image (fresh header and checksum,
-    temp file + rename, journal dropped).  The result always reopens;
-    quarantined roots are reported, not silently resurrected. *)
+    slots with no usable copy, a corrupt policy word or an unwalkable
+    object graph (nulling them), rewrite the root summary to cover every
+    remaining live or Backup slot, and atomically rewrite the image
+    (fresh header and checksum, temp file + rename, journal dropped).
+    The result always reopens; quarantined roots are reported, not
+    silently resurrected. *)
 
 type verdict = Clean | Repaired | Degraded | Corrupt
 
@@ -49,6 +55,8 @@ type report = {
   slots : (int * slot_status) list;  (** non-[Dual] slots only *)
   unreachable_slots : int list;  (** slots whose object walk failed *)
   live_blocks : int;
+  summary : int list option;
+      (** slots the root summary covers; [None] when it is invalid *)
   quarantined : int list;  (** repair only: slots nulled *)
 }
 
@@ -59,10 +67,14 @@ let pp_journal ppf = function
 
 let pp_report ppf r =
   Format.fprintf ppf "@[<v>verdict: %s@ journal: %a@ image checksum: %s@ \
-                      live blocks: %d@]"
+                      live blocks: %d@ root summary: %s@]"
     (verdict_name r.verdict) pp_journal r.journal
     (if r.checksum_ok then "ok" else "MISMATCH")
-    r.live_blocks;
+    r.live_blocks
+    (match r.summary with
+    | None -> "invalid"
+    | Some [] -> "no slots"
+    | Some slots -> "slots " ^ String.concat ", " (List.map string_of_int slots));
   List.iter (fun d -> Format.fprintf ppf "@ - %s" d) r.detail;
   (match r.quarantined with
   | [] -> ()
@@ -166,13 +178,40 @@ let walk_root words ~visited root =
 
 (* -- commit-policy / Backup-descriptor validation ------------------------- *)
 
+(* [None] for a word that is neither Full nor Backup. *)
 let policy_of words slot =
-  let off = Heap.policy_off slot in
-  if off >= Array.length words then Heap.Full
-  else
-    let w = Pmem.Word.raw words.(off) in
-    if (not (Pmem.Word.is_ptr w)) && Pmem.Word.to_int w = 1 then Heap.Backup
-    else Heap.Full
+  Heap.policy_of_word (Pmem.Word.raw words.(Heap.policy_off slot))
+
+let bad_policies words =
+  List.filter
+    (fun slot -> policy_of words slot = None)
+    (List.init Heap.root_slots Fun.id)
+
+(* -- root summary ----------------------------------------------------------- *)
+
+let summary_of words =
+  Heap.decode_summary (Pmem.Word.raw words.(Heap.summary_off))
+
+(* The slots recovery must find in the summary: a live root or a Backup
+   policy word. *)
+let bound_slots words =
+  List.filter
+    (fun slot ->
+      (match slot_value words slot with
+      | Some w -> not (Pmem.Word.is_null w)
+      | None -> false)
+      || policy_of words slot = Some Heap.Backup)
+    (List.init Heap.root_slots Fun.id)
+
+let needed_lines words =
+  List.fold_left (fun lines slot -> lines lor Heap.summary_bit slot) 0
+    (bound_slots words)
+
+(* Slots a valid summary omits although recovery must walk them. *)
+let unsummarized words lines =
+  List.filter
+    (fun slot -> lines land Heap.summary_bit slot = 0)
+    (bound_slots words)
 
 (* Shape-check the descriptor a Backup slot's root points at and count
    its log's committed entries.  The generic reachability walk already
@@ -246,7 +285,7 @@ let walk_all words =
              the descriptor swing, which leaves the pre-promotion root
              -- a valid Full-shaped state the open path re-promotes). *)
           if
-            policy_of words slot = Heap.Backup
+            policy_of words slot = Some Heap.Backup
             && (not (List.mem slot !bad))
             && Block.header_of_body body >= Heap.heap_start_words
             && body < Array.length words
@@ -281,6 +320,7 @@ let corrupt_of_bad_image path detail =
     slots = [];
     unreachable_slots = [];
     live_blocks = 0;
+    summary = None;
     quarantined = [];
   }
 
@@ -311,10 +351,31 @@ let check path =
               dead := slot :: !dead;
               push "slot %d: both record copies invalid" slot
         done;
+      let has_directory = Array.length words >= Heap.heap_start_words in
+      let bad_policy = if has_directory then bad_policies words else [] in
+      List.iter
+        (fun slot ->
+          push "slot %d: policy word %d is neither Full nor Backup" slot
+            words.(Heap.policy_off slot))
+        bad_policy;
+      let summary = if has_directory then summary_of words else None in
+      let omitted =
+        match summary with
+        | Some lines -> unsummarized words lines
+        | None ->
+            if has_directory then
+              push "root summary invalid: recovery will scan all %d slots"
+                Heap.root_slots;
+            []
+      in
+      List.iter
+        (fun slot ->
+          push "slot %d: bound but missing from the root summary (recovery \
+                would reclaim it)"
+            slot)
+        omitted;
       let live_blocks, unreachable, walk_details =
-        if Array.length words >= Heap.heap_start_words then
-          walk_all words
-        else (0, [], [])
+        if has_directory then walk_all words else (0, [], [])
       in
       List.iter (fun m -> push "%s" m) walk_details;
       (match img.Pmem.Backing.i_journal with
@@ -324,11 +385,12 @@ let check path =
       let verdict =
         if
           (not checksum_ok)
-          || !dead <> [] || unreachable <> []
-          || Array.length words < Heap.heap_start_words
+          || !dead <> [] || unreachable <> [] || bad_policy <> []
+          || omitted <> [] || not has_directory
         then Corrupt
         else if
-          !degraded_slots <> [] || img.Pmem.Backing.i_journal <> Jnone
+          !degraded_slots <> [] || summary = None
+          || img.Pmem.Backing.i_journal <> Jnone
         then Degraded
         else Clean
       in
@@ -340,6 +402,7 @@ let check path =
         slots = !degraded_slots;
         unreachable_slots = unreachable;
         live_blocks;
+        summary = Option.map Heap.summary_slots summary;
         quarantined = [];
       }
 
@@ -358,13 +421,14 @@ let write_record words ~slot ~copy ~seq v =
 let quarantine words slot =
   write_record words ~slot ~copy:0 ~seq:0 Pmem.Word.null;
   write_record words ~slot ~copy:1 ~seq:0 Pmem.Word.null;
-  if Heap.policy_off slot < Array.length words then
-    words.(Heap.policy_off slot) <- Pmem.Word.bits (Pmem.Word.of_int 0)
+  words.(Heap.policy_off slot) <- Pmem.Word.bits (Pmem.Word.of_int 0)
 
 (* Repair = resolve journal (inspect already applied/ignored it), restore
-   dual-copy redundancy, quarantine dead or unwalkable slots, atomically
-   rewrite the image.  Returns the post-repair report ([Repaired] verdict
-   when anything was fixed; an already-clean image stays [Clean]). *)
+   dual-copy redundancy, quarantine dead slots, corrupt policy words and
+   unwalkable slots, make the summary cover every remaining live or
+   Backup slot, atomically rewrite the image.  Returns the post-repair
+   report ([Repaired] verdict when anything was fixed; an already-clean
+   image stays [Clean]). *)
 let repair path =
   match Pmem.Backing.inspect ~path with
   | exception Pmem.Backing.Bad_image { path = p; detail } ->
@@ -378,6 +442,12 @@ let repair path =
       else begin
         let touched = ref (img.Pmem.Backing.i_journal <> Jnone) in
         let quarantined = ref [] in
+        let quarantine slot =
+          quarantine words slot;
+          if not (List.mem slot !quarantined) then
+            quarantined := slot :: !quarantined;
+          touched := true
+        in
         if not img.Pmem.Backing.i_checksum_ok then touched := true;
         (* dual-copy redundancy: copy the survivor over the bad cell *)
         for slot = 0 to Heap.root_slots - 1 do
@@ -391,27 +461,34 @@ let repair path =
           | Error _, Ok (seq, v) ->
               write_record words ~slot ~copy:0 ~seq v;
               touched := true
-          | Error _, Error _ ->
-              quarantine words slot;
-              quarantined := slot :: !quarantined;
-              touched := true
+          | Error _, Error _ -> quarantine slot
         done;
+        List.iter quarantine (bad_policies words);
         (* unwalkable graphs: null the offending root *)
         let rec stabilize () =
           let _, bad, _ = walk_all words in
-          match bad with
-          | [] -> ()
-          | slots ->
-              List.iter
-                (fun slot ->
-                  quarantine words slot;
-                  if not (List.mem slot !quarantined) then
-                    quarantined := slot :: !quarantined;
-                  touched := true)
-                slots;
-              stabilize ()
+          if bad <> [] then begin
+            List.iter quarantine bad;
+            stabilize ()
+          end
         in
         stabilize ();
+        (* a slot the summary omits keeps its root: only the summary
+           grows (quarantined slots may keep a stale bit, which costs
+           recovery one more slot and nothing else) *)
+        let needed = needed_lines words in
+        let lines =
+          match summary_of words with
+          | Some lines when lines land needed = needed -> None
+          | Some lines -> Some (lines lor needed)
+          | None -> Some needed
+        in
+        Option.iter
+          (fun lines ->
+            words.(Heap.summary_off) <-
+              Pmem.Word.bits (Heap.encode_summary lines);
+            touched := true)
+          lines;
         if !touched then Pmem.Backing.rewrite ~path ~words;
         let r = check path in
         {

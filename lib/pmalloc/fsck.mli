@@ -3,9 +3,14 @@
     Validates the {e effective} image (file with a committed sidecar
     journal applied, a torn one ignored) without mutating disk unless
     {!repair} is called: file structure, whole-image checksum, both
-    copies of every root record, a bounds- and header-validating
-    reachability walk per root, and -- for slots whose durable policy
-    word says Backup -- the descriptor/op-log shape on top.  An image
+    copies of every root record, every policy word, the root summary
+    (invalid = [Degraded]: recovery will scan all 64 slots; valid but
+    omitting a slot with a live root or a Backup policy word =
+    [Corrupt]: recovery would reclaim it), a bounds- and
+    header-validating reachability walk per root, and -- for slots whose
+    durable policy word says Backup -- the descriptor/op-log shape on
+    top.  A policy word that is neither Full nor Backup is [Corrupt].
+    An image
     whose interior nodes were never flushed is still [Clean] under
     Backup (interior-absent is the point of the policy); a damaged
     anchor, log or descriptor is [Corrupt]. *)
@@ -27,6 +32,8 @@ type report = {
   slots : (int * slot_status) list;  (** non-[Dual] slots only *)
   unreachable_slots : int list;  (** slots whose object walk failed *)
   live_blocks : int;
+  summary : int list option;
+      (** slots the root summary covers; [None] when it is invalid *)
   quarantined : int list;  (** repair only: slots nulled *)
 }
 
@@ -38,8 +45,10 @@ val check : string -> report
 
 val repair : string -> report
 (** Resolve the journal, restore dual-copy root redundancy from each
-    slot's surviving copy, quarantine slots with no usable copy or an
-    unwalkable object graph (nulling the root and demoting its policy
-    word to Full), and atomically rewrite the image.  The result always
-    reopens; quarantined slots are reported, never silently
-    resurrected. *)
+    slot's surviving copy, quarantine slots with no usable copy, a
+    corrupt policy word or an unwalkable object graph (nulling the root
+    and demoting its policy word to Full), rewrite the root summary so
+    it covers every remaining slot with a live root or a Backup policy
+    word (a slot it omitted keeps its root), and atomically rewrite the
+    image.  The result always reopens; quarantined slots are reported,
+    never silently resurrected. *)

@@ -20,7 +20,16 @@
     unfenced root swing would have re-exposed anyway.  Only when both
     copies fail validation (double corruption, or a media fault paired
     with a tear) does the heap give up, with a typed [Torn_root] or a
-    re-raised [Media_fault] -- never a silently wrong root. *)
+    re-raised [Media_fault] -- never a silently wrong root.
+
+    Root summary.  The otherwise unused fourth word of slot 0's copy-0
+    cell holds one checksummed word recording which record lines the
+    heap has ever bound (line [k] of a bank holds slots [2k] and
+    [2k+1]).  A slot's bit is durable before any copy of its record
+    holds a non-null value and before its policy word says Backup, so
+    recovery reads the summary and validates only the bound slots; when
+    the word fails its check or its line faults, it scans all of
+    them. *)
 
 let root_slots = 64
 
@@ -62,7 +71,52 @@ let checksum ~slot ~seq w =
   let x = x * 0xC4CEB9FE1A85EC5 in
   x lxor (x lsr 32)
 
+(* The root summary: one word, so a torn crash cannot split it.  Bits
+   31..62 hold the bitmap of bound record lines (32 lines per bank),
+   bits 0..30 a check over it whose top bit is always set: the all-zero
+   word of a fresh region or of an image written before the summary
+   existed never validates, and [Pmem.Region.corrupt_word] (xor 0x55)
+   flips check bits only, so it never turns a valid word into another
+   valid one. *)
+let summary_off = copy_stride - 1
+
+(* Every commit tests its slot's bit, so the bits are tabled once. *)
+let summary_bits =
+  Array.init root_slots (fun slot ->
+      1 lsl (copy_stride * slot / Pmem.Config.words_per_line))
+
+let summary_bit slot = summary_bits.(slot)
+let check_bits = 31
+let check_top = 1 lsl (check_bits - 1)
+
+let summary_check lines =
+  let x = (lines + 1) * 0x9E3779B97F4A7C1 in
+  let x = x lxor (x lsr 29) in
+  let x = x * 0xFF51AFD7ED558C1 in
+  let x = x lxor (x lsr 32) in
+  (x land (check_top - 1)) lor check_top
+
+let encode_summary lines =
+  Pmem.Word.raw ((lines lsl check_bits) lor summary_check lines)
+
+let decode_summary w =
+  let bits = Pmem.Word.bits w in
+  let lines = bits lsr check_bits in
+  if bits land ((1 lsl check_bits) - 1) = summary_check lines then Some lines
+  else None
+
+let summary_slots lines =
+  List.filter
+    (fun slot -> lines land summary_bit slot <> 0)
+    (List.init root_slots Fun.id)
+
+(* A fresh heap's summary already covers line 0, the line that holds the
+   summary itself: recovery loads it anyway, and slots 0 and 1 -- where
+   structures and benchmarks put their roots -- never pay a bind. *)
+let fresh_lines = summary_bit 0
+
 exception Torn_root of { slot : int }
+exception Corrupt_policy of { slot : int; word : Pmem.Word.t }
 
 (* Volatile per-slot state of a Backup-policy structure.  The durable
    side is a 4-word descriptor node the root slot points at (magic,
@@ -124,6 +178,16 @@ type t = {
   rcache_seq : int array;
   rcache_target : int array; (* copy the next swing overwrites *)
   rcache_tseq : int array; (* sequence the next swing stamps *)
+  (* Root-summary lines (volatile, seeded by recovery; see [bind]):
+     [sum_bound] every summary this heap writes must cover,
+     [sum_stored] the summary word holds in the volatile view with its
+     flush launched, [sum_fenced] a fence has made durable.  Each set
+     contains the next; they differ only between a bind and its fence,
+     or after a recovery that had to scan. *)
+  mutable sum_bound : int;
+  mutable sum_stored : int;
+  mutable sum_fenced : int;
+  mutable summary_fallbacks : int;
 }
 
 let region t = t.region
@@ -154,12 +218,60 @@ let span t ~structure ~op ?ops f =
   Telemetry.span_on t.telemetry ~structure ~op ?ops f
 let root_torn_detected t = t.root_torn_detected
 let root_fallbacks t = t.root_fallbacks
+let summary_fallbacks t = t.summary_fallbacks
 let commit_mode t = t.commit_mode
 let set_commit_mode t mode = t.commit_mode <- mode
 
 let check_slot slot =
   if slot < 0 || slot >= root_slots then
     invalid_arg (Printf.sprintf "Heap: root slot %d out of range" slot)
+
+(* -- root summary ---------------------------------------------------------- *)
+
+(* Bind [slot]: make sure the summary word covers its line.  A bound
+   slot costs one bit test.  Otherwise store the widened word and launch
+   its flush, with no fence: commit paths bind before the fence they
+   already issue, so the bit is durable before their record write.  The
+   store and clwb run as one atomic section (a CAS on the summary word
+   in a real heap): a concurrent writer never sees the bit before its
+   flush is launched, so that writer's own commit fence drains it. *)
+let bind t slot =
+  check_slot slot;
+  let bit = summary_bit slot in
+  if t.sum_stored land bit = 0 then begin
+    let lines = t.sum_bound lor bit in
+    Pmem.Region.atomic t.region (fun () ->
+        Pmem.Region.store t.region summary_off (encode_summary lines);
+        Pmem.Region.clwb t.region summary_off);
+    t.sum_bound <- lines;
+    t.sum_stored <- lines
+  end
+
+(* A fence drains every summary flush launched before it.  The stored
+   set is read before the fence: under the interleaving explorer another
+   writer may bind while this one yields at the fence event. *)
+let fence_summary t =
+  let stored = t.sum_stored in
+  Pmem.Region.sfence t.region;
+  t.sum_fenced <- t.sum_fenced lor stored
+
+(* The ordering rule every record and policy writer obeys: a slot's bit
+   is durable before any copy of its record holds a non-null value and
+   before its policy word says Backup.  Commit paths find the bit
+   already fenced.  A writer with no commit fence in front of it (a
+   direct [root_set], enabling Backup on a fresh slot) binds and fences
+   here, once per slot per heap.  A bit stored but not yet fenced means
+   its bind came after the caller's commit fence: a misordered commit,
+   refused instead of being patched with a second fence. *)
+let ensure_bound t slot =
+  let bit = summary_bit slot in
+  if t.sum_fenced land bit = 0 then begin
+    if t.sum_stored land bit <> 0 then
+      invalid_arg
+        (Printf.sprintf "Heap: slot %d was bound after its commit fence" slot);
+    bind t slot;
+    fence_summary t
+  end
 
 let rcache_valid t slot =
   t.rcache_epoch.(slot) = Pmem.Region.integrity_epoch t.region
@@ -264,6 +376,7 @@ let target_copy t slot =
 
 let root_record_stores t slot w =
   check_slot slot;
+  ensure_bound t slot;
   (* the caller applies these stores outside this module's view, so the
      cached post-state can no longer be trusted once they land *)
   rcache_invalidate t slot;
@@ -278,31 +391,41 @@ let root_record_stores t slot w =
 let root_record_ranges slot =
   [ (copy_off ~copy:0 slot, 3); (copy_off ~copy:1 slot, 3) ]
 
+(* A heap over [region] with empty volatile state; [lines] is what the
+   region's summary durably covers (seeded by recovery when unknown). *)
+let make region ~lines =
+  {
+    region;
+    allocator = Allocator.create region ~heap_start:heap_start_words;
+    root_torn_detected = 0;
+    root_fallbacks = 0;
+    commit_mode = Swing;
+    policies = Array.make root_slots Full;
+    backup = Hashtbl.create 8;
+    backlog = Hashtbl.create 64;
+    backup_depth = 0;
+    telemetry = None;
+    rcache_epoch = Array.make root_slots (-1);
+    rcache_value = Array.make root_slots Pmem.Word.null;
+    rcache_seq = Array.make root_slots 0;
+    rcache_target = Array.make root_slots 0;
+    rcache_tseq = Array.make root_slots 0;
+    sum_bound = lines;
+    sum_stored = lines;
+    sum_fenced = lines;
+    summary_fallbacks = 0;
+  }
+
 let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
     =
   let region = Pmem.Region.create ~capacity_words ~trace ~seed ?file () in
-  let t =
-    {
-      region;
-      allocator = Allocator.create region ~heap_start:heap_start_words;
-      root_torn_detected = 0;
-      root_fallbacks = 0;
-      commit_mode = Swing;
-      policies = Array.make root_slots Full;
-      backup = Hashtbl.create 8;
-      backlog = Hashtbl.create 64;
-      backup_depth = 0;
-      telemetry = None;
-      rcache_epoch = Array.make root_slots (-1);
-      rcache_value = Array.make root_slots Pmem.Word.null;
-      rcache_seq = Array.make root_slots 0;
-      rcache_target = Array.make root_slots 0;
-      rcache_tseq = Array.make root_slots 0;
-    }
-  in
+  let t = make region ~lines:fresh_lines in
   (* Fresh heap: both copies of every record are durable, valid null
      pointers at sequence 0 (the tie breaks toward overwriting copy 0
-     first), and every policy word durably Full. *)
+     first), every policy word durably Full and the summary durably
+     covering line 0 only.  The summary is stored right after the record
+     it shares a cell with, so the directory's lines are touched in the
+     same order as without it. *)
   for slot = 0 to root_slots - 1 do
     List.iter
       (fun copy ->
@@ -310,7 +433,9 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
         Pmem.Region.store region off Pmem.Word.null;
         Pmem.Region.store region (off + 1) (Pmem.Word.raw 0);
         Pmem.Region.store region (off + 2)
-          (Pmem.Word.raw (checksum ~slot ~seq:0 Pmem.Word.null)))
+          (Pmem.Word.raw (checksum ~slot ~seq:0 Pmem.Word.null));
+        if slot = 0 && copy = 0 then
+          Pmem.Region.store region summary_off (encode_summary fresh_lines))
       [ 0; 1 ];
     Pmem.Region.store region (policy_off slot) (Pmem.Word.raw 0)
   done;
@@ -328,6 +453,7 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
    previous consistent version of the record. *)
 let root_set t slot w =
   check_slot slot;
+  ensure_bound t slot;
   if rcache_valid t slot then begin
     (* Incremental swing: the stale copy's identity and the next sequence
        number are already known, so only the touched record's checksum is
@@ -373,7 +499,9 @@ let root_set t slot w =
    against the crash budget, and the record write keeps the ping-pong
    discipline (only the stale copy is touched), so a crash landing
    mid-CAS re-exposes the previous committed value exactly as under
-   {!root_set}. *)
+   {!root_set}.  A slot the CAS binds (no commit fence before it)
+   binds inside the atomic section, in [root_set], so a concurrent
+   commit's fence-to-CAS window stays free of PM events. *)
 let root_cas t slot ~expected ~expected_seq ~desired =
   check_slot slot;
   Pmem.Region.atomic t.region (fun () ->
@@ -391,16 +519,62 @@ let get_policy t slot =
   check_slot slot;
   t.policies.(slot)
 
-(* Re-read the durable policy words into the volatile cache (recovery,
-   reopen).  A media fault on a policy line propagates: the caller is
-   the recovery path, which wraps it as a typed degradation. *)
-let refresh_policies t =
-  for slot = 0 to root_slots - 1 do
-    let w = Pmem.Region.load t.region (policy_off slot) in
-    t.policies.(slot) <-
-      (if (not (Pmem.Word.is_ptr w)) && Pmem.Word.to_int w = 1 then Backup
-       else Full)
-  done
+let policy_word = function
+  | Full -> Pmem.Word.of_int 0
+  | Backup -> Pmem.Word.of_int 1
+
+let policy_of_word w =
+  if Pmem.Word.bits w = Pmem.Word.bits (policy_word Full) then Some Full
+  else if Pmem.Word.bits w = Pmem.Word.bits (policy_word Backup) then
+    Some Backup
+  else None
+
+(* Recovery's read of the directory.  Load the summary; validate the
+   policy words and both record copies of the slots it binds (all of
+   them when it fails its check or its line faults); every other slot
+   is Full and null.  Reads only: the bound set is seeded from the
+   summary, or after a scan from every slot found non-null or Backup --
+   left unstored, so the next bind writes a summary covering them.  A
+   media fault on a policy or record line propagates, and a policy word
+   that is neither Full nor Backup raises [Corrupt_policy]: the caller
+   is the recovery path, which surfaces both as typed errors. *)
+let read_directory t =
+  let summary =
+    match Pmem.Region.load t.region summary_off with
+    | w -> decode_summary w
+    | exception Pmem.Region.Media_fault _ -> None
+  in
+  let slots =
+    match summary with
+    | Some lines -> summary_slots lines
+    | None ->
+        t.summary_fallbacks <- t.summary_fallbacks + 1;
+        List.init root_slots Fun.id
+  in
+  Array.fill t.policies 0 root_slots Full;
+  List.iter
+    (fun slot ->
+      let word = Pmem.Region.load t.region (policy_off slot) in
+      match policy_of_word word with
+      | Some p -> t.policies.(slot) <- p
+      | None -> raise (Corrupt_policy { slot; word }))
+    slots;
+  let roots = List.map (fun slot -> (slot, root_get t slot)) slots in
+  (match summary with
+  | Some lines ->
+      t.sum_bound <- lines;
+      t.sum_stored <- lines;
+      t.sum_fenced <- lines
+  | None ->
+      t.sum_bound <-
+        List.fold_left
+          (fun lines (slot, w) ->
+            if Pmem.Word.is_null w && t.policies.(slot) = Full then lines
+            else lines lor summary_bit slot)
+          0 roots;
+      t.sum_stored <- 0;
+      t.sum_fenced <- 0);
+  (roots, summary <> None)
 
 (* Record the policy durably: a single store + clwb, ordered by the
    promotion commit's fence ({!sfence} inside [Commit.single]), which
@@ -408,8 +582,8 @@ let refresh_policies t =
    durable descriptor root implies a durable Backup policy word. *)
 let set_policy_durable t slot policy =
   check_slot slot;
-  Pmem.Region.store t.region (policy_off slot)
-    (Pmem.Word.of_int (match policy with Full -> 0 | Backup -> 1));
+  if policy = Backup then ensure_bound t slot;
+  Pmem.Region.store t.region (policy_off slot) (policy_word policy);
   Pmem.Region.clwb t.region (policy_off slot);
   t.policies.(slot) <- policy
 
@@ -486,7 +660,7 @@ let clwb_range t off words = Pmem.Region.clwb_range t.region off words
    by that commit can no longer be reached from any durable root and the
    allocator may hand them out again. *)
 let sfence t =
-  Pmem.Region.sfence t.region;
+  fence_summary t;
   Allocator.epoch_flush t.allocator
 let crash ?mode ?seed ?torn t = Pmem.Region.crash ?mode ?seed ?torn t.region
 
@@ -506,6 +680,10 @@ let reset_fresh t ~pristine =
   invalidate_root_cache t;
   t.root_torn_detected <- 0;
   t.root_fallbacks <- 0;
+  t.summary_fallbacks <- 0;
+  t.sum_bound <- fresh_lines;
+  t.sum_stored <- fresh_lines;
+  t.sum_fenced <- fresh_lines;
   t.commit_mode <- Swing;
   Array.fill t.policies 0 root_slots Full;
   clear_backup_runtime t;
@@ -534,26 +712,7 @@ let open_file ?(trace = false) ?(seed = 42) ~path () =
                (Pmem.Region.capacity_words region)
                heap_start_words;
          });
-  let t =
-    {
-      region;
-      allocator = Allocator.create region ~heap_start:heap_start_words;
-      root_torn_detected = 0;
-      root_fallbacks = 0;
-      commit_mode = Swing;
-      policies = Array.make root_slots Full;
-      backup = Hashtbl.create 8;
-      backlog = Hashtbl.create 64;
-      backup_depth = 0;
-      telemetry = None;
-      rcache_epoch = Array.make root_slots (-1);
-      rcache_value = Array.make root_slots Pmem.Word.null;
-      rcache_seq = Array.make root_slots 0;
-      rcache_target = Array.make root_slots 0;
-      rcache_tseq = Array.make root_slots 0;
-    }
-  in
-  (t, journal)
+  (make region ~lines:0, journal)
 
 let close t = Pmem.Region.close_file t.region
 

@@ -19,7 +19,8 @@ val root_directory_words : int
     later.  {!root_set} overwrites only the stale copy, so at most one
     copy is ever in flight when a crash hits: torn crashes and media
     faults can invalidate at most that copy, and {!root_get} falls back
-    to the survivor. *)
+    to the survivor.  The fourth word of slot 0's copy-0 cell holds the
+    root summary ({!summary_off}). *)
 
 type policy = Full | Backup
 (** Per-slot commit policy ("Don't Persist All").  [Full] is the paper's
@@ -32,12 +33,78 @@ val policy_name : policy -> string
 
 val policy_words : int
 (** One durable policy word per slot, stored at
-    [root_directory_words + slot]: 0 = Full, 1 = Backup.  Written once at
-    promotion, ordered before the descriptor root swing by the promotion
-    commit's fence. *)
+    [root_directory_words + slot]: scalar 0 = Full, scalar 1 = Backup;
+    any other word is corrupt.  Written once at promotion, ordered
+    before the descriptor root swing by the promotion commit's fence.
+    The slot's summary bit is durable before the word says Backup. *)
 
 val policy_off : int -> int
 (** Word offset of slot [s]'s durable policy word (offline inspection). *)
+
+val policy_of_word : Pmem.Word.t -> policy option
+(** Decode a durable policy word; [None] when it is neither Full nor
+    Backup. *)
+
+(** {1 Root summary}
+
+    One checksummed word at {!summary_off} records which record lines
+    the heap has ever bound: line [k] of a bank holds slots [2k] and
+    [2k+1], and bit [k] of the 32-bit line set covers both.  A fresh
+    heap's summary covers line 0, the line the summary itself lives in,
+    so slots 0 and 1 never pay a bind.  The ordering rule: a slot's bit
+    is durable before any copy of its record holds a non-null value and
+    before its policy word says Backup.
+    Commit paths {!bind} before the fence they already issue; a record
+    or policy writer that finds the bit unbound ({!root_set},
+    {!root_cas}, {!root_record_stores}, {!set_policy_durable} to Backup)
+    binds and fences once per slot per heap.  Recovery reads the word
+    first and validates only the bound slots ({!read_directory}); a word
+    that fails its check or faults sends it through all 64. *)
+
+val summary_off : int
+(** Word offset of the summary: the unused fourth word of slot 0's
+    copy-0 cell, inside the root directory. *)
+
+val summary_bit : int -> int
+(** The line-set bit that covers slot [s]. *)
+
+val summary_slots : int -> int list
+(** The slots a line set covers, ascending. *)
+
+val encode_summary : int -> Pmem.Word.t
+(** The summary word for a line set: the 32-bit set above a 31-bit check
+    whose top bit is set, so the word 0 never validates and no
+    [Pmem.Region.corrupt_word] of a valid word validates. *)
+
+val decode_summary : Pmem.Word.t -> int option
+(** The line set of a valid summary word; [None] when the check fails. *)
+
+val bind : t -> int -> unit
+(** Make the summary cover slot [s]: one bit test when it already does;
+    otherwise store the widened word and clwb it, with no fence -- the
+    caller's next fence makes it durable, and the caller must issue that
+    fence before writing the slot's record or policy word.  A bind after
+    that fence makes the write raise [Invalid_argument]. *)
+
+exception Corrupt_policy of { slot : int; word : Pmem.Word.t }
+(** Raised by {!read_directory} when a slot's policy word is neither
+    Full nor Backup (typed by [Mod_core.Recovery] as [Corrupt_root]). *)
+
+val read_directory : t -> (int * Pmem.Word.t) list * bool
+(** Recovery's read of the directory: load the summary, then the policy
+    word and both record copies ({!root_get}) of every slot it binds, or
+    of all 64 slots when the summary fails its check or its line faults.
+    Returns each validated slot with its root, ascending, and whether
+    the summary was used.  Refreshes the policy cache (unread slots are
+    Full) and seeds the bound set: from the summary, or after a scan
+    from every slot found non-null or Backup, so the next bind writes a
+    summary covering them.  Issues loads only.  Raises
+    {!Corrupt_policy}, {!Torn_root} or [Media_fault] as {!root_get}
+    does. *)
+
+val summary_fallbacks : t -> int
+(** Times {!read_directory} found no valid summary and scanned every
+    slot (volatile diagnostic counter; reset by {!reset_fresh}). *)
 
 val heap_start_words : int
 (** First word of the block heap: the root directory plus the policy
@@ -53,7 +120,8 @@ exception Torn_root of { slot : int }
 
 val create :
   ?capacity_words:int -> ?trace:bool -> ?seed:int -> ?file:string -> unit -> t
-(** Fresh heap with all root slots durably null.  [trace] enables the
+(** Fresh heap with all root slots durably null and a valid root
+    summary covering line 0 (slots 0 and 1).  [trace] enables the
     Section 5.4 event trace; [seed] drives crash nondeterminism.  With
     [~file:path] the heap is file-backed (see {!Pmem.Region.create}):
     every fence commits the durable image's changed lines to [path] as
@@ -128,7 +196,9 @@ val root_set : t -> int -> Pmem.Word.t -> unit
     the checksummed record (all three words inside one cacheline) and
     launch one weakly-ordered flush; the flush is ordered by the {e
     next} fence (epoch persistency) -- losing it in a crash merely
-    re-exposes the other copy, the previous consistent version. *)
+    re-exposes the other copy, the previous consistent version.  A slot
+    the summary does not yet durably cover is bound and fenced first
+    (see {!bind}). *)
 
 type commit_mode = Swing | Cas
 (** How Full-policy commits install their root.  [Swing] is the paper's
@@ -158,13 +228,15 @@ val root_cas :
     reused by a later version) fails the compare, where a plain
     value-compare would wrongly succeed and install a shadow built from
     a dead version.  Crash-wise it is exactly a {!root_set}: a power cut
-    mid-record re-exposes the surviving copy. *)
+    mid-record re-exposes the surviving copy.  A winning CAS on a slot
+    the summary does not yet durably cover binds and fences inside the
+    atomic section. *)
 
 val root_record_stores : t -> int -> Pmem.Word.t -> (int * Pmem.Word.t) list
 (** [(offset, word)] stores that write slot [s]'s record for a given
     value into the currently stale copy -- for callers that must route
     the root swing through another write path (e.g. a PM-STM
-    transaction) instead of {!root_set}. *)
+    transaction) instead of {!root_set}.  Binds like {!root_set}. *)
 
 val root_record_ranges : int -> (int * int) list
 (** [(offset, words)] extents of the two copies of slot [s]'s record
@@ -217,16 +289,13 @@ val flush_block : t -> int -> unit
 
 val get_policy : t -> int -> policy
 (** The cached policy of a slot (refreshed from the durable words by
-    recovery; [Full] on a freshly created or reopened heap until then). *)
-
-val refresh_policies : t -> unit
-(** Re-read the durable policy words into the cache.  Propagates
-    [Media_fault] if a policy line is armed -- callers on the recovery
-    path surface it as a typed degradation. *)
+    {!read_directory}; [Full] on a freshly created or reopened heap
+    until then). *)
 
 val set_policy_durable : t -> int -> policy -> unit
 (** Store + clwb the slot's policy word and update the cache.  The write
-    is ordered by the caller's next fence. *)
+    is ordered by the caller's next fence.  Setting Backup on a slot
+    the summary does not yet durably cover binds and fences first. *)
 
 type backup_state = {
   mutable b_current : Pmem.Word.t;
@@ -269,7 +338,8 @@ val clwb_range : t -> int -> int -> unit
 val sfence : t -> unit
 (** Drain all in-flight flushes, then hand epoch-deferred frees back to
     the allocator (the previous commit's root write is now durable, so
-    no durable root can reference them). *)
+    no durable root can reference them).  Summary bits bound before the
+    fence count as durable after it. *)
 
 val crash :
   ?mode:Pmem.Region.crash_mode -> ?seed:int -> ?torn:bool -> t -> unit
@@ -283,8 +353,9 @@ val pristine_snapshot : t -> Pmem.Region.snapshot
 
 val reset_fresh : t -> pristine:Pmem.Region.snapshot -> unit
 (** Rewind the region to the pristine snapshot and reset all volatile
-    allocator state: observably equivalent to a fresh {!create} with the
-    same parameters, but O(state touched since the snapshot). *)
+    allocator and summary state: observably equivalent to a fresh
+    {!create} with the same parameters, but O(state touched since the
+    snapshot). *)
 
 val record_copy_off : copy:int -> int -> int
 (** Word offset of copy [copy] (0 or 1) of slot [s]'s root record --

@@ -16,12 +16,16 @@
     Reachability only ever traverses blocks that were made durable by a
     completed commit (a block becomes reachable only after the fence that
     persisted it), so headers and payloads read here are never torn.
-    Roots themselves are read through {!Heap.root_get}, so a torn or
-    media-bad root record is either rescued from its secondary copy or
-    surfaces as a typed failure before any graph walk trusts it.  When
-    media faults are armed, the walk also scrubs raw-block payloads so an
-    unreadable reachable line is detected {e now}, during recovery,
-    rather than at first use. *)
+    Roots themselves are read through {!Heap.read_directory}: it loads
+    the root summary first and validates only the slots the heap has
+    bound (every slot when the summary fails its check or faults), so a
+    recovery reads only the directory lines of the slots in use.  Each root
+    goes through {!Heap.root_get}, so a torn or media-bad root record is
+    either rescued from its secondary copy or surfaces as a typed failure
+    before any graph walk trusts it.  When media faults are armed, the
+    walk also scrubs raw-block payloads so an unreadable reachable line
+    is detected {e now}, during recovery, rather than at first use.
+    Recovery issues no PM store on either directory path. *)
 
 type report = {
   live_blocks : int;
@@ -29,13 +33,17 @@ type report = {
   reclaimed_extents : int;
   reclaimed_words : int;
   frontier : int;
+  root_slots_read : int;
+  via_summary : bool;
 }
 
 let pp_report ppf r =
   Format.fprintf ppf
     "recovery: %d live blocks (%d words), reclaimed %d extents (%d words), \
-     frontier %d"
+     frontier %d; %d root slots read via %s"
     r.live_blocks r.live_words r.reclaimed_extents r.reclaimed_words r.frontier
+    r.root_slots_read
+    (if r.via_summary then "the summary" else "a full scan")
 
 (* A growable int stack: the walk's worklists are flat buffers, so a
    recovery allocates no cell or tuple per block. *)
@@ -60,14 +68,10 @@ let recover heap =
   (* Recovery runs right after a crash or reopen: every cached root-record
      view predates the failure and must be re-validated from PM. *)
   Heap.invalidate_root_cache heap;
-  (* Volatile commit-policy state died with the crash; re-read the
-     durable policy words (a media fault here propagates and is surfaced
-     typed by the recovery wrapper).  Backup slots' volatile current
-     versions are rebuilt later, by each structure's log replay -- the
-     graph walk below only needs the descriptor/anchor/log blocks, which
-     are ordinary reachable nodes. *)
+  (* Backup slots' volatile current versions are rebuilt later, by each
+     structure's log replay -- the graph walk below only needs the
+     descriptor/anchor/log blocks, which are ordinary reachable nodes. *)
   Heap.clear_backup_runtime heap;
-  Heap.refresh_policies heap;
   (* Media scrub is only useful when faults can actually fire; without
      armed faults every load succeeds, so skip the extra payload reads
      (raw blocks can be large -- e.g. the PM-STM undo log). *)
@@ -75,6 +79,11 @@ let recover heap =
   (* In-degrees are counted in the allocator's refcount table, which
      clears in O(1); a walk that raises leaves it cleared. *)
   Allocator.recovery_begin allocator;
+  (* The volatile policy cache and bound set died with the crash: read
+     them back with the roots (a media fault, a torn pair or a corrupt
+     policy word propagates and is surfaced typed by the recovery
+     wrapper). *)
+  let roots, via_summary = Heap.read_directory heap in
   (* every reachable body, in visit order *)
   let found = { a = Array.make 64 0; n = 0 } in
   (* Explicit worklist of (body, scan) pairs: recursion here would be
@@ -103,11 +112,11 @@ let recover heap =
           end
     end
   in
-  for slot = 0 to Heap.root_slots - 1 do
-    let w = Heap.root_get heap slot in
-    if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
-      visit (Pmem.Word.to_ptr w)
-  done;
+  List.iter
+    (fun (_, w) ->
+      if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
+        visit (Pmem.Word.to_ptr w))
+    roots;
   while pending.n > 0 do
     let scan = pop pending in
     let body = pop pending in
@@ -159,4 +168,6 @@ let recover heap =
     reclaimed_extents = !extents;
     reclaimed_words = !reclaimed;
     frontier = !frontier;
+    root_slots_read = List.length roots;
+    via_summary;
   }

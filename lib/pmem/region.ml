@@ -261,6 +261,7 @@ let tick t =
   | Some hook when not t.hook_suspended -> hook ()
   | _ -> ()
 
+let event_hook t = t.event_hook
 let set_event_hook t hook = t.event_hook <- hook
 
 (* Run [f] with the event hook suspended: the section's PM events still

@@ -150,6 +150,10 @@ val set_event_hook : t -> (unit -> unit) option -> unit
 (** Install (or clear, with [None]) the post-event hook.  The hook runs
     after the crash-budget check, so a crashing event never yields. *)
 
+val event_hook : t -> (unit -> unit) option
+(** The installed hook, so a layer that installs its own can chain to
+    it and put it back. *)
+
 val atomic : t -> (unit -> 'a) -> 'a
 (** [atomic t f] runs [f] with the event hook suspended: no other
     writer is scheduled between [f]'s PM events, but the events still

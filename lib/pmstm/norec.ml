@@ -87,7 +87,9 @@ let create ?(log_capacity_words = 1 lsl 10)
   Pmalloc.Heap.store heap log_body (Pmem.Word.of_int 0);
   Pmalloc.Heap.clwb heap log_body;
   (* register the log in the root directory so recovery reachability
-     never reclaims it, then make registration + empty marker durable *)
+     never reclaims it, then make registration + empty marker durable
+     (a never-bound log slot first pays one fence to bind it in the
+     root summary, inside [root_set]) *)
   Pmalloc.Heap.root_set heap log_root_slot (Pmem.Word.of_ptr log_body);
   Pmalloc.Heap.sfence heap;
   {

@@ -55,10 +55,13 @@ exception Log_full
 exception Log_full_retry
 
 (* [log_root_slot] registers the log block in the heap's root directory so
-   recovery-time reachability analysis never reclaims it. *)
+   recovery-time reachability analysis never reclaims it.  The slot is
+   bound in the root summary before the fence [Wal.create] issues, so
+   registering the log adds no fence. *)
 let create ?(log_capacity_words = 1 lsl 16) ?(check_adds = true)
     ?(broken_ordering = false)
     ?(log_root_slot = Pmalloc.Heap.root_slots - 1) heap ~version =
+  Pmalloc.Heap.bind heap log_root_slot;
   let log = Wal.create heap ~capacity_words:log_capacity_words in
   Pmalloc.Heap.root_set heap log_root_slot (Pmem.Word.of_ptr (Wal.body log));
   Pmalloc.Heap.sfence heap;

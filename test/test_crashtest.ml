@@ -477,17 +477,211 @@ let golden_tests =
       (fun () ->
         pinned_sweep ~cfg:{ quick_cfg with Crashtest.Explorer.faults = true }
           "map" ~ops:5)
-      [ 22L; 88L; 88L; 44L; 44L; 32L; 0L; 4703560101942788096L ];
+      [ 22L; 88L; 110L; 66L; 44L; 50L; 0L; 4693628368027910144L ];
     pin "Backup policy sweep (vec)"
       (fun () ->
         pinned_sweep ~persist:Pmalloc.Heap.Backup ~cfg:quick_cfg "vec" ~ops:5)
-      [ 96L; 384L; 0L; 0L; 0L; 0L; 0L; 4710961725384425472L ];
+      [ 96L; 384L; 0L; 0L; 0L; 0L; 0L; 4693513512012480512L ];
     pin "strided sweep (queue)"
       (fun () -> journaled_and_reexecuted "queue" ~ops:5)
-      [ 25L; 100L; 0L; 0L; 0L; 0L; 0L; 4702154893870235648L ];
+      [ 25L; 100L; 0L; 0L; 0L; 0L; 0L; 4684798215915044864L ];
     pin "strided sweep (stm-broken)"
       (fun () -> journaled_and_reexecuted "stm-broken" ~ops:4)
-      [ 29L; 116L; 0L; 0L; 0L; 0L; 27L; 4702915075164340224L ];
+      [ 29L; 116L; 0L; 0L; 0L; 0L; 30L; 4688497007390621696L ];
+  ]
+
+(* -- the root summary ------------------------------------------------------ *)
+
+module H = Pmalloc.Heap
+
+(* The ordering rule, read off the image: every slot whose current record
+   copies hold a non-null value, or whose current policy word says Backup,
+   is covered by the summary read from the durable image. *)
+let summary_violation heap =
+  let region = H.region heap in
+  match H.decode_summary (Pmem.Region.peek_durable region H.summary_off) with
+  | None -> Some "the durable summary fails its check"
+  | Some lines ->
+      List.find_map
+        (fun slot ->
+          let root =
+            List.exists
+              (fun (off, _) ->
+                not (Pmem.Word.is_null (Pmem.Region.peek_current region off)))
+              (H.root_record_ranges slot)
+          in
+          let backup =
+            H.policy_of_word (Pmem.Region.peek_current region (H.policy_off slot))
+            = Some H.Backup
+          in
+          if (root || backup) && lines land H.summary_bit slot = 0 then
+            Some
+              (Printf.sprintf "slot %d holds %s the durable summary omits" slot
+                 (if root then "a root" else "a Backup policy word"))
+          else None)
+        (List.init H.root_slots Fun.id)
+
+(* Run [body] on a fresh heap with the rule checked after every PM event
+   (the interleaver chains to the hook); fail on the first breach. *)
+let check_summary_rule label make =
+  let heap = H.create ~capacity_words:(1 lsl 14) ~trace:true () in
+  let region = H.region heap in
+  let body = make heap in
+  let breach = ref None in
+  Pmem.Region.set_event_hook region
+    (Some
+       (fun () ->
+         if !breach = None then
+           Option.iter
+             (fun d ->
+               breach :=
+                 Some (Printf.sprintf "after PM event %d: %s"
+                         (Pmem.Region.pm_events region) d))
+             (summary_violation heap)));
+  Fun.protect
+    ~finally:(fun () -> Pmem.Region.set_event_hook region None)
+    body;
+  Option.iter (fun d -> Alcotest.failf "%s: %s" label d) !breach
+
+let run_seq (w : Crashtest.Workload.t) heap =
+  let inst = w.make heap in
+  fun () ->
+    inst.init ();
+    for i = 0 to w.ops - 1 do
+      inst.run_op i
+    done
+
+(* Every bind path on slots outside line 0, which a fresh heap's summary
+   already covers: a Basic map commit, a siblings parent, a batched
+   unrelated commit, a CAS commit, a Backup promotion, a direct root
+   swing, and the two STM logs. *)
+let fresh_slot_paths heap () =
+  let module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int) in
+  let m = Imap.open_or_create heap ~slot:4 in
+  Imap.insert m 1 10;
+  let parent = Pfds.Node.alloc heap ~words:1 in
+  Pfds.Node.set heap parent 0 (Imap.empty_version heap);
+  Pfds.Node.finish heap parent;
+  Mod_core.Commit.single heap ~slot:6 (Pmem.Word.of_ptr parent);
+  let f = Imap.insert_pure heap (Pfds.Node.get heap parent 0) 2 20 in
+  Mod_core.Commit.siblings heap ~slot:6 [ (0, f) ];
+  let b = Mod_core.Batch.create heap in
+  Mod_core.Batch.stage b ~slot:8 (fun v -> Imap.insert_pure heap v 3 30);
+  Mod_core.Batch.stage b ~slot:10 (fun v -> Imap.insert_pure heap v 4 40);
+  ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point);
+  ignore
+    (Mod_core.Commit.commit_cas heap ~slot:12 ~build:(fun v ->
+         Some (Imap.insert_pure heap v 5 50, []))
+      : int);
+  let bm = Imap.open_or_create ~persist:H.Backup heap ~slot:14 in
+  Imap.insert bm 6 60;
+  H.root_set heap 16 (Imap.insert_pure heap (Imap.empty_version heap) 7 70);
+  H.sfence heap;
+  ignore (Pmstm.Norec.create heap : Pmstm.Norec.t)
+
+let summary_tests =
+  let seq label w =
+    Alcotest.test_case label `Quick (fun () ->
+        check_summary_rule label (run_seq w))
+  in
+  let ops = 6 in
+  List.map
+    (fun name -> seq (name ^ ": rule holds") (Crashtest.Workload.build name ~ops))
+    Crashtest.Workload.names
+  @ List.map
+      (fun name ->
+        seq
+          (name ^ " (backup): rule holds")
+          (Crashtest.Workload.build ~persist:H.Backup name ~ops))
+      Crashtest.Workload.backup_names
+  @ List.map
+      (fun name ->
+        Alcotest.test_case (name ^ " x2: rule holds") `Quick (fun () ->
+            let cw = Crashtest.Workload.cbuild name ~writers:2 ~ops:4 in
+            List.iter
+              (fun schedule ->
+                check_summary_rule name (fun heap ->
+                    let inst = cw.cmake heap in
+                    fun () ->
+                      inst.c_init ();
+                      Crashtest.Interleave.run (H.region heap) ~schedule
+                        inst.c_writers))
+              Crashtest.Explorer.default_schedules))
+      Crashtest.Workload.concurrent_names
+  @ [
+      Alcotest.test_case "fresh-line binds: rule holds" `Quick
+        (fun () -> check_summary_rule "fresh slots" fresh_slot_paths);
+    ]
+
+(* At every sampled crash point, recovery through the summary and
+   recovery forced through the full scan (summary word corrupted) agree on
+   the reclamation report, the allocator ledger and the oracle verdict,
+   and neither issues a PM store. *)
+let differential name ?persist ~ops () =
+  let w = Crashtest.Workload.build ?persist name ~ops in
+  let cfg = quick_cfg in
+  let total =
+    match Crashtest.Explorer.run_until cfg w ~budget:None with
+    | `Completed (events, _) -> events
+    | `Crashed _ -> assert false
+  in
+  let budget = ref 1 in
+  while !budget <= total do
+    (match Crashtest.Explorer.run cfg (Seq w) ~budget:(Some !budget) with
+    | `Completed _ -> ()
+    | `Crashed c ->
+        let heap = c.c_heap in
+        let region = H.region heap in
+        let snap = Pmem.Region.snapshot region in
+        List.iter
+          (fun (mode, seed) ->
+            let crash ~scan =
+              Pmem.Region.restore region snap;
+              H.crash ~mode ?seed heap;
+              if scan then Pmem.Region.corrupt_word region H.summary_off
+            in
+            let gc ~scan =
+              crash ~scan;
+              let stats = H.stats heap in
+              let stores = stats.Pmem.Stats.stores in
+              let r = Pmalloc.Recovery_gc.recover heap in
+              if stats.Pmem.Stats.stores <> stores then
+                Alcotest.failf "%s@%d: recovery stored to PM" name !budget;
+              let a = H.allocator heap in
+              ( { r with root_slots_read = 0; via_summary = true },
+                r.via_summary,
+                Pmalloc.Allocator.
+                  (live_words a, free_words a, pad_words a, frontier a) )
+            in
+            let r1, path1, a1 = gc ~scan:false in
+            let r2, path2, a2 = gc ~scan:true in
+            let where = Printf.sprintf "%s@%d" name !budget in
+            Alcotest.(check (pair bool bool)) (where ^ ": paths") (true, false)
+              (path1, path2);
+            if r1 <> r2 then Alcotest.failf "%s: reports differ" where;
+            if a1 <> a2 then Alcotest.failf "%s: allocator ledgers differ" where;
+            let judge ~scan =
+              crash ~scan;
+              Crashtest.Explorer.recover_and_check c
+            in
+            Alcotest.check verdict (where ^ ": oracle") (judge ~scan:false)
+              (judge ~scan:true))
+          [
+            (Pmem.Region.Drop_inflight, None);
+            (Pmem.Region.Keep_inflight, None);
+            (Pmem.Region.Randomize, Some (7 * !budget));
+          ]);
+    budget := !budget + 3
+  done
+
+let differential_tests =
+  [
+    Alcotest.test_case "map: summary = scan" `Quick
+      (differential "map" ~ops:8);
+    Alcotest.test_case "unrelated: summary = scan" `Quick
+      (differential "unrelated" ~ops:6);
+    Alcotest.test_case "vec backup: summary = scan" `Quick
+      (differential "vec" ~persist:H.Backup ~ops:8);
   ]
 
 let () =
@@ -502,4 +696,6 @@ let () =
       ("parity", parity_tests);
       ("seed", seed_tests);
       ("golden", golden_tests);
+      ("summary", summary_tests);
+      ("summary-diff", differential_tests);
     ]

@@ -293,6 +293,33 @@ let fault_detection_qcheck =
       | Error (Mod_core.Error.Torn_root _) -> true
       | Error _ -> false)
 
+(* -- corrupt policy words ---------------------------------------------------- *)
+
+module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int)
+
+(* A policy word that is neither Full nor Backup used to read as Full:
+   recovery succeeded, the open path accepted the Backup descriptor as a
+   map root, and the first read raised an untyped exception. *)
+let policy_tests =
+  [
+    Alcotest.test_case "corrupt policy word: Corrupt_root" `Quick
+      (fun () ->
+        let heap = fresh_heap () in
+        let m = Imap.open_or_create ~persist:Pmalloc.Heap.Backup heap ~slot:0 in
+        for k = 1 to 10 do
+          Imap.insert m k k
+        done;
+        Pmalloc.Heap.sfence heap;
+        Pmem.Region.corrupt_word (Pmalloc.Heap.region heap)
+          (Pmalloc.Heap.policy_off 0);
+        Pmalloc.Heap.crash ~mode:Pmem.Region.Drop_inflight heap;
+        match Mod_core.Recovery.recover heap with
+        | Error (Mod_core.Error.Corrupt_root { slot = 0; _ }) -> ()
+        | Error e ->
+            Alcotest.failf "wrong error: %s" (Mod_core.Error.to_string e)
+        | Ok _ -> Alcotest.fail "recovery accepted a corrupt policy word");
+  ]
+
 (* -- explorer fault sweep and dead-worker resweep --------------------------- *)
 
 let quick_faults_cfg =
@@ -315,7 +342,13 @@ let explorer_tests =
         Alcotest.(check int) "every sample recovered or degraded typed"
           r.Crashtest.Explorer.fault_samples
           (r.Crashtest.Explorer.fault_recovered
-          + r.Crashtest.Explorer.fault_degraded));
+          + r.Crashtest.Explorer.fault_degraded);
+        (* kinds 1 and 2 fault the summary's line, kind 4 corrupts its
+           word: each scans every slot, and kind 4 (any degradation there
+           is a failure) always recovers *)
+        Alcotest.(check int) "three summary fallbacks per point"
+          (3 * r.Crashtest.Explorer.points_tested)
+          r.Crashtest.Explorer.fault_scans);
     Alcotest.test_case "dead worker's shard is re-swept sequentially" `Quick
       (fun () ->
         let w = Crashtest.Workload.build "queue" ~ops:5 in
@@ -373,6 +406,7 @@ let () =
     [
       ("region", region_tests);
       ("root-records", root_record_tests);
+      ("policy-word", policy_tests);
       ( "qcheck",
         [
           QCheck_alcotest.to_alcotest fault_sweep_qcheck;

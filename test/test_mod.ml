@@ -252,6 +252,44 @@ let fase_tests =
               Mod_core.Commit.siblings heap ~slot:0 [ (0, f0); (1, f1) ])
         in
         Alcotest.(check int) "one fence" 1 profile.Mod_core.Fase.fences);
+    (* A fresh heap's root summary covers slots 0 and 1 only; the first
+       commit to any other slot binds it before the fence it already
+       issues. *)
+    Alcotest.test_case "first FASE on a fresh slot: 1 fence" `Quick
+      (fun () ->
+        let heap = mk_heap ~capacity:(1 lsl 20) () in
+        let check_one label slot f =
+          let _, profile = Mod_core.Fase.run heap f in
+          Alcotest.(check int) (label ^ ": one fence") 1
+            profile.Mod_core.Fase.fences;
+          match
+            Pmalloc.Heap.decode_summary
+              (Pmem.Region.peek_durable (Pmalloc.Heap.region heap)
+                 Pmalloc.Heap.summary_off)
+          with
+          | Some lines when lines land Pmalloc.Heap.summary_bit slot <> 0 -> ()
+          | _ -> Alcotest.failf "%s: slot %d missing from the summary" label slot
+        in
+        let m = Imap.open_or_create heap ~slot:4 in
+        check_one "single" 4 (fun () -> Imap.insert m 1 10);
+        let parent = Pfds.Node.alloc heap ~words:1 in
+        Pfds.Node.set heap parent 0 (Imap.empty_version heap);
+        Pfds.Node.finish heap parent;
+        check_one "siblings parent" 6 (fun () ->
+            Mod_core.Commit.single heap ~slot:6 (Pmem.Word.of_ptr parent));
+        check_one "siblings" 6 (fun () ->
+            let f = Imap.insert_pure heap (Pfds.Node.get heap parent 0) 2 20 in
+            Mod_core.Commit.siblings heap ~slot:6 [ (0, f) ]);
+        check_one "batch" 8 (fun () ->
+            let b = Mod_core.Batch.create heap in
+            Mod_core.Batch.stage b ~slot:8 (fun v -> Imap.insert_pure heap v 3 30);
+            Mod_core.Batch.stage b ~slot:8 (fun v -> Imap.insert_pure heap v 4 40);
+            ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
+        check_one "commit_cas" 10 (fun () ->
+            ignore
+              (Mod_core.Commit.commit_cas heap ~slot:10 ~build:(fun v ->
+                   Some (Imap.insert_pure heap v 5 50, []))
+                : int)));
   ]
 
 (* -- Composition interface --------------------------------------------------- *)

@@ -273,6 +273,105 @@ let fsck_tests =
         cleanup path);
   ]
 
+(* -- fsck and reopen around the root summary ------------------------------ *)
+
+module H = Pmalloc.Heap
+module Dstack = Mod_core.Dstack
+
+(* Rewrite one word of a closed image with a fresh image checksum, the
+   way an image written by another build would carry it. *)
+let rewrite_word path ~index f =
+  let words = Array.copy (Pmem.Backing.inspect ~path).Pmem.Backing.i_words in
+  words.(index) <- f words.(index);
+  Pmem.Backing.rewrite ~path ~words
+
+let verdict path = Pmalloc.Fsck.(verdict_name (check path).verdict)
+
+let reopen path =
+  match Mod_core.Recovery.open_file ~path () with
+  | Ok o -> o
+  | Error e -> Alcotest.failf "reopen: %s" (Mod_core.Error.to_string e)
+
+(* A Full map on slot 0, a stack on slot 7 and a Backup map on slot 12. *)
+let three_slot_image path =
+  let heap = H.create ~capacity_words:(1 lsl 14) ~file:path () in
+  let m = Imap.open_or_create heap ~slot:0 in
+  let st = Dstack.open_or_create heap ~slot:7 in
+  let b = Imap.open_or_create ~persist:H.Backup heap ~slot:12 in
+  for k = 1 to 12 do
+    Imap.insert m k (k * 3);
+    Dstack.push st (Pmem.Word.of_int k);
+    Imap.insert b k (k * 5)
+  done;
+  H.sfence heap;
+  H.close heap
+
+let check_three_slots heap =
+  Alcotest.(check int) "map" 36 (Option.get (Imap.find (Imap.open_or_create heap ~slot:0) 12));
+  Alcotest.(check int) "stack" 12
+    (Pmem.Word.to_int (Option.get (Dstack.peek (Dstack.open_or_create heap ~slot:7))));
+  Alcotest.(check int) "backup map" 12
+    (Imap.cardinal (Imap.open_or_create ~persist:H.Backup heap ~slot:12))
+
+let summary_fsck_tests =
+  [
+    Alcotest.test_case "summary 0: reopens, degraded"
+      `Quick (fun () ->
+        let path = temp_image () in
+        three_slot_image path;
+        rewrite_word path ~index:H.summary_off (fun _ -> 0);
+        Alcotest.(check string) "fsck" "degraded" (verdict path);
+        let o = reopen path in
+        Alcotest.(check bool) "recovery scanned every slot" false
+          o.Mod_core.Recovery.recovery.gc.Pmalloc.Recovery_gc.via_summary;
+        check_three_slots o.heap;
+        H.close o.heap;
+        let r = Pmalloc.Fsck.repair path in
+        Alcotest.(check (option (list int))) "repaired summary"
+          (Some [ 0; 1; 6; 7; 12; 13 ]) r.Pmalloc.Fsck.summary;
+        Alcotest.(check string) "after repair" "clean" (verdict path);
+        let o = reopen path in
+        Alcotest.(check bool) "recovery used the summary" true
+          o.Mod_core.Recovery.recovery.gc.Pmalloc.Recovery_gc.via_summary;
+        check_three_slots o.heap;
+        H.close o.heap;
+        cleanup path);
+    Alcotest.test_case "summary omits a live slot"
+      `Quick (fun () ->
+        let path = temp_image () in
+        three_slot_image path;
+        rewrite_word path ~index:H.summary_off (fun _ ->
+            Pmem.Word.bits
+              (H.encode_summary (H.summary_bit 0 lor H.summary_bit 12)));
+        Alcotest.(check string) "fsck" "corrupt" (verdict path);
+        let r = Pmalloc.Fsck.repair path in
+        Alcotest.(check (list int)) "nothing quarantined" []
+          r.Pmalloc.Fsck.quarantined;
+        Alcotest.(check string) "after repair" "clean" (verdict path);
+        let o = reopen path in
+        check_three_slots o.heap;
+        H.close o.heap;
+        cleanup path);
+    Alcotest.test_case "corrupt policy word: repair" `Quick
+      (fun () ->
+        let path = temp_image () in
+        three_slot_image path;
+        rewrite_word path ~index:(H.policy_off 12) (fun w -> w lxor 0x55);
+        Alcotest.(check string) "fsck" "corrupt" (verdict path);
+        (match Mod_core.Recovery.open_file ~path () with
+        | Error (Mod_core.Error.Corrupt_root { slot = 12; _ }) -> ()
+        | Error e -> Alcotest.failf "reopen: %s" (Mod_core.Error.to_string e)
+        | Ok _ -> Alcotest.fail "reopen accepted a corrupt policy word");
+        let r = Pmalloc.Fsck.repair path in
+        Alcotest.(check (list int)) "slot 12 quarantined" [ 12 ]
+          r.Pmalloc.Fsck.quarantined;
+        let o = reopen path in
+        Alcotest.(check int) "map intact" 36
+          (Option.get (Imap.find (Imap.open_or_create o.heap ~slot:0) 12));
+        H.close o.heap;
+        cleanup path);
+  ]
+
 (* -- flush accounting ----------------------------------------------------- *)
 
 let flush_tests =
@@ -317,6 +416,7 @@ let () =
     [
       ("policy", policy_tests);
       ("fsck-backup", fsck_tests);
+      ("fsck-summary", summary_fsck_tests);
       ("flushes", flush_tests);
       ( "differential",
         [ QCheck_alcotest.to_alcotest ~long:true differential_property ] );

@@ -553,7 +553,7 @@ module Reference_gc = struct
     let region = H.region heap in
     H.invalidate_root_cache heap;
     H.clear_backup_runtime heap;
-    H.refresh_policies heap;
+    let roots, via_summary = H.read_directory heap in
     let scrub = Pmem.Region.media_fault_count region > 0 in
     let reachable : (int, int * int * int) Hashtbl.t = Hashtbl.create 4096 in
     let pending = Stack.create () in
@@ -583,11 +583,11 @@ module Reference_gc = struct
               visit (Pmem.Word.to_ptr w)
           done
     in
-    for slot = 0 to H.root_slots - 1 do
-      let w = H.root_get heap slot in
-      if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
-        visit (Pmem.Word.to_ptr w)
-    done;
+    List.iter
+      (fun (_, w) ->
+        if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
+          visit (Pmem.Word.to_ptr w))
+      roots;
     while not (Stack.is_empty pending) do
       scan (Stack.pop pending)
     done;
@@ -637,6 +637,8 @@ module Reference_gc = struct
           reclaimed_extents = !gaps;
           reclaimed_words = !reclaimed;
           frontier;
+          root_slots_read = List.length roots;
+          via_summary;
         };
       indeg = List.map (fun (_, _, body, d) -> (body, d)) blocks;
       extents = List.rev !extents;
@@ -860,6 +862,103 @@ let recovery_tests =
           "ledgers cover the span" (span ()) (live + free + pad));
   ]
 
+(* -- the root summary ------------------------------------------------------ *)
+
+let summary_tests =
+  let module H = Pmalloc.Heap in
+  (* one region for every case: a region's cache hierarchy is costly *)
+  let region = Pmem.Region.create ~capacity_words:64 () in
+  let lines = QCheck.(map (fun (hi, lo) -> (hi lsl 16) lor lo)
+                        (pair (int_bound 0xFFFF) (int_bound 0xFFFF))) in
+  let counts heap =
+    let s = H.stats heap in
+    Pmem.Stats.(s.stores, s.clwbs, s.fences)
+  in
+  let durable_lines heap =
+    H.decode_summary
+      (Pmem.Region.peek_durable (H.region heap) H.summary_off)
+  in
+  let chain heap slot =
+    let b = H.alloc heap ~kind:Pmalloc.Block.Scanned ~words:2 in
+    H.store heap b (Pmem.Word.of_int slot);
+    H.store heap (b + 1) Pmem.Word.null;
+    H.flush_block heap b;
+    H.sfence heap;
+    H.root_set heap slot (Pmem.Word.of_ptr b)
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"summary word encoding (qcheck)" ~count:1000
+         lines (fun lines ->
+           Pmem.Region.store region 3 (H.encode_summary lines);
+           Pmem.Region.corrupt_word region 3;
+           H.decode_summary (H.encode_summary lines) = Some lines
+           && H.decode_summary (Pmem.Region.peek_current region 3) = None));
+    Alcotest.test_case "encoding edge cases" `Quick (fun () ->
+        List.iter
+          (fun lines ->
+            Alcotest.(check (option int)) "round trip" (Some lines)
+              (H.decode_summary (H.encode_summary lines)))
+          [ 0; 1; 0xFFFF_FFFF; 1 lsl 31 ];
+        Alcotest.(check (option int)) "0 never validates" None
+          (H.decode_summary Pmem.Word.zero);
+        Alcotest.(check (list int)) "line 31 covers slots 62 and 63"
+          [ 62; 63 ] (H.summary_slots (H.summary_bit 63)));
+    Alcotest.test_case "recovery: bound slots, no stores"
+      `Quick (fun () ->
+        let heap = mk_heap () in
+        Alcotest.(check (option int)) "fresh heap covers line 0"
+          (Some (H.summary_bit 0)) (durable_lines heap);
+        chain heap 0;
+        chain heap 9;
+        H.sfence heap;
+        let recover () =
+          let before = counts heap in
+          let r = Pmalloc.Recovery_gc.recover heap in
+          Alcotest.(check (triple int int int)) "no store, clwb or fence"
+            before (counts heap);
+          r
+        in
+        H.crash heap;
+        let r = recover () in
+        Alcotest.(check (pair int bool)) "summary: slots 0, 1, 8, 9"
+          (4, true)
+          (r.Pmalloc.Recovery_gc.root_slots_read, r.via_summary);
+        H.crash heap;
+        Pmem.Region.corrupt_word (H.region heap) H.summary_off;
+        let r' = recover () in
+        Alcotest.(check (pair int bool)) "corrupt summary: full scan"
+          (H.root_slots, false)
+          (r'.Pmalloc.Recovery_gc.root_slots_read, r'.via_summary);
+        Alcotest.(check int) "one fallback" 1 (H.summary_fallbacks heap);
+        Alcotest.(check (list int)) "same live blocks and frontier"
+          [ r.live_blocks; r.live_words; r.frontier ]
+          [ r'.live_blocks; r'.live_words; r'.frontier ];
+        (* the scan seeded slots 0 and 9 unstored: the next bind writes a
+           summary that covers both again *)
+        chain heap 20;
+        Alcotest.(check (option int)) "healed summary"
+          (Some (H.summary_bit 0 lor H.summary_bit 9 lor H.summary_bit 20))
+          (durable_lines heap));
+    Alcotest.test_case "direct swing binds and fences once"
+      `Quick (fun () ->
+        let heap = mk_heap () in
+        let fences () = (H.stats heap).Pmem.Stats.fences in
+        let f0 = fences () in
+        H.root_set heap 5 (Pmem.Word.of_int 1);
+        Alcotest.(check int) "first swing of a fresh slot: one fence" 1
+          (fences () - f0);
+        H.root_set heap 5 (Pmem.Word.of_int 2);
+        H.root_set heap 4 (Pmem.Word.of_int 3);
+        Alcotest.(check int) "bound line: no fence" 1 (fences () - f0);
+        Alcotest.(check (option int)) "durable summary"
+          (Some (H.summary_bit 0 lor H.summary_bit 5)) (durable_lines heap);
+        H.bind heap 40;
+        Alcotest.check_raises "bind after the commit fence"
+          (Invalid_argument "Heap: slot 40 was bound after its commit fence")
+          (fun () -> H.root_set heap 40 (Pmem.Word.of_int 4)));
+  ]
+
 let () =
   Alcotest.run "pmalloc"
     [
@@ -872,4 +971,5 @@ let () =
       ("freelist", freelist_tests);
       ("roots", root_tests);
       ("recovery", recovery_tests @ reference_tests);
+      ("summary", summary_tests);
     ]

@@ -800,10 +800,10 @@ let golden_tests =
             assert (name = name');
             Alcotest.(check int64) name expected actual)
           [
-            ("now_ns bits", 4719993203568525695L);
+            ("now_ns bits", 4719990357884256639L);
             ("ns_flush bits", 4717712281208325150L);
-            ("l1_hits", 5690079L);
-            ("l1_misses", 85895L);
+            ("l1_hits", 5689715L);
+            ("l1_misses", 85826L);
             ("lines_drained", 307078L);
             ("live_words", 71400L);
             ("find hits", 1061L);
@@ -812,7 +812,7 @@ let golden_tests =
         Alcotest.(check string)
           "recovery report"
           "recovery: 5734 live blocks (71400 words), reclaimed 280 extents \
-           (20456 words), frontier 92432"
+           (20456 words), frontier 92432; 2 root slots read via the summary"
           report);
   ]
 

@@ -64,7 +64,7 @@ let () =
   Mod_core.Commit.unrelated heap tx [ (0, v0'); (1, v1') ];
   let report =
     recovered "cross-map move"
-      (Mod_core.Recovery.crash_and_recover ~stm:tx heap)
+      (Mod_core.Recovery.crash_and_recover ~stm:true heap)
   in
   Format.printf "3. cross-map move + crash: %a@." Mod_core.Recovery.pp_report
     report;

@@ -41,11 +41,9 @@ let typed_of_exn = function
       Some (Error.Bad_image { path; detail })
   | _ -> None
 
-let recover_exn ?stm ?(norec = false) heap =
+let recover_exn ?(stm = false) ?(norec = false) heap =
   match
-    let stm_rolled_back =
-      match stm with Some tx -> Pmstm.Tx.recover tx | None -> false
-    in
+    let stm_rolled_back = stm && Pmstm.Tx.recover heap in
     (* a committed-but-unretired NOrec redo log replays forward (the
        mirror image of the undo rollback above) before reachability *)
     let norec_replayed = if norec then Pmstm.Norec.recover heap else false in

@@ -16,8 +16,10 @@ type report = {
 }
 
 val recover :
-  ?stm:Pmstm.Tx.t -> ?norec:bool -> Pmalloc.Heap.t -> (report, Error.t) result
+  ?stm:bool -> ?norec:bool -> Pmalloc.Heap.t -> (report, Error.t) result
 (** Recovery against the current durable image (call after a crash).
+    [stm:true] first rolls back an interrupted {!Pmstm.Tx} transaction
+    from the undo log its root slot names ({!Pmstm.Tx.recover}).
     A durable image recovery cannot make sense of -- an unreadable undo
     log, an unscannable block graph -- comes back as
     [Error (Corrupt_root { slot = -1; _ })] rather than an exception;
@@ -35,7 +37,7 @@ val crash_and_recover :
   ?mode:Pmem.Region.crash_mode ->
   ?seed:int ->
   ?torn:bool ->
-  ?stm:Pmstm.Tx.t ->
+  ?stm:bool ->
   ?norec:bool ->
   Pmalloc.Heap.t ->
   (report, Error.t) result
@@ -45,7 +47,7 @@ val crash_and_recover :
     replays a committed-but-unretired {!Pmstm.Norec} redo log before
     the reachability analysis. *)
 
-val recover_exn : ?stm:Pmstm.Tx.t -> ?norec:bool -> Pmalloc.Heap.t -> report
+val recover_exn : ?stm:bool -> ?norec:bool -> Pmalloc.Heap.t -> report
 (** {!recover}, raising {!Error.Error} on corruption.  The crash-test
     oracle uses this form: an unrecoverable image must fail loudly. *)
 
@@ -77,7 +79,7 @@ val crash_and_recover_exn :
   ?mode:Pmem.Region.crash_mode ->
   ?seed:int ->
   ?torn:bool ->
-  ?stm:Pmstm.Tx.t ->
+  ?stm:bool ->
   ?norec:bool ->
   Pmalloc.Heap.t ->
   report

@@ -1,30 +1,37 @@
 (** Exhaustive crash-point exploration.
 
-    A workload is re-run deterministically with the {!Pmem.Region} crash
-    scheduler armed at budget 1, 2, ..., so a simulated power failure is
-    injected after every single PM event (store / clwb / sfence).  At
-    each crash point the memory image is snapshotted and sampled under
-    the three crash modes -- [Drop_inflight] and [Keep_inflight] are
-    deterministic corner cases; [Randomize] is sampled K times from
-    explicit, replayable survival seeds -- then recovered and checked
-    against the durable-linearizability oracle.
+    A simulated power failure is injected after every single PM event
+    (store / clwb / sfence) of a deterministic workload.  At each crash
+    point the memory image is sampled under the three crash modes --
+    [Drop_inflight] and [Keep_inflight] are deterministic corner cases;
+    [Randomize] is sampled K times from explicit, replayable survival
+    seeds -- then recovered and checked against the
+    durable-linearizability oracle.
 
     Sequential and concurrent sweeps share one driver whose work items
-    are (schedule, budget) pairs: a sequential workload is the
+    are (schedule, crash point) pairs: a sequential workload is the
     one-schedule case, concurrent writers add an interleaving-schedule
-    axis.  Each schedule first runs uncrashed, which sizes its budget
-    list and is checked once: a sequential run's trace goes to the
-    Section 5.4 consistency checker, a concurrent run's final state must
-    equal the serialized model.
+    axis.  Each schedule runs exactly once, uncrashed, on one scratch
+    heap per sweep, with a {!Pmem.Region.capture} armed at the points
+    the sweep tests: at each one the region records the lines changed
+    since the previous point, the in-flight count and the stats, and
+    the explorer fixes the oracle's context (the committed history and
+    the pending op, or a copy of the concurrent tracker).  The same run
+    is checked once: a sequential run's trace goes to the Section 5.4
+    consistency checker, a concurrent run's final state must equal the
+    serialized model.
 
-    Every crash point rewinds one scratch heap to its pristine snapshot
-    ({!Pmalloc.Heap.reset_fresh}) instead of building a fresh heap, and
-    the region's undo journal makes each crash sample O(state touched)
-    instead of O(capacity).  With [jobs > 1] the work items are
-    partitioned round-robin across forked worker processes, and the
-    per-worker reports are merged deterministically (identical to a
-    sequential sweep); on platforms without [fork] the sweep falls back
-    to sequential.
+    Sampling happens after the run, never inside it: the heap is
+    rewound to its pristine snapshot ({!Pmalloc.Heap.reset_fresh}), each
+    point's image is rebuilt on top of the previous point's
+    ({!Pmem.Region.apply_point}), and the point is sampled through the
+    region's undo journal, O(state touched) per sample.  A sweep over N
+    PM events thus executes each of them once, not N/2 times on
+    average.  With [jobs > 1] the work items are partitioned
+    round-robin across forked worker processes that inherit the
+    captures, and the per-worker reports are merged deterministically
+    (identical to a sequential sweep); on platforms without [fork] the
+    sweep falls back to sequential.
 
     Large runs can be strided or capped; whatever is skipped is reported
     through [log] rather than silently dropped. *)
@@ -159,95 +166,106 @@ let fault_seed cfg ~crash_index ~k =
 let fault_kinds = 5
 let summary_fault_kind = 4
 
-(* -- one run to a budget ------------------------------------------------- *)
+(* -- one run ---------------------------------------------------------------- *)
 
 (* What a sweep drives.  The interleaving of concurrent writers is a pure
    function of the schedule, so a (subject, budget) pair reproduces the
    same interrupted image bit-for-bit. *)
 type subject = Seq of Workload.t | Conc of Workload.ct * Interleave.schedule
 
+type judge = (Workload.state, exn) Stdlib.result -> Oracle.verdict
+
 type crashed = {
   c_heap : Pmalloc.Heap.t;
   c_recover : unit -> unit;
   c_dump : unit -> Workload.state;
-  c_judge : (Workload.state, exn) Stdlib.result -> Oracle.verdict;
+  c_judge : judge;
   c_latest : unit -> Workload.state;
 }
 
-(* A reusable execution context: one heap rewound to its pristine
-   snapshot between runs, equivalent to a fresh heap per run but
-   O(state touched) instead of O(capacity + cache hierarchy). *)
-type scratch = { s_heap : Pmalloc.Heap.t; s_pristine : Pmem.Region.snapshot }
+(* A subject instantiated on a heap: its body, and an oracle fixed at
+   the states committed when [judge_now] is called. *)
+type instance = {
+  i_crashed : judge -> crashed;
+  i_judge_now : unit -> judge;
+  i_body : unit -> unit;
+}
 
-let fresh_heap cfg =
-  Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
-    ~seed:cfg.heap_seed ()
-
-let make_scratch cfg =
-  let heap = fresh_heap cfg in
-  { s_heap = heap; s_pristine = Pmalloc.Heap.pristine_snapshot heap }
-
-(* Run [subject] on a rewound scratch heap (or a fresh one); if [budget]
-   is given, power fails after that many PM events (counted from just
-   after heap creation) and the interrupted execution is returned. *)
-let run ?scratch cfg subject ~budget =
-  let heap =
-    match scratch with
-    | Some s ->
-        Pmalloc.Heap.reset_fresh s.s_heap ~pristine:s.s_pristine;
-        s.s_heap
-    | None -> fresh_heap cfg
-  in
-  let region = Pmalloc.Heap.region heap in
-  let base_events = Pmem.Region.pm_events region in
-  Option.iter (Pmem.Region.set_crash_after region) budget;
-  let c, body =
-    match subject with
-    | Seq w ->
-        (* committed states, newest first, and the mid-flight op's *)
-        let history = ref [ w.model.(0) ] in
-        let pending = ref None in
-        let inst = w.make heap in
-        ( {
-            c_heap = heap;
-            c_recover = inst.recover;
-            c_dump = inst.dump;
-            c_judge =
-              (fun recovered ->
-                Oracle.check ~history:!history ~pending:!pending ~recovered);
-            c_latest = (fun () -> List.hd !history);
-          },
-          fun () ->
+let instantiate heap = function
+  | Seq w ->
+      (* committed states, newest first, and the mid-flight op's *)
+      let history = ref [ w.model.(0) ] in
+      let pending = ref None in
+      let inst = w.make heap in
+      {
+        i_crashed =
+          (fun c_judge ->
+            {
+              c_heap = heap;
+              c_recover = inst.recover;
+              c_dump = inst.dump;
+              c_judge;
+              c_latest = (fun () -> List.hd !history);
+            });
+        i_judge_now =
+          (fun () ->
+            let history = !history and pending = !pending in
+            fun recovered -> Oracle.check ~history ~pending ~recovered);
+        i_body =
+          (fun () ->
             inst.init ();
             for i = 0 to w.ops - 1 do
               pending := Some w.model.(i + 1);
               inst.run_op i;
               pending := None;
               history := w.model.(i + 1) :: !history
-            done )
-    | Conc (cw, schedule) ->
-        let inst = cw.cmake heap in
-        ( {
-            c_heap = heap;
-            c_recover = inst.c_recover;
-            c_dump = inst.c_dump;
-            c_judge =
-              (fun recovered ->
-                Oracle.check_concurrent inst.c_tracker ~recovered);
-            c_latest = (fun () -> Oracle.latest inst.c_tracker);
-          },
-          fun () ->
+            done);
+      }
+  | Conc (cw, schedule) ->
+      let inst = cw.cmake heap in
+      {
+        i_crashed =
+          (fun c_judge ->
+            {
+              c_heap = heap;
+              c_recover = inst.c_recover;
+              c_dump = inst.c_dump;
+              c_judge;
+              c_latest = (fun () -> Oracle.latest inst.c_tracker);
+            });
+        i_judge_now =
+          (fun () ->
+            let tracker = Oracle.copy_tracker inst.c_tracker in
+            fun recovered -> Oracle.check_concurrent tracker ~recovered);
+        i_body =
+          (fun () ->
             inst.c_init ();
-            Interleave.run region ~schedule inst.c_writers )
-  in
-  match body () with
+            Interleave.run (Pmalloc.Heap.region heap) ~schedule
+              inst.c_writers);
+      }
+
+let fresh_heap cfg =
+  Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
+    ~seed:cfg.heap_seed ()
+
+(* Run [subject] on a fresh heap; if [budget] is given, power fails after
+   that many PM events (counted from just after heap creation) and the
+   interrupted execution is returned. *)
+let run cfg subject ~budget =
+  let heap = fresh_heap cfg in
+  let region = Pmalloc.Heap.region heap in
+  let base_events = Pmem.Region.pm_events region in
+  Option.iter (Pmem.Region.set_crash_after region) budget;
+  let i = instantiate heap subject in
+  let c = i.i_crashed (fun recovered -> i.i_judge_now () recovered) in
+  match i.i_body () with
   | () ->
       Pmem.Region.clear_crash_point region;
       `Completed (Pmem.Region.pm_events region - base_events, c)
   | exception Pmem.Region.Crash_point -> `Crashed c
 
-let run_until ?scratch cfg w ~budget =
-  match run ?scratch cfg (Seq w) ~budget with
+let run_until cfg w ~budget =
+  match run cfg (Seq w) ~budget with
   | `Completed (events, c) -> `Completed (events, c.c_heap)
   | `Crashed c -> `Crashed c
 
@@ -441,18 +459,57 @@ let sample_point cfg subject ~crash_index (c : crashed) =
 
 (* -- the sweep driver ----------------------------------------------------- *)
 
-(* The crash points a schedule must test, honoring stride and cap.  The
-   parallel driver partitions exactly these items, so sequential and
-   parallel sweeps test identical point sets. *)
-let sweep_budgets cfg ~total_events =
-  let rec go b n acc =
-    if b > total_events then List.rev acc
-    else
-      match cfg.max_points with
-      | Some m when n >= m -> List.rev acc
-      | _ -> go (b + cfg.stride) (n + 1) (b :: acc)
+(* A sweep's heap, rewound to its pristine snapshot before each run:
+   equivalent to a fresh heap per run but O(state touched) instead of
+   O(capacity + cache hierarchy). *)
+type scratch = { s_heap : Pmalloc.Heap.t; s_pristine : Pmem.Region.snapshot }
+
+let make_scratch cfg =
+  let heap = fresh_heap cfg in
+  { s_heap = heap; s_pristine = Pmalloc.Heap.pristine_snapshot heap }
+
+let rewind s = Pmalloc.Heap.reset_fresh s.s_heap ~pristine:s.s_pristine
+
+(* A tested crash point: its captured image, the PM event the power
+   would fail after, and the oracle fixed there. *)
+type point = { image : Pmem.Region.point; crash_index : int; judge : judge }
+
+(* A schedule's one execution. *)
+type captured = {
+  subject : subject;
+  instance : instance;
+  events : int;  (** PM events of the whole run *)
+  points : point array;
+}
+
+(* Run [subject] once, uncrashed, on the rewound scratch heap, capturing
+   every crash point the sweep tests (stride and cap included), then
+   [check] the completed run while the heap still holds its final
+   image. *)
+let capture_run cfg scratch subject ~check =
+  rewind scratch;
+  let heap = scratch.s_heap in
+  let region = Pmalloc.Heap.region heap in
+  let base_events = Pmem.Region.pm_events region in
+  let i = instantiate heap subject in
+  let marks = ref [] in
+  Pmem.Region.capture region ~stride:cfg.stride ?max_points:cfg.max_points
+    (fun () ->
+      marks :=
+        (Pmem.Region.pm_events region - base_events, i.i_judge_now ())
+        :: !marks);
+  i.i_body ();
+  let points =
+    Array.map2
+      (fun image (crash_index, judge) -> { image; crash_index; judge })
+      (Pmem.Region.captured region)
+      (Array.of_list (List.rev !marks))
   in
-  go 1 0 []
+  let events = Pmem.Region.pm_events region - base_events in
+  let checked =
+    check (i.i_crashed (fun recovered -> i.i_judge_now () recovered))
+  in
+  ({ subject; instance = i; events; points }, checked)
 
 type chunk = {
   ch_tested : int;
@@ -467,9 +524,13 @@ type chunk = {
       (** tagged with their schedule's index, in work-item order *)
 }
 
-(* Test every (schedule index, budget) item of [items], in order, on the
-   scratch heap. *)
-let sweep_chunk cfg scratch subjects items =
+(* Sample every (schedule index, point index) item of [items], in order,
+   on the scratch heap: each schedule's points are rebuilt from the
+   pristine image up, and each tested point is sampled between a
+   snapshot and its restore, so the next point applies on top of this
+   one's image. *)
+let sweep_chunk cfg scratch (runs : captured array) items =
+  let region = Pmalloc.Heap.region scratch.s_heap in
   let tested = ref 0 in
   let sampled = ref 0 in
   let fsampled = ref 0 in
@@ -478,20 +539,34 @@ let sweep_chunk cfg scratch subjects items =
   let ffallbacks = ref 0 in
   let fscans = ref 0 in
   let failures = ref [] in
+  let schedule = ref (-1) and applied = ref 0 in
   List.iter
-    (fun (si, budget) ->
-      match run ~scratch cfg subjects.(si) ~budget:(Some budget) with
-      | `Completed _ -> ()
-      | `Crashed c ->
-          incr tested;
-          let p = sample_point cfg subjects.(si) ~crash_index:budget c in
-          sampled := !sampled + p.p_sampled;
-          fsampled := !fsampled + p.p_fsampled;
-          frecovered := !frecovered + p.p_frecovered;
-          fdegraded := !fdegraded + p.p_fdegraded;
-          ffallbacks := !ffallbacks + p.p_ffallbacks;
-          fscans := !fscans + p.p_fscans;
-          List.iter (fun f -> failures := (si, f) :: !failures) p.p_failures)
+    (fun (si, k) ->
+      let r = runs.(si) in
+      if si <> !schedule then begin
+        rewind scratch;
+        schedule := si;
+        applied := 0
+      end;
+      while !applied <= k do
+        Pmem.Region.apply_point region r.points.(!applied).image;
+        incr applied
+      done;
+      let here = Pmem.Region.snapshot region in
+      incr tested;
+      let { crash_index; judge; _ } = r.points.(k) in
+      let p =
+        sample_point cfg r.subject ~crash_index (r.instance.i_crashed judge)
+      in
+      Pmem.Region.restore region here;
+      Pmem.Region.release region here;
+      sampled := !sampled + p.p_sampled;
+      fsampled := !fsampled + p.p_fsampled;
+      frecovered := !frecovered + p.p_frecovered;
+      fdegraded := !fdegraded + p.p_fdegraded;
+      ffallbacks := !ffallbacks + p.p_ffallbacks;
+      fscans := !fscans + p.p_fscans;
+      List.iter (fun f -> failures := (si, f) :: !failures) p.p_failures)
     items;
   {
     ch_tested = !tested;
@@ -506,18 +581,18 @@ let sweep_chunk cfg scratch subjects items =
   }
 
 (* Fork one worker per partition of the work items; each inherits the
-   scratch heap and marshals its chunk back over a pipe.  Round-robin
-   partitioning plus a stable merge keyed on (schedule, crash index)
-   reproduces the sequential failure order exactly (within one crash
-   point all samples come from the same worker, in canonical mode/seed
-   order).
+   scratch heap and the captures and marshals its chunk back over a
+   pipe.  Round-robin partitioning plus a stable merge keyed on
+   (schedule, crash index) reproduces the sequential failure order
+   exactly (within one crash point all samples come from the same
+   worker, in canonical mode/seed order).
 
    A worker that dies -- killed by the OS, or crashing before it could
    marshal its chunk -- must not abort the sweep: its partition is
    re-swept sequentially in the parent (work items are pure inputs, so
    the re-run is identical to what the worker would have produced) and
    the rescue is counted in the summary. *)
-let sweep_parallel cfg scratch subjects items ~jobs =
+let sweep_parallel cfg scratch runs items ~jobs =
   let parts = Array.make jobs [] in
   List.iteri (fun i x -> parts.(i mod jobs) <- x :: parts.(i mod jobs)) items;
   flush stdout;
@@ -534,7 +609,7 @@ let sweep_parallel cfg scratch subjects items ~jobs =
                  Unix.close rd;
                  if cfg.worker_kill = Some idx then Unix._exit 117;
                  let status =
-                   match sweep_chunk cfg scratch subjects part with
+                   match sweep_chunk cfg scratch runs part with
                    | chunk ->
                        let oc = Unix.out_channel_of_descr wr in
                        Marshal.to_channel oc chunk [];
@@ -570,14 +645,14 @@ let sweep_parallel cfg scratch subjects items ~jobs =
             cfg.log
               (Printf.sprintf
                  "explorer: worker pid %d died (%s); re-sweeping its %d \
-                  budget(s) sequentially"
+                  point(s) sequentially"
                  pid
                  (match status with
                  | Unix.WEXITED n -> Printf.sprintf "exit %d" n
                  | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
                  | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n)
                  (List.length part));
-            (sweep_chunk cfg scratch subjects part :: chunks, resweeps + 1))
+            (sweep_chunk cfg scratch runs part :: chunks, resweeps + 1))
       ([], 0) children
   in
   let chunks = List.rev chunks in
@@ -611,23 +686,21 @@ type swept = {
   chunk : chunk;
 }
 
-(* The one sweep driver: test every (schedule, budget) work item, the
-   budgets of [subjects.(si)] sized by [events.(si)], the PM events of
-   its uncrashed run, sequentially or across forked workers. *)
-let sweep cfg scratch subjects ~events ~name ~concurrent =
+(* The one sweep driver: sample every captured point of every schedule,
+   sequentially or across forked workers. *)
+let sweep cfg scratch runs ~name ~concurrent =
   let items =
     List.concat
       (List.mapi
-         (fun si total_events ->
-           List.map (fun b -> (si, b)) (sweep_budgets cfg ~total_events))
-         (Array.to_list events))
+         (fun si r -> List.init (Array.length r.points) (fun k -> (si, k)))
+         (Array.to_list runs))
   in
   let jobs = min (resolve_jobs cfg) (max 1 (List.length items)) in
   let chunk =
-    if jobs > 1 then sweep_parallel cfg scratch subjects items ~jobs
-    else sweep_chunk cfg scratch subjects items
+    if jobs > 1 then sweep_parallel cfg scratch runs items ~jobs
+    else sweep_chunk cfg scratch runs items
   in
-  let total_events = Array.fold_left ( + ) 0 events in
+  let total_events = Array.fold_left (fun n r -> n + r.events) 0 runs in
   let skipped = max 0 (total_events - chunk.ch_tested) in
   if skipped > 0 then
     cfg.log
@@ -654,21 +727,15 @@ let merge_failures tagged =
 
 let explore ?(cfg = default) (w : Workload.t) =
   let t0 = Unix.gettimeofday () in
-  (* one uncrashed run sizes the sweep; its trace goes to the Section 5.4
-     checker *)
-  let events, trace_report =
-    match run cfg (Seq w) ~budget:None with
-    | `Completed (events, c) ->
-        ( events,
-          if w.check_trace then
-            Some (Mod_core.Consistency.check (Pmalloc.Heap.trace c.c_heap))
-          else None )
-    | `Crashed _ -> assert false (* no budget armed *)
+  let scratch = make_scratch cfg in
+  (* the run's trace goes to the Section 5.4 checker *)
+  let run, trace_report =
+    capture_run cfg scratch (Seq w) ~check:(fun c ->
+        if w.check_trace then
+          Some (Mod_core.Consistency.check (Pmalloc.Heap.trace c.c_heap))
+        else None)
   in
-  let s =
-    sweep cfg (make_scratch cfg) [| Seq w |] ~events:[| events |]
-      ~name:w.name ~concurrent:false
-  in
+  let s = sweep cfg scratch [| run |] ~name:w.name ~concurrent:false in
   {
     workload = w.name;
     ops = w.ops;
@@ -701,35 +768,29 @@ let default_schedules =
 let explore_concurrent ?(cfg = default) ?(schedules = default_schedules)
     (cw : Workload.ct) =
   let t0 = Unix.gettimeofday () in
-  let subjects = Array.of_list (List.map (fun s -> Conc (cw, s)) schedules) in
   let scratch = make_scratch cfg in
-  (* each schedule's uncrashed run sizes its budgets and must end in the
-     serialized model state *)
-  let uncrashed =
-    Array.map
-      (fun subject ->
-        match run ~scratch cfg subject ~budget:None with
-        | `Completed (events, c) -> (events, check_final c)
-        | `Crashed _ -> assert false (* no budget armed *))
-      subjects
+  (* each schedule's run must end in the serialized model state *)
+  let captured =
+    Array.of_list
+      (List.map
+         (fun s -> capture_run cfg scratch (Conc (cw, s)) ~check:check_final)
+         schedules)
   in
-  let s =
-    sweep cfg scratch subjects ~events:(Array.map fst uncrashed)
-      ~name:cw.cname ~concurrent:true
-  in
+  let runs = Array.map fst captured in
+  let s = sweep cfg scratch runs ~name:cw.cname ~concurrent:true in
   let finals =
     List.concat
       (List.mapi
-         (fun si (_, verdict) ->
+         (fun si (r, verdict) ->
            match verdict with
            | Oracle.Consistent -> []
            | Oracle.Violation d ->
                [
                  ( si,
-                   failure subjects.(si) ~crash_index:(-1)
+                   failure r.subject ~crash_index:(-1)
                      ~mode:Pmem.Region.Keep_inflight ~survival_seed:None d );
                ])
-         (Array.to_list uncrashed))
+         (Array.to_list captured))
   in
   {
     cr_workload = cw.cname;

@@ -1,17 +1,19 @@
 (** Exhaustive crash-point exploration.
 
-    A workload is re-run deterministically with the {!Pmem.Region}
-    crash scheduler armed at budget 1, 2, ..., so a simulated power
-    failure is injected after every single PM event; each crash point
-    is sampled under the crash modes (and survival seeds, under
-    [Randomize]), recovered, and checked against the
-    durable-linearizability oracle.  Sequential and concurrent sweeps
-    share one driver over (schedule, budget) work items: a sequential
-    workload is the one-schedule case, concurrent writers add an
-    interleaving-schedule axis judged by the concurrent oracle.  Every
-    crash point rewinds one scratch heap through the region's snapshot
-    journal, and [jobs > 1] spreads the work items over forked
-    workers. *)
+    A simulated power failure is injected after every single PM event of
+    a deterministic workload; each crash point is sampled under the
+    crash modes (and survival seeds, under [Randomize]), recovered, and
+    checked against the durable-linearizability oracle.  Sequential and
+    concurrent sweeps share one driver over (schedule, crash point) work
+    items: a sequential workload is the one-schedule case, concurrent
+    writers add an interleaving-schedule axis judged by the concurrent
+    oracle.  Each schedule runs once, uncrashed, with a
+    {!Pmem.Region.capture} recording the image and fixing the oracle at
+    every tested point; after the run the points are rebuilt in order
+    on the rewound scratch heap and sampled through the region's
+    snapshot journal, and [jobs > 1] spreads the work items over forked
+    workers that inherit the captures.  {!run} keeps the run-to-budget
+    path for a single point (replay, and the tests' reference). *)
 
 type config = {
   stride : int;  (** test every [stride]-th crash point *)
@@ -113,22 +115,17 @@ type crashed = {
   c_latest : unit -> Workload.state;  (** newest committed model state *)
 }
 
-type scratch
-(** A sweep's heap, rewound to its pristine snapshot before each run. *)
-
 val run :
-  ?scratch:scratch ->
   config ->
   subject ->
   budget:int option ->
   [ `Completed of int * crashed | `Crashed of crashed ]
-(** Run the subject on a fresh deterministic heap (or the rewound
-    scratch heap); with a budget, power fails after that many PM events
-    and the interrupted execution is returned ([`Completed] carries the
-    total event count). *)
+(** Run the subject on a fresh deterministic heap; with a budget, power
+    fails after that many PM events and the interrupted execution is
+    returned ([`Completed] carries the total event count).  The region
+    stays powered off until the caller's {!Pmalloc.Heap.crash}. *)
 
 val run_until :
-  ?scratch:scratch ->
   config ->
   Workload.t ->
   budget:int option ->
@@ -146,7 +143,8 @@ val check_final : crashed -> Oracle.verdict
 
 val explore : ?cfg:config -> Workload.t -> result
 (** The full sweep: every strided crash point x every mode x every
-    survival seed, plus the uncrashed trace check. *)
+    survival seed, plus the trace check of the one uncrashed run that
+    captured the points. *)
 
 val default_schedules : Interleave.schedule list
 (** Round-robin at co-prime quanta plus seeded random walks. *)
@@ -154,9 +152,9 @@ val default_schedules : Interleave.schedule list
 val explore_concurrent :
   ?cfg:config -> ?schedules:Interleave.schedule list -> Workload.ct -> cresult
 (** Sweep every (schedule, strided crash point, mode, survival seed)
-    tuple, plus one uncrashed run per schedule whose final state must
-    equal the newest tracked model state (the serializability check;
-    reported with [crash_index = -1]). *)
+    tuple.  Each schedule's one uncrashed run captures its points, and
+    its final state must equal the newest tracked model state (the
+    serializability check; reported with [crash_index = -1]). *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_result : Format.formatter -> result -> unit

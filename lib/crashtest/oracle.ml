@@ -69,6 +69,10 @@ type tracker = {
 let tracker ~writers ~init =
   { t_init = init; t_commits = []; t_pendings = Array.make writers None }
 
+(* The tracker as it stands: the commit list is immutable, so only the
+   pending states need copying. *)
+let copy_tracker tr = { tr with t_pendings = Array.copy tr.t_pendings }
+
 (* The writer is about to (try to) swing the commit in: [state] is the
    model state its operation yields applied to the current model.  Safe
    to call once per CAS attempt -- a retry recomputes and overwrites. *)

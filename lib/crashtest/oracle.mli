@@ -43,6 +43,10 @@ type tracker
 
 val tracker : writers:int -> init:string -> tracker
 
+val copy_tracker : tracker -> tracker
+(** The tracker as it stands now, unaffected by later commits: the
+    oracle a crash at this instant is judged by.  O(writers). *)
+
 val track_pending : tracker -> writer:int -> string -> unit
 (** The writer is about to attempt its commit swing; [state] is the
     model state its operation yields applied to the current model.

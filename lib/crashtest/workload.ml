@@ -628,14 +628,12 @@ let unrelated_workload ~ops =
     model;
     make =
       (fun heap ->
-        let tx = ref None in
         let batch = ref None in
         {
           init =
             (fun () ->
-              let t = Pmstm.Tx.create heap ~version:Pmstm.Tx.V1_5 in
-              tx := Some t;
-              batch := Some (Mod_core.Batch.create ~tx:t heap));
+              let tx = Pmstm.Tx.create heap ~version:Pmstm.Tx.V1_5 in
+              batch := Some (Mod_core.Batch.create ~tx heap));
           run_op =
             (fun i ->
               let b = Option.get !batch in
@@ -648,7 +646,7 @@ let unrelated_workload ~ops =
               ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
           dump = (fun () -> dump heap);
           recover =
-            (fun () -> ignore (Mod_core.Recovery.recover_exn ?stm:!tx heap));
+            (fun () -> ignore (Mod_core.Recovery.recover_exn ~stm:true heap));
         });
   }
 
@@ -727,8 +725,7 @@ let stm_workload name version ~broken ~ops =
                   Pmstm.Tx.store t off (Pmem.Word.of_int (v + delta))));
           dump = (fun () -> dump heap);
           recover =
-            (fun () ->
-              ignore (Mod_core.Recovery.recover_exn ?stm:!tx heap));
+            (fun () -> ignore (Mod_core.Recovery.recover_exn ~stm:true heap));
         });
   }
 

@@ -451,7 +451,7 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
    FASE's fence (epoch persistency, Section 5.1): losing it in a crash
    -- torn or whole -- merely re-exposes the other copy, which holds the
    previous consistent version of the record. *)
-let root_set t slot w =
+let root_set_seq t slot w =
   check_slot slot;
   ensure_bound t slot;
   if rcache_valid t slot then begin
@@ -471,15 +471,20 @@ let root_set t slot w =
     t.rcache_value.(slot) <- w;
     t.rcache_seq.(slot) <- seq;
     t.rcache_target.(slot) <- 1 - copy;
-    t.rcache_tseq.(slot) <- seq + 1
+    t.rcache_tseq.(slot) <- seq + 1;
+    seq
   end
   else begin
     let stores = root_record_stores t slot w in
     List.iter (fun (off, v) -> Pmem.Region.store t.region off v) stores;
     match stores with
-    | (off, _) :: _ -> Pmem.Region.clwb t.region off
-    | [] -> assert false
+    | (off, _) :: (_, seq) :: _ ->
+        Pmem.Region.clwb t.region off;
+        Pmem.Word.bits seq
+    | _ -> assert false
   end
+
+let root_set t slot w = ignore (root_set_seq t slot w)
 
 (* Compare-and-swap on a root slot, modelling a double-word (pointer +
    counter) hardware CAS on the root record.  The record's sequence

@@ -200,6 +200,13 @@ val root_set : t -> int -> Pmem.Word.t -> unit
     the summary does not yet durably cover is bound and fenced first
     (see {!bind}). *)
 
+val root_set_seq : t -> int -> Pmem.Word.t -> int
+(** {!root_set}, returning the sequence number it stamped on the
+    record, at no extra PM access.  The number exceeds that of every
+    record of the slot durable when the update began, so an owner that
+    fences the record before writing anything under the number can use
+    it as a nonce: the STM undo log binds its entries to it. *)
+
 type commit_mode = Swing | Cas
 (** How Full-policy commits install their root.  [Swing] is the paper's
     single-writer 8-byte atomic store ({!root_set}); [Cas] routes the

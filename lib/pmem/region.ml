@@ -19,6 +19,27 @@ type jentry = {
 
 let dummy_entry = { e_line = 0; e_state = Clean; e_cur = [||]; e_dur = [||] }
 
+(* One crash point of a capturing run (see [capture]): the post-images of
+   the lines that changed since the previous point, in [jentry] form,
+   and what a snapshot taken there would restore besides the image. *)
+type point = {
+  pt_lines : jentry array;
+  pt_capacity : int;
+  pt_inflight : int;
+  pt_stats : Stats.t;
+}
+
+(* An armed capture.  It shares the crash-budget countdown: the budget
+   firing records a point instead of failing the power. *)
+type capture = {
+  k_stride : int;
+  mutable k_left : int; (* points still wanted *)
+  k_phase : Stats.phase; (* the phase in force when the capture was armed *)
+  k_on_point : unit -> unit;
+  mutable k_from : int; (* journal length at the previous point *)
+  mutable k_points : point list; (* newest first *)
+}
+
 type snapshot = {
   t_region : int;  (** stamp of the region this token belongs to *)
   t_pos : int;  (** journal length when the snapshot was taken *)
@@ -67,6 +88,10 @@ type t = {
      budget counts down to zero the power fails (Crash_point is raised) *)
   mutable events : int;
   mutable crash_budget : int; (* -1 = no crash scheduled *)
+  (* set when the budget fires: the machine is dead, and every access
+     raises [Crash_point] again until [crash] or [restore] *)
+  mutable powered_off : bool;
+  mutable capture : capture option;
   mutable last_crash_seed : int option;
   (* concurrency hook: called after every PM event that did not crash.
      The interleaving explorer installs a scheduler yield here so two
@@ -145,6 +170,8 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
     fence_per_flush = false;
     events = 0;
     crash_budget = -1;
+    powered_off = false;
+    capture = None;
     last_crash_seed = None;
     event_hook = None;
     hook_suspended = false;
@@ -169,6 +196,7 @@ let inflight t = t.inflight
 let pm_events t = t.events
 let set_crash_after t n =
   if n <= 0 then invalid_arg "Region.set_crash_after: budget must be positive";
+  t.capture <- None;
   t.crash_budget <- n
 
 let clear_crash_point t = t.crash_budget <- -1
@@ -182,20 +210,23 @@ let journal_push t e =
   t.j_entries.(t.j_len) <- e;
   t.j_len <- t.j_len + 1
 
+(* [line]'s volatile contents, durable contents and durability state. *)
+let line_image t line =
+  let base = line lsl Config.line_shift in
+  let len = min Config.words_per_line (t.capacity - base) in
+  {
+    e_line = line;
+    e_state = t.state.(line);
+    e_cur = Array.sub t.current base len;
+    e_dur = Array.sub t.durable base len;
+  }
+
 (* First-touch undo record: called before any mutation of [line]'s
    volatile contents, durable contents or durability state. *)
 let journal_touch t line =
   if t.j_on && t.j_mark.(line) <> t.j_epoch then begin
     t.j_mark.(line) <- t.j_epoch;
-    let base = line lsl Config.line_shift in
-    let len = min Config.words_per_line (t.capacity - base) in
-    journal_push t
-      {
-        e_line = line;
-        e_state = t.state.(line);
-        e_cur = Array.sub t.current base len;
-        e_dur = Array.sub t.durable base len;
-      }
+    journal_push t (line_image t line)
   end
 
 let journal_entries t = t.j_len
@@ -245,21 +276,58 @@ let dirty_lines t =
 
 (* ------------------------------------------------------------------------ *)
 
+(* Record a crash point of a capturing run: the post-images of the lines
+   first touched since the previous point -- the journal records from
+   [k_from] on, since every point bumps the epoch -- plus the in-flight
+   count and the stats.  A run the budget crashes unwinds every
+   [Stats.in_phase] frame before its caller can snapshot, so the point
+   keeps the phase the run was in when the capture was armed. *)
+let capture_point t k =
+  let lines =
+    Array.init (t.j_len - k.k_from) (fun i ->
+        line_image t t.j_entries.(k.k_from + i).e_line)
+  in
+  k.k_points <-
+    {
+      pt_lines = lines;
+      pt_capacity = t.capacity;
+      pt_inflight = t.inflight;
+      pt_stats = { t.stats with Stats.cur_phase = k.k_phase };
+    }
+    :: k.k_points;
+  k.k_from <- t.j_len;
+  t.j_epoch <- t.j_epoch + 1;
+  k.k_left <- k.k_left - 1;
+  if k.k_left > 0 then t.crash_budget <- k.k_stride;
+  k.k_on_point ()
+
+let budget_fired t =
+  t.crash_budget <- -1;
+  match t.capture with
+  | Some k -> capture_point t k
+  | None ->
+      t.powered_off <- true;
+      raise Crash_point
+
 (* Count one PM event (store / clwb / sfence) against the crash budget.
-   The event itself has completed by the time we raise: the power fails
-   immediately after it. *)
+   The event itself has completed by the time the budget fires: the
+   power fails (or a capture records the point) immediately after it,
+   before the event hook can schedule another writer. *)
 let tick t =
   t.events <- t.events + 1;
   if t.crash_budget > 0 then begin
     t.crash_budget <- t.crash_budget - 1;
-    if t.crash_budget = 0 then begin
-      t.crash_budget <- -1;
-      raise Crash_point
-    end
+    if t.crash_budget = 0 then budget_fired t
   end;
   match t.event_hook with
   | Some hook when not t.hook_suspended -> hook ()
   | _ -> ()
+
+(* A dead machine executes nothing: an exception handler that runs after
+   the power failed (an aborting transaction's rollback) raises again
+   before its access changes the image, the caches or the stats.  Loads
+   count too: a miss can evict, and so write back, a dirty line. *)
+let check_power t = if t.powered_off then raise Crash_point
 
 let event_hook t = t.event_hook
 let set_event_hook t hook = t.event_hook <- hook
@@ -381,6 +449,7 @@ let check_media t off fn =
   end
 
 let load t off =
+  check_power t;
   check_off t off "load";
   check_media t off "load";
   let level = touch_cache t off ~write:false in
@@ -389,6 +458,7 @@ let load t off =
   Word.raw t.current.(off)
 
 let store t off w =
+  check_power t;
   check_off t off "store";
   let line = line_of_word off in
   journal_touch t line;
@@ -416,6 +486,7 @@ let store t off w =
   tick t
 
 let rec clwb t off =
+  check_power t;
   check_off t off "clwb";
   let line = line_of_word off in
   t.stats.Stats.clwbs <- t.stats.Stats.clwbs + 1;
@@ -431,6 +502,7 @@ let rec clwb t off =
   if t.fence_per_flush then sfence t
 
 and sfence t =
+  check_power t;
   let drained = t.inflight in
   List.iter
     (fun line ->
@@ -503,6 +575,8 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
   let crash_rng = Random.State.make [| seed_used |] in
   t.last_crash_seed <- Some seed_used;
   t.crash_budget <- -1;
+  t.powered_off <- false;
+  t.capture <- None;
   t.integrity_epoch <- t.integrity_epoch + 1;
   (* Clean lines are already durable with no writeback in flight, so
      their volatile and durable contents agree: losing power changes
@@ -580,8 +654,8 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
    journal.  Every later first-touch mutation of a cacheline saves that
    line's pre-image, and [restore] replays the records newest-to-oldest,
    O(lines touched).  Tokens stack (an outer "pristine" snapshot survives
-   inner crash-point snapshots); truncating the journal below a token's
-   position invalidates it.
+   inner crash-point snapshots); restoring a token invalidates every
+   token taken after it.
 
    Cache contents are not captured -- restore invalidates the hierarchy,
    which only matters for latency stats, not durability, because the
@@ -623,6 +697,21 @@ let truncate_image t cap =
     t.capacity <- cap
   end
 
+(* Write a line image back: words, durable words and state.  A line
+   returning to Flushing must be on the fence worklist, and one leaving
+   Clean on the crash worklist; lines left alone never left them. *)
+let install t e =
+  let base = e.e_line lsl Config.line_shift in
+  Array.blit e.e_cur 0 t.current base (Array.length e.e_cur);
+  Array.blit e.e_dur 0 t.durable base (Array.length e.e_dur);
+  t.state.(e.e_line) <- e.e_state;
+  match e.e_state with
+  | Clean -> ()
+  | Dirty -> crash_list t e.e_line
+  | Flushing ->
+      t.flushing_q <- e.e_line :: t.flushing_q;
+      crash_list t e.e_line
+
 let restore t tok =
   if tok.t_region <> t.region_stamp then
     invalid_arg "Region.restore: journaled snapshot from another region";
@@ -631,27 +720,19 @@ let restore t tok =
       "Region.restore: stale journaled snapshot (journal truncated below it)";
   (* replay undo records newest-to-oldest down to the token *)
   for i = t.j_len - 1 downto tok.t_pos do
-    let e = t.j_entries.(i) in
-    let base = e.e_line lsl Config.line_shift in
-    Array.blit e.e_cur 0 t.current base (Array.length e.e_cur);
-    Array.blit e.e_dur 0 t.durable base (Array.length e.e_dur);
-    t.state.(e.e_line) <- e.e_state;
-    (* a replayed line returning to Flushing must be on the fence
-       worklist, and one leaving Clean on the crash worklist; lines
-       untouched since the snapshot never left them *)
-    (match e.e_state with
-    | Clean -> ()
-    | Dirty -> crash_list t e.e_line
-    | Flushing ->
-        t.flushing_q <- e.e_line :: t.flushing_q;
-        crash_list t e.e_line);
+    install t t.j_entries.(i);
     t.j_entries.(i) <- dummy_entry
   done;
   t.j_len <- tok.t_pos;
-  List.iter
-    (fun tk -> if tk.t_pos > tok.t_pos then tk.t_valid <- false)
-    t.j_tokens;
-  t.j_tokens <- List.filter (fun tk -> tk.t_valid) t.j_tokens;
+  (* the snapshots taken after [tok] describe the abandoned timeline;
+     the live list is newest first, so they are the ones before it *)
+  let rec drop_newer = function
+    | tk :: older when tk != tok ->
+        tk.t_valid <- false;
+        drop_newer older
+    | live -> live
+  in
+  t.j_tokens <- drop_newer t.j_tokens;
   truncate_image t tok.t_capacity;
   t.inflight <- tok.t_inflight;
   Stats.assign ~into:t.stats tok.t_stats;
@@ -660,6 +741,8 @@ let restore t tok =
   (* mutations after this restore need fresh undo records *)
   t.j_epoch <- t.j_epoch + 1;
   t.crash_budget <- -1;
+  t.powered_off <- false;
+  t.capture <- None;
   t.integrity_epoch <- t.integrity_epoch + 1;
   (* armed media faults belong to the timeline being abandoned *)
   Hashtbl.reset t.media_bad;
@@ -674,7 +757,60 @@ let restore t tok =
   | None -> ());
   reset_caches t
 
+(* Forget a snapshot without restoring it.  The journal records past it
+   stay, for the snapshots beneath. *)
+let release t tok =
+  tok.t_valid <- false;
+  t.j_tokens <- List.filter (fun tk -> tk != tok) t.j_tokens
+
+(* -- crash-point capture -------------------------------------------------- *)
+
+(* One execution records every crash point a sweep tests, instead of
+   re-running the workload to each: the budget countdown fires after the
+   first PM event from now and after every [stride]-th one after it, at
+   most [max_points] times, and each firing records the point and calls
+   [on_point].  The journal records the first touches since the previous
+   point, so a point costs O(lines it changed). *)
+let capture t ~stride ?max_points on_point =
+  if stride <= 0 then invalid_arg "Region.capture: stride must be positive";
+  let left = Option.value max_points ~default:max_int in
+  t.j_on <- true;
+  t.j_epoch <- t.j_epoch + 1;
+  t.capture <-
+    Some
+      {
+        k_stride = stride;
+        k_left = left;
+        k_phase = t.stats.Stats.cur_phase;
+        k_on_point = on_point;
+        k_from = t.j_len;
+        k_points = [];
+      };
+  t.crash_budget <- (if left > 0 then 1 else -1)
+
+let captured t =
+  match t.capture with
+  | None -> invalid_arg "Region.captured: no capture armed"
+  | Some k ->
+      t.capture <- None;
+      t.crash_budget <- -1;
+      Array.of_list (List.rev k.k_points)
+
+(* Rebuild a point's image on top of the previous point's: journaled
+   like any mutation, so restoring an earlier snapshot rewinds it. *)
+let apply_point t p =
+  ensure_capacity t p.pt_capacity;
+  Array.iter
+    (fun e ->
+      journal_touch t e.e_line;
+      install t e;
+      mark_file_dirty t e.e_line)
+    p.pt_lines;
+  t.inflight <- p.pt_inflight;
+  Stats.assign ~into:t.stats p.pt_stats
+
 let durable_load t off =
+  check_power t;
   check_off t off "durable_load";
   check_media t off "durable_load";
   t.stats.Stats.loads <- t.stats.Stats.loads + 1;
@@ -743,6 +879,8 @@ let open_file ?(trace = false) ?(seed = 42) ~path () =
       fence_per_flush = false;
       events = 0;
       crash_budget = -1;
+      powered_off = false;
+      capture = None;
       last_crash_seed = None;
       event_hook = None;
       hook_suspended = false;

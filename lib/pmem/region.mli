@@ -121,20 +121,69 @@ val corrupt_word : t -> int -> unit
     Every completed [store], [clwb] and [sfence] is one {e PM event}.
     [set_crash_after t n] arms a budget: the [n]-th subsequent event
     completes and then {!Crash_point} is raised, simulating a power
-    failure at that exact instruction boundary.  The caller catches the
-    exception, injects {!crash}, and recovers -- re-running the same
-    deterministic workload with budgets 1, 2, ... enumerates every
-    possible crash point. *)
+    failure at that exact instruction boundary.  From then on the
+    machine is dead: every [load], [store], [clwb], [sfence] and
+    [durable_load] raises {!Crash_point} again, before touching the
+    image, the caches or the stats, until {!crash} or {!restore}.  An
+    exception handler between the failure and the caller (an aborting
+    transaction's rollback) therefore cannot run on the dead machine.
+    The caller catches the exception, injects {!crash}, and recovers.
+
+    A sweep that tests many crash points of one deterministic run uses
+    {!capture} instead: the same countdown records each point without
+    stopping the run. *)
 
 val pm_events : t -> int
 (** Total PM events (stores + clwbs + sfences) since [create]. *)
 
 val set_crash_after : t -> int -> unit
 (** Arm the scheduler: raise {!Crash_point} after [n] more PM events
-    ([n >= 1]).  The budget disarms itself when it fires. *)
+    ([n >= 1]).  The budget disarms itself when it fires.  Replaces an
+    armed {!capture}. *)
 
 val clear_crash_point : t -> unit
 (** Disarm a pending crash budget. *)
+
+(** {1 Crash-point capture}
+
+    One uncrashed execution records every crash point a sweep tests.
+    Each point holds the post-images (volatile words, durable words,
+    durability state) of the lines changed since the previous point,
+    read off the snapshot journal's first-touch records, plus the
+    in-flight count and the stats.  After the run, rewind to a snapshot
+    taken before it and {!apply_point} the points in order: each call
+    rebuilds the next point's image on top of the previous one, so a
+    point costs O(lines it changed) to capture and to apply. *)
+
+type point
+(** The memory image at one crash point, relative to the previous
+    point of the same capture. *)
+
+val capture :
+  t -> stride:int -> ?max_points:int -> (unit -> unit) -> unit
+(** [capture t ~stride ?max_points on_point] records a point right after
+    the first PM event from now and after every [stride]-th one after
+    it, at most [max_points] points, calling [on_point] after each.
+    Points are taken inside {!atomic} sections too, before the event
+    hook runs, exactly where a crash budget would fail the power.  The
+    stats a point keeps carry the phase in force at the [capture] call,
+    the phase a crashed run's caller sees once the exception has
+    unwound every [Stats.in_phase].  Arms the snapshot journal and
+    shares the crash budget's countdown: {!set_crash_after}, {!crash}
+    and {!restore} cancel the capture. *)
+
+val captured : t -> point array
+(** Stop the capture and return its points, oldest first.  Raises
+    [Invalid_argument] when no capture is armed. *)
+
+val apply_point : t -> point -> unit
+(** Rebuild a point's image: install its lines over the current image
+    (which must be the previous point's, or the image the capture
+    started from for the first point), grow the capacity to the
+    point's, and set the in-flight count and the stats.  The writes are
+    journaled, so restoring an earlier snapshot rewinds them.  The
+    caches, RNG and trace are left alone: the next step is a
+    {!snapshot} and a {!crash}. *)
 
 (** {1 Event hook (concurrent interleaving)}
 
@@ -167,8 +216,8 @@ type snapshot
     position): a position in the region's copy-on-write undo journal.
     Taking one is O(1); from then on every first mutation of a cacheline
     saves that line's pre-image.  Snapshots stack: an outer snapshot
-    remains valid across inner snapshot/restore cycles, but restoring
-    past a snapshot truncates the journal below it and invalidates it. *)
+    remains valid across inner snapshot/restore cycles, but restoring a
+    snapshot invalidates every snapshot taken after it. *)
 
 val snapshot : t -> snapshot
 val restore : t -> snapshot -> unit
@@ -181,7 +230,13 @@ val restore : t -> snapshot -> unit
     event counters), the region RNG and the trace position are restored
     alongside the image, so samples do not leak time into each other.
     Raises [Invalid_argument] for a snapshot that was invalidated by an
-    earlier restore past it, or that belongs to a different region. *)
+    earlier restore of an older one, or that belongs to a different
+    region. *)
+
+val release : t -> snapshot -> unit
+(** Forget a snapshot without restoring it, so a long sweep leaves no
+    token behind per point; it can no longer be restored.  The journal
+    records it pinned stay for the snapshots beneath it. *)
 
 val journal_entries : t -> int
 (** Number of live undo records in the snapshot journal (for tests). *)
@@ -208,7 +263,9 @@ val peek_durable : t -> int -> Word.t
 (** Read the durable image with no side effects at all (for tests). *)
 
 val peek_current : t -> int -> Word.t
-(** Read the volatile view with no side effects at all (for tests). *)
+(** Read the volatile view with no side effects at all: no cache access,
+    no stats (for tests, and for work whose cost a caller charges
+    otherwise, such as the STM undo log's entry check). *)
 
 val line_of_word : int -> int
 val is_durable_line : t -> int -> bool

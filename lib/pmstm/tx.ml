@@ -27,7 +27,6 @@ type t = {
   heap : Pmalloc.Heap.t;
   version : version;
   mutable log : Wal.t; (* replaced when a full log is grown *)
-  log_root_slot : int; (* directory slot that keeps the log reachable *)
   mutable depth : int; (* nested tx flatten into the outermost one *)
   mutable pending_drain : bool; (* v1.5: snapshots flushed, not yet fenced *)
   mutable dirty_lines : (int, unit) Hashtbl.t;
@@ -54,22 +53,34 @@ exception Log_full
    and retries the whole flattened transaction. *)
 exception Log_full_retry
 
-(* [log_root_slot] registers the log block in the heap's root directory so
-   recovery-time reachability analysis never reclaims it.  The slot is
-   bound in the root summary before the fence [Wal.create] issues, so
-   registering the log adds no fence. *)
-let create ?(log_capacity_words = 1 lsl 16) ?(check_adds = true)
-    ?(broken_ordering = false)
-    ?(log_root_slot = Pmalloc.Heap.root_slots - 1) heap ~version =
-  Pmalloc.Heap.bind heap log_root_slot;
-  let log = Wal.create heap ~capacity_words:log_capacity_words in
-  Pmalloc.Heap.root_set heap log_root_slot (Pmem.Word.of_ptr (Wal.body log));
+(* The root slot that registers the log block in the heap's root
+   directory, so recovery-time reachability analysis never reclaims it
+   and a restarted process finds it. *)
+let log_root_slot = Pmalloc.Heap.root_slots - 1
+
+(* Allocate a log and install it in [log_root_slot].  The sequence
+   number the root record is stamped with becomes the log's nonce: the
+   fence makes the record durable before any entry is written under it,
+   so no later log, on this block or another, gets the same one. *)
+let install_log heap ~capacity_words =
+  let log = Wal.create heap ~capacity_words in
+  Wal.bind log
+    ~nonce:
+      (Pmalloc.Heap.root_set_seq heap log_root_slot
+         (Pmem.Word.of_ptr (Wal.body log)));
   Pmalloc.Heap.sfence heap;
+  log
+
+(* The slot is bound in the root summary before the fence [Wal.create]
+   issues, so registering the log adds no fence. *)
+let create ?(log_capacity_words = 1 lsl 16) ?(check_adds = true)
+    ?(broken_ordering = false) heap ~version =
+  Pmalloc.Heap.bind heap log_root_slot;
+  let log = install_log heap ~capacity_words:log_capacity_words in
   {
     heap;
     version;
     log;
-    log_root_slot;
     depth = 0;
     pending_drain = false;
     dirty_lines = Hashtbl.create 64;
@@ -96,10 +107,7 @@ let grow_log t ~at_least =
     cap := !cap * 2
   done;
   let old_body = Wal.body t.log in
-  let log = Wal.create t.heap ~capacity_words:!cap in
-  Pmalloc.Heap.root_set t.heap t.log_root_slot
-    (Pmem.Word.of_ptr (Wal.body log));
-  Pmalloc.Heap.sfence t.heap;
+  let log = install_log t.heap ~capacity_words:!cap in
   Pmalloc.Heap.free t.heap old_body;
   t.log <- log
 
@@ -266,13 +274,11 @@ let run_grouped t ~n f =
         f i
       done)
 
-(* Crash recovery: roll back an interrupted transaction from the durable
-   log, then let the caller run heap-level leak recovery. *)
-let recover t =
-  t.depth <- 0;
-  t.pending_drain <- false;
-  t.fresh <- [];
-  t.added <- [];
-  t.to_free <- [];
-  Hashtbl.reset t.dirty_lines;
-  Wal.recover t.log
+(* Crash recovery: find the undo log and its nonce through the root
+   record, as a restarted process must (it holds no [t]), roll back an
+   interrupted transaction from it, then let the caller run heap-level
+   leak recovery.  A slot still null means no log was ever registered. *)
+let recover heap =
+  let root, nonce = Pmalloc.Heap.root_get_versioned heap log_root_slot in
+  if (not (Pmem.Word.is_ptr root)) || Pmem.Word.is_null root then false
+  else Wal.recover heap ~body:(Pmem.Word.to_ptr root) ~nonce

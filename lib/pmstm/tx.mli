@@ -23,15 +23,15 @@ val create :
   ?log_capacity_words:int ->
   ?check_adds:bool ->
   ?broken_ordering:bool ->
-  ?log_root_slot:int ->
   Pmalloc.Heap.t ->
   version:version ->
   t
 (** Allocate and durably register the undo log.  [check_adds] (default
     true) makes [store] enforce the TX_ADD discipline; [broken_ordering]
     builds the deliberately buggy variant the crash-test negative
-    controls expect to fail; [log_root_slot] (default the last root
-    slot) keeps the log reachable across crashes. *)
+    controls expect to fail.  The last root slot keeps the log
+    reachable across crashes, so a heap holds one [t] at a time: a
+    second [create] takes the slot over. *)
 
 val heap : t -> Pmalloc.Heap.t
 val version : t -> version
@@ -78,6 +78,8 @@ val commit : t -> unit
 val abort : t -> unit
 (** Explicit lifecycle for tests; prefer {!run}. *)
 
-val recover : t -> bool
-(** Crash recovery: roll back an interrupted transaction from the
-    durable log.  Returns whether a rollback happened. *)
+val recover : Pmalloc.Heap.t -> bool
+(** Crash recovery: find the undo log through the last root slot, as
+    {!create} registered it, and roll back an interrupted transaction
+    from it.  Needs no [t], so a restarted process recovers the same
+    way.  Returns whether a rollback happened. *)

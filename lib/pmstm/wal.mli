@@ -1,15 +1,25 @@
 (** Persistent undo log for the PMDK-style STM ({!Tx}).
 
     Lives in a [Raw] PM block: word 0 holds the valid entry count (0 =
-    invalid), followed by self-describing entries
-    [target offset; word count; saved words ...].  An entry is visible
-    to recovery only once the durable count covers it, so a crash
-    mid-append is harmless; rollback restores snapshots newest-first. *)
+    invalid) below a generation advanced at each invalidation, followed
+    by self-describing entries [target offset; word count + check;
+    saved words ...].  The check binds an entry to the log's nonce (see
+    {!bind}), its generation, index and contents, so a crash that
+    persists the count without the entry it publishes, or leaves an
+    earlier transaction's or an earlier log's entry in the line, ends
+    the rollback's prefix there; rollback restores snapshots
+    newest-first. *)
 
 type t
 
 val create : Pmalloc.Heap.t -> capacity_words:int -> t
 (** Allocate the log block and durably zero its count word. *)
+
+val bind : t -> nonce:int -> unit
+(** Bind the log to [nonce] before its first append: a number the owner
+    records durably and never gave an earlier log, which {!recover} is
+    handed back.  Entries a reused block still holds from earlier logs
+    then never validate. *)
 
 val body : t -> int
 (** Body offset of the log block (for root-directory registration). *)
@@ -33,9 +43,11 @@ val invalidate : t -> unit
 (** Durably invalidate the log (store + clwb + sfence) and reset. *)
 
 val rollback : t -> entries_valid:int -> unit
-(** Apply the first [entries_valid] undo entries in reverse, restoring
-    the snapshots, then durably invalidate. *)
+(** Apply the first [entries_valid] entries, up to the first whose
+    check fails, in reverse, restoring the snapshots, then durably
+    invalidate. *)
 
-val recover : t -> bool
-(** Crash recovery: roll back if the durable count is non-zero.
-    Returns whether a rollback happened. *)
+val recover : Pmalloc.Heap.t -> body:int -> nonce:int -> bool
+(** Crash recovery of the log whose block body is [body], bound to
+    [nonce]: roll back if the durable count is non-zero.  Returns
+    whether a rollback happened. *)

@@ -258,8 +258,9 @@ let test_negative_caught () =
         [ "--writers 2"; "--schedule"; "--replay" ]
 
 (* A forked sweep must match the sequential one, and both must match
-   re-execution: every sample replayed on a fresh heap through
-   {!Replay.replay}, each schedule's uncrashed check included. *)
+   re-execution: every sample run to its crash point on a fresh heap,
+   each schedule's uncrashed check included, and judged the same way
+   by {!Replay.replay}, the path behind a printed replay command. *)
 let key ~schedule ~crash_index ~mode ~seed detail =
   Printf.sprintf "%s:%d:%s:%s:%s"
     (Interleave.schedule_name schedule)
@@ -271,23 +272,56 @@ let failure_key (f : Explorer.failure) =
   key ~schedule:(Option.get f.schedule) ~crash_index:f.crash_index
     ~mode:f.mode ~seed:f.survival_seed f.detail
 
-let reexec_sweep (cfg : Explorer.config) cw schedules =
+(* [cw] under [schedule], run to [budget] on a fresh heap rewound once to
+   its pristine snapshot: the start state of a sweep's scratch heap, so
+   every sample's simulated clock matches the sweep's to the bit. *)
+let run_rewound (cfg : Explorer.config) (cw : Workload.ct) schedule ~budget =
+  let heap =
+    Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
+      ~seed:cfg.heap_seed ()
+  in
+  Pmalloc.Heap.reset_fresh heap ~pristine:(Pmalloc.Heap.pristine_snapshot heap);
+  let region = Pmalloc.Heap.region heap in
+  let inst = cw.cmake heap in
+  Pmem.Region.set_crash_after region budget;
+  match
+    inst.c_init ();
+    Interleave.run region ~schedule inst.c_writers
+  with
+  | () -> Alcotest.failf "crash index %d never fired" budget
+  | exception Pmem.Region.Crash_point -> (heap, inst)
+
+(* [plain] is [cw] without the test's recovery wrappers: what
+   {!Replay.replay} runs. *)
+let reexec_sweep (cfg : Explorer.config) ~plain cw schedules =
   let points = ref 0 and samples = ref 0 and failures = ref [] in
-  let judge schedule ~crash_index ~mode ~seed =
+  let fail schedule ~crash_index ~mode ~seed = function
+    | Oracle.Consistent -> ()
+    | Oracle.Violation d ->
+        failures := key ~schedule ~crash_index ~mode ~seed d :: !failures
+  in
+  let replay_agrees schedule ~crash_index ~mode ~seed verdict =
     match
-      Replay.replay ~cfg (Explorer.Conc (cw, schedule)) ~crash_index ~mode
+      Replay.replay ~cfg (Explorer.Conc (plain, schedule)) ~crash_index ~mode
         ?seed ()
     with
-    | None -> Alcotest.failf "crash index %d never fired" crash_index
-    | Some Oracle.Consistent -> ()
-    | Some (Oracle.Violation d) ->
-        failures := key ~schedule ~crash_index ~mode ~seed d :: !failures
+    | Some v when v = verdict -> ()
+    | _ ->
+        Alcotest.failf "%s: replay disagrees with the reference"
+          (key ~schedule ~crash_index ~mode ~seed "-")
   in
   List.iter
     (fun schedule ->
-      judge schedule ~crash_index:(-1) ~mode:keep ~seed:None;
+      (match
+         Replay.replay ~cfg (Explorer.Conc (plain, schedule)) ~crash_index:(-1)
+           ~mode:keep ()
+       with
+      | Some v -> fail schedule ~crash_index:(-1) ~mode:keep ~seed:None v
+      | None -> Alcotest.fail "the uncrashed run crashed");
       let total =
-        match Explorer.run cfg (Explorer.Conc (cw, schedule)) ~budget:None with
+        match
+          Explorer.run cfg (Explorer.Conc (plain, schedule)) ~budget:None
+        with
         | `Completed (events, _) -> events
         | `Crashed _ -> assert false
       in
@@ -304,35 +338,69 @@ let reexec_sweep (cfg : Explorer.config) cw schedules =
             List.iter
               (fun seed ->
                 incr samples;
-                judge schedule ~crash_index ~mode ~seed)
+                let heap, inst =
+                  run_rewound cfg cw schedule ~budget:crash_index
+                in
+                Pmalloc.Heap.crash ~mode ?seed heap;
+                let recovered =
+                  match
+                    inst.c_recover ();
+                    inst.c_dump ()
+                  with
+                  | s -> Ok s
+                  | exception e -> Error e
+                in
+                let verdict =
+                  Oracle.check_concurrent inst.c_tracker ~recovered
+                in
+                replay_agrees schedule ~crash_index ~mode ~seed verdict;
+                fail schedule ~crash_index ~mode ~seed verdict)
               seeds)
           cfg.modes
       done)
     schedules;
   (!points, !samples, List.rev !failures)
 
+(* Every registry workload at 2 writers under the default schedules: the
+   captured sweep at jobs 1, 2 and 3 tests the points, takes the samples
+   and reports the failures re-execution does, and each sample's recovery
+   starts from the same stats and simulates the same time, bit for bit
+   (in order at jobs 1, as a multiset across forked workers). *)
 let test_parallel_matches_reexec name ~caught () =
-  let cw = Workload.cbuild name ~writers:2 ~ops:2 in
-  let cfg = { quiet with randomize_samples = 1 } in
-  let schedules = [ Interleave.Round_robin 3; Interleave.Seeded 2 ] in
-  let sweep jobs =
-    let r =
-      Explorer.explore_concurrent ~cfg:{ cfg with jobs } ~schedules cw
-    in
-    ( r.Explorer.cr_points_tested,
-      r.Explorer.cr_crashes_sampled,
-      List.map failure_key r.Explorer.cr_failures )
-  in
-  let check what (points, samples, failures) (points', samples', failures') =
-    Alcotest.(check int) (what ^ ": points") points points';
-    Alcotest.(check int) (what ^ ": samples") samples samples';
-    Alcotest.(check (list string)) (what ^ ": failures") failures failures'
-  in
-  let sequential = sweep 1 in
-  let (_, _, failures) as reference = reexec_sweep cfg cw schedules in
-  Alcotest.(check bool) "violations found" caught (failures <> []);
-  check "jobs 2 vs jobs 1" sequential (sweep 2);
-  check "jobs 1 vs re-execution" reference sequential
+  Sweep_log.with_log (fun log ->
+      let plain = Workload.cbuild name ~writers:2 ~ops:2 in
+      let cmake heap =
+        let i = plain.cmake heap in
+        {
+          i with
+          Workload.c_recover =
+            (fun () -> Sweep_log.recovery log heap i.c_recover);
+        }
+      in
+      let cw = { plain with Workload.cmake } in
+      let cfg = { quiet with randomize_samples = 1 } in
+      let schedules = Explorer.default_schedules in
+      let ((_, _, failures) as reference) =
+        reexec_sweep cfg ~plain cw schedules
+      in
+      let sims = Sweep_log.take log in
+      Alcotest.(check bool) "violations found" caught (failures <> []);
+      List.iter
+        (fun jobs ->
+          let what = Printf.sprintf "jobs %d" jobs in
+          let r =
+            Explorer.explore_concurrent ~cfg:{ cfg with jobs } ~schedules cw
+          in
+          let points, samples, failures = reference in
+          Alcotest.(check int) (what ^ ": points") points
+            r.Explorer.cr_points_tested;
+          Alcotest.(check int) (what ^ ": samples") samples
+            r.Explorer.cr_crashes_sampled;
+          Alcotest.(check (list string))
+            (what ^ ": failures") failures
+            (List.map failure_key r.Explorer.cr_failures);
+          Sweep_log.check_recoveries log ~what ~jobs sims)
+        [ 1; 2; 3 ])
 
 (* -- NOrec unit tests ------------------------------------------------------- *)
 
@@ -417,6 +485,11 @@ let () =
           Alcotest.test_case "cmap-nofence: jobs 2 = jobs 1 = re-execution"
             `Quick
             (test_parallel_matches_reexec "cmap-nofence" ~caught:true);
+          Alcotest.test_case "cset: jobs 2 = jobs 1 = re-execution" `Quick
+            (test_parallel_matches_reexec "cset" ~caught:false);
+          Alcotest.test_case "cstm-norec: jobs 2 = jobs 1 = re-execution"
+            `Quick
+            (test_parallel_matches_reexec "cstm-norec" ~caught:false);
         ] );
       ( "norec",
         [

@@ -150,7 +150,7 @@ let composition_crash_tests =
               let v2' = Imap.insert_pure heap v2 k value in
               Mod_core.Commit.unrelated heap tx [ (0, v1'); (1, v2') ]
             done;
-            ignore (Mod_core.Recovery.crash_and_recover_exn ~stm:tx ~mode heap);
+            ignore (Mod_core.Recovery.crash_and_recover_exn ~stm:true ~mode heap);
             let m1' = Imap.open_or_create heap ~slot:0 in
             let m2' = Imap.open_or_create heap ~slot:1 in
             (* every key must exist in exactly one map *)

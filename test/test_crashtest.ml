@@ -27,7 +27,24 @@ let scheduler_tests =
         (match Pmem.Region.store r 12 (Pmem.Word.of_int 3) with
         | () -> Alcotest.fail "expected Crash_point on the third event"
         | exception Pmem.Region.Crash_point -> ());
-        (* the budget disarms itself: further events run normally *)
+        (* the dead machine runs nothing until the crash is injected:
+           every access raises again and leaves the event count alone *)
+        let events = Pmem.Region.pm_events r in
+        List.iter
+          (fun (what, access) ->
+            match access () with
+            | () -> Alcotest.failf "%s ran after the power failed" what
+            | exception Pmem.Region.Crash_point -> ())
+          [
+            ("store", fun () -> Pmem.Region.store r 13 (Pmem.Word.of_int 4));
+            ("clwb", fun () -> Pmem.Region.clwb r 10);
+            ("sfence", fun () -> Pmem.Region.sfence r);
+            ("load", fun () -> ignore (Pmem.Region.load r 10));
+          ];
+        Alcotest.(check int) "no event after the failure" events
+          (Pmem.Region.pm_events r);
+        (* the budget disarmed itself: after the crash events run normally *)
+        Pmem.Region.crash ~mode:Pmem.Region.Drop_inflight r;
         Pmem.Region.store r 13 (Pmem.Word.of_int 4));
     Alcotest.test_case "set_crash_after rejects non-positive budgets" `Quick
       (fun () ->
@@ -272,10 +289,57 @@ let failure_key (f : Crashtest.Explorer.failure) =
     (match f.survival_seed with Some s -> string_of_int s | None -> "-")
     f.detail
 
-(* The differential reference: every sample re-executed on a fresh heap
-   -- no scratch heap, no snapshot -- crashed and recovered: (points,
-   samples, failure keys). *)
-let reexec_sweep (cfg : Crashtest.Explorer.config) w =
+(* [w] run to [budget] on a fresh heap rewound once to its pristine
+   snapshot -- the start state of a sweep's scratch heap, caches
+   invalidated, so every sample's simulated clock matches the sweep's to
+   the bit.  Returns the crashed heap, the instance, and the oracle over
+   the states committed when the power failed. *)
+let run_rewound (cfg : Crashtest.Explorer.config) (w : Crashtest.Workload.t)
+    ~budget =
+  let heap =
+    Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
+      ~seed:cfg.heap_seed ()
+  in
+  Pmalloc.Heap.reset_fresh heap ~pristine:(Pmalloc.Heap.pristine_snapshot heap);
+  let inst = w.make heap in
+  let history = ref [ w.model.(0) ] and pending = ref None in
+  Pmem.Region.set_crash_after (Pmalloc.Heap.region heap) budget;
+  match
+    inst.init ();
+    for i = 0 to w.ops - 1 do
+      pending := Some w.model.(i + 1);
+      inst.run_op i;
+      pending := None;
+      history := w.model.(i + 1) :: !history
+    done
+  with
+  | () -> Alcotest.failf "budget %d never fired" budget
+  | exception Pmem.Region.Crash_point ->
+      (heap, inst, Crashtest.Oracle.check ~history:!history ~pending:!pending)
+
+(* {!Crashtest.Replay.replay} -- the path behind a printed replay
+   command -- must reach [expected] at this sample of [subject]. *)
+let replay_agrees ~cfg subject ~crash_index ~mode ?seed expected =
+  match Crashtest.Replay.replay ~cfg subject ~crash_index ~mode ?seed () with
+  | Some v when v = expected -> ()
+  | got ->
+      let show = function
+        | Some Crashtest.Oracle.Consistent -> "consistent"
+        | Some (Crashtest.Oracle.Violation d) -> "violation: " ^ d
+        | None -> "no crash"
+      in
+      Alcotest.failf "crash %d, %s, seed %s: replay says %s, the sweep %s"
+        crash_index
+        (Crashtest.Explorer.mode_name mode)
+        (match seed with Some s -> string_of_int s | None -> "-")
+        (show got) (show (Some expected))
+
+(* The differential reference: every sample re-executed to its crash
+   point on a fresh heap -- no capture, no shared scratch heap, no
+   snapshot -- crashed and recovered: (points, samples, failure keys).
+   Every sample's verdict is also checked against {!replay_agrees} on
+   [plain], [w] without the test's recovery wrappers. *)
+let reexec_sweep (cfg : Crashtest.Explorer.config) ~plain w =
   let module E = Crashtest.Explorer in
   let total =
     match E.run_until cfg w ~budget:None with
@@ -300,58 +364,94 @@ let reexec_sweep (cfg : Crashtest.Explorer.config) w =
         in
         List.iter
           (fun seed ->
-            match E.run_until cfg w ~budget:(Some !budget) with
-            | `Completed _ -> Alcotest.failf "budget %d never fired" !budget
-            | `Crashed c -> (
-                Pmalloc.Heap.crash ~mode ?seed c.E.c_heap;
-                incr samples;
-                match E.recover_and_check c with
-                | Crashtest.Oracle.Consistent -> ()
-                | Crashtest.Oracle.Violation detail ->
-                    failures :=
-                      failure_key
-                        {
-                          E.workload = w.Crashtest.Workload.name;
-                          writers = 0;
-                          ops = w.Crashtest.Workload.ops;
-                          schedule = None;
-                          crash_index = !budget;
-                          mode;
-                          survival_seed = seed;
-                          detail;
-                        }
-                      :: !failures))
+            let heap, inst, judge = run_rewound cfg w ~budget:!budget in
+            Pmalloc.Heap.crash ~mode ?seed heap;
+            incr samples;
+            let recovered =
+              match
+                inst.recover ();
+                inst.dump ()
+              with
+              | s -> Ok s
+              | exception e -> Error e
+            in
+            let verdict = judge ~recovered in
+            replay_agrees ~cfg (E.Seq plain) ~crash_index:!budget ~mode ?seed
+              verdict;
+            match verdict with
+            | Crashtest.Oracle.Consistent -> ()
+            | Crashtest.Oracle.Violation detail ->
+                failures :=
+                  failure_key
+                    {
+                      E.workload = w.Crashtest.Workload.name;
+                      writers = 0;
+                      ops = w.Crashtest.Workload.ops;
+                      schedule = None;
+                      crash_index = !budget;
+                      mode;
+                      survival_seed = seed;
+                      detail;
+                    }
+                  :: !failures)
           seeds)
       cfg.modes;
     budget := !budget + cfg.stride
   done;
   (!points, !samples, List.rev !failures)
 
+(* [w] with every recovery logged to [log] (see {!Sweep_log.recovery}).
+   The log is shared with forked sweep workers, so a parallel sweep's
+   recoveries land in it too. *)
+let logging_recoveries log (w : Crashtest.Workload.t) =
+  let make heap =
+    let i = w.make heap in
+    {
+      i with
+      Crashtest.Workload.recover =
+        (fun () -> Sweep_log.recovery log heap i.recover);
+    }
+  in
+  { w with Crashtest.Workload.make }
+
+(* The captured sweep, at jobs 1 and 3, must test the points, take the
+   samples and report the failures re-execution does, and every sample's
+   recovery must start from the same stats, phase included, and simulate
+   the same time, bit for bit: in order at jobs 1, as a multiset across
+   forked workers. *)
+let agree ?persist ?(cfg = quick_cfg) ~ops ~caught name =
+  Sweep_log.with_log (fun log ->
+      let plain = Crashtest.Workload.build ?persist name ~ops in
+      let w = logging_recoveries log plain in
+      let ((_, _, failures) as reference) = reexec_sweep cfg ~plain w in
+      let sims = Sweep_log.take log in
+      Alcotest.(check bool) "reference catches the defect" caught
+        (failures <> []);
+      List.iter
+        (fun jobs ->
+          let what = Printf.sprintf "%s, jobs %d" name jobs in
+          let r =
+            Crashtest.Explorer.explore ~cfg:{ cfg with Crashtest.Explorer.jobs } w
+          in
+          let points, samples, failures = reference in
+          Alcotest.(check int)
+            (what ^ ": same points tested")
+            points r.Crashtest.Explorer.points_tested;
+          Alcotest.(check int)
+            (what ^ ": same crashes sampled")
+            samples r.Crashtest.Explorer.crashes_sampled;
+          Alcotest.(check (list string))
+            (what ^ ": identical failures at identical crash points")
+            failures
+            (List.map failure_key r.Crashtest.Explorer.failures);
+          Sweep_log.check_recoveries log ~what ~jobs sims)
+        [ 1; 3 ])
+
+(* One sample per Randomize point keeps the per-sample fresh-heap
+   reference affordable across the whole registry. *)
+let registry_cfg = { quick_cfg with Crashtest.Explorer.randomize_samples = 1 }
+
 let parity_tests =
-  let sweep w jobs =
-    Crashtest.Explorer.explore ~cfg:{ quick_cfg with Crashtest.Explorer.jobs } w
-  in
-  let check_matches name (points, samples, failures)
-      (r : Crashtest.Explorer.result) =
-    Alcotest.(check int)
-      (name ^ ": same points tested")
-      points r.Crashtest.Explorer.points_tested;
-    Alcotest.(check int)
-      (name ^ ": same crashes sampled")
-      samples r.Crashtest.Explorer.crashes_sampled;
-    Alcotest.(check (list string))
-      (name ^ ": identical failures at identical crash points")
-      failures
-      (List.map failure_key r.Crashtest.Explorer.failures)
-  in
-  let agree ~ops ~caught name =
-    let w = Crashtest.Workload.build name ~ops in
-    let ((_, _, failures) as reference) = reexec_sweep quick_cfg w in
-    Alcotest.(check bool) "reference catches the defect" caught
-      (failures <> []);
-    check_matches "journaled" reference (sweep w 1);
-    check_matches "parallel (3 workers)" reference (sweep w 3)
-  in
   List.map
     (fun name ->
       Alcotest.test_case
@@ -376,6 +476,145 @@ let parity_tests =
             "throughput derived" true
             (Crashtest.Explorer.points_per_sec r > 0.0));
     ]
+  @ List.map
+      (fun name ->
+        Alcotest.test_case (name ^ ": captured sweeps = re-execution") `Quick
+          (fun () ->
+            agree ~cfg:registry_cfg
+              ~ops:(if name = "unrelated" then 2 else 3)
+              ~caught:false name))
+      (* the negative controls are the first tests of this group *)
+      (Crashtest.Workload.mod_names @ Crashtest.Workload.stm_names)
+  @ List.map
+      (fun name ->
+        Alcotest.test_case
+          (name ^ " (backup): captured sweeps = re-execution")
+          `Quick
+          (fun () ->
+            agree ~persist:Pmalloc.Heap.Backup ~cfg:registry_cfg ~ops:3
+              ~caught:false name))
+      Crashtest.Workload.backup_names
+
+(* -- one execution per schedule --------------------------------------------- *)
+
+(* A sweep runs its workload once: [run_op] is called [ops] times however
+   many points it tests, whether it strides, caps, samples faults or
+   forks workers (which log to the same file). *)
+let single_pass_tests =
+  let cfgs =
+    Crashtest.Explorer.
+      [
+        ("stride 1", quick_cfg);
+        ("stride 3", { quick_cfg with stride = 3 });
+        ("max_points", { quick_cfg with max_points = Some 5 });
+        ("faults", { quick_cfg with faults = true });
+        ("jobs 2", { quick_cfg with jobs = 2 });
+      ]
+  in
+  [
+    Alcotest.test_case "sequential: run_op runs ops times" `Quick (fun () ->
+        Sweep_log.with_log (fun log ->
+            List.iter
+              (fun (what, cfg) ->
+                let w = Crashtest.Workload.build "map" ~ops:6 in
+                let make heap =
+                  let i = w.make heap in
+                  {
+                    i with
+                    Crashtest.Workload.run_op =
+                      (fun k ->
+                        Sweep_log.add log "op";
+                        i.run_op k);
+                  }
+                in
+                let r =
+                  Crashtest.Explorer.explore ~cfg
+                    { w with Crashtest.Workload.make }
+                in
+                Alcotest.(check bool)
+                  (what ^ ": points tested") true
+                  (r.Crashtest.Explorer.points_tested > 0);
+                Alcotest.(check int)
+                  (what ^ ": run_op calls") 6
+                  (List.length (Sweep_log.take log)))
+              cfgs));
+    Alcotest.test_case "concurrent: each writer body runs once per schedule"
+      `Quick (fun () ->
+        Sweep_log.with_log (fun log ->
+            List.iter
+              (fun (what, cfg) ->
+                let cfg = { cfg with Crashtest.Explorer.faults = false } in
+                let cw = Crashtest.Workload.cbuild "cmap" ~writers:2 ~ops:2 in
+                let cmake heap =
+                  let i = cw.cmake heap in
+                  {
+                    i with
+                    Crashtest.Workload.c_writers =
+                      Array.mapi
+                        (fun wr body () ->
+                          Sweep_log.add log (string_of_int wr);
+                          body ())
+                        i.c_writers;
+                  }
+                in
+                let r =
+                  Crashtest.Explorer.explore_concurrent ~cfg
+                    { cw with Crashtest.Workload.cmake }
+                in
+                Alcotest.(check bool)
+                  (what ^ ": points tested") true
+                  (r.Crashtest.Explorer.cr_points_tested > 0);
+                let runs = Sweep_log.take log in
+                let schedules =
+                  List.length Crashtest.Explorer.default_schedules
+                in
+                List.iter
+                  (fun wr ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "%s: writer %d bodies" what wr)
+                      schedules
+                      (List.length
+                         (List.filter (( = ) (string_of_int wr)) runs)))
+                  [ 0; 1 ])
+              cfgs));
+  ]
+
+(* -- power-off ------------------------------------------------------------- *)
+
+(* Once the budget fires nothing runs: an aborting transaction's
+   rollback must not issue PM events on the dead machine.  After a run
+   crashed at budget b on a fresh heap, the region has counted the
+   heap-creation events plus exactly b. *)
+let power_off_tests =
+  List.map
+    (fun name ->
+      Alcotest.test_case (name ^ ": no PM event after the power fails") `Quick
+        (fun () ->
+          let cfg = quick_cfg in
+          let w = Crashtest.Workload.build name ~ops:4 in
+          let created =
+            Pmem.Region.pm_events
+              (Pmalloc.Heap.region
+                 (Pmalloc.Heap.create
+                    ~capacity_words:cfg.Crashtest.Explorer.capacity_words
+                    ~trace:true ~seed:cfg.Crashtest.Explorer.heap_seed ()))
+          in
+          let total =
+            match Crashtest.Explorer.run_until cfg w ~budget:None with
+            | `Completed (events, _) -> events
+            | `Crashed _ -> assert false
+          in
+          for b = 1 to total do
+            match Crashtest.Explorer.run_until cfg w ~budget:(Some b) with
+            | `Completed _ -> Alcotest.failf "budget %d never fired" b
+            | `Crashed c ->
+                Alcotest.(check int)
+                  (Printf.sprintf "events after a crash at %d" b)
+                  (created + b)
+                  (Pmem.Region.pm_events
+                     (Pmalloc.Heap.region c.Crashtest.Explorer.c_heap))
+          done))
+    [ "stm14"; "stm15"; "stm-broken"; "unrelated" ]
 
 (* -- seeded crash/recover reporting ------------------------------------------ *)
 
@@ -408,10 +647,10 @@ let seed_tests =
    visits lines in another order draws other survival coins, and one
    that misses a restored dirty line recovers another image. *)
 let pinned_sweep ?persist ?(reexec = false) ~cfg name ~ops =
-  let w = Crashtest.Workload.build ?persist name ~ops in
+  let plain = Crashtest.Workload.build ?persist name ~ops in
   let sim = ref 0.0 in
   let make heap =
-    let i = w.Crashtest.Workload.make heap in
+    let i = plain.Crashtest.Workload.make heap in
     {
       i with
       Crashtest.Workload.recover =
@@ -422,11 +661,11 @@ let pinned_sweep ?persist ?(reexec = false) ~cfg name ~ops =
           sim := !sim +. (st.Pmem.Stats.now_ns -. s0));
     }
   in
-  let w = { w with Crashtest.Workload.make } in
+  let w = { plain with Crashtest.Workload.make } in
   let counts =
     if reexec then
       (* the re-execution reference: no fault schedule *)
-      let points, samples, failures = reexec_sweep cfg w in
+      let points, samples, failures = reexec_sweep cfg ~plain w in
       [ points; samples; 0; 0; 0; 0; List.length failures ]
     else
       let r = Crashtest.Explorer.explore ~cfg w in
@@ -485,9 +724,13 @@ let golden_tests =
     pin "strided sweep (queue)"
       (fun () -> journaled_and_reexecuted "queue" ~ops:5)
       [ 25L; 100L; 0L; 0L; 0L; 0L; 0L; 4684798215915044864L ];
+    (* recovery rolls back the undo log as a crash mid-transaction left
+       it (no abort runs once the power fails: 30 -> 37 violations,
+       276,684 -> 279,972 summed ns), then finds the log through its
+       root slot and validates each entry before applying it (283,642) *)
     pin "strided sweep (stm-broken)"
       (fun () -> journaled_and_reexecuted "stm-broken" ~ops:4)
-      [ 29L; 116L; 0L; 0L; 0L; 0L; 30L; 4688497007390621696L ];
+      [ 29L; 116L; 0L; 0L; 0L; 0L; 37L; 4688616544920403968L ];
   ]
 
 (* -- the root summary ------------------------------------------------------ *)
@@ -694,6 +937,8 @@ let () =
       ("sweep", sweep_tests);
       ("negative", negative_tests);
       ("parity", parity_tests);
+      ("single-pass", single_pass_tests);
+      ("power-off", power_off_tests);
       ("seed", seed_tests);
       ("golden", golden_tests);
       ("summary", summary_tests);

@@ -75,7 +75,7 @@ let tx_tests =
         Pmalloc.Heap.clwb heap cell;
         Pmalloc.Heap.sfence heap;
         Pmalloc.Heap.crash ~mode:Pmem.Region.Keep_inflight heap;
-        let rolled = Pmstm.Tx.recover tx in
+        let rolled = Pmstm.Tx.recover heap in
         Alcotest.(check bool) "log replayed" true rolled;
         Alcotest.(check int) "old value restored" 1
           (uw (Pmalloc.Heap.load heap cell)));
@@ -87,7 +87,7 @@ let tx_tests =
             Pmstm.Tx.add tx ~off:cell ~words:1;
             Pmstm.Tx.store tx cell (w 2));
         Pmalloc.Heap.crash heap;
-        let rolled = Pmstm.Tx.recover tx in
+        let rolled = Pmstm.Tx.recover heap in
         Alcotest.(check bool) "nothing to replay" false rolled;
         Alcotest.(check int) "committed value" 2
           (uw (Pmalloc.Heap.load heap cell)));
@@ -317,7 +317,7 @@ let edge_tests =
         (* the grown log is installed durably: recovery after a crash
            still finds exactly one valid (empty) log *)
         Pmalloc.Heap.crash heap;
-        Alcotest.(check bool) "no rollback needed" false (Pmstm.Tx.recover tx));
+        Alcotest.(check bool) "no rollback needed" false (Pmstm.Tx.recover heap));
     Alcotest.test_case "unsatisfiable log demand is a typed Log_full" `Quick
       (fun () ->
         let heap = Pmalloc.Heap.create ~capacity_words:(1 lsl 20) () in
@@ -342,7 +342,7 @@ let edge_tests =
         Alcotest.(check bool) "tx aborted" false (Pmstm.Tx.in_tx tx);
         Alcotest.(check bool)
           "recovery clean" true
-          (match Mod_core.Recovery.recover ~stm:tx heap with
+          (match Mod_core.Recovery.recover ~stm:true heap with
           | Ok _ -> true
           | Error _ -> false));
     Alcotest.test_case "store_fresh rejects non-fresh targets" `Quick
@@ -477,6 +477,102 @@ let ctree_tests =
         Alcotest.(check int) "all distinct keys" 64 (Hashtbl.length seen));
   ]
 
+(* Stale undo entries.  Two committed 4-word ranges [a] and [b] (plus
+   [c], to overflow a log) and a 16-word undo log, which holds two
+   4-word entries.  [stale_setup ~reuse] leaves an earlier log's entries
+   for [a] and [b] at the cursors the next transaction appends to: in
+   the same log (an earlier transaction), or, with [reuse], in a block
+   freed by a log overflow and handed to a log created after a restart.
+   [set] then runs the transaction under test, writing [base + 10k + i]
+   to word [i] of the [k]-th range. *)
+let set tx ranges base =
+  Pmstm.Tx.run tx (fun () ->
+      List.iteri
+        (fun k r ->
+          Pmstm.Tx.add tx ~off:r ~words:4;
+          for i = 0 to 3 do
+            Pmstm.Tx.store tx (r + i) (w (base + (10 * k) + i))
+          done)
+        ranges)
+
+let stale_setup ~reuse () =
+  let heap = Pmalloc.Heap.create ~capacity_words:(1 lsl 16) () in
+  let range base =
+    let r = Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Raw ~words:4 in
+    for i = 0 to 3 do
+      Pmalloc.Heap.store heap (r + i) (w (base + i))
+    done;
+    Pmalloc.Heap.flush_block heap r;
+    r
+  in
+  let a = range 0 and b = range 10 and c = range 20 in
+  Pmalloc.Heap.sfence heap;
+  let log_slot = Pmalloc.Heap.root_slots - 1 in
+  let mk () =
+    Pmstm.Tx.create ~log_capacity_words:16 heap ~version:Pmstm.Tx.V1_4
+  in
+  let tx = mk () in
+  if not reuse then begin
+    set tx [ a; b ] 100;
+    (heap, tx, a, b)
+  end
+  else begin
+    let first = Pmalloc.Heap.root_get heap log_slot in
+    (* the third entry overflows: abort, grow into a new block, free
+       this one, retry *)
+    set tx [ a; b; c ] 100;
+    Alcotest.(check bool) "the log grew" true (Pmstm.Tx.log_capacity tx > 16);
+    Pmalloc.Heap.crash heap;
+    Alcotest.(check bool) "nothing to roll back" false (Pmstm.Tx.recover heap);
+    let tx = mk () in
+    Alcotest.(check int) "the new log reuses the freed block"
+      (Pmem.Word.bits first)
+      (Pmem.Word.bits (Pmalloc.Heap.root_get heap log_slot));
+    (heap, tx, a, b)
+  end
+
+(* Crash the transaction under test after every PM event, recover each
+   crash under 16 Randomize outcomes, and require [a] and [b] to hold
+   both ranges' old or both ranges' new values.  A stale entry that
+   validates rolls [b] back to a value it held before the old one. *)
+let no_stale_rollback ~reuse () =
+  let range base = List.init 4 (fun i -> base + i) in
+  let read heap r =
+    List.init 4 (fun i -> Pmem.Word.to_int (Pmalloc.Heap.load heap (r + i)))
+  in
+  let rec go budget =
+    let heap, tx, a, b = stale_setup ~reuse () in
+    let region = Pmalloc.Heap.region heap in
+    Pmem.Region.set_crash_after region budget;
+    match set tx [ a; b ] 200 with
+    | () -> Alcotest.(check bool) "crash points tested" true (budget > 20)
+    | exception Pmem.Region.Crash_point ->
+        let at_crash = Pmem.Region.snapshot region in
+        for seed = 0 to 15 do
+          Pmalloc.Heap.crash ~mode:Pmem.Region.Randomize ~seed heap;
+          ignore (Pmstm.Tx.recover heap : bool);
+          let got = (read heap a, read heap b) in
+          if
+            got <> (range 100, range 110) && got <> (range 200, range 210)
+          then
+            Alcotest.failf "crash %d, seed %d: a = [%s], b = [%s]" budget seed
+              (String.concat ";" (List.map string_of_int (fst got)))
+              (String.concat ";" (List.map string_of_int (snd got)));
+          Pmem.Region.restore region at_crash
+        done;
+        go (budget + 1)
+  in
+  go 1
+
+let undo_log_tests =
+  [
+    Alcotest.test_case
+      "an earlier transaction's entry never rolls back a later one" `Quick
+      (no_stale_rollback ~reuse:false);
+    Alcotest.test_case "a reused log block's old entries never validate"
+      `Quick (no_stale_rollback ~reuse:true);
+  ]
+
 let () =
   Alcotest.run "pmstm"
     [
@@ -485,5 +581,6 @@ let () =
       ("array", array_tests);
       ("stack-queue", stack_queue_tests);
       ("edges", edge_tests);
+      ("undo-log", undo_log_tests);
       ("ctree", ctree_tests);
     ]

@@ -1,6 +1,7 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Section 6) on the simulated Optane machine, plus the
-   ablation studies indexed in DESIGN.md and a Bechamel wall-clock section.
+   ablation studies indexed in DESIGN.md.  The simulator's own host cost
+   per operation is measured by perf/ (see perf/README.md).
 
    Usage:
      dune exec bench/main.exe                     -- everything, default scale
@@ -18,7 +19,7 @@ let default_scale = 10_000
 let usage () =
   print_endline
     "sections: fig2 fig4 fig9 fig10 fig11 table3 ctree ablations batch \
-     telemetry faults persist killtest alloc shard bechamel all";
+     telemetry faults persist killtest alloc shard all";
   print_endline
     "options: --scale N | --full | --json FILE | --baseline FILE | --seed N \
      | --shards N";
@@ -502,24 +503,27 @@ let telemetry_section ~scale ~gate () =
            row.Telemetry.r_spans))
     rep.Telemetry.rows;
   (* -- Null-sink overhead: interleaved min-of-trials --------------- *)
-  let time f =
+  (* Each trial's heap is built, and its collector attached, before the
+     timer starts: allocating a 2M-word heap costs more than the run at
+     CI scale, and its page faults would decide the reading. *)
+  let time ?metrics () =
+    let run = Runner.prepare ?metrics "map" Backend.Mod ~scale in
     let t0 = Unix.gettimeofday () in
-    ignore (f ());
+    ignore (run ());
     Unix.gettimeofday () -. t0
   in
-  let trials = 5 in
+  let null = Telemetry.Sink.Null in
+  (* A trial lasts ~14 ms at CI scale, and host contention can stretch
+     every trial for seconds at a time; a min over fewer trials then
+     reads well above the bound (EXPERIMENTS.md) *)
+  let trials = 21 in
   let best_off = ref infinity and best_null = ref infinity in
   (* one untimed warmup each, then interleave so drift hits both arms *)
-  ignore (Runner.run_one "map" Backend.Mod ~scale);
-  ignore (Runner.run_one ~metrics:Telemetry.Sink.Null "map" Backend.Mod ~scale);
+  ignore (time ());
+  ignore (time ~metrics:null ());
   for _ = 1 to trials do
-    best_off :=
-      Float.min !best_off (time (fun () -> Runner.run_one "map" Backend.Mod ~scale));
-    best_null :=
-      Float.min !best_null
-        (time (fun () ->
-             Runner.run_one ~metrics:Telemetry.Sink.Null "map" Backend.Mod
-               ~scale))
+    best_off := Float.min !best_off (time ());
+    best_null := Float.min !best_null (time ~metrics:null ())
   done;
   let overhead_pct =
     if !best_off <= 0.0 then 0.0
@@ -1121,69 +1125,6 @@ let shard_section ~seed ~nshards ~gate () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel: host wall-clock of the simulator itself                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  Report.section
-    "Bechamel: host wall-clock per operation (simulator overhead included)";
-  let open Bechamel in
-  let open Toolkit in
-  let make_map_test backend =
-    let ctx = Backend.create backend in
-    let inst = Micro.map_setup ctx ~size:10_000 in
-    let rng = Backend.rng ctx in
-    for _ = 1 to 5_000 do
-      Micro.map_insert ctx inst (Random.State.int rng 10_000) 7
-    done;
-    Test.make
-      ~name:(Backend.kind_name backend)
-      (Staged.stage (fun () ->
-           Micro.map_insert ctx inst (Random.State.int rng 10_000) 7))
-  in
-  let make_queue_test backend =
-    let ctx = Backend.create backend in
-    let inst = Micro.queue_setup ctx in
-    for i = 1 to 1_000 do
-      Micro.queue_push ctx inst i
-    done;
-    Test.make
-      ~name:(Backend.kind_name backend)
-      (Staged.stage (fun () ->
-           Micro.queue_push ctx inst 1;
-           Micro.queue_pop ctx inst))
-  in
-  let grouped =
-    Test.make_grouped ~name:"ops"
-      [
-        Test.make_grouped ~name:"map-insert"
-          (List.map make_map_test Backend.all_kinds);
-        Test.make_grouped ~name:"queue-push-pop"
-          (List.map make_queue_test Backend.all_kinds);
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2_000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg [ Instance.monotonic_clock ] grouped in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        match Analyze.OLS.estimates ols with
-        | Some (est :: _) -> (name, est) :: acc
-        | _ -> acc)
-      results []
-  in
-  let rows = List.sort compare rows in
-  List.iter
-    (fun (name, est) -> Printf.printf "  %-40s %12.0f ns/op (host)\n" name est)
-    rows;
-  Report.Json.(
-    Obj (List.map (fun (name, est) -> (name, Float est)) rows))
-
-(* ------------------------------------------------------------------ *)
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
@@ -1259,7 +1200,6 @@ let () =
     (shard_section ~seed:!seed ~nshards:!shards ~gate);
   run "ctree" (wants "ctree") (fun () -> ctree ~scale);
   run "ablations" (wants "ablations") (fun () -> ablations ~scale);
-  run "bechamel" (wants "bechamel") (fun () -> bechamel ());
   let open Report.Json in
   let sweep_json =
     if Lazy.is_val results then

@@ -15,7 +15,16 @@
    touching the arrays -- the crash-point explorer drops a 33MB LLC
    between samples this way.  Only a miss fills a way, always the first
    invalid one, so the valid ways of a set stay a prefix of it and the
-   victim rule reads no stale [last_use]. *)
+   victim rule reads no stale [last_use].
+
+   [recent] and [prev] remember the last two ways that hit or filled, and
+   [access] compares their tags with the stamped key before it scans the
+   set.  The probe cannot change a result: a stamped tag names one line
+   in one epoch, a line occupies at most one way (of its own set), so a
+   remembered way whose tag equals the key is exactly the way the scan
+   would find; [invalidate] and [reset] leave every stored tag unequal to
+   any key of the new epoch.  Two ways, because a block copy alternates
+   between a source line and a destination line. *)
 let line_bits = 40
 let line_span = 1 lsl line_bits
 let max_base = (max_int lsr line_bits) lsl line_bits
@@ -32,6 +41,8 @@ type t = {
   last_use : int array; (* LRU timestamps *)
   mutable tick : int;
   mutable base : int; (* current epoch lsl line_bits *)
+  mutable recent : int; (* the way of the latest hit or fill *)
+  mutable prev : int; (* the way of the one before it *)
 }
 
 let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
@@ -46,6 +57,8 @@ let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
     last_use = Array.make (sets * ways) 0;
     tick = 0;
     base = line_span;
+    recent = 0;
+    prev = 0;
   }
 
 let reset t =
@@ -66,7 +79,7 @@ let invalidate t =
 (* Index of the way holding stamped tag [key] in the set starting at
    [first], or -1.  A line is installed only on a miss, so it occupies at
    most one way and the first match is the only one. *)
-let find_way t first key =
+let[@inline] find_way t first key =
   let stop = first + t.ways in
   let i = ref first in
   while !i < stop && t.tags.(!i) <> key do
@@ -76,6 +89,18 @@ let find_way t first key =
 
 let first_way t line = (line land t.set_mask) * t.ways
 
+(* [find_way] for [line], probing the two remembered ways first. *)
+let[@inline] lookup t line key =
+  if t.tags.(t.recent) = key then t.recent
+  else if t.tags.(t.prev) = key then t.prev
+  else find_way t (first_way t line) key
+
+let[@inline] remember t i =
+  if i <> t.recent then begin
+    t.prev <- t.recent;
+    t.recent <- i
+  end
+
 (* [access] results: [hit]; [miss] when the displaced way was empty or
    clean; otherwise the (non-negative) line address of a dirty victim,
    which the caller must write back.  Handing the victim back keeps the
@@ -84,54 +109,58 @@ let hit = -1
 let miss = -2
 
 (* On a miss the victim is the first invalid way, else the
-   least-recently-used one (first on ties). *)
-let access t ~line ~write =
-  t.tick <- t.tick + 1;
+   least-recently-used one (first on ties).  Out of line: [access] is
+   inlined into every load and store, and most of them hit. *)
+let[@inline never] fill t line key ~write =
+  let base = t.base in
   let first = first_way t line in
+  let stop = first + t.ways in
+  let victim = ref first in
+  let best = ref max_int in
+  let w = ref first in
+  while !w < stop do
+    let i = !w in
+    if t.tags.(i) < base then begin
+      victim := i;
+      w := stop
+    end
+    else begin
+      let u = t.last_use.(i) in
+      if u < !best then begin
+        best := u;
+        victim := i
+      end;
+      incr w
+    end
+  done;
+  let i = !victim in
+  let old = t.tags.(i) in
+  let result = if old >= base && t.dirty.(i) then old - base else miss in
+  t.tags.(i) <- key;
+  t.dirty.(i) <- write;
+  t.last_use.(i) <- t.tick;
+  remember t i;
+  result
+
+let[@inline] access t ~line ~write =
+  t.tick <- t.tick + 1;
   let key = t.base lor line in
-  let i = find_way t first key in
+  let i = lookup t line key in
   if i >= 0 then begin
     t.last_use.(i) <- t.tick;
     if write then t.dirty.(i) <- true;
+    remember t i;
     hit
   end
-  else begin
-    let base = t.base in
-    let stop = first + t.ways in
-    let victim = ref first in
-    let best = ref max_int in
-    let w = ref first in
-    while !w < stop do
-      let i = !w in
-      if t.tags.(i) < base then begin
-        victim := i;
-        w := stop
-      end
-      else begin
-        let u = t.last_use.(i) in
-        if u < !best then begin
-          best := u;
-          victim := i
-        end;
-        incr w
-      end
-    done;
-    let i = !victim in
-    let old = t.tags.(i) in
-    let result = if old >= base && t.dirty.(i) then old - base else miss in
-    t.tags.(i) <- key;
-    t.dirty.(i) <- write;
-    t.last_use.(i) <- t.tick;
-    result
-  end
+  else fill t line key ~write
 
 (* Mark a line clean in the cache (its data has been written back by a
    clwb+sfence), without evicting it: clwb writes back but need not evict. *)
 let mark_clean t ~line =
-  let i = find_way t (first_way t line) (t.base lor line) in
+  let i = lookup t line (t.base lor line) in
   if i >= 0 then t.dirty.(i) <- false
 
-let resident t ~line = find_way t (first_way t line) (t.base lor line) >= 0
+let resident t ~line = lookup t line (t.base lor line) >= 0
 
 let dirty_lines t =
   let acc = ref [] in

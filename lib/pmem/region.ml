@@ -221,13 +221,14 @@ let line_image t line =
     e_dur = Array.sub t.durable base len;
   }
 
+let journal_record t line =
+  t.j_mark.(line) <- t.j_epoch;
+  journal_push t (line_image t line)
+
 (* First-touch undo record: called before any mutation of [line]'s
    volatile contents, durable contents or durability state. *)
-let journal_touch t line =
-  if t.j_on && t.j_mark.(line) <> t.j_epoch then begin
-    t.j_mark.(line) <- t.j_epoch;
-    journal_push t (line_image t line)
-  end
+let[@inline] journal_touch t line =
+  if t.j_on && t.j_mark.(line) <> t.j_epoch then journal_record t line
 
 let journal_entries t = t.j_len
 
@@ -287,12 +288,14 @@ let capture_point t k =
     Array.init (t.j_len - k.k_from) (fun i ->
         line_image t t.j_entries.(k.k_from + i).e_line)
   in
+  let stats = Stats.copy t.stats in
+  stats.Stats.cur_phase <- k.k_phase;
   k.k_points <-
     {
       pt_lines = lines;
       pt_capacity = t.capacity;
       pt_inflight = t.inflight;
-      pt_stats = { t.stats with Stats.cur_phase = k.k_phase };
+      pt_stats = stats;
     }
     :: k.k_points;
   k.k_from <- t.j_len;
@@ -313,7 +316,7 @@ let budget_fired t =
    The event itself has completed by the time the budget fires: the
    power fails (or a capture records the point) immediately after it,
    before the event hook can schedule another writer. *)
-let tick t =
+let[@inline] tick t =
   t.events <- t.events + 1;
   if t.crash_budget > 0 then begin
     t.crash_budget <- t.crash_budget - 1;
@@ -360,9 +363,11 @@ let ensure_capacity t n =
     t.capacity <- cap
   end
 
-let check_off t off fn =
-  if off < 0 || off >= t.capacity then
-    invalid_arg (Printf.sprintf "Region.%s: offset %d out of bounds" fn off)
+let out_of_bounds fn off =
+  invalid_arg (Printf.sprintf "Region.%s: offset %d out of bounds" fn off)
+
+let[@inline] check_off t off fn =
+  if off < 0 || off >= t.capacity then out_of_bounds fn off
 
 let mark_file_dirty t line =
   match t.backing with
@@ -421,7 +426,7 @@ let evict_writeback t victim_line =
 (* Walk the cache hierarchy for latency purposes.  Durability only cares
    about L1D evictions (a dirty line leaving L1D is written back to PM,
    conservatively); L2 and LLC model where a miss is served from. *)
-let touch_cache t off ~write =
+let[@inline] touch_cache t off ~write =
   let line = line_of_word off in
   let r = Cache.access t.cache ~line ~write in
   if r = Cache.hit then begin
@@ -439,7 +444,7 @@ let touch_cache t off ~write =
 (* Media-bad lines fault on any read path: armed by the fault injector
    (see [arm_media_fault]), detected here exactly where a real DIMM would
    return a poisoned line. *)
-let check_media t off fn =
+let[@inline] check_media t off fn =
   if
     Hashtbl.length t.media_bad > 0
     && Hashtbl.mem t.media_bad (line_of_word off)
@@ -448,7 +453,7 @@ let check_media t off fn =
     raise (Media_fault { off })
   end
 
-let load t off =
+let[@inline] load t off =
   check_power t;
   check_off t off "load";
   check_media t off "load";
@@ -457,7 +462,7 @@ let load t off =
   Stats.advance t.stats (Latency.load_ns level);
   Word.raw t.current.(off)
 
-let store t off w =
+let[@inline] store t off w =
   check_power t;
   check_off t off "store";
   let line = line_of_word off in
@@ -482,7 +487,9 @@ let store t off w =
          (false sharing): its commit would fence "durable" shadows whose
          line a concurrent writer's allocation re-dirtied. *)
       ());
-  Trace.emit t.trace (Trace.Write { off });
+  (* build the event only when it is recorded: with tracing off a store
+     allocates nothing but the [now_ns] box *)
+  if Trace.enabled t.trace then Trace.emit t.trace (Trace.Write { off });
   tick t
 
 let rec clwb t off =
@@ -490,7 +497,7 @@ let rec clwb t off =
   check_off t off "clwb";
   let line = line_of_word off in
   t.stats.Stats.clwbs <- t.stats.Stats.clwbs + 1;
-  Trace.emit t.trace (Trace.Flush { line });
+  if Trace.enabled t.trace then Trace.emit t.trace (Trace.Flush { line });
   (match t.state.(line) with
   | Dirty ->
       journal_touch t line;

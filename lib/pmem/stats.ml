@@ -11,11 +11,17 @@
 
 type phase = Flush | Log | Other
 
+(* A mutable float field of a record that also holds ints is a boxed
+   float: every update allocates a box and runs the write barrier.
+   [now_ns] and [ns_flush] stay fields because outside readers use them
+   as fields; the Log and Other accumulators, which every load and store
+   outside a fence bumps, live unboxed in [phase_ns] (read them through
+   [ns_log] and [ns_other]).  Every copy of a [t] must copy [phase_ns]
+   too, or two copies would share one accumulator. *)
 type t = {
   mutable now_ns : float;
   mutable ns_flush : float;
-  mutable ns_log : float;
-  mutable ns_other : float;
+  phase_ns : Float.Array.t; (* [log_ix]: Log, [other_ix]: Other *)
   mutable loads : int;
   mutable stores : int;
   mutable l1_hits : int;
@@ -36,12 +42,14 @@ type t = {
   mutable file_fsyncs : int;
 }
 
+let log_ix = 0
+let other_ix = 1
+
 let create () =
   {
     now_ns = 0.0;
     ns_flush = 0.0;
-    ns_log = 0.0;
-    ns_other = 0.0;
+    phase_ns = Float.Array.make 2 0.0;
     loads = 0;
     stores = 0;
     l1_hits = 0;
@@ -60,8 +68,7 @@ let create () =
 let reset t =
   t.now_ns <- 0.0;
   t.ns_flush <- 0.0;
-  t.ns_log <- 0.0;
-  t.ns_other <- 0.0;
+  Float.Array.fill t.phase_ns 0 2 0.0;
   t.loads <- 0;
   t.stores <- 0;
   t.l1_hits <- 0;
@@ -78,14 +85,13 @@ let reset t =
 
 (* Deep copy, for region snapshots: a crash-point sample must not leak
    its simulated time or event counts into the next sample. *)
-let copy t = { t with now_ns = t.now_ns }
+let copy t = { t with phase_ns = Float.Array.copy t.phase_ns }
 
 (* Overwrite [into] with the contents of [src] (the restore half). *)
 let assign ~into src =
   into.now_ns <- src.now_ns;
   into.ns_flush <- src.ns_flush;
-  into.ns_log <- src.ns_log;
-  into.ns_other <- src.ns_other;
+  Float.Array.blit src.phase_ns 0 into.phase_ns 0 2;
   into.loads <- src.loads;
   into.stores <- src.stores;
   into.l1_hits <- src.l1_hits;
@@ -100,22 +106,23 @@ let assign ~into src =
   into.file_lines <- src.file_lines;
   into.file_fsyncs <- src.file_fsyncs
 
-(* Advance simulated time, attributing it to the current phase. *)
-let advance t ns =
-  t.now_ns <- t.now_ns +. ns;
-  match t.cur_phase with
-  | Flush -> t.ns_flush <- t.ns_flush +. ns
-  | Log -> t.ns_log <- t.ns_log +. ns
-  | Other -> t.ns_other <- t.ns_other +. ns
+let ns_log t = Float.Array.get t.phase_ns log_ix
+let ns_other t = Float.Array.get t.phase_ns other_ix
+
+let[@inline] add_phase t ix ns =
+  Float.Array.set t.phase_ns ix (Float.Array.get t.phase_ns ix +. ns)
 
 (* Advance simulated time, attributing it to a specific phase regardless of
    the current one.  Fence stalls always count as Flush time. *)
-let advance_in t phase ns =
+let[@inline] advance_in t phase ns =
   t.now_ns <- t.now_ns +. ns;
   match phase with
   | Flush -> t.ns_flush <- t.ns_flush +. ns
-  | Log -> t.ns_log <- t.ns_log +. ns
-  | Other -> t.ns_other <- t.ns_other +. ns
+  | Log -> add_phase t log_ix ns
+  | Other -> add_phase t other_ix ns
+
+(* Advance simulated time, attributing it to the current phase. *)
+let[@inline] advance t ns = advance_in t t.cur_phase ns
 
 let in_phase t phase f =
   let saved = t.cur_phase in
@@ -150,8 +157,8 @@ let snapshot t =
   {
     s_now_ns = t.now_ns;
     s_ns_flush = t.ns_flush;
-    s_ns_log = t.ns_log;
-    s_ns_other = t.ns_other;
+    s_ns_log = ns_log t;
+    s_ns_other = ns_other t;
     s_loads = t.loads;
     s_stores = t.stores;
     s_l1_hits = t.l1_hits;
@@ -186,6 +193,6 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>time %.0f ns (flush %.0f, log %.0f, other %.0f)@ loads %d stores %d@ \
      clwb %d sfence %d drained %d@ L1D hits %d misses %d (%.2f%%)@]"
-    t.now_ns t.ns_flush t.ns_log t.ns_other t.loads t.stores t.clwbs t.fences
+    t.now_ns t.ns_flush (ns_log t) (ns_other t) t.loads t.stores t.clwbs t.fences
     t.lines_drained t.l1_hits t.l1_misses
     (100.0 *. miss_ratio t)

@@ -51,8 +51,11 @@ let dispatch ?(batch = 1) name ~scale ctx =
       (Memcached.run ~batch ctx ~ops ~keyspace, ops)
   | other -> invalid_arg (Printf.sprintf "Runner: unknown workload %S" other)
 
-let run_one ?(capacity_words = 1 lsl 21) ?(trace = false) ?(batch = 1) ?metrics
-    ?persist ?seed name backend ~scale =
+(* Build the run's heap and attach its collector now; the returned thunk
+   runs the workload on them.  A host timer around the thunk then times
+   the workload, not the allocation of the heap's arrays. *)
+let prepare ?(capacity_words = 1 lsl 21) ?(trace = false) ?(batch = 1)
+    ?metrics ?persist ?seed name backend ~scale =
   let ctx = Backend.create ~capacity_words ~trace ?seed ?persist backend in
   (* instance-scoped: the collector rides on this run's heap, so
      concurrent runs (shards) never fight over a process-wide slot *)
@@ -61,29 +64,35 @@ let run_one ?(capacity_words = 1 lsl 21) ?(trace = false) ?(batch = 1) ?metrics
       (fun sink -> Pmalloc.Heap.attach_telemetry ~sink (Backend.heap ctx))
       metrics
   in
-  let (), ops = dispatch ~batch name ~scale ctx in
-  let telemetry = Option.map Telemetry.report collector in
-  let s = Backend.stats ctx in
-  let allocator = Pmalloc.Heap.allocator (Backend.heap ctx) in
-  {
-    workload = name;
-    backend;
-    ops;
-    batch;
-    ns_total = s.Pmem.Stats.now_ns;
-    ns_flush = s.Pmem.Stats.ns_flush;
-    ns_log = s.Pmem.Stats.ns_log;
-    ns_other = s.Pmem.Stats.ns_other;
-    fences = s.Pmem.Stats.fences;
-    flushes = s.Pmem.Stats.clwbs;
-    commits = s.Pmem.Stats.commits;
-    loads = s.Pmem.Stats.loads;
-    stores = s.Pmem.Stats.stores;
-    miss_ratio = Pmem.Stats.miss_ratio s;
-    live_words = Pmalloc.Allocator.live_words allocator;
-    high_water_words = Pmalloc.Allocator.high_water_words allocator;
-    telemetry;
-  }
+  fun () ->
+    let (), ops = dispatch ~batch name ~scale ctx in
+    let telemetry = Option.map Telemetry.report collector in
+    let s = Backend.stats ctx in
+    let allocator = Pmalloc.Heap.allocator (Backend.heap ctx) in
+    {
+      workload = name;
+      backend;
+      ops;
+      batch;
+      ns_total = s.Pmem.Stats.now_ns;
+      ns_flush = s.Pmem.Stats.ns_flush;
+      ns_log = Pmem.Stats.ns_log s;
+      ns_other = Pmem.Stats.ns_other s;
+      fences = s.Pmem.Stats.fences;
+      flushes = s.Pmem.Stats.clwbs;
+      commits = s.Pmem.Stats.commits;
+      loads = s.Pmem.Stats.loads;
+      stores = s.Pmem.Stats.stores;
+      miss_ratio = Pmem.Stats.miss_ratio s;
+      live_words = Pmalloc.Allocator.live_words allocator;
+      high_water_words = Pmalloc.Allocator.high_water_words allocator;
+      telemetry;
+    }
+
+let run_one ?capacity_words ?trace ?batch ?metrics ?persist ?seed name backend
+    ~scale =
+  prepare ?capacity_words ?trace ?batch ?metrics ?persist ?seed name backend
+    ~scale ()
 
 (* Same run, but also return the trace for consistency checking. *)
 let run_traced name backend ~scale =

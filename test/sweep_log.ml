@@ -42,8 +42,8 @@ let recovery t heap recover =
   let before =
     Pmem.Stats.(
       Printf.sprintf "%Lx %Lx %Lx %Lx %d %d %d %d %d %d %d %d %d %s %d %d %d"
-        (bits st.now_ns) (bits st.ns_flush) (bits st.ns_log)
-        (bits st.ns_other) st.loads st.stores st.l1_hits st.l1_misses
+        (bits st.now_ns) (bits st.ns_flush) (bits (ns_log st))
+        (bits (ns_other st)) st.loads st.stores st.l1_hits st.l1_misses
         st.clwbs st.fences st.lines_drained st.log_writes st.commits
         (phase_name st.cur_phase) st.file_commits st.file_lines
         st.file_fsyncs)

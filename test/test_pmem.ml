@@ -106,6 +106,30 @@ let region_tests =
         Region.clwb r 8;
         Region.crash ~mode:Region.Drop_inflight r;
         Alcotest.(check int) "in-flight lost" 0 (Word.bits (Region.load r 8)));
+    Alcotest.test_case "load and store allocate only the clock box" `Quick
+      (fun () ->
+        (* [now_ns] is a boxed record field (outside readers use it as a
+           field), so each access allocates its 2-word box and nothing
+           else: no trace event while tracing is off, no boxed phase
+           accumulator *)
+        let r = Region.create ~capacity_words:1024 () in
+        Region.store r 16 (Word.of_int 0);
+        let n = 10_000 in
+        let words_per f =
+          let before = Gc.minor_words () in
+          for i = 1 to n do
+            f i
+          done;
+          (Gc.minor_words () -. before) /. float_of_int n
+        in
+        let store =
+          words_per (fun i -> Region.store r (16 + (i land 7)) (Word.of_int i))
+        in
+        let load = words_per (fun i -> ignore (Region.load r (16 + (i land 7)))) in
+        Alcotest.(check int) "only the first store missed L1" 1
+          (Region.stats r).Stats.l1_misses;
+        if store > 2.0 then Alcotest.failf "a store allocates %.2f words" store;
+        if load > 2.0 then Alcotest.failf "a load allocates %.2f words" load);
     Alcotest.test_case "capacity grows on demand" `Quick (fun () ->
         let r = Region.create ~capacity_words:64 () in
         Region.ensure_capacity r 1000;
@@ -320,13 +344,46 @@ let cache_model_tests =
           (1, return `Reset);
         ])
   in
+  (* A run touches one line, or alternates between two lines of one set
+     or of two sets -- a block copy's pattern, which the cache serves
+     from its two remembered ways -- with an occasional mark_clean,
+     invalidation or reset inside it. *)
+  let run_gen sets =
+    QCheck.Gen.(
+      let* l1 = int_bound 40 in
+      let* l2 =
+        frequency
+          [
+            (1, return l1);
+            (2, map (fun k -> l1 + (sets * (k + 1))) (int_bound 3));
+            (2, map (fun k -> l1 + 1 + (k mod max 1 (sets - 1))) (int_bound 7));
+          ]
+      in
+      let step i =
+        let line = if i land 1 = 0 then l1 else l2 in
+        frequency
+          [
+            (12, map (fun write -> `Access (line, write)) bool);
+            (2, return (`Mark_clean line));
+            (1, return `Invalidate);
+            (1, return `Reset);
+          ]
+      in
+      let* n = int_range 2 24 in
+      flatten_l (List.init n step))
+  in
   (* [Some k]: start the cache [k] invalidations short of its epoch
      wrap, so the trace's invalidations cross it *)
   let gen =
     QCheck.Gen.(
-      quad (int_bound 3) (int_range 1 4)
+      let* log_sets = int_bound 3 in
+      let segment =
+        frequency
+          [ (3, map (fun op -> [ op ]) op_gen); (1, run_gen (1 lsl log_sets)) ]
+      in
+      quad (return log_sets) (int_range 1 4)
         (frequency [ (3, return None); (1, map Option.some (int_bound 2)) ])
-        (list_size (int_range 1 300) op_gen))
+        (map List.concat (list_size (int_range 1 60) segment)))
   in
   [
     QCheck_alcotest.to_alcotest
@@ -381,8 +438,8 @@ let stats_tests =
         Stats.advance s 10.0;
         Stats.in_phase s Stats.Log (fun () -> Stats.advance s 5.0);
         Stats.in_phase s Stats.Flush (fun () -> Stats.advance s 2.0);
-        Alcotest.(check (float 0.001)) "other" 10.0 s.Stats.ns_other;
-        Alcotest.(check (float 0.001)) "log" 5.0 s.Stats.ns_log;
+        Alcotest.(check (float 0.001)) "other" 10.0 (Stats.ns_other s);
+        Alcotest.(check (float 0.001)) "log" 5.0 (Stats.ns_log s);
         Alcotest.(check (float 0.001)) "flush" 2.0 s.Stats.ns_flush;
         Alcotest.(check (float 0.001)) "total" 17.0 s.Stats.now_ns);
     Alcotest.test_case "in_phase restores on exception" `Quick (fun () ->
@@ -390,7 +447,7 @@ let stats_tests =
         (try Stats.in_phase s Stats.Log (fun () -> failwith "boom")
          with Failure _ -> ());
         Stats.advance s 1.0;
-        Alcotest.(check (float 0.001)) "charged to other" 1.0 s.Stats.ns_other);
+        Alcotest.(check (float 0.001)) "charged to other" 1.0 (Stats.ns_other s));
     Alcotest.test_case "snapshot diff" `Quick (fun () ->
         let s = Stats.create () in
         let before = Stats.snapshot s in
@@ -399,6 +456,24 @@ let stats_tests =
         let d = Stats.diff ~before ~after:(Stats.snapshot s) in
         Alcotest.(check (float 0.001)) "ns" 7.0 d.Stats.s_now_ns;
         Alcotest.(check int) "clwbs" 3 d.Stats.s_clwbs);
+    Alcotest.test_case "copies own their phase accumulators" `Quick
+      (fun () ->
+        (* the Log and Other accumulators are one mutable store inside
+           the record: a copy that shared it would leak one crash
+           sample's time into the next *)
+        let s = Stats.create () in
+        Stats.advance s 3.0;
+        let c = Stats.copy s in
+        Stats.advance s 4.0;
+        Stats.in_phase s Stats.Log (fun () -> Stats.advance s 1.0);
+        Alcotest.(check (float 0.001)) "copy's other" 3.0 (Stats.ns_other c);
+        Alcotest.(check (float 0.001)) "copy's log" 0.0 (Stats.ns_log c);
+        let into = Stats.create () in
+        Stats.assign ~into c;
+        Stats.advance into 5.0;
+        Alcotest.(check (float 0.001)) "assigned" 8.0 (Stats.ns_other into);
+        Alcotest.(check (float 0.001)) "source kept" 3.0 (Stats.ns_other c);
+        Alcotest.(check (float 0.001)) "original" 7.0 (Stats.ns_other s));
   ]
 
 let trace_tests =

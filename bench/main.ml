@@ -16,15 +16,6 @@ open Workloads
 
 let default_scale = 10_000
 
-let usage () =
-  print_endline
-    "sections: fig2 fig4 fig9 fig10 fig11 table3 ctree ablations batch \
-     telemetry faults persist killtest alloc shard all";
-  print_endline
-    "options: --scale N | --full | --json FILE | --baseline FILE | --seed N \
-     | --shards N";
-  exit 1
-
 (* ------------------------------------------------------------------ *)
 (* Figure 4: average flush latency vs flushes overlapped per fence     *)
 (* ------------------------------------------------------------------ *)
@@ -565,91 +556,6 @@ let telemetry_section ~scale ~gate () =
       ])
 
 (* ------------------------------------------------------------------ *)
-(* Faults: torn-crash + media-fault sweep throughput and detection     *)
-(* ------------------------------------------------------------------ *)
-
-let faults_section ~gate () =
-  Report.section
-    "Faults: torn-crash and media-fault sweep (detection-or-recovery gate)";
-  Printf.printf
-    "A bounded fault-schedule sweep over the seven basic structures: at\n\
-     each sampled crash point the dirty lines are torn per-word and root /\n\
-     heap cachelines are armed as media-bad.  The oracle requires recovery\n\
-     to reconstruct a durably-linearizable state or fail with a typed\n\
-     error -- a silent-corruption verdict fails the bench.\n\n";
-  let cfg =
-    {
-      Crashtest.Explorer.default with
-      stride = 2;
-      randomize_samples = 2;
-      faults = true;
-    }
-  in
-  let results =
-    List.map
-      (fun name ->
-        let w = Crashtest.Workload.build name ~ops:16 in
-        let r = Crashtest.Explorer.explore ~cfg w in
-        Format.printf "%a@." Crashtest.Explorer.pp_result r;
-        (name, r))
-      Crashtest.Workload.basic_names
-  in
-  let sum f = List.fold_left (fun a (_, r) -> a + f r) 0 results in
-  let violations =
-    sum (fun r ->
-        if Crashtest.Explorer.ok r then 0
-        else List.length r.Crashtest.Explorer.failures)
-  in
-  let samples = sum (fun r -> r.Crashtest.Explorer.fault_samples) in
-  let recovered = sum (fun r -> r.Crashtest.Explorer.fault_recovered) in
-  let degraded = sum (fun r -> r.Crashtest.Explorer.fault_degraded) in
-  let fallbacks = sum (fun r -> r.Crashtest.Explorer.fault_fallbacks) in
-  let points = sum (fun r -> r.Crashtest.Explorer.points_tested) in
-  let wall =
-    List.fold_left
-      (fun a (_, r) -> a +. r.Crashtest.Explorer.wall_seconds)
-      0.0 results
-  in
-  let points_per_sec =
-    if wall <= 0.0 then 0.0 else float_of_int points /. wall
-  in
-  Printf.printf
-    "\nfault sweep: %d samples (%d recovered, %d degraded, %d root \
-     fallbacks), %.0f points/s\n"
-    samples recovered degraded fallbacks points_per_sec;
-  Gate.require gate ~section:"bench.faults" ~metric:"violations"
-    (violations = 0)
-    (Printf.sprintf "%d oracle violation(s)" violations);
-  Report.Json.(
-    Obj
-      [
-        ("fault_samples", Int samples);
-        ("fault_recovered", Int recovered);
-        ("fault_degraded", Int degraded);
-        ("fault_fallbacks", Int fallbacks);
-        ("points_tested", Int points);
-        ("wall_seconds", Float wall);
-        ("points_per_sec", Float points_per_sec);
-        ("violations", Int violations);
-        ( "workloads",
-          List
-            (List.map
-               (fun (name, r) ->
-                 Obj
-                   [
-                     ("workload", String name);
-                     ("fault_samples", Int r.Crashtest.Explorer.fault_samples);
-                     ( "fault_recovered",
-                       Int r.Crashtest.Explorer.fault_recovered );
-                     ("fault_degraded", Int r.Crashtest.Explorer.fault_degraded);
-                     ( "fault_fallbacks",
-                       Int r.Crashtest.Explorer.fault_fallbacks );
-                     ("ok", Bool (Crashtest.Explorer.ok r));
-                   ])
-               results) );
-      ])
-
-(* ------------------------------------------------------------------ *)
 (* Commit policies: Full vs Backup ("don't persist all")               *)
 (* ------------------------------------------------------------------ *)
 
@@ -774,72 +680,6 @@ let persist_section ~scale ~gate () =
                      ("recovery_ms", Float rec_ms);
                    ])
                rows) );
-      ])
-
-(* ------------------------------------------------------------------ *)
-(* Kill9: real fork+SIGKILL durability sweep on the file backend       *)
-(* ------------------------------------------------------------------ *)
-
-let killtest_section ~gate () =
-  Report.section
-    "Kill9: fork + SIGKILL durability on the file-backed heap";
-  Printf.printf
-    "Forked workers apply deterministic workloads to file-backed heaps and\n\
-     are SIGKILLed at random wall-clock instants and deterministically\n\
-     inside the journaled writeback; the surviving process reopens each\n\
-     image and checks the recovered state against the oracle.  Any\n\
-     violation or escaped exception fails the bench; the committed\n\
-     baseline bounds reopen latency.\n\n";
-  let results =
-    List.map
-      (fun name ->
-        let r =
-          Crashtest.Kill9.run ~ops:30 ~seed:13 ~workload:name ~kills:8 ()
-        in
-        Format.printf "%a@." Crashtest.Kill9.pp_result r;
-        List.iter
-          (fun f -> Printf.eprintf "KILL9 FAIL: %s\n" f)
-          (Crashtest.Kill9.failures r);
-        r)
-      [ "map"; "queue"; "vec" ]
-  in
-  let sum f = List.fold_left (fun a r -> a + f r) 0 results in
-  let violations = sum (fun r -> r.Crashtest.Kill9.violations) in
-  let escaped = sum (fun r -> r.Crashtest.Kill9.escaped) in
-  let max_reopen_ms =
-    List.fold_left
-      (fun a r -> Float.max a (r.Crashtest.Kill9.max_reopen_ns /. 1e6))
-      0.0 results
-  in
-  let section = "bench.killtest" in
-  Gate.require gate ~section ~metric:"violations" (violations = 0)
-    (Printf.sprintf "%d oracle violation(s)" violations);
-  Gate.require gate ~section ~metric:"escaped" (escaped = 0)
-    (Printf.sprintf "%d escaped exception(s)" escaped);
-  Gate.bound gate ~section ~metric:"max_reopen_ms" max_reopen_ms;
-  Report.Json.(
-    Obj
-      [
-        ("trials", Int (sum (fun r -> r.Crashtest.Kill9.kills)));
-        ("violations", Int violations);
-        ("escaped", Int escaped);
-        ("completed", Int (sum (fun r -> r.Crashtest.Kill9.completed_runs)));
-        ("journal_replayed", Int (sum (fun r -> r.Crashtest.Kill9.replayed)));
-        ("journal_discarded", Int (sum (fun r -> r.Crashtest.Kill9.discarded)));
-        ("max_reopen_ms", Float max_reopen_ms);
-        ( "workloads",
-          List
-            (List.map
-               (fun (r : Crashtest.Kill9.result) ->
-                 Obj
-                   [
-                     ("workload", String r.workload);
-                     ("trials", Int r.kills);
-                     ("violations", Int r.violations);
-                     ("mean_reopen_ms", Float (r.mean_reopen_ns /. 1e6));
-                     ("ok", Bool (Crashtest.Kill9.ok r));
-                   ])
-               results) );
       ])
 
 (* ------------------------------------------------------------------ *)
@@ -1033,7 +873,7 @@ headline: hashmap outperforms ctree by %.0f%% -- the paper compares
     Obj [ ("hashmap_sim_ns", Float t_map); ("ctree_sim_ns", Float t_ctree) ])
 
 (* ------------------------------------------------------------------ *)
-(* Serving layer: sharded zipfian throughput + crash independence      *)
+(* Serving layer: sharded zipfian throughput                          *)
 (* ------------------------------------------------------------------ *)
 
 (* Both runs use the deterministic Inline mode so the speedup is a pure
@@ -1044,7 +884,7 @@ headline: hashmap outperforms ctree by %.0f%% -- the paper compares
    many host cores the CI runner has. *)
 let shard_section ~seed ~nshards ~gate () =
   Report.section
-    "Serving layer: sharded zipfian loop (sim speedup) + single-shard crashes";
+    "Serving layer: sharded zipfian loop (sim speedup)";
   let requests = 8_000 in
   let theta = 0.99 in
   let run n =
@@ -1076,24 +916,7 @@ let shard_section ~seed ~nshards ~gate () =
         (m.Shard.m_sim_ns /. 1e6)
         m.Shard.m_p50_ns m.Shard.m_p99_ns)
     rn.Shard.lr_shards;
-  (* crash independence is a hard gate, baseline or not *)
-  let sw =
-    Shard.crash_sweep ~nshards ~requests:160 ~keyspace:256 ~stride:97
-      ~max_points:60 ~seed ()
-  in
-  Printf.printf
-    "single-shard crash sweep: %d points, %d consistent, %d violations, %d \
-     sibling perturbations\n"
-    sw.Shard.sw_points sw.Shard.sw_consistent
-    (List.length sw.Shard.sw_violations)
-    sw.Shard.sw_sibling_mismatches;
-  List.iter
-    (fun v -> Printf.eprintf "SHARD SWEEP FAIL: %s\n" v)
-    sw.Shard.sw_violations;
-  let section = "bench.shard" in
-  Gate.require gate ~section ~metric:"sweep_ok" (Shard.sweep_ok sw)
-    "single-shard crash independence violated";
-  Gate.bound gate ~section ~metric:"sim_speedup" speedup;
+  Gate.bound gate ~section:"bench.shard" ~metric:"sim_speedup" speedup;
   Report.Json.(
     Obj
       [
@@ -1105,10 +928,6 @@ let shard_section ~seed ~nshards ~gate () =
         ("sim_makespan_ns", Float rn.Shard.lr_sim_makespan_ns);
         ("sim_speedup", Float speedup);
         ("agg_req_per_sim_s", Float rn.Shard.lr_sim_req_s);
-        ("sweep_points", Int sw.Shard.sw_points);
-        ("sweep_violations", Int (List.length sw.Shard.sw_violations));
-        ( "sweep_sibling_mismatches",
-          Int sw.Shard.sw_sibling_mismatches );
         ( "shards",
           List
             (List.map
@@ -1126,6 +945,56 @@ let shard_section ~seed ~nshards ~gate () =
 
 (* ------------------------------------------------------------------ *)
 
+(* What a section may draw on: the options, the gate, and the workload
+   sweep Figures 2, 9 and 11 share (run on first use). *)
+type ctx = {
+  scale : int;
+  seed : int;
+  nshards : int;
+  gate : Gate.t;
+  results : (string * (Backend.kind * Runner.result) list) list Lazy.t;
+}
+
+(* Every section, in run order; the usage line and the dispatcher both
+   read this list.  Each renders its terminal figure and hands back a
+   JSON payload (Null for the pure views over the shared sweep, whose
+   data lands in the top-level "sweep" array). *)
+let sections : (string * (ctx -> Report.Json.t)) list =
+  let view f c =
+    f (Lazy.force c.results);
+    Report.Json.Null
+  in
+  [
+    ("fig4", fun _ -> fig4 ());
+    ("fig2", view fig2);
+    ("fig9", view fig9);
+    ( "fig10",
+      fun _ ->
+        fig10 ();
+        Report.Json.Null );
+    ("fig11", view fig11);
+    ("table3", fun c -> table3 ~scale:c.scale);
+    ( "batch",
+      fun c -> batch_section ~scale:(min c.scale 20_000) ~gate:c.gate () );
+    ( "telemetry",
+      fun c -> telemetry_section ~scale:(min c.scale 10_000) ~gate:c.gate () );
+    ( "persist",
+      fun c -> persist_section ~scale:(min c.scale 10_000) ~gate:c.gate () );
+    ("alloc", fun c -> alloc_section ~scale:c.scale ~gate:c.gate ());
+    ( "shard",
+      fun c -> shard_section ~seed:c.seed ~nshards:c.nshards ~gate:c.gate () );
+    ("ctree", fun c -> ctree ~scale:c.scale);
+    ("ablations", fun c -> ablations ~scale:c.scale);
+  ]
+
+let usage () =
+  Printf.printf "sections: %s all\n"
+    (String.concat " " (List.map fst sections));
+  print_endline
+    "options: --scale N | --full | --json FILE | --baseline FILE | --seed N \
+     | --shards N";
+  exit 1
+
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let scale = ref default_scale in
@@ -1133,7 +1002,7 @@ let () =
   let baseline = ref None in
   let seed = ref 42 in
   let shards = ref 4 in
-  let sections = ref [] in
+  let requested = ref [] in
   let rec parse = function
     | [] -> ()
     | "--scale" :: n :: rest ->
@@ -1156,50 +1025,37 @@ let () =
         parse rest
     | ("--help" | "-h") :: _ -> usage ()
     | s :: rest ->
-        sections := s :: !sections;
+        requested := s :: !requested;
         parse rest
   in
   parse args;
-  let sections = if !sections = [] then [ "all" ] else List.rev !sections in
-  let wants s = List.mem s sections || List.mem "all" sections in
+  let requested = if !requested = [] then [ "all" ] else List.rev !requested in
+  List.iter
+    (fun s ->
+      if s <> "all" && not (List.mem_assoc s sections) then begin
+        Printf.eprintf "unknown section %S (see --help)\n" s;
+        exit 2
+      end)
+    requested;
+  let wants s = List.mem s requested || List.mem "all" requested in
   let scale = !scale in
   print_endline (Pmem.Config.describe ());
   Printf.printf "\nworkload scale: %d operations (paper: 1,000,000)\n" scale;
   let gate = Gate.create ?baseline:!baseline () in
-  let t_start = Unix.gettimeofday () in
   let results = lazy (sweep ~scale) in
-  (* Each section renders its terminal figure and hands back a JSON
-     payload (Null for the pure views over the shared sweep, whose data
-     lands in the top-level "sweep" array). *)
-  let collected = ref [] in
-  let run name enabled f =
-    if enabled then begin
-      let t0 = Unix.gettimeofday () in
-      let payload = f () in
-      let dt = Unix.gettimeofday () -. t0 in
-      collected := (name, dt, payload) :: !collected
-    end
+  let c = { scale; seed = !seed; nshards = !shards; gate; results } in
+  let t_start = Unix.gettimeofday () in
+  let collected =
+    List.filter_map
+      (fun (name, run) ->
+        if wants name then begin
+          let t0 = Unix.gettimeofday () in
+          let payload = run c in
+          Some (name, Unix.gettimeofday () -. t0, payload)
+        end
+        else None)
+      sections
   in
-  let unit_section f () = f (); Report.Json.Null in
-  run "fig4" (wants "fig4") fig4;
-  run "fig2" (wants "fig2") (unit_section (fun () -> fig2 (Lazy.force results)));
-  run "fig9" (wants "fig9") (unit_section (fun () -> fig9 (Lazy.force results)));
-  run "fig10" (wants "fig10") (unit_section fig10);
-  run "fig11" (wants "fig11")
-    (unit_section (fun () -> fig11 (Lazy.force results)));
-  run "table3" (wants "table3") (fun () -> table3 ~scale);
-  run "batch" (wants "batch") (batch_section ~scale:(min scale 20_000) ~gate);
-  run "telemetry" (wants "telemetry")
-    (telemetry_section ~scale:(min scale 10_000) ~gate);
-  run "faults" (wants "faults") (faults_section ~gate);
-  run "persist" (wants "persist")
-    (persist_section ~scale:(min scale 10_000) ~gate);
-  run "killtest" (wants "killtest") (killtest_section ~gate);
-  run "alloc" (wants "alloc") (alloc_section ~scale ~gate);
-  run "shard" (wants "shard")
-    (shard_section ~seed:!seed ~nshards:!shards ~gate);
-  run "ctree" (wants "ctree") (fun () -> ctree ~scale);
-  run "ablations" (wants "ablations") (fun () -> ablations ~scale);
   let open Report.Json in
   let sweep_json =
     if Lazy.is_val results then
@@ -1212,14 +1068,14 @@ let () =
   in
   let section_json =
     List
-      (List.rev_map
+      (List.map
          (fun (name, dt, payload) ->
            let fields = [ ("name", String name); ("wall_seconds", Float dt) ] in
            Obj
              (match payload with
              | Null -> fields
              | p -> fields @ [ ("data", p) ]))
-         !collected)
+         collected)
   in
   Gate.write gate !json_out ~command:"bench"
     ~config:
@@ -1227,7 +1083,7 @@ let () =
         ("scale", Int scale);
         ("seed", Int !seed);
         ("shards", Int !shards);
-        ("sections", List (List.map (fun s -> String s) sections));
+        ("sections", List (List.map (fun s -> String s) requested));
       ]
     (Obj
        [

@@ -15,7 +15,6 @@
                     points, reopen the image and check the oracle; with
                     --shards N, the file-backed single-shard sweep
      fsck        -- offline image checker/repairer
-     fig4        -- the flush-concurrency microbenchmark
      machine     -- print the simulated machine configuration
 
    The cross-cutting flags (--persist, --writers, --json, --baseline,
@@ -279,79 +278,45 @@ let ok_or_usage = function Ok v -> v | Error e -> usage_error e
 let build_or_usage build name =
   try build name with Invalid_argument msg -> usage_error msg
 
-(* The concurrent sweep/replay path of the crashtest command: [writers]
-   interleaved writers per workload, every (schedule, crash point) pair
-   swept and judged by the concurrent durable-linearizability oracle. *)
-let crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
-    ~schedule ~gate ~write =
-  let cbuild =
-    build_or_usage (fun name -> Crashtest.Workload.cbuild name ~writers ~ops)
+(* --replay: re-run one crash point of a sequential or concurrent
+   subject and print its verdict; with --shrink, a failing replay also
+   prints the smallest operation count that still fails.  Exits 1 on a
+   violation. *)
+let replay_point ~cfg subject ~crash_index ~mode ~sseed ~shrink =
+  let label, run, consistent =
+    match subject with
+    | Crashtest.Explorer.Seq w ->
+        (w.Crashtest.Workload.name, "workload", " with a FASE-boundary prefix")
+    | Crashtest.Explorer.Conc (cw, s) ->
+        ( Printf.sprintf "%s (%d writers, schedule %s)"
+            cw.Crashtest.Workload.cname cw.cwriters
+            (Crashtest.Interleave.schedule_name s),
+          "interleaving",
+          "" )
   in
-  match replay with
-  | Some crash_index -> (
-      let m = ok_or_usage (Crashtest.Explorer.mode_of_name mode) in
-      let sched =
-        ok_or_usage (Crashtest.Interleave.schedule_of_name schedule)
-      in
-      let cw = cbuild workload in
-      match
-        Crashtest.Replay.replay ~cfg
-          (Crashtest.Explorer.Conc (cw, sched))
-          ~crash_index ~mode:m ?seed:sseed ()
-      with
-      | None ->
-          Printf.printf
-            "crash index %d is beyond the interleaving's last PM event\n"
-            crash_index
-      | Some Crashtest.Oracle.Consistent ->
-          Printf.printf
-            "replay %s (%d writers, schedule %s) @ event %d (mode %s): \
-             consistent\n"
-            workload writers schedule crash_index mode
-      | Some (Crashtest.Oracle.Violation d) ->
-          Printf.printf
-            "replay %s (%d writers, schedule %s) @ event %d (mode %s): \
-             VIOLATION\n\
-            \  %s\n"
-            workload writers schedule crash_index mode d;
-          exit 1)
+  let at =
+    Printf.sprintf "replay %s @ event %d (mode %s)" label crash_index
+      (Crashtest.Explorer.mode_name mode)
+  in
+  match
+    Crashtest.Replay.replay ~cfg subject ~crash_index ~mode ?seed:sseed ()
+  with
   | None ->
-      let names =
-        match workload with
-        | "all" -> Crashtest.Workload.concurrent_names
-        | n -> [ n ]
-      in
-      let sweep name =
-        let cw = cbuild name in
-        let r = Crashtest.Explorer.explore_concurrent ~cfg cw in
-        Format.printf "%a@." Crashtest.Explorer.pp_cresult r;
-        {
-          name;
-          negative = cw.Crashtest.Workload.cnegative;
-          ok = Crashtest.Explorer.cok r;
-          points = r.cr_points_tested;
-          wall = r.cr_wall_seconds;
-          failures = List.length r.cr_failures;
-          shown = first_failures r.cr_failures;
-          counters = [];
-          fields =
-            [
-              ("writers", Json.Int r.cr_writers);
-              ("ops", Json.Int r.cr_ops);
-              ("schedules", Json.Int r.cr_schedules);
-              ("total_events", Json.Int r.cr_total_events);
-              ("crashes_sampled", Json.Int r.cr_crashes_sampled);
-            ];
-        }
-      in
-      let section = "crashtest-concurrent" in
-      let _, positive_violations, _, data =
-        report_sweeps gate ~section names sweep
-      in
-      Gate.bound gate ~section ~metric:"positive_violations"
-        (float_of_int positive_violations);
-      write data;
-      Gate.finish gate
+      Printf.printf "crash index %d is beyond the %s's last PM event\n"
+        crash_index run
+  | Some Crashtest.Oracle.Consistent ->
+      Printf.printf "%s: consistent%s\n" at consistent
+  | Some (Crashtest.Oracle.Violation d) ->
+      Printf.printf "%s: VIOLATION\n  %s\n" at d;
+      if shrink then begin
+        let f =
+          Crashtest.Explorer.failure subject ~crash_index ~mode
+            ~survival_seed:sseed d
+        in
+        Printf.printf "  minimal repro: %s\n"
+          (Crashtest.Replay.command (Crashtest.Replay.minimize ~cfg f))
+      end;
+      exit 1
 
 (* --shards N: the single-shard crash sweep of the serving layer.  Kill
    one shard (rotating targets) at swept PM-event budgets of its own
@@ -465,54 +430,65 @@ let crashtest_cmd =
         usage_error
           "--persist is not supported with --writers (Backup commits are \
            serialized by log-append order, not a root CAS)";
-      if faults then usage_error "--faults is not supported with --writers yet";
-      let workload = if workload = "mod" then "all" else workload in
-      crashtest_concurrent ~cfg ~writers ~ops ~workload ~replay ~mode ~sseed
-        ~schedule ~gate ~write
-    end
-    else
+      if faults then usage_error "--faults is not supported with --writers yet"
+    end;
     let build =
       build_or_usage (fun name -> Crashtest.Workload.build ?persist name ~ops)
     in
+    let cbuild =
+      build_or_usage (fun name -> Crashtest.Workload.cbuild name ~writers ~ops)
+    in
     match replay with
-    | Some crash_index -> (
+    | Some crash_index ->
         (* deterministic single-point replay of a reported failure *)
-        let m = ok_or_usage (Crashtest.Explorer.mode_of_name mode) in
-        let w = build workload in
-        match
-          Crashtest.Replay.replay ~cfg (Crashtest.Explorer.Seq w) ~crash_index
-            ~mode:m ?seed:sseed ()
-        with
-        | None ->
-            Printf.printf
-              "crash index %d is beyond the workload's last PM event\n"
-              crash_index
-        | Some Crashtest.Oracle.Consistent ->
-            Printf.printf
-              "replay %s @ event %d (mode %s): consistent with a \
-               FASE-boundary prefix\n"
-              workload crash_index mode
-        | Some (Crashtest.Oracle.Violation d) ->
-            Printf.printf "replay %s @ event %d (mode %s): VIOLATION\n  %s\n"
-              workload crash_index mode d;
-            if shrink then begin
-              let f =
-                {
-                  Crashtest.Explorer.workload;
-                  writers = 0;
-                  ops;
-                  schedule = None;
-                  crash_index;
-                  mode = m;
-                  survival_seed = sseed;
-                  detail = d;
-                }
-              in
-              let f' = Crashtest.Replay.minimize ~cfg f in
-              Printf.printf "  minimal repro: %s\n"
-                (Crashtest.Replay.command f')
-            end;
-            exit 1)
+        let mode = ok_or_usage (Crashtest.Explorer.mode_of_name mode) in
+        let subject =
+          if writers = 0 then Crashtest.Explorer.Seq (build workload)
+          else
+            Crashtest.Explorer.Conc
+              ( cbuild workload,
+                ok_or_usage (Crashtest.Interleave.schedule_of_name schedule) )
+        in
+        replay_point ~cfg subject ~crash_index ~mode ~sseed ~shrink
+    | None when writers > 0 ->
+        (* [writers] interleaved writers per workload, every (schedule,
+           crash point) pair judged by the concurrent oracle *)
+        let names =
+          match workload with
+          | "all" | "mod" -> Crashtest.Workload.concurrent_names
+          | n -> [ n ]
+        in
+        let sweep name =
+          let cw = cbuild name in
+          let r = Crashtest.Explorer.explore_concurrent ~cfg cw in
+          Format.printf "%a@." Crashtest.Explorer.pp_cresult r;
+          {
+            name;
+            negative = cw.Crashtest.Workload.cnegative;
+            ok = Crashtest.Explorer.cok r;
+            points = r.cr_points_tested;
+            wall = r.cr_wall_seconds;
+            failures = List.length r.cr_failures;
+            shown = first_failures r.cr_failures;
+            counters = [];
+            fields =
+              [
+                ("writers", Json.Int r.cr_writers);
+                ("ops", Json.Int r.cr_ops);
+                ("schedules", Json.Int r.cr_schedules);
+                ("total_events", Json.Int r.cr_total_events);
+                ("crashes_sampled", Json.Int r.cr_crashes_sampled);
+              ];
+          }
+        in
+        let section = "crashtest-concurrent" in
+        let _, positive_violations, _, data =
+          report_sweeps gate ~section names sweep
+        in
+        Gate.bound gate ~section ~metric:"positive_violations"
+          (float_of_int positive_violations);
+        write data;
+        Gate.finish gate
     | None ->
         let names =
           match workload with
@@ -1305,20 +1281,7 @@ let fsck_cmd =
   in
   Cmd.v (Cmd.info "fsck" ~doc) Term.(const run $ image $ repair)
 
-(* -- fig4 / machine ------------------------------------------------------ *)
-
-let fig4_cmd =
-  let run () =
-    Printf.printf "flushes/fence  measured (ns)  amdahl (ns)\n";
-    List.iter
-      (fun n ->
-        Printf.printf "%13d  %13.1f  %11.1f\n" n
-          (Workloads.Profile.avg_flush_ns ~flushes_per_fence:n)
-          (Pmem.Latency.amdahl_avg_ns n))
-      [ 1; 2; 4; 8; 16; 32 ]
-  in
-  let doc = "Run the flush-concurrency microbenchmark (Figure 4)." in
-  Cmd.v (Cmd.info "fig4" ~doc) Term.(const run $ const ())
+(* -- machine ------------------------------------------------------------- *)
 
 let machine_cmd =
   let run () = print_endline (Pmem.Config.describe ()) in
@@ -1333,5 +1296,5 @@ let () =
        (Cmd.group info
           [
             run_cmd; crashtest_cmd; check_cmd; stats_cmd;
-            serve_cmd; killtest_cmd; fsck_cmd; fig4_cmd; machine_cmd;
+            serve_cmd; killtest_cmd; fsck_cmd; machine_cmd;
           ]))

@@ -82,6 +82,8 @@ type failure = {
   writers : int;  (** concurrent writers; 0 = a sequential workload *)
   ops : int;  (** per writer *)
   schedule : Interleave.schedule option;  (** [None] = sequential *)
+  persist : Pmalloc.Heap.policy option;
+      (** the sequential workload's commit policy; [None] = Full *)
   crash_index : int;
       (** PM event the power failed after; -1 = the uncrashed run's
           final-state check *)
@@ -359,13 +361,13 @@ let inject_fault_kind region ~k ~seed =
 (* -- the sampler ---------------------------------------------------------- *)
 
 let failure subject ~crash_index ~mode ~survival_seed detail =
-  let workload, writers, ops, schedule =
+  let workload, writers, ops, schedule, persist =
     match subject with
-    | Seq w -> (w.Workload.name, 0, w.Workload.ops, None)
-    | Conc (cw, s) ->
-        (cw.Workload.cname, cw.Workload.cwriters, cw.Workload.cops, Some s)
+    | Seq w -> (w.Workload.name, 0, w.Workload.ops, None, w.Workload.persist)
+    | Conc (cw, s) -> (cw.Workload.cname, cw.cwriters, cw.cops, Some s, None)
   in
-  { workload; writers; ops; schedule; crash_index; mode; survival_seed; detail }
+  { workload; writers; ops; schedule; persist; crash_index; mode;
+    survival_seed; detail }
 
 type point_stats = {
   p_sampled : int;

@@ -43,6 +43,8 @@ type failure = {
   writers : int;  (** concurrent writers; 0 = a sequential workload *)
   ops : int;  (** per writer *)
   schedule : Interleave.schedule option;  (** [None] = sequential *)
+  persist : Pmalloc.Heap.policy option;
+      (** the sequential workload's commit policy; [None] = Full *)
   crash_index : int;
       (** PM event the power failed after; -1 = the uncrashed run's
           final-state check *)
@@ -138,6 +140,16 @@ val recover_and_check : crashed -> Oracle.verdict
 val check_final : crashed -> Oracle.verdict
 (** An uncrashed run's final state must equal the newest committed
     model state (the serializability check of concurrent sweeps). *)
+
+val failure :
+  subject ->
+  crash_index:int ->
+  mode:Pmem.Region.crash_mode ->
+  survival_seed:int option ->
+  string ->
+  failure
+(** The failure a sweep reports for this crash of the subject, the
+    record a replay command is printed from and shrunk over. *)
 
 (** {1 Sweeps} *)
 

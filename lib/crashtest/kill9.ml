@@ -16,13 +16,14 @@
     operation.  Op [A]'s commit fenced before its root swing, so every
     root write up to the last state-changing op [m <= A] {e before} it
     was drained -- the file holds [model.(A)] once op [A+1]'s fence
-    commits, and [prev_distinct(A)] (= [model.(m-1)]) until then.  Op
-    [A+1]'s own root swing can never reach the file (that needs op
-    [A+2]'s fence, which needs the ack we did not get), so the window is
-    exactly the oracle's: latest committed state or the previous
-    distinct one.  A mid-writeback kill resolves to one edge of the same
-    window: a committed journal replays forward to [model.(A)], a torn
-    one discards back.  A kill before the worker's first ack may predate
+    commits, and the newest state before it that differs
+    ([model.(m-1)]) until then.  Op [A+1]'s own root swing can never
+    reach the file (that needs op [A+2]'s fence, which needs the ack we
+    did not get), so the window is exactly {!Oracle.acceptable} over the
+    acked prefix: latest committed state or the previous distinct one.
+    A mid-writeback kill resolves to one edge of the same window: a
+    committed journal replays forward to [model.(A)], a torn one
+    discards back.  A kill before the worker's first ack may predate
     the image's formatting commit; only then is a typed open error
     acceptable.  A worker that completes fences once more and acks
     [done], pinning the file to exactly [model.(ops)]. *)
@@ -138,26 +139,6 @@ let pp_result ppf r =
     r.workload r.kills r.completed_runs r.violations r.escaped r.replayed
     r.discarded r.clean_journals r.fsck_clean r.fsck_degraded r.fsck_corrupt
     (r.mean_reopen_ns /. 1e6) (r.max_reopen_ns /. 1e6) r.wall_seconds
-
-(* -- oracle window ------------------------------------------------------- *)
-
-let prev_distinct (model : Workload.state array) a =
-  let rec go j =
-    if j < 0 then None
-    else if model.(j) <> model.(a) then Some model.(j)
-    else go (j - 1)
-  in
-  go (a - 1)
-
-(* The window argued in the header: [model.(A)] plus the previous
-   distinct state.  Handing these to {!Oracle.check} as a two-deep
-   history (no pending) makes the harness and the simulated explorer
-   judge recovered states with the same code. *)
-let history_of model acked =
-  let a = max 0 acked in
-  match prev_distinct model a with
-  | Some prev -> [ model.(a); prev ]
-  | None -> [ model.(a) ]
 
 (* -- the driver ---------------------------------------------------------- *)
 
@@ -291,9 +272,13 @@ let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index plan =
                 in
                 Pmalloc.Heap.close heap;
                 let model = w.Workload.model in
+                (* the acked prefix, newest first: the oracle's window
+                   over it is the one argued in the header *)
                 let history =
                   if acks.a_done then [ model.(w.Workload.ops) ]
-                  else history_of model acks.a_acked
+                  else
+                    let a = max 0 acks.a_acked in
+                    List.init (a + 1) (fun i -> model.(a - i))
                 in
                 match Oracle.check ~history ~pending:None ~recovered with
                 | Oracle.Consistent ->

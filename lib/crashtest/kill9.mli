@@ -77,10 +77,6 @@ type result = {
 val ok : result -> bool
 val pp_result : Format.formatter -> result -> unit
 
-val history_of : Workload.state array -> int -> Workload.state list
-(** The oracle history for a kill after acked op [a]: the distinct
-    committed states the file may legally hold, newest first. *)
-
 val run :
   ?dir:string ->
   ?ops:int ->

@@ -1,8 +1,9 @@
 (** Minimal-repro replay and shrinking.
 
     Every explorer failure is identified by a small tuple: (workload,
-    ops, crash event index, mode, survival seed), plus (writers,
-    interleaving schedule) for concurrent workloads.  [replay] re-runs
+    ops, crash event index, mode, survival seed), plus the commit policy
+    for sequential workloads and (writers, interleaving schedule) for
+    concurrent ones.  [replay] re-runs
     exactly that crash deterministically, [command] prints the CLI
     incantation that does the same, and [minimize] shrinks the workload
     to the smallest operation count that still reproduces the failure.
@@ -36,8 +37,12 @@ let command (f : Explorer.failure) =
     | None -> ("", "")
   in
   Printf.sprintf
-    "modpm crashtest --workload %s%s --ops %d%s --replay %d --mode %s%s"
-    f.workload writers f.ops schedule f.crash_index
+    "modpm crashtest --workload %s%s --ops %d%s%s --replay %d --mode %s%s"
+    f.workload writers f.ops schedule
+    (match f.persist with
+    | Some p -> " --persist " ^ Pmalloc.Heap.policy_name p
+    | None -> "")
+    f.crash_index
     (Explorer.mode_name f.mode)
     (match f.survival_seed with
     | Some s -> Printf.sprintf " --survival-seed %d" s
@@ -46,7 +51,7 @@ let command (f : Explorer.failure) =
 (* The failing run, rebuilt with [ops] operations (per writer). *)
 let subject_of (f : Explorer.failure) ~ops =
   match f.schedule with
-  | None -> Explorer.Seq (Workload.build f.workload ~ops)
+  | None -> Explorer.Seq (Workload.build ?persist:f.persist f.workload ~ops)
   | Some s ->
       Explorer.Conc (Workload.cbuild f.workload ~writers:f.writers ~ops, s)
 

@@ -1,8 +1,9 @@
 (** Minimal-repro replay and shrinking.
 
     Every explorer failure is identified by a small tuple: (workload,
-    ops, crash event index, mode, survival seed), plus (writers,
-    interleaving schedule) for concurrent workloads.  [replay] re-runs
+    ops, crash event index, mode, survival seed), plus the commit policy
+    for sequential workloads and (writers, interleaving schedule) for
+    concurrent ones.  [replay] re-runs
     exactly that crash deterministically, [command] prints the CLI
     incantation that does the same, and [minimize] shrinks the workload
     to the smallest operation count that still reproduces.  Replay

@@ -28,6 +28,7 @@ type t = {
       (** negative control: the oracle is expected to report violations *)
   check_trace : bool;
       (** also run the Section 5.4 trace checker (MOD-only invariant) *)
+  persist : Pmalloc.Heap.policy option;  (** the policy it was built with *)
   model : state array;  (** [model.(i)] = state after [i] operations *)
   make : Pmalloc.Heap.t -> instance;
 }
@@ -106,6 +107,7 @@ let map_workload ?persist ~ops () =
     ops;
     negative = false;
     check_trace = not (is_backup persist);
+    persist;
     model = map_model script;
     make =
       (fun heap ->
@@ -196,6 +198,7 @@ let set_workload ?persist ~ops () =
     ops;
     negative = false;
     check_trace = not (is_backup persist);
+    persist;
     model;
     make =
       (fun heap ->
@@ -248,6 +251,7 @@ let stack_workload ?persist ~ops () =
     ops;
     negative = false;
     check_trace = not (is_backup persist);
+    persist;
     model;
     make =
       (fun heap ->
@@ -289,6 +293,7 @@ let queue_workload ?persist ~ops () =
     ops;
     negative = false;
     check_trace = not (is_backup persist);
+    persist;
     model;
     make =
       (fun heap ->
@@ -350,6 +355,7 @@ let vec_workload ?persist ~ops () =
     ops;
     negative = false;
     check_trace = not (is_backup persist);
+    persist;
     model = vec_like_states script;
     make =
       (fun heap ->
@@ -383,6 +389,7 @@ let seq_workload ?persist ~ops () =
     ops;
     negative = false;
     check_trace = not (is_backup persist);
+    persist;
     model = vec_like_states script;
     make =
       (fun heap ->
@@ -437,6 +444,7 @@ let pqueue_workload ?persist ~ops () =
     ops;
     negative = false;
     check_trace = not (is_backup persist);
+    persist;
     model;
     make =
       (fun heap ->
@@ -489,6 +497,7 @@ let batched_workload ?persist ~ops () =
     ops;
     negative = false;
     check_trace = not (is_backup persist);
+    persist;
     model;
     make =
       (fun heap ->
@@ -548,6 +557,7 @@ let siblings_workload ~ops =
     ops;
     negative = false;
     check_trace = true;
+    persist = None;
     model;
     make =
       (fun heap ->
@@ -625,6 +635,7 @@ let unrelated_workload ~ops =
     (* the embedded PM-STM transaction writes in place by design, so the
        Section 5.4 MOD trace invariant does not apply *)
     check_trace = false;
+    persist = None;
     model;
     make =
       (fun heap ->
@@ -691,6 +702,7 @@ let stm_workload name version ~broken ~ops =
     ops;
     negative = broken;
     check_trace = false (* in-place by design: invariant 1 never holds *);
+    persist = None;
     model;
     make =
       (fun heap ->

@@ -23,6 +23,8 @@ type t = {
       (** negative control: the oracle is expected to report violations *)
   check_trace : bool;
       (** also run the Section 5.4 trace checker (MOD-only invariant) *)
+  persist : Pmalloc.Heap.policy option;
+      (** the commit policy {!build} was given; a replay rebuilds with it *)
   model : state array;  (** [model.(i)] = state after [i] operations *)
   make : Pmalloc.Heap.t -> instance;
       (** per-heap instance; construction performs no PM work ([init]

@@ -388,6 +388,7 @@ let reexec_sweep (cfg : Crashtest.Explorer.config) ~plain w =
                       writers = 0;
                       ops = w.Crashtest.Workload.ops;
                       schedule = None;
+                      persist = w.Crashtest.Workload.persist;
                       crash_index = !budget;
                       mode;
                       survival_seed = seed;

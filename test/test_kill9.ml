@@ -352,9 +352,10 @@ let fsck_property =
             | exception e -> Error e
           in
           Pmalloc.Heap.close heap;
+          (* the completed prefix, newest first *)
           let history =
-            Crashtest.Kill9.history_of w.Crashtest.Workload.model
-              (max 0 completed)
+            let a = max 0 completed in
+            List.init (a + 1) (fun i -> w.Crashtest.Workload.model.(a - i))
           in
           let oracle =
             Crashtest.Oracle.check ~history ~pending:None ~recovered

@@ -239,6 +239,15 @@ let load_error contents =
   | Ok _ -> Alcotest.fail "expected a load error"
   | Error _ -> ()
 
+(* Run a shell command: its exit status and its merged output. *)
+let run_cmd cmd =
+  let out = temp Filename.temp_file in
+  let rc = Sys.command (Printf.sprintf "%s > %s 2>&1" cmd out) in
+  let ic = open_in out in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  (rc, text)
+
 let gate_tests =
   [
     Alcotest.test_case "bounds pass at equality, fail one ulp beyond" `Quick
@@ -271,17 +280,17 @@ let gate_tests =
         match Gate.load "/nonexistent/BASELINE.json" with
         | Ok _ -> Alcotest.fail "loaded a missing file"
         | Error _ -> ());
-    Alcotest.test_case "committed BASELINE.json has 13 unique entries" `Quick
+    Alcotest.test_case "committed BASELINE.json has 12 unique entries" `Quick
       (fun () ->
         match Gate.load "../bench/BASELINE.json" with
         | Error e -> Alcotest.fail e
         | Ok entries ->
-            Alcotest.(check int) "entries" 13 (List.length entries);
+            Alcotest.(check int) "entries" 12 (List.length entries);
             let keys =
               List.sort_uniq compare
                 (List.map (fun (e : Gate.entry) -> (e.section, e.metric)) entries)
             in
-            Alcotest.(check int) "unique (section, metric)" 13
+            Alcotest.(check int) "unique (section, metric)" 12
               (List.length keys));
     Alcotest.test_case "envelope round-trips; ok = all gates ok" `Quick
       (fun () ->
@@ -336,18 +345,8 @@ let gate_tests =
     Alcotest.test_case "crashtest --shards flag handling" `Quick (fun () ->
         (* flags the shard sweep would ignore are usage errors; an
            explicit --stride is honoured, 97 is only the default *)
-        let out = temp Filename.temp_file in
         let run args =
-          let rc =
-            Sys.command
-              (Printf.sprintf
-                 "../bin/modpm.exe crashtest --shards 2 --ops 1 %s > %s 2>&1"
-                 args out)
-          in
-          let ic = open_in out in
-          let text = really_input_string ic (in_channel_length ic) in
-          close_in ic;
-          (rc, text)
+          run_cmd ("../bin/modpm.exe crashtest --shards 2 --ops 1 " ^ args)
         in
         List.iter
           (fun flag ->
@@ -367,6 +366,86 @@ let gate_tests =
           (points "--stride 1 --max-points 1000" > points "--max-points 1000"));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* CLI: bench sections, crash replays                                  *)
+(* ------------------------------------------------------------------ *)
+
+let seq_replay =
+  "../bin/modpm.exe crashtest --workload map-nofence --ops 8 --replay 21 \
+   --mode drop"
+
+let conc_replay =
+  "../bin/modpm.exe crashtest --workload cmap-nofence --writers 2 --ops 8 \
+   --schedule rr1 --replay 33 --mode drop"
+
+let cli_tests =
+  [
+    Alcotest.test_case "bench rejects unknown sections" `Quick (fun () ->
+        (* a stale section name must fail the step that names it, not
+           print the banner and pass *)
+        List.iter
+          (fun section ->
+            let rc, text =
+              run_cmd
+                ("../bench/main.exe " ^ section
+               ^ " --baseline ../bench/BASELINE.json")
+            in
+            Alcotest.(check int) (section ^ " exit status") 2 rc;
+            Alcotest.(check bool) (section ^ " named") true
+              (contains text (Printf.sprintf "%S" section)))
+          [ "faults"; "killtest"; "fig44" ]);
+    Alcotest.test_case "replays print their verdict" `Quick (fun () ->
+        let check cmd expected =
+          let rc, text = run_cmd cmd in
+          Alcotest.(check int) "a violation exits 1" 1 rc;
+          Alcotest.(check string) "replay lines" expected text
+        in
+        check seq_replay
+          "replay map-nofence @ event 21 (mode drop): VIOLATION\n\
+          \  recovered state {} is not at a FASE boundary (acceptable: \
+           {9:9,16:184,19:872} | {9:9,16:184} | {16:184})\n";
+        check conc_replay
+          "replay cmap-nofence (2 writers, schedule rr1) @ event 33 (mode \
+           drop): VIOLATION\n\
+          \  recovered state {} is not a linearization-consistent cut \
+           (newest committed: {9:951,10:336} | {9:951} | {}; pending: \
+           {4:750,9:951})\n");
+    Alcotest.test_case "--shrink works for concurrent replays" `Quick
+      (fun () ->
+        let rc, text = run_cmd (conc_replay ^ " --shrink") in
+        Alcotest.(check int) "exit status" 1 rc;
+        Alcotest.(check bool) "prints a minimal repro" true
+          (contains text
+             "minimal repro: modpm crashtest --workload cmap-nofence \
+              --writers 2"));
+    Alcotest.test_case "Backup failures replay under Backup" `Quick
+      (fun () ->
+        (* map at 8 ops has 102 PM events under Full and 114 under
+           Backup: event 110 exists only in the Backup run *)
+        let w =
+          Crashtest.Workload.build ~persist:Pmalloc.Heap.Backup "map" ~ops:8
+        in
+        let f =
+          Crashtest.Explorer.failure (Crashtest.Explorer.Seq w)
+            ~crash_index:110 ~mode:Pmem.Region.Drop_inflight
+            ~survival_seed:None "hand-built"
+        in
+        let cmd = Crashtest.Replay.command f in
+        Alcotest.(check bool) "command names the policy" true
+          (contains cmd "--persist backup");
+        let prefix = "modpm " in
+        let n = String.length prefix in
+        Alcotest.(check string) "command runs modpm" prefix (String.sub cmd 0 n);
+        let rc, text =
+          run_cmd
+            ("../bin/modpm.exe " ^ String.sub cmd n (String.length cmd - n))
+        in
+        Alcotest.(check int) "exit status" 0 rc;
+        Alcotest.(check bool) "replays a crash" false
+          (contains text "beyond the workload's last PM event");
+        Alcotest.(check bool) "consistent" true (contains text "consistent"));
+  ]
+
 let () =
   Alcotest.run "workloads"
     [
@@ -378,4 +457,5 @@ let () =
       ("graph", graph_tests);
       ("ablations", ablation_tests);
       ("gate", gate_tests);
+      ("cli", cli_tests);
     ]

@@ -495,8 +495,9 @@ let telemetry_section ~scale ~gate () =
     rep.Telemetry.rows;
   (* -- Null-sink overhead: interleaved min-of-trials --------------- *)
   (* Each trial's heap is built, and its collector attached, before the
-     timer starts: allocating a 2M-word heap costs more than the run at
-     CI scale, and its page faults would decide the reading. *)
+     timer starts, so the gate times the run under the collector and
+     nothing else: the overhead it bounds is the collector's, not the
+     heap's construction. *)
   let time ?metrics () =
     let run = Runner.prepare ?metrics "map" Backend.Mod ~scale in
     let t0 = Unix.gettimeofday () in

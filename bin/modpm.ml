@@ -280,9 +280,10 @@ let build_or_usage build name =
 
 (* --replay: re-run one crash point of a sequential or concurrent
    subject and print its verdict; with --shrink, a failing replay also
-   prints the smallest operation count that still fails.  Exits 1 on a
-   violation. *)
-let replay_point ~cfg subject ~crash_index ~mode ~sseed ~shrink =
+   prints the smallest operation count that still fails.  A fault sample
+   ([fault] = its kind) also says whether recovery absorbed the fault or
+   degraded with a typed error.  Exits 1 on a violation. *)
+let replay_point ~cfg subject ~crash_index ~mode ~sseed ?fault ~shrink () =
   let label, run, consistent =
     match subject with
     | Crashtest.Explorer.Seq w ->
@@ -295,23 +296,46 @@ let replay_point ~cfg subject ~crash_index ~mode ~sseed ~shrink =
           "" )
   in
   let at =
-    Printf.sprintf "replay %s @ event %d (mode %s)" label crash_index
+    Printf.sprintf "replay %s @ event %d (mode %s%s)" label crash_index
       (Crashtest.Explorer.mode_name mode)
+      (match fault with
+      | Some k -> Printf.sprintf ", fault kind %d" k
+      | None -> "")
   in
-  match
-    Crashtest.Replay.replay ~cfg subject ~crash_index ~mode ?seed:sseed ()
-  with
+  let verdict =
+    match (fault, sseed) with
+    | Some k, Some seed -> (
+        match
+          Crashtest.Replay.replay_fault ~cfg subject ~crash_index ~k ~seed
+        with
+        | None -> None
+        | Some Crashtest.Explorer.Recovered ->
+            Some (Ok ", recovery absorbed the fault")
+        | Some (Crashtest.Explorer.Degraded te) ->
+            Some
+              (Ok
+                 (", degraded with a typed error: "
+                 ^ Mod_core.Error.to_string te))
+        | Some (Crashtest.Explorer.Broken d) -> Some (Error d))
+    | _ -> (
+        match
+          Crashtest.Replay.replay ~cfg subject ~crash_index ~mode ?seed:sseed ()
+        with
+        | None -> None
+        | Some Crashtest.Oracle.Consistent -> Some (Ok consistent)
+        | Some (Crashtest.Oracle.Violation d) -> Some (Error d))
+  in
+  match verdict with
   | None ->
       Printf.printf "crash index %d is beyond the %s's last PM event\n"
         crash_index run
-  | Some Crashtest.Oracle.Consistent ->
-      Printf.printf "%s: consistent%s\n" at consistent
-  | Some (Crashtest.Oracle.Violation d) ->
+  | Some (Ok how) -> Printf.printf "%s: consistent%s\n" at how
+  | Some (Error d) ->
       Printf.printf "%s: VIOLATION\n  %s\n" at d;
       if shrink then begin
         let f =
           Crashtest.Explorer.failure subject ~crash_index ~mode
-            ~survival_seed:sseed d
+            ~survival_seed:sseed ?fault d
         in
         Printf.printf "  minimal repro: %s\n"
           (Crashtest.Replay.command (Crashtest.Replay.minimize ~cfg f))
@@ -449,7 +473,27 @@ let crashtest_cmd =
               ( cbuild workload,
                 ok_or_usage (Crashtest.Interleave.schedule_of_name schedule) )
         in
-        replay_point ~cfg subject ~crash_index ~mode ~sseed ~shrink
+        (* a --faults sample: its kind is the one whose fault seed at
+           this --seed and crash index is the --survival-seed *)
+        let fault =
+          if not faults then None
+          else
+            match (mode, sseed) with
+            | Pmem.Region.Randomize, Some s -> (
+                match Crashtest.Explorer.fault_kind cfg ~crash_index s with
+                | Some k -> Some k
+                | None ->
+                    usage_error
+                      (Printf.sprintf
+                         "--survival-seed %d is no fault sample of --seed %d \
+                          at event %d"
+                         s seed crash_index))
+            | _ ->
+                usage_error
+                  "--faults --replay replays a fault sample: give --mode \
+                   randomize and its --survival-seed"
+        in
+        replay_point ~cfg subject ~crash_index ~mode ~sseed ?fault ~shrink ()
     | None when writers > 0 ->
         (* [writers] interleaved writers per workload, every (schedule,
            crash point) pair judged by the concurrent oracle *)
@@ -639,7 +683,8 @@ let crashtest_cmd =
              crashes and armed media faults, and assert recovery either \
              succeeds or fails with a typed error (never silent \
              corruption).  With workload all/mod, restricts the sweep to \
-             the seven basic structures.")
+             the seven basic structures.  With $(b,--replay), replays the \
+             fault sample of $(b,--seed) whose seed is $(b,--survival-seed).")
   in
   let schedule =
     Arg.(

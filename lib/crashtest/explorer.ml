@@ -89,6 +89,10 @@ type failure = {
           final-state check *)
   mode : Pmem.Region.crash_mode;
   survival_seed : int option;  (** Randomize line-survival seed *)
+  fault : int option;
+      (** the fault-schedule kind of a [faults] sample (a torn crash at
+          [survival_seed] plus {!inject_fault_kind}); [None] = a plain
+          crash *)
   detail : string;
 }
 
@@ -159,14 +163,25 @@ let survival_seed cfg ~crash_index ~k =
   (cfg.seed * 1_000_003) + (crash_index * 131) + k
 
 (* Fault-schedule seeds live in a distinct stream so torn-crash samples
-   never collide with the plain Randomize samples of the same point. *)
+   never collide with the plain Randomize samples of the same point.
+   [fault_sweep_seed] inverts it, so a failure's replay command can name
+   the sweep's seed. *)
 let fault_seed cfg ~crash_index ~k =
   (cfg.seed * 7_368_787) + (crash_index * 257) + k
+
+let fault_sweep_seed ~crash_index ~k seed =
+  (seed - (crash_index * 257) - k) / 7_368_787
 
 (* Per-point fault schedule: sample [k = 0..4] cycles through the five
    injection kinds on top of a torn crash. *)
 let fault_kinds = 5
 let summary_fault_kind = 4
+
+(* The kind whose fault seed at [crash_index] is [seed], if any. *)
+let fault_kind cfg ~crash_index seed =
+  List.find_opt
+    (fun k -> fault_seed cfg ~crash_index ~k = seed)
+    (List.init fault_kinds Fun.id)
 
 (* -- one run ---------------------------------------------------------------- *)
 
@@ -297,32 +312,6 @@ let check_final (c : crashed) =
         (Printf.sprintf "reading the final state raised %s"
            (Printexc.to_string e))
 
-(* Classify one fault sample against the degradation contract.  Unlike
-   the fault-free oracle, a typed error is an acceptable outcome here:
-   the injected fault was detected and surfaced.  What must never happen
-   is an untyped exception escaping recovery, or a successfully
-   "recovered" state the oracle rejects (silent corruption). *)
-let recover_and_classify_faulted (c : crashed) =
-  let typed = function
-    | Mod_core.Error.Error te -> Some te
-    | e -> Mod_core.Recovery.typed_of_exn e
-  in
-  match c.c_recover () with
-  | exception e -> (
-      match typed e with
-      | Some te -> `Degraded te
-      | None -> `Escaped e)
-  | () -> (
-      match c.c_dump () with
-      | exception e -> (
-          match typed e with
-          | Some te -> `Degraded te
-          | None -> `Escaped e)
-      | s -> (
-          match c.c_judge (Ok s) with
-          | Oracle.Consistent -> `Recovered
-          | Oracle.Violation d -> `Violation d))
-
 (* Inject the fault of fault-schedule kind [k mod 5] after the crash:
    0 = pure torn crash, no media fault;
    1 = primary root-record line bad, which also holds the root summary
@@ -358,16 +347,59 @@ let inject_fault_kind region ~k ~seed =
       let line = first_heap_line + (abs (seed * 2_654_435_761) mod span) in
       Pmem.Region.arm_media_fault region ~line
 
+type fault_outcome =
+  | Recovered
+  | Degraded of Mod_core.Error.t
+  | Broken of string
+
+(* One fault sample: a torn Randomize crash at [seed], fault kind [k] on
+   top, and recovery judged by the degradation contract.  Unlike the
+   fault-free oracle, a typed error is an acceptable outcome here: the
+   injected fault was detected and surfaced -- except under kind 4,
+   whose records are intact.  What must never happen is an untyped
+   exception escaping recovery, or a successfully "recovered" state the
+   oracle rejects (silent corruption). *)
+let sample_fault (c : crashed) ~k ~seed =
+  Pmalloc.Heap.crash ~mode:Pmem.Region.Randomize ~seed ~torn:true c.c_heap;
+  inject_fault_kind (Pmalloc.Heap.region c.c_heap) ~k ~seed;
+  let typed = function
+    | Mod_core.Error.Error te -> Some te
+    | e -> Mod_core.Recovery.typed_of_exn e
+  in
+  let raised e =
+    match typed e with
+    | Some te when k mod fault_kinds = summary_fault_kind ->
+        Broken
+          (Printf.sprintf
+             "faults(kind %d): a corrupt root summary degraded recovery: %s" k
+             (Mod_core.Error.to_string te))
+    | Some te -> Degraded te
+    | None ->
+        Broken
+          (Printf.sprintf "faults(kind %d): untyped exception escaped: %s" k
+             (Printexc.to_string e))
+  in
+  match
+    c.c_recover ();
+    c.c_dump ()
+  with
+  | exception e -> raised e
+  | s -> (
+      match c.c_judge (Ok s) with
+      | Oracle.Consistent -> Recovered
+      | Oracle.Violation d ->
+          Broken (Printf.sprintf "faults(kind %d): silent corruption: %s" k d))
+
 (* -- the sampler ---------------------------------------------------------- *)
 
-let failure subject ~crash_index ~mode ~survival_seed detail =
+let failure subject ~crash_index ~mode ~survival_seed ?fault detail =
   let workload, writers, ops, schedule, persist =
     match subject with
     | Seq w -> (w.Workload.name, 0, w.Workload.ops, None, w.Workload.persist)
     | Conc (cw, s) -> (cw.Workload.cname, cw.cwriters, cw.cops, Some s, None)
   in
   { workload; writers; ops; schedule; persist; crash_index; mode;
-    survival_seed; detail }
+    survival_seed; fault; detail }
 
 type point_stats = {
   p_sampled : int;
@@ -389,9 +421,10 @@ let sample_point cfg subject ~crash_index (c : crashed) =
   let snap = Pmem.Region.snapshot region in
   let sampled = ref 0 in
   let failures = ref [] in
-  let fail ~mode ~survival_seed detail =
+  let fail ~mode ~survival_seed ?fault detail =
     failures :=
-      failure subject ~crash_index ~mode ~survival_seed detail :: !failures
+      failure subject ~crash_index ~mode ~survival_seed ?fault detail
+      :: !failures
   in
   List.iter
     (fun mode ->
@@ -424,27 +457,15 @@ let sample_point cfg subject ~crash_index (c : crashed) =
     for k = 0 to fault_kinds - 1 do
       Pmem.Region.restore region snap;
       let seed = fault_seed cfg ~crash_index ~k in
-      Pmalloc.Heap.crash ~mode:Pmem.Region.Randomize ~seed ~torn:true c.c_heap;
-      inject_fault_kind region ~k ~seed;
       incr fsampled;
       let fb0 = Pmalloc.Heap.root_fallbacks c.c_heap in
       let sc0 = Pmalloc.Heap.summary_fallbacks c.c_heap in
-      let fail = fail ~mode:Pmem.Region.Randomize ~survival_seed:(Some seed) in
-      (match recover_and_classify_faulted c with
-      | `Recovered -> incr frecovered
-      | `Degraded te when k = summary_fault_kind ->
-          (* the records are intact: only the summary is damaged *)
-          fail
-            (Printf.sprintf
-               "faults(kind %d): a corrupt root summary degraded recovery: %s"
-               k (Mod_core.Error.to_string te))
-      | `Degraded _ -> incr fdegraded
-      | `Violation d ->
-          fail (Printf.sprintf "faults(kind %d): silent corruption: %s" k d)
-      | `Escaped e ->
-          fail
-            (Printf.sprintf "faults(kind %d): untyped exception escaped: %s" k
-               (Printexc.to_string e)));
+      (match sample_fault c ~k ~seed with
+      | Recovered -> incr frecovered
+      | Degraded _ -> incr fdegraded
+      | Broken d ->
+          fail ~mode:Pmem.Region.Randomize ~survival_seed:(Some seed) ~fault:k
+            d);
       ffallbacks := !ffallbacks + Pmalloc.Heap.root_fallbacks c.c_heap - fb0;
       fscans := !fscans + Pmalloc.Heap.summary_fallbacks c.c_heap - sc0;
       Pmem.Region.clear_media_faults region
@@ -461,9 +482,11 @@ let sample_point cfg subject ~crash_index (c : crashed) =
 
 (* -- the sweep driver ----------------------------------------------------- *)
 
-(* A sweep's heap, rewound to its pristine snapshot before each run:
-   equivalent to a fresh heap per run but O(state touched) instead of
-   O(capacity + cache hierarchy). *)
+(* A sweep's heap, rewound to its pristine snapshot before each run: a
+   fresh heap per run, in O(state touched), with cold caches.  A fresh
+   [Heap.create] costs little more, but its caches hold the root
+   directory, and the recovery sim times the sweeps pin were taken from
+   cold caches. *)
 type scratch = { s_heap : Pmalloc.Heap.t; s_pristine : Pmem.Region.snapshot }
 
 let make_scratch cfg =

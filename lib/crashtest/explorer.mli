@@ -50,6 +50,10 @@ type failure = {
           final-state check *)
   mode : Pmem.Region.crash_mode;
   survival_seed : int option;  (** Randomize line-survival seed *)
+  fault : int option;
+      (** the fault-schedule kind of a [faults] sample, a torn crash at
+          [survival_seed] with that fault injected (see {!sample_fault});
+          [None] = a plain crash *)
   detail : string;
 }
 
@@ -99,6 +103,22 @@ val survival_seed : config -> crash_index:int -> k:int -> int
 (** The survival seed of sample [k] at a crash point: a pure function
     of the master seed, so failures replay from their triple. *)
 
+val fault_kinds : int
+(** Fault samples per crash point under [faults], one per kind. *)
+
+val fault_seed : config -> crash_index:int -> k:int -> int
+(** The torn-crash seed of the kind-[k] fault sample at a crash point,
+    from a stream distinct from {!survival_seed}'s. *)
+
+val fault_kind : config -> crash_index:int -> int -> int option
+(** [fault_kind cfg ~crash_index seed] is the kind [k] in
+    [\[0, fault_kinds)] with [fault_seed cfg ~crash_index ~k = seed], if
+    any. *)
+
+val fault_sweep_seed : crash_index:int -> k:int -> int -> int
+(** The master seed whose kind-[k] fault seed at [crash_index] is the
+    given seed: the inverse of {!fault_seed}. *)
+
 (** {1 One run} *)
 
 type subject =
@@ -141,11 +161,29 @@ val check_final : crashed -> Oracle.verdict
 (** An uncrashed run's final state must equal the newest committed
     model state (the serializability check of concurrent sweeps). *)
 
+type fault_outcome =
+  | Recovered  (** recovery absorbed the fault *)
+  | Degraded of Mod_core.Error.t
+      (** recovery or the read-back failed with a typed error: the fault
+          was detected *)
+  | Broken of string
+      (** the degradation contract failed (the failure detail): silent
+          corruption, an untyped exception, or a degraded recovery from
+          a corrupted root summary alone (kind 4) *)
+
+val sample_fault : crashed -> k:int -> seed:int -> fault_outcome
+(** The fault sample the sweep takes under [faults]: crash torn, in
+    Randomize mode at [seed], inject fault kind [k] (0 torn only; 1 the
+    primary root-record line media-bad; 2 both record lines; 3 a
+    seed-derived heap line; 4 the root-summary word corrupted), recover
+    and judge. *)
+
 val failure :
   subject ->
   crash_index:int ->
   mode:Pmem.Region.crash_mode ->
   survival_seed:int option ->
+  ?fault:int ->
   string ->
   failure
 (** The failure a sweep reports for this crash of the subject, the

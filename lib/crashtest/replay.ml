@@ -13,20 +13,41 @@
     bit-for-bit regardless of the [jobs] ([--jobs]) setting the sweep
     that found it ran under. *)
 
+(* Re-run one fault sample: [None] when the crash index lies beyond the
+   run's last PM event. *)
+let replay_fault ?(cfg = Explorer.default) subject ~crash_index ~k ~seed =
+  match Explorer.run cfg subject ~budget:(Some crash_index) with
+  | `Completed _ -> None
+  | `Crashed c -> Some (Explorer.sample_fault c ~k ~seed)
+
 (* Re-run one crash point, single sample.  [None] means the crash index
    lies beyond the run's last PM event (nothing to inject); index -1
-   replays the uncrashed final-state check. *)
-let replay ?(cfg = Explorer.default) subject ~crash_index ~mode ?seed () =
-  if crash_index < 0 then
-    match Explorer.run cfg subject ~budget:None with
-    | `Completed (_, c) -> Some (Explorer.check_final c)
-    | `Crashed _ -> None
-  else
-    match Explorer.run cfg subject ~budget:(Some crash_index) with
-    | `Completed _ -> None
-    | `Crashed c ->
-        Pmalloc.Heap.crash ~mode ?seed c.Explorer.c_heap;
-        Some (Explorer.recover_and_check c)
+   replays the uncrashed final-state check.  A fault sample is judged as
+   the sweep judges it: a typed error passes. *)
+let replay ?(cfg = Explorer.default) subject ~crash_index ~mode ?seed ?fault
+    () =
+  match fault with
+  | Some k ->
+      let seed =
+        match seed with
+        | Some s -> s
+        | None -> invalid_arg "Replay.replay: a fault sample needs its seed"
+      in
+      Option.map
+        (function
+          | Explorer.Recovered | Explorer.Degraded _ -> Oracle.Consistent
+          | Explorer.Broken d -> Oracle.Violation d)
+        (replay_fault ~cfg subject ~crash_index ~k ~seed)
+  | None when crash_index < 0 -> (
+      match Explorer.run cfg subject ~budget:None with
+      | `Completed (_, c) -> Some (Explorer.check_final c)
+      | `Crashed _ -> None)
+  | None -> (
+      match Explorer.run cfg subject ~budget:(Some crash_index) with
+      | `Completed _ -> None
+      | `Crashed c ->
+          Pmalloc.Heap.crash ~mode ?seed c.Explorer.c_heap;
+          Some (Explorer.recover_and_check c))
 
 let command (f : Explorer.failure) =
   let writers, schedule =
@@ -44,9 +65,13 @@ let command (f : Explorer.failure) =
     | None -> "")
     f.crash_index
     (Explorer.mode_name f.mode)
-    (match f.survival_seed with
-    | Some s -> Printf.sprintf " --survival-seed %d" s
-    | None -> "")
+    (match (f.fault, f.survival_seed) with
+    | Some k, Some s ->
+        Printf.sprintf " --faults --seed %d --survival-seed %d"
+          (Explorer.fault_sweep_seed ~crash_index:f.crash_index ~k s)
+          s
+    | _, Some s -> Printf.sprintf " --survival-seed %d" s
+    | _, None -> "")
 
 (* The failing run, rebuilt with [ops] operations (per writer). *)
 let subject_of (f : Explorer.failure) ~ops =
@@ -58,7 +83,7 @@ let subject_of (f : Explorer.failure) ~ops =
 (* The failure's crash point replayed with [ops] operations. *)
 let rerun ?cfg (f : Explorer.failure) ~ops =
   replay ?cfg (subject_of f ~ops) ~crash_index:f.crash_index ~mode:f.mode
-    ?seed:f.survival_seed ()
+    ?seed:f.survival_seed ?fault:f.fault ()
 
 let reproduces ?cfg (f : Explorer.failure) =
   match rerun ?cfg f ~ops:f.ops with

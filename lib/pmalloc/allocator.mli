@@ -102,7 +102,7 @@ val reset_fresh : t -> unit
 (** Return all volatile state (free lists, refcounts, deferral list,
     counters, frontier) to the just-created state.  Pairs with rewinding
     the region to a pristine snapshot: together they are equivalent to a
-    fresh heap without the O(capacity) construction cost. *)
+    fresh heap with cold caches ([Heap.reset_fresh]). *)
 
 (** {1 Recovery support} ({!Recovery_gc})
 

@@ -672,9 +672,11 @@ let crash ?mode ?seed ?torn t = Pmem.Region.crash ?mode ?seed ?torn t.region
 (* Scratch-heap support for the crash-point explorer: a snapshot taken
    right after [create] captures the pristine heap; [reset_fresh]
    rewinds the region to it and resets the volatile allocator state,
-   which together are equivalent to a fresh [create] without the
-   O(capacity) construction cost (the 33MB simulated cache hierarchy
-   dominates heap construction). *)
+   which together equal a fresh [create] except for the caches.  A
+   [create] is cheap (the region and the caches materialize only what a
+   run touches), so the rewind stays for the caches: it leaves them
+   cold, where a fresh heap's hold the root directory [create] wrote,
+   and the recovery sim times the sweeps pin were taken cold. *)
 let pristine_snapshot t = Pmem.Region.snapshot t.region
 
 let reset_fresh t ~pristine =

@@ -360,8 +360,9 @@ val pristine_snapshot : t -> Pmem.Region.snapshot
 
 val reset_fresh : t -> pristine:Pmem.Region.snapshot -> unit
 (** Rewind the region to the pristine snapshot and reset all volatile
-    allocator and summary state: observably equivalent to a fresh
-    {!create} with the same parameters, but O(state touched since the
+    allocator and summary state: equivalent to a fresh {!create} with
+    the same parameters, except that the caches start cold (a fresh
+    heap's hold the root directory), in O(state touched since the
     snapshot). *)
 
 val record_copy_off : copy:int -> int -> int

@@ -17,14 +17,24 @@
    invalid one, so the valid ways of a set stay a prefix of it and the
    victim rule reads no stale [last_use].
 
+   A set owns no ways until its first fill claims the next [ways] entries
+   of the way arrays, which double by copying when full: a cache costs
+   what a run touches (a heap touches a few hundred of the LLC's 32,768
+   sets), not its geometry.  [first] maps a set to its first way, or -1
+   while it is unclaimed; a lookup in an unclaimed set is a miss that
+   claims nothing.  A claimed set's ways start with tag 0, invalid in
+   every epoch, so the victim rule picks exactly the way it would pick
+   in an eagerly built cache.
+
    [recent] and [prev] remember the last two ways that hit or filled, and
    [access] compares their tags with the stamped key before it scans the
    set.  The probe cannot change a result: a stamped tag names one line
    in one epoch, a line occupies at most one way (of its own set), so a
    remembered way whose tag equals the key is exactly the way the scan
    would find; [invalidate] and [reset] leave every stored tag unequal to
-   any key of the new epoch.  Two ways, because a block copy alternates
-   between a source line and a destination line. *)
+   any key of the new epoch.  Way indices survive the arrays' growth,
+   which copies every entry to the same index.  Two ways, because a block
+   copy alternates between a source line and a destination line. *)
 let line_bits = 40
 let line_span = 1 lsl line_bits
 let max_base = (max_int lsr line_bits) lsl line_bits
@@ -36,9 +46,11 @@ type t = {
   sets : int;
   set_mask : int; (* sets - 1: every set count is a power of two *)
   ways : int;
-  tags : int array; (* sets * ways; stamped line, invalid below [base] *)
-  dirty : bool array;
-  last_use : int array; (* LRU timestamps *)
+  first : int array; (* per set: its first way, -1 until its first fill *)
+  mutable claimed : int; (* ways handed out to sets *)
+  mutable tags : int array; (* stamped line, invalid below [base] *)
+  mutable dirty : bool array;
+  mutable last_use : int array; (* LRU timestamps *)
   mutable tick : int;
   mutable base : int; (* current epoch lsl line_bits *)
   mutable recent : int; (* the way of the latest hit or fill *)
@@ -52,15 +64,18 @@ let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
     sets;
     set_mask = sets - 1;
     ways;
-    tags = Array.make (sets * ways) 0;
-    dirty = Array.make (sets * ways) false;
-    last_use = Array.make (sets * ways) 0;
+    first = Array.make sets (-1);
+    claimed = 0;
+    tags = Array.make ways 0;
+    dirty = Array.make ways false;
+    last_use = Array.make ways 0;
     tick = 0;
     base = line_span;
     recent = 0;
     prev = 0;
   }
 
+(* Every set keeps its claim; its ways turn invalid and clean. *)
 let reset t =
   Array.fill t.tags 0 (Array.length t.tags) 0;
   Array.fill t.dirty 0 (Array.length t.dirty) false;
@@ -87,13 +102,16 @@ let[@inline] find_way t first key =
   done;
   if !i < stop then !i else -1
 
-let first_way t line = (line land t.set_mask) * t.ways
+(* The first way of [line]'s set, or -1 while the set is unclaimed. *)
+let[@inline] first_way t line = t.first.(line land t.set_mask)
 
 (* [find_way] for [line], probing the two remembered ways first. *)
 let[@inline] lookup t line key =
   if t.tags.(t.recent) = key then t.recent
   else if t.tags.(t.prev) = key then t.prev
-  else find_way t (first_way t line) key
+  else
+    let first = first_way t line in
+    if first < 0 then -1 else find_way t first key
 
 let[@inline] remember t i =
   if i <> t.recent then begin
@@ -108,12 +126,35 @@ let[@inline] remember t i =
 let hit = -1
 let miss = -2
 
+(* Give [line]'s set the next [ways] entries of the way arrays, doubling
+   them first when they are full.  The copy keeps every entry at its
+   index, so [first], [recent] and [prev] stay valid. *)
+let[@inline never] claim t line =
+  let first = t.claimed in
+  let len = Array.length t.tags in
+  if first + t.ways > len then begin
+    let grow a fill =
+      let b = Array.make (2 * len) fill in
+      Array.blit a 0 b 0 len;
+      b
+    in
+    t.tags <- grow t.tags 0;
+    t.dirty <- grow t.dirty false;
+    t.last_use <- grow t.last_use 0
+  end;
+  t.first.(line land t.set_mask) <- first;
+  t.claimed <- first + t.ways;
+  first
+
 (* On a miss the victim is the first invalid way, else the
    least-recently-used one (first on ties).  Out of line: [access] is
    inlined into every load and store, and most of them hit. *)
 let[@inline never] fill t line key ~write =
   let base = t.base in
-  let first = first_way t line in
+  let first =
+    let f = first_way t line in
+    if f >= 0 then f else claim t line
+  in
   let stop = first + t.ways in
   let victim = ref first in
   let best = ref max_int in

@@ -51,11 +51,26 @@ type snapshot = {
   t_trace_len : int;
 }
 
+(* [current], [durable], [state], [crash_mark] and [j_mark] cover a
+   prefix of the region, in whole lines, that doubles on the first
+   mutation past it ([reach]), capped at the capacity's last line;
+   [capacity] is the logical size.  Past the prefix a word reads 0 in
+   both images and its line is Clean, unlisted and unjournaled: what a
+   zero-filled array holds.  So a heap's region costs the lines it
+   touches, not its capacity.
+   Invariant: every Dirty or Flushing line, every line on the fence or
+   crash worklist and every journal record lies inside the prefix.  Each
+   of them starts with a mutation, and a mutation reaches the prefix
+   first; only a restore shrinks it, after rewinding every line past
+   the restored capacity to Clean.
+   A prefix word at or past [capacity] (the tail of a partial last line)
+   holds 0 in both images: records hold whole lines, so a restore
+   rewinds such a word a store reached after [ensure_capacity]. *)
 type t = {
   mutable current : int array; (* the CPU's coherent view *)
   mutable durable : int array; (* what Optane DCPMM holds *)
   mutable state : line_state array; (* per cacheline *)
-  mutable capacity : int; (* in words *)
+  mutable capacity : int; (* logical size, in words *)
   cache : Cache.t; (* L1D: drives miss ratios and eviction writebacks *)
   l2 : Cache.t; (* latency modelling only *)
   llc : Cache.t; (* latency modelling only *)
@@ -124,8 +139,14 @@ type t = {
 }
 
 let line_of_word off = off lsr Config.line_shift
+let lines_of_words n = (n + Config.words_per_line - 1) / Config.words_per_line
+let words_of_lines n = n lsl Config.line_shift
 
 let crash_trim_floor = 64
+
+(* The prefix a region starts with: enough for a heap's root directory
+   and its first allocations. *)
+let initial_prefix_words = 4096
 
 (* [arr] extended to [n] elements with [fill], or [arr] itself when it
    already has them. *)
@@ -140,21 +161,16 @@ let extend arr n fill =
 
 let next_stamp = ref 0
 
-let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
-    =
-  let cap = max capacity_words Config.words_per_line in
-  let lines = (cap + Config.words_per_line - 1) / Config.words_per_line in
+(* A region of [capacity] words whose prefix is [durable] (whole lines),
+   all Clean, with [current] a copy of it. *)
+let make ~capacity ~durable ~trace ~seed backing =
+  let lines = Array.length durable lsr Config.line_shift in
   incr next_stamp;
-  let backing =
-    match file with
-    | None -> None
-    | Some path -> Some (Backing.create ~path ~capacity_words:cap)
-  in
   {
-    current = Array.make cap 0;
-    durable = Array.make cap 0;
+    current = Array.copy durable;
+    durable;
     state = Array.make lines Clean;
-    capacity = cap;
+    capacity;
     cache = Cache.create ();
     l2 = Cache.create ~sets:Config.l2_sets ~ways:Config.l2_ways ();
     llc = Cache.create ~sets:Config.llc_sets ~ways:Config.llc_ways ();
@@ -188,6 +204,17 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
     file_dirty = Hashtbl.create 64;
   }
 
+let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
+    =
+  let cap = max capacity_words Config.words_per_line in
+  let prefix = min initial_prefix_words (words_of_lines (lines_of_words cap)) in
+  let backing =
+    match file with
+    | None -> None
+    | Some path -> Some (Backing.create ~path ~capacity_words:cap)
+  in
+  make ~capacity:cap ~durable:(Array.make prefix 0) ~trace ~seed backing
+
 let stats t = t.stats
 let trace t = t.trace
 let cache t = t.cache
@@ -210,15 +237,15 @@ let journal_push t e =
   t.j_entries.(t.j_len) <- e;
   t.j_len <- t.j_len + 1
 
-(* [line]'s volatile contents, durable contents and durability state. *)
+(* [line]'s volatile contents, durable contents and durability state.
+   Whole lines, also where the capacity ends mid-line (see [t]). *)
 let line_image t line =
-  let base = line lsl Config.line_shift in
-  let len = min Config.words_per_line (t.capacity - base) in
+  let base = words_of_lines line in
   {
     e_line = line;
     e_state = t.state.(line);
-    e_cur = Array.sub t.current base len;
-    e_dur = Array.sub t.durable base len;
+    e_cur = Array.sub t.current base Config.words_per_line;
+    e_dur = Array.sub t.durable base Config.words_per_line;
   }
 
 let journal_record t line =
@@ -347,21 +374,42 @@ let atomic t f =
     Fun.protect ~finally:(fun () -> t.hook_suspended <- false) f
   end
 
+(* Logical growth only: the prefix follows the first mutation past it. *)
 let ensure_capacity t n =
   if n > t.capacity then begin
     let cap = ref t.capacity in
     while n > !cap do
       cap := !cap * 2
     done;
-    let cap = !cap in
-    t.current <- extend t.current cap 0;
-    t.durable <- extend t.durable cap 0;
-    let lines = (cap + Config.words_per_line - 1) / Config.words_per_line in
-    t.state <- extend t.state lines Clean;
-    t.j_mark <- extend t.j_mark lines (-1);
-    t.crash_mark <- extend t.crash_mark lines false;
-    t.capacity <- cap
+    t.capacity <- !cap
   end
+
+(* Double the prefix until it covers word [off], capped at the
+   capacity's last line.  Out of line: a run grows it a few times. *)
+let[@inline never] grow_prefix t off =
+  let limit = words_of_lines (lines_of_words t.capacity) in
+  let n = ref (max Config.words_per_line (Array.length t.current)) in
+  while !n <= off do
+    n := 2 * !n
+  done;
+  let n = min !n limit in
+  let lines = n lsr Config.line_shift in
+  t.current <- extend t.current n 0;
+  t.durable <- extend t.durable n 0;
+  t.state <- extend t.state lines Clean;
+  t.crash_mark <- extend t.crash_mark lines false;
+  t.j_mark <- extend t.j_mark lines (-1)
+
+(* Bring word [off] (below the capacity) inside the prefix; called
+   before the first mutation of its line, ahead of the journal record. *)
+let[@inline] reach t off =
+  if off >= Array.length t.current then grow_prefix t off
+
+(* Word [off] of [image], or 0 past the prefix. *)
+let word_at image off = if off < Array.length image then image.(off) else 0
+
+let state_at t line =
+  if line < Array.length t.state then t.state.(line) else Clean
 
 let out_of_bounds fn off =
   invalid_arg (Printf.sprintf "Region.%s: offset %d out of bounds" fn off)
@@ -376,9 +424,8 @@ let mark_file_dirty t line =
 
 (* Copy the volatile contents of [line] into the durable image. *)
 let writeback_line t line =
-  let base = line lsl Config.line_shift in
-  let len = min Config.words_per_line (t.capacity - base) in
-  Array.blit t.current base t.durable base len;
+  let base = words_of_lines line in
+  Array.blit t.current base t.durable base Config.words_per_line;
   mark_file_dirty t line
 
 (* Commit the durable image's changed lines to the backing file as one
@@ -394,9 +441,10 @@ let file_commit t =
         let lines =
           Hashtbl.fold
             (fun line () acc ->
-              let base = line lsl Config.line_shift in
+              let base = words_of_lines line in
               let len = min Config.words_per_line (t.capacity - base) in
-              (line, Array.sub t.durable base len) :: acc)
+              (line, Array.init len (fun i -> word_at t.durable (base + i)))
+              :: acc)
             t.file_dirty []
         in
         let lines =
@@ -460,11 +508,16 @@ let[@inline] load t off =
   let level = touch_cache t off ~write:false in
   t.stats.Stats.loads <- t.stats.Stats.loads + 1;
   Stats.advance t.stats (Latency.load_ns level);
-  Word.raw t.current.(off)
+  (* [check_off] rejected a negative [off]: the length compare is the
+     whole bounds check *)
+  Word.raw
+    (if off < Array.length t.current then Array.unsafe_get t.current off
+     else 0)
 
 let[@inline] store t off w =
   check_power t;
   check_off t off "store";
+  reach t off;
   let line = line_of_word off in
   journal_touch t line;
   ignore (touch_cache t off ~write:true : Latency.load_level);
@@ -498,7 +551,7 @@ let rec clwb t off =
   let line = line_of_word off in
   t.stats.Stats.clwbs <- t.stats.Stats.clwbs + 1;
   if Trace.enabled t.trace then Trace.emit t.trace (Trace.Flush { line });
-  (match t.state.(line) with
+  (match state_at t line with
   | Dirty ->
       journal_touch t line;
       t.state.(line) <- Flushing;
@@ -547,7 +600,7 @@ let reset_caches t =
   Cache.invalidate t.llc
 
 let arm_media_fault t ~line =
-  if line < 0 || line >= Array.length t.state then
+  if line < 0 || line >= lines_of_words t.capacity then
     invalid_arg (Printf.sprintf "Region.arm_media_fault: line %d out of bounds" line);
   t.integrity_epoch <- t.integrity_epoch + 1;
   Hashtbl.replace t.media_bad line ()
@@ -564,6 +617,7 @@ let integrity_epoch t = t.integrity_epoch
    and stats (this is the injector, not the program under test). *)
 let corrupt_word t off =
   check_off t off "corrupt_word";
+  reach t off;
   t.integrity_epoch <- t.integrity_epoch + 1;
   journal_touch t (line_of_word off);
   let v = t.current.(off) lxor 0x55 in
@@ -606,9 +660,8 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
              multi-word records must detect it (checksums) rather than
              assume it away. *)
           journal_touch t line;
-          let base = line lsl Config.line_shift in
-          let len = min Config.words_per_line (t.capacity - base) in
-          for i = base to base + len - 1 do
+          let base = words_of_lines line in
+          for i = base to base + Config.words_per_line - 1 do
             if
               t.current.(i) <> t.durable.(i)
               && Random.State.bool crash_rng
@@ -618,7 +671,7 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
             end
           done;
           (* the volatile view reverts to what PM now holds *)
-          Array.blit t.durable base t.current base len;
+          Array.blit t.durable base t.current base Config.words_per_line;
           t.state.(line) <- Clean
       | (Dirty | Flushing) as st ->
           let survives =
@@ -639,9 +692,8 @@ let crash ?(mode = Randomize) ?seed ?(torn = false) t =
           if survives then writeback_line t line
           else begin
             (* the volatile view reverts to what PM holds *)
-            let base = line lsl Config.line_shift in
-            let len = min Config.words_per_line (t.capacity - base) in
-            Array.blit t.durable base t.current base len
+            let base = words_of_lines line in
+            Array.blit t.durable base t.current base Config.words_per_line
           end;
           t.state.(line) <- Clean)
     lines;
@@ -688,27 +740,34 @@ let snapshot t =
   t.j_tokens <- tok :: t.j_tokens;
   tok
 
-(* Shrink the image arrays back to [cap] (undoing ensure_capacity growth
-   that happened after the snapshot).  The journal already rewound every
-   surviving line; words beyond [cap] simply cease to exist, and any
-   later re-growth re-zeroes them. *)
+(* Undo [ensure_capacity] growth that happened after the snapshot.  The
+   journal already rewound every line mutated since, so the lines past
+   [cap] are zero and Clean again; where the prefix reaches past [cap]'s
+   last line it shrinks back, and any later growth re-zeroes them. *)
 let truncate_image t cap =
   if cap < t.capacity then begin
-    t.current <- Array.sub t.current 0 cap;
-    t.durable <- Array.sub t.durable 0 cap;
-    let lines = (cap + Config.words_per_line - 1) / Config.words_per_line in
-    t.state <- Array.sub t.state 0 lines;
-    (* drop worklist entries for lines that no longer exist *)
-    t.flushing_q <- List.filter (fun l -> l < lines) t.flushing_q;
-    crash_list_filter t (fun l -> l < lines);
+    let lines = lines_of_words cap in
+    if lines < Array.length t.state then begin
+      (* drop worklist entries for lines leaving the prefix *)
+      t.flushing_q <- List.filter (fun l -> l < lines) t.flushing_q;
+      crash_list_filter t (fun l -> l < lines);
+      let words = words_of_lines lines in
+      t.current <- Array.sub t.current 0 words;
+      t.durable <- Array.sub t.durable 0 words;
+      t.state <- Array.sub t.state 0 lines;
+      t.crash_mark <- Array.sub t.crash_mark 0 lines;
+      t.j_mark <- Array.sub t.j_mark 0 lines
+    end;
     t.capacity <- cap
   end
 
 (* Write a line image back: words, durable words and state.  A line
    returning to Flushing must be on the fence worklist, and one leaving
-   Clean on the crash worklist; lines left alone never left them. *)
+   Clean on the crash worklist; lines left alone never left them.  The
+   line lies inside the prefix: a restore replays journal records, and
+   [apply_point] reaches first. *)
 let install t e =
-  let base = e.e_line lsl Config.line_shift in
+  let base = words_of_lines e.e_line in
   Array.blit e.e_cur 0 t.current base (Array.length e.e_cur);
   Array.blit e.e_dur 0 t.durable base (Array.length e.e_dur);
   t.state.(e.e_line) <- e.e_state;
@@ -758,7 +817,7 @@ let restore t tok =
      file-backed region is a test-only combination) *)
   (match t.backing with
   | Some _ ->
-      for line = 0 to Array.length t.state - 1 do
+      for line = 0 to lines_of_words t.capacity - 1 do
         Hashtbl.replace t.file_dirty line ()
       done
   | None -> ());
@@ -809,6 +868,7 @@ let apply_point t p =
   ensure_capacity t p.pt_capacity;
   Array.iter
     (fun e ->
+      reach t (words_of_lines e.e_line);
       journal_touch t e.e_line;
       install t e;
       mark_file_dirty t e.e_line)
@@ -822,32 +882,44 @@ let durable_load t off =
   check_media t off "durable_load";
   t.stats.Stats.loads <- t.stats.Stats.loads + 1;
   Stats.advance t.stats (Latency.load_ns Latency.Pm);
-  Word.raw t.durable.(off)
+  Word.raw (word_at t.durable off)
 
 let peek_durable t off =
   check_off t off "peek_durable";
-  Word.raw t.durable.(off)
+  Word.raw (word_at t.durable off)
 
 let peek_current t off =
   check_off t off "peek_current";
-  Word.raw t.current.(off)
+  Word.raw (word_at t.current off)
 
 let is_durable_line t line =
-  let base = line lsl Config.line_shift in
+  let base = words_of_lines line in
   let len = min Config.words_per_line (t.capacity - base) in
   let same = ref true in
   for i = base to base + len - 1 do
-    if t.current.(i) <> t.durable.(i) then same := false
+    if word_at t.current i <> word_at t.durable i then same := false
   done;
   !same
 
-(* Bit-level comparison of two regions' images (differential testing of
-   restore against re-execution). *)
+(* Bit-level comparison of two regions' logical images (differential
+   testing of restore against re-execution), whatever their prefixes:
+   past both, every word and line state agree. *)
 let images_equal a b =
-  a.capacity = b.capacity && a.inflight = b.inflight
-  && Array.sub a.current 0 a.capacity = Array.sub b.current 0 b.capacity
-  && Array.sub a.durable 0 a.capacity = Array.sub b.durable 0 b.capacity
-  && a.state = b.state
+  let words =
+    min a.capacity (max (Array.length a.current) (Array.length b.current))
+  in
+  let rec same_words i =
+    i >= words
+    || word_at a.current i = word_at b.current i
+       && word_at a.durable i = word_at b.durable i
+       && same_words (i + 1)
+  in
+  let lines = lines_of_words words in
+  let rec same_states l =
+    l >= lines || (state_at a l = state_at b l && same_states (l + 1))
+  in
+  a.capacity = b.capacity && a.inflight = b.inflight && same_words 0
+  && same_states 0
 
 (* -- file backend -------------------------------------------------------- *)
 
@@ -863,48 +935,8 @@ let backing_path t = Option.map Backing.path t.backing
 let open_file ?(trace = false) ?(seed = 42) ~path () =
   let b, words, status = Backing.open_ ~path in
   let cap = Array.length words in
-  let lines = (cap + Config.words_per_line - 1) / Config.words_per_line in
-  incr next_stamp;
-  let t =
-    {
-      current = Array.copy words;
-      durable = words;
-      state = Array.make lines Clean;
-      capacity = cap;
-      cache = Cache.create ();
-      l2 = Cache.create ~sets:Config.l2_sets ~ways:Config.l2_ways ();
-      llc = Cache.create ~sets:Config.llc_sets ~ways:Config.llc_ways ();
-      stats = Stats.create ();
-      trace = Trace.create ~enabled:trace;
-      rng = Random.State.make [| seed |];
-      inflight = 0;
-      flushing_q = [];
-      crash_q = Array.make crash_trim_floor 0;
-      crash_len = 0;
-      crash_mark = Array.make lines false;
-      crash_trim = crash_trim_floor;
-      fence_per_flush = false;
-      events = 0;
-      crash_budget = -1;
-      powered_off = false;
-      capture = None;
-      last_crash_seed = None;
-      event_hook = None;
-      hook_suspended = false;
-      region_stamp = !next_stamp;
-      j_on = false;
-      j_entries = [||];
-      j_len = 0;
-      j_mark = Array.make lines (-1);
-      j_epoch = 0;
-      j_tokens = [];
-      media_bad = Hashtbl.create 4;
-      integrity_epoch = 0;
-      backing = Some b;
-      file_dirty = Hashtbl.create 64;
-    }
-  in
-  (t, status)
+  let durable = extend words (words_of_lines (lines_of_words cap)) 0 in
+  (make ~capacity:cap ~durable ~trace ~seed (Some b), status)
 
 (* Flush any durable-image changes that have not reached the file (there
    are none after a clean fence) and release the descriptors.  The region

@@ -27,11 +27,13 @@ exception Media_fault of { off : int }
 val create :
   ?capacity_words:int -> ?trace:bool -> ?seed:int -> ?file:string -> unit -> t
 (** [create ()] makes a memory-backed region (nothing survives the
-    process).  With [~file:path], the durable image is additionally
-    mapped onto [path] ({!Backing}): every fence commits the cachelines
-    whose durable contents changed as one failure-atomic batch, so the
-    heap genuinely survives [kill -9].  Creating truncates any existing
-    image at [path]; use {!open_file} to reopen one. *)
+    process).  [capacity_words] (default 1M) is the logical size: the
+    host memory behind it is allocated as lines are first written, and
+    a word never written reads 0.  With [~file:path], the durable image
+    is additionally mapped onto [path] ({!Backing}): every fence commits
+    the cachelines whose durable contents changed as one failure-atomic
+    batch, so the heap genuinely survives [kill -9].  Creating truncates
+    any existing image at [path]; use {!open_file} to reopen one. *)
 
 val stats : t -> Stats.t
 val trace : t -> Trace.t
@@ -39,7 +41,9 @@ val cache : t -> Cache.t
 val capacity_words : t -> int
 
 val ensure_capacity : t -> int -> unit
-(** [ensure_capacity t n] grows the region so offsets below [n] are valid. *)
+(** [ensure_capacity t n] grows the region so offsets below [n] are
+    valid (doubling the capacity); like [create], it allocates nothing
+    until a line is written. *)
 
 val load : t -> int -> Word.t
 (** Cached load of the word at the given offset; charges hit or PM-miss

@@ -392,6 +392,7 @@ let reexec_sweep (cfg : Crashtest.Explorer.config) ~plain w =
                       crash_index = !budget;
                       mode;
                       survival_seed = seed;
+                      fault = None;
                       detail;
                     }
                   :: !failures)

@@ -378,6 +378,56 @@ let explorer_tests =
         Alcotest.(check int) "same fault samples"
           reference.Crashtest.Explorer.fault_samples
           killed.Crashtest.Explorer.fault_samples);
+    Alcotest.test_case "fault samples replay as the sweep judged them" `Quick
+      (fun () ->
+        (* every (point, kind) sample, replayed alone on a fresh heap,
+           recovers or degrades exactly as often as in the sweep *)
+        let module E = Crashtest.Explorer in
+        let cfg = { E.default with seed = 7; faults = true } in
+        let w = Crashtest.Workload.build "map" ~ops:8 in
+        let r = E.explore ~cfg w in
+        Alcotest.(check (list int)) "the sweep's points and split"
+          [ 102; 306; 204 ]
+          [ r.E.points_tested; r.E.fault_recovered; r.E.fault_degraded ];
+        let recovered = ref 0 and degraded = ref 0 in
+        for crash_index = 1 to r.E.points_tested do
+          for k = 0 to E.fault_kinds - 1 do
+            let seed = E.fault_seed cfg ~crash_index ~k in
+            match
+              Crashtest.Replay.replay_fault ~cfg (E.Seq w) ~crash_index ~k
+                ~seed
+            with
+            | Some E.Recovered -> incr recovered
+            | Some (E.Degraded _) -> incr degraded
+            | Some (E.Broken d) ->
+                Alcotest.failf "event %d, kind %d: %s" crash_index k d
+            | None -> Alcotest.failf "event %d never crashed" crash_index
+          done
+        done;
+        Alcotest.(check (pair int int)) "the replays' split"
+          (r.E.fault_recovered, r.E.fault_degraded) (!recovered, !degraded));
+    Alcotest.test_case "a fault failure replays as reported" `Quick (fun () ->
+        let module E = Crashtest.Explorer in
+        let cfg = { E.default with seed = 7; faults = true } in
+        let w = Crashtest.Workload.build "map-nofence" ~ops:8 in
+        let f =
+          match
+            List.filter
+              (fun f -> f.E.fault <> None)
+              (E.explore ~cfg w).E.failures
+          with
+          | f :: _ -> f
+          | [] -> Alcotest.fail "no fault sample failed"
+        in
+        Alcotest.(check bool) "replay reproduces" true
+          (Crashtest.Replay.reproduces ~cfg f);
+        Alcotest.(check (option int)) "the kind is found from the seed"
+          f.E.fault
+          (E.fault_kind cfg ~crash_index:f.E.crash_index
+             (Option.get f.E.survival_seed));
+        let f' = Crashtest.Replay.minimize ~cfg f in
+        Alcotest.(check bool) "shrunk repro still reproduces" true
+          (f'.E.ops <= f.E.ops && Crashtest.Replay.reproduces ~cfg f'));
   ]
 
 (* -- worklist recovery: deep structures ------------------------------------- *)

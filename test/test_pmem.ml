@@ -330,16 +330,31 @@ module Cache_model = struct
       [] t.lru
 end
 
+(* Geometries of up to 256 sets.  Most lines fall in a few hot sets,
+   which fill and evict; the rest spread over four times as many lines
+   as sets, so sets are claimed out of index order and the way arrays
+   grow mid-trace, while full hot sets and the remembered ways point
+   into them. *)
 let cache_model_tests =
   let open Pmem in
-  let op_gen =
+  let line_gen ~sets ~ways hot =
     QCheck.Gen.(
       frequency
         [
-          ( 12,
-            map2 (fun line write -> `Access (line, write)) (int_bound 40) bool
-          );
-          (3, map (fun line -> `Mark_clean line) (int_bound 40));
+          ( 3,
+            map2
+              (fun h k -> List.nth hot (h mod List.length hot) + (sets * k))
+              nat
+              (int_bound (2 * ways)) );
+          (1, int_bound ((4 * sets) - 1));
+        ])
+  in
+  let op_gen line =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map2 (fun line write -> `Access (line, write)) line bool);
+          (3, map (fun line -> `Mark_clean line) line);
           (1, return `Invalidate);
           (1, return `Reset);
         ])
@@ -348,9 +363,9 @@ let cache_model_tests =
      or of two sets -- a block copy's pattern, which the cache serves
      from its two remembered ways -- with an occasional mark_clean,
      invalidation or reset inside it. *)
-  let run_gen sets =
+  let run_gen sets line =
     QCheck.Gen.(
-      let* l1 = int_bound 40 in
+      let* l1 = line in
       let* l2 =
         frequency
           [
@@ -376,12 +391,16 @@ let cache_model_tests =
      wrap, so the trace's invalidations cross it *)
   let gen =
     QCheck.Gen.(
-      let* log_sets = int_bound 3 in
+      let* log_sets = int_bound 8 in
+      let sets = 1 lsl log_sets in
+      let* ways = int_range 1 4 in
+      let* hot = list_size (int_range 1 3) (int_bound (sets - 1)) in
+      let line = line_gen ~sets ~ways hot in
       let segment =
         frequency
-          [ (3, map (fun op -> [ op ]) op_gen); (1, run_gen (1 lsl log_sets)) ]
+          [ (3, map (fun op -> [ op ]) (op_gen line)); (1, run_gen sets line) ]
       in
-      quad (return log_sets) (int_range 1 4)
+      quad (return log_sets) (return ways)
         (frequency [ (3, return None); (1, map Option.some (int_bound 2)) ])
         (map List.concat (list_size (int_range 1 60) segment)))
   in
@@ -687,6 +706,38 @@ let snapshot_tests =
               below it)") (fun () -> Region.restore r inner));
   ]
 
+(* One step of a random region trace; offsets wrap at the capacity,
+   which [`Grow] doubles up to [max_cap]. *)
+let region_step ~max_cap r op =
+  let open Pmem in
+  let cap = Region.capacity_words r in
+  match op with
+  | `Fase w ->
+      Region.store r (w mod cap) (Word.of_int w);
+      Region.clwb r (w mod cap);
+      Region.sfence r
+  | `Store w -> Region.store r (w mod cap) (Word.of_int w)
+  | `Clwb w -> Region.clwb r (w mod cap)
+  | `Sfence -> Region.sfence r
+  | `Evict w ->
+      (* fill [w]'s L1D set with other lines: evicts its whole set *)
+      let line = Region.line_of_word (w mod cap) in
+      for k = 1 to Config.l1d_ways do
+        let off = (line + (k * Config.l1d_sets)) lsl Config.line_shift in
+        if off < cap then ignore (Region.load r off : Word.t)
+      done
+  | `Corrupt w -> Region.corrupt_word r (w mod cap)
+  | `Crash (m, seed) ->
+      let mode, torn =
+        match m with
+        | 0 -> (Region.Drop_inflight, false)
+        | 1 -> (Region.Keep_inflight, false)
+        | 2 -> (Region.Randomize, false)
+        | _ -> (Region.Randomize, true)
+      in
+      Region.crash ~mode ~seed ~torn r
+  | `Grow -> if cap < max_cap then Region.ensure_capacity r (2 * cap)
+
 (* The crash worklist against the line states, over random traces of
    stores, FASEs (store, clwb, sfence), stray clwbs and fences, evicting
    loads, snapshots, restores, growth and crashes (every mode, plus
@@ -716,34 +767,7 @@ let worklist_tests =
           (1, return `Grow);
         ])
   in
-  let step r op =
-    let cap = Region.capacity_words r in
-    match op with
-    | `Fase w ->
-        Region.store r (w mod cap) (Word.of_int w);
-        Region.clwb r (w mod cap);
-        Region.sfence r
-    | `Store w -> Region.store r (w mod cap) (Word.of_int w)
-    | `Clwb w -> Region.clwb r (w mod cap)
-    | `Sfence -> Region.sfence r
-    | `Evict w ->
-        (* fill [w]'s L1D set with other lines: evicts its whole set *)
-        let line = Region.line_of_word (w mod cap) in
-        for k = 1 to Config.l1d_ways do
-          let off = (line + (k * Config.l1d_sets)) lsl Config.line_shift in
-          if off < cap then ignore (Region.load r off : Word.t)
-        done
-    | `Crash (m, seed) ->
-        let mode, torn =
-          match m with
-          | 0 -> (Region.Drop_inflight, false)
-          | 1 -> (Region.Keep_inflight, false)
-          | 2 -> (Region.Randomize, false)
-          | _ -> (Region.Randomize, true)
-        in
-        Region.crash ~mode ~seed ~torn r
-    | `Grow -> if cap < 1 lsl 15 then Region.ensure_capacity r (2 * cap)
-  in
+  let step = region_step ~max_cap:(1 lsl 15) in
   let sound r ~peak ~crashed =
     let dirty = Region.dirty_lines r in
     let listed = Region.crash_worklist r in
@@ -827,6 +851,241 @@ let worklist_tests =
         done);
   ]
 
+(* Words the program allocated while [f] ran (minor + major - promoted:
+   each word once, wherever it was first allocated).  A minor collection
+   first brings the counters up to date. *)
+let words_allocated f =
+  let words () =
+    Gc.minor ();
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let before = words () in
+  let x = f () in
+  (words () -. before, x)
+
+(* A simulated machine costs what a run touches: a cache set owns ways
+   from its first fill, and a region's arrays cover a prefix that grows
+   on the first mutation past it.  Past the prefix a word reads 0 and
+   its line is Clean, so a region with a larger prefix must hold the
+   same logical image: [materialize] grows a twin's prefix to the whole
+   capacity (two [corrupt_word]s cancel, and bypass the caches and the
+   stats), and the twin must then agree with the lazy region on every
+   image, dirty line, listed line and clock, whatever the trace does
+   past the prefix.  The worklists compare as sets: the twin's
+   [corrupt_word]s add journal records, so a restore lists lines in
+   another order. *)
+let lazy_tests =
+  let open Pmem in
+  let materialize r =
+    let last = Region.capacity_words r - 1 in
+    Region.corrupt_word r last;
+    Region.corrupt_word r last
+  in
+  let last_line r = Region.line_of_word (Region.capacity_words r - 1) in
+  let temp_image () = Filename.temp_file "mod_test_pmem" ".img" in
+  let cleanup path =
+    List.iter
+      (fun p -> if Sys.file_exists p then Sys.remove p)
+      [ path; path ^ ".journal" ]
+  in
+  (* offsets near the prefix's doubling points, and anywhere *)
+  let off_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 2,
+            map2
+              (fun k d -> max 0 ((4096 lsl k) + d - 32))
+              (int_bound 4) (int_bound 63) );
+          (1, nat);
+        ])
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, map (fun w -> `Store w) off_gen);
+          (4, map (fun w -> `Fase w) off_gen);
+          (4, map (fun w -> `Clwb w) off_gen);
+          (2, return `Sfence);
+          (3, map (fun w -> `Evict w) off_gen);
+          (2, map (fun w -> `Corrupt w) off_gen);
+          (2, return `Snapshot);
+          (2, map (fun i -> `Restore i) (int_bound 3));
+          (1, map2 (fun m s -> `Crash (m, s)) (int_bound 3) nat);
+          (1, return `Grow);
+        ])
+  in
+  let step = region_step ~max_cap:(1 lsl 16) in
+  [
+    Alcotest.test_case "heap construction allocates <100k words" `Quick
+      (fun () ->
+        List.iter
+          (fun capacity_words ->
+            let words, heap =
+              words_allocated (fun () -> Pmalloc.Heap.create ~capacity_words ())
+            in
+            ignore (Sys.opaque_identity heap);
+            if words >= 100_000. then
+              Alcotest.failf "Heap.create at %d words allocated %.0f words"
+                capacity_words words)
+          [ 1 lsl 14; 1 lsl 20; 1 lsl 24 ]);
+    Alcotest.test_case "reads past the prefix see zero, grow nothing" `Quick
+      (fun () ->
+        let r = Region.create () in
+        let last = Region.capacity_words r - 1 in
+        let words, reads =
+          words_allocated (fun () ->
+              List.map
+                (fun read -> Word.bits (read r last))
+                [
+                  Region.load; Region.durable_load; Region.peek_current;
+                  Region.peek_durable;
+                ])
+        in
+        Alcotest.(check (list int)) "all zero" [ 0; 0; 0; 0 ] reads;
+        if words > 1000. then
+          Alcotest.failf "four reads allocated %.0f words" words;
+        (* the first store there does grow the prefix to the capacity *)
+        let grown, () =
+          words_allocated (fun () -> Region.store r last (Word.of_int 1))
+        in
+        if grown < float_of_int (2 * Region.capacity_words r) then
+          Alcotest.failf "the store allocated only %.0f words" grown);
+    Alcotest.test_case "clwb of a never-written line" `Quick (fun () ->
+        let r = Region.create () in
+        let line = last_line r in
+        let off = line lsl Config.line_shift in
+        let events = Region.pm_events r in
+        Region.clwb r off;
+        Alcotest.(check int) "one PM event" (events + 1) (Region.pm_events r);
+        Alcotest.(check int) "nothing in flight" 0 (Region.inflight r);
+        Alcotest.(check (list int)) "line Clean" [] (Region.dirty_lines r);
+        Alcotest.(check bool) "durable" true (Region.is_durable_line r line));
+    Alcotest.test_case "media faults past the prefix" `Quick (fun () ->
+        let r = Region.create () in
+        let line = last_line r in
+        Region.arm_media_fault r ~line;
+        Alcotest.check_raises "load faults"
+          (Region.Media_fault { off = line lsl Config.line_shift })
+          (fun () -> ignore (Region.load r (line lsl Config.line_shift)));
+        Alcotest.check_raises "line past the capacity"
+          (Invalid_argument
+             (Printf.sprintf "Region.arm_media_fault: line %d out of bounds"
+                (line + 1)))
+          (fun () -> Region.arm_media_fault r ~line:(line + 1)));
+    Alcotest.test_case "equal images, different prefixes" `Quick (fun () ->
+        let a = Region.create ~seed:5 () and b = Region.create ~seed:5 () in
+        materialize b;
+        Alcotest.(check bool) "equal" true (Region.images_equal a b);
+        Region.store b (Region.capacity_words b - 1) (Word.of_int 1);
+        Alcotest.(check bool) "a store tells them apart" false
+          (Region.images_equal a b));
+    Alcotest.test_case "restore rewinds a store past the prefix" `Quick
+      (fun () ->
+        let r = Region.create () in
+        let snap = Region.snapshot r in
+        let far = Region.capacity_words r - 3 in
+        Region.store r far (Word.of_int 9);
+        Region.clwb r far;
+        Region.sfence r;
+        Region.restore r snap;
+        Alcotest.(check bool) "fresh image" true
+          (Region.images_equal r (Region.create ())));
+    Alcotest.test_case "restore below a growth, then regrowth, reads zeros"
+      `Quick (fun () ->
+        (* a partial last line: its tail lies in the prefix but past the
+           capacity, and a store reaches it only after the growth *)
+        let r = Region.create ~capacity_words:(4096 + 1001) () in
+        let cap = Region.capacity_words r in
+        Region.store r (cap - 1) (Word.of_int 1);
+        let snap = Region.snapshot r in
+        Region.store r (cap - 1) (Word.of_int 2);
+        Region.ensure_capacity r (4 * cap);
+        let offs = [ cap; cap + 6; (3 * cap) + 5 ] in
+        List.iter (fun off -> Region.store r off (Word.of_int 3)) offs;
+        Region.clwb_range r cap (3 * cap);
+        Region.sfence r;
+        Region.restore r snap;
+        Alcotest.(check int) "capacity rewound" cap (Region.capacity_words r);
+        Alcotest.(check int) "last word rewound" 1
+          (Word.to_int (Region.peek_current r (cap - 1)));
+        Region.ensure_capacity r (4 * cap);
+        List.iter
+          (fun off ->
+            Alcotest.(check (pair int int))
+              (Printf.sprintf "word %d zero" off)
+              (0, 0)
+              ( Word.bits (Region.peek_current r off),
+                Word.bits (Region.peek_durable r off) ))
+          offs);
+    Alcotest.test_case "file image written past the prefix reopens" `Quick
+      (fun () ->
+        let path = temp_image () in
+        Fun.protect
+          ~finally:(fun () -> cleanup path)
+          (fun () ->
+            let r = Region.create ~capacity_words:(1 lsl 16) ~file:path () in
+            let offs = [ 5; 4100; 40_000; (1 lsl 16) - 1 ] in
+            List.iter (fun off -> Region.store r off (Word.of_int off)) offs;
+            List.iter (Region.clwb r) offs;
+            Region.sfence r;
+            Region.close_file r;
+            let r', _ = Region.open_file ~path () in
+            Fun.protect
+              ~finally:(fun () -> Region.close_file r')
+              (fun () ->
+                Alcotest.(check int) "capacity" (1 lsl 16)
+                  (Region.capacity_words r');
+                List.iter
+                  (fun off ->
+                    Alcotest.(check int)
+                      (Printf.sprintf "word %d" off)
+                      off
+                      (Word.to_int (Region.load r' off)))
+                  offs)));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"lazy region == materialized twin (qcheck)"
+         ~count:40
+         (QCheck.make QCheck.Gen.(list_size (int_range 1 200) op_gen))
+         (fun ops ->
+           let region () =
+             Region.create ~capacity_words:(1 lsl 14) ~seed:3 ()
+           in
+           let r = region () and e = region () in
+           materialize e;
+           (* live snapshots of both, newest first *)
+           let snaps = ref [] in
+           List.for_all
+             (fun op ->
+               (match op with
+               | `Snapshot ->
+                   snaps := (Region.snapshot r, Region.snapshot e) :: !snaps
+               | `Restore i -> (
+                   match List.filteri (fun j _ -> j >= i) !snaps with
+                   | [] -> ()
+                   | (sr, se) :: _ as rest ->
+                       Region.restore r sr;
+                       Region.restore e se;
+                       snaps := rest)
+               | `Grow ->
+                   let cap = Region.capacity_words e in
+                   step r `Grow;
+                   step e `Grow;
+                   if Region.capacity_words e > cap then materialize e
+               | ( `Store _ | `Fase _ | `Clwb _ | `Sfence | `Evict _
+                 | `Corrupt _ | `Crash _ ) as op ->
+                   step r op;
+                   step e op);
+               let listed x = List.sort compare (Region.crash_worklist x) in
+               Region.images_equal r e
+               && Region.dirty_lines r = Region.dirty_lines e
+               && listed r = listed e
+               && (Region.stats r).Stats.now_ns = (Region.stats e).Stats.now_ns)
+             ops));
+  ]
+
 (* Golden pin: every simulated clock and counter of one fixed-seed map
    run, crash and recovery, recorded exactly.  Host-side work on the
    per-word path (cache lookups, refcounts) must leave each simulated
@@ -904,5 +1163,6 @@ let () =
       ("trace", trace_tests);
       ("snapshot", snapshot_tests);
       ("worklist", worklist_tests);
+      ("lazy", lazy_tests);
       ("golden", golden_tests);
     ]

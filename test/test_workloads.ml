@@ -418,6 +418,37 @@ let cli_tests =
           (contains text
              "minimal repro: modpm crashtest --workload cmap-nofence \
               --writers 2"));
+    Alcotest.test_case "--faults failures replay from their command" `Quick
+      (fun () ->
+        let rc, text =
+          run_cmd
+            "../bin/modpm.exe crashtest sweep --workload map-nofence --ops 8 \
+             --faults --seed 7"
+        in
+        Alcotest.(check int) "the negative control is caught" 0 rc;
+        let cmd =
+          List.find
+            (fun l -> contains l "--replay")
+            (String.split_on_char '\n' text)
+          |> String.trim
+        in
+        Alcotest.(check string) "printed command"
+          "modpm crashtest --workload map-nofence --ops 8 --replay 18 --mode \
+           randomize --faults --seed 7 --survival-seed 51586139"
+          cmd;
+        let rc, text =
+          run_cmd ("../bin/modpm.exe" ^ String.sub cmd 5 (String.length cmd - 5))
+        in
+        Alcotest.(check int) "a violation exits 1" 1 rc;
+        Alcotest.(check bool) "prints the fault kind and VIOLATION" true
+          (contains text "fault kind 4): VIOLATION");
+        let rc, _ =
+          run_cmd
+            "../bin/modpm.exe crashtest --workload map-nofence --ops 8 \
+             --replay 18 --mode randomize --faults --seed 8 --survival-seed \
+             51586139"
+        in
+        Alcotest.(check int) "another sweep seed is a usage error" 2 rc);
     Alcotest.test_case "Backup failures replay under Backup" `Quick
       (fun () ->
         (* map at 8 ops has 102 PM events under Full and 114 under

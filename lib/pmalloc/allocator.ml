@@ -153,6 +153,16 @@ module Rc = struct
 
   (* Only called on a body that [find] reports present. *)
   let remove t body = t.slots.(body / stride) <- 0
+
+  (* [f body] for every body live in this generation whose slot lies
+     between those of [lo] and [hi], in address order; [f] must leave
+     the table alone. *)
+  let iter_live t ~lo ~hi f =
+    let slots = t.slots and gen = t.gen in
+    for i = lo / stride to hi / stride do
+      let e = slots.(i) in
+      if e lsr gen_shift = gen then f ((i * stride) + (e land residue_mask))
+    done
 end
 
 type t = {
@@ -439,7 +449,7 @@ let reset_fresh t =
   t.frontier <- t.heap_start
 
 (* Recovery support.  The reachability walk counts in-degrees straight
-   into the refcount table, then [recovery_reset] reinstalls the rest of
+   into the refcount table, then [recovery_sweep] reinstalls the rest of
    the volatile state around the counted blocks. *)
 let recovery_begin t = Rc.clear t.rc
 
@@ -452,19 +462,35 @@ let recovery_ref t body =
 
 let recovery_visit t body = Rc.set t.rc body 1
 
-let recovery_reset t ~frontier ~live_words =
+(* The slots live in this generation are exactly the bodies the walk
+   marked, and slot order is address order: one pass between the
+   lowest and highest mark meets every reachable block in ascending
+   order, so gaps reach the free lists ascending, as coalescing and the
+   LIFO bins expect.  A gap too narrow to hold a block is ledgered as
+   pad, like the slivers segment alignment strands; a block inside
+   another's extent only moves the cursor if it ends past it. *)
+let recovery_sweep t ~lo ~hi =
   Freelist.clear t.freelist;
   Arena.reset t.arena;
   dbuf_reset t.deferred;
   dbuf_reset t.deferred_prev;
-  t.live_words <- live_words;
-  if live_words > t.high_water_words then t.high_water_words <- live_words;
   t.pad_words <- 0;
-  t.frontier <- frontier
-
-(* A gap too narrow to hold a block is ledgered as pad, like the slivers
-   segment alignment strands. *)
-let recovery_insert_free t ~body ~capacity =
-  if capacity >= Block.min_capacity then
-    Freelist.insert t.freelist ~body ~capacity
-  else t.pad_words <- t.pad_words + capacity
+  let cursor = ref t.heap_start and live = ref 0 in
+  let extents = ref 0 and reclaimed = ref 0 in
+  Rc.iter_live t.rc ~lo ~hi (fun body ->
+      let header = Block.header_of_body body in
+      let capacity = capacity_of t body in
+      let gap = header - !cursor in
+      if gap >= Block.min_capacity then begin
+        Freelist.insert t.freelist ~body:(Block.body_of_header !cursor)
+          ~capacity:gap;
+        incr extents;
+        reclaimed := !reclaimed + gap
+      end
+      else if gap > 0 then t.pad_words <- t.pad_words + gap;
+      live := !live + capacity;
+      cursor := Int.max !cursor (header + capacity));
+  t.frontier <- !cursor;
+  t.live_words <- !live;
+  if !live > t.high_water_words then t.high_water_words <- !live;
+  (!extents, !reclaimed)

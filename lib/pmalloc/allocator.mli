@@ -109,8 +109,8 @@ val reset_fresh : t -> unit
     The reachability walk counts each reachable block's in-degree
     directly in the refcount table: {!recovery_begin}, then per pointer
     {!recovery_ref}, falling back to {!recovery_visit} on a block's first
-    reference.  {!recovery_reset} and {!recovery_insert_free} then rebuild
-    the rest of the volatile state. *)
+    reference.  {!recovery_sweep} then rebuilds the rest of the volatile
+    state from the marked blocks. *)
 
 val recovery_begin : t -> unit
 (** Clear every reference count, in O(1).  A walk that raises leaves the
@@ -124,11 +124,14 @@ val recovery_visit : t -> int -> unit
 (** Give a block its first reference.  Raises [Invalid_argument] when it
     overlaps a block already visited. *)
 
-val recovery_reset : t -> frontier:int -> live_words:int -> unit
-(** Empty the free lists, arenas and deferral pipeline and set the
-    frontier and live words; keeps the counts. *)
-
-val recovery_insert_free : t -> body:int -> capacity:int -> unit
-(** Return the gap [[body - header_words, body - header_words +
-    capacity)] between live blocks: a free extent, or pad words when it
-    is narrower than [Block.min_capacity]. *)
+val recovery_sweep : t -> lo:int -> hi:int -> int * int
+(** Empty the free lists, arenas and deferral pipeline, then meet every
+    visited block in address order -- its refcount slot lies between
+    those of the lowest visited body [lo] and the highest [hi], so the
+    pass is O(live blocks + (hi - lo) / [Block.min_capacity]) -- reading
+    each header once from the current image (no PM event).  Every gap
+    from the heap start up to a block becomes a free extent, or pad
+    words when narrower than [Block.min_capacity]; live words are the
+    sum of the capacities and the frontier the furthest block end (at
+    least the heap start).  Keeps the counts.  Returns the free extents
+    inserted and their words. *)

@@ -34,6 +34,7 @@ type t = {
   by_end : (int, entry) Hashtbl.t;
   mutable entries : int; (* live entries across all bins *)
   mutable coalesces : int; (* neighbor merges performed *)
+  mutable touched : bool; (* an insert since the last [clear] *)
 }
 
 let create () =
@@ -45,15 +46,22 @@ let create () =
     by_end = Hashtbl.create 256;
     entries = 0;
     coalesces = 0;
+    touched = false;
   }
 
+(* Bins and tables only fill through [bin_insert], so with no insert
+   since the last clear they are still empty: a tiny heap's recovery
+   skips the bin fills and table resets. *)
 let clear t =
-  Array.fill t.exact 0 (Array.length t.exact) [];
-  Array.fill t.coarse 0 (Array.length t.coarse) [];
-  Hashtbl.reset t.by_start;
-  Hashtbl.reset t.by_end;
-  t.free_words <- 0;
-  t.entries <- 0
+  if t.touched then begin
+    Array.fill t.exact 0 (Array.length t.exact) [];
+    Array.fill t.coarse 0 (Array.length t.coarse) [];
+    Hashtbl.reset t.by_start;
+    Hashtbl.reset t.by_end;
+    t.free_words <- 0;
+    t.entries <- 0;
+    t.touched <- false
+  end
 
 let bucket_of capacity =
   let rec log2 n acc = if n <= exact_max then acc else log2 (n lsr 1) (acc + 1) in
@@ -84,7 +92,8 @@ let bin_insert t e =
   Hashtbl.replace t.by_start (start_of e) e;
   Hashtbl.replace t.by_end (end_of e) e;
   t.free_words <- t.free_words + e.capacity;
-  t.entries <- t.entries + 1
+  t.entries <- t.entries + 1;
+  t.touched <- true
 
 let insert t ~body ~capacity =
   if capacity >= Block.min_capacity then begin

@@ -105,10 +105,15 @@ let decode_summary w =
   if bits land ((1 lsl check_bits) - 1) = summary_check lines then Some lines
   else None
 
+(* Consed from the highest slot down, so the list comes out ascending. *)
 let summary_slots lines =
-  List.filter
-    (fun slot -> lines land summary_bit slot <> 0)
-    (List.init root_slots Fun.id)
+  let rec from slot acc =
+    if slot < 0 then acc
+    else
+      from (slot - 1)
+        (if lines land summary_bits.(slot) <> 0 then slot :: acc else acc)
+  in
+  from (root_slots - 1) []
 
 (* A fresh heap's summary already covers line 0, the line that holds the
    summary itself: recovery loads it anyway, and slots 0 and 1 -- where

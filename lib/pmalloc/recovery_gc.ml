@@ -45,7 +45,7 @@ let pp_report ppf r =
     r.root_slots_read
     (if r.via_summary then "the summary" else "a full scan")
 
-(* A growable int stack: the walk's worklists are flat buffers, so a
+(* A growable int stack: the walk's worklist is a flat buffer, so a
    recovery allocates no cell or tuple per block. *)
 type ints = { mutable a : int array; mutable n : int }
 
@@ -84,8 +84,9 @@ let recover heap =
      policy word propagates and is surfaced typed by the recovery
      wrapper). *)
   let roots, via_summary = Heap.read_directory heap in
-  (* every reachable body, in visit order *)
-  let found = { a = Array.make 64 0; n = 0 } in
+  (* Reachable bodies are marked in the refcount table, which is in
+     address order already: the walk keeps their count and bounds. *)
+  let blocks = ref 0 and lo = ref max_int and hi = ref (-1) in
   (* Explicit worklist of (body, scan) pairs: recursion here would be
      unbounded in the depth of the object graph, and list spines
      (dstack/dseq) reach hundreds of thousands of nodes.  [scan] is the
@@ -94,13 +95,15 @@ let recover heap =
   let pending = { a = Array.make 64 0; n = 0 } in
   let visit body =
     if not (Allocator.recovery_ref allocator body) then begin
-      (* one load serves capacity, kind *and* the scan limit: the packed
-         header keeps the whole walk at one header read per block *)
+      (* one load serves kind *and* the scan limit: one header load per
+         block (the sweep reads capacity back without a PM event) *)
       let hw = Pmem.Region.load region (Block.header_of_body body) in
       let _capacity, kind, _allocated = Block.decode_info hw in
       let used = Block.decode_used hw in
       Allocator.recovery_visit allocator body;
-      push found body;
+      incr blocks;
+      lo := Int.min !lo body;
+      hi := Int.max !hi body;
       match kind with
       | Block.Scanned ->
           push pending body;
@@ -131,43 +134,13 @@ let recover heap =
         ignore (Pmem.Region.load region (body + i) : Pmem.Word.t)
       done
   done;
-  (* Sort live blocks by address to find the gaps between them. *)
-  let bodies = Array.sub found.a 0 found.n in
-  Array.sort Int.compare bodies;
-  let frontier = ref Heap.heap_start_words in
-  let live_words = ref 0 in
-  Array.iter
-    (fun body ->
-      let cap = Allocator.capacity_of allocator body in
-      frontier := max !frontier (Block.header_of_body body + cap);
-      live_words := !live_words + cap)
-    bodies;
-  Allocator.recovery_reset allocator ~frontier:!frontier
-    ~live_words:!live_words;
-  let extents = ref 0 in
-  let reclaimed = ref 0 in
-  let cursor = ref Heap.heap_start_words in
-  Array.iter
-    (fun body ->
-      let header = Block.header_of_body body in
-      if header > !cursor then begin
-        let size = header - !cursor in
-        Allocator.recovery_insert_free allocator
-          ~body:(Block.body_of_header !cursor)
-          ~capacity:size;
-        if size >= Block.min_capacity then begin
-          incr extents;
-          reclaimed := !reclaimed + size
-        end
-      end;
-      cursor := max !cursor (header + Allocator.capacity_of allocator body))
-    bodies;
+  let extents, reclaimed = Allocator.recovery_sweep allocator ~lo:!lo ~hi:!hi in
   {
-    live_blocks = found.n;
-    live_words = !live_words;
-    reclaimed_extents = !extents;
-    reclaimed_words = !reclaimed;
-    frontier = !frontier;
+    live_blocks = !blocks;
+    live_words = Allocator.live_words allocator;
+    reclaimed_extents = extents;
+    reclaimed_words = reclaimed;
+    frontier = Allocator.frontier allocator;
     root_slots_read = List.length roots;
     via_summary;
   }

@@ -210,24 +210,26 @@ let read_header ~path fd =
       ((size - header_bytes) / word_bytes);
   (capacity, image_checksum)
 
+(* The hash of [line] in an image [words] of [cap] words. *)
+let image_line_hash words ~cap line =
+  hash_line ~line words (line lsl Config.line_shift) (line_len ~cap line)
+
+(* The hash of [line] in an all-zero image of [cap] words: every line
+   hashes from one shared zero line, so a fresh image costs no
+   [cap]-word array. *)
+let zero_line = Array.make Config.words_per_line 0
+let zero_line_hash ~cap line = hash_line ~line zero_line 0 (line_len ~cap line)
+
 let checksum_of words cap =
   let cs = ref 0 in
   for line = 0 to lines_of_cap cap - 1 do
-    cs :=
-      !cs
-      lxor hash_line ~line words (line lsl Config.line_shift)
-            (line_len ~cap line)
+    cs := !cs lxor image_line_hash words ~cap line
   done;
   !cs
 
-let rebuild_hashes t words =
-  let nlines = lines_of_cap t.capacity in
-  t.line_hash <- Array.make nlines 0;
-  for line = 0 to nlines - 1 do
-    t.line_hash.(line) <-
-      hash_line ~line words (line lsl Config.line_shift)
-        (line_len ~cap:t.capacity line)
-  done;
+(* Rehash every line of the image, [hash line] each. *)
+let rebuild_hashes t hash =
+  t.line_hash <- Array.init (lines_of_cap t.capacity) hash;
   t.image_checksum <- Array.fold_left ( lxor ) 0 t.line_hash
 
 (* -- journal ------------------------------------------------------------- *)
@@ -330,7 +332,7 @@ let create ~path ~capacity_words =
       hook = (fun _ _ -> ());
     }
   in
-  rebuild_hashes t (Array.make capacity_words 0);
+  rebuild_hashes t (zero_line_hash ~cap:capacity_words);
   write_header fd ~capacity:capacity_words ~image_checksum:t.image_checksum;
   fsync fd;
   fsync jfd;
@@ -376,7 +378,7 @@ let open_ ~path =
       read_words ~path fd ~pos:header_bytes ~words:t.capacity
     in
     let _, stored_checksum = read_header ~path fd in
-    rebuild_hashes t words;
+    rebuild_hashes t (image_line_hash words ~cap:t.capacity);
     if t.image_checksum <> stored_checksum then
       bad path "image checksum mismatch: content was corrupted out-of-band";
     (t, words, status)
@@ -413,11 +415,7 @@ let commit t ~capacity ~lines =
       for line = 0 to new_nlines - 1 do
         bigger.(line) <-
           (if line < Array.length t.line_hash then t.line_hash.(line)
-           else
-             hash_line ~line
-               (Array.make Config.words_per_line 0)
-               0
-               (line_len ~cap:capacity line));
+           else zero_line_hash ~cap:capacity line);
         if line >= Array.length t.line_hash then
           t.image_checksum <- t.image_checksum lxor bigger.(line)
       done;
@@ -539,15 +537,7 @@ let inspect ~path =
                     (Jcommitted n, post_checksum, cap, grown))
       in
       let bad_lines = ref [] in
-      let cs = ref 0 in
-      for line = lines_of_cap capacity - 1 downto 0 do
-        let h =
-          hash_line ~line words (line lsl Config.line_shift)
-            (line_len ~cap:capacity line)
-        in
-        cs := !cs lxor h
-      done;
-      let checksum_ok = !cs = expect_cs in
+      let checksum_ok = checksum_of words capacity = expect_cs in
       (* identify the damaged lines only when the totals disagree (the
          per-line diff needs nothing more than the xor structure when a
          single line is hit, but report conservatively: recompute is

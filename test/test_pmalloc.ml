@@ -399,19 +399,13 @@ let rc_model_test =
              match f () with _ -> false | exception Invalid_argument _ -> true
            in
            (* Rebuild the volatile state from the model's live blocks, as
-              the recovery walk does from reachability. *)
+              the recovery walk does from reachability: marked in either
+              address order, then swept between the extreme bodies. *)
            let recover n =
-             let blocks =
-               List.map (fun b -> (b, A.capacity_of alloc b)) (live ())
-             in
-             let frontier =
-               List.fold_left
-                 (fun acc (b, c) -> max acc (b - 1 + c))
-                 heap_start blocks
-             in
+             let blocks = live () in
              A.recovery_begin alloc;
              List.iter
-               (fun (b, _) ->
+               (fun b ->
                  let rc = 1 + ((n + b) mod 3) in
                  assert (not (A.recovery_ref alloc b));
                  A.recovery_visit alloc b;
@@ -419,20 +413,16 @@ let rc_model_test =
                    assert (A.recovery_ref alloc b)
                  done;
                  Hashtbl.replace model b rc)
-               blocks;
-             let live_words =
-               List.fold_left (fun acc (_, c) -> acc + c) 0 blocks
-             in
-             A.recovery_reset alloc ~frontier ~live_words;
-             let cursor = ref heap_start in
-             List.iter
-               (fun (b, c) ->
-                 let gap = b - 1 - !cursor in
-                 if gap > 0 then
-                   A.recovery_insert_free alloc ~body:(!cursor + 1)
-                     ~capacity:gap;
-                 cursor := b - 1 + c)
-               blocks
+               (if n mod 2 = 0 then blocks else List.rev blocks);
+             let lo = List.fold_left min max_int blocks in
+             let hi = List.fold_left max (-1) blocks in
+             let _, reclaimed = A.recovery_sweep alloc ~lo ~hi in
+             assert (reclaimed = A.free_words alloc);
+             assert (
+               A.frontier alloc
+               = List.fold_left
+                   (fun acc b -> max acc (b - 1 + A.capacity_of alloc b))
+                   heap_start blocks)
            in
            let step n =
              let arg = n / 16 in
@@ -545,6 +535,10 @@ module Reference_gc = struct
         (** (body, capacity) of the free extents, adjacent gaps merged as
             the free lists coalesce them *)
     pad : int;  (** words in gaps too narrow for a block *)
+    excess : int;
+        (** live words outside [[heap_start, frontier)] or already
+            covered by another live block's extent (a pointer into the
+            directory, or into a block's payload) *)
   }
 
   let recover heap =
@@ -611,9 +605,10 @@ module Reference_gc = struct
     in
     let gaps = ref 0 and reclaimed = ref 0 in
     let extents = ref [] and pad = ref 0 in
-    let cursor = ref H.heap_start_words in
+    let cursor = ref H.heap_start_words and covered = ref 0 in
     List.iter
       (fun (header, cap, _, _) ->
+        covered := !covered + max 0 (header + cap - max !cursor header);
         let size = header - !cursor in
         if size >= B.min_capacity then begin
           incr gaps;
@@ -628,12 +623,14 @@ module Reference_gc = struct
         else if size > 0 then pad := !pad + size;
         cursor := max !cursor (header + cap))
       blocks;
+    let live_words =
+      List.fold_left (fun acc (_, c, _, _) -> acc + c) 0 blocks
+    in
     {
       report =
         {
           Pmalloc.Recovery_gc.live_blocks = List.length blocks;
-          live_words =
-            List.fold_left (fun acc (_, c, _, _) -> acc + c) 0 blocks;
+          live_words;
           reclaimed_extents = !gaps;
           reclaimed_words = !reclaimed;
           frontier;
@@ -643,6 +640,7 @@ module Reference_gc = struct
       indeg = List.map (fun (_, _, body, d) -> (body, d)) blocks;
       extents = List.rev !extents;
       pad = !pad;
+      excess = live_words - !covered;
     }
 end
 
@@ -650,14 +648,38 @@ end
    words reference other blocks (shared subgraphs, and cycles through
    later overwrites), flushed or not, fences and root swings, then a
    seeded crash of any mode, torn or not, and sometimes an armed media
-   fault.  The same seed builds the same heap, bit for bit. *)
+   fault.  A few pointers miss every block.  One kind lands below the
+   heap start, on a body whose header is the spare fourth word of a
+   root record's copy-1 cell: zero, or a small scalar planted there, so
+   a block of up to 15 words inside the directory.  The other lands
+   inside an earlier Raw block, whose payload word before it decodes
+   as a header, small or large.  Each stray body has a refcount slot of
+   its own.  The same seed builds the same heap, bit for bit. *)
 let random_crashed_heap seed =
   let module H = Pmalloc.Heap in
   let rng = Random.State.make [| seed |] in
   let int n = Random.State.int rng n in
   let heap = H.create ~capacity_words:(1 lsl 14) () in
+  let spare slot =
+    match H.root_record_ranges slot with
+    | [ _; (off, words) ] -> off + words
+    | _ -> assert false
+  in
+  for _ = 1 to int 4 do
+    H.store heap (spare (int H.root_slots)) (Pmem.Word.of_int (int 64))
+  done;
   let n = 1 + int 40 in
   let blocks = Array.make n 0 in
+  let raw_words = Array.make n 0 (* a Raw block's payload words *) in
+  let target i =
+    let j = int i in
+    match int 12 with
+    | 0 -> spare (int H.root_slots) + 1
+    | 1 when raw_words.(j) >= 7 ->
+        (* at least 3 words past the body and 4 before the end *)
+        blocks.(j) + (3 * (1 + int ((raw_words.(j) - 4) / 3)))
+    | _ -> blocks.(j)
+  in
   let scanned = ref [] in
   for i = 0 to n - 1 do
     let raw = int 5 = 0 in
@@ -666,11 +688,13 @@ let random_crashed_heap seed =
     let b = H.alloc heap ~kind ~words in
     for j = 0 to words - 1 do
       H.store heap (b + j)
-        (if raw || i = 0 || int 3 = 0 then Pmem.Word.of_int (int 1_000_000)
+        (if raw || i = 0 || int 3 = 0 then
+           Pmem.Word.of_int (if int 4 = 0 then int 64 else int 1_000_000)
          else if int 5 = 0 then Pmem.Word.null
-         else Pmem.Word.of_ptr blocks.(int i))
+         else Pmem.Word.of_ptr (target i))
     done;
     blocks.(i) <- b;
+    if raw then raw_words.(i) <- words;
     if not raw then scanned := b :: !scanned;
     (* now and then an older node points forward at the new one *)
     (match !scanned with
@@ -741,7 +765,8 @@ let reference_tests =
                && A.pad_words alloc = expected.Reference_gc.pad
                && A.live_words alloc + A.free_words alloc
                   + A.deferred_words alloc + A.pad_words alloc
-                  = A.frontier alloc - A.heap_start alloc));
+                  = A.frontier alloc - A.heap_start alloc
+                    + expected.Reference_gc.excess));
   ]
 
 let recovery_tests =
@@ -815,6 +840,30 @@ let recovery_tests =
         in
         Alcotest.(check int) "in-degree 2" 2
           (Pmalloc.Allocator.rc_get alloc child'));
+    (* The walk marks reachable bodies in the refcount table and the
+       allocator sweeps it in address order: no per-block buffer, so a
+       map of about 17k blocks recovers within the walk's small worklist
+       (any buffer of its bodies would alone exceed the bound). *)
+    Alcotest.test_case "a 50k-key map recovers in <4,096 major words" `Quick
+      (fun () ->
+        let module M = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int) in
+        let heap = Pmalloc.Heap.create () in
+        let map = M.open_or_create heap ~slot:0 in
+        for i = 0 to 49_999 do
+          M.insert map ((i * 7919) mod 100_003) i
+        done;
+        Pmalloc.Heap.crash heap;
+        Gc.minor ();
+        let major () = (Gc.quick_stat ()).Gc.major_words in
+        let before = major () in
+        let report = Pmalloc.Recovery_gc.recover heap in
+        let words = major () -. before in
+        Alcotest.(check bool)
+          "over 10k live blocks" true
+          (report.Pmalloc.Recovery_gc.live_blocks > 10_000);
+        if words >= 4096. then
+          Alcotest.failf "recovering %d blocks allocated %.0f major words"
+            report.Pmalloc.Recovery_gc.live_blocks words);
     Alcotest.test_case "empty heap recovers to empty" `Quick (fun () ->
         let heap = mk_heap () in
         Pmalloc.Heap.crash heap;
@@ -893,7 +942,11 @@ let summary_tests =
            Pmem.Region.store region 3 (H.encode_summary lines);
            Pmem.Region.corrupt_word region 3;
            H.decode_summary (H.encode_summary lines) = Some lines
-           && H.decode_summary (Pmem.Region.peek_current region 3) = None));
+           && H.decode_summary (Pmem.Region.peek_current region 3) = None
+           && H.summary_slots lines
+              = List.filter
+                  (fun slot -> lines land H.summary_bit slot <> 0)
+                  (List.init H.root_slots Fun.id)));
     Alcotest.test_case "encoding edge cases" `Quick (fun () ->
         List.iter
           (fun lines ->

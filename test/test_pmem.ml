@@ -1045,6 +1045,45 @@ let lazy_tests =
                       off
                       (Word.to_int (Region.load r' off)))
                   offs)));
+    (* A file-backed region hashes its fresh image line by line from one
+       shared zero line: what it allocates is the per-line hash table
+       (one word per line), not a capacity-sized zero image. *)
+    Alcotest.test_case "file-backed construction allocates <2.5M words"
+      `Quick (fun () ->
+        let path = temp_image () in
+        Fun.protect
+          ~finally:(fun () -> cleanup path)
+          (fun () ->
+            let words, r =
+              words_allocated (fun () ->
+                  Region.create ~capacity_words:(1 lsl 24) ~file:path ())
+            in
+            Region.close_file r;
+            if words >= 2_500_000. then
+              Alcotest.failf "a 16M-word file region allocated %.0f words"
+                words));
+    Alcotest.test_case "a fresh image's checksum is a zero image's" `Quick
+      (fun () ->
+        (* 1,000 words is a whole number of lines; 1,003 ends ragged *)
+        List.iter
+          (fun cap ->
+            let path = temp_image () in
+            Fun.protect
+              ~finally:(fun () -> cleanup path)
+              (fun () ->
+                Backing.close (Backing.create ~path ~capacity_words:cap);
+                let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+                let capacity, stored =
+                  Fun.protect
+                    ~finally:(fun () -> Unix.close fd)
+                    (fun () -> Backing.read_header ~path fd)
+                in
+                Alcotest.(check int) "capacity" cap capacity;
+                Alcotest.(check int)
+                  (Printf.sprintf "checksum at %d words" cap)
+                  (Backing.checksum_of (Array.make cap 0) cap)
+                  stored))
+          [ 1000; 1003 ]);
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"lazy region == materialized twin (qcheck)"
          ~count:40

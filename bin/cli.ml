@@ -58,8 +58,10 @@ let writers_arg =
 
 let shards_arg =
   let doc =
-    "Shard count for the serving layer: partition keys across $(docv) \
-     heaps (one telemetry collector and, where applicable, one domain \
-     each) instead of the single-instance path."
+    "Shard count for the serving layer.  $(b,serve) partitions keys across \
+     $(docv) heaps (one telemetry collector and, where applicable, one \
+     domain each) instead of the single-instance path; $(b,crashtest) and \
+     $(b,killtest) take the $(docv) shard targets shard<i>of<$(docv)> as \
+     their workloads, in place of $(b,--workload)."
   in
   Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"N" ~doc)

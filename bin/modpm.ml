@@ -4,7 +4,7 @@
      run         -- run a Table 2 workload on a backend, print measurements
      crashtest   -- exhaustive crash-point exploration with the
                     durable-linearizability oracle (and --replay); with
-                    --shards N, the single-shard crash sweep instead
+                    --shards N, of each shard target shard<i>of<N>
      check       -- run a workload under tracing and apply the Section 5.4
                     consistency checker
      serve       -- with --shards N: the sharded multi-domain serving
@@ -13,7 +13,7 @@
                     file-backed heap, acking durable ops on stdout)
      killtest    -- fork serve workers, SIGKILL them at random/deterministic
                     points, reopen the image and check the oracle; with
-                    --shards N, the file-backed single-shard sweep
+                    --shards N, of each shard target shard<i>of<N>
      fsck        -- offline image checker/repairer
      machine     -- print the simulated machine configuration
 
@@ -342,86 +342,29 @@ let replay_point ~cfg subject ~crash_index ~mode ~sseed ?fault ~shrink () =
       end;
       exit 1
 
-(* --shards N: the single-shard crash sweep of the serving layer.  Kill
-   one shard (rotating targets) at swept PM-event budgets of its own
-   region, prove the dead shard recovers alone inside the oracle window
-   and that every sibling's dump is bit-identically untouched.  In
-   memory the crash is Heap.crash + Recovery.recover; with [file] the
-   crashed region is abandoned as kill -9 would leave it and the image
-   is reopened via Recovery.open_file.  [command] names the gate
-   section, [command]-shards. *)
-let shard_sweep ~command ~nshards ~requests ~stride ~max_points ~seed ~file
-    ~json_out ~gate =
-  if nshards < 1 then usage_error "--shards must be >= 1";
-  let r =
-    Shard.crash_sweep ~nshards ~requests ~stride ?max_points ~seed ?file ()
-  in
-  let backing = match file with Some _ -> "file" | None -> "memory" in
-  Printf.printf
-    "shard sweep (%d shards, %s): %d crash points, %d consistent, %d \
-     violations, %d sibling perturbations%s\n"
-    r.Shard.sw_nshards backing r.Shard.sw_points r.Shard.sw_consistent
-    (List.length r.Shard.sw_violations)
-    r.Shard.sw_sibling_mismatches
-    (if r.Shard.sw_exhausted then " (script exhausted: full coverage)" else "");
-  List.iteri
-    (fun i v -> if i < 5 then Printf.printf "  VIOLATION %s\n" v)
-    r.Shard.sw_violations;
-  let section = command ^ "-shards" in
-  let violations = List.length r.Shard.sw_violations in
-  Gate.require gate ~section ~metric:"sweep_ok" (Shard.sweep_ok r)
-    (Printf.sprintf "%d violation(s), %d sibling perturbation(s)" violations
-       r.Shard.sw_sibling_mismatches);
-  Gate.bound gate ~section ~metric:"violations" (float_of_int violations);
-  Gate.write gate json_out ~command
-    ~config:
-      [
-        ("nshards", Json.Int r.Shard.sw_nshards);
-        ("requests", Json.Int requests);
-        ("seed", Json.Int seed);
-        ("backing", Json.String backing);
-      ]
-    (Json.Obj
-       [
-         ("points", Json.Int r.Shard.sw_points);
-         ("consistent", Json.Int r.Shard.sw_consistent);
-         ("violations", Json.Int violations);
-         ("sibling_mismatches", Json.Int r.Shard.sw_sibling_mismatches);
-         ("exhausted", Json.Bool r.Shard.sw_exhausted);
-       ]);
-  Gate.finish gate
+(* --shards N: the names of the N shard targets, which crashtest and
+   killtest sweep in place of --workload. *)
+let shard_targets = function
+  | None -> None
+  | Some n when n < 1 -> usage_error "--shards must be >= 1"
+  | Some n -> Some (Crashtest.Workload.shard_names n)
 
 let crashtest_cmd =
   let run action workload ops stride samples seed max_points quick replay mode
       sseed shrink jobs faults json_out baseline persist writers schedule shards
       =
     let gate = Gate.create ?baseline () in
-    match shards with
-    | Some nshards ->
-        List.iter
-          (fun (given, flag) ->
-            if given then
-              usage_error (flag ^ " is not supported with --shards"))
-          [
-            (faults, "--faults");
-            (writers > 0, "--writers");
-            (persist <> None, "--persist");
-            (replay <> None, "--replay");
-            (jobs <> None, "--jobs");
-          ];
-        let requests = if quick then min (ops * 4) 64 else ops * 4 in
-        shard_sweep ~command:"crashtest" ~nshards ~requests
-          ~stride:(Option.value stride ~default:97)
-          ~max_points ~seed ~file:None ~json_out ~gate
-    | None ->
     (match action with
     | None | Some "sweep" -> ()
     | Some other ->
         usage_error (Printf.sprintf "unknown action %S (only: sweep)" other));
+    let shard_names = shard_targets shards in
+    if shard_names <> None then begin
+      if writers > 0 then usage_error "--writers is not supported with --shards";
+      if persist <> None then usage_error "--persist is not supported with --shards"
+    end;
     let ops = if quick then min ops 8 else ops in
     let samples = if quick then min samples 2 else samples in
-    let stride = Option.value stride ~default:1 in
-    let jobs = Option.value jobs ~default:1 in
     let cfg =
       {
         Crashtest.Explorer.default with
@@ -439,6 +382,7 @@ let crashtest_cmd =
         ~config:
           [
             ("workload", Json.String workload);
+            ("shards", Json.Int (Option.value shards ~default:0));
             ("ops", Json.Int ops);
             ("stride", Json.Int stride);
             ("samples", Json.Int samples);
@@ -466,12 +410,15 @@ let crashtest_cmd =
     | Some crash_index ->
         (* deterministic single-point replay of a reported failure *)
         let mode = ok_or_usage (Crashtest.Explorer.mode_of_name mode) in
-        let subject =
-          if writers = 0 then Crashtest.Explorer.Seq (build workload)
+        let subject name =
+          if writers = 0 then Crashtest.Explorer.Seq (build name)
           else
             Crashtest.Explorer.Conc
-              ( cbuild workload,
+              ( cbuild name,
                 ok_or_usage (Crashtest.Interleave.schedule_of_name schedule) )
+        in
+        let subjects =
+          List.map subject (Option.value shard_names ~default:[ workload ])
         in
         (* a --faults sample: its kind is the one whose fault seed at
            this --seed and crash index is the --survival-seed *)
@@ -493,7 +440,11 @@ let crashtest_cmd =
                   "--faults --replay replays a fault sample: give --mode \
                    randomize and its --survival-seed"
         in
-        replay_point ~cfg subject ~crash_index ~mode ~sseed ?fault ~shrink ()
+        List.iter
+          (fun subject ->
+            replay_point ~cfg subject ~crash_index ~mode ~sseed ?fault ~shrink
+              ())
+          subjects
     | None when writers > 0 ->
         (* [writers] interleaved writers per workload, every (schedule,
            crash point) pair judged by the concurrent oracle *)
@@ -535,17 +486,18 @@ let crashtest_cmd =
         Gate.finish gate
     | None ->
         let names =
-          match workload with
+          match (shard_names, workload) with
+          | Some names, _ -> names
           (* Under --faults or --persist backup, "all"/"mod" restrict to
              the seven basic structures: the STM's count-then-entries log
              protocol is not torn-write-safe by design, and only the
              basic structures (plus "batched") support the Backup
              policy. *)
-          | ("all" | "mod") when faults || persist <> None ->
+          | None, ("all" | "mod") when faults || persist <> None ->
               Crashtest.Workload.basic_names
-          | "all" -> Crashtest.Workload.names
-          | "mod" -> Crashtest.Workload.mod_names
-          | n -> [ n ]
+          | None, "all" -> Crashtest.Workload.names
+          | None, "mod" -> Crashtest.Workload.mod_names
+          | None, n -> [ n ]
         in
         let sweep name =
           let w = build name in
@@ -603,21 +555,22 @@ let crashtest_cmd =
           ~doc:
             (Printf.sprintf
                "Workload to explore: all, mod (every MOD-shadowed workload, \
-                including the batched and composition sweeps), or one of %s."
+                including the batched and composition sweeps), one of %s, \
+                or a shard target shard<i>of<n>."
                (String.concat ", " Crashtest.Workload.names)))
   in
   let ops =
     Arg.(
       value & opt int 40
-      & info [ "ops" ] ~doc:"Operations per workload script.")
+      & info [ "ops" ]
+          ~doc:
+            "Operations per workload script; with $(b,--shards), requests \
+             in the script the shard targets share.")
   in
   let stride =
     Arg.(
-      value
-      & opt (some int) None
-      & info [ "stride" ]
-          ~doc:
-            "Test every STRIDE-th crash point (default 1; 97 with --shards).")
+      value & opt int 1
+      & info [ "stride" ] ~doc:"Test every STRIDE-th crash point.")
   in
   let samples =
     Arg.(
@@ -667,8 +620,7 @@ let crashtest_cmd =
   in
   let jobs =
     Arg.(
-      value
-      & opt (some int) None
+      value & opt int 1
       & info [ "jobs"; "j" ]
           ~doc:
             "Worker processes for the sweep (forked); 1 = sequential (the \
@@ -701,9 +653,9 @@ let crashtest_cmd =
      5.4 trace invariants).  Negative controls (stm-broken, map-nofence) \
      are expected to violate the oracle.  With --writers N, sweep N \
      interleaved concurrent writers instead, across a panel of \
-     deterministic schedules.  With --shards N, run the serving layer's \
-     in-memory single-shard crash sweep (kill one shard, prove it \
-     recovers alone and its siblings are bit-identically untouched)."
+     deterministic schedules.  With --shards N, sweep each shard of an \
+     N-shard serving set as the workload shard<i>of<N>: the shard \
+     recovers alone and every sibling still equals its model."
   in
   Cmd.v (Cmd.info "crashtest" ~doc)
     Term.(
@@ -1120,24 +1072,15 @@ let serve_cmd =
 let killtest_cmd =
   let run workload kills ops seed dir keep json_out baseline persist shards =
     let gate = Gate.create ?baseline () in
-    match shards with
-    | Some nshards ->
-        (* sharded kill test: file-backed single-shard crash sweep -- the
-           crashed shard's image is abandoned mid-writeback and reopened
-           through Recovery.open_file while its siblings keep serving *)
-        let dir =
-          match dir with Some d -> d | None -> Filename.get_temp_dir_name ()
-        in
-        if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-        let base = Filename.concat dir "modpm_shard_kill.img" in
-        shard_sweep ~command:"killtest" ~nshards ~requests:(ops * 4)
-          ~stride:97 ~max_points:(Some (max 1 kills)) ~seed
-          ~file:(Some base) ~json_out ~gate
-    | None ->
-    let names = kill9_workloads workload in
     let names =
-      (* siblings needs multi-slot commit points, which the Backup policy
-         rejects; drop it from "all" sweeps under --persist backup *)
+      match shard_targets shards with
+      | Some names -> names
+      | None -> kill9_workloads workload
+    in
+    let names =
+      (* siblings needs multi-slot commit points and the shard targets
+         are Full only, so the Backup policy rejects both; drop them from
+         the sweep under --persist backup *)
       if persist = None then names
       else
         List.filter
@@ -1204,6 +1147,7 @@ let killtest_cmd =
       ~config:
         [
           ("workload", Json.String workload);
+          ("shards", Json.Int (Option.value shards ~default:0));
           ("kills", Json.Int kills);
           ("ops", Json.Int ops);
           ("seed", Json.Int seed);
@@ -1280,9 +1224,9 @@ let killtest_cmd =
      instant or deterministically inside the writeback protocol -- reopen \
      the image in the surviving process, and check the recovered state \
      against the durable-linearizability oracle.  Every post-mortem image \
-     is also classified by fsck.  With $(b,--shards N), instead sweep \
-     crashes of one file-backed shard and check its siblings are untouched \
-     while it recovers alone.  Exits non-zero on any oracle violation or \
+     is also classified by fsck.  With $(b,--shards N), kill each shard \
+     target shard<i>of<N> in turn: its heap is the file, its siblings \
+     serve from memory.  Exits non-zero on any oracle violation or \
      escaped exception."
   in
   Cmd.v (Cmd.info "killtest" ~doc)

@@ -41,7 +41,7 @@ let plan_name = function
       Printf.sprintf "sync %d/%s" commit (Pmem.Backing.phase_name phase)
 
 (* Workloads whose recovery path is self-contained (no PM-STM transaction
-   handle to rebuild in a fresh process). *)
+   handle to rebuild in a fresh process); the shard targets are too. *)
 let names = Workload.basic_names @ [ "batched"; "siblings" ]
 
 (* -- the worker (runs in the forked child, or standalone via modpm serve) *)
@@ -184,7 +184,7 @@ let collect_acks rfd pid plan =
 type acks = {
   a_ready : bool;
   a_acked : int;
-  a_done : bool;
+  a_done : int option;  (** the file commits of a worker that finished *)
   a_exn : string option;
 }
 
@@ -194,20 +194,22 @@ let parse_acks lines =
       match line with
       | "r" -> { a with a_ready = true }
       | "i" -> a
-      | _ when String.length line >= 4 && String.sub line 0 4 = "done" ->
-          { a with a_done = true }
+      | _ when String.starts_with ~prefix:"done " line ->
+          let commits = String.sub line 5 (String.length line - 5) in
+          { a with a_done = int_of_string_opt commits }
       | _ when String.length line >= 3 && String.sub line 0 3 = "exn" ->
           { a with a_exn = Some line }
       | n -> (
           match int_of_string_opt n with
           | Some k -> { a with a_acked = max a.a_acked k }
           | None -> a))
-    { a_ready = false; a_acked = 0; a_done = false; a_exn = None }
+    { a_ready = false; a_acked = 0; a_done = None; a_exn = None }
     lines
 
 (* One forked kill trial: spawn the worker on a fresh image, execute the
    kill plan, fsck the raw post-mortem image, reopen it, and judge the
-   recovered state. *)
+   recovered state.  Also returns the file commits a finished worker
+   reported. *)
 let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index plan =
   let path = Filename.concat dir (Printf.sprintf "kill_%04d.img" index) in
   let rfd, wfd = Unix.pipe ~cloexec:false () in
@@ -275,7 +277,7 @@ let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index plan =
                 (* the acked prefix, newest first: the oracle's window
                    over it is the one argued in the header *)
                 let history =
-                  if acks.a_done then [ model.(w.Workload.ops) ]
+                  if acks.a_done <> None then [ model.(w.Workload.ops) ]
                   else
                     let a = max 0 acks.a_acked in
                     List.init (a + 1) (fun i -> model.(a - i))
@@ -304,17 +306,18 @@ let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index plan =
         let j = path ^ ".journal" in
         if Sys.file_exists j then Sys.remove j
       end;
-      {
-        t_index = index;
-        t_workload = w.Workload.name;
-        t_plan = plan;
-        t_acked = (if acks.a_ready then acks.a_acked else -1);
-        t_completed = acks.a_done;
-        t_journal = !journal;
-        t_reopen_ns = !reopen_ns;
-        t_fsck = fsck;
-        t_outcome = outcome;
-      })
+      ( {
+          t_index = index;
+          t_workload = w.Workload.name;
+          t_plan = plan;
+          t_acked = (if acks.a_ready then acks.a_acked else -1);
+          t_completed = acks.a_done <> None;
+          t_journal = !journal;
+          t_reopen_ns = !reopen_ns;
+          t_fsck = fsck;
+          t_outcome = outcome;
+        },
+        acks.a_done ))
   | exception e ->
       Unix.close rfd;
       Unix.close wfd;
@@ -329,37 +332,38 @@ let phases =
 let run ?(dir = Filename.get_temp_dir_name ()) ?(ops = 60) ?(seed = 7)
     ?(keep = false) ?(capacity_words = 1 lsl 16) ?(log = ignore) ?persist
     ~workload ~kills () =
-  if not (List.mem workload names) then
+  if not (List.mem workload names || Workload.is_shard workload) then
     invalid_arg
-      (Printf.sprintf "Kill9.run: unsupported workload %S (expected %s)"
+      (Printf.sprintf
+         "Kill9.run: unsupported workload %S (expected %s, or a shard target)"
          workload (String.concat ", " names));
   let w = Workload.build ?persist workload ~ops in
   let rng = Random.State.make [| seed; Hashtbl.hash workload |] in
   let t0 = Unix.gettimeofday () in
   (* calibration trial: complete run, exact final state, commit count *)
-  let calib = trial ~dir ~keep ~capacity_words ?persist w ~index:0 Complete in
-  let wall0 = Unix.gettimeofday () -. t0 in
-  let commits =
-    (* every state-changing op commits one batch; the calibration ack
-       stream does not carry the count back here, so derive a safe upper
-       bound from ops (at-sync ordinals past the real count simply let
-       the worker finish -- still a valid trial) *)
-    max 2 (ops + 2)
+  let calib, calib_commits =
+    trial ~dir ~keep ~capacity_words ?persist w ~index:0 Complete
   in
+  let wall0 = Unix.gettimeofday () -. t0 in
+  (* the deterministic run's file commits, the last of them the final
+     fence before its done ack *)
+  let commits = max 2 (Option.value calib_commits ~default:2) in
   let make_plan i =
     if i land 1 = 0 then Timer (Random.State.float rng (wall0 *. 1.1))
     else
       (* ordinal 1 is the formatting commit inside Heap.create, which
-         precedes hook installation -- start at 2 *)
+         precedes hook installation: draw from [2, commits] *)
       At_sync
         {
-          commit = 2 + Random.State.int rng commits;
+          commit = 2 + Random.State.int rng (commits - 1);
           phase = phases.(Random.State.int rng (Array.length phases));
         }
   in
   let trials = ref [ calib ] in
   for i = 1 to kills do
-    let t = trial ~dir ~keep ~capacity_words ?persist w ~index:i (make_plan i) in
+    let t, _ =
+      trial ~dir ~keep ~capacity_words ?persist w ~index:i (make_plan i)
+    in
     trials := t :: !trials;
     if i mod 25 = 0 then
       log (Printf.sprintf "kill9 %s: %d/%d trials" workload i kills)

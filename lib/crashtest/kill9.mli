@@ -19,7 +19,8 @@ type plan =
 val plan_name : plan -> string
 
 val names : string list
-(** Workloads whose recovery path is self-contained in a fresh process. *)
+(** Workloads whose recovery path is self-contained in a fresh process.
+    {!run} also takes the shard targets ({!Workload.is_shard}). *)
 
 val serve :
   ?capacity_words:int ->

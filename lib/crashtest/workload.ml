@@ -741,6 +741,91 @@ let stm_workload name version ~broken ~ops =
         });
   }
 
+(* -- serving-layer shards ------------------------------------------------- *)
+
+(* [shard<i>of<n>]: shard [i] of an [n]-shard serving set.  The script
+   is the serving stream, seeded from [n] and [ops] so all [n] targets
+   share it.  Each request is routed by key: the target's go to the map
+   on the swept heap, the siblings' to their own in-memory heaps.  A
+   shard owns one heap and one map, so its crash is a sequential
+   history of one object: the model is the target's map after each
+   request, and a GET or a sibling's request repeats the state.
+   Recovery also checks shard independence: before and after the target
+   recovers, every sibling must dump its model at the requests the run
+   applied. *)
+module Smap = Map.Make (String)
+
+let shard_name ~target ~nshards = Printf.sprintf "shard%dof%d" target nshards
+
+let shard_names nshards =
+  List.init nshards (fun target -> shard_name ~target ~nshards)
+
+let shard_target name =
+  match Scanf.sscanf name "shard%uof%u%!" (fun i n -> (i, n)) with
+  | i, n when i < n && shard_name ~target:i ~nshards:n = name -> Some (i, n)
+  | _ | (exception (Scanf.Scan_failure _ | Failure _ | End_of_file)) -> None
+
+let is_shard name = shard_target name <> None
+
+let shard_script ~nshards ~ops =
+  Shard.script ~seed:(seed_of (Printf.sprintf "shards%d" nshards) ~ops) ops
+
+let shard_workload ~target ~nshards ~ops =
+  let script = shard_script ~nshards ~ops in
+  let owner key = Shard.Router.shard_of_key ~nshards key in
+  (* the whole keyspace after each prefix of the script *)
+  let states =
+    let m = ref Smap.empty in
+    Array.init (ops + 1) (fun i ->
+        (if i > 0 then
+           match script.(i - 1) with
+           | Shard.Set (k, v) -> m := Smap.add k v !m
+           | Shard.Get _ -> ());
+        !m)
+  in
+  let model_of s i =
+    Shard.render (Smap.bindings (Smap.filter (fun k _ -> owner k = s) states.(i)))
+  in
+  {
+    name = shard_name ~target ~nshards;
+    ops;
+    negative = false;
+    check_trace = true;
+    persist = None;
+    model = Array.init (ops + 1) (model_of target);
+    make =
+      (fun heap ->
+        let siblings = Shard.create ~nshards () in
+        let kv = Mod_core.Handle.make heap ~slot:Shard.kv_slot in
+        let applied = ref 0 in
+        let check_siblings moment =
+          for s = 0 to nshards - 1 do
+            if s <> target && Shard.dump siblings s <> model_of s !applied then
+              failwith
+                (Printf.sprintf
+                   "sibling shard %d differs from its model after %d \
+                    requests, %s shard %d's recovery"
+                   s !applied moment target)
+          done
+        in
+        {
+          init =
+            (fun () -> ignore (Shard.Kv.open_or_create heap ~slot:Shard.kv_slot));
+          run_op =
+            (fun i ->
+              let req = script.(i) in
+              if owner (Shard.key_of req) = target then Shard.execute kv req
+              else Shard.apply siblings req;
+              applied := i + 1);
+          dump = (fun () -> Shard.dump_kv kv);
+          recover =
+            (fun () ->
+              check_siblings "before";
+              ignore (Mod_core.Recovery.recover_exn heap);
+              check_siblings "after");
+        });
+  }
+
 (* -- concurrent workloads ------------------------------------------------- *)
 
 (* A concurrent workload scripts [cwriters] writers, each with its own
@@ -1102,7 +1187,12 @@ let build ?persist name ~ops =
   | "stm15" -> stm_workload "stm15" Pmstm.Tx.V1_5 ~broken:false ~ops
   | "stm-broken" -> stm_workload "stm-broken" Pmstm.Tx.V1_4 ~broken:true ~ops
   | "map-nofence" -> map_nofence_workload ~ops
-  | _ ->
-      invalid_arg
-        (Printf.sprintf "Workload.build: unknown workload %S (expected %s)"
-           name (String.concat ", " names))
+  | _ -> (
+      match shard_target name with
+      | Some (target, nshards) -> shard_workload ~target ~nshards ~ops
+      | None ->
+          invalid_arg
+            (Printf.sprintf
+               "Workload.build: unknown workload %S (expected %s, or \
+                shard<i>of<n> with 0 <= i < n)"
+               name (String.concat ", " names)))

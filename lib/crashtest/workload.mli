@@ -49,8 +49,30 @@ val backup_names : string list
 (** Workloads accepting [persist:Backup]. *)
 
 val build : ?persist:Pmalloc.Heap.policy -> string -> ops:int -> t
-(** Construct a registered workload.  [Invalid_argument] on an unknown
-    name or an unsupported [persist] policy. *)
+(** Construct a registered workload or a shard target.  [Invalid_argument]
+    on an unknown name or an unsupported [persist] policy. *)
+
+(** {1 Serving-layer shards}
+
+    [shard<i>of<n>] (0 <= i < n) is shard [i] of an [n]-shard serving
+    set ({!Shard}), run over the [ops]-request script {!shard_script}.
+    Requests are routed by key: the target's run on the swept heap, the
+    siblings' on their own in-memory heaps.  [model.(k)] is the target's
+    map after [k] requests, so a GET or a sibling's request repeats the
+    state.  [recover] also requires every sibling, before and after the
+    target's recovery, to dump its model at the requests the run
+    applied, and raises naming the sibling otherwise.  The targets are
+    not in {!names} and reject the Backup policy. *)
+
+val shard_names : int -> string list
+(** The [n] targets of an [n]-shard set, in shard order. *)
+
+val is_shard : string -> bool
+(** The name is a shard target {!build} accepts. *)
+
+val shard_script : nshards:int -> ops:int -> Shard.request array
+(** The script every target of an [nshards]-shard set runs: seeded from
+    [nshards] and [ops], so a failure replays from its (name, ops). *)
 
 (** {1 Concurrent workloads}
 

@@ -12,7 +12,8 @@
    - {e Shard independence.}  No state is shared between shards: heap,
      allocator, collector, queue and lock are all per-shard, so a crash
      of one shard cannot perturb another, and each recovers alone from
-     its own image ([crash_sweep] proves both).
+     its own image.  The crash workloads [shard<i>of<n>]
+     ([Crashtest.Workload]) sweep one shard's heap and check both.
 
    - {e Per-shard FIFO.}  A request is popped {e under the executing
      shard's heap lock} and completed before the lock is released, so
@@ -115,16 +116,18 @@ let request_pause sh =
   Pmem.Stats.advance s Pmem.Config.op_overhead_ns;
   s.Pmem.Stats.l1_hits <- s.Pmem.Stats.l1_hits + app_accesses_per_request
 
+let execute kv = function
+  | Set (k, v) -> Kv.insert kv k v
+  | Get k -> ignore (Kv.find kv k : string option)
+
 let exec sh req =
   request_pause sh;
-  (match req with
-  | Set (k, v) -> Kv.insert sh.kv k v
-  | Get k -> ignore (Kv.find sh.kv k : string option));
+  execute sh.kv req;
   sh.executed <- sh.executed + 1
 
 let route t key = t.shards.(Router.shard_of_key ~nshards:t.nshards key)
 
-(* Inline-mode entry point (and the warmup/crash-sweep path): execute on
+(* Inline-mode entry point (and the warmup and crash-workload path): execute on
    the owning shard right here.  No locking -- Inline mode is
    single-domain by definition, and a [Crash_point] escaping mid-request
    must not leave a mutex held. *)
@@ -297,6 +300,13 @@ let next_request st =
   if Random.State.int st.mix 100 < st.get_pct then Get k
   else Set (k, st.pool.(Random.State.int st.mix (Array.length st.pool)))
 
+(* The crash workloads' script: the same stream over a 256-key keyspace,
+   small enough that keys repeat, so sets overwrite and GETs land
+   between writes. *)
+let script ~seed n =
+  let st = stream ~seed ~keyspace:256 () in
+  Array.init n (fun _ -> next_request st)
+
 let run_load ?(theta = 0.99) ?(get_pct = 5) ?(seed = 1) ?(warmup = 0)
     ?(keyspace = 10_000) t ~requests () =
   let st = stream ~theta ~get_pct ~seed ~keyspace () in
@@ -342,202 +352,17 @@ let run_load ?(theta = 0.99) ?(get_pct = 5) ?(seed = 1) ?(warmup = 0)
 
 (* -- canonical dumps ----------------------------------------------------- *)
 
-let dump_kv kv =
-  Kv.fold kv (fun k v acc -> (k, v) :: acc) []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+(* The one rendering of a map's pairs: sorted by key, [k=v;...].  It
+   serves the live shards, the crash workloads' models and their
+   recovered targets alike. *)
+let render pairs =
+  List.sort (fun (a, _) (b, _) -> String.compare a b) pairs
   |> List.map (fun (k, v) -> k ^ "=" ^ v)
   |> String.concat ";"
 
+let pairs kv = Kv.fold kv (fun k v acc -> (k, v) :: acc) []
+let dump_kv kv = render (pairs kv)
 let dump t i = dump_kv t.shards.(i).kv
+
 let dump_all t =
-  Array.to_list t.shards
-  |> List.concat_map (fun sh -> Kv.fold sh.kv (fun k v acc -> (k, v) :: acc) [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  |> List.map (fun (k, v) -> k ^ "=" ^ v)
-  |> String.concat ";"
-
-(* -- single-shard crash sweep ------------------------------------------- *)
-
-(* Kill one shard at the j-th PM event of its own region and prove:
-   (1) the dead shard recovers alone -- via [Recovery.recover] on the
-   crashed region, or [Recovery.open_file] on its image when
-   file-backed -- into a state inside the durable-linearizability
-   window of {e its own} request subsequence; (2) the N-1 sibling
-   shards are bit-identically untouched.  The crash budget is armed on
-   the target's region only, so [Crash_point] can only fire while a
-   request routed to the target executes -- sibling heaps never even
-   observe the sweep. *)
-
-type sweep_result = {
-  sw_nshards : int;
-  sw_points : int;
-  sw_consistent : int;
-  sw_violations : string list;
-  sw_sibling_mismatches : int;
-  sw_exhausted : bool;
-      (* the budget outlived the script: every crash point was covered *)
-}
-
-module Smap = Map.Make (String)
-
-let dump_model m =
-  Smap.bindings m |> List.map (fun (k, v) -> k ^ "=" ^ v) |> String.concat ";"
-
-let apply_model m = function
-  | Set (k, v) -> Smap.add k v m
-  | Get _ -> m
-
-(* One sweep iteration on fresh shards: run [script] with shard [target]
-   armed to crash after [budget] PM events.  Returns [None] when the
-   budget never fired (script exhausted). *)
-let sweep_iteration t ~script ~target ~budget ~recover_target =
-  let tgt = t.shards.(target) in
-  let models = Array.make t.nshards Smap.empty in
-  (* newest-first committed states of the target shard, for the oracle *)
-  let history = ref [ dump_model Smap.empty ] in
-  Pmem.Region.set_crash_after (Pmalloc.Heap.region tgt.heap) budget;
-  let crashed = ref None in
-  (try
-     List.iter
-       (fun req ->
-         let sh = route t (key_of req) in
-         let next = apply_model models.(sh.id) req in
-         (try apply t req
-          with Pmem.Region.Crash_point ->
-            crashed := Some (dump_model next);
-            raise Exit);
-         models.(sh.id) <- next;
-         if sh.id = target then history := dump_model next :: !history)
-       script
-   with Exit -> ());
-  Pmem.Region.clear_crash_point (Pmalloc.Heap.region tgt.heap);
-  match !crashed with
-  | None -> None
-  | Some pending ->
-      (* sibling snapshots before the target recovers *)
-      let sibling_before =
-        Array.init t.nshards (fun i -> if i = target then "" else dump t i)
-      in
-      let recovered =
-        try Ok (recover_target tgt) with e -> Error e
-      in
-      let verdict =
-        Crashtest.Oracle.check ~history:!history ~pending:(Some pending)
-          ~recovered
-      in
-      (* bit-identical sibling dumps, and still equal to their models *)
-      let sibling_ok = ref true in
-      for i = 0 to t.nshards - 1 do
-        if i <> target then begin
-          let after = dump t i in
-          if after <> sibling_before.(i) || after <> dump_model models.(i)
-          then sibling_ok := false
-        end
-      done;
-      Some (verdict, !sibling_ok)
-
-let crash_sweep ?(nshards = 4) ?(requests = 160) ?(keyspace = 256)
-    ?(theta = 0.99) ?(stride = 97) ?(max_points = 200) ?(seed = 7)
-    ?(capacity_words = 1 lsl 18) ?file () =
-  (* the deterministic script every iteration replays *)
-  let script =
-    let st = stream ~theta ~get_pct:5 ~seed ~keyspace () in
-    List.init requests (fun _ -> next_request st)
-  in
-  let consistent = ref 0 in
-  let violations = ref [] in
-  let sibling_mismatches = ref 0 in
-  let points = ref 0 in
-  let exhausted = ref false in
-  (* In-memory sweeps reuse one shard set via pristine snapshots (heap
-     construction dominates otherwise); file-backed sweeps recreate the
-     images each iteration, since a crashed file-backed region is
-     abandoned exactly as a killed process would abandon it. *)
-  let mem_t, pristine =
-    match file with
-    | Some _ -> (None, [||])
-    | None ->
-        let t = create ~mode:Inline ~capacity_words ~seed ~nshards () in
-        ( Some t,
-          Array.map (fun sh -> Pmalloc.Heap.pristine_snapshot sh.heap) t.shards
-        )
-  in
-  let budget = ref 1 in
-  (try
-     while !points < max_points do
-       let target = !points mod nshards in
-       let outcome =
-         match (file, mem_t) with
-         | None, None -> assert false
-         | None, Some t ->
-             Array.iteri
-               (fun i sh ->
-                 Pmalloc.Heap.reset_fresh sh.heap ~pristine:pristine.(i);
-                 sh.kv <- Kv.open_or_create sh.heap ~slot:kv_slot;
-                 sh.routed <- 0;
-                 sh.executed <- 0;
-                 sh.stolen <- 0)
-               t.shards;
-             sweep_iteration t ~script ~target ~budget:!budget
-               ~recover_target:(fun tgt ->
-                 Pmalloc.Heap.crash tgt.heap;
-                 match Mod_core.Recovery.recover tgt.heap with
-                 | Ok _report ->
-                     dump_kv (Kv.open_or_create tgt.heap ~slot:kv_slot)
-                 | Error e -> raise (Mod_core.Error.Error e))
-         | Some base, _ ->
-             let t = create ~mode:Inline ~capacity_words ~seed ~file:base ~nshards () in
-             let r =
-               sweep_iteration t ~script ~target ~budget:!budget
-                 ~recover_target:(fun tgt ->
-                   (* abandon the crashed region as kill -9 would: its
-                      image holds exactly the fenced batches; reopen it
-                      through the external recovery cycle *)
-                   let path =
-                     Option.get
-                       (Pmem.Region.backing_path (Pmalloc.Heap.region tgt.heap))
-                   in
-                   match Mod_core.Recovery.open_file ~path () with
-                   | Ok report ->
-                       let dump =
-                         dump_kv
-                           (Kv.open_or_create report.Mod_core.Recovery.heap
-                              ~slot:kv_slot)
-                       in
-                       Pmalloc.Heap.close report.Mod_core.Recovery.heap;
-                       dump
-                   | Error e -> raise (Mod_core.Error.Error e))
-             in
-             (* clean up sibling images; the crashed one stays abandoned *)
-             Array.iteri
-               (fun i sh -> if i <> target then Pmalloc.Heap.close sh.heap)
-               t.shards;
-             r
-       in
-       match outcome with
-       | None ->
-           exhausted := true;
-           raise Exit
-       | Some (verdict, sibling_ok) ->
-           incr points;
-           (match verdict with
-           | Crashtest.Oracle.Consistent -> incr consistent
-           | Crashtest.Oracle.Violation msg ->
-               violations :=
-                 Printf.sprintf "shard %d, budget %d: %s" target !budget msg
-                 :: !violations);
-           if not sibling_ok then incr sibling_mismatches;
-           budget := !budget + stride
-     done
-   with Exit -> ());
-  (match mem_t with Some t -> close t | None -> ());
-  {
-    sw_nshards = nshards;
-    sw_points = !points;
-    sw_consistent = !consistent;
-    sw_violations = List.rev !violations;
-    sw_sibling_mismatches = !sibling_mismatches;
-    sw_exhausted = !exhausted;
-  }
-
-let sweep_ok r = r.sw_violations = [] && r.sw_sibling_mismatches = 0
+  render (List.concat_map (fun sh -> pairs sh.kv) (Array.to_list t.shards))

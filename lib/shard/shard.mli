@@ -8,10 +8,12 @@
     steal from loaded siblings to absorb zipfian skew.
 
     Invariants: {e shard independence} (no shared state between shards,
-    so one shard's crash cannot perturb another -- {!crash_sweep}
-    proves it) and {e per-shard FIFO} (a request is popped and executed
-    under the owning shard's heap lock, so sets to one key apply in
-    arrival order no matter which domain runs them).
+    so one shard's crash cannot perturb another; the crash workloads
+    [shard<i>of<n>] of [Crashtest.Workload] sweep one shard's heap and
+    check every sibling against its model) and {e per-shard FIFO} (a
+    request is popped and executed under the owning shard's heap lock,
+    so sets to one key apply in arrival order no matter which domain
+    runs them).
 
     Clocks: a stolen request executes on the victim's heap and its
     simulated PM time is charged there, so stealing improves wall-clock
@@ -71,10 +73,20 @@ val submit : t -> request -> unit
 
 val apply : t -> request -> unit
 (** Route and execute inline on the owning shard, regardless of mode
-    (the warmup and crash-sweep path). *)
+    (the warmup and crash-workload path). *)
+
+val execute : Kv.t -> request -> unit
+(** The request's map operation alone, on any map: what {!apply} runs
+    on the owning shard, without the routing and accounting. *)
+
+val render : (string * string) list -> string
+(** Canonical sorted [k=v;...] rendering of a map's pairs. *)
+
+val dump_kv : Kv.t -> string
+(** {!render} of a map's pairs. *)
 
 val dump : t -> int -> string
-(** Canonical sorted [k=v;...] rendering of shard [i]'s map. *)
+(** {!dump_kv} of shard [i]'s map. *)
 
 val dump_all : t -> string
 (** All shards' pairs merged into one canonical rendering -- equals a
@@ -122,39 +134,7 @@ val run_load :
     each shard's stats and collector after [warmup] inline requests, so
     the result covers exactly the measured loop. *)
 
-(** {1 Single-shard crash sweep} *)
-
-type sweep_result = {
-  sw_nshards : int;
-  sw_points : int;  (** crash points examined *)
-  sw_consistent : int;
-  sw_violations : string list;
-  sw_sibling_mismatches : int;
-      (** iterations where a sibling's dump changed at all *)
-  sw_exhausted : bool;
-      (** the sweep outlived the script: every crash point covered *)
-}
-
-val crash_sweep :
-  ?nshards:int ->
-  ?requests:int ->
-  ?keyspace:int ->
-  ?theta:float ->
-  ?stride:int ->
-  ?max_points:int ->
-  ?seed:int ->
-  ?capacity_words:int ->
-  ?file:string ->
-  unit ->
-  sweep_result
-(** Kill one shard (rotating targets) after [1 + k*stride] PM events of
-    its own region and check, per iteration: the dead shard recovers
-    alone into the durable-linearizability window of its own request
-    subsequence ({!Crashtest.Oracle.check}), and every sibling's dump
-    is bit-identically untouched.  In memory the crash is injected with
-    [Heap.crash] and recovered with [Recovery.recover]; with [~file] the
-    crashed region is abandoned as [kill -9] would leave it and the
-    shard's image is reopened through {!Mod_core.Recovery.open_file}. *)
-
-val sweep_ok : sweep_result -> bool
-(** No violations and no sibling perturbation. *)
+val script : seed:int -> int -> request array
+(** [script ~seed n]: the first [n] requests of the same stream over a
+    256-key keyspace (zipf 0.99, 5% gets, 512-byte values), the script
+    of the crash workloads. *)

@@ -269,7 +269,32 @@ let roundtrip_tests =
               match t.Crashtest.Kill9.t_outcome with
               | Crashtest.Kill9.Consistent _ -> ()
               | _ -> Alcotest.fail "formatted image must recover consistent")
-          r.Crashtest.Kill9.trials)
+          r.Crashtest.Kill9.trials);
+    (* A shard target commits only on its own requests, far fewer than
+       the script's length: the at-sync ordinals come from the
+       calibration run's commit count, so every one of them kills. *)
+    Alcotest.test_case "kill9 harness: shard target, every at-sync trial kills"
+      `Quick (fun () ->
+        let r =
+          Crashtest.Kill9.run ~ops:60 ~seed:3 ~workload:"shard1of3" ~kills:8 ()
+        in
+        Alcotest.(check int) "violations" 0 r.Crashtest.Kill9.violations;
+        Alcotest.(check int) "escaped" 0 r.Crashtest.Kill9.escaped;
+        let at_sync =
+          List.filter
+            (fun t ->
+              match t.Crashtest.Kill9.t_plan with
+              | Crashtest.Kill9.At_sync _ -> true
+              | _ -> false)
+            r.Crashtest.Kill9.trials
+        in
+        Alcotest.(check int) "at-sync trials" 4 (List.length at_sync);
+        List.iter
+          (fun t ->
+            Alcotest.(check bool)
+              (Crashtest.Kill9.plan_name t.Crashtest.Kill9.t_plan ^ " killed")
+              false t.Crashtest.Kill9.t_completed)
+          at_sync)
   ]
 
 (* -- fsck vs the oracle (qcheck) ------------------------------------------ *)

@@ -5,8 +5,9 @@
    pure function of (key, nshards) so every process ever serving an
    image set agrees on ownership; a sharded map must externally equal a
    single-heap map for any request sequence (the per-shard FIFO
-   invariant); and killing one shard must leave every sibling's dump
-   bit-identical while the dead shard recovers alone into its own
+   invariant); and a crash of one shard, swept by the explorer as the
+   workload shard<i>of<n>, must leave every sibling's dump equal to its
+   model while the dead shard recovers alone into its own
    durable-linearizability window. *)
 
 module Router = Shard.Router
@@ -107,25 +108,116 @@ let prop_sharded_equals_single =
 
 (* -- crash independence ----------------------------------------------------- *)
 
-let test_crash_sweep () =
-  let r =
-    Shard.crash_sweep ~nshards:3 ~requests:96 ~keyspace:64 ~stride:53
-      ~max_points:20 ~seed:11 ~capacity_words:(1 lsl 17) ()
-  in
-  Alcotest.(check bool) "examined points" true (r.Shard.sw_points > 0);
-  Alcotest.(check (list string)) "no oracle violations" [] r.Shard.sw_violations;
-  Alcotest.(check int) "no sibling perturbation" 0 r.Shard.sw_sibling_mismatches;
-  Alcotest.(check int)
-    "every point consistent" r.Shard.sw_points r.Shard.sw_consistent;
-  Alcotest.(check bool) "sweep_ok" true (Shard.sweep_ok r)
+(* Every target of an [nshards]-shard set swept by the explorer: no
+   oracle violation (a sibling that drifted from its model raises inside
+   recovery, so it shows up here too) and the Section 5.4 trace check
+   passes. *)
+let sweep_targets ~nshards ~ops ~stride =
+  List.iter
+    (fun name ->
+      let w = Crashtest.Workload.build name ~ops in
+      let cfg = { Crashtest.Explorer.default with stride } in
+      let r = Crashtest.Explorer.explore ~cfg w in
+      Alcotest.(check bool) (name ^ " tested points") true
+        (r.Crashtest.Explorer.points_tested > 0);
+      Alcotest.(check int)
+        (name ^ " every stride-th event")
+        ((r.total_events + stride - 1) / stride)
+        r.points_tested;
+      Alcotest.(check (list string))
+        (name ^ " no oracle violations") []
+        (List.map
+           (Format.asprintf "%a" Crashtest.Explorer.pp_failure)
+           r.failures);
+      Alcotest.(check bool) (name ^ " trace check") true
+        (Crashtest.Explorer.ok r))
+    (Crashtest.Workload.shard_names nshards)
 
-(* A GET routed to the crashed shard repeats its newest state in the
-   oracle's history; the window must still reach back to the state
-   before the last SET, whose root write may be in flight. *)
+let test_crash_sweep () =
+  sweep_targets ~nshards:3 ~ops:96 ~stride:53
+
+(* A GET, or a request routed to a sibling, repeats the target's newest
+   state in the oracle's history; the window must still reach back to
+   the state before its last SET, whose root write may be in flight.
+   The sweep's master seed is the explorer's default, 1. *)
 let test_crash_sweep_repeated_state () =
-  let r = Shard.crash_sweep ~nshards:4 ~requests:160 ~seed:1 () in
-  Alcotest.(check (list string)) "no oracle violations" [] r.Shard.sw_violations;
-  Alcotest.(check bool) "sweep_ok" true (Shard.sweep_ok r)
+  sweep_targets ~nshards:4 ~ops:160 ~stride:97
+
+(* A target's PM events are exactly those its shard's heap sees when the
+   same script runs through the serving layer. *)
+let test_parity () =
+  let nshards = 3 and ops = 96 in
+  let t = Shard.create ~nshards () in
+  let events i = Pmem.Region.pm_events (Pmalloc.Heap.region (Shard.heap t i)) in
+  let base = Array.init nshards events in
+  Array.iter (Shard.apply t) (Crashtest.Workload.shard_script ~nshards ~ops);
+  List.iteri
+    (fun i name ->
+      let r =
+        Crashtest.Explorer.explore
+          ~cfg:{ Crashtest.Explorer.default with max_points = Some 1 }
+          (Crashtest.Workload.build name ~ops)
+      in
+      Alcotest.(check int) (name ^ " events") (events i - base.(i))
+        r.Crashtest.Explorer.total_events)
+    (Crashtest.Workload.shard_names nshards);
+  Shard.close t
+
+(* A target is rebuilt from its name alone: a sampled point replays, and
+   a failure's replay command names the target, not --shards. *)
+let test_replay_by_name () =
+  let name = "shard1of3" and ops = 96 in
+  let subject () = Crashtest.Explorer.Seq (Crashtest.Workload.build name ~ops) in
+  let total =
+    match
+      Crashtest.Explorer.run Crashtest.Explorer.default (subject ())
+        ~budget:None
+    with
+    | `Completed (events, _) -> events
+    | `Crashed _ -> Alcotest.fail "an unbudgeted run crashed"
+  in
+  let crash_index = total / 2 in
+  let seed =
+    Crashtest.Explorer.survival_seed Crashtest.Explorer.default ~crash_index
+      ~k:0
+  in
+  let mode = Pmem.Region.Randomize in
+  Alcotest.(check bool) "replays consistent" true
+    (Crashtest.Replay.replay (subject ()) ~crash_index ~mode ~seed ()
+    = Some Crashtest.Oracle.Consistent);
+  let cmd =
+    Crashtest.Replay.command
+      (Crashtest.Explorer.failure (subject ()) ~crash_index ~mode
+         ~survival_seed:(Some seed) "detail")
+  in
+  let contains sub =
+    let n = String.length sub in
+    let rec go i =
+      i + n <= String.length cmd && (String.sub cmd i n = sub || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) ("names the target: " ^ cmd) true
+    (contains "--workload shard1of3 --ops 96 ");
+  Alcotest.(check bool) "no --shards" false (contains "--shards")
+
+let test_names () =
+  Alcotest.(check (list string)) "targets"
+    [ "shard0of2"; "shard1of2" ]
+    (Crashtest.Workload.shard_names 2);
+  List.iter
+    (fun name ->
+      match Crashtest.Workload.build name ~ops:4 with
+      | _ -> Alcotest.failf "built %S" name
+      | exception Invalid_argument _ -> ())
+    [ "shard4of4"; "shard0of0"; "shardxofy"; "shard01of4"; "shard1of4x" ];
+  Alcotest.(check bool) "not in the registry" false
+    (List.exists Crashtest.Workload.is_shard Crashtest.Workload.names);
+  match
+    Crashtest.Workload.build ~persist:Pmalloc.Heap.Backup "shard0of2" ~ops:4
+  with
+  | _ -> Alcotest.fail "a shard target built under Backup"
+  | exception Invalid_argument _ -> ()
 
 (* -- Domains mode ----------------------------------------------------------- *)
 
@@ -170,6 +262,11 @@ let () =
           Alcotest.test_case "single-shard sweep" `Quick test_crash_sweep;
           Alcotest.test_case "reads between writes (4 shards, seed 1)" `Quick
             test_crash_sweep_repeated_state;
+          Alcotest.test_case "events match the serving layer's" `Quick
+            test_parity;
+          Alcotest.test_case "replay rebuilds a target by name" `Quick
+            test_replay_by_name;
+          Alcotest.test_case "target names" `Quick test_names;
         ] );
       ( "domains",
         [

@@ -319,34 +319,38 @@ let gate_tests =
           (Json.member "ok" (Gate.envelope g ~command:"test" ~config:[] Json.Null)
           = Some (Json.Bool false)));
     Alcotest.test_case "shard sweeps honour --baseline" `Quick (fun () ->
-        (* a baseline without the command's section is exit 2, naming it *)
+        (* the shard targets are gated under their command's own section:
+           a baseline without it is exit 2, naming it; an unreachable
+           bound there is exit 1 *)
         List.iter
-          (fun (args, section) ->
-            let err = temp Filename.temp_file in
-            let rc =
+          (fun (args, section, metric, direction) ->
+            let run gates =
               Sys.command
                 (Printf.sprintf
-                   "../bin/modpm.exe %s --shards 2 --ops 4 --baseline \
-                    ../bench/BASELINE.json > /dev/null 2> %s"
-                   args err)
+                   "../bin/modpm.exe %s --shards 2 --ops 4 --baseline %s > \
+                    /dev/null 2>&1"
+                   args
+                   (write_file (baseline gates)))
             in
-            Alcotest.(check int) (args ^ " exit status") 2 rc;
-            let ic = open_in err in
-            let msg = really_input_string ic (in_channel_length ic) in
-            close_in ic;
-            Alcotest.(check bool) (args ^ " names " ^ section) true
-              (contains msg section))
+            Alcotest.(check int) (args ^ " without " ^ section) 2
+              (run [ entry "bench.shard" "sim_speedup" ]);
+            let bound = if direction = "min" then "1e12" else "-1" in
+            Alcotest.(check int) (args ^ " unreachable bound") 1
+              (run [ entry ~direction ~bound section metric ]))
           [
-            ("crashtest --quick", "crashtest-shards");
+            ("crashtest --quick", "crashtest", "points_per_sec", "min");
             ( Printf.sprintf "killtest --kills 2 --dir %s"
                 (temp (fun p s -> Filename.temp_dir p s)),
-              "killtest-shards" );
+              "killtest",
+              "max_reopen_ms",
+              "max" );
           ]);
     Alcotest.test_case "crashtest --shards flag handling" `Quick (fun () ->
-        (* flags the shard sweep would ignore are usage errors; an
-           explicit --stride is honoured, 97 is only the default *)
+        (* --shards N sweeps the N targets shard<i>of<N> like any other
+           workloads: every stride-th event of each, the usual flags
+           accepted, only --writers and --persist rejected *)
         let run args =
-          run_cmd ("../bin/modpm.exe crashtest --shards 2 --ops 1 " ^ args)
+          run_cmd ("../bin/modpm.exe crashtest --shards 2 --ops 6 " ^ args)
         in
         List.iter
           (fun flag ->
@@ -354,16 +358,31 @@ let gate_tests =
             Alcotest.(check int) (flag ^ " exit status") 2 rc;
             let name = List.hd (String.split_on_char ' ' flag) in
             Alcotest.(check bool) (flag ^ " named") true (contains text name))
-          [ "--faults"; "--writers 2"; "--persist backup"; "--replay 3"; "--jobs 2" ];
-        let points args =
-          match run args with
-          | 0, text ->
-              Scanf.sscanf text "shard sweep (2 shards, memory): %d crash points"
-                Fun.id
-          | rc, _ -> Alcotest.failf "%S exited %d" args rc
-        in
-        Alcotest.(check bool) "--stride 1 tests more points than 97" true
-          (points "--stride 1 --max-points 1000" > points "--max-points 1000"));
+          [ "--writers 2"; "--persist backup" ];
+        Alcotest.(check int) "--shards 0" 2
+          (fst (run_cmd "../bin/modpm.exe crashtest --shards 0"));
+        List.iter
+          (fun flag ->
+            let rc, _ = run flag in
+            Alcotest.(check int) (flag ^ " exit status") 0 rc)
+          [ "--faults"; "--jobs 2"; "--replay 3" ];
+        let rc, text = run "--stride 5" in
+        Alcotest.(check int) "sweep exit status" 0 rc;
+        Alcotest.(check bool) "no coverage claim" false
+          (contains text "full coverage");
+        List.iter
+          (fun target ->
+            let line =
+              List.find
+                (fun l -> String.starts_with ~prefix:(target ^ " ") l)
+                (String.split_on_char '\n' text)
+            in
+            Scanf.sscanf line "%s %d events, %d points tested"
+              (fun _ events points ->
+                Alcotest.(check int)
+                  (target ^ " tests every 5th event")
+                  ((events + 4) / 5) points))
+          [ "shard0of2"; "shard1of2" ]);
   ]
 
 (* ------------------------------------------------------------------ *)

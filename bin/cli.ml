@@ -52,7 +52,7 @@ let baseline_arg =
 let writers_arg =
   let doc =
     "Concurrent writers (0 = sequential): sweep this many interleaved \
-     writers per workload, judged by the concurrent oracle."
+     writers per workload, judged by the oracle."
   in
   Arg.(value & opt int 0 & info [ "writers" ] ~docv:"N" ~doc)
 

@@ -447,7 +447,7 @@ let crashtest_cmd =
           subjects
     | None when writers > 0 ->
         (* [writers] interleaved writers per workload, every (schedule,
-           crash point) pair judged by the concurrent oracle *)
+           crash point) pair judged by the oracle *)
         let names =
           match workload with
           | "all" | "mod" -> Crashtest.Workload.concurrent_names

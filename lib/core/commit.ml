@@ -82,7 +82,7 @@ let single ?(intermediates = []) ?(reclaim = true) heap ~slot latest =
    an attempt, and [after_swing] runs right after a winning CAS before
    any reclamation; both must be straight-line OCaml with no PM events
    (no store/clwb/sfence), because under the interleaving explorer any
-   PM event yields to the other writer.  The concurrent oracle uses
+   PM event yields to the other writer.  The crash oracle's tracker uses
    them to keep its pending/linearized bookkeeping exactly in step with
    the root. *)
 let commit_cas ?(reclaim = true) ?(before_swing = ignore)

@@ -6,20 +6,20 @@
     [Drop_inflight] and [Keep_inflight] are deterministic corner cases;
     [Randomize] is sampled K times from explicit, replayable survival
     seeds -- then recovered and checked against the
-    durable-linearizability oracle.
+    durable-linearizability oracle ({!Oracle.judge}).
 
     Sequential and concurrent sweeps share one driver whose work items
-    are (schedule, crash point) pairs: a sequential workload is the
-    one-schedule case, concurrent writers add an interleaving-schedule
-    axis.  Each schedule runs exactly once, uncrashed, on one scratch
-    heap per sweep, with a {!Pmem.Region.capture} armed at the points
-    the sweep tests: at each one the region records the lines changed
-    since the previous point, the in-flight count and the stats, and
-    the explorer fixes the oracle's context (the committed history and
-    the pending op, or a copy of the concurrent tracker).  The same run
-    is checked once: a sequential run's trace goes to the Section 5.4
-    consistency checker, a concurrent run's final state must equal the
-    serialized model.
+    are (schedule, crash point) pairs, and one oracle tracker per run: a
+    sequential workload is the one-schedule, one-writer case, concurrent
+    writers add an interleaving-schedule axis.  Each schedule runs
+    exactly once, uncrashed, on one scratch heap per sweep, with a
+    {!Pmem.Region.capture} armed at the points the sweep tests: at each
+    one the region records the lines changed since the previous point,
+    the in-flight count and the stats, and the explorer fixes the
+    oracle's context (a copy of the tracker).  The same run is checked
+    once: its trace goes to the Section 5.4 consistency checker (for
+    workloads that ask), and its final state must equal the newest
+    committed model state (a failure at crash index -1).
 
     Sampling happens after the run, never inside it: the heap is
     rewound to its pristine snapshot ({!Pmalloc.Heap.reset_fresh}), each
@@ -40,9 +40,6 @@ type config = {
   stride : int;  (** test every [stride]-th crash point *)
   randomize_samples : int;  (** survival samples per point in Randomize *)
   seed : int;  (** master seed survival seeds are derived from *)
-  modes : Pmem.Region.crash_mode list;
-  capacity_words : int;
-  heap_seed : int;
   max_points : int option;  (** cap on tested points (strided sweeps) *)
   jobs : int;  (** worker processes; 1 = sequential, 0 = one per core *)
   faults : bool;
@@ -62,20 +59,21 @@ let default =
     stride = 1;
     randomize_samples = 3;
     seed = 1;
-    modes =
-      [
-        Pmem.Region.Drop_inflight;
-        Pmem.Region.Keep_inflight;
-        Pmem.Region.Randomize;
-      ];
-    capacity_words = 1 lsl 14;
-    heap_seed = 42;
     max_points = None;
     jobs = 1;
     faults = false;
     worker_kill = None;
     log = ignore;
   }
+
+let modes =
+  Pmem.Region.[ Drop_inflight; Keep_inflight; Randomize ]
+
+let capacity_words = 1 lsl 14
+let heap_seed = 42
+
+let fresh_heap () =
+  Pmalloc.Heap.create ~capacity_words ~trace:true ~seed:heap_seed ()
 
 type failure = {
   workload : string;
@@ -208,68 +206,60 @@ type instance = {
   i_body : unit -> unit;
 }
 
-let instantiate heap = function
-  | Seq w ->
-      (* committed states, newest first, and the mid-flight op's *)
-      let history = ref [ w.model.(0) ] in
-      let pending = ref None in
-      let inst = w.make heap in
-      {
-        i_crashed =
-          (fun c_judge ->
-            {
-              c_heap = heap;
-              c_recover = inst.recover;
-              c_dump = inst.dump;
-              c_judge;
-              c_latest = (fun () -> List.hd !history);
-            });
-        i_judge_now =
-          (fun () ->
-            let history = !history and pending = !pending in
-            fun recovered -> Oracle.check ~history ~pending ~recovered);
-        i_body =
-          (fun () ->
+(* One tracker per subject.  A sequential workload is one writer: each
+   op is pending while it runs, then commits its model state, or ends
+   without a commit when the state is unchanged (a read). *)
+let instantiate heap subject =
+  let tracker, recover, dump, body =
+    match subject with
+    | Seq w ->
+        let tr = Oracle.tracker ~writers:1 ~init:w.model.(0) in
+        let inst = w.make heap in
+        ( tr,
+          inst.recover,
+          inst.dump,
+          fun () ->
             inst.init ();
             for i = 0 to w.ops - 1 do
-              pending := Some w.model.(i + 1);
+              let state = w.model.(i + 1) in
+              Oracle.track_pending tr ~writer:0 state;
               inst.run_op i;
-              pending := None;
-              history := w.model.(i + 1) :: !history
-            done);
-      }
-  | Conc (cw, schedule) ->
-      let inst = cw.cmake heap in
-      {
-        i_crashed =
-          (fun c_judge ->
-            {
-              c_heap = heap;
-              c_recover = inst.c_recover;
-              c_dump = inst.c_dump;
-              c_judge;
-              c_latest = (fun () -> Oracle.latest inst.c_tracker);
-            });
-        i_judge_now =
-          (fun () ->
-            let tracker = Oracle.copy_tracker inst.c_tracker in
-            fun recovered -> Oracle.check_concurrent tracker ~recovered);
-        i_body =
-          (fun () ->
+              if state <> Oracle.latest tr then
+                Oracle.track_commit tr ~writer:0 state
+              else Oracle.clear_pending tr ~writer:0
+            done )
+    | Conc (cw, schedule) ->
+        let inst = cw.cmake heap in
+        ( inst.c_tracker,
+          inst.c_recover,
+          inst.c_dump,
+          fun () ->
             inst.c_init ();
             Interleave.run (Pmalloc.Heap.region heap) ~schedule
-              inst.c_writers);
-      }
-
-let fresh_heap cfg =
-  Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
-    ~seed:cfg.heap_seed ()
+              inst.c_writers )
+  in
+  {
+    i_crashed =
+      (fun c_judge ->
+        {
+          c_heap = heap;
+          c_recover = recover;
+          c_dump = dump;
+          c_judge;
+          c_latest = (fun () -> Oracle.latest tracker);
+        });
+    i_judge_now =
+      (fun () ->
+        let tr = Oracle.copy_tracker tracker in
+        fun recovered -> Oracle.judge tr ~recovered);
+    i_body = body;
+  }
 
 (* Run [subject] on a fresh heap; if [budget] is given, power fails after
    that many PM events (counted from just after heap creation) and the
    interrupted execution is returned. *)
-let run cfg subject ~budget =
-  let heap = fresh_heap cfg in
+let run _cfg subject ~budget =
+  let heap = fresh_heap () in
   let region = Pmalloc.Heap.region heap in
   let base_events = Pmem.Region.pm_events region in
   Option.iter (Pmem.Region.set_crash_after region) budget;
@@ -295,8 +285,8 @@ let recover_and_check (c : crashed) =
     | s -> Ok s
     | exception e -> Error e)
 
-(* An uncrashed run must end in the newest committed model state: the
-   serializability check of concurrent sweeps. *)
+(* An uncrashed run must end in the newest committed model state (for
+   concurrent writers, the serializability check). *)
 let check_final (c : crashed) =
   match c.c_dump () with
   | final ->
@@ -447,7 +437,7 @@ let sample_point cfg subject ~crash_index (c : crashed) =
         | Oracle.Consistent -> ()
         | Oracle.Violation detail -> fail ~mode ~survival_seed:seed detail
       done)
-    cfg.modes;
+    modes;
   let fsampled = ref 0 in
   let frecovered = ref 0 in
   let fdegraded = ref 0 in
@@ -489,29 +479,28 @@ let sample_point cfg subject ~crash_index (c : crashed) =
    cold caches. *)
 type scratch = { s_heap : Pmalloc.Heap.t; s_pristine : Pmem.Region.snapshot }
 
-let make_scratch cfg =
-  let heap = fresh_heap cfg in
-  { s_heap = heap; s_pristine = Pmalloc.Heap.pristine_snapshot heap }
-
 let rewind s = Pmalloc.Heap.reset_fresh s.s_heap ~pristine:s.s_pristine
 
 (* A tested crash point: its captured image, the PM event the power
    would fail after, and the oracle fixed there. *)
 type point = { image : Pmem.Region.point; crash_index : int; judge : judge }
 
-(* A schedule's one execution. *)
+(* A schedule's one execution, and the checks of its completed run. *)
 type captured = {
   subject : subject;
   instance : instance;
   events : int;  (** PM events of the whole run *)
   points : point array;
+  trace : Mod_core.Consistency.report option;
+  final : failure option;  (** a wrong final state, at crash index -1 *)
 }
 
 (* Run [subject] once, uncrashed, on the rewound scratch heap, capturing
    every crash point the sweep tests (stride and cap included), then
-   [check] the completed run while the heap still holds its final
-   image. *)
-let capture_run cfg scratch subject ~check =
+   check the completed run while the heap still holds its final image:
+   its trace goes to the Section 5.4 checker (when [trace]) before the
+   final-state dump, so the checker reads the run's own trace. *)
+let capture_run cfg scratch ~trace subject =
   rewind scratch;
   let heap = scratch.s_heap in
   let region = Pmalloc.Heap.region heap in
@@ -531,10 +520,19 @@ let capture_run cfg scratch subject ~check =
       (Array.of_list (List.rev !marks))
   in
   let events = Pmem.Region.pm_events region - base_events in
-  let checked =
-    check (i.i_crashed (fun recovered -> i.i_judge_now () recovered))
+  let trace =
+    if trace then Some (Mod_core.Consistency.check (Pmalloc.Heap.trace heap))
+    else None
   in
-  ({ subject; instance = i; events; points }, checked)
+  let final =
+    match check_final (i.i_crashed (fun r -> i.i_judge_now () r)) with
+    | Oracle.Consistent -> None
+    | Oracle.Violation d ->
+        Some
+          (failure subject ~crash_index:(-1) ~mode:Pmem.Region.Keep_inflight
+             ~survival_seed:None d)
+  in
+  { subject; instance = i; events; points; trace; final }
 
 type chunk = {
   ch_tested : int;
@@ -709,11 +707,23 @@ type swept = {
   total_events : int;  (** summed over schedules *)
   skipped : int;
   chunk : chunk;
+  trace_report : Mod_core.Consistency.report option;
+  failures : failure list;
+  wall_seconds : float;
 }
 
-(* The one sweep driver: sample every captured point of every schedule,
-   sequentially or across forked workers. *)
-let sweep cfg scratch runs ~name ~concurrent =
+(* The one sweep body: capture and check one run per subject, then
+   sample every captured point of every run, sequentially or across
+   forked workers. *)
+let sweep cfg subjects ~name ~concurrent ~trace =
+  let t0 = Unix.gettimeofday () in
+  let heap = fresh_heap () in
+  let scratch =
+    { s_heap = heap; s_pristine = Pmalloc.Heap.pristine_snapshot heap }
+  in
+  let runs =
+    Array.of_list (List.map (capture_run cfg scratch ~trace) subjects)
+  in
   let items =
     List.concat
       (List.mapi
@@ -739,28 +749,31 @@ let sweep cfg scratch runs ~name ~concurrent =
          | Some m -> Printf.sprintf ", cap %d" m
          | None -> "")
          skipped);
-  { total_events; skipped; chunk }
-
-(* Failures by schedule, then crash index (each schedule's uncrashed
-   check, index -1, first); samples of one point keep their order. *)
-let merge_failures tagged =
-  List.stable_sort
-    (fun (si, (a : failure)) (sj, (b : failure)) ->
-      compare (si, a.crash_index) (sj, b.crash_index))
-    tagged
-  |> List.map snd
+  (* by schedule, then crash index (each run's final check, index -1,
+     first); samples of one point keep their order *)
+  let failures =
+    List.concat
+      (List.mapi
+         (fun si r -> List.map (fun f -> (si, f)) (Option.to_list r.final))
+         (Array.to_list runs))
+    @ chunk.ch_failures
+    |> List.stable_sort (fun (si, (a : failure)) (sj, (b : failure)) ->
+           compare (si, a.crash_index) (sj, b.crash_index))
+    |> List.map snd
+  in
+  {
+    total_events;
+    skipped;
+    chunk;
+    trace_report = Array.to_list runs |> List.find_map (fun r -> r.trace);
+    failures;
+    wall_seconds = Unix.gettimeofday () -. t0;
+  }
 
 let explore ?(cfg = default) (w : Workload.t) =
-  let t0 = Unix.gettimeofday () in
-  let scratch = make_scratch cfg in
-  (* the run's trace goes to the Section 5.4 checker *)
-  let run, trace_report =
-    capture_run cfg scratch (Seq w) ~check:(fun c ->
-        if w.check_trace then
-          Some (Mod_core.Consistency.check (Pmalloc.Heap.trace c.c_heap))
-        else None)
+  let s =
+    sweep cfg [ Seq w ] ~name:w.name ~concurrent:false ~trace:w.check_trace
   in
-  let s = sweep cfg scratch [| run |] ~name:w.name ~concurrent:false in
   {
     workload = w.name;
     ops = w.ops;
@@ -774,9 +787,9 @@ let explore ?(cfg = default) (w : Workload.t) =
     fault_fallbacks = s.chunk.ch_ffallbacks;
     fault_scans = s.chunk.ch_fscans;
     shards_resequenced = s.chunk.ch_resweeps;
-    wall_seconds = Unix.gettimeofday () -. t0;
-    trace_report;
-    failures = merge_failures s.chunk.ch_failures;
+    wall_seconds = s.wall_seconds;
+    trace_report = s.trace_report;
+    failures = s.failures;
   }
 
 (* The default schedule set: round-robin at co-prime quanta (tight
@@ -792,30 +805,10 @@ let default_schedules =
 
 let explore_concurrent ?(cfg = default) ?(schedules = default_schedules)
     (cw : Workload.ct) =
-  let t0 = Unix.gettimeofday () in
-  let scratch = make_scratch cfg in
-  (* each schedule's run must end in the serialized model state *)
-  let captured =
-    Array.of_list
-      (List.map
-         (fun s -> capture_run cfg scratch (Conc (cw, s)) ~check:check_final)
-         schedules)
-  in
-  let runs = Array.map fst captured in
-  let s = sweep cfg scratch runs ~name:cw.cname ~concurrent:true in
-  let finals =
-    List.concat
-      (List.mapi
-         (fun si (r, verdict) ->
-           match verdict with
-           | Oracle.Consistent -> []
-           | Oracle.Violation d ->
-               [
-                 ( si,
-                   failure r.subject ~crash_index:(-1)
-                     ~mode:Pmem.Region.Keep_inflight ~survival_seed:None d );
-               ])
-         (Array.to_list captured))
+  let s =
+    sweep cfg
+      (List.map (fun schedule -> Conc (cw, schedule)) schedules)
+      ~name:cw.cname ~concurrent:true ~trace:false
   in
   {
     cr_workload = cw.cname;
@@ -826,8 +819,8 @@ let explore_concurrent ?(cfg = default) ?(schedules = default_schedules)
     cr_points_tested = s.chunk.ch_tested;
     cr_points_skipped = s.skipped;
     cr_crashes_sampled = s.chunk.ch_sampled;
-    cr_wall_seconds = Unix.gettimeofday () -. t0;
-    cr_failures = merge_failures (finals @ s.chunk.ch_failures);
+    cr_wall_seconds = s.wall_seconds;
+    cr_failures = s.failures;
   }
 
 let pp_failure ppf (f : failure) =

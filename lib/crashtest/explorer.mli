@@ -5,23 +5,22 @@
     crash modes (and survival seeds, under [Randomize]), recovered, and
     checked against the durable-linearizability oracle.  Sequential and
     concurrent sweeps share one driver over (schedule, crash point) work
-    items: a sequential workload is the one-schedule case, concurrent
-    writers add an interleaving-schedule axis judged by the concurrent
-    oracle.  Each schedule runs once, uncrashed, with a
+    items and one judge ({!Oracle.judge}): a sequential workload is the
+    one-schedule, one-writer case, concurrent writers add an
+    interleaving-schedule axis.  Each schedule runs once, uncrashed, with a
     {!Pmem.Region.capture} recording the image and fixing the oracle at
     every tested point; after the run the points are rebuilt in order
     on the rewound scratch heap and sampled through the region's
     snapshot journal, and [jobs > 1] spreads the work items over forked
-    workers that inherit the captures.  {!run} keeps the run-to-budget
+    workers that inherit the captures.  Every run is also checked
+    uncrashed: its final state must equal the newest committed model
+    state (reported at crash index -1).  {!run} keeps the run-to-budget
     path for a single point (replay, and the tests' reference). *)
 
 type config = {
   stride : int;  (** test every [stride]-th crash point *)
   randomize_samples : int;  (** survival samples per point in Randomize *)
   seed : int;  (** master seed survival seeds are derived from *)
-  modes : Pmem.Region.crash_mode list;
-  capacity_words : int;
-  heap_seed : int;
   max_points : int option;
       (** cap on tested points (strided sweeps), per schedule *)
   jobs : int;  (** worker processes; 1 = sequential, 0 = one per core *)
@@ -37,6 +36,16 @@ type config = {
 }
 
 val default : config
+
+val modes : Pmem.Region.crash_mode list
+(** Every point is sampled under all three crash modes. *)
+
+val capacity_words : int
+val heap_seed : int
+
+val fresh_heap : unit -> Pmalloc.Heap.t
+(** The traced heap every run starts on: {!capacity_words} (it grows on
+    demand) at {!heap_seed}. *)
 
 type failure = {
   workload : string;
@@ -159,7 +168,7 @@ val recover_and_check : crashed -> Oracle.verdict
 
 val check_final : crashed -> Oracle.verdict
 (** An uncrashed run's final state must equal the newest committed
-    model state (the serializability check of concurrent sweeps). *)
+    model state (for concurrent writers, the serializability check). *)
 
 type fault_outcome =
   | Recovered  (** recovery absorbed the fault *)
@@ -193,8 +202,9 @@ val failure :
 
 val explore : ?cfg:config -> Workload.t -> result
 (** The full sweep: every strided crash point x every mode x every
-    survival seed, plus the trace check of the one uncrashed run that
-    captured the points. *)
+    survival seed, plus the trace check and the final-state check
+    ([crash_index = -1]) of the one uncrashed run that captured the
+    points. *)
 
 val default_schedules : Interleave.schedule list
 (** Round-robin at co-prime quanta plus seeded random walks. *)

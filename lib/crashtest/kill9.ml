@@ -5,8 +5,8 @@
     harness makes the durability claim external.  A forked worker
     ([serve]) applies a deterministic {!Workload} script to a
     {e file-backed} heap, acking each completed operation over a pipe;
-    the driver ([run]) SIGKILLs it -- at a random wall-clock instant, or
-    deterministically {e inside} the file backend's writeback protocol
+    the driver ([run]) SIGKILLs it -- at a random instant of the
+    worker's run, or deterministically {e inside} the file backend's writeback protocol
     via the {!Pmem.Backing.sync_phase} hook -- then reopens the image in
     the surviving process ({!Mod_core.Recovery.open_file}), dumps the
     recovered abstract state and checks it against the durable-
@@ -19,7 +19,7 @@
     commits, and the newest state before it that differs
     ([model.(m-1)]) until then.  Op [A+1]'s own root swing can never
     reach the file (that needs op [A+2]'s fence, which needs the ack we
-    did not get), so the window is exactly {!Oracle.acceptable} over the
+    did not get), so the window is exactly {!Oracle.check}'s over the
     acked prefix: latest committed state or the previous distinct one.
     A mid-writeback kill resolves to one edge of the same window: a
     committed journal replays forward to [model.(A)], a torn one
@@ -126,6 +126,7 @@ type result = {
   fsck_corrupt : int;
   max_reopen_ns : float;
   mean_reopen_ns : float;
+  run_span : float;  (** the calibration worker's run, in seconds *)
   wall_seconds : float;
 }
 
@@ -142,15 +143,20 @@ let pp_result ppf r =
 
 (* -- the driver ---------------------------------------------------------- *)
 
+let is_done line = String.starts_with ~prefix:"done " line
+
 (* Read acks until EOF; for [Timer] plans, SIGKILL the child when the
    deadline passes and keep reading (the pipe still holds everything the
-   child wrote before dying). *)
+   child wrote before dying).  Also returns the worker's run as a Timer
+   deadline counts it: seconds to its done ack, or to EOF without one. *)
 let collect_acks rfd pid plan =
   let buf = Buffer.create 512 in
   let bytes = Bytes.create 4096 in
+  let t0 = Unix.gettimeofday () in
+  let finished = ref None in
   let deadline =
     match plan with
-    | Timer s -> Some (Unix.gettimeofday () +. s)
+    | Timer s -> Some (t0 +. s)
     | Complete | At_sync _ -> None
   in
   let deadline = ref deadline in
@@ -175,11 +181,18 @@ let collect_acks rfd pid plan =
         | 0 -> ()
         | n ->
             Buffer.add_subbytes buf bytes 0 n;
+            if
+              !finished = None
+              && List.exists is_done
+                   (String.split_on_char '\n' (Buffer.contents buf))
+            then finished := Some (Unix.gettimeofday ());
             loop ())
   in
   loop ();
-  String.split_on_char '\n' (Buffer.contents buf)
-  |> List.filter (fun l -> l <> "")
+  let finished = Option.value !finished ~default:(Unix.gettimeofday ()) in
+  ( String.split_on_char '\n' (Buffer.contents buf)
+    |> List.filter (fun l -> l <> ""),
+    finished -. t0 )
 
 type acks = {
   a_ready : bool;
@@ -194,7 +207,7 @@ let parse_acks lines =
       match line with
       | "r" -> { a with a_ready = true }
       | "i" -> a
-      | _ when String.starts_with ~prefix:"done " line ->
+      | _ when is_done line ->
           let commits = String.sub line 5 (String.length line - 5) in
           { a with a_done = int_of_string_opt commits }
       | _ when String.length line >= 3 && String.sub line 0 3 = "exn" ->
@@ -209,7 +222,7 @@ let parse_acks lines =
 (* One forked kill trial: spawn the worker on a fresh image, execute the
    kill plan, fsck the raw post-mortem image, reopen it, and judge the
    recovered state.  Also returns the file commits a finished worker
-   reported. *)
+   reported and its run's seconds. *)
 let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index plan =
   let path = Filename.concat dir (Printf.sprintf "kill_%04d.img" index) in
   let rfd, wfd = Unix.pipe ~cloexec:false () in
@@ -231,7 +244,7 @@ let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index plan =
           Unix._exit 3)
   | pid -> (
       Unix.close wfd;
-      let lines = collect_acks rfd pid plan in
+      let lines, span = collect_acks rfd pid plan in
       Unix.close rfd;
       ignore (Unix.waitpid [] pid);
       let acks = parse_acks lines in
@@ -317,7 +330,8 @@ let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index plan =
           t_fsck = fsck;
           t_outcome = outcome;
         },
-        acks.a_done ))
+        acks.a_done,
+        span ))
   | exception e ->
       Unix.close rfd;
       Unix.close wfd;
@@ -340,16 +354,17 @@ let run ?(dir = Filename.get_temp_dir_name ()) ?(ops = 60) ?(seed = 7)
   let w = Workload.build ?persist workload ~ops in
   let rng = Random.State.make [| seed; Hashtbl.hash workload |] in
   let t0 = Unix.gettimeofday () in
-  (* calibration trial: complete run, exact final state, commit count *)
-  let calib, calib_commits =
+  (* calibration trial: complete run, exact final state, commit count,
+     and the worker's run time (no fork, fsck, reopen or judge), the
+     span Timer deadlines fall in *)
+  let calib, calib_commits, run_span =
     trial ~dir ~keep ~capacity_words ?persist w ~index:0 Complete
   in
-  let wall0 = Unix.gettimeofday () -. t0 in
   (* the deterministic run's file commits, the last of them the final
      fence before its done ack *)
   let commits = max 2 (Option.value calib_commits ~default:2) in
   let make_plan i =
-    if i land 1 = 0 then Timer (Random.State.float rng (wall0 *. 1.1))
+    if i land 1 = 0 then Timer (Random.State.float rng run_span)
     else
       (* ordinal 1 is the formatting commit inside Heap.create, which
          precedes hook installation: draw from [2, commits] *)
@@ -361,7 +376,7 @@ let run ?(dir = Filename.get_temp_dir_name ()) ?(ops = 60) ?(seed = 7)
   in
   let trials = ref [ calib ] in
   for i = 1 to kills do
-    let t, _ =
+    let t, _, _ =
       trial ~dir ~keep ~capacity_words ?persist w ~index:i (make_plan i)
     in
     trials := t :: !trials;
@@ -402,6 +417,7 @@ let run ?(dir = Filename.get_temp_dir_name ()) ?(ops = 60) ?(seed = 7)
     mean_reopen_ns =
       (if reopens = [] then 0.0
        else sum_reopen /. float_of_int (List.length reopens));
+    run_span;
     wall_seconds = Unix.gettimeofday () -. t0;
   }
 

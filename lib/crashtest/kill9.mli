@@ -72,6 +72,9 @@ type result = {
   fsck_corrupt : int;
   max_reopen_ns : float;
   mean_reopen_ns : float;
+  run_span : float;
+      (** seconds from the calibration worker's fork to its done ack:
+          every Timer deadline is drawn from [\[0, run_span\]] *)
   wall_seconds : float;
 }
 

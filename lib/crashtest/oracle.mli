@@ -1,45 +1,23 @@
 (** Durable-linearizability oracle.
 
-    Sequential form: after a crash the recovered abstract state must
-    equal the model state at a FASE boundary no older than the
-    penultimate committed operation (buffered durable linearizability
-    under epoch persistency, paper Section 5.1).
-
-    Concurrent form: with several writers racing commits at one root
-    the installed states still form a total order (the root-record CAS
-    serializes them), but durability lags per thread -- the recovered
-    state must be a linearization-consistent cut no older than each
-    thread's penultimate committed operation, or the would-be state of
-    an in-flight commit. *)
+    One judge over one history: the commits in their total order (the
+    root-record CAS serializes racing writers), each tagged with its
+    writer, plus each writer's in-flight state.  Durability lags per
+    writer -- only a writer's last root write can still be undrained at
+    the crash (buffered durable linearizability under epoch persistency,
+    paper Section 5.1) -- so a recovered state is consistent iff it is a
+    pending state, or the state at a cut with at most one commit per
+    writer above it.  A sequential history is one writer whose unchanged
+    states commit nothing. *)
 
 type verdict = Consistent | Violation of string
 
-val acceptable : history:string list -> pending:string option -> string list
-(** The window of states a crash may legally expose: the latest
-    committed state, the newest committed state that differs from it,
-    and the mid-flight operation's state if any.  [history] is
-    newest-first and may repeat states (a read leaves the state
-    unchanged). *)
-
-val check :
-  history:string list ->
-  pending:string option ->
-  recovered:(string, exn) result ->
-  verdict
-(** Sequential check.  [Error exn] (recovery raised) is always a
-    violation: recovery must degrade typedly, never throw on read. *)
-
 val is_consistent : verdict -> bool
 
-(** {1 Concurrent histories} *)
-
 type tracker
-(** Per-execution bookkeeping for concurrent writers: the totally
-    ordered committed model states (recorded at each commit's
-    linearization point) plus each writer's in-flight state.  The
-    tracked states are what the winning operation {e must} have
-    produced, so lost updates surface as a recovered state matching no
-    cut. *)
+(** One execution's history.  The tracked states are what the winning
+    operation {e must} have produced, so lost updates surface as a
+    recovered state matching no cut. *)
 
 val tracker : writers:int -> init:string -> tracker
 
@@ -56,13 +34,26 @@ val track_commit : tracker -> writer:int -> string -> unit
 (** The writer's commit won; [state] is now the latest durably-decided
     model state (clears the writer's pending). *)
 
+val clear_pending : tracker -> writer:int -> unit
+(** The writer's operation ended without a commit (a read, or a write
+    that left the state unchanged). *)
+
 val latest : tracker -> string
 (** Newest committed model state ([init] before any commit): what an
     uncrashed run must observe -- the serializability check. *)
 
-val check_concurrent : tracker -> recovered:(string, exn) result -> verdict
-(** A recovered state is consistent iff it equals the tracked model
-    state at some cut depth where every writer has at most one
-    committed operation newer than the cut (only the last root write
-    per thread can still be undrained), or one writer's pending
-    state. *)
+val judge : tracker -> recovered:(string, exn) result -> verdict
+(** [Error exn] (recovery or the read-back raised) is always a
+    violation: recovery must degrade typedly, never throw on read.  The
+    window is every pending state, then the state at each cut, newest
+    first, down to the first cut with two commits of one writer above
+    it: O(writers) per check. *)
+
+val check :
+  history:string list ->
+  pending:string option ->
+  recovered:(string, exn) result ->
+  verdict
+(** {!judge} over one writer: [history] is newest-first, non-empty and
+    may repeat states (a read leaves the state unchanged); each state
+    that differs from the one before it is a commit. *)

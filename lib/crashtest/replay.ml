@@ -58,11 +58,13 @@ let command (f : Explorer.failure) =
     | None -> ("", "")
   in
   Printf.sprintf
-    "modpm crashtest --workload %s%s --ops %d%s%s --replay %d --mode %s%s"
+    "modpm crashtest --workload %s%s --ops %d%s%s --replay%s%d --mode %s%s"
     f.workload writers f.ops schedule
     (match f.persist with
     | Some p -> " --persist " ^ Pmalloc.Heap.policy_name p
     | None -> "")
+    (* a bare -1 would parse as an option *)
+    (if f.crash_index < 0 then "=" else " ")
     f.crash_index
     (Explorer.mode_name f.mode)
     (match (f.fault, f.survival_seed) with

@@ -78,7 +78,7 @@ val shard_script : nshards:int -> ops:int -> Shard.request array
 
     A concurrent workload runs [cwriters] deterministic per-writer
     scripts under the cooperative interleaving scheduler
-    ({!Interleave.run}); correctness is judged by the concurrent oracle
+    ({!Interleave.run}); correctness is judged by {!Oracle.judge}
     against the model states recorded in [c_tracker] at each commit's
     linearization point. *)
 
@@ -95,7 +95,7 @@ type ct = {
   cwriters : int;
   cops : int;  (** operations per writer *)
   cnegative : bool;
-      (** the concurrent oracle is expected to catch this workload *)
+      (** the oracle is expected to catch this workload *)
   cmake : Pmalloc.Heap.t -> cinstance;
 }
 

@@ -275,11 +275,8 @@ let failure_key (f : Explorer.failure) =
 (* [cw] under [schedule], run to [budget] on a fresh heap rewound once to
    its pristine snapshot: the start state of a sweep's scratch heap, so
    every sample's simulated clock matches the sweep's to the bit. *)
-let run_rewound (cfg : Explorer.config) (cw : Workload.ct) schedule ~budget =
-  let heap =
-    Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
-      ~seed:cfg.heap_seed ()
-  in
+let run_rewound (cw : Workload.ct) schedule ~budget =
+  let heap = Explorer.fresh_heap () in
   Pmalloc.Heap.reset_fresh heap ~pristine:(Pmalloc.Heap.pristine_snapshot heap);
   let region = Pmalloc.Heap.region heap in
   let inst = cw.cmake heap in
@@ -339,7 +336,7 @@ let reexec_sweep (cfg : Explorer.config) ~plain cw schedules =
               (fun seed ->
                 incr samples;
                 let heap, inst =
-                  run_rewound cfg cw schedule ~budget:crash_index
+                  run_rewound cw schedule ~budget:crash_index
                 in
                 Pmalloc.Heap.crash ~mode ?seed heap;
                 let recovered =
@@ -350,13 +347,11 @@ let reexec_sweep (cfg : Explorer.config) ~plain cw schedules =
                   | s -> Ok s
                   | exception e -> Error e
                 in
-                let verdict =
-                  Oracle.check_concurrent inst.c_tracker ~recovered
-                in
+                let verdict = Oracle.judge inst.c_tracker ~recovered in
                 replay_agrees schedule ~crash_index ~mode ~seed verdict;
                 fail schedule ~crash_index ~mode ~seed verdict)
               seeds)
-          cfg.modes
+          Explorer.modes
       done)
     schedules;
   (!points, !samples, List.rev !failures)

@@ -195,6 +195,154 @@ let oracle_tests =
           (chk (Ok "a")));
   ]
 
+(* -- one judge agrees with the two it replaced ------------------------------- *)
+
+(* The sequential judge as it stood before {!Crashtest.Oracle.judge}: the
+   newest state, the newest one that differs from it, and the pending
+   one. *)
+let reference_check ~history ~pending ~recovered =
+  let ok =
+    let committed =
+      match history with
+      | [] -> []
+      | latest :: older -> (
+          match List.find_opt (fun s -> s <> latest) older with
+          | Some previous -> [ latest; previous ]
+          | None -> [ latest ])
+    in
+    match pending with None -> committed | Some s -> s :: committed
+  in
+  match recovered with
+  | Error exn ->
+      Crashtest.Oracle.Violation
+        (Printf.sprintf "reading the recovered structure raised %s"
+           (Printexc.to_string exn))
+  | Ok state ->
+      if List.mem state ok then Crashtest.Oracle.Consistent
+      else
+        Crashtest.Oracle.Violation
+          (Printf.sprintf
+             "recovered state %s is not at a FASE boundary (acceptable: %s)"
+             state
+             (String.concat " | " ok))
+
+(* The concurrent judge as it stood before: the recovered state at any
+   cut depth with at most one commit per writer above it (every depth
+   searched), or any writer's pending state.  [commits] is newest
+   first. *)
+let reference_concurrent ~init ~commits ~pendings state =
+  let ncommits = List.length commits in
+  let state_at d = if d = ncommits then init else snd (List.nth commits d) in
+  let cut_consistent d =
+    let counts = Hashtbl.create 4 in
+    List.for_all
+      (fun (writer, _) ->
+        let seen = Option.value (Hashtbl.find_opt counts writer) ~default:0 in
+        Hashtbl.replace counts writer (seen + 1);
+        seen < 1)
+      (List.filteri (fun i _ -> i < d) commits)
+  in
+  let rec cut_ok d =
+    d <= ncommits
+    && ((state_at d = state && cut_consistent d) || cut_ok (d + 1))
+  in
+  cut_ok 0 || Array.exists (( = ) (Some state)) pendings
+
+let values = QCheck.Gen.oneofl [ "a"; "b"; "c"; "d" ]
+
+let recovered_gen =
+  QCheck.Gen.(
+    frequency
+      [ (9, map Result.ok values); (1, return (Error (Failure "torn read"))) ])
+
+let show_recovered = function
+  | Ok s -> s
+  | Error e -> "raises " ^ Printexc.to_string e
+
+let show_verdict = function
+  | Crashtest.Oracle.Consistent -> "consistent"
+  | Crashtest.Oracle.Violation d -> "violation: " ^ d
+
+let agreement_tests =
+  let sequential =
+    QCheck.Test.make ~count:2000
+      ~name:"one-writer check = the newest-distinct-state window, text too"
+      (QCheck.make
+         ~print:(fun (history, pending, recovered) ->
+           Printf.sprintf "history [%s], pending %s, recovered %s"
+             (String.concat "; " history)
+             (Option.value pending ~default:"-")
+             (show_recovered recovered))
+         QCheck.Gen.(
+           triple
+             (list_size (int_range 1 8) values)
+             (opt values) recovered_gen))
+      (fun (history, pending, recovered) ->
+        let got = Crashtest.Oracle.check ~history ~pending ~recovered in
+        let want = reference_check ~history ~pending ~recovered in
+        got = want
+        || QCheck.Test.fail_reportf "check says %s, the reference %s"
+             (show_verdict got) (show_verdict want))
+  in
+  (* random trackers: up to 4 writers, up to 10 commits, each event a
+     commit or a pending state of one writer *)
+  let events_gen =
+    QCheck.Gen.(
+      let* writers = int_range 1 4 in
+      let* events =
+        list_size (int_range 0 14)
+          (triple (int_range 0 (writers - 1)) bool values)
+      in
+      let* recovered = recovered_gen in
+      return (writers, events, recovered))
+  in
+  let concurrent =
+    QCheck.Test.make ~count:2000
+      ~name:"judge's bounded window = the full cut search"
+      (QCheck.make
+         ~print:(fun (writers, events, recovered) ->
+           Printf.sprintf "%d writers, events [%s], recovered %s" writers
+             (String.concat "; "
+                (List.map
+                   (fun (w, commit, s) ->
+                     Printf.sprintf "%s %d %s"
+                       (if commit then "commit" else "pending")
+                       w s)
+                   events))
+             (show_recovered recovered))
+         events_gen)
+      (fun (writers, events, recovered) ->
+        (* the initial state may recur as a commit *)
+        let init = "a" in
+        let tr = Crashtest.Oracle.tracker ~writers ~init in
+        let commits = ref [] and pendings = Array.make writers None in
+        List.iter
+          (fun (writer, commit, s) ->
+            if commit && List.length !commits < 10 then begin
+              Crashtest.Oracle.track_commit tr ~writer s;
+              commits := (writer, s) :: !commits;
+              pendings.(writer) <- None
+            end
+            else begin
+              Crashtest.Oracle.track_pending tr ~writer s;
+              pendings.(writer) <- Some s
+            end)
+          events;
+        let got =
+          Crashtest.Oracle.is_consistent (Crashtest.Oracle.judge tr ~recovered)
+        in
+        let want =
+          match recovered with
+          | Error _ -> false
+          | Ok state ->
+              reference_concurrent ~init ~commits:!commits ~pendings state
+        in
+        got = want
+        || QCheck.Test.fail_reportf "judge says %b, the cut search %b" got
+             want)
+  in
+  List.map QCheck_alcotest.to_alcotest [ sequential; concurrent ]
+
 (* -- Section 5.4 checker: deterministic violation order --------------------- *)
 
 let consistency_tests =
@@ -243,6 +391,33 @@ let sweep_tests =
               (Format.asprintf "%a" Crashtest.Explorer.pp_failure
                  (List.hd r.Crashtest.Explorer.failures))))
     (Crashtest.Workload.mod_names @ Crashtest.Workload.stm_names)
+  @ [
+      (* the uncrashed run must end in the newest committed model state:
+         a model whose last state is wrong fails at crash index -1, and
+         that failure replays *)
+      Alcotest.test_case "a sequential sweep checks its uncrashed run" `Quick
+        (fun () ->
+          let w = Crashtest.Workload.build "vec" ~ops:4 in
+          let model = Array.copy w.model in
+          model.(w.ops) <- model.(w.ops) ^ "?";
+          let w = { w with Crashtest.Workload.model } in
+          let r = Crashtest.Explorer.explore ~cfg:quick_cfg w in
+          match r.Crashtest.Explorer.failures with
+          | ({ crash_index = -1; _ } as f) :: _ -> (
+              match
+                Crashtest.Replay.replay ~cfg:quick_cfg (Seq w) ~crash_index:(-1)
+                  ~mode:f.mode ()
+              with
+              | Some (Crashtest.Oracle.Violation d) ->
+                  Alcotest.(check string) "the replay reproduces it" f.detail d;
+                  Alcotest.(check string) "the command parses"
+                    "modpm crashtest --workload vec --ops 4 --replay=-1 --mode \
+                     keep"
+                    (Crashtest.Replay.command f)
+              | Some Crashtest.Oracle.Consistent | None ->
+                  Alcotest.fail "the replay passes the final state")
+          | _ -> Alcotest.fail "no final-state failure at crash index -1");
+    ]
 
 (* -- negative controls and minimal-repro replay ------------------------------- *)
 
@@ -294,12 +469,8 @@ let failure_key (f : Crashtest.Explorer.failure) =
    invalidated, so every sample's simulated clock matches the sweep's to
    the bit.  Returns the crashed heap, the instance, and the oracle over
    the states committed when the power failed. *)
-let run_rewound (cfg : Crashtest.Explorer.config) (w : Crashtest.Workload.t)
-    ~budget =
-  let heap =
-    Pmalloc.Heap.create ~capacity_words:cfg.capacity_words ~trace:true
-      ~seed:cfg.heap_seed ()
-  in
+let run_rewound (w : Crashtest.Workload.t) ~budget =
+  let heap = Crashtest.Explorer.fresh_heap () in
   Pmalloc.Heap.reset_fresh heap ~pristine:(Pmalloc.Heap.pristine_snapshot heap);
   let inst = w.make heap in
   let history = ref [ w.model.(0) ] and pending = ref None in
@@ -364,7 +535,7 @@ let reexec_sweep (cfg : Crashtest.Explorer.config) ~plain w =
         in
         List.iter
           (fun seed ->
-            let heap, inst, judge = run_rewound cfg w ~budget:!budget in
+            let heap, inst, judge = run_rewound w ~budget:!budget in
             Pmalloc.Heap.crash ~mode ?seed heap;
             incr samples;
             let recovered =
@@ -397,7 +568,7 @@ let reexec_sweep (cfg : Crashtest.Explorer.config) ~plain w =
                     }
                   :: !failures)
           seeds)
-      cfg.modes;
+      Crashtest.Explorer.modes;
     budget := !budget + cfg.stride
   done;
   (!points, !samples, List.rev !failures)
@@ -596,10 +767,7 @@ let power_off_tests =
           let w = Crashtest.Workload.build name ~ops:4 in
           let created =
             Pmem.Region.pm_events
-              (Pmalloc.Heap.region
-                 (Pmalloc.Heap.create
-                    ~capacity_words:cfg.Crashtest.Explorer.capacity_words
-                    ~trace:true ~seed:cfg.Crashtest.Explorer.heap_seed ()))
+              (Pmalloc.Heap.region (Crashtest.Explorer.fresh_heap ()))
           in
           let total =
             match Crashtest.Explorer.run_until cfg w ~budget:None with
@@ -935,6 +1103,7 @@ let () =
       ("scheduler", scheduler_tests);
       ("deferral", deferral_tests);
       ("oracle", oracle_tests);
+      ("agreement", agreement_tests);
       ("consistency-order", consistency_tests);
       ("sweep", sweep_tests);
       ("negative", negative_tests);

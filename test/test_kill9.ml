@@ -270,6 +270,32 @@ let roundtrip_tests =
               | Crashtest.Kill9.Consistent _ -> ()
               | _ -> Alcotest.fail "formatted image must recover consistent")
           r.Crashtest.Kill9.trials);
+    (* Timer deadlines are drawn from the calibration worker's own run,
+       not from the whole calibration trial (fork, fsck, reopen and
+       judge included), so they land inside a worker's run. *)
+    Alcotest.test_case "kill9 harness: Timer deadlines fall in the worker's run"
+      `Quick (fun () ->
+        let r =
+          Crashtest.Kill9.run ~ops:20 ~seed:5 ~workload:"vec" ~kills:8 ()
+        in
+        Alcotest.(check int) "violations" 0 r.Crashtest.Kill9.violations;
+        Alcotest.(check int) "escaped" 0 r.Crashtest.Kill9.escaped;
+        let span = r.Crashtest.Kill9.run_span in
+        Alcotest.(check bool) "the calibration run was timed" true (span > 0.0);
+        let timers =
+          List.filter_map
+            (fun t ->
+              match t.Crashtest.Kill9.t_plan with
+              | Crashtest.Kill9.Timer s -> Some s
+              | _ -> None)
+            r.Crashtest.Kill9.trials
+        in
+        Alcotest.(check int) "timer trials" 4 (List.length timers);
+        List.iter
+          (fun s ->
+            if s > span then
+              Alcotest.failf "deadline %.6fs past the run span %.6fs" s span)
+          timers);
     (* A shard target commits only on its own requests, far fewer than
        the script's length: the at-sync ordinals come from the
        calibration run's commit count, so every one of them kills. *)

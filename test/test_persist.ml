@@ -44,8 +44,8 @@ let backup_events ~name ~ops =
 let full_dump_after ~name ~ops k =
   let w = Crashtest.Workload.build name ~ops in
   let heap =
-    Pmalloc.Heap.create ~capacity_words:cfg.Crashtest.Explorer.capacity_words
-      ~seed:cfg.Crashtest.Explorer.heap_seed ()
+    Pmalloc.Heap.create ~capacity_words:Crashtest.Explorer.capacity_words
+      ~seed:Crashtest.Explorer.heap_seed ()
   in
   let inst = w.Crashtest.Workload.make heap in
   inst.Crashtest.Workload.init ();

@@ -426,9 +426,8 @@ let cli_tests =
         check conc_replay
           "replay cmap-nofence (2 writers, schedule rr1) @ event 33 (mode \
            drop): VIOLATION\n\
-          \  recovered state {} is not a linearization-consistent cut \
-           (newest committed: {9:951,10:336} | {9:951} | {}; pending: \
-           {4:750,9:951})\n");
+          \  recovered state {} is not at a FASE boundary (acceptable: \
+           {4:750,9:951} | {9:951,10:336} | {9:951})\n");
     Alcotest.test_case "--shrink works for concurrent replays" `Quick
       (fun () ->
         let rc, text = run_cmd (conc_replay ^ " --shrink") in

@@ -78,22 +78,28 @@ module String_blob : CODEC with type t = string = struct
   let equal = String.equal
   let hash = hash_string
 
+  (* Word [i] of [s]'s blob: the length, then the bytes, 7 a word with
+     the first in the low bits, the last word zero-padded. *)
+  let blob_word s i =
+    let n = String.length s in
+    if i = 0 then Pmem.Word.of_int n
+    else begin
+      let packed = ref 0 in
+      for b = bytes_per_word - 1 downto 0 do
+        let k = ((i - 1) * bytes_per_word) + b in
+        let byte = if k < n then Char.code (String.unsafe_get s k) else 0 in
+        packed := (!packed lsl 8) lor byte
+      done;
+      Pmem.Word.raw !packed
+    end
+
   let write heap s =
     let n = String.length s in
     let body =
       Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Raw
         ~words:(1 + words_for_bytes n)
     in
-    Pmalloc.Heap.store heap body (Pmem.Word.of_int n);
-    for w = 0 to words_for_bytes n - 1 do
-      let packed = ref 0 in
-      for b = bytes_per_word - 1 downto 0 do
-        let i = (w * bytes_per_word) + b in
-        let byte = if i < n then Char.code s.[i] else 0 in
-        packed := (!packed lsl 8) lor byte
-      done;
-      Pmalloc.Heap.store heap (body + 1 + w) (Pmem.Word.raw !packed)
-    done;
+    Pmalloc.Heap.fill heap ~dst:body ~len:(1 + words_for_bytes n) blob_word s;
     Pmalloc.Heap.flush_block heap body;
     Pmem.Word.of_ptr body
 

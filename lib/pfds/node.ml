@@ -16,24 +16,25 @@ let get heap node i = Pmalloc.Heap.load heap (node + i)
 (* Store an owned word (fresh allocation or scalar): no count change. *)
 let set heap node i w = Pmalloc.Heap.store heap (node + i) w
 
-(* Store a shared word: if it points to a live block, that block gains a
-   parent. *)
-let set_shared heap node i w =
+(* A shared word that points to a live block gives that block a parent. *)
+let[@inline] retain_shared heap w =
   if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
-    Pmalloc.Heap.retain heap (Pmem.Word.to_ptr w);
+    Pmalloc.Heap.retain heap (Pmem.Word.to_ptr w)
+
+(* Store a shared word. *)
+let set_shared heap node i w =
+  retain_shared heap w;
   Pmalloc.Heap.store heap (node + i) w
 
 (* Copy [len] words from an existing node into a new one, retaining every
    pointer copied. *)
 let blit_shared heap ~src ~soff ~dst ~doff ~len =
-  for i = 0 to len - 1 do
-    set_shared heap dst (doff + i) (get heap src (soff + i))
-  done
+  Pmalloc.Heap.blit heap ~src:(src + soff) ~dst:(dst + doff) ~len retain_shared
+    heap
 
 let finish heap node = Pmalloc.Heap.flush_block heap node
 
 (* Retain a word that is about to outlive the node it was read from. *)
 let share heap w =
-  if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
-    Pmalloc.Heap.retain heap (Pmem.Word.to_ptr w);
+  retain_shared heap w;
   w

@@ -99,15 +99,15 @@ module Rc = struct
     end
     else t.gen <- t.gen + 1
 
-  let live t e = e lsr gen_shift = t.gen
-  let holds t e residue = live t e && e land residue_mask = residue
+  let[@inline] live t e = e lsr gen_shift = t.gen
+  let[@inline] holds t e residue = live t e && e land residue_mask = residue
 
   (* Slot [i] of [body], or an empty word when it lies off the table. *)
-  let slot t body i =
+  let[@inline] slot t body i =
     if body < 0 || i >= Array.length t.slots then 0 else t.slots.(i)
 
   (* [body]'s count, or -1 when it holds no slot in this generation. *)
-  let find t body =
+  let[@inline] find t body =
     let i = body / stride in
     let e = slot t body i in
     if holds t e (body - (i * stride)) then
@@ -134,7 +134,7 @@ module Rc = struct
 
   (* Add [d] to [body]'s count (no slot counts as 0) and return the new
      count: one slot read and one write on the retain/release path. *)
-  let add t body d =
+  let[@inline] add t body d =
     let i = body / stride in
     let e = slot t body i in
     if holds t e (body - (i * stride)) then begin
@@ -150,6 +150,20 @@ module Rc = struct
       set t body d;
       d
     end
+
+  (* Add one to [body]'s count when it holds a slot, and say whether it
+     does: recovery's count of a visited block's in-degree, one slot
+     read and one write. *)
+  let[@inline] incr_held t body =
+    let i = body / stride in
+    let e = slot t body i in
+    holds t e (body - (i * stride))
+    && begin
+         if (e lsr residue_bits) land max_count = max_count then
+           invalid_arg "Allocator: reference count out of range";
+         t.slots.(i) <- e + (1 lsl residue_bits);
+         true
+       end
 
   (* Only called on a body that [find] reports present. *)
   let remove t body = t.slots.(body / stride) <- 0
@@ -289,7 +303,7 @@ let open_segment t stride =
 
 let alloc t ~kind ~words =
   if words <= 0 then invalid_arg "Allocator.alloc: empty block";
-  let capacity = max Block.min_capacity (words + Block.header_words) in
+  let capacity = Int.max Block.min_capacity (words + Block.header_words) in
   let body, capacity =
     if capacity <= Arena.max_class then begin
       (* hot path: stack pop or pointer bump, no list search *)
@@ -331,29 +345,21 @@ let alloc t ~kind ~words =
   in
   (* Declare the allocation before the header store so the trace shows
      every write landing in already-allocated-fresh memory. *)
-  Pmem.Trace.emit
-    (Pmem.Region.trace t.region)
-    (Pmem.Trace.Alloc { off = Block.header_of_body body; words = capacity });
+  let trace = Pmem.Region.trace t.region in
+  if Pmem.Trace.enabled trace then
+    Pmem.Trace.emit trace
+      (Pmem.Trace.Alloc { off = Block.header_of_body body; words = capacity });
   write_header t ~body ~capacity ~kind ~used:words;
   account_alloc t capacity;
   Rc.set t.rc body 1;
   body
 
-let block_info t body =
-  let header = Block.header_of_body body in
-  Block.decode_info (Pmem.Region.peek_current t.region header)
+let header_word t body =
+  Pmem.Region.peek_current t.region (Block.header_of_body body)
 
-let capacity_of t body =
-  let capacity, _, _ = block_info t body in
-  capacity
-
-let kind_of t body =
-  let _, kind, _ = block_info t body in
-  kind
-
-let used_of t body =
-  Block.decode_used
-    (Pmem.Region.peek_current t.region (Block.header_of_body body))
+let capacity_of t body = Block.decode_capacity (header_word t body)
+let kind_of t body = Block.decode_kind (header_word t body)
+let used_of t body = Block.decode_used (header_word t body)
 
 (* Liveness is tracked in the volatile rc table (every live block has an
    entry, even refcount-free STM blocks): freeing must not write PM, or
@@ -368,18 +374,16 @@ let dealloc t body ~defer =
      accounting first. *)
   if not (is_allocated t body) then
     invalid_arg (Printf.sprintf "Allocator.free: double free at %d" body);
-  let header = Block.header_of_body body in
-  let capacity, _kind, _ =
-    Block.decode_info (Pmem.Region.peek_current t.region header)
-  in
+  let capacity = capacity_of t body in
   Rc.remove t.rc body;
   if defer then dbuf_push t.deferred body capacity
   else stash_free t ~body ~capacity;
   t.live_words <- t.live_words - capacity;
   t.frees <- t.frees + 1;
-  Pmem.Trace.emit
-    (Pmem.Region.trace t.region)
-    (Pmem.Trace.Free { off = header; words = capacity })
+  let trace = Pmem.Region.trace t.region in
+  if Pmem.Trace.enabled trace then
+    Pmem.Trace.emit trace
+      (Pmem.Trace.Free { off = Block.header_of_body body; words = capacity })
 
 let free t body = dealloc t body ~defer:false
 
@@ -406,29 +410,49 @@ let flush_block t body =
   Pmem.Region.clwb_range t.region header (Block.header_words + used)
 
 let rc_get t body = max 0 (Rc.find t.rc body)
-let rc_incr t body = ignore (Rc.add t.rc body 1 : int)
-let rc_decr t body = Rc.add t.rc body (-1)
+let[@inline] rc_incr t body = ignore (Rc.add t.rc body 1 : int)
+let[@inline] rc_decr t body = Rc.add t.rc body (-1)
+
+(* The scan callback of [reclaim]: drop the reference a pointer word
+   holds, and stop at a child whose count reaches zero. *)
+let[@inline] drop_child rc w =
+  Pmem.Word.is_ptr w
+  && (not (Pmem.Word.is_null w))
+  && Rc.add rc (Pmem.Word.to_ptr w) (-1) = 0
+
+(* Free a block whose count reached zero, after releasing its children
+   (for Scanned blocks).  The body scan stops at each child that reaches
+   zero and reclaims it before it resumes, so the loads keep the order
+   of a per-word walk: a child's subtree right after the child's word. *)
+let rec reclaim t body =
+  let hw = header_word t body in
+  (match Block.decode_kind hw with
+  | Block.Scanned ->
+      let used = Block.decode_used hw in
+      let i = ref 0 in
+      while !i < used do
+        let k =
+          Pmem.Region.scan t.region ~off:(body + !i) ~len:(used - !i)
+            drop_child t.rc
+        in
+        i := !i + k;
+        if !i < used then begin
+          reclaim t
+            (Pmem.Word.to_ptr (Pmem.Region.peek_current t.region (body + !i)));
+          incr i
+        end
+      done
+  | Block.Raw -> ());
+  dealloc t body ~defer:true
 
 (* Drop a reference to [body]; when the count reaches zero, release the
    block's children (for Scanned blocks) and free it.  This is the
    reclamation step of CommitSingle and friends (Section 5.3).  Frees are
    epoch-deferred (see the module comment): the blocks leave the live set
    now but only become allocatable at the next fence. *)
-let rec release t body =
-  if rc_decr t body = 0 then begin
-    (match kind_of t body with
-    | Block.Scanned ->
-        let used = used_of t body in
-        for i = 0 to used - 1 do
-          let w = Pmem.Region.load t.region (body + i) in
-          if Pmem.Word.is_ptr w && not (Pmem.Word.is_null w) then
-            release t (Pmem.Word.to_ptr w)
-        done
-    | Block.Raw -> ());
-    dealloc t body ~defer:true
-  end
+let release t body = if rc_decr t body = 0 then reclaim t body
 
-let retain t body = rc_incr t body
+let[@inline] retain t body = rc_incr t body
 
 (* Return the allocator to its just-created state.  Used by the
    crash-point explorer when it rewinds a scratch heap's region to its
@@ -453,12 +477,7 @@ let reset_fresh t =
    the volatile state around the counted blocks. *)
 let recovery_begin t = Rc.clear t.rc
 
-let recovery_ref t body =
-  if Rc.find t.rc body < 0 then false
-  else begin
-    ignore (Rc.add t.rc body 1 : int);
-    true
-  end
+let recovery_ref t body = Rc.incr_held t.rc body
 
 let recovery_visit t body = Rc.set t.rc body 1
 

@@ -43,9 +43,11 @@ let encode ~capacity ~used ~kind ~allocated =
 
 (* Decoders mask their fields, so they are total on arbitrary words --
    offline fsck feeds them raw image bytes and bounds-checks after. *)
+let decode_capacity w = (Pmem.Word.to_int w lsr 2) land max_field
+let decode_kind w = kind_of_bit ((Pmem.Word.to_int w lsr 1) land 1)
+
 let decode_info w =
-  let v = Pmem.Word.to_int w in
-  ((v lsr 2) land max_field, kind_of_bit ((v lsr 1) land 1), v land 1 = 1)
+  (decode_capacity w, decode_kind w, Pmem.Word.to_int w land 1 = 1)
 
 let decode_used w = (Pmem.Word.to_int w lsr (2 + field_bits)) land max_field
 

@@ -636,7 +636,7 @@ let in_backup_update t = t.backup_depth > 0
 let alloc t ~kind ~words = Allocator.alloc t.allocator ~kind ~words
 let free t body = Allocator.free t.allocator body
 let release t body = Allocator.release t.allocator body
-let retain t body = Allocator.retain t.allocator body
+let[@inline] retain t body = Allocator.retain t.allocator body
 
 (* Inside a Backup update, Scanned shadow nodes skip their clwbs (that is
    the whole point of the policy: the op log carries durability) and are
@@ -663,6 +663,9 @@ let flush_backlog t =
 
 let load t off = Pmem.Region.load t.region off
 let store t off w = Pmem.Region.store t.region off w
+let blit t ~src ~dst ~len f x = Pmem.Region.blit t.region ~src ~dst ~len f x
+let fill t ~dst ~len f x = Pmem.Region.fill t.region ~dst ~len f x
+let scan t ~off ~len f x = Pmem.Region.scan t.region ~off ~len f x
 let clwb t off = Pmem.Region.clwb t.region off
 let clwb_range t off words = Pmem.Region.clwb_range t.region off words
 (* A fence ends the reclamation epoch: every in-flight clwb -- including

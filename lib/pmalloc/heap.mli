@@ -340,6 +340,19 @@ val flush_backlog : t -> unit
 
 val load : t -> int -> Pmem.Word.t
 val store : t -> int -> Pmem.Word.t -> unit
+
+val blit :
+  t -> src:int -> dst:int -> len:int -> ('a -> Pmem.Word.t -> unit) -> 'a -> unit
+(** {!Pmem.Region.blit}: [load] each word of [src .. src + len - 1], pass
+    it to the callback, [store] it at the same index from [dst]. *)
+
+val fill : t -> dst:int -> len:int -> ('a -> int -> Pmem.Word.t) -> 'a -> unit
+(** {!Pmem.Region.fill}: [store] the callback's word [i] at [dst + i]. *)
+
+val scan : t -> off:int -> len:int -> ('a -> Pmem.Word.t -> bool) -> 'a -> int
+(** {!Pmem.Region.scan}: [load] from [off] until the callback holds;
+    returns the index it held at, or [len]. *)
+
 val clwb : t -> int -> unit
 val clwb_range : t -> int -> int -> unit
 val sfence : t -> unit

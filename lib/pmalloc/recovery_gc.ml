@@ -98,13 +98,12 @@ let recover heap =
       (* one load serves kind *and* the scan limit: one header load per
          block (the sweep reads capacity back without a PM event) *)
       let hw = Pmem.Region.load region (Block.header_of_body body) in
-      let _capacity, kind, _allocated = Block.decode_info hw in
       let used = Block.decode_used hw in
       Allocator.recovery_visit allocator body;
       incr blocks;
       lo := Int.min !lo body;
       hi := Int.max !hi body;
-      match kind with
+      match Block.decode_kind hw with
       | Block.Scanned ->
           push pending body;
           push pending used

@@ -195,6 +195,34 @@ let[@inline] access t ~line ~write =
   end
   else fill t line key ~write
 
+(* -- line runs (see [Region.blit]) ---------------------------------------- *)
+
+(* The way of [line] when one of the two remembered ways holds it, else
+   -1.  Right after an access of [line] it is the latest way; right after
+   an access of [line] and then one of another line, the one before. *)
+let[@inline] memo_way t line =
+  let key = t.base lor line in
+  if t.tags.(t.recent) = key then t.recent
+  else if t.tags.(t.prev) = key then t.prev
+  else -1
+
+(* What [n] hits would leave that alternate between ways [a] and [b], [a]
+   first, starting right after a hit or fill of [b] (so [recent] is [b]):
+   [n] ticks, the last two stamps, and the memo holding the last way and
+   the other.  When [a] = [b] the run stays on one way, which the memo
+   already holds. *)
+let[@inline] hit_run t ~a ~b n =
+  t.tick <- t.tick + n;
+  if a = b then t.last_use.(a) <- t.tick
+  else if n > 0 then begin
+    let odd = n land 1 = 1 in
+    let last = if odd then a else b and other = if odd then b else a in
+    t.last_use.(last) <- t.tick;
+    if n > 1 then t.last_use.(other) <- t.tick - 1;
+    t.prev <- other;
+    t.recent <- last
+  end
+
 (* Mark a line clean in the cache (its data has been written back by a
    clwb+sfence), without evicting it: clwb writes back but need not evict. *)
 let mark_clean t ~line =

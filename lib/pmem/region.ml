@@ -163,7 +163,8 @@ let next_stamp = ref 0
 
 (* A region of [capacity] words whose prefix is [durable] (whole lines),
    all Clean, with [current] a copy of it. *)
-let make ~capacity ~durable ~trace ~seed backing =
+let make ?(l1 = (Config.l1d_sets, Config.l1d_ways)) ~capacity ~durable ~trace
+    ~seed backing =
   let lines = Array.length durable lsr Config.line_shift in
   incr next_stamp;
   {
@@ -171,7 +172,7 @@ let make ~capacity ~durable ~trace ~seed backing =
     durable;
     state = Array.make lines Clean;
     capacity;
-    cache = Cache.create ();
+    cache = Cache.create ~sets:(fst l1) ~ways:(snd l1) ();
     l2 = Cache.create ~sets:Config.l2_sets ~ways:Config.l2_ways ();
     llc = Cache.create ~sets:Config.llc_sets ~ways:Config.llc_ways ();
     stats = Stats.create ();
@@ -204,8 +205,8 @@ let make ~capacity ~durable ~trace ~seed backing =
     file_dirty = Hashtbl.create 64;
   }
 
-let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
-    =
+let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ?l1
+    () =
   let cap = max capacity_words Config.words_per_line in
   let prefix = min initial_prefix_words (words_of_lines (lines_of_words cap)) in
   let backing =
@@ -213,7 +214,7 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
     | None -> None
     | Some path -> Some (Backing.create ~path ~capacity_words:cap)
   in
-  make ~capacity:cap ~durable:(Array.make prefix 0) ~trace ~seed backing
+  make ?l1 ~capacity:cap ~durable:(Array.make prefix 0) ~trace ~seed backing
 
 let stats t = t.stats
 let trace t = t.trace
@@ -544,6 +545,231 @@ let[@inline] store t off w =
      allocates nothing but the [now_ns] box *)
   if Trace.enabled t.trace then Trace.emit t.trace (Trace.Write { off });
   tick t
+
+(* -- line runs ------------------------------------------------------------- *)
+
+(* The kernels below ([blit], [fill], [scan]) send the first word of a
+   line run through [load]/[store], then record the rest of the run as
+   the per-word calls would have recorded it, without making them.  The
+   head access left the run's lines resident in L1 and remembered in the
+   way memo, so each later access of them is an L1 hit that fills no way
+   and evicts nothing: its record is the hit and load or store counters,
+   the cache tick and LRU stamp, the clock and phase sums, and for a
+   store the PM event and the crash budget.  The sums are floats summed
+   in locals one access at a time, exactly as [Stats.advance] sums them
+   (n×ns would round differently), and stored once per run.  Each store
+   still checks the first-touch journal record: a capture point at the
+   head's event opens a new epoch, so the run's first store may owe one.
+   A run ends at the end of either line, at the capacity, and before the
+   event on which the crash budget fires.  It is not taken at all (the
+   words go through the per-word calls) while tracing is on, an event
+   hook is installed and not suspended, a media fault is armed, or the
+   head's own fill evicted the other line of a [blit].  The callbacks
+   must not access the region; one that raises leaves the record of the
+   accesses made before it, as the per-word loop would. *)
+
+let l1_load_ns = Latency.load_ns Latency.L1
+
+(* Words of [off]'s line after [off]. *)
+let[@inline] line_after off =
+  Config.words_per_line - 1 - (off land (Config.words_per_line - 1))
+
+(* Stores a run may make: the one on which the budget fires goes through
+   [store]. *)
+let[@inline] store_room t =
+  if t.crash_budget > 0 then t.crash_budget - 1 else max_int
+
+(* No trace event to build, no hook to run after an event, no poisoned
+   line to detect. *)
+let[@inline] store_runs t =
+  (not (Trace.enabled t.trace))
+  && Hashtbl.length t.media_bad = 0
+  && match t.event_hook with None -> true | Some _ -> t.hook_suspended
+
+let[@inline] count_run t ~loads ~stores =
+  let st = t.stats in
+  st.Stats.loads <- st.Stats.loads + loads;
+  st.Stats.stores <- st.Stats.stores + stores;
+  st.Stats.l1_hits <- st.Stats.l1_hits + loads + stores;
+  t.events <- t.events + stores;
+  if t.crash_budget > 0 then t.crash_budget <- t.crash_budget - stores
+
+let[@inline] set_clock st phase now sum =
+  st.Stats.now_ns <- now;
+  Stats.set_phase_total st phase sum
+
+(* Re-raise [e] from a callback after recording the run up to it. *)
+let reraise e bt = Printexc.raise_with_backtrace e bt
+
+(* The rest of the [blit] run whose head loaded [s] and stored the word
+   at [d]: up to [left] more words.  Returns how many it copied. *)
+let[@inline] blit_rest t ~s ~d ~left f x =
+  let n =
+    Int.min
+      (Int.min left (store_room t))
+      (Int.min
+         (Int.min (line_after s) (line_after d))
+         (t.capacity - 1 - Int.max s d))
+  in
+  let cur = t.current in
+  if n <= 0 || (not (store_runs t)) || Int.max s d >= Array.length cur then 0
+  else
+    let c = t.cache and dline = line_of_word d in
+    let dw = Cache.memo_way c dline in
+    let sw = Cache.memo_way c (line_of_word s) in
+    if dw < 0 || sw < 0 then 0
+    else begin
+      let st = t.stats in
+      let phase = st.Stats.cur_phase in
+      let now = ref st.Stats.now_ns and sum = ref (Stats.phase_total st phase) in
+      let j = ref 1 in
+      match
+        while !j <= n do
+          let w = Word.raw (Array.unsafe_get cur (s + !j)) in
+          now := !now +. l1_load_ns;
+          sum := !sum +. l1_load_ns;
+          f x w;
+          journal_touch t dline;
+          Array.unsafe_set cur (d + !j) (Word.bits w);
+          now := !now +. Latency.store_ns;
+          sum := !sum +. Latency.store_ns;
+          incr j
+        done
+      with
+      | () ->
+          count_run t ~loads:n ~stores:n;
+          Cache.hit_run c ~a:sw ~b:dw (2 * n);
+          set_clock st phase !now !sum;
+          n
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          count_run t ~loads:!j ~stores:(!j - 1);
+          Cache.hit_run c ~a:sw ~b:dw ((2 * !j) - 1);
+          set_clock st phase !now !sum;
+          reraise e bt
+    end
+
+(* [load] each word [src + i], pass it to [f x], then [store] it at
+   [dst + i], for i ascending from 0 to [len - 1]. *)
+let blit t ~src ~dst ~len f x =
+  let i = ref 0 in
+  while !i < len do
+    let s = src + !i and d = dst + !i in
+    let w = load t s in
+    f x w;
+    store t d w;
+    i := !i + 1 + blit_rest t ~s ~d ~left:(len - !i - 1) f x
+  done
+
+(* The rest of the [fill] run whose head stored word [i] at [d]. *)
+let[@inline] fill_rest t ~d ~i ~left f x =
+  let n =
+    Int.min
+      (Int.min left (store_room t))
+      (Int.min (line_after d) (t.capacity - 1 - d))
+  in
+  let cur = t.current in
+  if n <= 0 || (not (store_runs t)) || d >= Array.length cur then 0
+  else
+    let c = t.cache and dline = line_of_word d in
+    let dw = Cache.memo_way c dline in
+    if dw < 0 then 0
+    else begin
+      let st = t.stats in
+      let phase = st.Stats.cur_phase in
+      let now = ref st.Stats.now_ns and sum = ref (Stats.phase_total st phase) in
+      let j = ref 1 in
+      match
+        while !j <= n do
+          let w = f x (i + !j) in
+          journal_touch t dline;
+          Array.unsafe_set cur (d + !j) (Word.bits w);
+          now := !now +. Latency.store_ns;
+          sum := !sum +. Latency.store_ns;
+          incr j
+        done
+      with
+      | () ->
+          count_run t ~loads:0 ~stores:n;
+          Cache.hit_run c ~a:dw ~b:dw n;
+          set_clock st phase !now !sum;
+          n
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          count_run t ~loads:0 ~stores:(!j - 1);
+          Cache.hit_run c ~a:dw ~b:dw (!j - 1);
+          set_clock st phase !now !sum;
+          reraise e bt
+    end
+
+(* [store] [f x i] at [dst + i], for i ascending from 0 to [len - 1]. *)
+let fill t ~dst ~len f x =
+  let i = ref 0 in
+  while !i < len do
+    let d = dst + !i in
+    store t d (f x !i);
+    i := !i + 1 + fill_rest t ~d ~i:!i ~left:(len - !i - 1) f x
+  done
+
+(* The rest of the [scan] run whose head loaded [s]: [k >= 0] when it
+   loaded [k] more words and none stopped it, [-k] when its [k]-th word
+   did.  A load is no PM event and traces nothing: only a media fault
+   keeps a scan from running. *)
+let[@inline] scan_rest t ~s ~left f x =
+  let n = Int.min left (Int.min (line_after s) (t.capacity - 1 - s)) in
+  let cur = t.current in
+  if n <= 0 || Hashtbl.length t.media_bad > 0 || s >= Array.length cur then 0
+  else
+    let c = t.cache in
+    let sw = Cache.memo_way c (line_of_word s) in
+    if sw < 0 then 0
+    else begin
+      let st = t.stats in
+      let phase = st.Stats.cur_phase in
+      let now = ref st.Stats.now_ns and sum = ref (Stats.phase_total st phase) in
+      let j = ref 1 and stop = ref 0 in
+      match
+        while !j <= n do
+          let w = Word.raw (Array.unsafe_get cur (s + !j)) in
+          now := !now +. l1_load_ns;
+          sum := !sum +. l1_load_ns;
+          if f x w then begin
+            stop := !j;
+            j := n
+          end;
+          incr j
+        done
+      with
+      | () ->
+          let loads = if !stop > 0 then !stop else n in
+          count_run t ~loads ~stores:0;
+          Cache.hit_run c ~a:sw ~b:sw loads;
+          set_clock st phase !now !sum;
+          if !stop > 0 then - !stop else n
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          count_run t ~loads:!j ~stores:0;
+          Cache.hit_run c ~a:sw ~b:sw !j;
+          set_clock st phase !now !sum;
+          reraise e bt
+    end
+
+(* [load] each word [off + i], i ascending from 0, until [f x w] holds:
+   returns that [i], or [len] when no word of the range stops it. *)
+let scan t ~off ~len f x =
+  let i = ref 0 and found = ref len in
+  while !i < !found do
+    if f x (load t (off + !i)) then found := !i
+    else begin
+      let k = scan_rest t ~s:(off + !i) ~left:(len - !i - 1) f x in
+      if k >= 0 then i := !i + 1 + k
+      else begin
+        found := !i - k;
+        i := !found
+      end
+    end
+  done;
+  !found
 
 let rec clwb t off =
   check_power t;

@@ -25,7 +25,13 @@ exception Media_fault of { off : int }
     returns a detectable poisoned read, as ECC hardware would. *)
 
 val create :
-  ?capacity_words:int -> ?trace:bool -> ?seed:int -> ?file:string -> unit -> t
+  ?capacity_words:int ->
+  ?trace:bool ->
+  ?seed:int ->
+  ?file:string ->
+  ?l1:int * int ->
+  unit ->
+  t
 (** [create ()] makes a memory-backed region (nothing survives the
     process).  [capacity_words] (default 1M) is the logical size: the
     host memory behind it is allocated as lines are first written, and
@@ -33,7 +39,9 @@ val create :
     is additionally mapped onto [path] ({!Backing}): every fence commits
     the cachelines whose durable contents changed as one failure-atomic
     batch, so the heap genuinely survives [kill -9].  Creating truncates
-    any existing image at [path]; use {!open_file} to reopen one. *)
+    any existing image at [path]; use {!open_file} to reopen one.
+    [l1] is the L1D's (sets, ways), Table 1's 64 × 8 by default: tests
+    shrink it to make a block copy's own fills evict its lines. *)
 
 val stats : t -> Stats.t
 val trace : t -> Trace.t
@@ -52,6 +60,32 @@ val load : t -> int -> Word.t
 val store : t -> int -> Word.t -> unit
 (** Cached store; the target line becomes dirty (volatile until flushed or
     evicted). An 8-byte store is atomic, as on x86-64. *)
+
+(** {1 Line runs}
+
+    Block copies, fills and scans, a cache line at a time.  Each kernel
+    makes exactly the accesses of its per-word loop, in the same order,
+    and leaves every simulated record bit-identical to that loop's: the
+    images, line states, journal, cache state, {!Stats} fields, clock
+    and phase sums, PM events, crash budget, captured points and raised
+    exceptions.  The first word of every line goes through {!load} and
+    {!store}; the rest of the line is recorded in one step, except while
+    tracing is on, an event hook runs, a media fault is armed, or the
+    next event fires the crash budget, where every word goes through
+    the per-word calls.  The callbacks must not access the region. *)
+
+val blit : t -> src:int -> dst:int -> len:int -> ('a -> Word.t -> unit) -> 'a -> unit
+(** [blit t ~src ~dst ~len f x] is, for [i] from 0 to [len - 1]:
+    [let w = load t (src + i) in f x w; store t (dst + i) w]. *)
+
+val fill : t -> dst:int -> len:int -> ('a -> int -> Word.t) -> 'a -> unit
+(** [fill t ~dst ~len f x] is, for [i] from 0 to [len - 1]:
+    [store t (dst + i) (f x i)]. *)
+
+val scan : t -> off:int -> len:int -> ('a -> Word.t -> bool) -> 'a -> int
+(** [scan t ~off ~len f x] loads [off + i] for [i] from 0 and stops after
+    the first word [w] for which [f x w] holds: it returns that [i], or
+    [len] when none does. *)
 
 val clwb : t -> int -> unit
 (** Launch a writeback of the line containing the word offset.  Commits

@@ -124,6 +124,21 @@ let[@inline] advance_in t phase ns =
 (* Advance simulated time, attributing it to the current phase. *)
 let[@inline] advance t ns = advance_in t t.cur_phase ns
 
+(* The accumulator [advance_in] adds [phase]'s time to, and its
+   write-back: a line run (Region) sums its accesses' ns into two locals
+   one access at a time, as [advance] would, and stores them once. *)
+let[@inline] phase_total t phase =
+  match phase with
+  | Flush -> t.ns_flush
+  | Log -> Float.Array.get t.phase_ns log_ix
+  | Other -> Float.Array.get t.phase_ns other_ix
+
+let[@inline] set_phase_total t phase ns =
+  match phase with
+  | Flush -> t.ns_flush <- ns
+  | Log -> Float.Array.set t.phase_ns log_ix ns
+  | Other -> Float.Array.set t.phase_ns other_ix ns
+
 let in_phase t phase f =
   let saved = t.cur_phase in
   t.cur_phase <- phase;

@@ -11,7 +11,7 @@ let of_ptr off =
 let is_ptr w = w land 1 = 1
 let is_null w = w = null
 
-let to_ptr w =
+let[@inline] to_ptr w =
   if not (is_ptr w) then invalid_arg "Word.to_ptr: scalar word";
   w lsr 1
 

@@ -1125,6 +1125,400 @@ let lazy_tests =
              ops));
   ]
 
+(* Line runs: each kernel ([Region.blit], [fill], [scan]) against its
+   per-word loop on a twin region.  A case builds both regions alike: an
+   L1D geometry (tiny ones make a copy's own fills evict its lines), a
+   capacity that may end mid-line, a starting clock and phase sums whose
+   low bits an n×ns sum would round differently, and a history of
+   stores, loads, clwbs and fences.  It arms one of: nothing, a snapshot,
+   a capture at stride 1-3, a crash budget, tracing, an event hook
+   (plain, or suspended by [atomic]) or a media fault on the source line;
+   then it runs the kernel in a random phase over offsets near line and
+   capacity boundaries, with a callback that may raise, and probes loads
+   and stores afterwards (after a crash when the budget fired).  The
+   twins must agree bit for bit on the outcome and the event it came at,
+   the callback's calls, [images_equal], every [Stats] field (floats by
+   their bits), PM events, journal length, hook calls, trace, probe
+   results, and each captured point, applied one by one after a restore
+   to the snapshot taken before the capture. *)
+type run_kernel =
+  | Blit of int * int * int (* src, dst, len *)
+  | Fill of int * int (* dst, len *)
+  | Scan of int * int * int (* off, len, the word that stops it *)
+
+type run_arm =
+  | Plain
+  | Snapshot
+  | Capture of int
+  | Crash_after of int
+  | Traced
+  | Hook
+  | Hook_atomic
+  | Media
+
+type run_case = {
+  l1 : int * int;
+  cap : int;
+  clock : float;
+  history : [ `Store of int * int | `Load of int | `Clwb of int | `Fence ] list;
+  arm : run_arm;
+  phase : Pmem.Stats.phase;
+  kernel : run_kernel;
+  raise_at : int; (* the callback call that raises [Exit], or -1 *)
+  probe : [ `Load of int | `Store of int ] list;
+}
+
+let show_case c =
+  let kernel =
+    match c.kernel with
+    | Blit (s, d, n) -> Printf.sprintf "blit %d->%d x%d" s d n
+    | Fill (d, n) -> Printf.sprintf "fill %d x%d" d n
+    | Scan (o, n, w) -> Printf.sprintf "scan %d x%d until %d" o n w
+  in
+  let arm =
+    match c.arm with
+    | Plain -> "plain"
+    | Snapshot -> "snapshot"
+    | Capture s -> Printf.sprintf "capture %d" s
+    | Crash_after n -> Printf.sprintf "crash after %d" n
+    | Traced -> "traced"
+    | Hook -> "hook"
+    | Hook_atomic -> "hook in atomic"
+    | Media -> "media fault"
+  in
+  Printf.sprintf "l1 %dx%d cap %d clock %h, %d history ops, %s, %s, raise at %d"
+    (fst c.l1) (snd c.l1) c.cap c.clock (List.length c.history) arm kernel
+    c.raise_at
+
+let gen_run_case =
+  let open QCheck.Gen in
+  let wpl = Pmem.Config.words_per_line in
+  frequency
+    [
+      (2, return (1, 1)); (1, return (2, 1)); (1, return (1, 2));
+      (2, return (Pmem.Config.l1d_sets, Pmem.Config.l1d_ways));
+    ]
+  >>= fun l1 ->
+  frequency [ (4, int_range 64 300); (1, return 4096); (1, return 8192) ]
+  >>= fun cap ->
+  (* mostly inside the capacity, some ranges run past it, and some
+     cross the end of the region's initial prefix (4,096 words), past
+     which a word reads 0 until its line is first written *)
+  let off =
+    frequency
+      [
+        (6, map2 (fun l k -> (l * wpl) + k) (int_bound ((cap / wpl) - 1))
+              (int_bound (wpl - 1)));
+        (1, map (fun d -> cap - 1 - d) (int_bound 20));
+        (1, map (fun d -> 4096 - 20 + d) (int_bound 40));
+      ]
+    >|= fun o -> Int.max 0 (Int.min o (cap - 1))
+  in
+  let len = frequency [ (5, int_bound 24); (2, int_range 25 70) ] in
+  oneofl
+    [ 0.; 0.1; 4503599627370496.5 (* 2^52 + 1/2 *);
+      9007199254740990. (* 2^53 - 2 *); 1e17 ]
+  >>= fun clock ->
+  list_size (int_bound 30)
+    (frequency
+       [
+         (5, map2 (fun o v -> `Store (o, v)) off (int_range 1 20));
+         (3, map (fun o -> `Load o) off);
+         (2, map (fun o -> `Clwb o) off);
+         (1, return `Fence);
+       ])
+  >>= fun history ->
+  frequency
+    [
+      (3, return Plain); (1, return Snapshot);
+      (3, map (fun s -> Capture s) (int_range 1 3));
+      (3, map (fun n -> Crash_after n) (int_range 1 40));
+      (1, return Traced); (1, return Hook); (2, return Hook_atomic);
+      (1, return Media);
+    ]
+  >>= fun arm ->
+  oneofl [ Pmem.Stats.Other; Pmem.Stats.Log; Pmem.Stats.Flush ] >>= fun phase ->
+  frequency
+    [
+      ( 3,
+        map3
+          (fun s d n -> Blit (s, d, n))
+          off
+          (frequency
+             [ (2, off); (1, map2 ( + ) off (int_range (-9) 9)) ]
+          >|= fun d -> Int.max 0 d)
+          len );
+      (2, map2 (fun d n -> Fill (d, n)) off len);
+      ( 2,
+        map3
+          (fun o n v -> Scan (o, n, Pmem.Word.bits (Pmem.Word.of_int v)))
+          off len (int_bound 20) );
+    ]
+  >>= fun kernel ->
+  frequency [ (4, return (-1)); (1, int_bound 30) ] >>= fun raise_at ->
+  list_size (int_bound 24)
+    (frequency [ (3, map (fun o -> `Load o) off); (1, map (fun o -> `Store o) off) ])
+  >|= fun probe ->
+  { l1; cap; clock; history; arm; phase; kernel; raise_at; probe }
+
+let stats_bits s =
+  let open Pmem.Stats in
+  let f x = Int64.to_int (Int64.bits_of_float x) in
+  [
+    f s.now_ns; f s.ns_flush; f (ns_log s); f (ns_other s); s.loads; s.stores;
+    s.l1_hits; s.l1_misses; s.clwbs; s.fences; s.lines_drained; s.log_writes;
+    s.commits;
+    (match s.cur_phase with Flush -> 0 | Log -> 1 | Other -> 2);
+    s.file_commits; s.file_lines; s.file_fsyncs;
+  ]
+
+(* Everything a point rebuilds: both images, the line states, the
+   in-flight count and the stats. *)
+let region_fingerprint r =
+  let open Pmem in
+  let cap = Region.capacity_words r in
+  ( Array.init (2 * cap) (fun i ->
+        Word.bits
+          (if i < cap then Region.peek_current r i
+           else Region.peek_durable r (i - cap))),
+    Region.dirty_lines r,
+    [ Region.inflight r; cap ] @ stats_bits (Region.stats r) )
+
+type run_ctx = { mutable calls : int list; raise_at : int; stop : int }
+
+let count_call ctx v =
+  if List.length ctx.calls = ctx.raise_at then raise Exit;
+  ctx.calls <- v :: ctx.calls
+
+let blit_cb ctx w = count_call ctx (Pmem.Word.bits w)
+
+let fill_cb ctx i =
+  count_call ctx i;
+  Pmem.Word.of_int (1000 + i)
+
+let scan_cb ctx w =
+  count_call ctx (Pmem.Word.bits w);
+  Pmem.Word.bits w = ctx.stop
+
+(* The per-word loops the kernels stand for. *)
+let blit_words r ~src ~dst ~len f x =
+  for i = 0 to len - 1 do
+    let w = Pmem.Region.load r (src + i) in
+    f x w;
+    Pmem.Region.store r (dst + i) w
+  done
+
+let fill_words r ~dst ~len f x =
+  for i = 0 to len - 1 do
+    Pmem.Region.store r (dst + i) (f x i)
+  done
+
+let scan_words r ~off ~len f x =
+  let rec go i =
+    if i >= len then len else if f x (Pmem.Region.load r (off + i)) then i
+    else go (i + 1)
+  in
+  go 0
+
+(* Run case [c] with the kernels ([~kernels:true]) or the per-word
+   loops; returns the region, what the run observed, and a replay of the
+   captured points. *)
+let run_line_case c ~kernels =
+  let open Pmem in
+  let r =
+    Region.create ~capacity_words:c.cap ~seed:5 ~trace:(c.arm = Traced)
+      ~l1:c.l1 ()
+  in
+  let st = Region.stats r in
+  st.Stats.now_ns <- c.clock;
+  st.Stats.ns_flush <- c.clock;
+  Float.Array.fill st.Stats.phase_ns 0 2 c.clock;
+  List.iter
+    (function
+      | `Store (o, v) -> Region.store r o (Word.of_int v)
+      | `Load o -> ignore (Region.load r o : Word.t)
+      | `Clwb o -> Region.clwb r o
+      | `Fence -> Region.sfence r)
+    c.history;
+  let hook_calls = ref [] in
+  let hook () = hook_calls := Region.pm_events r :: !hook_calls in
+  let points = ref 0 in
+  let snap =
+    match c.arm with
+    | Snapshot -> Some (Region.snapshot r)
+    | Capture stride ->
+        let snap = Region.snapshot r in
+        Region.capture r ~stride (fun () -> incr points);
+        Some snap
+    | Crash_after n ->
+        Region.set_crash_after r n;
+        None
+    | Hook | Hook_atomic ->
+        Region.set_event_hook r (Some hook);
+        None
+    | Media ->
+        let line =
+          match c.kernel with Blit (s, _, _) -> s | Fill (d, _) -> d | Scan (o, _, _) -> o
+        in
+        Region.arm_media_fault r ~line:(Region.line_of_word line);
+        None
+    | Plain | Traced -> None
+  in
+  let stop = match c.kernel with Scan (_, _, w) -> w | Blit _ | Fill _ -> 0 in
+  let ctx = { calls = []; raise_at = c.raise_at; stop } in
+  let kernel () =
+    match c.kernel with
+    | Blit (src, dst, len) ->
+        if kernels then Region.blit r ~src ~dst ~len blit_cb ctx
+        else blit_words r ~src ~dst ~len blit_cb ctx;
+        -1
+    | Fill (dst, len) ->
+        if kernels then Region.fill r ~dst ~len fill_cb ctx
+        else fill_words r ~dst ~len fill_cb ctx;
+        -1
+    | Scan (off, len, _) ->
+        if kernels then Region.scan r ~off ~len scan_cb ctx
+        else scan_words r ~off ~len scan_cb ctx
+  in
+  let in_arm () = if c.arm = Hook_atomic then Region.atomic r kernel else kernel () in
+  let outcome =
+    match Stats.in_phase st c.phase in_arm with
+    | v -> Ok v
+    | exception e -> Error (Printexc.to_string e, Region.pm_events r)
+  in
+  (match outcome with
+  | Error (e, _) when e = Printexc.to_string Region.Crash_point ->
+      Region.crash ~mode:Region.Randomize ~seed:11 r
+  | Ok _ | Error _ -> ());
+  let probe =
+    List.map
+      (fun op ->
+        match
+          match op with
+          | `Load o -> Word.bits (Region.load r o)
+          | `Store o ->
+              Region.store r o (Word.of_int 7);
+              0
+        with
+        | v -> Ok v
+        | exception e -> Error (Printexc.to_string e))
+      c.probe
+  in
+  let captured =
+    match c.arm with Capture _ -> Region.captured r | _ -> [||]
+  in
+  let replay () =
+    match snap with
+    | Some snap when Array.length captured > 0 ->
+        Region.restore r snap;
+        Array.to_list
+          (Array.map
+             (fun p ->
+               Region.apply_point r p;
+               region_fingerprint r)
+             captured)
+    | _ -> []
+  in
+  ( r,
+    ( outcome,
+      ctx.calls,
+      !hook_calls,
+      Trace.to_list (Region.trace r),
+      probe,
+      (!points, Array.length captured) ),
+    replay )
+
+let line_run_tests =
+  let open Pmem in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"line runs == per-word loops (qcheck)" ~count:800
+         (QCheck.make ~print:show_case gen_run_case)
+         (fun c ->
+           let a, obs_a, replay_a = run_line_case c ~kernels:true in
+           let b, obs_b, replay_b = run_line_case c ~kernels:false in
+           let same =
+             obs_a = obs_b
+             && Region.images_equal a b
+             && stats_bits (Region.stats a) = stats_bits (Region.stats b)
+             && Region.pm_events a = Region.pm_events b
+             && Region.journal_entries a = Region.journal_entries b
+           in
+           same && replay_a () = replay_b ()));
+    Alcotest.test_case "line runs allocate one clock box per run" `Quick
+      (fun () ->
+        (* [now_ns] is boxed: a head access through [load]/[store] pays
+           its box, and the rest of its line one box for the run's sums,
+           where the per-word loop pays one per access *)
+        let r = Region.create ~capacity_words:4096 () in
+        let wpl = Config.words_per_line in
+        let len = 64 in
+        let lines = len / wpl in
+        Region.fill r ~dst:0 ~len:1024 (fun () i -> Word.of_int i) ();
+        let words f =
+          let before = Gc.minor_words () in
+          f ();
+          Gc.minor_words () -. before
+        in
+        let box = 2. in
+        let check name ~heads f =
+          (* warm twice: the first call may claim cache ways *)
+          f ();
+          f ();
+          let w = words f in
+          let bound = box *. float_of_int (lines * (heads + 1)) in
+          if w > bound then
+            Alcotest.failf "%s of %d words allocated %.0f words (bound %.0f)"
+              name len w bound;
+          bound
+        in
+        let blit () = Region.blit r ~src:128 ~dst:512 ~len (fun () _ -> ()) () in
+        let bound = check "blit" ~heads:2 blit in
+        ignore
+          (check "fill" ~heads:1 (fun () ->
+               Region.fill r ~dst:512 ~len (fun () i -> Word.of_int i) ())
+            : float);
+        ignore
+          (check "scan" ~heads:1 (fun () ->
+               ignore (Region.scan r ~off:128 ~len (fun () _ -> false) () : int))
+            : float);
+        (* the per-word loop pays a box per access and fails the bound *)
+        let loop =
+          words (fun () ->
+              blit_words r ~src:128 ~dst:512 ~len (fun () _ -> ()) ())
+        in
+        if loop <= bound then
+          Alcotest.failf "the per-word blit allocated only %.0f words" loop);
+    Alcotest.test_case "releasing a node with shared children allocates only \
+                        clock boxes" `Quick (fun () ->
+        let open Pmalloc in
+        let heap = Heap.create () in
+        let child = Heap.alloc heap ~kind:Block.Scanned ~words:2 in
+        let len = 64 in
+        let lines = len / Config.words_per_line in
+        let node () =
+          let n = Heap.alloc heap ~kind:Block.Scanned ~words:len in
+          for i = 0 to len - 1 do
+            Heap.retain heap child;
+            Heap.store heap (n + i) (Word.of_ptr child)
+          done;
+          n
+        in
+        (* warm the deferral buffer and the caches once *)
+        Heap.release heap (node ());
+        let n = node () in
+        ignore (Heap.load heap n : Word.t);
+        let before = Gc.minor_words () in
+        Heap.release heap n;
+        let w = Gc.minor_words () -. before in
+        (* the node's body is not line-aligned: at most one more run *)
+        let bound = 2. *. float_of_int (2 * (lines + 1)) in
+        if w > bound then
+          Alcotest.failf "release allocated %.0f words (bound %.0f)" w bound;
+        Alcotest.(check int) "children stay live" 1
+          (Allocator.rc_get (Heap.allocator heap) child));
+  ]
+
 (* Golden pin: every simulated clock and counter of one fixed-seed map
    run, crash and recovery, recorded exactly.  Host-side work on the
    per-word path (cache lookups, refcounts) must leave each simulated
@@ -1203,5 +1597,6 @@ let () =
       ("snapshot", snapshot_tests);
       ("worklist", worklist_tests);
       ("lazy", lazy_tests);
+      ("line-runs", line_run_tests);
       ("golden", golden_tests);
     ]

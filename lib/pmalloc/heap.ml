@@ -665,7 +665,6 @@ let load t off = Pmem.Region.load t.region off
 let store t off w = Pmem.Region.store t.region off w
 let blit t ~src ~dst ~len f x = Pmem.Region.blit t.region ~src ~dst ~len f x
 let fill t ~dst ~len f x = Pmem.Region.fill t.region ~dst ~len f x
-let scan t ~off ~len f x = Pmem.Region.scan t.region ~off ~len f x
 let clwb t off = Pmem.Region.clwb t.region off
 let clwb_range t off words = Pmem.Region.clwb_range t.region off words
 (* A fence ends the reclamation epoch: every in-flight clwb -- including

@@ -349,10 +349,6 @@ val blit :
 val fill : t -> dst:int -> len:int -> ('a -> int -> Pmem.Word.t) -> 'a -> unit
 (** {!Pmem.Region.fill}: [store] the callback's word [i] at [dst + i]. *)
 
-val scan : t -> off:int -> len:int -> ('a -> Pmem.Word.t -> bool) -> 'a -> int
-(** {!Pmem.Region.scan}: [load] from [off] until the callback holds;
-    returns the index it held at, or [len]. *)
-
 val clwb : t -> int -> unit
 val clwb_range : t -> int -> int -> unit
 val sfence : t -> unit

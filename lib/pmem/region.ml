@@ -163,8 +163,7 @@ let next_stamp = ref 0
 
 (* A region of [capacity] words whose prefix is [durable] (whole lines),
    all Clean, with [current] a copy of it. *)
-let make ?(l1 = (Config.l1d_sets, Config.l1d_ways)) ~capacity ~durable ~trace
-    ~seed backing =
+let make ~capacity ~durable ~trace ~seed backing =
   let lines = Array.length durable lsr Config.line_shift in
   incr next_stamp;
   {
@@ -172,7 +171,7 @@ let make ?(l1 = (Config.l1d_sets, Config.l1d_ways)) ~capacity ~durable ~trace
     durable;
     state = Array.make lines Clean;
     capacity;
-    cache = Cache.create ~sets:(fst l1) ~ways:(snd l1) ();
+    cache = Cache.create ();
     l2 = Cache.create ~sets:Config.l2_sets ~ways:Config.l2_ways ();
     llc = Cache.create ~sets:Config.llc_sets ~ways:Config.llc_ways ();
     stats = Stats.create ();
@@ -205,8 +204,8 @@ let make ?(l1 = (Config.l1d_sets, Config.l1d_ways)) ~capacity ~durable ~trace
     file_dirty = Hashtbl.create 64;
   }
 
-let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ?l1
-    () =
+let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
+    =
   let cap = max capacity_words Config.words_per_line in
   let prefix = min initial_prefix_words (words_of_lines (lines_of_words cap)) in
   let backing =
@@ -214,7 +213,7 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ?l1
     | None -> None
     | Some path -> Some (Backing.create ~path ~capacity_words:cap)
   in
-  make ?l1 ~capacity:cap ~durable:(Array.make prefix 0) ~trace ~seed backing
+  make ~capacity:cap ~durable:(Array.make prefix 0) ~trace ~seed backing
 
 let stats t = t.stats
 let trace t = t.trace
@@ -564,9 +563,10 @@ let[@inline] store t off w =
    event on which the crash budget fires.  It is not taken at all (the
    words go through the per-word calls) while tracing is on, an event
    hook is installed and not suspended, a media fault is armed, or the
-   head's own fill evicted the other line of a [blit].  The callbacks
-   must not access the region; one that raises leaves the record of the
-   accesses made before it, as the per-word loop would. *)
+   way memo lost a line between the head and the run (a capture's
+   [on_point] may invalidate the L1 there).  The callbacks must not
+   access the region; one that raises leaves the record of the accesses
+   made before it, as the per-word loop would. *)
 
 let l1_load_ns = Latency.load_ns Latency.L1
 
@@ -713,12 +713,13 @@ let fill t ~dst ~len f x =
 
 (* The rest of the [scan] run whose head loaded [s]: [k >= 0] when it
    loaded [k] more words and none stopped it, [-k] when its [k]-th word
-   did.  A load is no PM event and traces nothing: only a media fault
-   keeps a scan from running. *)
+   did.  A load is no PM event and traces nothing, and the head's load
+   passed the media check of this same line, so nothing keeps a scan
+   from running. *)
 let[@inline] scan_rest t ~s ~left f x =
   let n = Int.min left (Int.min (line_after s) (t.capacity - 1 - s)) in
   let cur = t.current in
-  if n <= 0 || Hashtbl.length t.media_bad > 0 || s >= Array.length cur then 0
+  if n <= 0 || s >= Array.length cur then 0
   else
     let c = t.cache in
     let sw = Cache.memo_way c (line_of_word s) in

@@ -25,13 +25,7 @@ exception Media_fault of { off : int }
     returns a detectable poisoned read, as ECC hardware would. *)
 
 val create :
-  ?capacity_words:int ->
-  ?trace:bool ->
-  ?seed:int ->
-  ?file:string ->
-  ?l1:int * int ->
-  unit ->
-  t
+  ?capacity_words:int -> ?trace:bool -> ?seed:int -> ?file:string -> unit -> t
 (** [create ()] makes a memory-backed region (nothing survives the
     process).  [capacity_words] (default 1M) is the logical size: the
     host memory behind it is allocated as lines are first written, and
@@ -39,9 +33,7 @@ val create :
     is additionally mapped onto [path] ({!Backing}): every fence commits
     the cachelines whose durable contents changed as one failure-atomic
     batch, so the heap genuinely survives [kill -9].  Creating truncates
-    any existing image at [path]; use {!open_file} to reopen one.
-    [l1] is the L1D's (sets, ways), Table 1's 64 × 8 by default: tests
-    shrink it to make a block copy's own fills evict its lines. *)
+    any existing image at [path]; use {!open_file} to reopen one. *)
 
 val stats : t -> Stats.t
 val trace : t -> Trace.t
@@ -69,10 +61,11 @@ val store : t -> int -> Word.t -> unit
     images, line states, journal, cache state, {!Stats} fields, clock
     and phase sums, PM events, crash budget, captured points and raised
     exceptions.  The first word of every line goes through {!load} and
-    {!store}; the rest of the line is recorded in one step, except while
-    tracing is on, an event hook runs, a media fault is armed, or the
-    next event fires the crash budget, where every word goes through
-    the per-word calls.  The callbacks must not access the region. *)
+    {!store}, and the rest of the line is recorded in one step.  A blit
+    or fill sends every word through the per-word calls while tracing
+    is on, an event hook runs or a media fault is armed, and the store
+    on which the crash budget fires always goes through {!store}.  The
+    callbacks must not access the region. *)
 
 val blit : t -> src:int -> dst:int -> len:int -> ('a -> Word.t -> unit) -> 'a -> unit
 (** [blit t ~src ~dst ~len f x] is, for [i] from 0 to [len - 1]:

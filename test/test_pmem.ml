@@ -1126,14 +1126,16 @@ let lazy_tests =
   ]
 
 (* Line runs: each kernel ([Region.blit], [fill], [scan]) against its
-   per-word loop on a twin region.  A case builds both regions alike: an
-   L1D geometry (tiny ones make a copy's own fills evict its lines), a
+   per-word loop on a twin region.  A case builds both regions alike: a
    capacity that may end mid-line, a starting clock and phase sums whose
    low bits an n×ns sum would round differently, and a history of
-   stores, loads, clwbs and fences.  It arms one of: nothing, a snapshot,
-   a capture at stride 1-3, a crash budget, tracing, an event hook
-   (plain, or suspended by [atomic]) or a media fault on the source line;
-   then it runs the kernel in a random phase over offsets near line and
+   stores, loads, clwbs, fences and loads that fill the L1 set of the
+   kernel's first line with other lines (so the head's fill evicts).  It
+   arms one of: nothing, a snapshot, a capture at stride 1-3 (whose
+   [on_point] may invalidate the L1, so a run finds its lines gone from
+   the way memo), a crash budget, tracing, an event hook (plain, or
+   suspended by [atomic]) or a media fault on the source line; then it
+   runs the kernel in a random phase over offsets near line and
    capacity boundaries, with a callback that may raise, and probes loads
    and stores afterwards (after a crash when the budget fired).  The
    twins must agree bit for bit on the outcome and the event it came at,
@@ -1150,6 +1152,7 @@ type run_arm =
   | Plain
   | Snapshot
   | Capture of int
+  | Capture_invalidate of int
   | Crash_after of int
   | Traced
   | Hook
@@ -1157,10 +1160,10 @@ type run_arm =
   | Media
 
 type run_case = {
-  l1 : int * int;
   cap : int;
   clock : float;
-  history : [ `Store of int * int | `Load of int | `Clwb of int | `Fence ] list;
+  history :
+    [ `Store of int * int | `Load of int | `Clwb of int | `Fence | `Conflict ] list;
   arm : run_arm;
   phase : Pmem.Stats.phase;
   kernel : run_kernel;
@@ -1180,25 +1183,19 @@ let show_case c =
     | Plain -> "plain"
     | Snapshot -> "snapshot"
     | Capture s -> Printf.sprintf "capture %d" s
+    | Capture_invalidate s -> Printf.sprintf "capture %d, invalidating L1" s
     | Crash_after n -> Printf.sprintf "crash after %d" n
     | Traced -> "traced"
     | Hook -> "hook"
     | Hook_atomic -> "hook in atomic"
     | Media -> "media fault"
   in
-  Printf.sprintf "l1 %dx%d cap %d clock %h, %d history ops, %s, %s, raise at %d"
-    (fst c.l1) (snd c.l1) c.cap c.clock (List.length c.history) arm kernel
-    c.raise_at
+  Printf.sprintf "cap %d clock %h, %d history ops, %s, %s, raise at %d" c.cap
+    c.clock (List.length c.history) arm kernel c.raise_at
 
 let gen_run_case =
   let open QCheck.Gen in
   let wpl = Pmem.Config.words_per_line in
-  frequency
-    [
-      (2, return (1, 1)); (1, return (2, 1)); (1, return (1, 2));
-      (2, return (Pmem.Config.l1d_sets, Pmem.Config.l1d_ways));
-    ]
-  >>= fun l1 ->
   frequency [ (4, int_range 64 300); (1, return 4096); (1, return 8192) ]
   >>= fun cap ->
   (* mostly inside the capacity, some ranges run past it, and some
@@ -1226,12 +1223,14 @@ let gen_run_case =
          (3, map (fun o -> `Load o) off);
          (2, map (fun o -> `Clwb o) off);
          (1, return `Fence);
+         (1, return `Conflict);
        ])
   >>= fun history ->
   frequency
     [
       (3, return Plain); (1, return Snapshot);
       (3, map (fun s -> Capture s) (int_range 1 3));
+      (2, map (fun s -> Capture_invalidate s) (int_range 1 3));
       (3, map (fun n -> Crash_after n) (int_range 1 40));
       (1, return Traced); (1, return Hook); (2, return Hook_atomic);
       (1, return Media);
@@ -1259,7 +1258,7 @@ let gen_run_case =
   list_size (int_bound 24)
     (frequency [ (3, map (fun o -> `Load o) off); (1, map (fun o -> `Store o) off) ])
   >|= fun probe ->
-  { l1; cap; clock; history; arm; phase; kernel; raise_at; probe }
+  { cap; clock; history; arm; phase; kernel; raise_at; probe }
 
 let stats_bits s =
   let open Pmem.Stats in
@@ -1325,10 +1324,12 @@ let scan_words r ~off ~len f x =
    captured points. *)
 let run_line_case c ~kernels =
   let open Pmem in
-  let r =
-    Region.create ~capacity_words:c.cap ~seed:5 ~trace:(c.arm = Traced)
-      ~l1:c.l1 ()
+  let r = Region.create ~capacity_words:c.cap ~seed:5 ~trace:(c.arm = Traced) () in
+  let first =
+    match c.kernel with Blit (s, _, _) -> s | Fill (d, _) -> d | Scan (o, _, _) -> o
   in
+  (* words a set's lines lie apart in the L1 *)
+  let set_span = Config.l1d_sets * Config.words_per_line in
   let st = Region.stats r in
   st.Stats.now_ns <- c.clock;
   st.Stats.ns_flush <- c.clock;
@@ -1338,7 +1339,11 @@ let run_line_case c ~kernels =
       | `Store (o, v) -> Region.store r o (Word.of_int v)
       | `Load o -> ignore (Region.load r o : Word.t)
       | `Clwb o -> Region.clwb r o
-      | `Fence -> Region.sfence r)
+      | `Fence -> Region.sfence r
+      | `Conflict ->
+          for k = 1 to Config.l1d_ways do
+            ignore (Region.load r ((first + (k * set_span)) mod c.cap) : Word.t)
+          done)
     c.history;
   let hook_calls = ref [] in
   let hook () = hook_calls := Region.pm_events r :: !hook_calls in
@@ -1350,6 +1355,12 @@ let run_line_case c ~kernels =
         let snap = Region.snapshot r in
         Region.capture r ~stride (fun () -> incr points);
         Some snap
+    | Capture_invalidate stride ->
+        let snap = Region.snapshot r in
+        Region.capture r ~stride (fun () ->
+            incr points;
+            Cache.invalidate (Region.cache r));
+        Some snap
     | Crash_after n ->
         Region.set_crash_after r n;
         None
@@ -1357,10 +1368,7 @@ let run_line_case c ~kernels =
         Region.set_event_hook r (Some hook);
         None
     | Media ->
-        let line =
-          match c.kernel with Blit (s, _, _) -> s | Fill (d, _) -> d | Scan (o, _, _) -> o
-        in
-        Region.arm_media_fault r ~line:(Region.line_of_word line);
+        Region.arm_media_fault r ~line:(Region.line_of_word first);
         None
     | Plain | Traced -> None
   in
@@ -1405,7 +1413,9 @@ let run_line_case c ~kernels =
       c.probe
   in
   let captured =
-    match c.arm with Capture _ -> Region.captured r | _ -> [||]
+    match c.arm with
+    | Capture _ | Capture_invalidate _ -> Region.captured r
+    | _ -> [||]
   in
   let replay () =
     match snap with

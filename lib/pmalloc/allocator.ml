@@ -308,16 +308,16 @@ let alloc t ~kind ~words =
     if capacity <= Arena.max_class then begin
       (* hot path: stack pop or pointer bump, no list search *)
       let stride = Arena.stride_of capacity in
-      match Arena.take t.arena stride with
-      | Some header -> (Block.body_of_header header, stride)
-      | None -> (
-          match Freelist.take_exact t.freelist stride with
-          | Some e -> (e.Freelist.body, e.Freelist.capacity)
-          | None -> (
-              open_segment t stride;
-              match Arena.take t.arena stride with
-              | Some header -> (Block.body_of_header header, stride)
-              | None -> assert false))
+      let header = Arena.take t.arena stride in
+      if header >= 0 then (Block.body_of_header header, stride)
+      else
+        match Freelist.take_exact t.freelist stride with
+        | Some e -> (e.Freelist.body, e.Freelist.capacity)
+        | None ->
+            open_segment t stride;
+            let header = Arena.take t.arena stride in
+            assert (header >= 0);
+            (Block.body_of_header header, stride)
     end
     else
       match Freelist.take_exact t.freelist capacity with

@@ -87,21 +87,22 @@ let open_words t = t.open_words
 let segments t = t.segments
 
 (* O(1) hot path: recycled block if one is parked, else bump the open
-   segment.  [None] means the caller must refill (or fall back). *)
+   segment.  The block's header, or -1 when the caller must refill (or
+   fall back): an int, so the hot path allocates nothing. *)
 let take t stride =
   let c = t.classes.(stride) in
   if c.sp > 0 then begin
     c.sp <- c.sp - 1;
     t.recycled_words <- t.recycled_words - stride;
-    Some c.stack.(c.sp)
+    c.stack.(c.sp)
   end
   else if c.bump < c.limit then begin
     let header = c.bump in
     c.bump <- c.bump + stride;
     t.open_words <- t.open_words - stride;
-    Some header
+    header
   end
-  else None
+  else -1
 
 let recycle t ~header ~stride =
   let c = t.classes.(stride) in

@@ -20,21 +20,35 @@
    A set owns no ways until its first fill claims the next [ways] entries
    of the way arrays, which double by copying when full: a cache costs
    what a run touches (a heap touches a few hundred of the LLC's 32,768
-   sets), not its geometry.  [first] maps a set to its first way, or -1
-   while it is unclaimed; a lookup in an unclaimed set is a miss that
-   claims nothing.  A claimed set's ways start with tag 0, invalid in
-   every epoch, so the victim rule picks exactly the way it would pick
-   in an eagerly built cache.
+   sets), not its geometry.  [rank] holds 16 bits per set: 1 + the order
+   in which the set was claimed, or 0 while it is unclaimed, so its first
+   way is (rank - 1) * [ways].  That is 64 KB for the LLC, which the GC
+   does not scan.  A lookup in an unclaimed set is a miss that claims
+   nothing.  A claimed set's ways start with tag 0, invalid in every
+   epoch, so the victim rule picks exactly the way it would pick in an
+   eagerly built cache.
+
+   A lookup reads one way, not the set.  The way index holds one byte
+   per line: the line's way, minus its set's first way, at the line's
+   latest fill.  A stamped tag names one line in one epoch, and only a
+   fill of that line writes it, so a way whose tag equals the key is the
+   way of the line's latest fill -- the one the index names.  The lookup
+   trusts the indexed way only when its tag equals the key, so an entry
+   that an eviction, [invalidate] or [reset] left stale reads as a miss,
+   and none of them touches the index.  The bytes live in pages of
+   [page_lines] lines, and [pages] covers the highest page filled yet
+   (a page no fill has reached is [no_page], all zeros).  So [create]
+   allocates the set table and [ways] entries per way array; the first
+   fill in a page allocates its 1 KB, and a fill past the page table
+   grows it, at least doubling; a lookup allocates nothing.
 
    [recent] and [prev] remember the last two ways that hit or filled, and
-   [access] compares their tags with the stamped key before it scans the
-   set.  The probe cannot change a result: a stamped tag names one line
-   in one epoch, a line occupies at most one way (of its own set), so a
-   remembered way whose tag equals the key is exactly the way the scan
-   would find; [invalidate] and [reset] leave every stored tag unequal to
-   any key of the new epoch.  Way indices survive the arrays' growth,
-   which copies every entry to the same index.  Two ways, because a block
-   copy alternates between a source line and a destination line. *)
+   [access] compares their tags with the stamped key before it reads the
+   index: a remembered way whose tag equals the key is the line's way by
+   the same argument.  Way indices survive the arrays' growth, which
+   copies every entry to the same index, and a set's first way never
+   moves.  Two ways, because a block copy alternates between a source
+   line and a destination line. *)
 let line_bits = 40
 let line_span = 1 lsl line_bits
 let max_base = (max_int lsr line_bits) lsl line_bits
@@ -42,12 +56,19 @@ let max_base = (max_int lsr line_bits) lsl line_bits
 (* Invalidations between two full wipes (see [invalidate]). *)
 let epochs = max_base / line_span
 
+let page_bits = 10
+let page_lines = 1 lsl page_bits
+
+(* The index page of every page no fill has reached: offset 0 for each
+   line, which the tag compare rejects.  Shared, never written. *)
+let no_page = Bytes.make page_lines '\000'
+
 type t = {
   sets : int;
   set_mask : int; (* sets - 1: every set count is a power of two *)
   ways : int;
-  first : int array; (* per set: its first way, -1 until its first fill *)
-  mutable claimed : int; (* ways handed out to sets *)
+  rank : Bytes.t; (* per set, 16 bits: 1 + its claim order, 0 unclaimed *)
+  mutable claimed : int; (* sets claimed *)
   mutable tags : int array; (* stamped line, invalid below [base] *)
   mutable dirty : bool array;
   mutable last_use : int array; (* LRU timestamps *)
@@ -55,16 +76,19 @@ type t = {
   mutable base : int; (* current epoch lsl line_bits *)
   mutable recent : int; (* the way of the latest hit or fill *)
   mutable prev : int; (* the way of the one before it *)
+  mutable pages : Bytes.t array; (* way index, [page_lines] lines a page *)
 }
 
 let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
   if sets <= 0 || sets land (sets - 1) <> 0 then
     invalid_arg "Cache.create: set count must be a power of two";
+  if sets > 0xffff || ways < 1 || ways > 256 then
+    invalid_arg "Cache.create: at most 65535 sets of 1 to 256 ways";
   {
     sets;
     set_mask = sets - 1;
     ways;
-    first = Array.make sets (-1);
+    rank = Bytes.make (2 * sets) '\000';
     claimed = 0;
     tags = Array.make ways 0;
     dirty = Array.make ways false;
@@ -73,6 +97,7 @@ let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
     base = line_span;
     recent = 0;
     prev = 0;
+    pages = [||];
   }
 
 (* Every set keeps its claim; its ways turn invalid and clean. *)
@@ -91,27 +116,27 @@ let invalidate t =
     t.tick <- 0
   end
 
-(* Index of the way holding stamped tag [key] in the set starting at
-   [first], or -1.  A line is installed only on a miss, so it occupies at
-   most one way and the first match is the only one. *)
-let[@inline] find_way t first key =
-  let stop = first + t.ways in
-  let i = ref first in
-  while !i < stop && t.tags.(!i) <> key do
-    incr i
-  done;
-  if !i < stop then !i else -1
+(* The first way of [line]'s set, or a negative number while the set is
+   unclaimed. *)
+let[@inline] first_way t line =
+  (Bytes.get_uint16_le t.rank ((line land t.set_mask) lsl 1) - 1) * t.ways
 
-(* The first way of [line]'s set, or -1 while the set is unclaimed. *)
-let[@inline] first_way t line = t.first.(line land t.set_mask)
-
-(* [find_way] for [line], probing the two remembered ways first. *)
+(* The way holding stamped tag [key] for [line], or -1: one of the two
+   remembered ways, else the indexed way if its tag is the key. *)
 let[@inline] lookup t line key =
   if t.tags.(t.recent) = key then t.recent
   else if t.tags.(t.prev) = key then t.prev
   else
     let first = first_way t line in
-    if first < 0 then -1 else find_way t first key
+    let p = line lsr page_bits in
+    if first < 0 || p >= Array.length t.pages then -1
+    else
+      let i =
+        first
+        + Char.code
+            (Bytes.unsafe_get t.pages.(p) (line land (page_lines - 1)))
+      in
+      if t.tags.(i) = key then i else -1
 
 let[@inline] remember t i =
   if i <> t.recent then begin
@@ -128,9 +153,9 @@ let miss = -2
 
 (* Give [line]'s set the next [ways] entries of the way arrays, doubling
    them first when they are full.  The copy keeps every entry at its
-   index, so [first], [recent] and [prev] stay valid. *)
+   index, so the set table, [recent] and [prev] stay valid. *)
 let[@inline never] claim t line =
-  let first = t.claimed in
+  let first = t.claimed * t.ways in
   let len = Array.length t.tags in
   if first + t.ways > len then begin
     let grow a fill =
@@ -142,9 +167,31 @@ let[@inline never] claim t line =
     t.dirty <- grow t.dirty false;
     t.last_use <- grow t.last_use 0
   end;
-  t.first.(line land t.set_mask) <- first;
-  t.claimed <- first + t.ways;
+  t.claimed <- t.claimed + 1;
+  Bytes.set_uint16_le t.rank ((line land t.set_mask) lsl 1) t.claimed;
   first
+
+(* The index page of [p], allocated (and the page table grown to cover
+   it) on the page's first fill. *)
+let[@inline never] new_page t p =
+  let len = Array.length t.pages in
+  if p >= len then begin
+    let pages = Array.make (Int.max (p + 1) (2 * len)) no_page in
+    Array.blit t.pages 0 pages 0 len;
+    t.pages <- pages
+  end;
+  let page = Bytes.make page_lines '\000' in
+  t.pages.(p) <- page;
+  page
+
+(* Record that [line] now sits [off] ways into its set. *)
+let[@inline] index t line off =
+  let p = line lsr page_bits in
+  let page =
+    if p < Array.length t.pages && t.pages.(p) != no_page then t.pages.(p)
+    else new_page t p
+  in
+  Bytes.unsafe_set page (line land (page_lines - 1)) (Char.unsafe_chr off)
 
 (* On a miss the victim is the first invalid way, else the
    least-recently-used one (first on ties).  Out of line: [access] is
@@ -180,6 +227,7 @@ let[@inline never] fill t line key ~write =
   t.tags.(i) <- key;
   t.dirty.(i) <- write;
   t.last_use.(i) <- t.tick;
+  index t line (i - first);
   remember t i;
   result
 

@@ -29,6 +29,24 @@ let alloc_tests =
         Pmalloc.Heap.free heap a;
         let b = Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Scanned ~words:6 in
         Alcotest.(check int) "same block back" a b);
+    Alcotest.test_case "a warm alloc/free cycle allocates one clock box"
+      `Quick (fun () ->
+        (* the header store's [now_ns] box, 2 words; an arena take that
+           returned an option would add 2 *)
+        let heap = mk_heap () in
+        let cycle () =
+          Pmalloc.Heap.free heap
+            (Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Scanned ~words:4)
+        in
+        cycle ();
+        let n = 10_000 in
+        let before = Gc.minor_words () in
+        for _ = 1 to n do
+          cycle ()
+        done;
+        let per = (Gc.minor_words () -. before) /. float_of_int n in
+        if per > 2. then
+          Alcotest.failf "an alloc/free cycle allocated %.2f words" per);
     Alcotest.test_case "double free raises" `Quick (fun () ->
         let heap = mk_heap () in
         let a = Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Scanned ~words:4 in

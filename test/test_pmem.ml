@@ -334,19 +334,36 @@ end
    which fill and evict; the rest spread over four times as many lines
    as sets, so sets are claimed out of index order and the way arrays
    grow mid-trace, while full hot sets and the remembered ways point
-   into them. *)
+   into them.  Other lines exercise the way index: lines over the first
+   four index pages (a page can exist while a line's set is unclaimed),
+   a hot set's lines a few pages on, and hot-set lines near 2^20, 2^21
+   and 2^22, whose fills grow the page table.  Evictions, mark_clean,
+   invalidations, resets and the epoch wrap then leave index entries
+   stale, which the lookup must read as misses. *)
 let cache_model_tests =
   let open Pmem in
   let line_gen ~sets ~ways hot =
     QCheck.Gen.(
+      let hot_line h = List.nth hot (h mod List.length hot) in
       frequency
         [
           ( 3,
             map2
-              (fun h k -> List.nth hot (h mod List.length hot) + (sets * k))
+              (fun h k -> hot_line h + (sets * k))
               nat
               (int_bound (2 * ways)) );
           (1, int_bound ((4 * sets) - 1));
+          (1, int_bound ((4 * Cache.page_lines) - 1));
+          ( 1,
+            map2
+              (fun h k -> hot_line h + (Cache.page_lines * k))
+              nat (int_range 1 4) );
+          ( 1,
+            map3
+              (fun e h k ->
+                (1 lsl (20 + e)) + hot_line h + (sets * (k - ways)))
+              (int_bound 2) nat
+              (int_bound (2 * ways)) );
         ])
   in
   let op_gen line =
@@ -404,10 +421,29 @@ let cache_model_tests =
         (frequency [ (3, return None); (1, map Option.some (int_bound 2)) ])
         (map List.concat (list_size (int_range 1 60) segment)))
   in
+  let show (log_sets, ways, aged, ops) =
+    let op = function
+      | `Access (line, write) ->
+          Printf.sprintf "%c%d" (if write then 'w' else 'r') line
+      | `Mark_clean line -> Printf.sprintf "c%d" line
+      | `Invalidate -> "I"
+      | `Reset -> "R"
+    in
+    Printf.sprintf "%d sets x %d ways%s: %s" (1 lsl log_sets) ways
+      (match aged with
+      | None -> ""
+      | Some k -> Printf.sprintf ", wrap at invalidation %d" (k + 1))
+      (String.concat " " (List.map op ops))
+  in
+  let arb =
+    QCheck.make ~print:show
+      ~shrink:QCheck.Shrink.(quad nil nil nil list)
+      gen
+  in
   [
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"cache agrees with naive LRU model (qcheck)"
-         ~count:300 (QCheck.make gen) (fun (log_sets, ways, aged, ops) ->
+         ~count:300 arb (fun (log_sets, ways, aged, ops) ->
            let sets = 1 lsl log_sets in
            let c = Cache.create ~sets ~ways () in
            Option.iter
@@ -447,6 +483,36 @@ let cache_model_tests =
         Alcotest.check_raises "3 sets"
           (Invalid_argument "Cache.create: set count must be a power of two")
           (fun () -> ignore (Cache.create ~sets:3 ~ways:2 ())));
+    Alcotest.test_case "geometry must fit the byte tables" `Quick (fun () ->
+        (* one byte per line holds a way offset, 16 bits per set its
+           claim order *)
+        List.iter
+          (fun (sets, ways) ->
+            Alcotest.check_raises
+              (Printf.sprintf "%d sets x %d ways" sets ways)
+              (Invalid_argument
+                 "Cache.create: at most 65535 sets of 1 to 256 ways")
+              (fun () -> ignore (Cache.create ~sets ~ways ())))
+          [ (1, 257); (1, 0); (65536, 1); (1 lsl 20, 16) ];
+        (* the largest of each; line 255 finds its way, offset 255,
+           through the index, as the remembered ways hold 0 and 128 *)
+        let c = Cache.create ~sets:1 ~ways:256 () in
+        for line = 0 to 255 do
+          ignore (Cache.access c ~line ~write:true)
+        done;
+        List.iter
+          (fun line ->
+            Alcotest.(check int)
+              (Printf.sprintf "line %d hits" line)
+              Cache.hit
+              (Cache.access c ~line ~write:false))
+          [ 0; 128; 255 ];
+        Alcotest.(check int) "the LRU line is the victim" 1
+          (Cache.access c ~line:256 ~write:false);
+        let c = Cache.create ~sets:32768 ~ways:1 () in
+        ignore (Cache.access c ~line:32767 ~write:false);
+        Alcotest.(check int) "32768 sets" Cache.hit
+          (Cache.access c ~line:32767 ~write:false));
   ]
 
 let stats_tests =
@@ -931,6 +997,16 @@ let lazy_tests =
               Alcotest.failf "Heap.create at %d words allocated %.0f words"
                 capacity_words words)
           [ 1 lsl 14; 1 lsl 20; 1 lsl 24 ]);
+    Alcotest.test_case "a load at the end of 16M words allocates <10k words"
+      `Quick (fun () ->
+        (* the three caches' way index pages in the line it fills, and
+           their page tables: a dense byte per line would be 786k words *)
+        let r = Region.create ~capacity_words:(1 lsl 24) () in
+        let last = Region.capacity_words r - 1 in
+        let words, w = words_allocated (fun () -> Region.load r last) in
+        Alcotest.(check int) "zero" 0 (Word.bits w);
+        if words >= 10_000. then
+          Alcotest.failf "one load allocated %.0f words" words);
     Alcotest.test_case "reads past the prefix see zero, grow nothing" `Quick
       (fun () ->
         let r = Region.create () in

@@ -50,26 +50,12 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) = struct
 
   (* A null version is a valid (empty) map, so opening just binds the
      slot; the first insert installs the first node. *)
-  let open_or_create ?persist heap ~slot =
-    let t = Handle.make heap ~slot in
-    (match (persist, Pmalloc.Heap.get_policy heap slot) with
-    | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-        invalid_arg "Dmap.open_or_create: slot is committed as Backup"
-    | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full -> ()
-    | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full -> Commit.enable heap ~slot
-    | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-    t
+  let layout =
+    { Handle.name = "Dmap"; shape = "CHAMP node (scanned block)";
+      words = None; empty = None; reconstruct }
 
-  let open_result heap ~slot =
-    match
-      Handle.open_slot heap ~slot
-        ~validate:(Handle.expect_shape ~expected:"CHAMP node (scanned block)")
-    with
-    | Error _ as e -> e
-    | Ok h ->
-        if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-          reconstruct heap ~slot;
-        Ok h
+  let open_or_create ?persist = Handle.open_or_create layout ?persist
+  let open_result = Handle.open_result layout
 
   let find_in heap version key = T.find heap version key
   let mem_in heap version key = T.mem heap version key

@@ -40,28 +40,12 @@ let apply heap version ~opcode ~a0 ~a1 =
 let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
 
 (* A null version is a valid (empty) heap. *)
-let open_or_create ?persist heap ~slot =
-  let t = Handle.make heap ~slot in
-  (match (persist, Pmalloc.Heap.get_policy heap slot) with
-  | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-      invalid_arg "Dpqueue.open_or_create: slot is committed as Backup"
-  | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full -> ()
-  | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full -> Commit.enable heap ~slot
-  | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-  t
+let layout =
+  { Handle.name = "Dpqueue"; shape = "leftist-heap node (4 scanned words)";
+    words = Some 4; empty = None; reconstruct }
 
-let open_result heap ~slot =
-  match
-    Handle.open_slot heap ~slot
-      ~validate:
-        (Handle.expect_shape ~expected:"leftist-heap node (4 scanned words)"
-           ~words:4)
-  with
-  | Error _ as e -> e
-  | Ok h ->
-      if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-        reconstruct heap ~slot;
-      Ok h
+let open_or_create ?persist = Handle.open_or_create layout ?persist
+let open_result = Handle.open_result layout
 
 let insert t p =
   span t "insert" (fun () ->

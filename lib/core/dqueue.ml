@@ -38,37 +38,14 @@ let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
 let entry_of_elt op w =
   if Pmem.Word.is_ptr w then None else Some (op, w, Pmem.Word.of_int 0)
 
-let open_or_create ?persist heap ~slot =
-  let h = Handle.make heap ~slot in
-  (match (persist, Pmalloc.Heap.get_policy heap slot) with
-  | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-      invalid_arg "Dqueue.open_or_create: slot is committed as Backup"
-  | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full ->
-      if not (Handle.is_initialized h) then
-        Handle.initialize h (Pfds.Pqueue.create heap)
-  | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full ->
-      (* install the empty descriptor under the Full protocol, then
-         promote: the promotion commit anchors it *)
-      if not (Handle.is_initialized h) then
-        Handle.initialize h (Pfds.Pqueue.create heap);
-      Commit.enable heap ~slot
-  | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-  h
+(* A null slot gets the empty descriptor; under [Backup] the promotion
+   commit anchors it. *)
+let layout =
+  { Handle.name = "Dqueue"; shape = "queue descriptor (2 scanned words)";
+    words = Some 2; empty = Some empty_version; reconstruct }
 
-let open_result heap ~slot =
-  match
-    Handle.open_slot heap ~slot
-      ~validate:
-        (Handle.expect_shape ~expected:"queue descriptor (2 scanned words)"
-           ~words:2)
-  with
-  | Error _ as e -> e
-  | Ok h ->
-      (if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-         reconstruct heap ~slot
-       else if not (Handle.is_initialized h) then
-         Handle.initialize h (Pfds.Pqueue.create heap));
-      Ok h
+let open_or_create ?persist = Handle.open_or_create layout ?persist
+let open_result = Handle.open_result layout
 
 let enqueue t w =
   span t "enqueue" (fun () ->

@@ -37,39 +37,17 @@ let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
 let entry_of_elt op w =
   if Pmem.Word.is_ptr w then None else Some (op, w, Pmem.Word.of_int 0)
 
-let open_or_create ?persist heap ~slot =
-  let h = Handle.make heap ~slot in
-  (match (persist, Pmalloc.Heap.get_policy heap slot) with
-  | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-      invalid_arg "Dseq.open_or_create: slot is committed as Backup"
-  | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full ->
-      if not (Handle.is_initialized h) then
-        Handle.initialize h (Pfds.Rrb.create heap)
-  | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full ->
-      if not (Handle.is_initialized h) then
-        Handle.initialize h (Pfds.Rrb.create heap);
-      Commit.enable heap ~slot
-  | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-  h
+let empty_version heap = Pfds.Rrb.create heap
 
-let open_result heap ~slot =
-  match
-    Handle.open_slot heap ~slot
-      ~validate:
-        (Handle.expect_shape ~expected:"RRB descriptor (3 scanned words)"
-           ~words:3)
-  with
-  | Error _ as e -> e
-  | Ok h ->
-      (if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-         reconstruct heap ~slot
-       else if not (Handle.is_initialized h) then
-         Handle.initialize h (Pfds.Rrb.create heap));
-      Ok h
+let layout =
+  { Handle.name = "Dseq"; shape = "RRB descriptor (3 scanned words)";
+    words = Some 3; empty = Some empty_version; reconstruct }
+
+let open_or_create ?persist = Handle.open_or_create layout ?persist
+let open_result = Handle.open_result layout
 
 (* -- Composition interface ------------------------------------------------ *)
 
-let empty_version heap = Pfds.Rrb.create heap
 let of_words_pure = Pfds.Rrb.of_words
 let set_pure = Pfds.Rrb.set
 let concat_pure = Pfds.Rrb.concat

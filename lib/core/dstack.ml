@@ -45,28 +45,12 @@ let entry_of_elt op w =
 
 (* A null version is a valid (empty) stack, so opening just binds the
    slot; the first push installs the first node. *)
-let open_or_create ?persist heap ~slot =
-  let t = Handle.make heap ~slot in
-  (match (persist, Pmalloc.Heap.get_policy heap slot) with
-  | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
-      invalid_arg "Dstack.open_or_create: slot is committed as Backup"
-  | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full -> ()
-  | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full -> Commit.enable heap ~slot
-  | _, Pmalloc.Heap.Backup -> reconstruct heap ~slot);
-  t
+let layout =
+  { Handle.name = "Dstack"; shape = "stack cons cell (2 scanned words)";
+    words = Some 2; empty = None; reconstruct }
 
-let open_result heap ~slot =
-  match
-    Handle.open_slot heap ~slot
-      ~validate:
-        (Handle.expect_shape ~expected:"stack cons cell (2 scanned words)"
-           ~words:2)
-  with
-  | Error _ as e -> e
-  | Ok h ->
-      if Pmalloc.Heap.get_policy heap slot = Pmalloc.Heap.Backup then
-        reconstruct heap ~slot;
-      Ok h
+let open_or_create ?persist = Handle.open_or_create layout ?persist
+let open_result = Handle.open_result layout
 
 let push t w =
   span t "push" (fun () ->

@@ -73,6 +73,41 @@ let update_cas ?reclaim ?before_swing ?after_swing t ~build =
         "Handle.update_cas: Backup policy serializes commits through its op \
          log; the lock-free CAS root swing is Full-policy only"
 
+(* -- Opening a structure's slot ------------------------------------------- *)
+
+type layout = {
+  name : string;
+  shape : string;
+  words : int option;
+  empty : (Pmalloc.Heap.t -> Pmem.Word.t) option;
+  reconstruct : Pmalloc.Heap.t -> slot:int -> unit;
+}
+
+(* The commit-policy matrix every structure's open shares.  A null slot
+   gets the layout's empty version, if it has one (null is the empty
+   state of the others); [Backup] promotes a Full slot once it holds
+   that version; a Backup slot is reconstructed; and [Full] on a Backup
+   slot is refused -- demotion would silently drop the log's tail. *)
+let bind layout ?persist t =
+  let install () =
+    match layout.empty with
+    | Some empty when not (is_initialized t) -> initialize t (empty t.heap)
+    | _ -> ()
+  in
+  match (persist, Pmalloc.Heap.get_policy t.heap t.slot) with
+  | Some Pmalloc.Heap.Full, Pmalloc.Heap.Backup ->
+      invalid_arg (layout.name ^ ".open_or_create: slot is committed as Backup")
+  | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full -> install ()
+  | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full ->
+      install ();
+      Commit.enable t.heap ~slot:t.slot
+  | _, Pmalloc.Heap.Backup -> layout.reconstruct t.heap ~slot:t.slot
+
+let open_or_create layout ?persist heap ~slot =
+  let t = make heap ~slot in
+  bind layout ?persist t;
+  t
+
 (* -- Validated open path ------------------------------------------------- *)
 
 (* Validators below look at the durable root directly (not the
@@ -98,7 +133,7 @@ let describe_root t =
    replays the log.  (An interrupted promotion leaves a Full-shaped
    root under the Backup policy word -- that still gets the structure
    check.) *)
-let expect_shape ~expected ?words t =
+let expect_shape layout t =
   let alloc = Pmalloc.Heap.allocator t.heap in
   let body = Pmem.Word.to_ptr (durable_root t) in
   let is_descriptor =
@@ -108,7 +143,7 @@ let expect_shape ~expected ?words t =
   in
   let kind_ok = Pmalloc.Allocator.kind_of alloc body = Pmalloc.Block.Scanned in
   let words_ok =
-    match (is_descriptor, words) with
+    match (is_descriptor, layout.words) with
     | true, _ -> Pmalloc.Allocator.used_of alloc body = Pmalloc.Backup.desc_words
     | false, None -> true
     | false, Some n -> Pmalloc.Allocator.used_of alloc body = n
@@ -116,9 +151,10 @@ let expect_shape ~expected ?words t =
   if kind_ok && words_ok then Ok t
   else
     Error
-      (Error.Codec_mismatch { slot = t.slot; expected; found = describe_root t })
+      (Error.Codec_mismatch
+         { slot = t.slot; expected = layout.shape; found = describe_root t })
 
-let open_slot ?validate heap ~slot =
+let open_slot layout heap ~slot =
   let limit = Pmalloc.Heap.root_slots in
   if slot < 0 || slot >= limit then
     Error (Error.Slot_out_of_range { slot; limit })
@@ -150,7 +186,11 @@ let open_slot ?validate heap ~slot =
                Printf.sprintf "root points at unallocated offset %d"
                  (Pmem.Word.to_ptr w);
            })
-    else match validate with None -> Ok t | Some f -> f t
+    else expect_shape layout t
 
-let open_slot_exn ?validate heap ~slot =
-  Error.get_ok (open_slot ?validate heap ~slot)
+let open_result layout heap ~slot =
+  Result.map
+    (fun t ->
+      bind layout t;
+      t)
+    (open_slot layout heap ~slot)

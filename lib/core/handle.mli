@@ -55,25 +55,32 @@ val update_cas :
     whenever other writers can race this slot (see the reclamation
     contract on {!Commit.commit_cas}). *)
 
-(** {1 Validated open path}
+(** {1 Opening a structure's slot}
 
-    [make] trusts the slot; [open_slot] checks it: in-range, and either
-    null (a valid empty state) or a pointer into allocated space.
-    Structures pass [validate] to add a shape check of the root block
-    against their own layout. *)
+    Every structure opens through these two functions, so the commit
+    policy matrix and the validated open are written once. *)
 
-val open_slot :
-  ?validate:(t -> (t, Error.t) result) ->
-  Pmalloc.Heap.t ->
-  slot:int ->
-  (t, Error.t) result
+type layout = {
+  name : string;  (** the structure's module, for error messages *)
+  shape : string;  (** its root block, as a [Codec_mismatch] names it *)
+  words : int option;  (** the root block's size, when it is fixed *)
+  empty : (Pmalloc.Heap.t -> Pmem.Word.t) option;
+      (** the version a null slot is given; [None] when a null version
+          is the empty state *)
+  reconstruct : Pmalloc.Heap.t -> slot:int -> unit;
+      (** the structure's Backup log replay ({!Commit.reconstruct}) *)
+}
 
-val open_slot_exn :
-  ?validate:(t -> (t, Error.t) result) -> Pmalloc.Heap.t -> slot:int -> t
-(** {!open_slot}, raising {!Error.Error} on failure. *)
+val open_or_create :
+  layout -> ?persist:Pmalloc.Heap.policy -> Pmalloc.Heap.t -> slot:int -> t
+(** Bind [slot], installing [empty] if the slot is null.  Trusts the
+    slot's contents.  [persist] omitted follows the slot's durable policy
+    word (a Backup slot is reconstructed); [Backup] promotes a Full
+    slot; [Full] on a Backup slot is [Invalid_argument]. *)
 
-val expect_shape :
-  expected:string -> ?words:int -> t -> (t, Error.t) result
-(** Shape validator for a non-null root: the block must be [Scanned]
-    and, when [words] is given, have exactly that initialized size.
-    Returns [Codec_mismatch] describing what was found otherwise. *)
+val open_result :
+  layout -> Pmalloc.Heap.t -> slot:int -> (t, Error.t) result
+(** Like [open_or_create] with no [persist], after validating the slot:
+    in range, readable, and either null or a pointer to an allocated
+    [Scanned] block of [words] words ([Backup.desc_words] when the slot
+    commits as Backup). *)

@@ -405,7 +405,8 @@ type point_stats = {
    mode (and each survival seed, under Randomize) restore, crash,
    recover and consult the oracle.  With [cfg.faults] the same point is
    additionally sampled under the fault schedule (torn crashes and armed
-   media faults) against the weaker degradation contract. *)
+   media faults) against the weaker degradation contract.  The heap is
+   left holding the interrupted image again, and the snapshot released. *)
 let sample_point cfg subject ~crash_index (c : crashed) =
   let region = Pmalloc.Heap.region c.c_heap in
   let snap = Pmem.Region.snapshot region in
@@ -460,6 +461,8 @@ let sample_point cfg subject ~crash_index (c : crashed) =
       fscans := !fscans + Pmalloc.Heap.summary_fallbacks c.c_heap - sc0;
       Pmem.Region.clear_media_faults region
     done;
+  Pmem.Region.restore region snap;
+  Pmem.Region.release region snap;
   {
     p_sampled = !sampled;
     p_fsampled = !fsampled;
@@ -549,9 +552,8 @@ type chunk = {
 
 (* Sample every (schedule index, point index) item of [items], in order,
    on the scratch heap: each schedule's points are rebuilt from the
-   pristine image up, and each tested point is sampled between a
-   snapshot and its restore, so the next point applies on top of this
-   one's image. *)
+   pristine image up, and [sample_point] hands each tested point's image
+   back, so the next point applies on top of it. *)
 let sweep_chunk cfg scratch (runs : captured array) items =
   let region = Pmalloc.Heap.region scratch.s_heap in
   let tested = ref 0 in
@@ -575,14 +577,11 @@ let sweep_chunk cfg scratch (runs : captured array) items =
         Pmem.Region.apply_point region r.points.(!applied).image;
         incr applied
       done;
-      let here = Pmem.Region.snapshot region in
       incr tested;
       let { crash_index; judge; _ } = r.points.(k) in
       let p =
         sample_point cfg r.subject ~crash_index (r.instance.i_crashed judge)
       in
-      Pmem.Region.restore region here;
-      Pmem.Region.release region here;
       sampled := !sampled + p.p_sampled;
       fsampled := !fsampled + p.p_fsampled;
       frecovered := !frecovered + p.p_frecovered;

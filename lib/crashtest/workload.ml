@@ -60,80 +60,143 @@ let render_pairs l =
 (* [prefix_states ~init ~apply script] is the ops+1 abstract states after
    every prefix of [script], starting from [init]. *)
 let prefix_states ~init ~apply script =
-  let _, acc =
-    List.fold_left
-      (fun (cur, acc) op ->
-        let next = apply cur op in
-        (next, next :: acc))
-      (init, [ init ]) script
-  in
-  Array.of_list (List.rev acc)
+  let states = Array.make (Array.length script + 1) init in
+  Array.iteri (fun i op -> states.(i + 1) <- apply states.(i) op) script;
+  states
 
-(* -- map ------------------------------------------------------------------ *)
-
-module IntMap = Map.Make (Int)
-module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int)
-
-type map_op = Minsert of int * int | Mremove of int
-
-let map_script ~ops seed =
+(* [n] draws of [draw] from one RNG seeded with [seed].  A script must
+   keep its draw order, and OCaml evaluates a constructor's or a
+   function's arguments right to left: an expression that takes two
+   draws stays exactly as written. *)
+let draws ~seed n draw =
   let rng = Random.State.make [| seed |] in
-  List.init ops (fun _ ->
-      let k = Random.State.int rng 24 in
-      if Random.State.int rng 3 < 2 then
-        Minsert (k, Random.State.int rng 1000)
-      else Mremove k)
+  Array.init n (fun _ -> draw rng)
 
-let map_model script =
-  Array.map
-    (fun m -> render_pairs (IntMap.bindings m))
-    (prefix_states ~init:IntMap.empty
-       ~apply:(fun m -> function
-         | Minsert (k, v) -> IntMap.add k v m
-         | Mremove k -> IntMap.remove k m)
-       script)
+(* -- one shape for the one-slot structures -------------------------------- *)
 
-let dump_map heap =
-  Imap.reconstruct heap ~slot:0;
-  let h = Mod_core.Handle.make heap ~slot:0 in
-  render_pairs
-    (IntMap.bindings (Imap.fold h IntMap.add IntMap.empty))
+(* What a workload needs of one structure at root slot 0, written once for
+   its sequential and concurrent workloads.  The model: the empty state,
+   one operation's effect and the canonical rendering.  [read] is the
+   state the heap holds, after a Backup slot's reconstruction.  [open_]
+   initializes the slot under a commit policy, and [op heap] is one
+   instance's operation body, built with the instance, so it may hold
+   per-heap state (a handle, a batch). *)
+type ('op, 's) spec = {
+  empty : 's;
+  apply : 's -> 'op -> 's;
+  render : 's -> state;
+  read : Pmalloc.Heap.t -> 's;
+  open_ : Pmalloc.Heap.policy option -> Pmalloc.Heap.t -> unit;
+  op : Pmalloc.Heap.t -> 'op -> unit;
+}
 
-let map_workload ?persist ~ops () =
-  let script = map_script ~ops (seed_of "map" ~ops) in
-  let arr = Array.of_list script in
+(* A sequential workload: [s]'s operation body runs [script]. *)
+let basic ?persist ?(negative = false) name ~ops s script =
   {
-    name = "map";
+    name;
     ops;
-    negative = false;
+    negative;
     check_trace = not (is_backup persist);
     persist;
-    model = map_model script;
+    model =
+      Array.map s.render (prefix_states ~init:s.empty ~apply:s.apply script);
     make =
       (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
+        let op = s.op heap in
         {
-          init =
-            (fun () -> ignore (Imap.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Minsert (k, v) -> Imap.insert h k v
-              | Mremove k -> ignore (Imap.remove h k : bool));
-          dump = (fun () -> dump_map heap);
+          init = (fun () -> s.open_ persist heap);
+          run_op = (fun i -> op script.(i));
+          dump = (fun () -> s.render (s.read heap));
           recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
         });
   }
+
+(* Slot 0's handle, once a Backup slot's log is replayed (a no-op under
+   Full). *)
+let slot0 reconstruct heap =
+  reconstruct heap ~slot:0;
+  Mod_core.Handle.make heap ~slot:0
+
+let on_slot0 f heap = f (Mod_core.Handle.make heap ~slot:0)
+let ints words = List.map Pmem.Word.to_int words
+let tail = function [] -> [] | _ :: tl -> tl
+
+(* -- map / set ------------------------------------------------------------ *)
+
+module IntMap = Map.Make (Int)
+module IntSet = Set.Make (Int)
+module Imap = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int)
+module Iset = Mod_core.Dset.Make (Pfds.Kv.Int)
+
+type map_op = Minsert of int * int | Mremove of int
+type set_op = Sadd of int | Sremove of int
+
+let map_op ~keys rng =
+  let k = Random.State.int rng keys in
+  if Random.State.int rng 3 < 2 then Minsert (k, Random.State.int rng 1000)
+  else Mremove k
+
+let set_op ~keys rng =
+  let k = Random.State.int rng keys in
+  if Random.State.int rng 3 < 2 then Sadd k else Sremove k
+
+let map =
+  {
+    empty = IntMap.empty;
+    apply =
+      (fun m -> function
+        | Minsert (k, v) -> IntMap.add k v m
+        | Mremove k -> IntMap.remove k m);
+    render = (fun m -> render_pairs (IntMap.bindings m));
+    read =
+      (fun heap ->
+        Imap.fold (slot0 Imap.reconstruct heap) IntMap.add IntMap.empty);
+    open_ =
+      (fun persist heap -> ignore (Imap.open_or_create ?persist heap ~slot:0));
+    op =
+      on_slot0 (fun h -> function
+        | Minsert (k, v) -> Imap.insert h k v
+        | Mremove k -> ignore (Imap.remove h k : bool));
+  }
+
+let set =
+  {
+    empty = IntSet.empty;
+    apply =
+      (fun s -> function
+        | Sadd k -> IntSet.add k s
+        | Sremove k -> IntSet.remove k s);
+    render = (fun s -> render_ints (IntSet.elements s));
+    read =
+      (fun heap ->
+        Iset.fold (slot0 Iset.reconstruct heap) IntSet.add IntSet.empty);
+    open_ =
+      (fun persist heap -> ignore (Iset.open_or_create ?persist heap ~slot:0));
+    op =
+      on_slot0 (fun h -> function
+        | Sadd k -> Iset.add h k
+        | Sremove k -> ignore (Iset.remove h k : bool));
+  }
+
+(* A map or set operation as a pure update of [version]: the shadow, and
+   whether it changed anything (removing an absent key returns
+   [version]). *)
+let map_step heap version = function
+  | Minsert (k, v) -> (Imap.insert_pure heap version k v, true)
+  | Mremove k -> Imap.remove_pure heap version k
+
+let set_step heap version = function
+  | Sadd k -> (Iset.add_pure heap version k, true)
+  | Sremove k -> Iset.remove_pure heap version k
+
+let map_script ~ops = draws ~seed:(seed_of "map" ~ops) ops (map_op ~keys:24)
 
 (* A deliberately broken MOD map: commits swing the root pointer without
    the preceding sfence, so the durable root can point at a shadow whose
    nodes never became durable.  The Section 5.4 trace checker does not
    catch this (it only inspects flush-before-fence pairs, and there are
    no fences); only the durable-linearizability oracle does. *)
-let map_nofence_workload ~ops =
-  let script = map_script ~ops (seed_of "map" ~ops) in
-  let arr = Array.of_list script in
-  let base = map_workload ~ops () in
+let map_nofence =
   let broken_commit heap version =
     let old = Pmalloc.Heap.root_get heap 0 in
     (* missing ordering point: no sfence before the root swing *)
@@ -142,174 +205,88 @@ let map_nofence_workload ~ops =
       Pmalloc.Heap.release heap (Pmem.Word.to_ptr old)
   in
   {
-    base with
-    name = "map-nofence";
-    negative = true;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init = (fun () -> ());
-          run_op =
-            (fun i ->
-              let v = Mod_core.Handle.current h in
-              match arr.(i) with
-              | Minsert (k, value) ->
-                  broken_commit heap (Imap.insert_pure heap v k value)
-              | Mremove k ->
-                  let shadow, removed = Imap.remove_pure heap v k in
-                  if removed then broken_commit heap shadow);
-          dump = (fun () -> dump_map heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+    map with
+    open_ = (fun _ _ -> ());
+    op =
+      on_slot0 (fun h op ->
+          let heap = Mod_core.Handle.heap h in
+          let shadow, changed = map_step heap (Mod_core.Handle.current h) op in
+          if changed then broken_commit heap shadow);
   }
 
-(* -- set ------------------------------------------------------------------ *)
-
-module Iset = Mod_core.Dset.Make (Pfds.Kv.Int)
-module IntSet = Set.Make (Int)
-
-type set_op = Sadd of int | Sremove of int
-
-let set_workload ?persist ~ops () =
-  let rng = Random.State.make [| seed_of "set" ~ops |] in
-  let script =
-    List.init ops (fun _ ->
-        let k = Random.State.int rng 24 in
-        if Random.State.int rng 3 < 2 then Sadd k else Sremove k)
-  in
-  let arr = Array.of_list script in
-  let model =
-    Array.map
-      (fun s -> render_ints (IntSet.elements s))
-      (prefix_states ~init:IntSet.empty
-         ~apply:(fun s -> function
-           | Sadd k -> IntSet.add k s
-           | Sremove k -> IntSet.remove k s)
-         script)
-  in
-  let dump heap =
-    Iset.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    render_ints (IntSet.elements (Iset.fold h IntSet.add IntSet.empty))
-  in
-  {
-    name = "set";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    persist;
-    model;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () -> ignore (Iset.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Sadd k -> Iset.add h k
-              | Sremove k -> ignore (Iset.remove h k : bool));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
-  }
-
-(* -- stack / queue -------------------------------------------------------- *)
+(* -- stack / queue / priority queue --------------------------------------- *)
 
 type sq_op = Push of int | Pop
 
-let sq_script name ~ops =
-  let rng = Random.State.make [| seed_of name ~ops |] in
-  let rec gen i depth acc =
-    if i = ops then List.rev acc
-    else if depth > 0 && Random.State.int rng 3 = 0 then
-      gen (i + 1) (depth - 1) (Pop :: acc)
-    else gen (i + 1) (depth + 1) (Push (Random.State.int rng 1000) :: acc)
-  in
-  gen 0 0 []
+(* Pushes, and pops of a non-empty structure. *)
+let push_pop name ~ops =
+  let depth = ref 0 in
+  draws ~seed:(seed_of name ~ops) ops (fun rng ->
+      if !depth > 0 && Random.State.int rng 3 = 0 then begin
+        decr depth;
+        Pop
+      end
+      else begin
+        incr depth;
+        Push (Random.State.int rng 1000)
+      end)
 
-let stack_workload ?persist ~ops () =
-  let script = sq_script "stack" ~ops in
-  let arr = Array.of_list script in
-  let model =
-    Array.map render_ints
-      (prefix_states ~init:[]
-         ~apply:(fun s -> function
-           | Push v -> v :: s
-           | Pop -> ( match s with [] -> [] | _ :: tl -> tl))
-         script)
-  in
-  let dump heap =
-    Mod_core.Dstack.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    render_ints (List.map Pmem.Word.to_int (Mod_core.Dstack.to_list h))
-  in
+let stack =
   {
-    name = "stack";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    persist;
-    model;
-    make =
+    empty = [];
+    apply = (fun s -> function Push v -> v :: s | Pop -> tail s);
+    render = render_ints;
+    read =
       (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dstack.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Push v -> Mod_core.Dstack.push h (Pmem.Word.of_int v)
-              | Pop -> ignore (Mod_core.Dstack.pop h));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+        ints
+          (Mod_core.Dstack.to_list (slot0 Mod_core.Dstack.reconstruct heap)));
+    open_ =
+      (fun persist heap ->
+        ignore (Mod_core.Dstack.open_or_create ?persist heap ~slot:0));
+    op =
+      on_slot0 (fun h -> function
+        | Push v -> Mod_core.Dstack.push h (Pmem.Word.of_int v)
+        | Pop -> ignore (Mod_core.Dstack.pop h));
   }
 
-let queue_workload ?persist ~ops () =
-  let script = sq_script "queue" ~ops in
-  let arr = Array.of_list script in
-  let model =
-    Array.map render_ints
-      (prefix_states ~init:[]
-         ~apply:(fun q -> function
-           | Push v -> q @ [ v ]
-           | Pop -> ( match q with [] -> [] | _ :: tl -> tl))
-         script)
-  in
-  let dump heap =
-    Mod_core.Dqueue.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    if not (Mod_core.Handle.is_initialized h) then render_ints []
-    else
-      render_ints (List.map Pmem.Word.to_int (Mod_core.Dqueue.to_list h))
-  in
+(* The elements of a descriptor-rooted structure: none before [init]
+   commits its descriptor. *)
+let elements to_list h =
+  if Mod_core.Handle.is_initialized h then ints (to_list h) else []
+
+let queue =
   {
-    name = "queue";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    persist;
-    model;
-    make =
+    stack with
+    apply = (fun q -> function Push v -> q @ [ v ] | Pop -> tail q);
+    read =
       (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dqueue.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Push v -> Mod_core.Dqueue.enqueue h (Pmem.Word.of_int v)
-              | Pop -> ignore (Mod_core.Dqueue.dequeue h));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+        elements Mod_core.Dqueue.to_list
+          (slot0 Mod_core.Dqueue.reconstruct heap));
+    open_ =
+      (fun persist heap ->
+        ignore (Mod_core.Dqueue.open_or_create ?persist heap ~slot:0));
+    op =
+      on_slot0 (fun h -> function
+        | Push v -> Mod_core.Dqueue.enqueue h (Pmem.Word.of_int v)
+        | Pop -> ignore (Mod_core.Dqueue.dequeue h));
+  }
+
+let pqueue =
+  {
+    stack with
+    apply =
+      (fun s -> function Push p -> List.sort compare (p :: s) | Pop -> tail s);
+    read =
+      (fun heap ->
+        Pfds.Pheap.to_sorted_list_model heap
+          (Mod_core.Handle.current (slot0 Mod_core.Dpqueue.reconstruct heap)));
+    open_ =
+      (fun persist heap ->
+        ignore (Mod_core.Dpqueue.open_or_create ?persist heap ~slot:0));
+    op =
+      on_slot0 (fun h -> function
+        | Push p -> Mod_core.Dpqueue.insert h p
+        | Pop -> ignore (Mod_core.Dpqueue.delete_min h));
   }
 
 (* -- vector / sequence ---------------------------------------------------- *)
@@ -317,150 +294,55 @@ let queue_workload ?persist ~ops () =
 type vec_op = Vpush of int | Vset of int * int | Vpop
 
 let vec_script name ~ops =
-  let rng = Random.State.make [| seed_of name ~ops |] in
-  let rec gen i size acc =
-    if i = ops then List.rev acc
-    else
-      let choice = if size = 0 then 0 else Random.State.int rng 4 in
-      match choice with
+  let size = ref 0 in
+  draws ~seed:(seed_of name ~ops) ops (fun rng ->
+      match if !size = 0 then 0 else Random.State.int rng 4 with
       | 0 | 3 ->
-          gen (i + 1) (size + 1) (Vpush (Random.State.int rng 1000) :: acc)
-      | 1 ->
-          gen (i + 1) size
-            (Vset (Random.State.int rng size, Random.State.int rng 1000)
-            :: acc)
-      | _ -> gen (i + 1) (size - 1) (Vpop :: acc)
-  in
-  gen 0 0 []
+          incr size;
+          Vpush (Random.State.int rng 1000)
+      | 1 -> Vset (Random.State.int rng !size, Random.State.int rng 1000)
+      | _ ->
+          decr size;
+          Vpop)
 
-let vec_like_states script =
-  let apply l = function
-    | Vpush v -> l @ [ v ]
-    | Vset (i, v) -> List.mapi (fun j x -> if j = i then v else x) l
-    | Vpop -> ( match List.rev l with [] -> [] | _ :: tl -> List.rev tl)
-  in
-  Array.map render_ints (prefix_states ~init:[] ~apply script)
-
-let vec_workload ?persist ~ops () =
-  let script = vec_script "vec" ~ops in
-  let arr = Array.of_list script in
-  let dump heap =
-    Mod_core.Dvec.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    if not (Mod_core.Handle.is_initialized h) then render_ints []
-    else render_ints (List.map Pmem.Word.to_int (Mod_core.Dvec.to_list h))
-  in
+let vec =
   {
-    name = "vec";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    persist;
-    model = vec_like_states script;
-    make =
+    empty = [];
+    apply =
+      (fun l -> function
+        | Vpush v -> l @ [ v ]
+        | Vset (i, v) -> List.mapi (fun j x -> if j = i then v else x) l
+        | Vpop -> List.rev (tail (List.rev l)));
+    render = render_ints;
+    read =
       (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dvec.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Vpush v -> Mod_core.Dvec.push_back h (Pmem.Word.of_int v)
-              | Vset (j, v) -> Mod_core.Dvec.set h j (Pmem.Word.of_int v)
-              | Vpop -> ignore (Mod_core.Dvec.pop_back h));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+        elements Mod_core.Dvec.to_list (slot0 Mod_core.Dvec.reconstruct heap));
+    open_ =
+      (fun persist heap ->
+        ignore (Mod_core.Dvec.open_or_create ?persist heap ~slot:0));
+    op =
+      on_slot0 (fun h -> function
+        | Vpush v -> Mod_core.Dvec.push_back h (Pmem.Word.of_int v)
+        | Vset (j, v) -> Mod_core.Dvec.set h j (Pmem.Word.of_int v)
+        | Vpop -> ignore (Mod_core.Dvec.pop_back h));
   }
 
-let seq_workload ?persist ~ops () =
-  let script = vec_script "seq" ~ops in
-  let arr = Array.of_list script in
-  let dump heap =
-    Mod_core.Dseq.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    if not (Mod_core.Handle.is_initialized h) then render_ints []
-    else render_ints (List.map Pmem.Word.to_int (Mod_core.Dseq.to_list h))
-  in
+let seq =
   {
-    name = "seq";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    persist;
-    model = vec_like_states script;
-    make =
+    vec with
+    read =
       (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dseq.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Vpush v -> Mod_core.Dseq.push_back h (Pmem.Word.of_int v)
-              | Vset (j, v) -> Mod_core.Dseq.set h j (Pmem.Word.of_int v)
-              | Vpop ->
-                  let size = Mod_core.Dseq.size h in
-                  Mod_core.Dseq.restrict h ~pos:0 ~len:(size - 1));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
-  }
-
-(* -- priority queue ------------------------------------------------------- *)
-
-type pq_op = Pinsert of int | Pdelete_min
-
-let pqueue_workload ?persist ~ops () =
-  let rng = Random.State.make [| seed_of "pqueue" ~ops |] in
-  let rec gen i size acc =
-    if i = ops then List.rev acc
-    else if size > 0 && Random.State.int rng 3 = 0 then
-      gen (i + 1) (size - 1) (Pdelete_min :: acc)
-    else gen (i + 1) (size + 1) (Pinsert (Random.State.int rng 1000) :: acc)
-  in
-  let script = gen 0 0 [] in
-  let arr = Array.of_list script in
-  let model =
-    Array.map render_ints
-      (prefix_states ~init:[]
-         ~apply:(fun s -> function
-           | Pinsert p -> List.sort compare (p :: s)
-           | Pdelete_min -> ( match s with [] -> [] | _ :: tl -> tl))
-         script)
-  in
-  let dump heap =
-    Mod_core.Dpqueue.reconstruct heap ~slot:0;
-    let h = Mod_core.Handle.make heap ~slot:0 in
-    render_ints
-      (Pfds.Pheap.to_sorted_list_model heap (Mod_core.Handle.current h))
-  in
-  {
-    name = "pqueue";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    persist;
-    model;
-    make =
-      (fun heap ->
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        {
-          init =
-            (fun () ->
-              ignore (Mod_core.Dpqueue.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              match arr.(i) with
-              | Pinsert p -> Mod_core.Dpqueue.insert h p
-              | Pdelete_min -> ignore (Mod_core.Dpqueue.delete_min h));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+        elements Mod_core.Dseq.to_list (slot0 Mod_core.Dseq.reconstruct heap));
+    open_ =
+      (fun persist heap ->
+        ignore (Mod_core.Dseq.open_or_create ?persist heap ~slot:0));
+    op =
+      on_slot0 (fun h -> function
+        | Vpush v -> Mod_core.Dseq.push_back h (Pmem.Word.of_int v)
+        | Vset (j, v) -> Mod_core.Dseq.set h j (Pmem.Word.of_int v)
+        | Vpop ->
+            let size = Mod_core.Dseq.size h in
+            Mod_core.Dseq.restrict h ~pos:0 ~len:(size - 1));
   }
 
 (* -- group-commit batching (Batch / CommitSiblings / CommitUnrelated) ----- *)
@@ -471,162 +353,105 @@ let pqueue_workload ?persist ~ops () =
    state before the whole group or after it, never in between. *)
 let batch_group = 3
 
-let batched_workload ?persist ~ops () =
-  let script =
-    map_script ~ops:(ops * batch_group) (seed_of "batched" ~ops)
+let batched_script ~ops =
+  let subs =
+    draws ~seed:(seed_of "batched" ~ops) (ops * batch_group) (map_op ~keys:24)
   in
-  let groups =
-    Array.init ops (fun i ->
-        Array.init batch_group (fun j ->
-            List.nth script ((i * batch_group) + j)))
-  in
-  let model =
-    Array.map
-      (fun m -> render_pairs (IntMap.bindings m))
-      (prefix_states ~init:IntMap.empty
-         ~apply:(fun m group ->
-           Array.fold_left
-             (fun m -> function
-               | Minsert (k, v) -> IntMap.add k v m
-               | Mremove k -> IntMap.remove k m)
-             m group)
-         (Array.to_list groups))
-  in
+  Array.init ops (fun i -> Array.sub subs (i * batch_group) batch_group)
+
+let batched =
   {
-    name = "batched";
-    ops;
-    negative = false;
-    check_trace = not (is_backup persist);
-    persist;
-    model;
-    make =
+    map with
+    apply = (fun m group -> Array.fold_left map.apply m group);
+    op =
       (fun heap ->
         let b = Mod_core.Batch.create heap in
-        {
-          init =
-            (fun () -> ignore (Imap.open_or_create ?persist heap ~slot:0));
-          run_op =
-            (fun i ->
-              Array.iter
-                (function
-                  | Minsert (k, v) ->
-                      Mod_core.Batch.stage b ~slot:0 (fun version ->
-                          Imap.insert_pure heap version k v)
-                  | Mremove k ->
-                      Mod_core.Batch.stage b ~slot:0 (fun version ->
-                          fst (Imap.remove_pure heap version k)))
-                groups.(i);
-              ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
-          dump = (fun () -> dump_map heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+        fun group ->
+          Array.iter
+            (fun op ->
+              Mod_core.Batch.stage b ~slot:0 (fun version ->
+                  fst (map_step heap version op)))
+            group;
+          ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
   }
 
 (* CommitSiblings under crash: one parent object at slot 0 whose two
    fields are independent stacks; every op updates both fields through
    {!Mod_core.Batch.stage_field} and retires them with one fresh parent
    and one fence.  Recovery must see both stacks move together. *)
-let siblings_workload ~ops =
-  let script = sq_script "siblings" ~ops in
-  let arr = Array.of_list script in
-  let render (a, b) = render_ints a ^ "|" ^ render_ints b in
-  let model =
-    Array.map render
-      (prefix_states ~init:([], [])
-         ~apply:(fun (a, b) -> function
-           | Push v -> (v :: a, (v + 500) :: b)
-           | Pop -> (
-               match (a, b) with
-               | _ :: ta, _ :: tb -> (ta, tb)
-               | _ -> (a, b)))
-         script)
-  in
-  let dump heap =
-    let root = Pmalloc.Heap.root_get heap 0 in
-    if Pmem.Word.is_null root then model.(0)
-    else
-      let parent = Pmem.Word.to_ptr root in
-      let stack f =
-        List.map Pmem.Word.to_int
-          (Pfds.Pstack.to_list heap (Pfds.Node.get heap parent f))
-      in
-      render_ints (stack 0) ^ "|" ^ render_ints (stack 1)
-  in
+let siblings =
   {
-    name = "siblings";
-    ops;
-    negative = false;
-    check_trace = true;
-    persist = None;
-    model;
-    make =
+    empty = ([], []);
+    apply =
+      (fun (a, b) -> function
+        | Push v -> (v :: a, (v + 500) :: b)
+        | Pop -> (
+            match (a, b) with _ :: ta, _ :: tb -> (ta, tb) | _ -> (a, b)));
+    render = (fun (a, b) -> render_ints a ^ "|" ^ render_ints b);
+    read =
+      (fun heap ->
+        let root = Pmalloc.Heap.root_get heap 0 in
+        if Pmem.Word.is_null root then ([], [])
+        else
+          let parent = Pmem.Word.to_ptr root in
+          let stack f =
+            ints (Pfds.Pstack.to_list heap (Pfds.Node.get heap parent f))
+          in
+          (* field 1, then field 0: keep this load order, so the dump's
+             simulated events stay as the sweeps recorded them *)
+          let b = stack 1 in
+          (stack 0, b));
+    open_ =
+      (fun _ heap ->
+        (* one FASE: build the two-field parent, install it *)
+        let parent = Pfds.Node.alloc heap ~words:2 in
+        Pfds.Node.set heap parent 0 Pfds.Pstack.empty;
+        Pfds.Node.set heap parent 1 Pfds.Pstack.empty;
+        Pfds.Node.finish heap parent;
+        Mod_core.Commit.single heap ~slot:0 (Pmem.Word.of_ptr parent));
+    op =
       (fun heap ->
         let b = Mod_core.Batch.create heap in
-        {
-          init =
-            (fun () ->
-              (* one FASE: build the two-field parent, install it *)
-              let parent = Pfds.Node.alloc heap ~words:2 in
-              Pfds.Node.set heap parent 0 Pfds.Pstack.empty;
-              Pfds.Node.set heap parent 1 Pfds.Pstack.empty;
-              Pfds.Node.finish heap parent;
-              Mod_core.Commit.single heap ~slot:0 (Pmem.Word.of_ptr parent));
-          run_op =
-            (fun i ->
-              let stage_stack field f =
-                Mod_core.Batch.stage_field b ~slot:0 ~field f
+        fun op ->
+          let stage_stack field f =
+            Mod_core.Batch.stage_field b ~slot:0 ~field f
+          in
+          (match op with
+          | Push v ->
+              stage_stack 0 (fun w ->
+                  Pfds.Pstack.push heap w (Pmem.Word.of_int v));
+              stage_stack 1 (fun w ->
+                  Pfds.Pstack.push heap w (Pmem.Word.of_int (v + 500)))
+          | Pop ->
+              let pop w =
+                match Pfds.Pstack.pop heap w with
+                | None -> w
+                | Some (_, shadow) -> shadow
               in
-              (match arr.(i) with
-              | Push v ->
-                  stage_stack 0 (fun w ->
-                      Pfds.Pstack.push heap w (Pmem.Word.of_int v));
-                  stage_stack 1 (fun w ->
-                      Pfds.Pstack.push heap w (Pmem.Word.of_int (v + 500)))
-              | Pop ->
-                  let pop w =
-                    match Pfds.Pstack.pop heap w with
-                    | None -> w
-                    | Some (_, shadow) -> shadow
-                  in
-                  stage_stack 0 pop;
-                  stage_stack 1 pop);
-              ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
-          dump = (fun () -> dump heap);
-          recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
+              stage_stack 0 pop;
+              stage_stack 1 pop);
+          ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point));
   }
 
 (* CommitUnrelated under crash: two maps at unrelated root slots 0 and 1,
    both updated in one batch, retired by the shadow fence plus the
    embedded PM-STM root-swing transaction.  A crash inside that
    transaction must roll back both root swings together (the WAL is the
-   atomicity mechanism, exactly Figure 8d). *)
+   atomicity mechanism, exactly Figure 8d).  Hand-written: its embedded
+   transaction needs its own recovery and no trace check. *)
 let unrelated_workload ~ops =
-  let rng = Random.State.make [| seed_of "unrelated" ~ops |] in
   let script =
-    List.init ops (fun _ ->
+    draws ~seed:(seed_of "unrelated" ~ops) ops (fun rng ->
         let k = Random.State.int rng 24 in
         let v = Random.State.int rng 1000 in
         (k, v, Random.State.int rng 3 < 2))
   in
-  let arr = Array.of_list script in
-  let render (m0, m1) =
-    render_pairs (IntMap.bindings m0) ^ "|" ^ render_pairs (IntMap.bindings m1)
-  in
-  let model =
-    Array.map render
-      (prefix_states
-         ~init:(IntMap.empty, IntMap.empty)
-         ~apply:(fun (m0, m1) (k, v, add1) ->
-           ( IntMap.add k v m0,
-             if add1 then IntMap.add k (v + 1) m1 else IntMap.remove k m1 ))
-         script)
-  in
+  let render (m0, m1) = map.render m0 ^ "|" ^ map.render m1 in
   let dump heap =
-    dump_map heap ^ "|"
+    map.render (map.read heap) ^ "|"
     ^
     let h = Mod_core.Handle.make heap ~slot:1 in
-    render_pairs (IntMap.bindings (Imap.fold h IntMap.add IntMap.empty))
+    map.render (Imap.fold h IntMap.add IntMap.empty)
   in
   {
     name = "unrelated";
@@ -636,7 +461,14 @@ let unrelated_workload ~ops =
        Section 5.4 MOD trace invariant does not apply *)
     check_trace = false;
     persist = None;
-    model;
+    model =
+      Array.map render
+        (prefix_states
+           ~init:(IntMap.empty, IntMap.empty)
+           ~apply:(fun (m0, m1) (k, v, add1) ->
+             ( IntMap.add k v m0,
+               if add1 then IntMap.add k (v + 1) m1 else IntMap.remove k m1 ))
+           script);
     make =
       (fun heap ->
         let batch = ref None in
@@ -648,7 +480,7 @@ let unrelated_workload ~ops =
           run_op =
             (fun i ->
               let b = Option.get !batch in
-              let k, v, add1 = arr.(i) in
+              let k, v, add1 = script.(i) in
               Mod_core.Batch.stage b ~slot:0 (fun version ->
                   Imap.insert_pure heap version k v);
               Mod_core.Batch.stage b ~slot:1 (fun version ->
@@ -663,47 +495,55 @@ let unrelated_workload ~ops =
 
 (* -- PM-STM baselines ----------------------------------------------------- *)
 
-(* An 8-cell counter array updated in place under PMDK-style transactions.
-   The undo log makes every committed transaction durable, so recovery
-   must observe exactly the last committed state (positive control).  The
-   [broken] variant skips the snapshot fences and the commit-time data
-   flushes -- the oracle must catch it. *)
+(* An 8-cell counter array at root slot 1, updated in place by
+   transactions: each op adds a delta to one cell. *)
 let stm_cells = 8
+let stm_op rng = (Random.State.int rng stm_cells, 1 + Random.State.int rng 99)
 
+(* The counters, created zeroed and made durable under one fence. *)
+let create_cells heap =
+  let b = Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Raw ~words:stm_cells in
+  for i = 0 to stm_cells - 1 do
+    Pmalloc.Heap.store heap (b + i) (Pmem.Word.of_int 0)
+  done;
+  Pmalloc.Heap.flush_block heap b;
+  Pmalloc.Heap.root_set heap 1 (Pmem.Word.of_ptr b);
+  Pmalloc.Heap.sfence heap;
+  b
+
+(* The counters' rendering: zeros before they exist. *)
+let dump_cells heap =
+  let root = Pmalloc.Heap.root_get heap 1 in
+  render_ints
+    (if Pmem.Word.is_null root then List.init stm_cells (fun _ -> 0)
+     else
+       let body = Pmem.Word.to_ptr root in
+       List.init stm_cells (fun i ->
+           Pmem.Word.to_int (Pmalloc.Heap.load heap (body + i))))
+
+(* PMDK-style undo-log transactions.  The log makes every committed
+   transaction durable, so recovery must observe exactly the last
+   committed state (positive control).  The [broken] variant skips the
+   snapshot fences and the commit-time data flushes -- the oracle must
+   catch it. *)
 let stm_workload name version ~broken ~ops =
-  let rng = Random.State.make [| seed_of name ~ops |] in
-  let script =
-    List.init ops (fun _ ->
-        (Random.State.int rng stm_cells, 1 + Random.State.int rng 99))
-  in
-  let arr = Array.of_list script in
-  let model =
-    Array.map
-      (fun c -> render_ints (Array.to_list c))
-      (prefix_states
-         ~init:(Array.make stm_cells 0)
-         ~apply:(fun c (idx, delta) ->
-           let c' = Array.copy c in
-           c'.(idx) <- c'.(idx) + delta;
-           c')
-         script)
-  in
-  let dump heap =
-    let root = Pmalloc.Heap.root_get heap 1 in
-    if Pmem.Word.is_null root then model.(0)
-    else
-      let body = Pmem.Word.to_ptr root in
-      render_ints
-        (List.init stm_cells (fun i ->
-             Pmem.Word.to_int (Pmalloc.Heap.load heap (body + i))))
-  in
+  let script = draws ~seed:(seed_of name ~ops) ops stm_op in
   {
     name;
     ops;
     negative = broken;
     check_trace = false (* in-place by design: invariant 1 never holds *);
     persist = None;
-    model;
+    model =
+      Array.map
+        (fun c -> render_ints (Array.to_list c))
+        (prefix_states
+           ~init:(Array.make stm_cells 0)
+           ~apply:(fun c (idx, delta) ->
+             let c' = Array.copy c in
+             c'.(idx) <- c'.(idx) + delta;
+             c')
+           script);
     make =
       (fun heap ->
         let tx = ref None in
@@ -711,31 +551,19 @@ let stm_workload name version ~broken ~ops =
         {
           init =
             (fun () ->
-              let t =
-                Pmstm.Tx.create heap ~version ~broken_ordering:broken
-              in
-              tx := Some t;
-              let b =
-                Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Raw
-                  ~words:stm_cells
-              in
-              for i = 0 to stm_cells - 1 do
-                Pmalloc.Heap.store heap (b + i) (Pmem.Word.of_int 0)
-              done;
-              Pmalloc.Heap.flush_block heap b;
-              Pmalloc.Heap.root_set heap 1 (Pmem.Word.of_ptr b);
-              Pmalloc.Heap.sfence heap;
-              body := b);
+              tx :=
+                Some (Pmstm.Tx.create heap ~version ~broken_ordering:broken);
+              body := create_cells heap);
           run_op =
             (fun i ->
               let t = Option.get !tx in
-              let idx, delta = arr.(i) in
+              let idx, delta = script.(i) in
               let off = !body + idx in
               Pmstm.Tx.run t (fun () ->
                   Pmstm.Tx.add t ~off ~words:1;
                   let v = Pmem.Word.to_int (Pmstm.Tx.load t off) in
                   Pmstm.Tx.store t off (Pmem.Word.of_int (v + delta))));
-          dump = (fun () -> dump heap);
+          dump = (fun () -> dump_cells heap);
           recover =
             (fun () -> ignore (Mod_core.Recovery.recover_exn ~stm:true heap));
         });
@@ -865,147 +693,84 @@ type ct = {
   cmake : Pmalloc.Heap.t -> cinstance;
 }
 
-(* Per-writer scripts draw from one small key range so writers genuinely
-   contend: overlapping keys force CAS retries and validation aborts. *)
-let cmap_scripts name ~writers ~ops =
+(* Per-writer scripts, each from its writer's own seed. *)
+let writer_scripts name ~writers ~ops draw =
   Array.init writers (fun w ->
-      let rng =
-        Random.State.make
-          [| seed_of (Printf.sprintf "%s-w%d" name w) ~ops |]
-      in
-      Array.init ops (fun _ ->
-          let k = Random.State.int rng 12 in
-          if Random.State.int rng 3 < 2 then
-            Minsert (k, Random.State.int rng 1000)
-          else Mremove k))
+      draws ~seed:(seed_of (Printf.sprintf "%s-w%d" name w) ~ops) ops draw)
 
-let render_map m = render_pairs (IntMap.bindings m)
-
-let cmap_workload ~writers ~ops =
-  let scripts = cmap_scripts "cmap" ~writers ~ops in
+(* Lock-free writers over a one-slot structure: each operation is [step]'s
+   pure update of the version the writer read, skipped when it changes
+   nothing, and swung in by a root-record CAS retried until it wins.  The
+   model, rendering and dump are [s]'s, as in the sequential workload.
+   [~fenced:false] drops the sfence before the swing: the negative
+   control, whose losing attempts leak their shadows on purpose
+   (recovery reclaims them -- a real power failure would not unwind the
+   loser either). *)
+let cas_writers ?(fenced = true) name ~ops s ~step scripts =
+  let writers = Array.length scripts in
   {
-    cname = "cmap";
+    cname = name;
     cwriters = writers;
     cops = ops;
-    cnegative = false;
+    cnegative = not fenced;
     cmake =
       (fun heap ->
-        let tr = Oracle.tracker ~writers ~init:(render_map IntMap.empty) in
-        let model = ref IntMap.empty in
+        let tr = Oracle.tracker ~writers ~init:(s.render s.empty) in
+        let model = ref s.empty in
         let h = Mod_core.Handle.make heap ~slot:0 in
         let run_op w op =
-          let apply m =
-            match op with
-            | Minsert (k, v) -> IntMap.add k v m
-            | Mremove k -> IntMap.remove k m
+          let before_swing () =
+            Oracle.track_pending tr ~writer:w (s.render (s.apply !model op))
+          in
+          let after_swing () =
+            model := s.apply !model op;
+            Oracle.track_commit tr ~writer:w (s.render !model)
           in
           let build old =
-            match op with
-            | Minsert (k, v) -> Some (Imap.insert_pure heap old k v, [])
-            | Mremove k ->
-                let shadow, removed = Imap.remove_pure heap old k in
-                if removed then Some (shadow, []) else None
+            match step heap old op with
+            | shadow, true -> Some (shadow, [])
+            | _, false -> None
           in
-          (* reclaim:false -- a racing writer may still be mid-build over
-             the superseded version; recovery GC scrubs the garbage *)
-          ignore
-            (Mod_core.Handle.update_cas h ~reclaim:false ~build
-               ~before_swing:(fun () ->
-                 Oracle.track_pending tr ~writer:w
-                   (render_map (apply !model)))
-               ~after_swing:(fun () ->
-                 model := apply !model;
-                 Oracle.track_commit tr ~writer:w (render_map !model))
-              : int)
+          if fenced then
+            (* reclaim:false -- a racing writer may still be mid-build over
+               the superseded version; recovery GC scrubs the garbage *)
+            ignore
+              (Mod_core.Handle.update_cas h ~reclaim:false ~build ~before_swing
+                 ~after_swing
+                : int)
+          else
+            let rec attempt () =
+              let old, old_seq = Pmalloc.Heap.root_get_versioned heap 0 in
+              match build old with
+              | None -> ()
+              | Some (shadow, _) ->
+                  (* missing ordering point: no sfence before the swing *)
+                  before_swing ();
+                  if
+                    Pmalloc.Heap.root_cas heap 0 ~expected:old
+                      ~expected_seq:old_seq ~desired:shadow
+                  then after_swing ()
+                  else attempt ()
+            in
+            attempt ()
         in
         {
-          c_init = (fun () -> ignore (Imap.open_or_create heap ~slot:0));
+          c_init = (fun () -> s.open_ None heap);
           c_writers =
-            Array.init writers (fun w () ->
-                Array.iter (run_op w) scripts.(w));
+            Array.init writers (fun w () -> Array.iter (run_op w) scripts.(w));
           c_tracker = tr;
-          c_dump = (fun () -> dump_map heap);
-          c_recover =
-            (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
-        });
-  }
-
-let cset_scripts ~writers ~ops =
-  Array.init writers (fun w ->
-      let rng =
-        Random.State.make
-          [| seed_of (Printf.sprintf "cset-w%d" w) ~ops |]
-      in
-      Array.init ops (fun _ ->
-          let k = Random.State.int rng 12 in
-          if Random.State.int rng 3 < 2 then Sadd k else Sremove k))
-
-let cset_workload ~writers ~ops =
-  let scripts = cset_scripts ~writers ~ops in
-  let render s = render_ints (IntSet.elements s) in
-  {
-    cname = "cset";
-    cwriters = writers;
-    cops = ops;
-    cnegative = false;
-    cmake =
-      (fun heap ->
-        let tr = Oracle.tracker ~writers ~init:(render IntSet.empty) in
-        let model = ref IntSet.empty in
-        let h = Mod_core.Handle.make heap ~slot:0 in
-        let run_op w op =
-          let apply s =
-            match op with
-            | Sadd k -> IntSet.add k s
-            | Sremove k -> IntSet.remove k s
-          in
-          let build old =
-            match op with
-            | Sadd k -> Some (Iset.add_pure heap old k, [])
-            | Sremove k ->
-                let shadow, removed = Iset.remove_pure heap old k in
-                if removed then Some (shadow, []) else None
-          in
-          ignore
-            (Mod_core.Handle.update_cas h ~reclaim:false ~build
-               ~before_swing:(fun () ->
-                 Oracle.track_pending tr ~writer:w (render (apply !model)))
-               ~after_swing:(fun () ->
-                 model := apply !model;
-                 Oracle.track_commit tr ~writer:w (render !model))
-              : int)
-        in
-        {
-          c_init = (fun () -> ignore (Iset.open_or_create heap ~slot:0));
-          c_writers =
-            Array.init writers (fun w () ->
-                Array.iter (run_op w) scripts.(w));
-          c_tracker = tr;
-          c_dump =
-            (fun () ->
-              Iset.reconstruct heap ~slot:0;
-              let h = Mod_core.Handle.make heap ~slot:0 in
-              render_ints
-                (IntSet.elements (Iset.fold h IntSet.add IntSet.empty)));
-          c_recover =
-            (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
+          c_dump = (fun () -> s.render (s.read heap));
+          c_recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
         });
   }
 
 (* Two writers over the NOrec STM: read-modify-write increments of a
    shared counter array, each commit serialized by the sequence lock and
    made durable by the published redo log.  The model advances at the
-   publish fence (the durable linearization point). *)
+   publish fence (the durable linearization point).  Hand-written: its
+   commits are transactions, not root swings. *)
 let cstm_norec_workload ~writers ~ops =
-  let scripts =
-    Array.init writers (fun w ->
-        let rng =
-          Random.State.make
-            [| seed_of (Printf.sprintf "cstm-w%d" w) ~ops |]
-        in
-        Array.init ops (fun _ ->
-            (Random.State.int rng stm_cells, 1 + Random.State.int rng 99)))
-  in
+  let scripts = writer_scripts "cstm" ~writers ~ops stm_op in
   {
     cname = "cstm-norec";
     cwriters = writers;
@@ -1037,17 +802,7 @@ let cstm_norec_workload ~writers ~ops =
         {
           c_init =
             (fun () ->
-              let b =
-                Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Raw
-                  ~words:stm_cells
-              in
-              for i = 0 to stm_cells - 1 do
-                Pmalloc.Heap.store heap (b + i) (Pmem.Word.of_int 0)
-              done;
-              Pmalloc.Heap.flush_block heap b;
-              Pmalloc.Heap.root_set heap 1 (Pmem.Word.of_ptr b);
-              Pmalloc.Heap.sfence heap;
-              body := b;
+              body := create_cells heap;
               let s = Pmstm.Norec.create heap in
               Pmstm.Norec.set_yield s Interleave.yield;
               stm := Some s);
@@ -1055,79 +810,10 @@ let cstm_norec_workload ~writers ~ops =
             Array.init writers (fun w () ->
                 Array.iter (run_op w) scripts.(w));
           c_tracker = tr;
-          c_dump =
-            (fun () ->
-              let root = Pmalloc.Heap.root_get heap 1 in
-              if Pmem.Word.is_null root then render (Array.make stm_cells 0)
-              else
-                let b = Pmem.Word.to_ptr root in
-                render_ints
-                  (List.init stm_cells (fun i ->
-                       Pmem.Word.to_int (Pmalloc.Heap.load heap (b + i)))));
+          c_dump = (fun () -> dump_cells heap);
           c_recover =
             (fun () ->
               ignore (Mod_core.Recovery.recover_exn ~norec:true heap));
-        });
-  }
-
-(* The concurrent negative control: lock-free CAS commits whose
-   pre-swing sfence is missing, so the root record can become durable
-   while the shadow nodes it points at are still in flight.  The
-   oracle must catch it; losing attempts leak their shadows
-   on purpose (recovery reclaims them -- a real power failure would not
-   unwind the loser either). *)
-let cmap_nofence_cworkload ~writers ~ops =
-  let scripts = cmap_scripts "cmap" ~writers ~ops in
-  {
-    cname = "cmap-nofence";
-    cwriters = writers;
-    cops = ops;
-    cnegative = true;
-    cmake =
-      (fun heap ->
-        let tr = Oracle.tracker ~writers ~init:(render_map IntMap.empty) in
-        let model = ref IntMap.empty in
-        let run_op w op =
-          let apply m =
-            match op with
-            | Minsert (k, v) -> IntMap.add k v m
-            | Mremove k -> IntMap.remove k m
-          in
-          let rec attempt () =
-            let old, old_seq = Pmalloc.Heap.root_get_versioned heap 0 in
-            let shadow =
-              match op with
-              | Minsert (k, v) -> Some (Imap.insert_pure heap old k v)
-              | Mremove k ->
-                  let s, removed = Imap.remove_pure heap old k in
-                  if removed then Some s else None
-            in
-            match shadow with
-            | None -> ()
-            | Some shadow ->
-                (* missing ordering point: no sfence before the swing *)
-                Oracle.track_pending tr ~writer:w
-                  (render_map (apply !model));
-                if
-                  Pmalloc.Heap.root_cas heap 0 ~expected:old
-                    ~expected_seq:old_seq ~desired:shadow
-                then begin
-                  model := apply !model;
-                  Oracle.track_commit tr ~writer:w (render_map !model)
-                end
-                else attempt ()
-          in
-          attempt ()
-        in
-        {
-          c_init = (fun () -> ignore (Imap.open_or_create heap ~slot:0));
-          c_writers =
-            Array.init writers (fun w () ->
-                Array.iter (run_op w) scripts.(w));
-          c_tracker = tr;
-          c_dump = (fun () -> dump_map heap);
-          c_recover =
-            (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
         });
   }
 
@@ -1137,11 +823,16 @@ let concurrent_names = concurrent_positive_names @ concurrent_negative_names
 
 let cbuild name ~writers ~ops =
   if writers < 1 then invalid_arg "Workload.cbuild: writers must be >= 1";
+  (* the writers contend: their keys come from one small range *)
+  let maps () = writer_scripts "cmap" ~writers ~ops (map_op ~keys:12) in
   match name with
-  | "cmap" -> cmap_workload ~writers ~ops
-  | "cset" -> cset_workload ~writers ~ops
+  | "cmap" -> cas_writers name ~ops map ~step:map_step (maps ())
+  | "cset" ->
+      cas_writers name ~ops set ~step:set_step
+        (writer_scripts "cset" ~writers ~ops (set_op ~keys:12))
   | "cstm-norec" -> cstm_norec_workload ~writers ~ops
-  | "cmap-nofence" -> cmap_nofence_cworkload ~writers ~ops
+  | "cmap-nofence" ->
+      cas_writers ~fenced:false name ~ops map ~step:map_step (maps ())
   | _ ->
       invalid_arg
         (Printf.sprintf
@@ -1184,21 +875,24 @@ let build ?persist name ~ops =
            (expected %s)"
           name
           (String.concat ", " backup_names)));
+  let structure s script = basic ?persist name ~ops s script in
   match name with
-  | "map" -> map_workload ?persist ~ops ()
-  | "queue" -> queue_workload ?persist ~ops ()
-  | "stack" -> stack_workload ?persist ~ops ()
-  | "vec" -> vec_workload ?persist ~ops ()
-  | "set" -> set_workload ?persist ~ops ()
-  | "pqueue" -> pqueue_workload ?persist ~ops ()
-  | "seq" -> seq_workload ?persist ~ops ()
-  | "batched" -> batched_workload ?persist ~ops ()
-  | "siblings" -> siblings_workload ~ops
+  | "map" -> structure map (map_script ~ops)
+  | "queue" -> structure queue (push_pop name ~ops)
+  | "stack" -> structure stack (push_pop name ~ops)
+  | "vec" -> structure vec (vec_script name ~ops)
+  | "set" ->
+      structure set (draws ~seed:(seed_of name ~ops) ops (set_op ~keys:24))
+  | "pqueue" -> structure pqueue (push_pop name ~ops)
+  | "seq" -> structure seq (vec_script name ~ops)
+  | "batched" -> structure batched (batched_script ~ops)
+  | "siblings" -> basic name ~ops siblings (push_pop name ~ops)
   | "unrelated" -> unrelated_workload ~ops
   | "stm14" -> stm_workload "stm14" Pmstm.Tx.V1_4 ~broken:false ~ops
   | "stm15" -> stm_workload "stm15" Pmstm.Tx.V1_5 ~broken:false ~ops
   | "stm-broken" -> stm_workload "stm-broken" Pmstm.Tx.V1_4 ~broken:true ~ops
-  | "map-nofence" -> map_nofence_workload ~ops
+  | "map-nofence" ->
+      basic ~negative:true name ~ops map_nofence (map_script ~ops)
   | _ -> (
       match shard_target name with
       | Some (target, nshards) -> shard_workload ~target ~nshards ~ops

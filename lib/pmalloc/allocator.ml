@@ -230,8 +230,6 @@ let alloc_words_total t = t.alloc_words_total
 let pad_words t = t.pad_words
 let coalesces t = Freelist.coalesces t.freelist
 let freelist_entries t = Freelist.live_entries t.freelist
-let arena_segments t = Arena.segments t.arena
-let arena_recycled_words t = Arena.recycled_words t.arena
 
 let iter_free t f =
   Freelist.iter t.freelist (fun e ->

@@ -87,13 +87,6 @@ val freelist_entries : t -> int
 (** Live free-list entries across all bins -- the fragmentation gauge
     the coalescing counter drives down. *)
 
-val arena_segments : t -> int
-(** Bump segments opened since creation/reset. *)
-
-val arena_recycled_words : t -> int
-(** Words currently parked on arena recycle stacks (a component of
-    {!free_words}). *)
-
 val iter_free : t -> (body:int -> capacity:int -> unit) -> unit
 (** Every free-list extent, in no particular order; arena recycle
     stacks are not included (for tests). *)

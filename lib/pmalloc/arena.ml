@@ -57,7 +57,6 @@ type t = {
   classes : cls array; (* indexed by stride *)
   mutable recycled_words : int; (* words parked on recycle stacks *)
   mutable open_words : int; (* unbumped words in open segments *)
-  mutable segments : int; (* segments ever opened (telemetry) *)
 }
 
 let create () =
@@ -67,7 +66,6 @@ let create () =
           { stride; bump = 0; limit = 0; stack = [||]; sp = 0 });
     recycled_words = 0;
     open_words = 0;
-    segments = 0;
   }
 
 let reset t =
@@ -78,13 +76,9 @@ let reset t =
       c.sp <- 0)
     t.classes;
   t.recycled_words <- 0;
-  t.open_words <- 0;
-  t.segments <- 0
+  t.open_words <- 0
 
 let free_words t = t.recycled_words + t.open_words
-let recycled_words t = t.recycled_words
-let open_words t = t.open_words
-let segments t = t.segments
 
 (* O(1) hot path: recycled block if one is parked, else bump the open
    segment.  The block's header, or -1 when the caller must refill (or
@@ -123,5 +117,4 @@ let refill t ~stride ~start ~words =
   assert (c.bump >= c.limit);
   c.bump <- start;
   c.limit <- start + words;
-  t.open_words <- t.open_words + words;
-  t.segments <- t.segments + 1
+  t.open_words <- t.open_words + words

@@ -607,10 +607,6 @@ let install_backup_state t slot ~current ~count ~nonce ~desc ~log =
     { b_current = current; b_count = count; b_nonce = nonce; b_desc = desc;
       b_log = log }
 
-let clear_backup_state t slot =
-  check_slot slot;
-  Hashtbl.remove t.backup slot
-
 let clear_backup_runtime t =
   Hashtbl.reset t.backup;
   Hashtbl.reset t.backlog;
@@ -630,8 +626,6 @@ let enter_backup_update t = t.backup_depth <- t.backup_depth + 1
 let exit_backup_update t =
   if t.backup_depth <= 0 then invalid_arg "Heap.exit_backup_update: not inside";
   t.backup_depth <- t.backup_depth - 1
-
-let in_backup_update t = t.backup_depth > 0
 
 let alloc t ~kind ~words = Allocator.alloc t.allocator ~kind ~words
 let free t body = Allocator.free t.allocator body

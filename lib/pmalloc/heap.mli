@@ -318,7 +318,6 @@ val install_backup_state :
   t -> int -> current:Pmem.Word.t -> count:int -> nonce:int -> desc:int ->
   log:int -> unit
 
-val clear_backup_state : t -> int -> unit
 val clear_backup_runtime : t -> unit
 (** Drop all volatile Backup state (per-slot states, backlog, bracket
     depth) -- recovery calls this before any replay. *)
@@ -331,8 +330,6 @@ val enter_backup_update : t -> unit
 val exit_backup_update : t -> unit
 (** Bracket a Backup-policy pure update: while the depth is positive,
     {!flush_block} suppresses Scanned flushes into the backlog. *)
-
-val in_backup_update : t -> bool
 
 val flush_backlog : t -> unit
 (** clwb every backlogged node still allocated (checkpoint step), then

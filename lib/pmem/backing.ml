@@ -66,8 +66,6 @@ let phase_of_name = function
         (Printf.sprintf "unknown sync phase %S (journal|commit|apply|applied)" s)
 
 type t = {
-  path : string;
-  jpath : string;
   fd : Unix.file_descr;
   jfd : Unix.file_descr;
   mutable capacity : int;  (** words the image file currently holds *)
@@ -321,8 +319,6 @@ let create ~path ~capacity_words =
   retrying (fun () -> Unix.ftruncate fd (header_bytes + (capacity_words * word_bytes)));
   let t =
     {
-      path;
-      jpath;
       fd;
       jfd;
       capacity = capacity_words;
@@ -353,8 +349,6 @@ let open_ ~path =
     let capacity, image_checksum = read_header ~path fd in
     let t =
       {
-        path;
-        jpath;
         fd;
         jfd;
         capacity;
@@ -395,7 +389,6 @@ let close t =
 
 let set_sync_hook t hook = t.hook <- hook
 let commits t = t.commits
-let path t = t.path
 
 (* -- the atomic batch commit --------------------------------------------- *)
 

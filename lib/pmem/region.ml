@@ -1150,10 +1150,6 @@ let images_equal a b =
 
 (* -- file backend -------------------------------------------------------- *)
 
-let file_backed t = match t.backing with Some _ -> true | None -> false
-
-let backing_path t = Option.map Backing.path t.backing
-
 (* Reopen an existing image file as a fresh region: the Backing layer
    resolves the sidecar journal (replaying a committed one, discarding a
    torn one) and checksum-verifies the content; the loaded words become

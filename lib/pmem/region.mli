@@ -327,9 +327,6 @@ val open_file :
     ([EINTR]/[EAGAIN], short reads) are retried with bounded backoff
     before that verdict. *)
 
-val file_backed : t -> bool
-val backing_path : t -> string option
-
 val close_file : t -> unit
 (** Commit any durable-image changes not yet in the file and release the
     descriptors.  The region remains usable as memory-backed. *)

@@ -18,7 +18,7 @@ type event =
   | Crash
 
 type t = {
-  mutable enabled : bool;
+  enabled : bool;
   mutable events : event array;
   mutable len : int;
 }
@@ -27,7 +27,6 @@ let create ~enabled = { enabled; events = Array.make 1024 Fence; len = 0 }
 
 let clear t = t.len <- 0
 let enabled t = t.enabled
-let set_enabled t b = t.enabled <- b
 
 let emit t ev =
   if t.enabled then begin

@@ -20,7 +20,6 @@ type t
 val create : enabled:bool -> t
 val clear : t -> unit
 val enabled : t -> bool
-val set_enabled : t -> bool -> unit
 val emit : t -> event -> unit
 val length : t -> int
 

@@ -94,7 +94,6 @@ let create ?(log_capacity_words = 1 lsl 16) ?(check_adds = true)
 let heap t = t.heap
 let version t = t.version
 let in_tx t = t.depth > 0
-let is_broken t = t.broken_ordering
 let log_capacity t = Wal.capacity t.log
 
 (* Replace the full log with one at least [at_least] words big.  Called

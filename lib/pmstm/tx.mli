@@ -36,7 +36,6 @@ val create :
 val heap : t -> Pmalloc.Heap.t
 val version : t -> version
 val in_tx : t -> bool
-val is_broken : t -> bool
 
 val log_capacity : t -> int
 (** Current undo-log capacity in words (grows on [Log_full] retries). *)

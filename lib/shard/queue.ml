@@ -38,7 +38,6 @@ let with_lock t f =
 
 let length t = with_lock t (fun () -> t.tail - t.head)
 let capacity t = t.cap
-let is_closed t = with_lock t (fun () -> t.closed)
 
 let push t x =
   with_lock t (fun () ->

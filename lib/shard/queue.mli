@@ -27,4 +27,3 @@ val drained : 'a t -> bool
 
 val length : 'a t -> int
 val capacity : 'a t -> int
-val is_closed : 'a t -> bool

@@ -103,7 +103,6 @@ let nshards t = t.nshards
 let mode t = t.mode
 let heap t i = t.shards.(i).heap
 let collector t i = t.shards.(i).collector
-let backing_path t i = Pmem.Region.backing_path (Pmalloc.Heap.region t.shards.(i).heap)
 let close t = Array.iter (fun sh -> Pmalloc.Heap.close sh.heap) t.shards
 
 (* Charge the per-request application logic around the datastructure op,

@@ -63,7 +63,6 @@ val nshards : t -> int
 val mode : t -> mode
 val heap : t -> int -> Pmalloc.Heap.t
 val collector : t -> int -> Telemetry.t
-val backing_path : t -> int -> string option
 
 val close : t -> unit
 (** Commit and release every shard's backing file (no-op in memory). *)

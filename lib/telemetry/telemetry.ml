@@ -1,7 +1,7 @@
 module Histogram = Histogram
 
 module Sink = struct
-  type t = Null | Memory | Jsonl of out_channel
+  type t = Null | Memory
 end
 
 type gauges = {
@@ -100,9 +100,9 @@ let record t ~structure ~op ~ops ~before ~alloc_before =
         t.last_gauges <- Some now;
         now.g_alloc_words_total - alloc_before
   in
-  (match t.sink with
+  match t.sink with
   | Sink.Null -> ()
-  | Sink.Memory | Sink.Jsonl _ ->
+  | Sink.Memory ->
       let a = find_agg t (structure, op) in
       a.a_spans <- a.a_spans + 1;
       a.a_ops <- a.a_ops + ops;
@@ -113,15 +113,7 @@ let record t ~structure ~op ~ops ~before ~alloc_before =
       a.a_flushed_lines <- a.a_flushed_lines + d.Pmem.Stats.s_clwbs;
       a.a_shadow_alloc_words <- a.a_shadow_alloc_words + shadow_words;
       a.a_l1_hits <- a.a_l1_hits + d.Pmem.Stats.s_l1_hits;
-      a.a_l1_misses <- a.a_l1_misses + d.Pmem.Stats.s_l1_misses);
-  match t.sink with
-  | Sink.Jsonl oc ->
-      Printf.fprintf oc
-        "{\"structure\":\"%s\",\"op\":\"%s\",\"ops\":%d,\"ns\":%.1f,\"fence_stall_ns\":%.1f,\"fences\":%d,\"flushed_lines\":%d,\"shadow_alloc_bytes\":%d}\n"
-        (json_escape structure) (json_escape op) ops d.Pmem.Stats.s_now_ns
-        d.Pmem.Stats.s_ns_flush d.Pmem.Stats.s_fences d.Pmem.Stats.s_clwbs
-        (shadow_words * 8)
-  | _ -> ()
+      a.a_l1_misses <- a.a_l1_misses + d.Pmem.Stats.s_l1_misses
 
 (* Run [f] as a span of collector [t] (already known to watch the
    right stats block). *)
@@ -138,7 +130,7 @@ let span_run t ~structure ~op ~ops f =
            so disabled-but-installed telemetry stays within noise. *)
         t.depth <- 1;
         Fun.protect ~finally:(fun () -> t.depth <- 0) f
-    | Sink.Memory | Sink.Jsonl _ ->
+    | Sink.Memory ->
         t.depth <- 1;
         let before = Pmem.Stats.snapshot t.stats in
         let alloc_before =

@@ -27,8 +27,6 @@ module Sink : sig
   type t =
     | Null  (** track nesting only; record nothing *)
     | Memory  (** aggregate per-(structure, op) in the collector *)
-    | Jsonl of out_channel
-        (** aggregate, and emit one JSON object per outermost span *)
 end
 
 (** Allocator occupancy sampled at span boundaries.  [alloc_words_total]

@@ -62,6 +62,38 @@ struct
     | Error e ->
         Alcotest.failf "%s: out-of-range slot: wrong error %s" D.structure
           (Mod_core.Error.to_string e)
+
+  (* The open matrix on a Backup slot holding a checkpoint and a log
+     tail: a Full open would drop the tail, so it is refused. *)
+  let backup_slot () =
+    let heap = mk_heap () in
+    let t = D.open_or_create ~persist:Pmalloc.Heap.Backup heap ~slot:0 in
+    D.add t (E.mk 1);
+    D.add_many t (List.map E.mk [ 2; 3 ]);
+    D.add t (E.mk 4);
+    heap
+
+  let full_open_refused () =
+    let heap = backup_slot () in
+    match D.open_or_create ~persist:Pmalloc.Heap.Full heap ~slot:0 with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: Full open of a Backup slot accepted" D.structure
+
+  (* With its volatile state dropped, as after a restart, an open that
+     names no policy follows the slot's and replays its log. *)
+  let reopen_reconstructs () =
+    let heap = backup_slot () in
+    Pmalloc.Heap.clear_backup_runtime heap;
+    let t = D.open_or_create heap ~slot:0 in
+    Alcotest.(check int) "size after reconstruction" 4 (D.size t)
+
+  let open_cases =
+    [
+      Alcotest.test_case (D.structure ^ ": Full open refused") `Quick
+        full_open_refused;
+      Alcotest.test_case (D.structure ^ ": reopen reconstructs") `Quick
+        reopen_reconstructs;
+    ]
 end
 
 module Conf_map =
@@ -177,7 +209,17 @@ let () =
            Alcotest.test_case "dseq" `Quick (Conf_seq.run ~persist:backup);
            Alcotest.test_case "dpqueue" `Quick
              (Conf_pqueue.run ~persist:backup);
-         ]) );
+         ]
+         @ List.concat
+             [
+               Conf_map.open_cases;
+               Conf_set.open_cases;
+               Conf_vec.open_cases;
+               Conf_stack.open_cases;
+               Conf_queue.open_cases;
+               Conf_seq.open_cases;
+               Conf_pqueue.open_cases;
+             ]) );
       ( "durable-conformance-cas",
         (let cas = Pmalloc.Heap.Cas in
          [

@@ -871,8 +871,12 @@ let recovery_tests =
           M.insert map ((i * 7919) mod 100_003) i
         done;
         Pmalloc.Heap.crash heap;
-        Gc.minor ();
-        let major () = (Gc.quick_stat ()).Gc.major_words in
+        (* the counter moves only at a collection: without one first,
+           the second reading would miss whatever the walk promoted *)
+        let major () =
+          Gc.minor ();
+          (Gc.quick_stat ()).Gc.major_words
+        in
         let before = major () in
         let report = Pmalloc.Recovery_gc.recover heap in
         let words = major () -. before in

@@ -75,7 +75,7 @@ let judge tr ~recovered =
            (Printexc.to_string exn))
   | Ok state ->
       let ok = window tr in
-      if List.mem state ok then Consistent
+      if List.exists (String.equal state) ok then Consistent
       else
         Violation
           (Printf.sprintf

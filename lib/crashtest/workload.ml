@@ -48,14 +48,30 @@ let is_backup = function Some Pmalloc.Heap.Backup -> true | _ -> false
 
 (* -- canonical renderings ------------------------------------------------- *)
 
-let render_ints l =
-  "[" ^ String.concat ";" (List.map string_of_int l) ^ "]"
+(* [l]'s elements between [first] and [last], split by [sep]; one
+   buffer, no format interpretation. *)
+let render_list first sep last add l =
+  let b = Buffer.create 64 in
+  Buffer.add_char b first;
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b sep;
+      add b x)
+    l;
+  Buffer.add_char b last;
+  Buffer.contents b
+
+let add_int b i = Buffer.add_string b (string_of_int i)
+
+let render_ints l = render_list '[' ';' ']' add_int l
 
 let render_pairs l =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "%d:%d" k v) l)
-  ^ "}"
+  render_list '{' ',' '}'
+    (fun b (k, v) ->
+      add_int b k;
+      Buffer.add_char b ':';
+      add_int b v)
+    l
 
 (* [prefix_states ~init ~apply script] is the ops+1 abstract states after
    every prefix of [script], starting from [init]. *)

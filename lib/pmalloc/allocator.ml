@@ -122,8 +122,13 @@ module Rc = struct
     let residue = body - (i * stride) in
     let len = Array.length t.slots in
     if i >= len then begin
+      (* a typed loop: [Array.blit] into a major-heap array runs the
+         write barrier on every word *)
       let grown = Array.make (max (2 * len) (i + 1)) 0 in
-      Array.blit t.slots 0 grown 0 len;
+      let slots = t.slots in
+      for j = 0 to len - 1 do
+        Array.unsafe_set grown j (Array.unsafe_get slots j)
+      done;
       t.slots <- grown
     end;
     let e = t.slots.(i) in

@@ -57,6 +57,11 @@ type t = {
   classes : cls array; (* indexed by stride *)
   mutable recycled_words : int; (* words parked on recycle stacks *)
   mutable open_words : int; (* unbumped words in open segments *)
+  (* the strides [recycle] or [refill] wrote since the last [reset], so a
+     reset visits only them; [used_mark] flags each listed stride *)
+  used : int array;
+  mutable used_len : int;
+  used_mark : Bytes.t;
 }
 
 let create () =
@@ -66,15 +71,28 @@ let create () =
           { stride; bump = 0; limit = 0; stack = [||]; sp = 0 });
     recycled_words = 0;
     open_words = 0;
+    used = Array.make (max_class + 1) 0;
+    used_len = 0;
+    used_mark = Bytes.make (max_class + 1) '\000';
   }
 
+let use t stride =
+  if Bytes.unsafe_get t.used_mark stride = '\000' then begin
+    Bytes.unsafe_set t.used_mark stride '\001';
+    t.used.(t.used_len) <- stride;
+    t.used_len <- t.used_len + 1
+  end
+
 let reset t =
-  Array.iter
-    (fun c ->
-      c.bump <- 0;
-      c.limit <- 0;
-      c.sp <- 0)
-    t.classes;
+  for i = 0 to t.used_len - 1 do
+    let stride = t.used.(i) in
+    let c = t.classes.(stride) in
+    c.bump <- 0;
+    c.limit <- 0;
+    c.sp <- 0;
+    Bytes.unsafe_set t.used_mark stride '\000'
+  done;
+  t.used_len <- 0;
   t.recycled_words <- 0;
   t.open_words <- 0
 
@@ -99,6 +117,7 @@ let take t stride =
   else -1
 
 let recycle t ~header ~stride =
+  use t stride;
   let c = t.classes.(stride) in
   if c.sp = Array.length c.stack then begin
     let grown = Array.make (max 64 (2 * Array.length c.stack)) 0 in
@@ -113,6 +132,7 @@ let recycle t ~header ~stride =
    open segment is exhausted (segments are multiples of the stride, so
    the bump cursor lands exactly on the limit). *)
 let refill t ~stride ~start ~words =
+  use t stride;
   let c = t.classes.(stride) in
   assert (c.bump >= c.limit);
   c.bump <- start;

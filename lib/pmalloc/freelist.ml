@@ -34,8 +34,15 @@ type t = {
   by_end : (int, entry) Hashtbl.t;
   mutable entries : int; (* live entries across all bins *)
   mutable coalesces : int; (* neighbor merges performed *)
-  mutable touched : bool; (* an insert since the last [clear] *)
+  (* the bins [bin_insert] filled since the last [clear]: exact bin [c]
+     as [c], coarse bucket [b] as [exact_max + 1 + b]; [bin_mark] flags
+     each listed bin *)
+  used : int array;
+  mutable used_len : int;
+  bin_mark : Bytes.t;
 }
+
+let bins = exact_max + 1 + buckets
 
 let create () =
   {
@@ -46,22 +53,54 @@ let create () =
     by_end = Hashtbl.create 256;
     entries = 0;
     coalesces = 0;
-    touched = false;
+    used = Array.make bins 0;
+    used_len = 0;
+    bin_mark = Bytes.make bins '\000';
   }
 
-(* Bins and tables only fill through [bin_insert], so with no insert
-   since the last clear they are still empty: a tiny heap's recovery
-   skips the bin fills and table resets. *)
-let clear t =
-  if t.touched then begin
-    Array.fill t.exact 0 (Array.length t.exact) [];
-    Array.fill t.coarse 0 (Array.length t.coarse) [];
-    Hashtbl.reset t.by_start;
-    Hashtbl.reset t.by_end;
-    t.free_words <- 0;
-    t.entries <- 0;
-    t.touched <- false
+let use t bin =
+  if Bytes.unsafe_get t.bin_mark bin = '\000' then begin
+    Bytes.unsafe_set t.bin_mark bin '\001';
+    t.used.(t.used_len) <- bin;
+    t.used_len <- t.used_len + 1
   end
+
+(* A clear costs what the lists hold: only [bin_insert] fills bins and
+   tables, so it empties the bins it filled, and it removes each live
+   entry's two keys while the tables hold few (a reset refills a small
+   table's 256 buckets, or drops a grown one at once). *)
+let clear t =
+  let few = Hashtbl.length t.by_start <= 16 in
+  for i = 0 to t.used_len - 1 do
+    let bin = t.used.(i) in
+    let drop l =
+      if few then
+        List.iter
+          (fun e ->
+            if not e.dead then begin
+              Hashtbl.remove t.by_start (Block.header_of_body e.body);
+              Hashtbl.remove t.by_end (Block.header_of_body e.body + e.capacity)
+            end)
+          l
+    in
+    if bin <= exact_max then begin
+      drop t.exact.(bin);
+      t.exact.(bin) <- []
+    end
+    else begin
+      let b = bin - exact_max - 1 in
+      drop t.coarse.(b);
+      t.coarse.(b) <- []
+    end;
+    Bytes.unsafe_set t.bin_mark bin '\000'
+  done;
+  if not few then begin
+    Hashtbl.reset t.by_start;
+    Hashtbl.reset t.by_end
+  end;
+  t.used_len <- 0;
+  t.free_words <- 0;
+  t.entries <- 0
 
 let bucket_of capacity =
   let rec log2 n acc = if n <= exact_max then acc else log2 (n lsr 1) (acc + 1) in
@@ -83,17 +122,19 @@ let kill t e =
   t.entries <- t.entries - 1
 
 let bin_insert t e =
-  if e.capacity <= exact_max then
+  if e.capacity <= exact_max then begin
+    use t e.capacity;
     t.exact.(e.capacity) <- e :: t.exact.(e.capacity)
+  end
   else begin
     let b = bucket_of e.capacity in
+    use t (exact_max + 1 + b);
     t.coarse.(b) <- e :: t.coarse.(b)
   end;
   Hashtbl.replace t.by_start (start_of e) e;
   Hashtbl.replace t.by_end (end_of e) e;
   t.free_words <- t.free_words + e.capacity;
-  t.entries <- t.entries + 1;
-  t.touched <- true
+  t.entries <- t.entries + 1
 
 let insert t ~body ~capacity =
   if capacity >= Block.min_capacity then begin

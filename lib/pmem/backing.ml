@@ -166,6 +166,13 @@ let put_words buf off words woff n =
 
 let get_word buf i = Int64.to_int (Bytes.get_int64_le buf (i * word_bytes))
 
+(* Copy [n] image words: a typed loop, so no word pays the write
+   barrier [Array.blit] runs into a major-heap array. *)
+let copy_words (src : int array) s (dst : int array) d n =
+  for i = 0 to n - 1 do
+    dst.(d + i) <- src.(s + i)
+  done
+
 let read_words ~path fd ~pos ~words:n =
   let buf = Bytes.create (n * word_bytes) in
   seek fd pos;
@@ -293,7 +300,7 @@ let apply_journal t jwords ~new_capacity ~post_checksum ~into =
     (match into with
     | None -> ()
     | Some words ->
-        Array.blit jwords (base + 1) words (line lsl Config.line_shift) len)
+        copy_words jwords (base + 1) words (line lsl Config.line_shift) len)
   done;
   t.image_checksum <- post_checksum;
   write_header t.fd ~capacity:t.capacity ~image_checksum:post_checksum;
@@ -517,13 +524,13 @@ let inspect ~path =
                 | Jcommitted n, jwords, new_capacity, post_checksum ->
                     let cap = max capacity new_capacity in
                     let grown = Array.make cap 0 in
-                    Array.blit words 0 grown 0 capacity;
+                    copy_words words 0 grown 0 capacity;
                     let entry_words = 1 + Config.words_per_line in
                     for e = 0 to n - 1 do
                       let base = jheader_words + (e * entry_words) in
                       let line = jwords.(base) in
                       let len = line_len ~cap line in
-                      Array.blit jwords (base + 1) grown
+                      copy_words jwords (base + 1) grown
                         (line lsl Config.line_shift)
                         len
                     done;

@@ -158,14 +158,22 @@ let[@inline never] claim t line =
   let first = t.claimed * t.ways in
   let len = Array.length t.tags in
   if first + t.ways > len then begin
-    let grow a fill =
-      let b = Array.make (2 * len) fill in
-      Array.blit a 0 b 0 len;
+    (* typed loops: [Array.blit] into a major-heap array runs the write
+       barrier on every word *)
+    let grow_ints (a : int array) =
+      let b = Array.make (2 * len) 0 in
+      for i = 0 to len - 1 do
+        Array.unsafe_set b i (Array.unsafe_get a i)
+      done;
       b
     in
-    t.tags <- grow t.tags 0;
-    t.dirty <- grow t.dirty false;
-    t.last_use <- grow t.last_use 0
+    let dirty = Array.make (2 * len) false in
+    for i = 0 to len - 1 do
+      Array.unsafe_set dirty i (Array.unsafe_get t.dirty i)
+    done;
+    t.tags <- grow_ints t.tags;
+    t.dirty <- dirty;
+    t.last_use <- grow_ints t.last_use
   end;
   t.claimed <- t.claimed + 1;
   Bytes.set_uint16_le t.rank ((line land t.set_mask) lsl 1) t.claimed;
@@ -177,7 +185,9 @@ let[@inline never] new_page t p =
   let len = Array.length t.pages in
   if p >= len then begin
     let pages = Array.make (Int.max (p + 1) (2 * len)) no_page in
-    Array.blit t.pages 0 pages 0 len;
+    for i = 0 to len - 1 do
+      pages.(i) <- t.pages.(i)
+    done;
     t.pages <- pages
   end;
   let page = Bytes.make page_lines '\000' in

@@ -7,9 +7,11 @@ exception Crash_point
 exception Media_fault of { off : int }
 
 (* One undo-journal record: the full pre-image of a cacheline (volatile
-   view, durable image, durability state) captured on its first mutation
-   after a snapshot or restore.  Replaying records newest-to-oldest
-   rewinds the region in O(lines touched). *)
+   words, durability state and, for a line that is not Clean, its
+   durable words) captured on its first mutation after a snapshot or
+   restore.  A Clean line's durable words are its volatile ones, so its
+   [e_dur] is empty.  Replaying records newest-to-oldest rewinds the
+   region in O(lines touched). *)
 type jentry = {
   e_line : int;
   e_state : line_state;
@@ -51,25 +53,45 @@ type snapshot = {
   t_trace_len : int;
 }
 
-(* [current], [durable], [state], [crash_mark] and [j_mark] cover a
-   prefix of the region, in whole lines, that doubles on the first
-   mutation past it ([reach]), capped at the capacity's last line;
-   [capacity] is the logical size.  Past the prefix a word reads 0 in
-   both images and its line is Clean, unlisted and unjournaled: what a
-   zero-filled array holds.  So a heap's region costs the lines it
-   touches, not its capacity.
-   Invariant: every Dirty or Flushing line, every line on the fence or
-   crash worklist and every journal record lies inside the prefix.  Each
-   of them starts with a mutation, and a mutation reaches the prefix
-   first; only a restore shrinks it, after rewinding every line past
-   the restored capacity to Clean.
+(* One image.  [current] is the CPU's coherent view.  What Optane DCPMM
+   holds differs from it only in a line that is Dirty or Flushing: a
+   Clean line has no store since its last writeback.  So the durable
+   words of such a line are kept apart, in a pre-image slot: the store
+   that dirties a Clean line first copies the line's words into a free
+   slot of [pre], and the writeback that cleans it (fence drain,
+   eviction, crash) releases the slot.  The durable image is then
+   [current] with every slot laid over its line.  Slots come from a pool
+   that doubles on demand; a run holds about as many as the L1D has
+   dirty lines, since an eviction writes a line back.
+
+   [meta] packs, per line, 4 bytes: the state in the low 2 bits and,
+   while the line is not Clean, its slot above them.  The slot-holding
+   lines are exactly the lines a crash must visit, so [pre_line] (the
+   line of each slot, or a free-list link) is also the crash worklist.
+
+   [current], [meta] and [j_mark] cover a prefix of the region, in whole
+   lines, that doubles on the first mutation past it ([reach]), capped
+   at the capacity's last line; [capacity] is the logical size.  Past
+   the prefix a word reads 0 in both images and its line is Clean and
+   unjournaled: what a zero-filled array holds.  So a heap's region
+   costs the lines it touches, not its capacity.
+   Invariant: every Dirty or Flushing line, every line on the fence
+   worklist and every journal record lies inside the prefix.  Each of
+   them starts with a mutation, and a mutation reaches the prefix first;
+   only a restore shrinks it, after rewinding every line past the
+   restored capacity to Clean.
    A prefix word at or past [capacity] (the tail of a partial last line)
    holds 0 in both images: records hold whole lines, so a restore
-   rewinds such a word a store reached after [ensure_capacity]. *)
+   rewinds such a word a store reached after [ensure_capacity].
+   Word copies into these arrays are typed [int] loops: [Array.blit]
+   into a major-heap array runs the write barrier on every word. *)
 type t = {
   mutable current : int array; (* the CPU's coherent view *)
-  mutable durable : int array; (* what Optane DCPMM holds *)
-  mutable state : line_state array; (* per cacheline *)
+  mutable meta : Bytes.t; (* per cacheline: state and slot, see above *)
+  mutable pre : int array; (* per slot: the durable words of its line *)
+  mutable pre_line : int array; (* per slot: its line, or a free link *)
+  mutable pre_free : int; (* first free slot below [pre_made], or -1 *)
+  mutable pre_made : int; (* slots ever handed out *)
   mutable capacity : int; (* logical size, in words *)
   cache : Cache.t; (* L1D: drives miss ratios and eviction writebacks *)
   l2 : Cache.t; (* latency modelling only *)
@@ -78,24 +100,14 @@ type t = {
   trace : Trace.t;
   mutable rng : Random.State.t;
   mutable inflight : int;
-  (* worklist of lines that may be in Flushing state, so a fence drains
-     in O(in-flight flushes) instead of scanning every line of the
-     region.  Invariant: every Flushing line is in the list; the list may
-     also hold stale entries for lines that left Flushing some other way
-     (eviction writeback, a re-dirtying store) -- the drain re-checks the
-     state and skips them. *)
-  mutable flushing_q : int list;
-  (* crash worklist: the lines a crash must visit, so it costs O(dirty
-     lines) instead of a scan of the region.  Invariant: every Dirty or
-     Flushing line is listed exactly once ([crash_mark]).  Lines that
-     went Clean since (fence drain, eviction writeback) stay listed until
-     the next trim, which drops them once the list reaches [crash_trim]
-     and re-arms it at twice the survivors: amortized O(1) per listing,
-     and the list stays O(dirty lines) in runs that never crash. *)
-  mutable crash_q : int array;
-  mutable crash_len : int;
-  mutable crash_mark : bool array; (* per line: listed in crash_q *)
-  mutable crash_trim : int;
+  (* worklist of lines that may be in Flushing state, oldest first, so a
+     fence drains in O(in-flight flushes) instead of scanning every line
+     of the region.  Invariant: every Flushing line is in the list; the
+     list may also hold stale entries for lines that left Flushing some
+     other way (eviction writeback) -- the drain re-checks the state and
+     skips them. *)
+  mutable flush_q : int array;
+  mutable flush_len : int;
   (* ablation knob: order every clwb individually, as if each flush were
      followed by its own sfence (the paper's Section 3 worst case) *)
   mutable fence_per_flush : bool;
@@ -142,34 +154,76 @@ let line_of_word off = off lsr Config.line_shift
 let lines_of_words n = (n + Config.words_per_line - 1) / Config.words_per_line
 let words_of_lines n = n lsl Config.line_shift
 
-let crash_trim_floor = 64
-
 (* The prefix a region starts with: enough for a heap's root directory
    and its first allocations. *)
 let initial_prefix_words = 4096
 
+let initial_slots = 64
+
+(* Copy [len] words of [src] from [s] into [dst] at [d]: a typed loop,
+   so no word pays the write barrier. *)
+let[@inline] copy_ints (src : int array) s (dst : int array) d len =
+  for i = 0 to len - 1 do
+    Array.unsafe_set dst (d + i) (Array.unsafe_get src (s + i))
+  done
+
 (* [arr] extended to [n] elements with [fill], or [arr] itself when it
    already has them. *)
-let extend arr n fill =
+let extend_ints (arr : int array) n fill =
   let len = Array.length arr in
   if n <= len then arr
   else begin
     let a = Array.make n fill in
-    Array.blit arr 0 a 0 len;
+    copy_ints arr 0 a 0 len;
     a
   end
 
+(* The first [n] elements of [arr], in a fresh array. *)
+let prefix_ints (arr : int array) n =
+  let a = Array.make n 0 in
+  copy_ints arr 0 a 0 n;
+  a
+
+(* -- per-line metadata ------------------------------------------------------ *)
+
+let code_clean = 0
+let code_dirty = 1
+let code_flushing = 2
+
+let[@inline] lines_in t = Bytes.length t.meta lsr 2
+
+(* [line]'s packed word; the line lies inside the prefix. *)
+let[@inline] meta_of t line = Int32.to_int (Bytes.get_int32_le t.meta (line lsl 2))
+
+let[@inline] set_meta t line m = Bytes.set_int32_le t.meta (line lsl 2) (Int32.of_int m)
+
+let[@inline] code_of m = m land 3
+let[@inline] slot_of m = m lsr 2
+
+let state_of_code = function
+  | 0 -> Clean
+  | 1 -> Dirty
+  | _ -> Flushing
+
+let code_of_state = function
+  | Clean -> code_clean
+  | Dirty -> code_dirty
+  | Flushing -> code_flushing
+
 let next_stamp = ref 0
 
-(* A region of [capacity] words whose prefix is [durable] (whole lines),
-   all Clean, with [current] a copy of it. *)
-let make ~capacity ~durable ~trace ~seed backing =
-  let lines = Array.length durable lsr Config.line_shift in
+(* A region of [capacity] words whose prefix is [image] (whole lines),
+   all Clean. *)
+let make ~capacity ~image ~trace ~seed backing =
+  let lines = Array.length image lsr Config.line_shift in
   incr next_stamp;
   {
-    current = Array.copy durable;
-    durable;
-    state = Array.make lines Clean;
+    current = image;
+    meta = Bytes.make (4 * lines) '\000';
+    pre = Array.make (initial_slots * Config.words_per_line) 0;
+    pre_line = Array.make initial_slots (-1);
+    pre_free = -1;
+    pre_made = 0;
     capacity;
     cache = Cache.create ();
     l2 = Cache.create ~sets:Config.l2_sets ~ways:Config.l2_ways ();
@@ -178,11 +232,8 @@ let make ~capacity ~durable ~trace ~seed backing =
     trace = Trace.create ~enabled:trace;
     rng = Random.State.make [| seed |];
     inflight = 0;
-    flushing_q = [];
-    crash_q = Array.make crash_trim_floor 0;
-    crash_len = 0;
-    crash_mark = Array.make lines false;
-    crash_trim = crash_trim_floor;
+    flush_q = Array.make 64 0;
+    flush_len = 0;
     fence_per_flush = false;
     events = 0;
     crash_budget = -1;
@@ -213,7 +264,7 @@ let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
     | None -> None
     | Some path -> Some (Backing.create ~path ~capacity_words:cap)
   in
-  make ~capacity:cap ~durable:(Array.make prefix 0) ~trace ~seed backing
+  make ~capacity:cap ~image:(Array.make prefix 0) ~trace ~seed backing
 
 let stats t = t.stats
 let trace t = t.trace
@@ -232,20 +283,29 @@ let last_crash_seed t = t.last_crash_seed
 (* -- snapshot journal ---------------------------------------------------- *)
 
 let journal_push t e =
-  if t.j_len = Array.length t.j_entries then
-    t.j_entries <- extend t.j_entries (max 64 (2 * t.j_len)) dummy_entry;
-  t.j_entries.(t.j_len) <- e;
-  t.j_len <- t.j_len + 1
+  let len = t.j_len in
+  if len = Array.length t.j_entries then begin
+    let a = Array.make (max 64 (2 * len)) dummy_entry in
+    for i = 0 to len - 1 do
+      a.(i) <- t.j_entries.(i)
+    done;
+    t.j_entries <- a
+  end;
+  t.j_entries.(len) <- e;
+  t.j_len <- len + 1
 
-(* [line]'s volatile contents, durable contents and durability state.
-   Whole lines, also where the capacity ends mid-line (see [t]). *)
+(* [line]'s volatile contents, durability state and, unless it is Clean,
+   durable contents.  Whole lines, also where the capacity ends mid-line
+   (see [t]). *)
 let line_image t line =
-  let base = words_of_lines line in
+  let m = meta_of t line in
   {
     e_line = line;
-    e_state = t.state.(line);
-    e_cur = Array.sub t.current base Config.words_per_line;
-    e_dur = Array.sub t.durable base Config.words_per_line;
+    e_state = state_of_code (code_of m);
+    e_cur = Array.sub t.current (words_of_lines line) Config.words_per_line;
+    e_dur =
+      (if code_of m = code_clean then [||]
+       else Array.sub t.pre (words_of_lines (slot_of m)) Config.words_per_line);
   }
 
 let journal_record t line =
@@ -259,48 +319,86 @@ let[@inline] journal_touch t line =
 
 let journal_entries t = t.j_len
 
-(* -- crash worklist ------------------------------------------------------ *)
+(* -- pre-image slots ------------------------------------------------------- *)
 
-(* Keep the listed lines [keep] accepts; unlist the others. *)
-let crash_list_filter t keep =
-  let n = ref 0 in
-  for i = 0 to t.crash_len - 1 do
-    let line = t.crash_q.(i) in
-    if keep line then begin
-      t.crash_q.(!n) <- line;
-      incr n
+(* A free slot's [pre_line] entry links to the next free slot [s] as
+   [-2 - s], and ends the list as -1. *)
+let[@inline never] grow_slots t =
+  let n = 2 * Array.length t.pre_line in
+  t.pre <- extend_ints t.pre (words_of_lines n) 0;
+  t.pre_line <- extend_ints t.pre_line n (-1)
+
+(* A free slot, now [line]'s. *)
+let take_slot t line =
+  let s =
+    if t.pre_free >= 0 then begin
+      let s = t.pre_free in
+      t.pre_free <- -2 - t.pre_line.(s);
+      s
     end
-    else t.crash_mark.(line) <- false
+    else begin
+      if t.pre_made = Array.length t.pre_line then grow_slots t;
+      let s = t.pre_made in
+      t.pre_made <- s + 1;
+      s
+    end
+  in
+  t.pre_line.(s) <- line;
+  s
+
+let[@inline] free_slot t s =
+  t.pre_line.(s) <- -2 - t.pre_free;
+  t.pre_free <- s
+
+(* A Clean [line] turns [code]: its words, durable until now, become its
+   slot's pre-image.  Out of line: it runs once per line per writeback. *)
+let[@inline never] leave_clean t line code =
+  let s = take_slot t line in
+  copy_ints t.current (words_of_lines line) t.pre (words_of_lines s)
+    Config.words_per_line;
+  set_meta t line ((s lsl 2) lor code)
+
+(* [line], holding slot [slot_of m], turns Clean: its volatile words are
+   durable now. *)
+let[@inline] make_clean t line m =
+  free_slot t (slot_of m);
+  set_meta t line code_clean
+
+(* The lines holding a slot, ascending: every Dirty or Flushing line. *)
+let slot_lines t =
+  let n = ref 0 in
+  for s = 0 to t.pre_made - 1 do
+    if t.pre_line.(s) >= 0 then incr n
   done;
-  t.crash_len <- !n
+  let lines = Array.make !n 0 in
+  let i = ref 0 in
+  for s = 0 to t.pre_made - 1 do
+    let line = t.pre_line.(s) in
+    if line >= 0 then begin
+      lines.(!i) <- line;
+      incr i
+    end
+  done;
+  Array.sort Int.compare lines;
+  lines
 
-(* Drop the listed lines that went Clean. *)
-let crash_list_trim t =
-  crash_list_filter t (fun line ->
-      match t.state.(line) with Clean -> false | Dirty | Flushing -> true);
-  t.crash_trim <- max crash_trim_floor (2 * t.crash_len)
-
-(* Called whenever [line] may have left Clean. *)
-let crash_list t line =
-  if not t.crash_mark.(line) then begin
-    if t.crash_len >= t.crash_trim then crash_list_trim t;
-    if t.crash_len = Array.length t.crash_q then
-      t.crash_q <- extend t.crash_q (2 * t.crash_len) 0;
-    t.crash_q.(t.crash_len) <- line;
-    t.crash_len <- t.crash_len + 1;
-    t.crash_mark.(line) <- true
-  end
-
-let crash_worklist t = Array.to_list (Array.sub t.crash_q 0 t.crash_len)
+let crash_worklist t = Array.to_list (slot_lines t)
 
 let dirty_lines t =
   let acc = ref [] in
-  for line = Array.length t.state - 1 downto 0 do
-    match t.state.(line) with
-    | Clean -> ()
-    | Dirty | Flushing -> acc := line :: !acc
+  for line = lines_in t - 1 downto 0 do
+    if code_of (meta_of t line) <> code_clean then acc := line :: !acc
   done;
   !acc
+
+(* -- fence worklist ---------------------------------------------------------- *)
+
+let flush_list t line =
+  let len = t.flush_len in
+  if len = Array.length t.flush_q then
+    t.flush_q <- extend_ints t.flush_q (2 * len) 0;
+  t.flush_q.(len) <- line;
+  t.flush_len <- len + 1
 
 (* ------------------------------------------------------------------------ *)
 
@@ -394,22 +492,31 @@ let[@inline never] grow_prefix t off =
   done;
   let n = min !n limit in
   let lines = n lsr Config.line_shift in
-  t.current <- extend t.current n 0;
-  t.durable <- extend t.durable n 0;
-  t.state <- extend t.state lines Clean;
-  t.crash_mark <- extend t.crash_mark lines false;
-  t.j_mark <- extend t.j_mark lines (-1)
+  t.current <- extend_ints t.current n 0;
+  let meta = Bytes.make (4 * lines) '\000' in
+  Bytes.blit t.meta 0 meta 0 (Bytes.length t.meta);
+  t.meta <- meta;
+  t.j_mark <- extend_ints t.j_mark lines (-1)
 
 (* Bring word [off] (below the capacity) inside the prefix; called
    before the first mutation of its line, ahead of the journal record. *)
 let[@inline] reach t off =
   if off >= Array.length t.current then grow_prefix t off
 
-(* Word [off] of [image], or 0 past the prefix. *)
-let word_at image off = if off < Array.length image then image.(off) else 0
+(* Volatile word [off], or 0 past the prefix. *)
+let word_at t off = if off < Array.length t.current then t.current.(off) else 0
+
+(* Durable word [off]: its slot's word while its line holds one. *)
+let durable_word t off =
+  if off >= Array.length t.current then 0
+  else
+    let m = meta_of t (line_of_word off) in
+    if code_of m = code_clean then t.current.(off)
+    else
+      t.pre.(words_of_lines (slot_of m) + (off land (Config.words_per_line - 1)))
 
 let state_at t line =
-  if line < Array.length t.state then t.state.(line) else Clean
+  if line < lines_in t then state_of_code (code_of (meta_of t line)) else Clean
 
 let out_of_bounds fn off =
   invalid_arg (Printf.sprintf "Region.%s: offset %d out of bounds" fn off)
@@ -421,12 +528,6 @@ let mark_file_dirty t line =
   match t.backing with
   | Some _ -> Hashtbl.replace t.file_dirty line ()
   | None -> ()
-
-(* Copy the volatile contents of [line] into the durable image. *)
-let writeback_line t line =
-  let base = words_of_lines line in
-  Array.blit t.current base t.durable base Config.words_per_line;
-  mark_file_dirty t line
 
 (* Commit the durable image's changed lines to the backing file as one
    atomic batch (journal, fsync, apply, fsync, truncate).  Called at
@@ -443,7 +544,7 @@ let file_commit t =
             (fun line () acc ->
               let base = words_of_lines line in
               let len = min Config.words_per_line (t.capacity - base) in
-              (line, Array.init len (fun i -> word_at t.durable (base + i)))
+              (line, Array.init len (fun i -> durable_word t (base + i)))
               :: acc)
             t.file_dirty []
         in
@@ -462,13 +563,14 @@ let file_commit t =
 (* Cache-eviction writeback: hardware replacement writes the victim's
    data back to PM, incidentally making it durable. *)
 let evict_writeback t victim_line =
-  if victim_line < Array.length t.state then begin
+  if victim_line < lines_in t then begin
     journal_touch t victim_line;
-    writeback_line t victim_line;
-    (match t.state.(victim_line) with
-    | Flushing -> t.inflight <- t.inflight - 1
-    | Dirty | Clean -> ());
-    t.state.(victim_line) <- Clean
+    mark_file_dirty t victim_line;
+    let m = meta_of t victim_line in
+    if code_of m <> code_clean then begin
+      if code_of m = code_flushing then t.inflight <- t.inflight - 1;
+      make_clean t victim_line m
+    end
   end
 
 (* Walk the cache hierarchy for latency purposes.  Durability only cares
@@ -523,23 +625,18 @@ let[@inline] store t off w =
   ignore (touch_cache t off ~write:true : Latency.load_level);
   t.stats.Stats.stores <- t.stats.Stats.stores + 1;
   Stats.advance t.stats Latency.store_ns;
+  (* A Clean line turns Dirty, keeping its durable words in a slot.  A
+     Dirty line stays Dirty, and so does a Flushing one: the store raced
+     a writeback already launched by a clwb.  On hardware the pre-clwb
+     contents are durable by the next fence regardless -- the writeback
+     either completed before this store or the store joined the line
+     while it was still queued; model the latter, so the fence drains
+     the line with this store included.  Downgrading to [Dirty] here
+     would silently void the clwb+fence guarantee of a neighbour block
+     sharing the line (false sharing): its commit would fence "durable"
+     shadows whose line a concurrent writer's allocation re-dirtied. *)
+  if code_of (meta_of t line) = code_clean then leave_clean t line code_dirty;
   t.current.(off) <- Word.bits w;
-  (match t.state.(line) with
-  | Clean ->
-      t.state.(line) <- Dirty;
-      crash_list t line
-  | Dirty -> ()
-  | Flushing ->
-      (* The store raced a writeback already launched by a clwb.  On
-         hardware the pre-clwb contents are durable by the next fence
-         regardless -- the writeback either completed before this store
-         or the store joined the line while it was still queued; model
-         the latter, so the fence drains the line with this store
-         included.  Downgrading to [Dirty] here would silently void the
-         clwb+fence guarantee of a neighbour block sharing the line
-         (false sharing): its commit would fence "durable" shadows whose
-         line a concurrent writer's allocation re-dirtied. *)
-      ());
   (* build the event only when it is recorded: with tracing off a store
      allocates nothing but the [now_ns] box *)
   if Trace.enabled t.trace then Trace.emit t.trace (Trace.Write { off });
@@ -564,7 +661,9 @@ let[@inline] store t off w =
    words go through the per-word calls) while tracing is on, an event
    hook is installed and not suspended, a media fault is armed, or the
    way memo lost a line between the head and the run (a capture's
-   [on_point] may invalidate the L1 there).  The callbacks must not
+   [on_point] may invalidate the L1 there).  A store run's line holds
+   its pre-image slot already (the head store took it), and a run whose
+   line is Clean again goes word by word too.  The callbacks must not
    access the region; one that raises leaves the record of the accesses
    made before it, as the per-word loop would. *)
 
@@ -617,7 +716,7 @@ let[@inline] blit_rest t ~s ~d ~left f x =
     let c = t.cache and dline = line_of_word d in
     let dw = Cache.memo_way c dline in
     let sw = Cache.memo_way c (line_of_word s) in
-    if dw < 0 || sw < 0 then 0
+    if dw < 0 || sw < 0 || code_of (meta_of t dline) = code_clean then 0
     else begin
       let st = t.stats in
       let phase = st.Stats.cur_phase in
@@ -673,7 +772,7 @@ let[@inline] fill_rest t ~d ~i ~left f x =
   else
     let c = t.cache and dline = line_of_word d in
     let dw = Cache.memo_way c dline in
-    if dw < 0 then 0
+    if dw < 0 || code_of (meta_of t dline) = code_clean then 0
     else begin
       let st = t.stats in
       let phase = st.Stats.cur_phase in
@@ -778,30 +877,35 @@ let rec clwb t off =
   let line = line_of_word off in
   t.stats.Stats.clwbs <- t.stats.Stats.clwbs + 1;
   if Trace.enabled t.trace then Trace.emit t.trace (Trace.Flush { line });
-  (match state_at t line with
-  | Dirty ->
+  if line < lines_in t then begin
+    let m = meta_of t line in
+    if code_of m = code_dirty then begin
       journal_touch t line;
-      t.state.(line) <- Flushing;
-      t.flushing_q <- line :: t.flushing_q;
+      set_meta t line ((m land lnot 3) lor code_flushing);
+      flush_list t line;
       t.inflight <- t.inflight + 1
-  | Clean | Flushing -> ());
+    end
+  end;
   tick t;
   if t.fence_per_flush then sfence t
 
+(* The drain visits the worklist newest first and copies nothing: a
+   Flushing line's volatile words are its durable ones once it drains,
+   so it only gives its slot back. *)
 and sfence t =
   check_power t;
   let drained = t.inflight in
-  List.iter
-    (fun line ->
-      match t.state.(line) with
-      | Flushing ->
-          journal_touch t line;
-          writeback_line t line;
-          t.state.(line) <- Clean;
-          Cache.mark_clean t.cache ~line
-      | Clean | Dirty -> ())
-    t.flushing_q;
-  t.flushing_q <- [];
+  for i = t.flush_len - 1 downto 0 do
+    let line = Array.unsafe_get t.flush_q i in
+    let m = meta_of t line in
+    if code_of m = code_flushing then begin
+      journal_touch t line;
+      mark_file_dirty t line;
+      make_clean t line m;
+      Cache.mark_clean t.cache ~line
+    end
+  done;
+  t.flush_len <- 0;
   t.inflight <- 0;
   Stats.record_fence t.stats ~drained;
   Stats.advance_in t.stats Stats.Flush (Latency.fence_stall_ns ~inflight:drained);
@@ -846,86 +950,83 @@ let corrupt_word t off =
   check_off t off "corrupt_word";
   reach t off;
   t.integrity_epoch <- t.integrity_epoch + 1;
-  journal_touch t (line_of_word off);
+  let line = line_of_word off in
+  journal_touch t line;
   let v = t.current.(off) lxor 0x55 in
   t.current.(off) <- v;
-  t.durable.(off) <- v;
-  mark_file_dirty t (line_of_word off)
+  let m = meta_of t line in
+  if code_of m <> code_clean then
+    t.pre.(words_of_lines (slot_of m) + (off land (Config.words_per_line - 1)))
+    <- v;
+  mark_file_dirty t line
 
 let crash ?(mode = Randomize) ?seed ?(torn = false) t =
   (* Each crash draws its line-survival outcomes from a dedicated RNG
      whose seed is either supplied by the caller (replay) or drawn from
      the region's private stream -- and always recorded, so any failing
-     randomized crash can be reproduced in isolation. *)
+     randomized crash can be reproduced in isolation.  The RNG itself is
+     built on the first coin: Drop_inflight and Keep_inflight draw none
+     unless the crash is torn. *)
   let seed_used =
     match seed with Some s -> s | None -> Random.State.bits t.rng
   in
-  let crash_rng = Random.State.make [| seed_used |] in
+  let crash_rng = lazy (Random.State.make [| seed_used |]) in
   t.last_crash_seed <- Some seed_used;
   t.crash_budget <- -1;
   t.powered_off <- false;
   t.capture <- None;
   t.integrity_epoch <- t.integrity_epoch + 1;
-  (* Clean lines are already durable with no writeback in flight, so
-     their volatile and durable contents agree: losing power changes
-     nothing.  Only dirty / in-flight lines need work (or undo
-     journaling), and the worklist lists every one of them; visiting it
-     in ascending line order draws the survival coins in line order. *)
-  let lines = Array.sub t.crash_q 0 t.crash_len in
-  Array.sort Int.compare lines;
-  t.crash_len <- 0;
+  (* Clean lines are already durable with no writeback in flight: losing
+     power changes nothing.  Only the lines holding a pre-image slot
+     (every Dirty or Flushing one) need work, or undo journaling; visiting
+     them in ascending line order draws the survival coins in line
+     order.  Each keeps its volatile words or takes back its slot's. *)
   Array.iter
     (fun line ->
-      t.crash_mark.(line) <- false;
-      match t.state.(line) with
-      | Clean -> ()
-      | Dirty | Flushing when torn ->
-          (* Torn persistence: the line was partially written back when
-             power failed, so an arbitrary per-word subset of its new
-             contents reaches PM.  This deliberately breaks the
-             whole-line atomicity the rest of the model provides --
-             multi-word records must detect it (checksums) rather than
-             assume it away. *)
-          journal_touch t line;
-          let base = words_of_lines line in
-          for i = base to base + Config.words_per_line - 1 do
-            if
-              t.current.(i) <> t.durable.(i)
-              && Random.State.bool crash_rng
-            then begin
-              t.durable.(i) <- t.current.(i);
+      let m = meta_of t line in
+      let base = words_of_lines line and pre = words_of_lines (slot_of m) in
+      if torn then begin
+        (* Torn persistence: the line was partially written back when
+           power failed, so an arbitrary per-word subset of its new
+           contents reaches PM.  This deliberately breaks the
+           whole-line atomicity the rest of the model provides --
+           multi-word records must detect it (checksums) rather than
+           assume it away. *)
+        journal_touch t line;
+        for i = 0 to Config.words_per_line - 1 do
+          let w = t.pre.(pre + i) in
+          if t.current.(base + i) <> w then
+            if Random.State.bool (Lazy.force crash_rng) then
               mark_file_dirty t line
-            end
-          done;
-          (* the volatile view reverts to what PM now holds *)
-          Array.blit t.durable base t.current base Config.words_per_line;
-          t.state.(line) <- Clean
-      | (Dirty | Flushing) as st ->
-          let survives =
-            match (st, mode) with
-            | Clean, _ -> false (* already durable, nothing in flight *)
-            | Flushing, Keep_inflight -> true
-            | Flushing, Drop_inflight -> false
-            | Flushing, Randomize -> Random.State.bool crash_rng
-            | Dirty, Keep_inflight -> false
-            | Dirty, Drop_inflight -> false
-            | Dirty, Randomize ->
-                (* a dirty, never-flushed line reaches PM only if the cache
-                   happened to evict it; make that rarer than in-flight
-                   lines *)
-                Random.State.int crash_rng 4 = 0
-          in
-          journal_touch t line;
-          if survives then writeback_line t line
-          else begin
-            (* the volatile view reverts to what PM holds *)
-            let base = words_of_lines line in
-            Array.blit t.durable base t.current base Config.words_per_line
-          end;
-          t.state.(line) <- Clean)
-    lines;
+            else
+              (* the volatile view reverts to what PM holds *)
+              t.current.(base + i) <- w
+        done
+      end
+      else begin
+        let survives =
+          match mode with
+          | Keep_inflight -> code_of m = code_flushing
+          | Drop_inflight -> false
+          | Randomize ->
+              if code_of m = code_flushing then
+                Random.State.bool (Lazy.force crash_rng)
+              else
+                (* a dirty, never-flushed line reaches PM only if the
+                   cache happened to evict it; make that rarer than
+                   in-flight lines *)
+                Random.State.int (Lazy.force crash_rng) 4 = 0
+        in
+        journal_touch t line;
+        if survives then mark_file_dirty t line
+        else
+          (* the volatile view reverts to what PM holds *)
+          copy_ints t.pre pre t.current base Config.words_per_line
+      end;
+      make_clean t line m)
+    (slot_lines t);
   t.inflight <- 0;
-  t.flushing_q <- [];
+  t.flush_len <- 0;
   reset_caches t;
   (* a simulated crash on a file-backed region still commits: the file
      must track the post-crash durable image, not the pre-crash one *)
@@ -974,36 +1075,40 @@ let snapshot t =
 let truncate_image t cap =
   if cap < t.capacity then begin
     let lines = lines_of_words cap in
-    if lines < Array.length t.state then begin
-      (* drop worklist entries for lines leaving the prefix *)
-      t.flushing_q <- List.filter (fun l -> l < lines) t.flushing_q;
-      crash_list_filter t (fun l -> l < lines);
-      let words = words_of_lines lines in
-      t.current <- Array.sub t.current 0 words;
-      t.durable <- Array.sub t.durable 0 words;
-      t.state <- Array.sub t.state 0 lines;
-      t.crash_mark <- Array.sub t.crash_mark 0 lines;
-      t.j_mark <- Array.sub t.j_mark 0 lines
+    if lines < lines_in t then begin
+      (* drop fence worklist entries for lines leaving the prefix *)
+      let n = ref 0 in
+      for i = 0 to t.flush_len - 1 do
+        let line = t.flush_q.(i) in
+        if line < lines then begin
+          t.flush_q.(!n) <- line;
+          incr n
+        end
+      done;
+      t.flush_len <- !n;
+      t.current <- prefix_ints t.current (words_of_lines lines);
+      t.meta <- Bytes.sub t.meta 0 (4 * lines);
+      t.j_mark <- prefix_ints t.j_mark lines
     end;
     t.capacity <- cap
   end
 
-(* Write a line image back: words, durable words and state.  A line
-   returning to Flushing must be on the fence worklist, and one leaving
-   Clean on the crash worklist; lines left alone never left them.  The
-   line lies inside the prefix: a restore replays journal records, and
+(* Write a line image back: words, state and, for a line that is not
+   Clean, its slot's durable words.  A line returning to Flushing must
+   be on the fence worklist; lines left alone never left it.  The line
+   lies inside the prefix: a restore replays journal records, and
    [apply_point] reaches first. *)
 let install t e =
-  let base = words_of_lines e.e_line in
-  Array.blit e.e_cur 0 t.current base (Array.length e.e_cur);
-  Array.blit e.e_dur 0 t.durable base (Array.length e.e_dur);
-  t.state.(e.e_line) <- e.e_state;
+  let line = e.e_line in
+  copy_ints e.e_cur 0 t.current (words_of_lines line) (Array.length e.e_cur);
+  let m = meta_of t line in
   match e.e_state with
-  | Clean -> ()
-  | Dirty -> crash_list t e.e_line
-  | Flushing ->
-      t.flushing_q <- e.e_line :: t.flushing_q;
-      crash_list t e.e_line
+  | Clean -> if code_of m <> code_clean then make_clean t line m
+  | (Dirty | Flushing) as st ->
+      let s = if code_of m = code_clean then take_slot t line else slot_of m in
+      copy_ints e.e_dur 0 t.pre (words_of_lines s) Config.words_per_line;
+      set_meta t line ((s lsl 2) lor code_of_state st);
+      if st = Flushing then flush_list t line
 
 let restore t tok =
   if tok.t_region <> t.region_stamp then
@@ -1109,22 +1214,22 @@ let durable_load t off =
   check_media t off "durable_load";
   t.stats.Stats.loads <- t.stats.Stats.loads + 1;
   Stats.advance t.stats (Latency.load_ns Latency.Pm);
-  Word.raw (word_at t.durable off)
+  Word.raw (durable_word t off)
 
 let peek_durable t off =
   check_off t off "peek_durable";
-  Word.raw (word_at t.durable off)
+  Word.raw (durable_word t off)
 
 let peek_current t off =
   check_off t off "peek_current";
-  Word.raw (word_at t.current off)
+  Word.raw (word_at t off)
 
 let is_durable_line t line =
   let base = words_of_lines line in
   let len = min Config.words_per_line (t.capacity - base) in
   let same = ref true in
   for i = base to base + len - 1 do
-    if word_at t.current i <> word_at t.durable i then same := false
+    if word_at t i <> durable_word t i then same := false
   done;
   !same
 
@@ -1137,8 +1242,8 @@ let images_equal a b =
   in
   let rec same_words i =
     i >= words
-    || word_at a.current i = word_at b.current i
-       && word_at a.durable i = word_at b.durable i
+    || word_at a i = word_at b i
+       && durable_word a i = durable_word b i
        && same_words (i + 1)
   in
   let lines = lines_of_words words in
@@ -1153,13 +1258,13 @@ let images_equal a b =
 (* Reopen an existing image file as a fresh region: the Backing layer
    resolves the sidecar journal (replaying a committed one, discarding a
    torn one) and checksum-verifies the content; the loaded words become
-   both the volatile view and the durable image, all lines Clean --
+   the image, all lines Clean (volatile and durable words agree) --
    exactly the post-power-cycle machine state. *)
 let open_file ?(trace = false) ?(seed = 42) ~path () =
   let b, words, status = Backing.open_ ~path in
   let cap = Array.length words in
-  let durable = extend words (words_of_lines (lines_of_words cap)) 0 in
-  (make ~capacity:cap ~durable ~trace ~seed (Some b), status)
+  let image = extend_ints words (words_of_lines (lines_of_words cap)) 0 in
+  (make ~capacity:cap ~image ~trace ~seed (Some b), status)
 
 (* Flush any durable-image changes that have not reached the file (there
    are none after a clean fence) and release the descriptors.  The region

@@ -6,7 +6,11 @@
     background writeback of a line; [sfence] guarantees the completion of
     all in-flight writebacks (charging the Amdahl stall of Section 3); a
     [crash] loses everything volatile, randomizing the fate of lines whose
-    writeback had been launched or that may have been evicted. *)
+    writeback had been launched or that may have been evicted.
+
+    The region holds one image.  A line's durable words differ from its
+    volatile ones only while it is Dirty or Flushing, and only then are
+    they kept apart, in a pre-image slot. *)
 
 type t
 
@@ -277,9 +281,9 @@ val dirty_lines : t -> int list
     can lose (O(lines); for tests). *)
 
 val crash_worklist : t -> int list
-(** The lines the next {!crash} visits, in list order: every line of
-    {!dirty_lines} once, plus lines that went Clean since they were
-    listed (for tests). *)
+(** The lines the next {!crash} visits, ascending: the lines holding a
+    pre-image slot, which are exactly those of {!dirty_lines} (for
+    tests). *)
 
 val images_equal : t -> t -> bool
 (** Word-for-word equality of two regions' volatile views, durable

@@ -157,13 +157,44 @@ let current_of heap ~slot =
                 structure's reconstruct first"
                slot))
 
+(* -- Layout tags ----------------------------------------------------------- *)
+
+(* The structures whose Backup descriptors name their owner, by tag
+   (word 0, beside {!Pmalloc.Backup.magic}).  Tag 0 is a descriptor
+   written before tags existed; any structure opens it. *)
+let layout_names =
+  [| "untagged"; "Dmap"; "Dset"; "Dstack"; "Dqueue"; "Dvec"; "Dseq"; "Dpqueue" |]
+
+let layout_tag name =
+  let rec find i =
+    if i >= Array.length layout_names then
+      invalid_arg ("Commit.layout_tag: no tag for " ^ name)
+    else if String.equal layout_names.(i) name then i
+    else find (i + 1)
+  in
+  find 1
+
+let describe_tag tag =
+  if tag >= 0 && tag < Array.length layout_names then
+    "Backup descriptor of " ^ layout_names.(tag)
+  else Printf.sprintf "Backup descriptor with unknown tag %d" tag
+
+(* A Backup slot whose descriptor carries [found] opens as the structure
+   of [tag] only when the two agree, or the descriptor is untagged. *)
+let check_tag ~slot ~tag found =
+  if found <> 0 && found <> tag then
+    raise
+      (Error.Error
+         (Error.Codec_mismatch
+            { slot; expected = describe_tag tag; found = describe_tag found }))
+
 (* Build and flush a fresh descriptor + empty op log anchored at
    [anchor].  No fence here: the caller's CommitSingle drains the
    descriptor, log-header and policy clwbs before swinging the root, so
    a durable descriptor root implies all of them are durable.  Must run
    outside any backup-update bracket (the descriptor itself needs its
    eager flush). *)
-let build_descriptor heap ~slot anchor =
+let build_descriptor heap ~slot ~tag anchor =
   let log =
     Pmalloc.Heap.alloc heap ~kind:Pmalloc.Block.Raw
       ~words:Pmalloc.Backup.log_alloc_words
@@ -175,7 +206,8 @@ let build_descriptor heap ~slot anchor =
     Pmalloc.Block.header_words;
   let nonce = Pmalloc.Heap.next_root_seq heap slot in
   let desc = Pfds.Node.alloc heap ~words:Pmalloc.Backup.desc_words in
-  Pfds.Node.set heap desc Pmalloc.Backup.d_magic Pmalloc.Backup.magic_word;
+  Pfds.Node.set heap desc Pmalloc.Backup.d_magic
+    (Pmalloc.Backup.magic_word ~tag);
   Pfds.Node.set heap desc Pmalloc.Backup.d_nonce (Pmem.Word.of_int nonce);
   Pfds.Node.set_shared heap desc Pmalloc.Backup.d_anchor anchor;
   Pfds.Node.set heap desc Pmalloc.Backup.d_log (Pmem.Word.of_ptr log);
@@ -189,8 +221,9 @@ let build_descriptor heap ~slot anchor =
    current keeps the caller's. *)
 let checkpoint ?(intermediates = []) heap ~slot latest =
   Pmalloc.Heap.flush_backlog heap;
-  let desc, log, nonce = build_descriptor heap ~slot latest in
   let old = Pmalloc.Heap.backup_state heap slot in
+  let tag = match old with Some st -> st.Pmalloc.Heap.b_tag | None -> 0 in
+  let desc, log, nonce = build_descriptor heap ~slot ~tag latest in
   (* releases the old descriptor, cascading into the old anchor and log *)
   single ~intermediates heap ~slot (Pmem.Word.of_ptr desc);
   (match old with
@@ -199,7 +232,7 @@ let checkpoint ?(intermediates = []) heap ~slot latest =
       release_version heap st.Pmalloc.Heap.b_current
   | _ -> ());
   Pmalloc.Heap.install_backup_state heap slot ~current:latest ~count:0 ~nonce
-    ~desc ~log
+    ~desc ~log ~tag
 
 (* Promote a slot to the Backup policy: durably flip its policy word,
    then install a descriptor anchored at whatever version the slot
@@ -210,17 +243,17 @@ let checkpoint ?(intermediates = []) heap ~slot latest =
    root with a Full policy word.  A slot no commit has bound yet pays
    one extra fence here: its root-summary bit must be durable before
    the policy word says Backup. *)
-let enable heap ~slot =
+let enable heap ~slot ~tag =
   let root = Pmalloc.Heap.root_get heap slot in
   Pmalloc.Heap.set_policy_durable heap slot Pmalloc.Heap.Backup;
-  let desc, log, nonce = build_descriptor heap ~slot root in
+  let desc, log, nonce = build_descriptor heap ~slot ~tag root in
   (* the volatile current keeps a reference of its own, alongside the
      anchor reference the descriptor just took *)
   if Pmem.Word.is_ptr root && not (Pmem.Word.is_null root) then
     Pmalloc.Heap.retain heap (Pmem.Word.to_ptr root);
   single heap ~slot (Pmem.Word.of_ptr desc);
   Pmalloc.Heap.install_backup_state heap slot ~current:root ~count:0 ~nonce
-    ~desc ~log
+    ~desc ~log ~tag
 
 (* The Backup commit: one log entry, one clwb, zero shadow flushes.
    The fence comes FIRST -- it drains the {e previous} entry's clwb,
@@ -248,27 +281,27 @@ let backup_append ?(intermediates = []) heap st ~opcode ~a0 ~a1 ~latest =
    and install the result.  Idempotent; no durable writes -- the replayed
    versions stay volatile-clean exactly as the originals did, covered by
    the same log entries. *)
-let reconstruct heap ~slot ~apply =
+let reconstruct heap ~slot ~tag ~apply =
   match Pmalloc.Heap.get_policy heap slot with
   | Pmalloc.Heap.Full -> ()
   | Pmalloc.Heap.Backup -> (
       match Pmalloc.Heap.backup_state heap slot with
-      | Some _ -> ()
+      | Some st -> check_tag ~slot ~tag st.Pmalloc.Heap.b_tag
       | None ->
           let root = Pmalloc.Heap.root_get heap slot in
-          let is_desc =
-            Pmem.Word.is_ptr root
-            && (not (Pmem.Word.is_null root))
-            && Pmalloc.Backup.is_magic
-                 (Pmalloc.Heap.load heap
-                    (Pmem.Word.to_ptr root + Pmalloc.Backup.d_magic))
+          let word0 =
+            if Pmem.Word.is_ptr root && not (Pmem.Word.is_null root) then
+              Pmalloc.Heap.load heap
+                (Pmem.Word.to_ptr root + Pmalloc.Backup.d_magic)
+            else Pmem.Word.null
           in
-          if not is_desc then
+          if not (Pmalloc.Backup.is_magic word0) then
             (* promotion tear: the policy word persisted but the
                descriptor swing did not; the root is the pre-promotion
                (Full-shaped, possibly null) version.  Promote again. *)
-            enable heap ~slot
+            enable heap ~slot ~tag
           else begin
+            check_tag ~slot ~tag (Pmalloc.Backup.tag_of word0);
             let body = Pmem.Word.to_ptr root in
             let nonce =
               Pmem.Word.to_int
@@ -302,7 +335,7 @@ let reconstruct heap ~slot ~apply =
                     end)
                   entries);
             Pmalloc.Heap.install_backup_state heap slot ~current:!current
-              ~count:(List.length entries) ~nonce ~desc:body ~log
+              ~count:(List.length entries) ~nonce ~desc:body ~log ~tag
           end)
 
 (* The Update half of CommitSiblings: build and flush a fresh parent that

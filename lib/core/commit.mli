@@ -88,10 +88,18 @@ val current_of : Pmalloc.Heap.t -> slot:int -> Pmem.Word.t
     the volatile current version for Backup slots.  Raises [Failure] on
     a Backup slot whose state has not been reconstructed yet. *)
 
-val enable : Pmalloc.Heap.t -> slot:int -> unit
+val layout_tag : string -> int
+(** The tag the named structure's Backup descriptors carry in word 0
+    ("Dmap", "Dset", "Dstack", "Dqueue", "Dvec", "Dseq", "Dpqueue"). *)
+
+val describe_tag : int -> string
+(** A tag as a [Codec_mismatch] names it. *)
+
+val enable : Pmalloc.Heap.t -> slot:int -> tag:int -> unit
 (** Promote a slot to the Backup policy: durably flip its policy word,
-    then commit a descriptor anchored at the slot's present version
-    (null for an empty structure) and install fresh volatile state.
+    then commit a descriptor tagged [tag] and anchored at the slot's
+    present version (null for an empty structure) and install fresh
+    volatile state.
     One fence.  A crash mid-promotion leaves either the old Full state
     or Backup-policy + pre-promotion root, which [reconstruct]
     re-promotes. *)
@@ -117,13 +125,15 @@ val checkpoint :
   Pmem.Word.t ->
   unit
 (** Re-anchor a Backup slot at the given version: flush the backlogged
-    interior nodes, commit a fresh descriptor + empty op log with one
+    interior nodes, commit a fresh descriptor (with the slot's tag) +
+    empty op log with one
     CommitSingle, reset the volatile state.  Used when the log fills or
     an operation's arguments cannot ride in a log entry. *)
 
 val reconstruct :
   Pmalloc.Heap.t ->
   slot:int ->
+  tag:int ->
   apply:
     (Pmem.Word.t -> opcode:int -> a0:Pmem.Word.t -> a1:Pmem.Word.t ->
      Pmem.Word.t) ->
@@ -132,4 +142,7 @@ val reconstruct :
     valid prefix from the anchor through [apply] (the structure's pure
     op dispatcher, returning the owned successor version).  Idempotent,
     no durable writes; a no-op on Full slots.  An interrupted promotion
-    (Backup policy, non-descriptor root) is re-promoted here. *)
+    (Backup policy, non-descriptor root) is re-promoted here, tagged
+    [tag].  A descriptor (or reconstructed state) tagged for another
+    structure raises {!Error.Error} [Codec_mismatch] before anything
+    changes; an untagged one opens. *)

@@ -46,12 +46,15 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) = struct
     | 1 -> fst (remove_pure heap version (K.read heap a0))
     | _ -> Printf.ksprintf failwith "dmap: unknown log opcode %d" opcode
 
-  let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+  let tag = Commit.layout_tag "Dmap"
+
+  let reconstruct heap ~slot =
+    Commit.reconstruct heap ~slot ~tag ~apply:(apply heap)
 
   (* A null version is a valid (empty) map, so opening just binds the
      slot; the first insert installs the first node. *)
   let layout =
-    { Handle.name = "Dmap"; shape = "CHAMP node (scanned block)";
+    { Handle.name = "Dmap"; tag; shape = "CHAMP node (scanned block)";
       words = None; empty = None; reconstruct }
 
   let open_or_create ?persist = Handle.open_or_create layout ?persist

@@ -18,6 +18,15 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) : sig
 
   val open_result : Pmalloc.Heap.t -> slot:int -> (t, Error.t) result
   val reconstruct : Pmalloc.Heap.t -> slot:int -> unit
+
+  val layout : Handle.layout
+  (** How the map opens its slot ({!Handle.open_or_create}). *)
+
+  val apply :
+    Pmalloc.Heap.t -> Pmem.Word.t -> opcode:int -> a0:Pmem.Word.t ->
+    a1:Pmem.Word.t -> Pmem.Word.t
+  (** One Backup log entry replayed on a version ({!Commit.reconstruct}). *)
+
   val handle : t -> Handle.t
   val empty_version : Pmalloc.Heap.t -> Pmem.Word.t
 

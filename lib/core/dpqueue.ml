@@ -37,11 +37,14 @@ let apply heap version ~opcode ~a0 ~a1 =
       | None -> version)
   | _ -> Printf.ksprintf failwith "dpqueue: unknown log opcode %d" opcode
 
-let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+let tag = Commit.layout_tag "Dpqueue"
+
+let reconstruct heap ~slot =
+  Commit.reconstruct heap ~slot ~tag ~apply:(apply heap)
 
 (* A null version is a valid (empty) heap. *)
 let layout =
-  { Handle.name = "Dpqueue"; shape = "leftist-heap node (4 scanned words)";
+  { Handle.name = "Dpqueue"; tag; shape = "leftist-heap node (4 scanned words)";
     words = Some 4; empty = None; reconstruct }
 
 let open_or_create ?persist = Handle.open_or_create layout ?persist

@@ -33,7 +33,10 @@ let apply heap version ~opcode ~a0 ~a1 =
       | None -> version)
   | _ -> Printf.ksprintf failwith "dqueue: unknown log opcode %d" opcode
 
-let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+let tag = Commit.layout_tag "Dqueue"
+
+let reconstruct heap ~slot =
+  Commit.reconstruct heap ~slot ~tag ~apply:(apply heap)
 
 let entry_of_elt op w =
   if Pmem.Word.is_ptr w then None else Some (op, w, Pmem.Word.of_int 0)
@@ -41,7 +44,7 @@ let entry_of_elt op w =
 (* A null slot gets the empty descriptor; under [Backup] the promotion
    commit anchors it. *)
 let layout =
-  { Handle.name = "Dqueue"; shape = "queue descriptor (2 scanned words)";
+  { Handle.name = "Dqueue"; tag; shape = "queue descriptor (2 scanned words)";
     words = Some 2; empty = Some empty_version; reconstruct }
 
 let open_or_create ?persist = Handle.open_or_create layout ?persist

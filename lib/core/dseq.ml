@@ -32,7 +32,10 @@ let apply heap version ~opcode ~a0 ~a1 =
         ~len:(Pmem.Word.to_int a1)
   | _ -> Printf.ksprintf failwith "dseq: unknown log opcode %d" opcode
 
-let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+let tag = Commit.layout_tag "Dseq"
+
+let reconstruct heap ~slot =
+  Commit.reconstruct heap ~slot ~tag ~apply:(apply heap)
 
 let entry_of_elt op w =
   if Pmem.Word.is_ptr w then None else Some (op, w, Pmem.Word.of_int 0)
@@ -40,7 +43,7 @@ let entry_of_elt op w =
 let empty_version heap = Pfds.Rrb.create heap
 
 let layout =
-  { Handle.name = "Dseq"; shape = "RRB descriptor (3 scanned words)";
+  { Handle.name = "Dseq"; tag; shape = "RRB descriptor (3 scanned words)";
     words = Some 3; empty = Some empty_version; reconstruct }
 
 let open_or_create ?persist = Handle.open_or_create layout ?persist

@@ -18,9 +18,16 @@ module Make (K : Pfds.Kv.CODEC) = struct
   let span_n t op n f =
     Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
 
-  let open_or_create = M.open_or_create
-  let open_result = M.open_result
-  let reconstruct = M.reconstruct
+  (* The map's layout under the set's own Backup tag, so neither opens
+     the other's Backup slot. *)
+  let tag = Commit.layout_tag "Dset"
+
+  let reconstruct heap ~slot =
+    Commit.reconstruct heap ~slot ~tag ~apply:(M.apply heap)
+
+  let layout = { M.layout with Handle.name = "Dset"; tag; reconstruct }
+  let open_or_create ?persist = Handle.open_or_create layout ?persist
+  let open_result = Handle.open_result layout
   let handle t = t
   let empty_version = M.empty_version
   let add_pure heap version key = M.insert_pure heap version key ()

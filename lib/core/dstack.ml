@@ -36,7 +36,10 @@ let apply heap version ~opcode ~a0 ~a1 =
       | None -> version)
   | _ -> Printf.ksprintf failwith "dstack: unknown log opcode %d" opcode
 
-let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+let tag = Commit.layout_tag "Dstack"
+
+let reconstruct heap ~slot =
+  Commit.reconstruct heap ~slot ~tag ~apply:(apply heap)
 
 (* Only scalar elements can ride in a log entry; a pointer-valued push
    (blob element) forces a checkpoint instead. *)
@@ -46,7 +49,7 @@ let entry_of_elt op w =
 (* A null version is a valid (empty) stack, so opening just binds the
    slot; the first push installs the first node. *)
 let layout =
-  { Handle.name = "Dstack"; shape = "stack cons cell (2 scanned words)";
+  { Handle.name = "Dstack"; tag; shape = "stack cons cell (2 scanned words)";
     words = Some 2; empty = None; reconstruct }
 
 let open_or_create ?persist = Handle.open_or_create layout ?persist

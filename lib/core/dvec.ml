@@ -39,7 +39,10 @@ let apply heap version ~opcode ~a0 ~a1 =
       shadow_shadow
   | _ -> Printf.ksprintf failwith "dvec: unknown log opcode %d" opcode
 
-let reconstruct heap ~slot = Commit.reconstruct heap ~slot ~apply:(apply heap)
+let tag = Commit.layout_tag "Dvec"
+
+let reconstruct heap ~slot =
+  Commit.reconstruct heap ~slot ~tag ~apply:(apply heap)
 
 let entry_of_elt op w =
   if Pmem.Word.is_ptr w then None else Some (op, w, Pmem.Word.of_int 0)
@@ -47,7 +50,7 @@ let entry_of_elt op w =
 let empty_version heap = Pfds.Pvec.create heap
 
 let layout =
-  { Handle.name = "Dvec"; shape = "vector descriptor (4 scanned words)";
+  { Handle.name = "Dvec"; tag; shape = "vector descriptor (4 scanned words)";
     words = Some 4; empty = Some empty_version; reconstruct }
 
 let open_or_create ?persist = Handle.open_or_create layout ?persist

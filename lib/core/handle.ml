@@ -77,6 +77,7 @@ let update_cas ?reclaim ?before_swing ?after_swing t ~build =
 
 type layout = {
   name : string;
+  tag : int;
   shape : string;
   words : int option;
   empty : (Pmalloc.Heap.t -> Pmem.Word.t) option;
@@ -100,7 +101,7 @@ let bind layout ?persist t =
   | (None | Some Pmalloc.Heap.Full), Pmalloc.Heap.Full -> install ()
   | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full ->
       install ();
-      Commit.enable t.heap ~slot:t.slot
+      Commit.enable t.heap ~slot:t.slot ~tag:layout.tag
   | _, Pmalloc.Heap.Backup -> layout.reconstruct t.heap ~slot:t.slot
 
 let open_or_create layout ?persist heap ~slot =
@@ -136,11 +137,14 @@ let describe_root t =
 let expect_shape layout t =
   let alloc = Pmalloc.Heap.allocator t.heap in
   let body = Pmem.Word.to_ptr (durable_root t) in
-  let is_descriptor =
-    Pmalloc.Heap.get_policy t.heap t.slot = Pmalloc.Heap.Backup
-    && Pmalloc.Backup.is_magic
-         (Pmalloc.Heap.load t.heap (body + Pmalloc.Backup.d_magic))
+  let descriptor =
+    if Pmalloc.Heap.get_policy t.heap t.slot = Pmalloc.Heap.Backup then
+      let w = Pmalloc.Heap.load t.heap (body + Pmalloc.Backup.d_magic) in
+      if Pmalloc.Backup.is_magic w then Some (Pmalloc.Backup.tag_of w)
+      else None
+    else None
   in
+  let is_descriptor = Option.is_some descriptor in
   let kind_ok = Pmalloc.Allocator.kind_of alloc body = Pmalloc.Block.Scanned in
   let words_ok =
     match (is_descriptor, layout.words) with
@@ -148,11 +152,22 @@ let expect_shape layout t =
     | false, None -> true
     | false, Some n -> Pmalloc.Allocator.used_of alloc body = n
   in
-  if kind_ok && words_ok then Ok t
-  else
-    Error
-      (Error.Codec_mismatch
-         { slot = t.slot; expected = layout.shape; found = describe_root t })
+  match descriptor with
+  | Some found when found <> 0 && found <> layout.tag ->
+      (* another structure's Backup slot *)
+      Error
+        (Error.Codec_mismatch
+           {
+             slot = t.slot;
+             expected = Commit.describe_tag layout.tag;
+             found = Commit.describe_tag found;
+           })
+  | _ ->
+      if kind_ok && words_ok then Ok t
+      else
+        Error
+          (Error.Codec_mismatch
+             { slot = t.slot; expected = layout.shape; found = describe_root t })
 
 let open_slot layout heap ~slot =
   let limit = Pmalloc.Heap.root_slots in

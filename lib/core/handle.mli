@@ -62,6 +62,9 @@ val update_cas :
 
 type layout = {
   name : string;  (** the structure's module, for error messages *)
+  tag : int;
+      (** the tag its Backup descriptors carry ({!Commit.layout_tag}):
+          a Backup slot tagged for another structure does not open *)
   shape : string;  (** its root block, as a [Codec_mismatch] names it *)
   words : int option;  (** the root block's size, when it is fixed *)
   empty : (Pmalloc.Heap.t -> Pmem.Word.t) option;
@@ -76,11 +79,14 @@ val open_or_create :
 (** Bind [slot], installing [empty] if the slot is null.  Trusts the
     slot's contents.  [persist] omitted follows the slot's durable policy
     word (a Backup slot is reconstructed); [Backup] promotes a Full
-    slot; [Full] on a Backup slot is [Invalid_argument]. *)
+    slot; [Full] on a Backup slot is [Invalid_argument].  A Backup slot
+    whose descriptor is tagged for another structure raises
+    {!Error.Error} [Codec_mismatch]. *)
 
 val open_result :
   layout -> Pmalloc.Heap.t -> slot:int -> (t, Error.t) result
 (** Like [open_or_create] with no [persist], after validating the slot:
     in range, readable, and either null or a pointer to an allocated
     [Scanned] block of [words] words ([Backup.desc_words] when the slot
-    commits as Backup). *)
+    commits as Backup, with a descriptor untagged or tagged [tag];
+    another structure's descriptor is [Codec_mismatch]). *)

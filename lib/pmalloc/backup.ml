@@ -3,9 +3,12 @@
     A slot whose policy word is [Backup] does not point at a structure
     version; it points at a 4-word {e descriptor} node:
 
-    - word 0: magic (scalar) -- distinguishes a descriptor from any
-      structure root (CHAMP bitmaps, vector sizes, ... are all small
-      scalars or pointers; the magic is a large scalar constant);
+    - word 0: magic and tag (scalar) -- the magic distinguishes a
+      descriptor from any structure root (CHAMP bitmaps, vector sizes,
+      ... are all small scalars or pointers; the magic is a large scalar
+      constant), and the bits above it carry the owning structure's
+      layout tag, written by the same store (tag 0: a descriptor written
+      before tags existed);
     - word 1: nonce (scalar) -- the root-record sequence number the
       descriptor was installed under; every valid log entry's checksum
       is bound to it, so entries surviving in a recycled log block from
@@ -36,8 +39,24 @@
 
 (* Large scalar, far outside any structure root's scalar range. *)
 let magic = 0x4D42_4B50_0001
-let magic_word = Pmem.Word.of_int magic
-let is_magic w = (not (Pmem.Word.is_ptr w)) && Pmem.Word.to_int w = magic
+
+(* The layout tag sits above the magic's bits. *)
+let tag_shift = 48
+let max_tag = 0xff
+let magic_word ~tag =
+  if tag < 0 || tag > max_tag then
+    invalid_arg (Printf.sprintf "Backup.magic_word: tag %d out of range" tag);
+  Pmem.Word.of_int (magic lor (tag lsl tag_shift))
+
+(* A descriptor's word 0, whatever its tag. *)
+let is_magic w =
+  (not (Pmem.Word.is_ptr w))
+  &&
+  let v = Pmem.Word.to_int w in
+  v land ((1 lsl tag_shift) - 1) = magic && v lsr tag_shift <= max_tag
+
+(* The tag of a word [is_magic] accepts. *)
+let tag_of w = Pmem.Word.to_int w lsr tag_shift
 
 let desc_words = 4
 let d_magic = 0

@@ -8,8 +8,18 @@ val magic : int
 (** Scalar payload of a descriptor's word 0; large enough that no
     structure root's scalar (bitmap, size, ...) collides with it. *)
 
-val magic_word : Pmem.Word.t
+val max_tag : int
+
+val magic_word : tag:int -> Pmem.Word.t
+(** A descriptor's word 0: {!magic} with the owning structure's layout
+    tag (0 to {!max_tag}) in the bits above it, so one store writes
+    both. *)
+
 val is_magic : Pmem.Word.t -> bool
+(** Whether a word is a descriptor's word 0, whatever its tag. *)
+
+val tag_of : Pmem.Word.t -> int
+(** The tag of a word {!is_magic} accepts. *)
 
 val desc_words : int
 (** Descriptor body size (4). *)

@@ -136,6 +136,7 @@ type backup_state = {
   b_nonce : int;  (* the nonce every valid entry's checksum is bound to *)
   b_desc : int;  (* descriptor body offset *)
   b_log : int;  (* op-log (Raw block) body offset *)
+  b_tag : int;  (* the layout tag the descriptor carries *)
 }
 
 (* How Full-policy commits install their root: [Swing] is the paper's
@@ -601,11 +602,11 @@ let backup_state t slot =
   check_slot slot;
   Hashtbl.find_opt t.backup slot
 
-let install_backup_state t slot ~current ~count ~nonce ~desc ~log =
+let install_backup_state t slot ~current ~count ~nonce ~desc ~log ~tag =
   check_slot slot;
   Hashtbl.replace t.backup slot
     { b_current = current; b_count = count; b_nonce = nonce; b_desc = desc;
-      b_log = log }
+      b_log = log; b_tag = tag }
 
 let clear_backup_runtime t =
   Hashtbl.reset t.backup;

@@ -311,12 +311,13 @@ type backup_state = {
   b_nonce : int;  (** nonce every valid entry's checksum is bound to *)
   b_desc : int;  (** descriptor body offset *)
   b_log : int;  (** op-log (Raw block) body offset *)
+  b_tag : int;  (** the layout tag the descriptor carries ({!Backup}) *)
 }
 
 val backup_state : t -> int -> backup_state option
 val install_backup_state :
   t -> int -> current:Pmem.Word.t -> count:int -> nonce:int -> desc:int ->
-  log:int -> unit
+  log:int -> tag:int -> unit
 
 val clear_backup_runtime : t -> unit
 (** Drop all volatile Backup state (per-slot states, backlog, bracket

@@ -121,15 +121,28 @@ let span_run t ~structure ~op ~ops f =
   if t.depth > 0 then begin
     (* nested span: the outermost one owns the whole delta *)
     t.depth <- t.depth + 1;
-    Fun.protect ~finally:(fun () -> t.depth <- t.depth - 1) f
+    match f () with
+    | v ->
+        t.depth <- t.depth - 1;
+        v
+    | exception e ->
+        t.depth <- t.depth - 1;
+        raise e
   end
   else
     match t.sink with
-    | Sink.Null ->
-        (* Null sink: track nesting only — no snapshots, no aggregation —
-           so disabled-but-installed telemetry stays within noise. *)
+    | Sink.Null -> (
+        (* Null sink: track nesting only — no snapshots, no aggregation,
+           no closure — so disabled-but-installed telemetry stays within
+           noise and allocates nothing per span. *)
         t.depth <- 1;
-        Fun.protect ~finally:(fun () -> t.depth <- 0) f
+        match f () with
+        | v ->
+            t.depth <- 0;
+            v
+        | exception e ->
+            t.depth <- 0;
+            raise e)
     | Sink.Memory ->
         t.depth <- 1;
         let before = Pmem.Stats.snapshot t.stats in

@@ -87,6 +87,24 @@ struct
     let t = D.open_or_create heap ~slot:0 in
     Alcotest.(check int) "size after reconstruction" 4 (D.size t)
 
+  (* This structure as the owner of a 5-element Backup slot, and as an
+     opener of slot 0 through both open paths. *)
+  let cross =
+    let five () =
+      let heap = mk_heap () in
+      let t = D.open_or_create ~persist:Pmalloc.Heap.Backup heap ~slot:0 in
+      List.iter (fun i -> D.add t (E.mk i)) [ 1; 2; 3; 4; 5 ];
+      heap
+    in
+    let size heap =
+      match D.open_result heap ~slot:0 with
+      | Ok t -> D.size t
+      | Error e -> Alcotest.failf "%s: %s" D.structure (Mod_core.Error.to_string e)
+    in
+    let open_result heap = Result.map ignore (D.open_result heap ~slot:0) in
+    let open_or_create heap = ignore (D.open_or_create heap ~slot:0 : D.t) in
+    (D.structure, five, size, open_result, open_or_create)
+
   let open_cases =
     [
       Alcotest.test_case (D.structure ^ ": Full open refused") `Quick
@@ -129,6 +147,48 @@ module Conf_pqueue =
 (* ------------------------------------------------------------------ *)
 (* Typed open-path errors                                             *)
 (* ------------------------------------------------------------------ *)
+
+(* Each structure's 5-element Backup slot, opened as each of the other
+   six, live and after a restart (volatile state dropped): both open
+   paths refuse it with [Codec_mismatch] and leave it to its owner. *)
+let test_foreign_backup_slot () =
+  let all =
+    [
+      Conf_map.cross; Conf_set.cross; Conf_vec.cross; Conf_stack.cross;
+      Conf_queue.cross; Conf_seq.cross; Conf_pqueue.cross;
+    ]
+  in
+  List.iter
+    (fun (owner, five, size, _, _) ->
+      List.iter
+        (fun (opener, _, _, open_result, open_or_create) ->
+          if opener <> owner then
+            List.iter
+              (fun restart ->
+                let heap = five () in
+                if restart then Pmalloc.Heap.clear_backup_runtime heap;
+                (match open_result heap with
+                | Error (Mod_core.Error.Codec_mismatch _) -> ()
+                | Ok () ->
+                    Alcotest.failf "%s's Backup slot opened as %s" owner opener
+                | Error e ->
+                    Alcotest.failf "%s's Backup slot as %s: %s" owner opener
+                      (Mod_core.Error.to_string e));
+                (match open_or_create heap with
+                | exception
+                    Mod_core.Error.Error (Mod_core.Error.Codec_mismatch _) ->
+                    ()
+                | exception e ->
+                    Alcotest.failf "%s's Backup slot as %s raised %s" owner
+                      opener (Printexc.to_string e)
+                | () ->
+                    Alcotest.failf "%s's Backup slot bound as %s" owner opener);
+                Alcotest.(check int)
+                  (Printf.sprintf "%s still opens after %s" owner opener)
+                  5 (size heap))
+              [ false; true ])
+        all)
+    all
 
 let test_scalar_root () =
   let heap = mk_heap () in
@@ -245,7 +305,8 @@ let () =
               let heap = mk_heap () in
               let m = Imap.open_or_create heap ~slot:0 in
               Imap.insert m 1 2;
-              Mod_core.Commit.enable heap ~slot:0;
+              Mod_core.Commit.enable heap ~slot:0
+                ~tag:(Mod_core.Commit.layout_tag "Dmap");
               let h = Mod_core.Handle.make heap ~slot:0 in
               match
                 Mod_core.Handle.update_cas h ~build:(fun _ -> None)
@@ -263,6 +324,8 @@ let () =
         [
           Alcotest.test_case "scalar root" `Quick test_scalar_root;
           Alcotest.test_case "codec mismatch" `Quick test_codec_mismatch;
+          Alcotest.test_case "another structure's Backup slot" `Quick
+            test_foreign_backup_slot;
           Alcotest.test_case "error strings" `Quick test_error_strings;
           Alcotest.test_case "recover returns result" `Quick
             test_recover_result;

@@ -167,6 +167,29 @@ let test_null_sink () =
       Alcotest.(check bool) "null sink aggregates nothing" true
         (r.Telemetry.rows = []))
 
+(* A Null span runs its body with no closure and no handler record:
+   10,000 outermost and 10,000 nested spans allocate less than one word
+   in all, so none of them allocates. *)
+let test_null_span_allocates_nothing () =
+  let c = Some (Telemetry.create ~sink:Telemetry.Sink.Null (Pmem.Stats.create ())) in
+  let body () = () in
+  let nested () = Telemetry.span_on c ~structure:"s" ~op:"inner" body in
+  let spans f =
+    for _ = 1 to 10_000 do
+      Telemetry.span_on c ~structure:"s" ~op:"outer" f
+    done
+  in
+  List.iter
+    (fun (name, f) ->
+      spans f;
+      let before = Gc.minor_words () in
+      spans f;
+      let words = Gc.minor_words () -. before in
+      if words >= 1.0 then
+        Alcotest.failf "10,000 %s Null spans allocated %.0f minor words" name
+          words)
+    [ ("outermost", body); ("nested", nested) ]
+
 let test_foreign_heap () =
   let watched = mk_heap () and foreign = mk_heap () in
   with_collector watched (fun c ->
@@ -329,6 +352,8 @@ let () =
           Alcotest.test_case "batched ops counted" `Quick
             test_batched_ops_count;
           Alcotest.test_case "null sink" `Quick test_null_sink;
+          Alcotest.test_case "null span allocates nothing" `Quick
+            test_null_span_allocates_nothing;
           Alcotest.test_case "foreign heap ignored" `Quick test_foreign_heap;
           Alcotest.test_case "stats reset rebases" `Quick
             test_stats_reset_rebase;

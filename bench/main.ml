@@ -696,6 +696,23 @@ let persist_section ~scale ~gate () =
        to seconds per GB of high-water footprint.
    Simulated numbers and allocs/op are deterministic, so the committed
    baseline gates them; wall-clock is reported for the trajectory. *)
+(* This process's peak resident set in kB: the VmHWM line of
+   /proc/self/status, or 0 where the file or the line is absent. *)
+let peak_rss_kb () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> 0
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | exception End_of_file -> 0
+        | line -> (
+            match Scanf.sscanf line "VmHWM: %d kB" Fun.id with
+            | kb -> kb
+            | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+                scan ())
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) scan
+
 let alloc_section ~scale ~gate () =
   Report.section
     "Allocator: arena hot path, map inserts at scale, recovery per GB";
@@ -781,6 +798,9 @@ let alloc_section ~scale ~gate () =
      (%.1f wall s/GB), %d blocks live\n"
     gb rec_sim_s rec_sim_s_gb rec_wall_s rec_wall_s_gb
     report.Mod_core.Recovery.gc.Pmalloc.Recovery_gc.live_blocks;
+  let peak_kb = peak_rss_kb () in
+  Printf.printf "peak memory: %d kB resident (VmHWM; 0 = not available)\n"
+    peak_kb;
   Gate.require gate ~section ~metric:"recovered_cardinality"
     (Imap.cardinal m = map_n)
     (Printf.sprintf "recovered map holds %d keys, expected %d"
@@ -806,6 +826,7 @@ let alloc_section ~scale ~gate () =
         ("recovery_sim_s_per_gb", Float rec_sim_s_gb);
         ("recovery_wall_s", Float rec_wall_s);
         ("recovery_wall_s_per_gb", Float rec_wall_s_gb);
+        ("peak_rss_kb", Int peak_kb);
       ])
 
 (* ------------------------------------------------------------------ *)

@@ -384,6 +384,9 @@ let slot_lines t =
 
 let crash_worklist t = Array.to_list (slot_lines t)
 
+let line_state t line =
+  if line < lines_in t then state_of_code (code_of (meta_of t line)) else Clean
+
 let dirty_lines t =
   let acc = ref [] in
   for line = lines_in t - 1 downto 0 do
@@ -514,9 +517,6 @@ let durable_word t off =
     if code_of m = code_clean then t.current.(off)
     else
       t.pre.(words_of_lines (slot_of m) + (off land (Config.words_per_line - 1)))
-
-let state_at t line =
-  if line < lines_in t then state_of_code (code_of (meta_of t line)) else Clean
 
 let out_of_bounds fn off =
   invalid_arg (Printf.sprintf "Region.%s: offset %d out of bounds" fn off)
@@ -1248,7 +1248,7 @@ let images_equal a b =
   in
   let lines = lines_of_words words in
   let rec same_states l =
-    l >= lines || (state_at a l = state_at b l && same_states (l + 1))
+    l >= lines || (line_state a l = line_state b l && same_states (l + 1))
   in
   a.capacity = b.capacity && a.inflight = b.inflight && same_words 0
   && same_states 0

@@ -276,6 +276,14 @@ val release : t -> snapshot -> unit
 val journal_entries : t -> int
 (** Number of live undo records in the snapshot journal (for tests). *)
 
+type line_state =
+  | Clean  (** volatile and durable words agree *)
+  | Dirty  (** stored to since its last writeback *)
+  | Flushing  (** a clwb launched its writeback; the next fence drains it *)
+
+val line_state : t -> int -> line_state
+(** A line's durability state (for tests). *)
+
 val dirty_lines : t -> int list
 (** Lines in the Dirty or Flushing state, ascending: the lines a crash
     can lose (O(lines); for tests). *)

@@ -1670,6 +1670,358 @@ let golden_tests =
           report);
   ]
 
+(* Differential test of the one-image region.  [Two_image] is the
+   textbook model the region's slots stand in for: a volatile and a
+   durable word array over the whole capacity, a state per line, and a
+   whole-image copy per snapshot and per captured point.  It drives its
+   own copies of the three caches, so it sees the region's evictions,
+   and keeps its own stats, RNG and crash seeds.  After every step the
+   region must agree with it on every word of both images, every line
+   state, the in-flight count, every [Stats] field and the crash
+   seed. *)
+module Two_image = struct
+  open Pmem
+
+  type image = {
+    i_cur : int array;
+    i_dur : int array;
+    i_st : Region.line_state array;
+    i_inflight : int;
+    i_stats : Stats.t;
+  }
+
+  type t = {
+    cur : int array;
+    dur : int array;
+    st : Region.line_state array;
+    l1 : Cache.t;
+    l2 : Cache.t;
+    llc : Cache.t;
+    stats : Stats.t;
+    mutable rng : Random.State.t;
+    mutable inflight : int;
+    bad : (int, unit) Hashtbl.t;
+    mutable seed : int option;
+    (* capture: countdown to the next point, points still wanted, the
+       stride, the phase in force when it was armed, and the points *)
+    mutable k_left : int;
+    mutable k_budget : int;
+    mutable k_stride : int;
+    mutable k_phase : Stats.phase;
+    mutable k_points : image list;
+  }
+
+  let create ~capacity ~seed =
+    let lines = capacity / Config.words_per_line in
+    {
+      cur = Array.make capacity 0;
+      dur = Array.make capacity 0;
+      st = Array.make lines Region.Clean;
+      l1 = Cache.create ();
+      l2 = Cache.create ~sets:Config.l2_sets ~ways:Config.l2_ways ();
+      llc = Cache.create ~sets:Config.llc_sets ~ways:Config.llc_ways ();
+      stats = Stats.create ();
+      rng = Random.State.make [| seed |];
+      inflight = 0;
+      bad = Hashtbl.create 4;
+      seed = None;
+      k_left = 0;
+      k_budget = -1;
+      k_stride = 1;
+      k_phase = Stats.Other;
+      k_points = [];
+    }
+
+  let image m =
+    {
+      i_cur = Array.copy m.cur;
+      i_dur = Array.copy m.dur;
+      i_st = Array.copy m.st;
+      i_inflight = m.inflight;
+      i_stats = Stats.copy m.stats;
+    }
+
+  let install m i =
+    Array.blit i.i_cur 0 m.cur 0 (Array.length m.cur);
+    Array.blit i.i_dur 0 m.dur 0 (Array.length m.dur);
+    Array.blit i.i_st 0 m.st 0 (Array.length m.st);
+    m.inflight <- i.i_inflight;
+    Stats.assign ~into:m.stats i.i_stats
+
+  let writeback m line =
+    let base = line * Config.words_per_line in
+    Array.blit m.cur base m.dur base Config.words_per_line
+
+  let evict m line =
+    writeback m line;
+    if m.st.(line) = Region.Flushing then m.inflight <- m.inflight - 1;
+    m.st.(line) <- Region.Clean
+
+  let touch m off ~write =
+    let line = off / Config.words_per_line in
+    let r = Cache.access m.l1 ~line ~write in
+    if r = Cache.hit then begin
+      m.stats.Stats.l1_hits <- m.stats.Stats.l1_hits + 1;
+      Latency.L1
+    end
+    else begin
+      if r >= 0 then evict m r;
+      m.stats.Stats.l1_misses <- m.stats.Stats.l1_misses + 1;
+      if Cache.access m.l2 ~line ~write:false = Cache.hit then Latency.L2
+      else if Cache.access m.llc ~line ~write:false = Cache.hit then Latency.Llc
+      else Latency.Pm
+    end
+
+  (* A PM event: a capture records the image right after it. *)
+  let event m =
+    if m.k_budget > 0 then begin
+      m.k_budget <- m.k_budget - 1;
+      if m.k_budget = 0 then begin
+        let i = image m in
+        i.i_stats.Stats.cur_phase <- m.k_phase;
+        m.k_points <- i :: m.k_points;
+        m.k_left <- m.k_left - 1;
+        m.k_budget <- (if m.k_left > 0 then m.k_stride else -1)
+      end
+    end
+
+  let load m off =
+    if Hashtbl.mem m.bad (off / Config.words_per_line) then
+      raise (Region.Media_fault { off });
+    let level = touch m off ~write:false in
+    m.stats.Stats.loads <- m.stats.Stats.loads + 1;
+    Stats.advance m.stats (Latency.load_ns level);
+    m.cur.(off)
+
+  let store m off v =
+    ignore (touch m off ~write:true : Latency.load_level);
+    m.stats.Stats.stores <- m.stats.Stats.stores + 1;
+    Stats.advance m.stats Latency.store_ns;
+    m.cur.(off) <- v;
+    let line = off / Config.words_per_line in
+    if m.st.(line) = Region.Clean then m.st.(line) <- Region.Dirty;
+    event m
+
+  let clwb m off =
+    m.stats.Stats.clwbs <- m.stats.Stats.clwbs + 1;
+    let line = off / Config.words_per_line in
+    if m.st.(line) = Region.Dirty then begin
+      m.st.(line) <- Region.Flushing;
+      m.inflight <- m.inflight + 1
+    end;
+    event m
+
+  let sfence m =
+    let drained = m.inflight in
+    Array.iteri
+      (fun line s ->
+        if s = Region.Flushing then begin
+          writeback m line;
+          m.st.(line) <- Region.Clean;
+          Cache.mark_clean m.l1 ~line
+        end)
+      m.st;
+    m.inflight <- 0;
+    Stats.record_fence m.stats ~drained;
+    Stats.advance_in m.stats Stats.Flush
+      (Latency.fence_stall_ns ~inflight:drained);
+    event m
+
+  let invalidate m =
+    Cache.invalidate m.l1;
+    Cache.invalidate m.l2;
+    Cache.invalidate m.llc
+
+  let crash m ~mode ~seed ~torn =
+    let seed_used =
+      match seed with Some s -> s | None -> Random.State.bits m.rng
+    in
+    let rng = Random.State.make [| seed_used |] in
+    m.seed <- Some seed_used;
+    Array.iteri
+      (fun line s ->
+        let base = line * Config.words_per_line in
+        if s <> Region.Clean then begin
+          if torn then
+            for i = base to base + Config.words_per_line - 1 do
+              if m.cur.(i) <> m.dur.(i) && Random.State.bool rng then
+                m.dur.(i) <- m.cur.(i)
+            done
+          else begin
+            let survives =
+              match (s, mode) with
+              | Region.Flushing, Region.Keep_inflight -> true
+              | Region.Flushing, Region.Randomize -> Random.State.bool rng
+              | Region.Dirty, Region.Randomize -> Random.State.int rng 4 = 0
+              | _ -> false
+            in
+            if survives then writeback m line
+          end;
+          Array.blit m.dur base m.cur base Config.words_per_line;
+          m.st.(line) <- Region.Clean
+        end)
+      m.st;
+    m.inflight <- 0;
+    m.k_budget <- -1;
+    invalidate m
+
+  let corrupt m off =
+    let v = m.cur.(off) lxor 0x55 in
+    m.cur.(off) <- v;
+    m.dur.(off) <- v
+end
+
+let one_image_tests =
+  let open Pmem in
+  let capacity = 8192 and seed = 11 in
+  let off_gen = QCheck.Gen.int_bound (capacity - 1) in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (16, map2 (fun o v -> `Store (o, v)) off_gen (int_bound 1000));
+          (10, map (fun o -> `Load o) off_gen);
+          (6, map (fun o -> `Clwb o) off_gen);
+          (3, return `Sfence);
+          ( 2,
+            map3
+              (fun m s torn -> `Crash (m, s, torn))
+              (int_bound 2) (opt nat) bool );
+          (2, return `Snapshot);
+          (2, map (fun i -> `Restore i) (int_bound 2));
+          (1, map2 (fun s n -> `Capture (1 + s, n)) (int_bound 4) (int_range 1 40));
+          (2, map (fun o -> `Corrupt o) off_gen);
+          (1, map (fun l -> `Media l) (int_bound ((capacity / 8) - 1)));
+          (1, return `Clear_media);
+        ])
+  in
+  let modes = [| Region.Drop_inflight; Region.Keep_inflight; Region.Randomize |] in
+  (* One step on both, through the same entry points; a load's media
+     fault must come from both or neither. *)
+  let step r m op =
+    match op with
+    | `Store (off, v) ->
+        Region.store r off (Word.of_int v);
+        Two_image.store m off (Word.bits (Word.of_int v))
+    | `Load off ->
+        let got =
+          match Region.load r off with
+          | w -> Some (Word.bits w)
+          | exception Region.Media_fault _ -> None
+        in
+        let want =
+          match Two_image.load m off with
+          | w -> Some w
+          | exception Region.Media_fault _ -> None
+        in
+        if got <> want then Alcotest.failf "load %d disagrees" off
+    | `Clwb off ->
+        Region.clwb r off;
+        Two_image.clwb m off
+    | `Sfence ->
+        Region.sfence r;
+        Two_image.sfence m
+    | `Crash (k, seed, torn) ->
+        Region.crash ~mode:modes.(k) ?seed ~torn r;
+        Two_image.crash m ~mode:modes.(k) ~seed ~torn
+    | `Corrupt off ->
+        Region.corrupt_word r off;
+        Two_image.corrupt m off
+    | `Media line ->
+        Region.arm_media_fault r ~line;
+        Hashtbl.replace m.Two_image.bad line ()
+    | `Clear_media ->
+        Region.clear_media_faults r;
+        Hashtbl.reset m.Two_image.bad
+    | `Snapshot | `Restore _ | `Capture _ -> assert false
+  in
+  let agree r m =
+    let words_ok = ref true in
+    for off = 0 to capacity - 1 do
+      if
+        Word.bits (Region.peek_current r off) <> m.Two_image.cur.(off)
+        || Word.bits (Region.peek_durable r off) <> m.Two_image.dur.(off)
+      then words_ok := false
+    done;
+    let states_ok = ref true in
+    Array.iteri
+      (fun line s -> if Region.line_state r line <> s then states_ok := false)
+      m.Two_image.st;
+    !words_ok && !states_ok
+    && Region.inflight r = m.Two_image.inflight
+    && Region.stats r = m.Two_image.stats
+    && Region.last_crash_seed r = m.Two_image.seed
+  in
+  let restore_model m (i, rng) =
+    Two_image.install m i;
+    m.Two_image.rng <- Random.State.copy rng;
+    Hashtbl.reset m.Two_image.bad;
+    Two_image.invalidate m
+  in
+  let run ops =
+    let r = Region.create ~capacity_words:capacity ~seed () in
+    let m = Two_image.create ~capacity ~seed in
+    (* live snapshots, newest first, each with the model's image *)
+    let snaps = ref [] in
+    List.for_all
+      (fun op ->
+        (match op with
+        | `Snapshot ->
+            snaps :=
+              (Region.snapshot r, (Two_image.image m, Random.State.copy m.Two_image.rng))
+              :: !snaps
+        | `Restore i -> (
+            match List.filteri (fun j _ -> j >= i) !snaps with
+            | [] -> ()
+            | (tok, saved) :: _ as rest ->
+                Region.restore r tok;
+                restore_model m saved;
+                snaps := rest)
+        | `Capture (stride, n) ->
+            (* run the next [n] steps of a fixed script under a capture,
+               rewind, then rebuild every point in order *)
+            let tok = Region.snapshot r in
+            let saved = (Two_image.image m, Random.State.copy m.Two_image.rng) in
+            Region.capture r ~stride ignore;
+            m.Two_image.k_budget <- 1;
+            m.Two_image.k_left <- max_int;
+            m.Two_image.k_stride <- stride;
+            m.Two_image.k_phase <- (Region.stats r).Stats.cur_phase;
+            m.Two_image.k_points <- [];
+            let script = QCheck.Gen.generate ~rand:(Random.State.make [| n |]) ~n op_gen in
+            List.iter
+              (function
+                | (`Store _ | `Load _ | `Clwb _ | `Sfence | `Corrupt _) as op ->
+                    step r m op
+                | _ -> ())
+              script;
+            let points = Region.captured r in
+            m.Two_image.k_budget <- -1;
+            let images = List.rev m.Two_image.k_points in
+            if Array.length points <> List.length images then
+              Alcotest.failf "%d points captured, the model has %d"
+                (Array.length points) (List.length images);
+            Region.restore r tok;
+            Region.release r tok;
+            restore_model m saved;
+            List.iteri
+              (fun k i ->
+                Region.apply_point r points.(k);
+                Two_image.install m i;
+                if not (agree r m) then Alcotest.failf "point %d disagrees" k)
+              images
+        | op -> step r m op);
+        agree r m)
+      ops
+  in
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"one image agrees with two images (qcheck)"
+         ~count:60
+         (QCheck.make QCheck.Gen.(list_size (int_range 1 150) op_gen))
+         run);
+  ]
+
 let () =
   Alcotest.run "pmem"
     [
@@ -1686,4 +2038,5 @@ let () =
       ("lazy", lazy_tests);
       ("line-runs", line_run_tests);
       ("golden", golden_tests);
+      ("one-image", one_image_tests);
     ]

@@ -66,23 +66,18 @@ let use t bin =
   end
 
 (* A clear costs what the lists hold: only [bin_insert] fills bins and
-   tables, so it empties the bins it filled, and it removes each live
-   entry's two keys while the tables hold few (a reset refills a small
-   table's 256 buckets, or drops a grown one at once). *)
+   tables, so it empties the bins it filled and removes the two keys of
+   each live entry in them. *)
 let clear t =
-  let few = Hashtbl.length t.by_start <= 16 in
+  let drop =
+    List.iter (fun e ->
+        if not e.dead then begin
+          Hashtbl.remove t.by_start (Block.header_of_body e.body);
+          Hashtbl.remove t.by_end (Block.header_of_body e.body + e.capacity)
+        end)
+  in
   for i = 0 to t.used_len - 1 do
     let bin = t.used.(i) in
-    let drop l =
-      if few then
-        List.iter
-          (fun e ->
-            if not e.dead then begin
-              Hashtbl.remove t.by_start (Block.header_of_body e.body);
-              Hashtbl.remove t.by_end (Block.header_of_body e.body + e.capacity)
-            end)
-          l
-    in
     if bin <= exact_max then begin
       drop t.exact.(bin);
       t.exact.(bin) <- []
@@ -94,10 +89,6 @@ let clear t =
     end;
     Bytes.unsafe_set t.bin_mark bin '\000'
   done;
-  if not few then begin
-    Hashtbl.reset t.by_start;
-    Hashtbl.reset t.by_end
-  end;
   t.used_len <- 0;
   t.free_words <- 0;
   t.entries <- 0

@@ -184,7 +184,7 @@ let prefix_ints (arr : int array) n =
   copy_ints arr 0 a 0 n;
   a
 
-(* -- per-line metadata ------------------------------------------------------ *)
+(* -- per-line metadata ----------------------------------------------------- *)
 
 let code_clean = 0
 let code_dirty = 1
@@ -193,9 +193,11 @@ let code_flushing = 2
 let[@inline] lines_in t = Bytes.length t.meta lsr 2
 
 (* [line]'s packed word; the line lies inside the prefix. *)
-let[@inline] meta_of t line = Int32.to_int (Bytes.get_int32_le t.meta (line lsl 2))
+let[@inline] meta_of t line =
+  Int32.to_int (Bytes.get_int32_le t.meta (line lsl 2))
 
-let[@inline] set_meta t line m = Bytes.set_int32_le t.meta (line lsl 2) (Int32.of_int m)
+let[@inline] set_meta t line m =
+  Bytes.set_int32_le t.meta (line lsl 2) (Int32.of_int m)
 
 let[@inline] code_of m = m land 3
 let[@inline] slot_of m = m lsr 2
@@ -366,19 +368,11 @@ let[@inline] make_clean t line m =
 
 (* The lines holding a slot, ascending: every Dirty or Flushing line. *)
 let slot_lines t =
-  let n = ref 0 in
-  for s = 0 to t.pre_made - 1 do
-    if t.pre_line.(s) >= 0 then incr n
+  let acc = ref [] in
+  for s = t.pre_made - 1 downto 0 do
+    if t.pre_line.(s) >= 0 then acc := t.pre_line.(s) :: !acc
   done;
-  let lines = Array.make !n 0 in
-  let i = ref 0 in
-  for s = 0 to t.pre_made - 1 do
-    let line = t.pre_line.(s) in
-    if line >= 0 then begin
-      lines.(!i) <- line;
-      incr i
-    end
-  done;
+  let lines = Array.of_list !acc in
   Array.sort Int.compare lines;
   lines
 
@@ -394,7 +388,7 @@ let dirty_lines t =
   done;
   !acc
 
-(* -- fence worklist ---------------------------------------------------------- *)
+(* -- fence worklist -------------------------------------------------------- *)
 
 let flush_list t line =
   let len = t.flush_len in

@@ -66,12 +66,17 @@ let use t bin =
   end
 
 (* A clear costs what the lists hold: only [bin_insert] fills bins and
-   tables, so it empties the bins it filled and removes the two keys of
-   each live entry in them. *)
+   tables, so it empties the bins it filled.  While the tables hold a
+   few entries it removes their keys one by one; past [few_entries], a
+   reset (refilling a small table's 256 buckets, or dropping a grown
+   one at once) is the cheaper. *)
+let few_entries = 8
+
 let clear t =
+  let few = Hashtbl.length t.by_start <= few_entries in
   let drop =
     List.iter (fun e ->
-        if not e.dead then begin
+        if few && not e.dead then begin
           Hashtbl.remove t.by_start (Block.header_of_body e.body);
           Hashtbl.remove t.by_end (Block.header_of_body e.body + e.capacity)
         end)
@@ -89,6 +94,10 @@ let clear t =
     end;
     Bytes.unsafe_set t.bin_mark bin '\000'
   done;
+  if not few then begin
+    Hashtbl.reset t.by_start;
+    Hashtbl.reset t.by_end
+  end;
   t.used_len <- 0;
   t.free_words <- 0;
   t.entries <- 0

@@ -11,8 +11,9 @@
                     layer under a zipfian memcached-style loop; without:
                     the kill-test worker (deterministic workload on a
                     file-backed heap, acking durable ops on stdout)
-     killtest    -- fork serve workers, SIGKILL them at random/deterministic
-                    points, reopen the image and check the oracle; with
+     killtest    -- fork serve workers that SIGKILL themselves at each
+                    writeback phase or ack of a calibration run (strided),
+                    reopen the image and check the oracle; with
                     --shards N, of each shard target shard<i>of<N>
      fsck        -- offline image checker/repairer
      machine     -- print the simulated machine configuration
@@ -211,7 +212,7 @@ let report_sweeps gate ~section names sweep =
          end
          else begin
            Gate.require gate ~section ~metric:(name ^ ".ok") s.ok
-             (Printf.sprintf "%s: %d oracle violation(s)" name s.failures);
+             (Printf.sprintf "%s: %d failure(s)" name s.failures);
            List.iter
              (fun (d, cmd) -> Format.printf "  %s@.    replay: %s@." d cmd)
              s.shown
@@ -862,8 +863,11 @@ let kill9_workloads arg =
   in
   List.iter
     (fun n ->
-      if not (List.mem n Crashtest.Kill9.names) then begin
-        Printf.eprintf "unknown kill9 workload %S; expected all or one of: %s\n"
+      if not (List.mem n Crashtest.Kill9.names || Crashtest.Workload.is_shard n)
+      then begin
+        Printf.eprintf
+          "unknown kill9 workload %S; expected all, one of %s, or a shard \
+           target shard<i>of<n>\n"
           n
           (String.concat ", " Crashtest.Kill9.names);
         exit 2
@@ -974,17 +978,17 @@ let serve_cmd =
               exit 2
         in
         ignore (kill9_workloads workload : string list);
-        let kill_at =
+        let kill =
           match (kill_commit, kill_phase) with
           | None, _ -> None
-          | Some c, phase -> (
+          | Some commit, phase -> (
               match Pmem.Backing.phase_of_name phase with
-              | Ok p -> Some (c, p)
+              | Ok phase -> Some (Crashtest.Kill9.At_sync { commit; phase })
               | Error e ->
                   Printf.eprintf "--kill-phase: %s\n" e;
                   exit 2)
         in
-        Crashtest.Kill9.serve ~capacity_words:capacity ?kill_at ?persist
+        Crashtest.Kill9.serve ~capacity_words:capacity ?kill ?persist
           ~path:file ~workload ~ops ~ack_fd:Unix.stdout ()
   in
   let file =
@@ -1017,7 +1021,9 @@ let serve_cmd =
       value
       & opt (some int) None
       & info [ "kill-commit" ] ~docv:"N"
-          ~doc:"Self-SIGKILL inside the $(docv)-th file writeback batch.")
+          ~doc:
+            "Self-SIGKILL inside the $(docv)-th file writeback batch; batch \
+             1 formats the image.")
   in
   let kill_phase =
     Arg.(
@@ -1070,7 +1076,7 @@ let serve_cmd =
       $ inline $ Cli.seed_arg ~default:42 () $ Cli.json_arg)
 
 let killtest_cmd =
-  let run workload kills ops seed dir keep json_out baseline persist shards =
+  let run workload kills ops dir keep json_out baseline persist shards =
     let gate = Gate.create ?baseline () in
     let names =
       match shard_targets shards with
@@ -1098,51 +1104,51 @@ let killtest_cmd =
     in
     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
     let per = max 1 (kills / List.length names) in
-    let results =
-      List.map
-        (fun name ->
-          let r =
-            Crashtest.Kill9.run ~dir ~ops ~seed ~keep ~log:prerr_endline
-              ?persist ~workload:name ~kills:per ()
-          in
-          Format.printf "%a@." Crashtest.Kill9.pp_result r;
-          List.iteri
-            (fun i f -> if i < 5 then Printf.printf "  FAIL %s\n" f)
-            (Crashtest.Kill9.failures r);
-          r)
-        names
-    in
-    let sum f = List.fold_left (fun a r -> a + f r) 0 results in
-    let violations = sum (fun r -> r.Crashtest.Kill9.violations) in
-    let escaped = sum (fun r -> r.Crashtest.Kill9.escaped) in
-    let trials = sum (fun r -> r.Crashtest.Kill9.kills) in
-    let max_reopen_ns =
-      List.fold_left
-        (fun a r -> Float.max a r.Crashtest.Kill9.max_reopen_ns)
-        0.0 results
-    in
-    let mean_reopen_ns =
-      let s =
-        List.fold_left
-          (fun a r ->
-            a
-            +. (r.Crashtest.Kill9.mean_reopen_ns
-               *. float_of_int r.Crashtest.Kill9.kills))
-          0.0 results
+    let swept = ref [] in
+    let sweep name =
+      let r =
+        Crashtest.Kill9.run ~dir ~ops ~keep ~log:prerr_endline ?persist
+          ~workload:name ~kills:per ()
       in
-      if trials = 0 then 0.0 else s /. float_of_int trials
+      Format.printf "%a@." Crashtest.Kill9.pp_result r;
+      swept := r :: !swept;
+      let failures = Crashtest.Kill9.failures r in
+      {
+        name;
+        negative = false;
+        ok = Crashtest.Kill9.ok r;
+        points = List.length r.trials - 1;
+        wall = r.wall_seconds;
+        failures = List.length failures;
+        shown = List.filteri (fun i _ -> i < 5) failures;
+        counters = Crashtest.Kill9.counters r;
+        fields =
+          [
+            ("ops", Json.Int r.ops);
+            ("points_total", Json.Int r.points);
+            ("stride", Json.Int r.stride);
+            ( "max_reopen_ms",
+              Json.Float (Crashtest.Kill9.max_reopen_ns r /. 1e6) );
+          ];
+      }
     in
-    Printf.printf
-      "\nkill9 total: %d trials across %d workloads, %d violations, %d \
-       escaped; reopen mean %.2fms max %.2fms\n"
-      trials (List.length names) violations escaped (mean_reopen_ns /. 1e6)
-      (max_reopen_ns /. 1e6);
     let section = "killtest" in
-    Gate.require gate ~section ~metric:"violations" (violations = 0)
-      (Printf.sprintf "%d oracle violation(s)" violations);
-    Gate.require gate ~section ~metric:"escaped" (escaped = 0)
-      (Printf.sprintf "%d escaped exception(s)" escaped);
-    Gate.bound gate ~section ~metric:"max_reopen_ms" (max_reopen_ns /. 1e6);
+    let _, _, counters, data = report_sweeps gate ~section names sweep in
+    let total f = List.fold_left (fun a r -> a + f r) 0 !swept in
+    let max_reopen_ms =
+      List.fold_left
+        (fun a r -> Float.max a (Crashtest.Kill9.max_reopen_ns r /. 1e6))
+        0.0 !swept
+    in
+    let n k = List.assoc k counters in
+    Printf.printf
+      "\nkill9 total: tested %d of %d points across %d workloads, %d \
+       violations, %d escaped, %d unkilled; worst reopen %.2fms\n"
+      (total (fun r -> List.length r.trials - 1))
+      (total (fun r -> r.points))
+      (List.length names) (n "violations") (n "escaped") (n "unkilled")
+      max_reopen_ms;
+    Gate.bound gate ~section ~metric:"max_reopen_ms" max_reopen_ms;
     Gate.write gate json_out ~command:"killtest"
       ~config:
         [
@@ -1150,42 +1156,9 @@ let killtest_cmd =
           ("shards", Json.Int (Option.value shards ~default:0));
           ("kills", Json.Int kills);
           ("ops", Json.Int ops);
-          ("seed", Json.Int seed);
           ("persist", Json.String (Cli.persist_name persist));
         ]
-      (Json.Obj
-         [
-           ("trials", Json.Int trials);
-           ("violations", Json.Int violations);
-           ("escaped", Json.Int escaped);
-           ("mean_reopen_ms", Json.Float (mean_reopen_ns /. 1e6));
-           ("max_reopen_ms", Json.Float (max_reopen_ns /. 1e6));
-           ( "workloads",
-             Json.List
-               (List.map
-                  (fun (r : Crashtest.Kill9.result) ->
-                    Json.Obj
-                      [
-                        ("workload", Json.String r.workload);
-                        ("trials", Json.Int r.kills);
-                        ("completed", Json.Int r.completed_runs);
-                        ("violations", Json.Int r.violations);
-                        ("escaped", Json.Int r.escaped);
-                        ("typed_errors", Json.Int r.typed_errors);
-                        ("journal_replayed", Json.Int r.replayed);
-                        ("journal_discarded", Json.Int r.discarded);
-                        ("journal_clean", Json.Int r.clean_journals);
-                        ("fsck_clean", Json.Int r.fsck_clean);
-                        ("fsck_degraded", Json.Int r.fsck_degraded);
-                        ("fsck_corrupt", Json.Int r.fsck_corrupt);
-                        ( "mean_reopen_ms",
-                          Json.Float (r.mean_reopen_ns /. 1e6) );
-                        ("max_reopen_ms", Json.Float (r.max_reopen_ns /. 1e6));
-                        ("wall_seconds", Json.Float r.wall_seconds);
-                        ("ok", Json.Bool (Crashtest.Kill9.ok r));
-                      ])
-                  results) );
-         ]);
+      data;
     Gate.finish gate
   in
   let workload =
@@ -1194,14 +1167,18 @@ let killtest_cmd =
       & info [ "workload"; "w" ]
           ~doc:
             (Printf.sprintf
-               "Workload to kill: all (sweep), or one of %s."
+               "Workload to kill: all (sweep), one of %s, or a shard \
+                target shard<i>of<n>."
                (String.concat ", " Crashtest.Kill9.names)))
   in
   let kills =
     Arg.(
       value & opt int 60
       & info [ "kills" ]
-          ~doc:"Total kill trials, split evenly across the chosen workloads.")
+          ~doc:
+            "Kill points to test, split evenly across the chosen workloads: \
+             each tests its calibration run's points at the smallest even \
+             stride that keeps within its share.")
   in
   let ops =
     Arg.(value & opt int 60 & info [ "ops" ] ~doc:"Operations per trial.")
@@ -1220,20 +1197,22 @@ let killtest_cmd =
   in
   let doc =
     "Real kill-9 durability test: fork a worker applying a deterministic \
-     workload to a file-backed heap, SIGKILL it -- at a random wall-clock \
-     instant or deterministically inside the writeback protocol -- reopen \
-     the image in the surviving process, and check the recovered state \
-     against the durable-linearizability oracle.  Every post-mortem image \
-     is also classified by fsck.  With $(b,--shards N), kill each shard \
-     target shard<i>of<N> in turn: its heap is the file, its siblings \
-     serve from memory.  Exits non-zero on any oracle violation or \
-     escaped exception."
+     workload to a file-backed heap and have it SIGKILL itself at one kill \
+     point -- a phase of one of its file commits, the formatting commit \
+     included, or right after one of its acks -- reopen the image in the \
+     surviving process, and check the recovered state against the \
+     durable-linearizability oracle.  A calibration run lists every point \
+     in event order, and the sweep tests them at an even stride, so a run \
+     repeats exactly.  Every post-mortem image is also classified by \
+     fsck.  With $(b,--shards N), kill each shard target shard<i>of<N> in \
+     turn: its heap is the file, its siblings serve from memory.  Exits \
+     non-zero on any oracle violation, escaped exception or point that \
+     did not kill."
   in
   Cmd.v (Cmd.info "killtest" ~doc)
     Term.(
-      const run $ workload $ kills $ ops $ Cli.seed_arg ~default:7 () $ dir
-      $ keep $ Cli.json_arg $ Cli.baseline_arg $ Cli.persist_arg
-      $ Cli.shards_arg)
+      const run $ workload $ kills $ ops $ dir $ keep $ Cli.json_arg
+      $ Cli.baseline_arg $ Cli.persist_arg $ Cli.shards_arg)
 
 let fsck_cmd =
   let run image repair_flag =

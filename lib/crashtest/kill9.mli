@@ -3,20 +3,20 @@
     Everything the explorer proves is simulated; this harness makes the
     durability claim external.  A forked worker ({!serve}) applies a
     deterministic {!Workload} script to a {e file-backed} heap, acking
-    each completed operation over a pipe; the driver ({!run}) SIGKILLs
-    it -- at a random wall-clock instant, or deterministically inside
-    the file backend's writeback protocol via {!Pmem.Backing.sync_phase}
-    -- then reopens the image in the surviving process, dumps the
-    recovered abstract state and checks it against the
-    durable-linearizability oracle. *)
+    each completed operation over a pipe, and SIGKILLs itself at one
+    kill point; the driver ({!run}) then reopens the image in the
+    surviving process, dumps the recovered abstract state and checks it
+    against the durable-linearizability oracle.  A sweep is
+    deterministic: one calibration run lists every kill point in event
+    order, and {!run} tests them at an even stride. *)
 
-type plan =
-  | Complete  (** no kill: calibration + exact-final-state check *)
-  | Timer of float  (** SIGKILL after this many wall-clock seconds *)
+type point =
   | At_sync of { commit : int; phase : Pmem.Backing.sync_phase }
-      (** worker SIGKILLs itself inside its [commit]-th file batch *)
+      (** at [phase] of the worker's [commit]-th file commit; commit 1
+          formats the image inside {!Pmalloc.Heap.create} *)
+  | After_ack of int  (** right after the worker acked its [i]-th op *)
 
-val plan_name : plan -> string
+val point_name : point -> string
 
 val names : string list
 (** Workloads whose recovery path is self-contained in a fresh process.
@@ -24,7 +24,7 @@ val names : string list
 
 val serve :
   ?capacity_words:int ->
-  ?kill_at:int * Pmem.Backing.sync_phase ->
+  ?kill:point ->
   ?persist:Pmalloc.Heap.policy ->
   path:string ->
   workload:string ->
@@ -32,21 +32,21 @@ val serve :
   ack_fd:Unix.file_descr ->
   unit ->
   unit
-(** The worker body: open/create the file-backed heap at [path], run
-    the workload, ack each completed op on [ack_fd].  Runs in the
-    forked child, or standalone via [modpm serve]. *)
+(** The worker body: create the file-backed heap at [path], run the
+    workload, ack each completed op on [ack_fd] with the file commits
+    done so far, and SIGKILL itself at [kill].  Runs in the forked
+    child, or standalone via [modpm serve]. *)
 
 type outcome =
   | Consistent of int option
-      (** matched the oracle window; the model index when unique *)
+      (** matched the oracle window; the first model index it equals *)
   | Violation of string
   | Typed_error of string  (** typed degradation (only OK pre-format) *)
   | Escaped of string  (** a raw exception leaked somewhere *)
 
 type trial = {
-  t_index : int;
-  t_workload : string;
-  t_plan : plan;
+  t_point : point option;  (** [None]: the calibration run, not killed *)
+  t_index : int;  (** the point's index in event order; -1 calibration *)
   t_acked : int;  (** completed ops acked; -1 = killed before format *)
   t_completed : bool;
   t_journal : [ `None | `Replayed of int | `Discarded ] option;
@@ -58,33 +58,29 @@ type trial = {
 type result = {
   workload : string;
   ops : int;
-  kills : int;
-  trials : trial list;
-  violations : int;
-  escaped : int;
-  typed_errors : int;  (** typed degradations on pre-format kills (benign) *)
-  completed_runs : int;
-  replayed : int;
-  discarded : int;
-  clean_journals : int;
-  fsck_clean : int;
-  fsck_degraded : int;
-  fsck_corrupt : int;
-  max_reopen_ns : float;
-  mean_reopen_ns : float;
-  run_span : float;
-      (** seconds from the calibration worker's fork to its done ack:
-          every Timer deadline is drawn from [\[0, run_span\]] *)
+  persist : Pmalloc.Heap.policy option;
+  dir : string;  (** where the images were written *)
+  kills : int;  (** the point budget the stride was chosen for *)
+  points : int;  (** every kill point of the calibration run *)
+  stride : int;  (** every [stride]-th point, from the first, was tested *)
+  trials : trial list;  (** the calibration, then the points in order *)
   wall_seconds : float;
 }
 
 val ok : result -> bool
+(** No violation, no escaped exception, the calibration run completed
+    and every point killed. *)
+
+val counters : result -> (string * int) list
+(** Trial counts by outcome, completion, journal fate and fsck verdict,
+    in a fixed order of fixed names. *)
+
+val max_reopen_ns : result -> float
 val pp_result : Format.formatter -> result -> unit
 
 val run :
   ?dir:string ->
   ?ops:int ->
-  ?seed:int ->
   ?keep:bool ->
   ?capacity_words:int ->
   ?log:(string -> unit) ->
@@ -93,9 +89,13 @@ val run :
   kills:int ->
   unit ->
   result
-(** Fork/kill/reopen [kills] trials (plus one calibration run and the
-    deterministic sync-phase plans) and judge each against the oracle
-    window.  [keep] preserves the image files for post-mortems. *)
+(** Run the calibration, list its kill points in event order, and test
+    every [stride]-th of them, the smallest stride that keeps the count
+    within [kills]: fork, kill, fsck, reopen and judge each against the
+    oracle window.  [keep] preserves the image files for post-mortems. *)
 
-val failures : result -> string list
-(** One printable line per violating or escaped trial. *)
+val failures : result -> (string * string) list
+(** One (description, replay) pair per failing trial.  The replay line
+    reruns the deterministic sweep with [--keep] and names the point and
+    its image; for an {!At_sync} point it also gives the [modpm serve]
+    command that reruns the worker alone. *)

@@ -422,9 +422,11 @@ let make region ~lines =
     summary_fallbacks = 0;
   }
 
-let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
-    =
-  let region = Pmem.Region.create ~capacity_words ~trace ~seed ?file () in
+let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file
+    ?sync_hook () =
+  let region =
+    Pmem.Region.create ~capacity_words ~trace ~seed ?file ?sync_hook ()
+  in
   let t = make region ~lines:fresh_lines in
   (* Fresh heap: both copies of every record are durable, valid null
      pointers at sequence 0 (the tie breaks toward overwriting copy 0

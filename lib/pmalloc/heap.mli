@@ -119,14 +119,22 @@ exception Torn_root of { slot : int }
     value. *)
 
 val create :
-  ?capacity_words:int -> ?trace:bool -> ?seed:int -> ?file:string -> unit -> t
+  ?capacity_words:int ->
+  ?trace:bool ->
+  ?seed:int ->
+  ?file:string ->
+  ?sync_hook:(Pmem.Backing.sync_phase -> int -> unit) ->
+  unit ->
+  t
 (** Fresh heap with all root slots durably null and a valid root
     summary covering line 0 (slots 0 and 1).  [trace] enables the
     Section 5.4 event trace; [seed] drives crash nondeterminism.  With
     [~file:path] the heap is file-backed (see {!Pmem.Region.create}):
     every fence commits the durable image's changed lines to [path] as
     one failure-atomic batch, and the heap survives [kill -9].  Creating
-    truncates an existing image; reopen with {!open_file}. *)
+    truncates an existing image; reopen with {!open_file}.  [sync_hook]
+    runs inside every file commit, the formatting commit this call makes
+    included (see {!Pmem.Region.create}). *)
 
 val open_file :
   ?trace:bool ->

@@ -43,7 +43,8 @@ let bad path fmt =
 
 (* Hook points inside {!commit}, for the kill-9 harness: a worker can
    SIGKILL itself at any of these to leave a mid-writeback image behind.
-   The [int] is the 1-based ordinal of the commit in progress. *)
+   The [int] is the 1-based ordinal of the commit in progress.  The hook
+   is given to {!create}, so it reaches the first commit too. *)
 type sync_phase =
   | Journal_torn  (** entries written; commit marker not yet durable *)
   | Journal_committed  (** journal fsynced; apply not begun *)
@@ -72,7 +73,7 @@ type t = {
   mutable line_hash : int array;  (** per-line content hash *)
   mutable image_checksum : int;  (** xor of all line hashes *)
   mutable commits : int;  (** atomic batches completed on this handle *)
-  mutable hook : sync_phase -> int -> unit;
+  hook : sync_phase -> int -> unit;
 }
 
 (* -- layout -------------------------------------------------------------- *)
@@ -313,7 +314,7 @@ let journal_path path = path ^ ".journal"
 
 let open_fd ~path flags = retrying (fun () -> Unix.openfile path flags 0o644)
 
-let create ~path ~capacity_words =
+let create ?(sync_hook = fun _ _ -> ()) ~path ~capacity_words () =
   let fd =
     open_fd ~path [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC; Unix.O_CLOEXEC ]
   in
@@ -332,7 +333,7 @@ let create ~path ~capacity_words =
       line_hash = [||];
       image_checksum = 0;
       commits = 0;
-      hook = (fun _ _ -> ());
+      hook = sync_hook;
     }
   in
   rebuild_hashes t (zero_line_hash ~cap:capacity_words);
@@ -394,7 +395,6 @@ let close t =
   (try Unix.close t.fd with Unix.Unix_error _ -> ());
   try Unix.close t.jfd with Unix.Unix_error _ -> ()
 
-let set_sync_hook t hook = t.hook <- hook
 let commits t = t.commits
 
 (* -- the atomic batch commit --------------------------------------------- *)

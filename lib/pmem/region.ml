@@ -69,12 +69,14 @@ type snapshot = {
    lines are exactly the lines a crash must visit, so [pre_line] (the
    line of each slot, or a free-list link) is also the crash worklist.
 
-   [current], [meta] and [j_mark] cover a prefix of the region, in whole
-   lines, that doubles on the first mutation past it ([reach]), capped
-   at the capacity's last line; [capacity] is the logical size.  Past
-   the prefix a word reads 0 in both images and its line is Clean and
-   unjournaled: what a zero-filled array holds.  So a heap's region
-   costs the lines it touches, not its capacity.
+   [current] and [meta] cover a prefix of the region, in whole lines,
+   that doubles on the first mutation past it ([reach]), capped at the
+   capacity's last line; [capacity] is the logical size.  [j_mark]
+   covers the same prefix once a snapshot or capture has armed the
+   journal, and is empty before: only [journal_touch] under [j_on]
+   reads it.  Past the prefix a word reads 0 in both images and its
+   line is Clean and unjournaled: what a zero-filled array holds.  So a
+   heap's region costs the lines it touches, not its capacity.
    Invariant: every Dirty or Flushing line, every line on the fence
    worklist and every journal record lies inside the prefix.  Each of
    them starts with a mutation, and a mutation reaches the prefix first;
@@ -248,7 +250,7 @@ let make ~capacity ~image ~trace ~seed backing =
     j_on = false;
     j_entries = [||];
     j_len = 0;
-    j_mark = Array.make lines (-1);
+    j_mark = [||];
     j_epoch = 0;
     j_tokens = [];
     media_bad = Hashtbl.create 4;
@@ -257,14 +259,14 @@ let make ~capacity ~image ~trace ~seed backing =
     file_dirty = Hashtbl.create 64;
   }
 
-let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file ()
-    =
+let create ?(capacity_words = 1 lsl 20) ?(trace = false) ?(seed = 42) ?file
+    ?sync_hook () =
   let cap = max capacity_words Config.words_per_line in
   let prefix = min initial_prefix_words (words_of_lines (lines_of_words cap)) in
   let backing =
     match file with
     | None -> None
-    | Some path -> Some (Backing.create ~path ~capacity_words:cap)
+    | Some path -> Some (Backing.create ?sync_hook ~path ~capacity_words:cap ())
   in
   make ~capacity:cap ~image:(Array.make prefix 0) ~trace ~seed backing
 
@@ -320,6 +322,15 @@ let[@inline] journal_touch t line =
   if t.j_on && t.j_mark.(line) <> t.j_epoch then journal_record t line
 
 let journal_entries t = t.j_len
+
+(* Arm first-touch journaling from a new epoch, sizing [j_mark] to the
+   prefix the first time. *)
+let arm_journal t =
+  if not t.j_on then begin
+    t.j_mark <- Array.make (lines_in t) (-1);
+    t.j_on <- true
+  end;
+  t.j_epoch <- t.j_epoch + 1
 
 (* -- pre-image slots ------------------------------------------------------- *)
 
@@ -493,7 +504,7 @@ let[@inline never] grow_prefix t off =
   let meta = Bytes.make (4 * lines) '\000' in
   Bytes.blit t.meta 0 meta 0 (Bytes.length t.meta);
   t.meta <- meta;
-  t.j_mark <- extend_ints t.j_mark lines (-1)
+  if t.j_on then t.j_mark <- extend_ints t.j_mark lines (-1)
 
 (* Bring word [off] (below the capacity) inside the prefix; called
    before the first mutation of its line, ahead of the journal record. *)
@@ -1057,8 +1068,7 @@ let snapshot t =
       t_trace_len = Trace.length t.trace;
     }
   in
-  t.j_on <- true;
-  t.j_epoch <- t.j_epoch + 1;
+  arm_journal t;
   t.j_tokens <- tok :: t.j_tokens;
   tok
 
@@ -1082,7 +1092,7 @@ let truncate_image t cap =
       t.flush_len <- !n;
       t.current <- prefix_ints t.current (words_of_lines lines);
       t.meta <- Bytes.sub t.meta 0 (4 * lines);
-      t.j_mark <- prefix_ints t.j_mark lines
+      if t.j_on then t.j_mark <- prefix_ints t.j_mark lines
     end;
     t.capacity <- cap
   end
@@ -1166,8 +1176,7 @@ let release t tok =
 let capture t ~stride ?max_points on_point =
   if stride <= 0 then invalid_arg "Region.capture: stride must be positive";
   let left = Option.value max_points ~default:max_int in
-  t.j_on <- true;
-  t.j_epoch <- t.j_epoch + 1;
+  arm_journal t;
   t.capture <-
     Some
       {
@@ -1274,11 +1283,6 @@ let close_file t =
       file_commit t;
       Backing.close b;
       t.backing <- None
-
-let set_file_sync_hook t hook =
-  match t.backing with
-  | None -> invalid_arg "Region.set_file_sync_hook: region is memory-backed"
-  | Some b -> Backing.set_sync_hook b hook
 
 let file_commits t =
   match t.backing with None -> 0 | Some b -> Backing.commits b

@@ -29,7 +29,13 @@ exception Media_fault of { off : int }
     returns a detectable poisoned read, as ECC hardware would. *)
 
 val create :
-  ?capacity_words:int -> ?trace:bool -> ?seed:int -> ?file:string -> unit -> t
+  ?capacity_words:int ->
+  ?trace:bool ->
+  ?seed:int ->
+  ?file:string ->
+  ?sync_hook:(Backing.sync_phase -> int -> unit) ->
+  unit ->
+  t
 (** [create ()] makes a memory-backed region (nothing survives the
     process).  [capacity_words] (default 1M) is the logical size: the
     host memory behind it is allocated as lines are first written, and
@@ -37,7 +43,11 @@ val create :
     is additionally mapped onto [path] ({!Backing}): every fence commits
     the cachelines whose durable contents changed as one failure-atomic
     batch, so the heap genuinely survives [kill -9].  Creating truncates
-    any existing image at [path]; use {!open_file} to reopen one. *)
+    any existing image at [path]; use {!open_file} to reopen one.
+    [sync_hook] runs at the four phases of every file commit, the first
+    included (see {!Backing.sync_phase}): the kill-9 harness uses it to
+    SIGKILL the process mid-writeback.  A memory-backed region ignores
+    it. *)
 
 val stats : t -> Stats.t
 val trace : t -> Trace.t
@@ -342,12 +352,6 @@ val open_file :
 val close_file : t -> unit
 (** Commit any durable-image changes not yet in the file and release the
     descriptors.  The region remains usable as memory-backed. *)
-
-val set_file_sync_hook : t -> (Backing.sync_phase -> int -> unit) -> unit
-(** Install a hook called at the four phases of every file commit (see
-    {!Backing.sync_phase}) -- the kill-9 harness uses it to SIGKILL the
-    process mid-writeback.  Raises [Invalid_argument] on a memory-backed
-    region. *)
 
 val file_commits : t -> int
 (** Atomic file batches committed so far (0 for memory-backed regions). *)

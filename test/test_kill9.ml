@@ -22,12 +22,16 @@ let line8 seed = Array.init 8 (fun i -> seed + i)
 
 exception Abort_commit
 
+(* A sync hook that aborts the [ordinal]-th commit at [phase]. *)
+let abort_at ordinal phase p o =
+  if o = ordinal && p = phase then raise Abort_commit
+
 let backing_tests =
   [
     Alcotest.test_case "commit/close/open round-trips words and capacity"
       `Quick (fun () ->
         let path = temp_image () in
-        let b = Pmem.Backing.create ~path ~capacity_words:64 in
+        let b = Pmem.Backing.create ~path ~capacity_words:64 () in
         Pmem.Backing.commit b ~capacity:64
           ~lines:[ (0, line8 100); (3, line8 900) ];
         Pmem.Backing.commit b ~capacity:64 ~lines:[ (3, line8 300) ];
@@ -43,7 +47,7 @@ let backing_tests =
     Alcotest.test_case "capacity growth is part of the atomic batch" `Quick
       (fun () ->
         let path = temp_image () in
-        let b = Pmem.Backing.create ~path ~capacity_words:8 in
+        let b = Pmem.Backing.create ~path ~capacity_words:8 () in
         Pmem.Backing.commit b ~capacity:24 ~lines:[ (2, line8 70) ];
         Pmem.Backing.close b;
         let b', words, _ = Pmem.Backing.open_ ~path in
@@ -54,11 +58,12 @@ let backing_tests =
     Alcotest.test_case "torn journal (pre-marker kill) is discarded" `Quick
       (fun () ->
         let path = temp_image () in
-        let b = Pmem.Backing.create ~path ~capacity_words:64 in
+        let b =
+          Pmem.Backing.create ~path ~capacity_words:64
+            ~sync_hook:(abort_at 2 Pmem.Backing.Journal_torn)
+            ()
+        in
         Pmem.Backing.commit b ~capacity:64 ~lines:[ (1, line8 10) ];
-        Pmem.Backing.set_sync_hook b (fun phase ordinal ->
-            if ordinal = 2 && phase = Pmem.Backing.Journal_torn then
-              raise Abort_commit);
         (match
            Pmem.Backing.commit b ~capacity:64 ~lines:[ (1, line8 500) ]
          with
@@ -73,11 +78,12 @@ let backing_tests =
     Alcotest.test_case "committed journal (post-marker kill) replays" `Quick
       (fun () ->
         let path = temp_image () in
-        let b = Pmem.Backing.create ~path ~capacity_words:64 in
+        let b =
+          Pmem.Backing.create ~path ~capacity_words:64
+            ~sync_hook:(abort_at 2 Pmem.Backing.Journal_committed)
+            ()
+        in
         Pmem.Backing.commit b ~capacity:64 ~lines:[ (1, line8 10) ];
-        Pmem.Backing.set_sync_hook b (fun phase ordinal ->
-            if ordinal = 2 && phase = Pmem.Backing.Journal_committed then
-              raise Abort_commit);
         (try
            Pmem.Backing.commit b ~capacity:64
              ~lines:[ (1, line8 500); (4, line8 40) ]
@@ -93,10 +99,11 @@ let backing_tests =
     Alcotest.test_case "kill mid-apply still replays to the full batch"
       `Quick (fun () ->
         let path = temp_image () in
-        let b = Pmem.Backing.create ~path ~capacity_words:64 in
-        Pmem.Backing.set_sync_hook b (fun phase ordinal ->
-            if ordinal = 1 && phase = Pmem.Backing.Mid_apply then
-              raise Abort_commit);
+        let b =
+          Pmem.Backing.create ~path ~capacity_words:64
+            ~sync_hook:(abort_at 1 Pmem.Backing.Mid_apply)
+            ()
+        in
         (try
            Pmem.Backing.commit b ~capacity:64
              ~lines:[ (0, line8 1); (2, line8 2); (5, line8 3) ]
@@ -139,7 +146,7 @@ let bad_image_tests =
         cleanup path);
     Alcotest.test_case "wrong magic is a typed Bad_image" `Quick (fun () ->
         let path = temp_image () in
-        let b = Pmem.Backing.create ~path ~capacity_words:1024 in
+        let b = Pmem.Backing.create ~path ~capacity_words:1024 () in
         Pmem.Backing.close b;
         let fd = Unix.openfile path [ Unix.O_WRONLY ] 0 in
         ignore (Unix.write fd (Bytes.make 1 '\xFF') 0 1 : int);
@@ -149,7 +156,7 @@ let bad_image_tests =
     Alcotest.test_case "undersized image (no root directory) is Bad_image"
       `Quick (fun () ->
         let path = temp_image () in
-        let b = Pmem.Backing.create ~path ~capacity_words:64 in
+        let b = Pmem.Backing.create ~path ~capacity_words:64 () in
         Pmem.Backing.close b;
         expect_bad_image "undersized" path;
         cleanup path);
@@ -183,6 +190,35 @@ let bad_image_tests =
   ]
 
 (* -- heap round-trip and real SIGKILL survival ---------------------------- *)
+
+let count r k = List.assoc k (Crashtest.Kill9.counters r)
+
+(* The kill points of a workload's run, recorded in-process in the order
+   they happen: each file commit's phases through the sync hook, each
+   op's ack after the op. *)
+let run_events ~workload ~ops =
+  let path = temp_image () in
+  let events = ref [] in
+  let heap =
+    Pmalloc.Heap.create ~capacity_words:(1 lsl 16) ~file:path
+      ~sync_hook:(fun phase commit ->
+        events := Crashtest.Kill9.At_sync { commit; phase } :: !events)
+      ()
+  in
+  let inst = (Crashtest.Workload.build workload ~ops).make heap in
+  inst.Crashtest.Workload.init ();
+  for i = 1 to ops do
+    inst.Crashtest.Workload.run_op (i - 1);
+    events := Crashtest.Kill9.After_ack i :: !events
+  done;
+  Pmalloc.Heap.sfence heap;
+  Pmalloc.Heap.close heap;
+  cleanup path;
+  List.rev !events
+
+(* One stride-1 sweep, shared by the tests that read it. *)
+let map_sweep =
+  lazy (Crashtest.Kill9.run ~ops:12 ~workload:"map" ~kills:1000 ())
 
 let roundtrip_tests =
   [
@@ -256,13 +292,10 @@ let roundtrip_tests =
         cleanup path);
     Alcotest.test_case "kill9 harness: map sweep has no violations" `Slow
       (fun () ->
-        let r =
-          Crashtest.Kill9.run ~ops:30 ~seed:11 ~workload:"map" ~kills:6 ()
-        in
-        Alcotest.(check int) "violations" 0 r.Crashtest.Kill9.violations;
-        Alcotest.(check int) "escaped" 0 r.Crashtest.Kill9.escaped;
-        Alcotest.(check bool) "calibration run completed" true
-          (r.Crashtest.Kill9.completed_runs >= 1);
+        let r = Crashtest.Kill9.run ~ops:30 ~workload:"map" ~kills:6 () in
+        Alcotest.(check bool) "ok" true (Crashtest.Kill9.ok r);
+        Alcotest.(check int) "violations" 0 (count r "violations");
+        Alcotest.(check int) "escaped" 0 (count r "escaped");
         List.iter
           (fun t ->
             if t.Crashtest.Kill9.t_acked >= 0 then
@@ -270,73 +303,105 @@ let roundtrip_tests =
               | Crashtest.Kill9.Consistent _ -> ()
               | _ -> Alcotest.fail "formatted image must recover consistent")
           r.Crashtest.Kill9.trials);
-    (* Timer deadlines are drawn from the calibration worker's own run,
-       not from the whole calibration trial (fork, fsck, reopen and
-       judge included), so they land inside a worker's run. *)
-    Alcotest.test_case "kill9 harness: Timer deadlines fall in the worker's run"
+    Alcotest.test_case "kill9 harness: stride 1 tests every point in order"
       `Quick (fun () ->
-        let r =
-          Crashtest.Kill9.run ~ops:20 ~seed:5 ~workload:"vec" ~kills:8 ()
+        let r = Lazy.force map_sweep in
+        Alcotest.(check int) "stride" 1 r.Crashtest.Kill9.stride;
+        let expected = run_events ~workload:"map" ~ops:12 in
+        let tested =
+          List.filter_map (fun t -> t.Crashtest.Kill9.t_point) r.trials
         in
-        Alcotest.(check int) "violations" 0 r.Crashtest.Kill9.violations;
-        Alcotest.(check int) "escaped" 0 r.Crashtest.Kill9.escaped;
-        let span = r.Crashtest.Kill9.run_span in
-        Alcotest.(check bool) "the calibration run was timed" true (span > 0.0);
-        let timers =
-          List.filter_map
-            (fun t ->
-              match t.Crashtest.Kill9.t_plan with
-              | Crashtest.Kill9.Timer s -> Some s
-              | _ -> None)
-            r.Crashtest.Kill9.trials
-        in
-        Alcotest.(check int) "timer trials" 4 (List.length timers);
-        List.iter
-          (fun s ->
-            if s > span then
-              Alcotest.failf "deadline %.6fs past the run span %.6fs" s span)
-          timers);
-    (* A shard target commits only on its own requests, far fewer than
-       the script's length: the at-sync ordinals come from the
-       calibration run's commit count, so every one of them kills. *)
-    Alcotest.test_case "kill9 harness: shard target, every at-sync trial kills"
-      `Quick (fun () ->
-        let r =
-          Crashtest.Kill9.run ~ops:60 ~seed:3 ~workload:"shard1of3" ~kills:8 ()
-        in
-        Alcotest.(check int) "violations" 0 r.Crashtest.Kill9.violations;
-        Alcotest.(check int) "escaped" 0 r.Crashtest.Kill9.escaped;
-        let at_sync =
-          List.filter
-            (fun t ->
-              match t.Crashtest.Kill9.t_plan with
-              | Crashtest.Kill9.At_sync _ -> true
-              | _ -> false)
-            r.Crashtest.Kill9.trials
-        in
-        Alcotest.(check int) "at-sync trials" 4 (List.length at_sync);
+        Alcotest.(check (list string)) "the run's phases and acks, in order"
+          (List.map Crashtest.Kill9.point_name expected)
+          (List.map Crashtest.Kill9.point_name tested);
+        Alcotest.(check int) "points" (List.length expected)
+          r.Crashtest.Kill9.points;
+        Alcotest.(check bool) "ok" true (Crashtest.Kill9.ok r);
         List.iter
           (fun t ->
             Alcotest.(check bool)
-              (Crashtest.Kill9.plan_name t.Crashtest.Kill9.t_plan ^ " killed")
-              false t.Crashtest.Kill9.t_completed)
-          at_sync)
+              (Printf.sprintf "trial %d completes only as the calibration"
+                 t.Crashtest.Kill9.t_index)
+              (t.Crashtest.Kill9.t_point = None) t.Crashtest.Kill9.t_completed)
+          r.Crashtest.Kill9.trials);
+    Alcotest.test_case "kill9 harness: two sweeps give the same verdicts"
+      `Quick (fun () ->
+        let verdicts () =
+          let r = Crashtest.Kill9.run ~ops:10 ~workload:"queue" ~kills:25 () in
+          List.map
+            (fun t ->
+              Crashtest.Kill9.
+                ( Option.map point_name t.t_point,
+                  t.t_acked,
+                  t.t_completed,
+                  t.t_journal,
+                  t.t_fsck,
+                  t.t_outcome ))
+            r.Crashtest.Kill9.trials
+        in
+        let a = verdicts () in
+        Alcotest.(check bool) "a strided sweep" true (List.length a > 2);
+        Alcotest.(check bool) "identical (point, acked, outcome) lists" true
+          (a = verdicts ()));
+    Alcotest.test_case
+      "kill9 harness: a formatting-commit kill is typed or empty"
+      `Quick (fun () ->
+        let r = Lazy.force map_sweep in
+        let model = (Crashtest.Workload.build "map" ~ops:12).model in
+        let format =
+          List.filter
+            (fun t ->
+              match t.Crashtest.Kill9.t_point with
+              | Some (Crashtest.Kill9.At_sync { commit = 1; _ }) -> true
+              | _ -> false)
+            r.Crashtest.Kill9.trials
+        in
+        Alcotest.(check int) "four phases" 4 (List.length format);
+        List.iter
+          (fun t ->
+            Alcotest.(check int) "killed before the first ack" (-1)
+              t.Crashtest.Kill9.t_acked;
+            match t.Crashtest.Kill9.t_outcome with
+            | Crashtest.Kill9.Typed_error _ -> ()
+            | Crashtest.Kill9.Consistent (Some i) ->
+                Alcotest.(check string) "the empty state" model.(0) model.(i)
+            | _ -> Alcotest.fail "a formatting-commit kill escaped or broke")
+          format;
+        Alcotest.(check bool) "the torn journal leaves a typed error" true
+          (List.exists
+             (fun t ->
+               match t.Crashtest.Kill9.t_outcome with
+               | Crashtest.Kill9.Typed_error _ -> true
+               | _ -> false)
+             format));
+    (* A shard target commits only on its own requests, far fewer than
+       the script's length: the points come from the calibration run's
+       own commits and acks, so every one of them kills. *)
+    Alcotest.test_case
+      "kill9 harness: shard target, every ack and sync point kills"
+      `Quick (fun () ->
+        let r = Crashtest.Kill9.run ~ops:60 ~workload:"shard1of3" ~kills:8 () in
+        Alcotest.(check bool) "ok" true (Crashtest.Kill9.ok r);
+        Alcotest.(check int) "every point killed" 0 (count r "unkilled");
+        Alcotest.(check bool) "a strided sweep" true
+          (r.Crashtest.Kill9.stride > 1 && List.length r.trials > 2));
   ]
 
 (* -- fsck vs the oracle (qcheck) ------------------------------------------ *)
 
 (* Build a post-kill image in-process: run a workload prefix against a
    file-backed heap and abort (exception, not SIGKILL -- same file
-   state) inside the [kill]-th writeback batch at the given phase.
-   Returns the workload and how many ops completed. *)
+   state) inside the [kill]-th writeback batch at the given phase; batch
+   1 is the formatting commit inside [Heap.create].  Returns the
+   workload and how many ops completed (-1: none, not even init). *)
 let build_image ~path ~workload ~ops ~kill ~phase =
   let w = Crashtest.Workload.build workload ~ops in
-  let heap = Pmalloc.Heap.create ~capacity_words:(1 lsl 14) ~file:path () in
-  Pmem.Region.set_file_sync_hook
-    (Pmalloc.Heap.region heap)
-    (fun p ordinal -> if ordinal = kill && p = phase then raise Abort_commit);
   let completed = ref (-1) in
   (try
+     let heap =
+       Pmalloc.Heap.create ~capacity_words:(1 lsl 14) ~file:path
+         ~sync_hook:(abort_at kill phase) ()
+     in
      let inst = w.Crashtest.Workload.make heap in
      inst.Crashtest.Workload.init ();
      completed := 0;
@@ -359,7 +424,7 @@ let fsck_case_gen =
   QCheck.Gen.(
     let* workload = oneofl [ "map"; "queue"; "stack"; "vec" ] in
     let* ops = int_range 4 16 in
-    let* kill = int_range 2 14 in
+    let* kill = int_range 1 14 in
     let* phase = int_range 0 3 in
     let* corrupt = opt (int_range 0 ((1 lsl 14) - 1)) in
     return (workload, ops, kill, phase, corrupt))

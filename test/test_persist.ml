@@ -402,13 +402,14 @@ let kill9_tests =
     Alcotest.test_case "kill9: vec sweep under Backup has no violations"
       `Slow (fun () ->
         let r =
-          Crashtest.Kill9.run ~ops:30 ~seed:13
-            ~persist:Pmalloc.Heap.Backup ~workload:"vec" ~kills:6 ()
+          Crashtest.Kill9.run ~ops:30 ~persist:Pmalloc.Heap.Backup
+            ~workload:"vec" ~kills:6 ()
         in
-        Alcotest.(check int) "violations" 0 r.Crashtest.Kill9.violations;
-        Alcotest.(check int) "escaped" 0 r.Crashtest.Kill9.escaped;
-        Alcotest.(check bool) "calibration run completed" true
-          (r.Crashtest.Kill9.completed_runs >= 1));
+        let n k = List.assoc k (Crashtest.Kill9.counters r) in
+        Alcotest.(check int) "violations" 0 (n "violations");
+        Alcotest.(check int) "escaped" 0 (n "escaped");
+        Alcotest.(check int) "every point killed" 0 (n "unkilled");
+        Alcotest.(check bool) "ok" true (Crashtest.Kill9.ok r));
   ]
 
 let () =

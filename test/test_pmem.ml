@@ -1148,7 +1148,7 @@ let lazy_tests =
             Fun.protect
               ~finally:(fun () -> cleanup path)
               (fun () ->
-                Backing.close (Backing.create ~path ~capacity_words:cap);
+                Backing.close (Backing.create ~path ~capacity_words:cap ());
                 let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
                 let capacity, stored =
                   Fun.protect

@@ -16,7 +16,8 @@
     {!Pmem.Region.capture} armed at the points the sweep tests: at each
     one the region records the lines changed since the previous point,
     the in-flight count and the stats, and the explorer fixes the
-    oracle's context (a copy of the tracker).  The same run is checked
+    oracle's context (the window the tracker lists there, which the
+    point's samples share).  The same run is checked
     once: its trace goes to the Section 5.4 consistency checker (for
     workloads that ask), and its final state must equal the newest
     committed model state (a failure at crash index -1).
@@ -250,8 +251,8 @@ let instantiate heap subject =
         });
     i_judge_now =
       (fun () ->
-        let tr = Oracle.copy_tracker tracker in
-        fun recovered -> Oracle.judge tr ~recovered);
+        let judge = Oracle.judge tracker in
+        fun recovered -> judge ~recovered);
     i_body = body;
   }
 

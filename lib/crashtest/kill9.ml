@@ -236,9 +236,29 @@ let image_path ~dir ~workload index =
     (if index < 0 then workload ^ "_complete.img"
      else Printf.sprintf "%s_%04d.img" workload index)
 
+(* [path]'s image and its journal, copied to [dst]'s names ([dst] keeps
+   no journal when [path] has none). *)
+let copy_image path ~dst =
+  let copy src dst =
+    let data = In_channel.with_open_bin src In_channel.input_all in
+    Out_channel.with_open_bin dst (fun oc -> Out_channel.output_string oc data)
+  in
+  copy path dst;
+  let j = path ^ ".journal" and dj = dst ^ ".journal" in
+  if Sys.file_exists j then copy j dj
+  else if Sys.file_exists dj then Sys.remove dj
+
+let remove_image path =
+  if Sys.file_exists path then Sys.remove path;
+  let j = path ^ ".journal" in
+  if Sys.file_exists j then Sys.remove j
+
 (* One forked trial: spawn the worker on a fresh image, let it run to
    [point] (or to completion), fsck the raw post-mortem image, reopen
-   it, and judge the recovered state.  Also returns the worker's acks. *)
+   it, and judge the recovered state.  Also returns the worker's acks.
+   With [keep], the raw image and its journal stay under [path], the
+   name a failure's replay line prints, and the reopen, which replays or
+   discards the journal, works on a copy made before its timer starts. *)
 let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index point =
   let path = image_path ~dir ~workload:w.Workload.name index in
   let rfd, wfd = Unix.pipe ~cloexec:false () in
@@ -269,11 +289,19 @@ let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index point =
       in
       let journal = ref None in
       let reopen_ns = ref 0.0 in
+      let reopened =
+        if keep && Sys.file_exists path then begin
+          let copy = path ^ ".reopened" in
+          copy_image path ~dst:copy;
+          copy
+        end
+        else path
+      in
       let outcome =
         match acks.a_exn with
         | Some m -> Escaped m
         | None -> (
-            match Mod_core.Recovery.open_file ~path () with
+            match Mod_core.Recovery.open_file ~path:reopened () with
             | Error e ->
                 (* only a kill inside the formatting commit can leave an
                    unopenable image behind *)
@@ -313,11 +341,8 @@ let trial ~dir ~keep ~capacity_words ?persist (w : Workload.t) ~index point =
                 | Oracle.Violation d ->
                     Violation (Printf.sprintf "%s (acked %d)" d acks.a_acked)))
       in
-      if not keep then begin
-        if Sys.file_exists path then Sys.remove path;
-        let j = path ^ ".journal" in
-        if Sys.file_exists j then Sys.remove j
-      end;
+      (* the reopened copy goes, and the image too unless kept *)
+      if reopened <> path || not keep then remove_image reopened;
       ( {
           t_point = point;
           t_index = index;

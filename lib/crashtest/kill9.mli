@@ -94,6 +94,11 @@ val run :
     within [kills]: fork, kill, fsck, reopen and judge each against the
     oracle window.  [keep] preserves the image files for post-mortems. *)
 
+val image_path : dir:string -> workload:string -> int -> string
+(** The file the trial at a point index (-1: the calibration) writes in
+    [dir].  With [keep] it stays there as the worker left it, journal
+    ([<file>.journal]) and all, and a failure's replay line names it. *)
+
 val failures : result -> (string * string) list
 (** One (description, replay) pair per failing trial.  The replay line
     reruns the deterministic sweep with [--keep] and names the point and

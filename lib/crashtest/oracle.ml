@@ -27,10 +27,6 @@ type tracker = {
 let tracker ~writers ~init =
   { t_init = init; t_commits = []; t_pendings = Array.make writers None }
 
-(* The tracker as it stands: the commit list is immutable, so only the
-   pending states need copying. *)
-let copy_tracker tr = { tr with t_pendings = Array.copy tr.t_pendings }
-
 (* The writer is about to (try to) swing the commit in: [state] is the
    model state its operation yields applied to the current model.  Safe
    to call once per CAS attempt -- a retry recomputes and overwrites. *)
@@ -67,21 +63,24 @@ let window tr =
   in
   List.filter_map Fun.id (Array.to_list tr.t_pendings) @ cuts tr.t_commits
 
-let judge tr ~recovered =
-  match recovered with
-  | Error exn ->
-      Violation
-        (Printf.sprintf "reading the recovered structure raised %s"
-           (Printexc.to_string exn))
-  | Ok state ->
-      let ok = window tr in
-      if List.exists (String.equal state) ok then Consistent
-      else
+(* The window is listed when [judge tr] is applied, once: the samples of
+   one crash point share it. *)
+let judge tr =
+  let ok = window tr in
+  fun ~recovered ->
+    match recovered with
+    | Error exn ->
         Violation
-          (Printf.sprintf
-             "recovered state %s is not at a FASE boundary (acceptable: %s)"
-             state
-             (String.concat " | " ok))
+          (Printf.sprintf "reading the recovered structure raised %s"
+             (Printexc.to_string exn))
+    | Ok state ->
+        if List.exists (String.equal state) ok then Consistent
+        else
+          Violation
+            (Printf.sprintf
+               "recovered state %s is not at a FASE boundary (acceptable: %s)"
+               state
+               (String.concat " | " ok))
 
 (* One writer that committed each state of [history] (newest first) that
    differs from the state before it: a state a read repeats commits

@@ -21,10 +21,6 @@ type tracker
 
 val tracker : writers:int -> init:string -> tracker
 
-val copy_tracker : tracker -> tracker
-(** The tracker as it stands now, unaffected by later commits: the
-    oracle a crash at this instant is judged by.  O(writers). *)
-
 val track_pending : tracker -> writer:int -> string -> unit
 (** The writer is about to attempt its commit swing; [state] is the
     model state its operation yields applied to the current model.
@@ -47,7 +43,10 @@ val judge : tracker -> recovered:(string, exn) result -> verdict
     violation: recovery must degrade typedly, never throw on read.  The
     window is every pending state, then the state at each cut, newest
     first, down to the first cut with two commits of one writer above
-    it: O(writers) per check. *)
+    it.  [judge tr] lists it once, in O(writers), as [tr] stands then,
+    and later commits leave it unchanged: the oracle a crash at that
+    instant is judged by, whose checks then cost one string comparison
+    per state of the window. *)
 
 val check :
   history:string list ->

@@ -61,9 +61,27 @@ let render_list first sep last add l =
   Buffer.add_char b last;
   Buffer.contents b
 
-let add_int b i = Buffer.add_string b (string_of_int i)
+(* [i]'s decimal digits, as [string_of_int] prints them, written straight
+   into [b]: [string_of_int] goes through [caml_format_int], which parses
+   its "%d" format on every call.  [-min_int] does not exist, so
+   [min_int] takes the library path. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b i =
+  if i >= 0 then add_digits b i
+  else if i = min_int then Buffer.add_string b (string_of_int i)
+  else begin
+    Buffer.add_char b '-';
+    add_digits b (-i)
+  end
 
 let render_ints l = render_list '[' ';' ']' add_int l
+
+(* [render_ints] of the words' integers, without the list of them. *)
+let render_words l =
+  render_list '[' ';' ']' (fun b w -> add_int b (Pmem.Word.to_int w)) l
 
 let render_pairs l =
   render_list '{' ',' '}'
@@ -92,16 +110,17 @@ let draws ~seed n draw =
 
 (* What a workload needs of one structure at root slot 0, written once for
    its sequential and concurrent workloads.  The model: the empty state,
-   one operation's effect and the canonical rendering.  [read] is the
-   state the heap holds, after a Backup slot's reconstruction.  [open_]
-   initializes the slot under a commit policy, and [op heap] is one
-   instance's operation body, built with the instance, so it may hold
-   per-heap state (a handle, a batch). *)
+   one operation's effect and the canonical rendering.  [dump] renders
+   the state the heap holds, after a Backup slot's reconstruction,
+   straight from the structure: the string [render] gives the same
+   abstract state.  [open_] initializes the slot under a commit policy,
+   and [op heap] is one instance's operation body, built with the
+   instance, so it may hold per-heap state (a handle, a batch). *)
 type ('op, 's) spec = {
   empty : 's;
   apply : 's -> 'op -> 's;
   render : 's -> state;
-  read : Pmalloc.Heap.t -> 's;
+  dump : Pmalloc.Heap.t -> state;
   open_ : Pmalloc.Heap.policy option -> Pmalloc.Heap.t -> unit;
   op : Pmalloc.Heap.t -> 'op -> unit;
 }
@@ -122,7 +141,7 @@ let basic ?persist ?(negative = false) name ~ops s script =
         {
           init = (fun () -> s.open_ persist heap);
           run_op = (fun i -> op script.(i));
-          dump = (fun () -> s.render (s.read heap));
+          dump = (fun () -> s.dump heap);
           recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
         });
   }
@@ -134,7 +153,6 @@ let slot0 reconstruct heap =
   Mod_core.Handle.make heap ~slot:0
 
 let on_slot0 f heap = f (Mod_core.Handle.make heap ~slot:0)
-let ints words = List.map Pmem.Word.to_int words
 let tail = function [] -> [] | _ :: tl -> tl
 
 (* -- map / set ------------------------------------------------------------ *)
@@ -156,6 +174,27 @@ let set_op ~keys rng =
   let k = Random.State.int rng keys in
   if Random.State.int rng 3 < 2 then Sadd k else Sremove k
 
+(* A map's and a set's renderings from their CHAMP folds: the fold's
+   loads as they come, then its keys sorted, as [IntMap.bindings] and
+   [IntSet.elements] list them.  A damaged image can fold a key twice,
+   and the rendering keeps one binding, the one folded last, as
+   [IntMap.add] would. *)
+let dump_map h =
+  let rec first_of_each = function
+    | ((k, _) as b) :: (k', _) :: l when k = k' -> first_of_each (b :: l)
+    | b :: l -> b :: first_of_each l
+    | [] -> []
+  in
+  (* newest first, so the stable sort puts each key's last binding first *)
+  render_pairs
+    (first_of_each
+       (List.stable_sort
+          (fun (a, _) (b, _) -> Int.compare a b)
+          (Imap.fold h (fun k v l -> (k, v) :: l) [])))
+
+let dump_set h =
+  render_ints (List.sort_uniq Int.compare (Iset.fold h (fun k l -> k :: l) []))
+
 let map =
   {
     empty = IntMap.empty;
@@ -164,9 +203,7 @@ let map =
         | Minsert (k, v) -> IntMap.add k v m
         | Mremove k -> IntMap.remove k m);
     render = (fun m -> render_pairs (IntMap.bindings m));
-    read =
-      (fun heap ->
-        Imap.fold (slot0 Imap.reconstruct heap) IntMap.add IntMap.empty);
+    dump = (fun heap -> dump_map (slot0 Imap.reconstruct heap));
     open_ =
       (fun persist heap -> ignore (Imap.open_or_create ?persist heap ~slot:0));
     op =
@@ -183,9 +220,7 @@ let set =
         | Sadd k -> IntSet.add k s
         | Sremove k -> IntSet.remove k s);
     render = (fun s -> render_ints (IntSet.elements s));
-    read =
-      (fun heap ->
-        Iset.fold (slot0 Iset.reconstruct heap) IntSet.add IntSet.empty);
+    dump = (fun heap -> dump_set (slot0 Iset.reconstruct heap));
     open_ =
       (fun persist heap -> ignore (Iset.open_or_create ?persist heap ~slot:0));
     op =
@@ -252,9 +287,9 @@ let stack =
     empty = [];
     apply = (fun s -> function Push v -> v :: s | Pop -> tail s);
     render = render_ints;
-    read =
+    dump =
       (fun heap ->
-        ints
+        render_words
           (Mod_core.Dstack.to_list (slot0 Mod_core.Dstack.reconstruct heap)));
     open_ =
       (fun persist heap ->
@@ -268,13 +303,13 @@ let stack =
 (* The elements of a descriptor-rooted structure: none before [init]
    commits its descriptor. *)
 let elements to_list h =
-  if Mod_core.Handle.is_initialized h then ints (to_list h) else []
+  render_words (if Mod_core.Handle.is_initialized h then to_list h else [])
 
 let queue =
   {
     stack with
     apply = (fun q -> function Push v -> q @ [ v ] | Pop -> tail q);
-    read =
+    dump =
       (fun heap ->
         elements Mod_core.Dqueue.to_list
           (slot0 Mod_core.Dqueue.reconstruct heap));
@@ -292,10 +327,12 @@ let pqueue =
     stack with
     apply =
       (fun s -> function Push p -> List.sort compare (p :: s) | Pop -> tail s);
-    read =
+    dump =
       (fun heap ->
-        Pfds.Pheap.to_sorted_list_model heap
-          (Mod_core.Handle.current (slot0 Mod_core.Dpqueue.reconstruct heap)));
+        render_ints
+          (Pfds.Pheap.to_sorted_list_model heap
+             (Mod_core.Handle.current
+                (slot0 Mod_core.Dpqueue.reconstruct heap))));
     open_ =
       (fun persist heap ->
         ignore (Mod_core.Dpqueue.open_or_create ?persist heap ~slot:0));
@@ -330,7 +367,7 @@ let vec =
         | Vset (i, v) -> List.mapi (fun j x -> if j = i then v else x) l
         | Vpop -> List.rev (tail (List.rev l)));
     render = render_ints;
-    read =
+    dump =
       (fun heap ->
         elements Mod_core.Dvec.to_list (slot0 Mod_core.Dvec.reconstruct heap));
     open_ =
@@ -346,7 +383,7 @@ let vec =
 let seq =
   {
     vec with
-    read =
+    dump =
       (fun heap ->
         elements Mod_core.Dseq.to_list (slot0 Mod_core.Dseq.reconstruct heap));
     open_ =
@@ -404,19 +441,20 @@ let siblings =
         | Pop -> (
             match (a, b) with _ :: ta, _ :: tb -> (ta, tb) | _ -> (a, b)));
     render = (fun (a, b) -> render_ints a ^ "|" ^ render_ints b);
-    read =
+    dump =
       (fun heap ->
         let root = Pmalloc.Heap.root_get heap 0 in
-        if Pmem.Word.is_null root then ([], [])
+        if Pmem.Word.is_null root then "[]|[]"
         else
           let parent = Pmem.Word.to_ptr root in
           let stack f =
-            ints (Pfds.Pstack.to_list heap (Pfds.Node.get heap parent f))
+            render_words
+              (Pfds.Pstack.to_list heap (Pfds.Node.get heap parent f))
           in
           (* field 1, then field 0: keep this load order, so the dump's
              simulated events stay as the sweeps recorded them *)
           let b = stack 1 in
-          (stack 0, b));
+          stack 0 ^ "|" ^ b);
     open_ =
       (fun _ heap ->
         (* one FASE: build the two-field parent, install it *)
@@ -464,10 +502,10 @@ let unrelated_workload ~ops =
   in
   let render (m0, m1) = map.render m0 ^ "|" ^ map.render m1 in
   let dump heap =
-    map.render (map.read heap) ^ "|"
-    ^
-    let h = Mod_core.Handle.make heap ~slot:1 in
-    map.render (Imap.fold h IntMap.add IntMap.empty)
+    (* slot 1, then slot 0: keep this load order, so the dump's simulated
+       events stay as the sweeps recorded them *)
+    let m1 = dump_map (Mod_core.Handle.make heap ~slot:1) in
+    map.dump heap ^ "|" ^ m1
   in
   {
     name = "unrelated";
@@ -775,7 +813,7 @@ let cas_writers ?(fenced = true) name ~ops s ~step scripts =
           c_writers =
             Array.init writers (fun w () -> Array.iter (run_op w) scripts.(w));
           c_tracker = tr;
-          c_dump = (fun () -> s.render (s.read heap));
+          c_dump = (fun () -> s.dump heap);
           c_recover = (fun () -> ignore (Mod_core.Recovery.recover_exn heap));
         });
   }

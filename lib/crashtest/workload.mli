@@ -31,6 +31,18 @@ type t = {
           does, so a crash can land inside initialization too) *)
 }
 
+(** {1 Canonical renderings}
+
+    The models and the dumps of the integer structures render through
+    these two, so a state renders one way only.  Each integer reads as
+    [string_of_int] prints it. *)
+
+val render_ints : int list -> state
+(** [[1;-2;3]]: the elements in list order. *)
+
+val render_pairs : (int * int) list -> state
+(** [{1:10,2:-20}]: the pairs in list order. *)
+
 (** {1 Registry} *)
 
 val mod_names : string list

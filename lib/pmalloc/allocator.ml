@@ -203,7 +203,15 @@ type t = {
   mutable pad_words : int;
       (* sub-min_capacity slivers: stranded by segment alignment, or gaps
          between live blocks that recovery finds too narrow to free *)
+  marks : int array;
+      (* the first [marks_cap] bodies a recovery walk visited, in visit
+         order *)
+  mutable marked : int; (* bodies the walk visited, past the cap too *)
 }
+
+(* A recovery that visits at most this many blocks can list them instead
+   of reading the refcount slots between them ([recovery_sweep]). *)
+let marks_cap = 64
 
 let create region ~heap_start =
   {
@@ -221,6 +229,8 @@ let create region ~heap_start =
     frees = 0;
     alloc_words_total = 0;
     pad_words = 0;
+    marks = Array.make marks_cap 0;
+    marked = 0;
   }
 
 let region t = t.region
@@ -478,20 +488,24 @@ let reset_fresh t =
 (* Recovery support.  The reachability walk counts in-degrees straight
    into the refcount table, then [recovery_sweep] reinstalls the rest of
    the volatile state around the counted blocks. *)
-let recovery_begin t = Rc.clear t.rc
+let recovery_begin t =
+  Rc.clear t.rc;
+  t.marked <- 0
 
 let recovery_ref t body = Rc.incr_held t.rc body
 
-let recovery_visit t body = Rc.set t.rc body 1
+let recovery_visit t body =
+  Rc.set t.rc body 1;
+  if t.marked < marks_cap then t.marks.(t.marked) <- body;
+  t.marked <- t.marked + 1
 
-(* The slots live in this generation are exactly the bodies the walk
-   marked, and slot order is address order: one pass between the
-   lowest and highest mark meets every reachable block in ascending
-   order, so gaps reach the free lists ascending, as coalescing and the
-   LIFO bins expect.  A gap too narrow to hold a block is ledgered as
-   pad, like the slivers segment alignment strands; a block inside
-   another's extent only moves the cursor if it ends past it. *)
-let recovery_sweep t ~lo ~hi =
+(* Empty the free structures, then reinstall them around the live
+   blocks, which [iter] meets in ascending address order: gaps reach the
+   free lists ascending, as coalescing and the LIFO bins expect.  A gap
+   too narrow to hold a block is ledgered as pad, like the slivers
+   segment alignment strands; a block inside another's extent only moves
+   the cursor if it ends past it. *)
+let sweep t iter =
   Freelist.clear t.freelist;
   Arena.reset t.arena;
   dbuf_reset t.deferred;
@@ -499,7 +513,7 @@ let recovery_sweep t ~lo ~hi =
   t.pad_words <- 0;
   let cursor = ref t.heap_start and live = ref 0 in
   let extents = ref 0 and reclaimed = ref 0 in
-  Rc.iter_live t.rc ~lo ~hi (fun body ->
+  iter (fun body ->
       let header = Block.header_of_body body in
       let capacity = capacity_of t body in
       let gap = header - !cursor in
@@ -516,3 +530,36 @@ let recovery_sweep t ~lo ~hi =
   t.live_words <- !live;
   if !live > t.high_water_words then t.high_water_words <- !live;
   (!extents, !reclaimed)
+
+(* The slots live in this generation are exactly the bodies the walk
+   visited, and slot order is address order: one pass between the
+   lowest and highest visited body meets every one in ascending order. *)
+let recovery_sweep_table t ~lo ~hi = sweep t (Rc.iter_live t.rc ~lo ~hi)
+
+(* The same bodies from the walk's list, sorted in place (insertion: the
+   list is short). *)
+let recovery_sweep_marked t =
+  let n = t.marked and m = t.marks in
+  if n > marks_cap then
+    invalid_arg "Allocator.recovery_sweep_marked: the walk overflowed its list";
+  for i = 1 to n - 1 do
+    let x = m.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && m.(!j) > x do
+      m.(!j + 1) <- m.(!j);
+      decr j
+    done;
+    m.(!j + 1) <- x
+  done;
+  sweep t (fun f ->
+      for i = 0 to n - 1 do
+        f m.(i)
+      done)
+
+(* The list is the cheaper when sorting it (at most about n^2/2 moves for
+   n bodies) costs less than reading the slots between them. *)
+let recovery_sweep t ~lo ~hi =
+  let n = t.marked in
+  if n <= marks_cap && n * n <= (hi / Rc.stride) - (lo / Rc.stride) then
+    recovery_sweep_marked t
+  else recovery_sweep_table t ~lo ~hi

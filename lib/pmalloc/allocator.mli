@@ -103,28 +103,42 @@ val reset_fresh : t -> unit
     directly in the refcount table: {!recovery_begin}, then per pointer
     {!recovery_ref}, falling back to {!recovery_visit} on a block's first
     reference.  {!recovery_sweep} then rebuilds the rest of the volatile
-    state from the marked blocks. *)
+    state from the visited blocks. *)
 
 val recovery_begin : t -> unit
-(** Clear every reference count, in O(1).  A walk that raises leaves the
-    counts cleared: discard the heap or recover it again. *)
+(** Clear every reference count, in O(1), and the list of visited
+    blocks.  A walk that raises leaves the counts cleared: discard the
+    heap or recover it again. *)
 
 val recovery_ref : t -> int -> bool
 (** Count one more reference to a block the walk has visited; [false],
     counting nothing, when it has not. *)
 
 val recovery_visit : t -> int -> unit
-(** Give a block its first reference.  Raises [Invalid_argument] when it
-    overlaps a block already visited. *)
+(** Give a block its first reference, and list it while the walk has
+    listed fewer than a small fixed number (64) of blocks.  Raises
+    [Invalid_argument] when it overlaps a block already visited. *)
 
 val recovery_sweep : t -> lo:int -> hi:int -> int * int
 (** Empty the free lists, arenas and deferral pipeline, then meet every
-    visited block in address order -- its refcount slot lies between
-    those of the lowest visited body [lo] and the highest [hi], so the
-    pass is O(live blocks + (hi - lo) / [Block.min_capacity]) -- reading
-    each header once from the current image (no PM event).  Every gap
-    from the heap start up to a block becomes a free extent, or pad
-    words when narrower than [Block.min_capacity]; live words are the
-    sum of the capacities and the frontier the furthest block end (at
-    least the heap start).  Keeps the counts.  Returns the free extents
-    inserted and their words. *)
+    visited block in address order, reading each header once from the
+    current image (no PM event).  Every gap from the heap start up to a
+    block becomes a free extent, or pad words when narrower than
+    [Block.min_capacity]; live words are the sum of the capacities and
+    the frontier the furthest block end (at least the heap start).
+    Keeps the counts.  Returns the free extents inserted and their
+    words.  The blocks are met by {!recovery_sweep_marked} when the walk
+    listed all [n] of them and [n * n] is at most the number of refcount
+    slots between the lowest visited body [lo] and the highest [hi], and
+    by {!recovery_sweep_table} otherwise; the two leave the same
+    state. *)
+
+val recovery_sweep_table : t -> lo:int -> hi:int -> int * int
+(** {!recovery_sweep} through the refcount slots between [lo]'s and
+    [hi]'s, which must hold every visited body: O(live blocks + (hi -
+    lo) / [Block.min_capacity]). *)
+
+val recovery_sweep_marked : t -> int * int
+(** {!recovery_sweep} through the walk's list, sorted in place:
+    O(n{^ 2}) for n listed blocks.  Raises [Invalid_argument], changing
+    nothing, when the walk visited more blocks than it listed. *)

@@ -85,7 +85,9 @@ let recover heap =
      wrapper). *)
   let roots, via_summary = Heap.read_directory heap in
   (* Reachable bodies are marked in the refcount table, which is in
-     address order already: the walk keeps their count and bounds. *)
+     address order already, and the allocator lists the first few: the
+     walk keeps their count and bounds, and the sweep reads the short
+     list or the slots between the bounds, whichever costs less. *)
   let blocks = ref 0 and lo = ref max_int and hi = ref (-1) in
   (* Explicit worklist of (body, scan) pairs: recursion here would be
      unbounded in the depth of the object graph, and list spines

@@ -193,6 +193,90 @@ let oracle_tests =
           Crashtest.Oracle.Consistent (chk (Ok "b"));
         Alcotest.check verdict "older state" (Crashtest.Oracle.Violation "")
           (chk (Ok "a")));
+    Alcotest.test_case "a judge keeps the window of its moment" `Quick
+      (fun () ->
+        (* the explorer fixes one judge per crash point and samples the
+           point after the run has gone on *)
+        let module O = Crashtest.Oracle in
+        let tr = O.tracker ~writers:1 ~init:"a" in
+        O.track_commit tr ~writer:0 "b";
+        let judge = O.judge tr in
+        O.track_commit tr ~writer:0 "c";
+        O.track_pending tr ~writer:0 "d";
+        List.iter
+          (fun (s, expect) ->
+            Alcotest.check verdict ("fixed " ^ s) expect
+              (judge ~recovered:(Ok s));
+            Alcotest.check verdict ("fixed again " ^ s) expect
+              (judge ~recovered:(Ok s)))
+          [ ("b", O.Consistent); ("a", O.Consistent);
+            ("c", O.Violation ""); ("d", O.Violation "") ];
+        List.iter
+          (fun (s, expect) ->
+            Alcotest.check verdict ("live " ^ s) expect
+              (O.judge tr ~recovered:(Ok s)))
+          [ ("d", O.Consistent); ("c", O.Consistent); ("b", O.Consistent);
+            ("a", O.Violation "") ]);
+  ]
+
+(* -- the canonical renderings ------------------------------------------------ *)
+
+(* The models and the dumps render through the same two functions, so a
+   wrong digit that renders two states alike would pass the oracle
+   unnoticed: each integer must read as [string_of_int] prints it. *)
+let render_tests =
+  let module W = Crashtest.Workload in
+  let ints l = "[" ^ String.concat ";" (List.map string_of_int l) ^ "]" in
+  let pairs l =
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> string_of_int k ^ ":" ^ string_of_int v) l)
+    ^ "}"
+  in
+  let edges =
+    [ 0; 1; -1; 9; -9; 10; -10; 11; -11; 99; -99; 100; -100; max_int;
+      max_int - 1; min_int; min_int + 1 ]
+  in
+  let any = QCheck.(oneof [ int; small_signed_int ]) in
+  [
+    Alcotest.test_case "0, the +-9/+-10 boundaries, max_int and min_int"
+      `Quick (fun () ->
+        List.iter
+          (fun i ->
+            Alcotest.(check string) (string_of_int i) (ints [ i ])
+              (W.render_ints [ i ]))
+          edges;
+        Alcotest.(check string) "empty list" "[]" (W.render_ints []);
+        Alcotest.(check string) "every edge" (ints edges) (W.render_ints edges);
+        let edge_pairs = List.combine edges (List.rev edges) in
+        Alcotest.(check string) "empty map" "{}" (W.render_pairs []);
+        Alcotest.(check string) "edge pairs" (pairs edge_pairs)
+          (W.render_pairs edge_pairs));
+    Alcotest.test_case "a key folded twice dumps once" `Quick (fun () ->
+        (* cmap-nofence's unfenced swings leave a map whose CHAMP fold
+           meets key 0 twice here; the dump keeps one binding, as a
+           fold into a Map did *)
+        let cw = W.cbuild "cmap-nofence" ~writers:3 ~ops:6 in
+        match
+          Crashtest.Explorer.run Crashtest.Explorer.default
+            (Crashtest.Explorer.Conc (cw, Crashtest.Interleave.Round_robin 1))
+            ~budget:(Some 233)
+        with
+        | `Completed _ -> Alcotest.fail "the run should crash"
+        | `Crashed c ->
+            Pmalloc.Heap.crash ~mode:Pmem.Region.Randomize ~seed:7
+              c.Crashtest.Explorer.c_heap;
+            c.Crashtest.Explorer.c_recover ();
+            Alcotest.(check string) "dump" "{0:0,4:954,7:6,10:131}"
+              (c.Crashtest.Explorer.c_dump ()));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000 ~name:"random ints render as string_of_int"
+         (QCheck.list any) (fun l -> W.render_ints l = ints l));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~count:2000
+         ~name:"random pair lists render as string_of_int"
+         (QCheck.list (QCheck.pair any any))
+         (fun l -> W.render_pairs l = pairs l));
   ]
 
 (* -- one judge agrees with the two it replaced ------------------------------- *)
@@ -1103,6 +1187,7 @@ let () =
       ("scheduler", scheduler_tests);
       ("deferral", deferral_tests);
       ("oracle", oracle_tests);
+      ("render", render_tests);
       ("agreement", agreement_tests);
       ("consistency-order", consistency_tests);
       ("sweep", sweep_tests);

@@ -378,6 +378,57 @@ let roundtrip_tests =
        the script's length: the points come from the calibration run's
        own commits and acks, so every one of them kills. *)
     Alcotest.test_case
+      "kill9 harness: --keep keeps the raw image of an apply-phase point"
+      `Quick (fun () ->
+        let module K = Crashtest.Kill9 in
+        let dir = Filename.temp_dir "mod_test_kill9" "" in
+        let r = K.run ~dir ~keep:true ~ops:8 ~workload:"map" ~kills:1000 () in
+        Alcotest.(check bool) "ok" true (K.ok r);
+        (* the last apply-phase point past the formatting commit *)
+        let t =
+          List.find
+            (fun t ->
+              match t.K.t_point with
+              | Some (K.At_sync { commit; phase = Pmem.Backing.Mid_apply }) ->
+                  commit > 1
+              | _ -> false)
+            (List.rev r.K.trials)
+        in
+        let commit =
+          match t.K.t_point with
+          | Some (K.At_sync { commit; _ }) -> commit
+          | _ -> assert false
+        in
+        let kept = K.image_path ~dir ~workload:"map" t.K.t_index in
+        (* what [modpm serve --kill-commit C --kill-phase apply] leaves *)
+        let fresh = temp_image () in
+        cleanup fresh;
+        (match Unix.fork () with
+        | 0 ->
+            (try
+               K.serve ~kill:(K.At_sync { commit; phase = Pmem.Backing.Mid_apply })
+                 ~path:fresh ~workload:"map" ~ops:8
+                 ~ack_fd:(Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0)
+                 ()
+             with _ -> ());
+            Unix._exit 3
+        | pid -> (
+            match Unix.waitpid [] pid with
+            | _, Unix.WSIGNALED s when s = Sys.sigkill -> ()
+            | _ -> Alcotest.fail "the worker did not kill itself"));
+        let raw = Pmalloc.Fsck.check kept and rerun = Pmalloc.Fsck.check fresh in
+        let journal r = Format.asprintf "%a" Pmalloc.Fsck.pp_report r in
+        Alcotest.(check bool) "a committed journal is kept" true
+          (match raw.Pmalloc.Fsck.journal with
+          | Pmem.Backing.Jcommitted _ -> true
+          | _ -> false);
+        Alcotest.(check string) "kept = rerun" (journal rerun) (journal raw);
+        Alcotest.(check bool) "the reopened copy is gone" false
+          (Sys.file_exists (kept ^ ".reopened"));
+        cleanup fresh;
+        Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+        Sys.rmdir dir);
+    Alcotest.test_case
       "kill9 harness: shard target, every ack and sync point kills"
       `Quick (fun () ->
         let r = Crashtest.Kill9.run ~ops:60 ~workload:"shard1of3" ~kills:8 () in

@@ -787,6 +787,97 @@ let reference_tests =
                     + expected.Reference_gc.excess));
   ]
 
+(* The two passes of [Allocator.recovery_sweep] over one walk's marks:
+   the table pass reads the refcount slots between the lowest and the
+   highest visited body, the marked-block pass sorts the walk's short
+   list of them.  Each must leave what the other leaves: the free-list
+   entries in their order, the pad, the frontier, the live words and the
+   (extents, words) report.  [bounds] are the lowest and highest body
+   the walk visits, which the table pass needs. *)
+let sweep_paths heap ~bounds:(lo, hi) =
+  let module A = Pmalloc.Allocator in
+  let alloc = Pmalloc.Heap.allocator heap in
+  let state (extents, words) =
+    let entries = ref [] in
+    A.iter_free alloc (fun ~body ~capacity ->
+        entries := (body, capacity) :: !entries);
+    ( List.rev !entries,
+      (A.pad_words alloc, A.frontier alloc, A.live_words alloc),
+      (extents, words) )
+  in
+  let report = Pmalloc.Recovery_gc.recover heap in
+  let chosen =
+    state
+      ( report.Pmalloc.Recovery_gc.reclaimed_extents,
+        report.Pmalloc.Recovery_gc.reclaimed_words )
+  in
+  let marked = state (A.recovery_sweep_marked alloc) in
+  let table = state (A.recovery_sweep_table alloc ~lo ~hi) in
+  (report, chosen, marked, table)
+
+(* Three 100-word blocks under a 3,440-word frontier, one at the heap
+   start and two below the frontier, with an unreachable filler between:
+   few blocks over a wide span of refcount slots. *)
+let sparse_heap () =
+  let module H = Pmalloc.Heap in
+  let heap = H.create ~capacity_words:(1 lsl 14) () in
+  let node () =
+    let b = H.alloc heap ~kind:Pmalloc.Block.Scanned ~words:100 in
+    for i = 0 to 99 do
+      H.store heap (b + i) (Pmem.Word.of_int i)
+    done;
+    b
+  in
+  let a = node () in
+  let filler =
+    3_440 - (2 * 101) - Pmalloc.Allocator.frontier (H.allocator heap)
+  in
+  ignore (H.alloc heap ~kind:Pmalloc.Block.Raw ~words:(filler - 1) : int);
+  let b = node () in
+  let c = node () in
+  (* a -> c -> b: the walk meets them out of address order *)
+  H.store heap a (Pmem.Word.of_ptr c);
+  H.store heap c (Pmem.Word.of_ptr b);
+  List.iter (H.flush_block heap) [ a; b; c ];
+  H.sfence heap;
+  H.root_set heap 0 (Pmem.Word.of_ptr a);
+  H.sfence heap;
+  H.crash heap;
+  (heap, (a, c))
+
+let sweep_path_tests =
+  [
+    Alcotest.test_case "3 blocks under a 3,440-word frontier: both passes"
+      `Quick (fun () ->
+        let heap, bounds = sparse_heap () in
+        let report, chosen, marked, table = sweep_paths heap ~bounds in
+        Alcotest.(check int) "live blocks" 3
+          report.Pmalloc.Recovery_gc.live_blocks;
+        Alcotest.(check int) "frontier" 3_440
+          report.Pmalloc.Recovery_gc.frontier;
+        Alcotest.(check bool) "marked = table" true (marked = table);
+        Alcotest.(check bool) "recovery = table" true (chosen = table));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make
+         ~name:"marked-block and table passes leave one state (qcheck)"
+         ~count:150 QCheck.small_nat (fun seed ->
+           (* a twin heap gives the walk's bounds *)
+           match Reference_gc.recover (random_crashed_heap seed) with
+           | exception
+               ( Invalid_argument _ | Pmem.Region.Media_fault _
+               | Pmalloc.Heap.Torn_root _ ) ->
+               QCheck.assume_fail ()
+           | { Reference_gc.indeg = []; _ } -> QCheck.assume_fail ()
+           | { Reference_gc.indeg = (lo, _) :: _ as indeg; _ } ->
+               let hi = fst (List.nth indeg (List.length indeg - 1)) in
+               (* the heaps of seeds 0-100 hold at most 52 blocks, so
+                  the walk lists every one *)
+               let _, chosen, marked, table =
+                 sweep_paths (random_crashed_heap seed) ~bounds:(lo, hi)
+               in
+               marked = table && chosen = table));
+  ]
+
 let recovery_tests =
   [
     Alcotest.test_case "reachable data survives, leaks reclaimed" `Quick
@@ -1045,6 +1136,6 @@ let () =
       ("rc-model", rc_model_test);
       ("freelist", freelist_tests);
       ("roots", root_tests);
-      ("recovery", recovery_tests @ reference_tests);
+      ("recovery", recovery_tests @ reference_tests @ sweep_path_tests);
       ("summary", summary_tests);
     ]

@@ -810,9 +810,10 @@ let region_step ~max_cap r op =
    torn), run on a journaled region and its re-executed twin.  After
    every step each region's worklist must list each Dirty or Flushing
    line exactly once and stay within a constant factor of the most
-   non-Clean lines seen: the factor is 4, not 2, because a journaled
-   restore can trim mid-replay, while both the abandoned and the
-   restored dirty lines are non-Clean.  After a crash every line must be
+   non-Clean lines seen.  The worklist is the region's pre-image slots,
+   one per non-Clean line, so it holds exactly those lines and never
+   needs trimming; the factor of 4 (at least 64 lines) is a loose
+   ceiling on that.  After a crash every line must be
    durable; after every crash and restore the twin must hold the same
    image, and the same sim clock where its replayed prefix holds no
    earlier restore. *)

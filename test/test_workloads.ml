@@ -495,6 +495,113 @@ let cli_tests =
         Alcotest.(check bool) "consistent" true (contains text "consistent"));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Golden: the simulated numbers, pinned                               *)
+(* ------------------------------------------------------------------ *)
+
+(* Every simulated number the workloads produce is deterministic, so a
+   change that only reshapes code must leave all of them as they were.
+   Two pins:
+   - golden_bench.txt: the stdout of the bench sections that run the
+     Table 2 workloads, at --scale 2000;
+   - golden_runs.txt: one line of exact Runner.result fields (floats in
+     %h) for each (workload, backend, batch, policy) combination that
+     `modpm run` accepts, at scale 500.
+   On a mismatch the test writes what it read next to itself
+   (_build/default/test/golden_*.actual) and names the first differing
+   line.  After a change that moves a number on purpose, run
+   `dune test`, check the differences, copy each .actual file over its
+   test/golden_*.txt and say why in CHANGES.md. *)
+
+let golden_scale = 500
+
+(* Runs that stage updates (--batch > 1) and runs that honor the Backup
+   policy (MOD only). *)
+let staged = [ "map"; "set"; "queue"; "stack"; "vector"; "memcached" ]
+let honors_policy = "vec-swap" :: staged
+
+let golden_combinations =
+  List.concat_map
+    (fun name ->
+      List.concat_map
+        (fun backend ->
+          List.concat_map
+            (fun batch ->
+              List.filter_map
+                (fun policy ->
+                  if
+                    (batch = 1 || List.mem name staged)
+                    && (policy = Pmalloc.Heap.Full
+                       || (backend = Workloads.Backend.Mod
+                          && List.mem name honors_policy))
+                  then Some (name, backend, batch, policy)
+                  else None)
+                [ Pmalloc.Heap.Full; Pmalloc.Heap.Backup ])
+            [ 1; 8 ])
+        Workloads.Backend.all_kinds)
+    Workloads.Runner.names
+
+let golden_line (name, backend, batch, policy) =
+  let r =
+    Workloads.Runner.run_one ~batch ~persist:policy name backend
+      ~scale:golden_scale
+  in
+  Printf.sprintf
+    "%s %s batch=%d %s ops=%d ns_total=%h ns_flush=%h ns_log=%h ns_other=%h \
+     fences=%d flushes=%d commits=%d loads=%d stores=%d miss_ratio=%h \
+     live=%d high_water=%d"
+    name (backend_name backend) batch
+    (Pmalloc.Heap.policy_name policy)
+    r.ops r.ns_total r.ns_flush r.ns_log r.ns_other r.fences r.flushes
+    r.commits r.loads r.stores r.miss_ratio r.live_words r.high_water_words
+
+let read_file path =
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
+(* Compare [actual] with the golden file [name] line by line. *)
+let check_golden name actual =
+  let expected = read_file name in
+  if actual <> expected then begin
+    let out = Filename.remove_extension name ^ ".actual" in
+    let oc = open_out_bin out in
+    output_string oc actual;
+    close_out oc;
+    let e = Array.of_list (String.split_on_char '\n' expected) in
+    let a = Array.of_list (String.split_on_char '\n' actual) in
+    let rec first i =
+      if i >= Array.length e || i >= Array.length a || e.(i) <> a.(i) then i
+      else first (i + 1)
+    in
+    let i = first 0 in
+    let at arr = if i < Array.length arr then arr.(i) else "<end of file>" in
+    Alcotest.failf "%s differs at line %d (actual in %s)\n  expected %s\n  actual   %s"
+      name (i + 1) out (at e) (at a)
+  end
+
+let golden_tests =
+  [
+    Alcotest.test_case "bench sections print the pinned stdout" `Quick
+      (fun () ->
+        let out = temp Filename.temp_file in
+        let rc =
+          Sys.command
+            (Printf.sprintf
+               "../bench/main.exe fig2 fig9 fig10 fig11 table3 batch ctree \
+                ablations --scale 2000 > %s"
+               out)
+        in
+        Alcotest.(check int) "exit status" 0 rc;
+        check_golden "golden_bench.txt" (read_file out));
+    Alcotest.test_case "runner results per (workload, backend, batch, policy)"
+      `Quick (fun () ->
+        check_golden "golden_runs.txt"
+          (String.concat ""
+             (List.map (fun c -> golden_line c ^ "\n") golden_combinations)));
+  ]
+
 let () =
   Alcotest.run "workloads"
     [
@@ -507,4 +614,5 @@ let () =
       ("ablations", ablation_tests);
       ("gate", gate_tests);
       ("cli", cli_tests);
+      ("golden", golden_tests);
     ]

@@ -339,10 +339,10 @@ let batch_section ~scale ~gate () =
      ordering point and one commit. *)
   let profile =
     let heap = Pmalloc.Heap.create ~capacity_words:(1 lsl 18) () in
-    let m = Micro.Mod_map.open_or_create heap ~slot:0 in
+    let m = Ops.Int_map.Mod.open_or_create heap ~slot:0 in
     let (), p =
       Mod_core.Fase.run heap (fun () ->
-          Micro.Mod_map.insert_many m (List.init 8 (fun i -> (i, i))))
+          Ops.Int_map.Mod.insert_many m (List.init 8 (fun i -> (i, i))))
     in
     Printf.printf "one 8-insert MOD batch: %s\n\n"
       (Format.asprintf "%a" Mod_core.Fase.pp_profile p);
@@ -509,8 +509,11 @@ let telemetry_section ~scale ~gate () =
      several trials long that stretch every trial in them.  Each
      (off, null) pair runs back to back, inside one phase, so the
      median of the pairs' ratios reads the collector's cost; the two
-     arms' minima can fall in different phases (EXPERIMENTS.md). *)
-  let trials = 21 in
+     arms' minima can fall in different phases (EXPERIMENTS.md).  The
+     pairs' ratios have quartiles about 5 points either side of a cost
+     near 1%, so the median needs many pairs to stay clear of the 2%
+     bound: 21 and 81 pairs still failed clean runs, 161 did not. *)
+  let trials = 161 in
   let ratios = Array.make trials 0.0 in
   (* one untimed warmup each, then interleave so drift hits both arms *)
   ignore (time ());
@@ -842,18 +845,15 @@ let ctree ~scale =
   let size = ops in
   let run_map () =
     let ctx = Backend.create Backend.Pmdk15 in
-    let inst = Micro.map_setup ctx ~size in
+    let m = Ops.Int_map.open_ ctx ~size in
     let rng = Backend.rng ctx in
     for _ = 1 to size / 2 do
-      Micro.map_insert ctx inst (Random.State.int rng size) 1
+      m.insert (Random.State.int rng size) 1
     done;
     Backend.start_measuring ctx;
-    for _ = 1 to ops do
-      Backend.op_pause ctx;
-      let k = Random.State.int rng size in
-      if Random.State.bool rng then Micro.map_insert ctx inst k 2
-      else Micro.map_lookup ctx inst k
-    done;
+    Ops.run ctx ~ops ~batch:1 m (fun m ->
+        let k = Random.State.int rng size in
+        if Random.State.bool rng then m.insert k 2 else m.find k);
     (Backend.stats ctx).Pmem.Stats.now_ns
   in
   let run_ctree () =

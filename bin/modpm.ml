@@ -61,9 +61,12 @@ let check_workload name =
 
 let batch_arg =
   let doc =
-    "Group-commit size: retire updates in batches of $(docv) under one \
-     ordering point (MOD: one Batch commit per group; PMDK: one transaction \
-     per group). 1 = one FASE/transaction per operation."
+    Printf.sprintf
+      "Group-commit size: retire updates in batches of $(docv) under one \
+       ordering point (MOD: one Batch commit per group; PMDK: one \
+       transaction per group). 1 = one FASE/transaction per operation; \
+       $(docv) > 1 is taken by %s."
+      (Workloads.Runner.takers (fun w -> w.Workloads.Runner.stages))
   in
   Arg.(value & opt int 1 & info [ "batch" ] ~docv:"N" ~doc)
 
@@ -115,6 +118,11 @@ let run_cmd =
       Printf.eprintf "--batch must be >= 1\n";
       exit 2
     end;
+    (match Workloads.Runner.check ~batch ?persist backend name with
+    | Ok () -> ()
+    | Error msg ->
+        prerr_endline msg;
+        exit 2);
     (match metrics with
     | Some f when f <> "json" && f <> "prom" && f <> "prometheus" && f <> "text"
       ->

@@ -47,20 +47,8 @@ let single ?(intermediates = []) ?(reclaim = true) heap ~slot latest =
   Pmalloc.Heap.bind heap slot;
   Pmalloc.Heap.sfence heap;
   (* the one ordering point *)
-  let old, old_seq = Pmalloc.Heap.root_get_versioned heap slot in
-  mark_commit heap (fun () ->
-      match Pmalloc.Heap.commit_mode heap with
-      | Pmalloc.Heap.Swing -> Pmalloc.Heap.root_set heap slot latest
-      | Pmalloc.Heap.Cas ->
-          (* single-writer degenerate: [expected] is the record read one
-             line up with no intervening PM event, so the CAS cannot
-             lose.  Routing it through [root_cas] exercises the exact
-             record-update path concurrent commits take. *)
-          if
-            not
-              (Pmalloc.Heap.root_cas heap slot ~expected:old
-                 ~expected_seq:old_seq ~desired:latest)
-          then failwith "Commit.single: CAS lost with no concurrent writer");
+  let old = Pmalloc.Heap.root_get heap slot in
+  mark_commit heap (fun () -> Pmalloc.Heap.root_set heap slot latest);
   if reclaim then begin
     release_version heap old;
     List.iter (release_version heap) intermediates

@@ -139,14 +139,6 @@ type backup_state = {
   b_tag : int;  (* the layout tag the descriptor carries *)
 }
 
-(* How Full-policy commits install their root: [Swing] is the paper's
-   single-writer 8-byte store; [Cas] routes the same record update
-   through {!root_cas}, the lock-free path concurrent writers use.  A
-   volatile, whole-heap knob so the conformance suite can exercise every
-   structure's commits under the CAS discipline without per-structure
-   plumbing. *)
-type commit_mode = Swing | Cas
-
 type t = {
   region : Pmem.Region.t;
   allocator : Allocator.t;
@@ -154,7 +146,6 @@ type t = {
      bad record copy, and how often the surviving copy rescued the slot *)
   mutable root_torn_detected : int;
   mutable root_fallbacks : int;
-  mutable commit_mode : commit_mode;
   (* commit-policy machinery (volatile; durable policy words are the
      source of truth, this is a cache refreshed by recovery) *)
   policies : policy array;
@@ -225,8 +216,6 @@ let span t ~structure ~op ?ops f =
 let root_torn_detected t = t.root_torn_detected
 let root_fallbacks t = t.root_fallbacks
 let summary_fallbacks t = t.summary_fallbacks
-let commit_mode t = t.commit_mode
-let set_commit_mode t mode = t.commit_mode <- mode
 
 let check_slot slot =
   if slot < 0 || slot >= root_slots then
@@ -405,7 +394,6 @@ let make region ~lines =
     allocator = Allocator.create region ~heap_start:heap_start_words;
     root_torn_detected = 0;
     root_fallbacks = 0;
-    commit_mode = Swing;
     policies = Array.make root_slots Full;
     backup = Hashtbl.create 8;
     backlog = Hashtbl.create 64;
@@ -695,7 +683,6 @@ let reset_fresh t ~pristine =
   t.sum_bound <- fresh_lines;
   t.sum_stored <- fresh_lines;
   t.sum_fenced <- fresh_lines;
-  t.commit_mode <- Swing;
   Array.fill t.policies 0 root_slots Full;
   clear_backup_runtime t;
   (* the restore rewound the stats block under the collector; re-base it

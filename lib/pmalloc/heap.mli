@@ -215,16 +215,6 @@ val root_set_seq : t -> int -> Pmem.Word.t -> int
     fences the record before writing anything under the number can use
     it as a nonce: the STM undo log binds its entries to it. *)
 
-type commit_mode = Swing | Cas
-(** How Full-policy commits install their root.  [Swing] is the paper's
-    single-writer 8-byte atomic store ({!root_set}); [Cas] routes the
-    same record update through {!root_cas}, the lock-free path
-    concurrent writers use.  Volatile, whole-heap; reset to [Swing] by
-    {!reset_fresh}. *)
-
-val commit_mode : t -> commit_mode
-val set_commit_mode : t -> commit_mode -> unit
-
 val root_cas :
   t ->
   int ->

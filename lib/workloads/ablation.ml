@@ -64,19 +64,20 @@ let collect label ctx ~ops =
 let sharing ~ops ~size =
   let tree =
     let ctx = Backend.create Backend.Mod in
-    let inst = Micro.vector_setup ctx ~size in
+    let v = Ops.vector ctx ~size in
     let rng = Backend.rng ctx in
     Backend.start_measuring ctx;
     for _ = 1 to ops do
-      Micro.vector_write ctx inst (Random.State.int rng size)
-        (Random.State.int rng 1000)
+      (* value before index (the draw-order note in Ops) *)
+      let x = Random.State.int rng 1000 in
+      v.write (Random.State.int rng size) x
     done;
     collect "MOD vector (structural sharing)" ctx ~ops
   in
   let naive =
     let ctx = Backend.create Backend.Mod in
     let heap = Backend.heap ctx in
-    let slot = Micro.ds_slot in
+    let slot = Backend.slot in
     Mod_core.Commit.single heap ~slot (Naive_vec.create heap ~size);
     let rng = Backend.rng ctx in
     Backend.start_measuring ctx;
@@ -99,14 +100,14 @@ let ordering ~ops ~size =
     Pmem.Region.set_fence_per_flush
       (Pmalloc.Heap.region (Backend.heap ctx))
       fence_per_flush;
-    let inst = Micro.map_setup ctx ~size in
+    let m = Ops.Int_map.open_ ctx ~size in
     let rng = Backend.rng ctx in
     for _ = 1 to size / 2 do
-      Micro.map_insert ctx inst (Random.State.int rng size) 1
+      m.insert (Random.State.int rng size) 1
     done;
     Backend.start_measuring ctx;
     for _ = 1 to ops do
-      Micro.map_insert ctx inst (Random.State.int rng size) 2
+      m.insert (Random.State.int rng size) 2
     done;
     collect label ctx ~ops
   in
@@ -120,15 +121,15 @@ let reclamation ~ops ~size =
   let run label ~reclaim =
     let ctx = Backend.create ~capacity_words:(1 lsl 22) Backend.Mod in
     let heap = Backend.heap ctx in
-    let map = Micro.Mod_map.open_or_create heap ~slot:Micro.ds_slot in
+    let map = Ops.Int_map.Mod.open_or_create heap ~slot:Backend.slot in
     let rng = Backend.rng ctx in
     Backend.start_measuring ctx;
     for _ = 1 to ops do
       let k = Random.State.int rng size in
       let shadow =
-        Micro.Mod_map.insert_pure heap (Mod_core.Handle.current map) k k
+        Ops.Int_map.Mod.insert_pure heap (Mod_core.Handle.current map) k k
       in
-      Mod_core.Commit.single ~reclaim heap ~slot:Micro.ds_slot shadow
+      Mod_core.Commit.single ~reclaim heap ~slot:Backend.slot shadow
     done;
     collect label ctx ~ops
   in

@@ -51,12 +51,19 @@ let tx t =
       t.tx <- Some tx;
       tx
 
-(* Run [f] inside a transaction on PMDK backends; MOD operations carry
-   their own commit and run bare. *)
-let atomically t f =
-  match t.kind with
-  | Mod -> f ()
-  | Pmdk14 | Pmdk15 -> Pmstm.Tx.run (tx t) f
+(* Every workload keeps its structure in this root slot. *)
+let slot = 0
+
+(* The PMDK root publish: [create] builds the structure's descriptor in
+   one transaction, which then snapshots the root slot and points it at
+   the descriptor. *)
+let publish t create =
+  let tx = tx t in
+  Pmstm.Tx.run tx (fun () ->
+      let desc = create tx in
+      Pmstm.Tx.add tx ~off:slot ~words:1;
+      Pmstm.Tx.store tx slot (Pmem.Word.of_ptr desc);
+      desc)
 
 (* Charge the per-iteration application logic (key generation, branching,
    call overhead) that surrounds each datastructure operation.  Its stack

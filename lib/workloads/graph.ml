@@ -60,59 +60,21 @@ let good_source g =
 (* BFS with the frontier in a recoverable queue (the durable state) and a
    volatile visited bitmap, as in the paper.  Returns the number of nodes
    reached. *)
-let bfs_mod heap g ~src =
-  let q = Mod_core.Dqueue.open_or_create heap ~slot:Micro.ds_slot in
+let bfs (q : Ops.seq) g ~src =
   let visited = Bytes.make g.n '\000' in
   Bytes.set visited src '\001';
-  Mod_core.Dqueue.enqueue q (Pmem.Word.of_int src);
+  q.push src;
   let count = ref 1 in
   let rec loop () =
-    match Mod_core.Dqueue.dequeue q with
+    match q.pop () with
     | None -> ()
-    | Some w ->
-        let v = Pmem.Word.to_int w in
+    | Some v ->
         Array.iter
           (fun u ->
             if Bytes.get visited u = '\000' then begin
               Bytes.set visited u '\001';
               incr count;
-              Mod_core.Dqueue.enqueue q (Pmem.Word.of_int u)
-            end)
-          g.adj.(v);
-        loop ()
-  in
-  loop ();
-  !count
-
-let bfs_pmdk ctx g ~src =
-  let tx = Backend.tx ctx in
-  let desc =
-    Pmstm.Tx.run tx (fun () ->
-        let desc = Pmstm.Pm_queue.create tx in
-        Pmstm.Tx.add tx ~off:Micro.ds_slot ~words:1;
-        Pmstm.Tx.store tx Micro.ds_slot (Pmem.Word.of_ptr desc);
-        desc)
-  in
-  let visited = Bytes.make g.n '\000' in
-  Bytes.set visited src '\001';
-  Pmstm.Tx.run tx (fun () ->
-      Pmstm.Pm_queue.enqueue tx desc (Pmem.Word.of_int src));
-  let count = ref 1 in
-  let rec loop () =
-    let head =
-      Pmstm.Tx.run tx (fun () -> Pmstm.Pm_queue.dequeue tx desc)
-    in
-    match head with
-    | None -> ()
-    | Some w ->
-        let v = Pmem.Word.to_int w in
-        Array.iter
-          (fun u ->
-            if Bytes.get visited u = '\000' then begin
-              Bytes.set visited u '\001';
-              incr count;
-              Pmstm.Tx.run tx (fun () ->
-                  Pmstm.Pm_queue.enqueue tx desc (Pmem.Word.of_int u))
+              q.push u
             end)
           g.adj.(v);
         loop ()
@@ -121,14 +83,10 @@ let bfs_pmdk ctx g ~src =
   !count
 
 (* The bfs workload: build the graph (volatile, unmeasured), then run the
-   queue-driven search on durable state. *)
+   queue-driven search on durable state.  The queue is opened inside the
+   measured window. *)
 let run ctx ~nodes ~edges =
   let g = rmat ~n:nodes ~edges ~seed:11 in
   let src = good_source g in
   Backend.start_measuring ctx;
-  let reached =
-    match Backend.kind ctx with
-    | Backend.Mod -> bfs_mod (Backend.heap ctx) g ~src
-    | Backend.Pmdk14 | Backend.Pmdk15 -> bfs_pmdk ctx g ~src
-  in
-  ignore (reached : int)
+  ignore (bfs (Ops.queue ctx) g ~src : int)

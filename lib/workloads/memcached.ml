@@ -7,34 +7,7 @@
     recoverable map -- every set is a single-update FASE on one map (the
     Basic interface's common case). *)
 
-module Mod_kv = Mod_core.Dmap.Make (Pfds.Kv.String_blob) (Pfds.Kv.String_blob)
-module Pm_kv = Pmstm.Pm_hashmap.Make (Pfds.Kv.String_blob) (Pfds.Kv.String_blob)
-
-type instance = Mkv of Mod_kv.t | Pkv of int
-
-let setup ctx ~expected =
-  match Backend.kind ctx with
-  | Backend.Mod ->
-      Mkv (Mod_kv.open_or_create ~persist:(Backend.persist ctx) (Backend.heap ctx) ~slot:Micro.ds_slot)
-  | Backend.Pmdk14 | Backend.Pmdk15 ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          let desc = Pm_kv.create tx ~nbuckets:(max 64 expected) in
-          Pmstm.Tx.add tx ~off:Micro.ds_slot ~words:1;
-          Pmstm.Tx.store tx Micro.ds_slot (Pmem.Word.of_ptr desc);
-          Pkv desc)
-
-let set ctx inst k v =
-  match inst with
-  | Mkv m -> Mod_kv.insert m k v
-  | Pkv desc ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () -> ignore (Pm_kv.insert tx desc k v : bool))
-
-let get ctx inst k =
-  match inst with
-  | Mkv m -> ignore (Mod_kv.find m k : string option)
-  | Pkv desc -> ignore (Pm_kv.find (Backend.heap ctx) desc k : string option)
+module Kv = Ops.Map_of (Pfds.Kv.String_blob) (Pfds.Kv.String_blob)
 
 (* Key popularity is skewed towards a hot working set, like a cache. *)
 let pick_key rng ~keyspace =
@@ -45,46 +18,17 @@ let pick_key rng ~keyspace =
   Printf.sprintf "k%015d" i
 
 let run ?(batch = 1) ctx ~ops ~keyspace =
-  let inst = setup ctx ~expected:keyspace in
+  let kv = Kv.open_ ctx ~size:keyspace in
   let rng = Backend.rng ctx in
-  (* warm the cache *)
+  (* warm the cache; value before key (the draw-order note in Ops) *)
   for _ = 1 to keyspace / 4 do
-    set ctx inst (pick_key rng ~keyspace) (Codecs.value512 rng)
+    let v = Codecs.value512 rng in
+    kv.insert (pick_key rng ~keyspace) v
   done;
   Backend.start_measuring ctx;
-  (* --batch N: retire sets in groups, the group-commit request loop of
-     the ISSUE -- gets still read the staged (pending) version so the
-     cache stays read-your-writes consistent within a group. *)
-  match inst with
-  | Mkv _ when batch > 1 ->
-      let heap = Backend.heap ctx in
-      Micro.batched_mod_loop ctx ~ops ~batch (fun b ->
-          let k = pick_key rng ~keyspace in
-          if Random.State.int rng 100 < 95 then begin
-            let v = Codecs.value512 rng in
-            Mod_core.Batch.stage b ~slot:Micro.ds_slot (fun version ->
-                Mod_kv.insert_pure heap version k v);
-            true
-          end
-          else begin
-            ignore
-              (Mod_kv.find_in heap
-                 (Mod_core.Batch.pending b ~slot:Micro.ds_slot)
-                 k
-                : string option);
-            false
-          end)
-  | Pkv _ when batch > 1 ->
-      Micro.batched_stm_loop ctx ~ops ~batch (fun () ->
-          let k = pick_key rng ~keyspace in
-          if Random.State.int rng 100 < 95 then
-            set ctx inst k (Codecs.value512 rng)
-          else get ctx inst k)
-  | _ ->
-      for _ = 1 to ops do
-        Backend.op_pause ctx;
-        let k = pick_key rng ~keyspace in
-        if Random.State.int rng 100 < 95 then
-          set ctx inst k (Codecs.value512 rng)
-        else get ctx inst k
-      done
+  (* --batch N: sets retire in groups; gets read the staged (pending)
+     version, so the cache stays read-your-writes within a group *)
+  Ops.run ~staged:Kv.staged ctx ~ops ~batch kv (fun kv ->
+      let k = pick_key rng ~keyspace in
+      if Random.State.int rng 100 < 95 then kv.insert k (Codecs.value512 rng)
+      else kv.find k)

@@ -1,426 +1,68 @@
-(** The six microbenchmark workloads of Table 2, each runnable on the MOD
-    and PMDK backends.
+(** The six microbenchmark workloads of Table 2, each one op mix over its
+    structure's {!Ops} record, so it runs on the MOD and PMDK backends
+    alike.
 
     Every workload follows the paper's harness: set up and prefill the
     datastructure, reset the measurement clock, then run [ops] iterations
     of the operation mix (the paper runs 1 million; the scale here is a
-    parameter).  Lookups never flush or fence on either backend
-    (Section 6.4), so only update operations are wrapped in PM-STM
-    transactions on the PMDK backends. *)
-
-module Mod_map = Mod_core.Dmap.Make (Pfds.Kv.Int) (Codecs.Val32)
-module Mod_set = Mod_core.Dset.Make (Pfds.Kv.Int)
-module Pm_map = Pmstm.Pm_hashmap.Make (Pfds.Kv.Int) (Codecs.Val32)
-module Pm_set = Pmstm.Pm_hashmap.Make (Pfds.Kv.Int) (Pfds.Kv.Unit)
-
-let ds_slot = 0
-
-(* -- group-commit batching ------------------------------------------------- *)
-
-(* Run [ops] iterations of [op], retiring updates in groups of [batch]
-   (the --batch knob).  On MOD, [op] stages pure updates into one
-   [Mod_core.Batch] and [flush] issues the group's single ordering
-   point; on the PMDK backends the window runs inside one PM-STM
-   transaction ([Tx.run_grouped]), so the per-op entry points (whose
-   nested [Tx.run] calls flatten) amortize their commit fences the same
-   way.  [batch <= 1] degenerates to the classic one-FASE-per-op loop. *)
-let batched_mod_loop ctx ~ops ~batch op =
-  let heap = Backend.heap ctx in
-  let b = Mod_core.Batch.create heap in
-  let staged = ref 0 in
-  let flush () =
-    if not (Mod_core.Batch.is_empty b) then
-      ignore (Mod_core.Batch.commit b : Mod_core.Batch.commit_point);
-    staged := 0
-  in
-  for _ = 1 to ops do
-    Backend.op_pause ctx;
-    if op b then begin
-      incr staged;
-      if !staged >= batch then flush ()
-    end
-  done;
-  flush ()
-
-let batched_stm_loop ctx ~ops ~batch op =
-  let tx = Backend.tx ctx in
-  let remaining = ref ops in
-  while !remaining > 0 do
-    let n = min batch !remaining in
-    Pmstm.Tx.run_grouped tx ~n (fun _ ->
-        Backend.op_pause ctx;
-        op ());
-    remaining := !remaining - n
-  done
-
-(* -- map ------------------------------------------------------------------ *)
-
-type map_instance =
-  | Mmap of Mod_map.t
-  | Pmap of int (* descriptor *)
-
-let map_setup ctx ~size =
-  match Backend.kind ctx with
-  | Backend.Mod -> Mmap (Mod_map.open_or_create ~persist:(Backend.persist ctx) (Backend.heap ctx) ~slot:ds_slot)
-  | Backend.Pmdk14 | Backend.Pmdk15 ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          let desc = Pm_map.create tx ~nbuckets:(max 64 size) in
-          Pmstm.Tx.add tx ~off:ds_slot ~words:1;
-          Pmstm.Tx.store tx ds_slot (Pmem.Word.of_ptr desc);
-          Pmap desc)
-
-let map_insert ctx inst k v =
-  match inst with
-  | Mmap m -> Mod_map.insert m k v
-  | Pmap desc ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () -> ignore (Pm_map.insert tx desc k v : bool))
-
-let map_lookup ctx inst k =
-  match inst with
-  | Mmap m -> ignore (Mod_map.find m k : int option)
-  | Pmap desc -> ignore (Pm_map.find (Backend.heap ctx) desc k : int option)
+    parameter).  [batch] > 1 retires the updates in groups ({!Ops.run});
+    vec-swap has no staged variant. *)
 
 let map_run ?(batch = 1) ctx ~ops ~size =
-  let inst = map_setup ctx ~size in
+  let m = Ops.Int_map.open_ ctx ~size in
   let rng = Backend.rng ctx in
   for _ = 1 to size / 2 do
-    map_insert ctx inst (Random.State.int rng size) (Random.State.int rng 1000000)
+    (* value before key (the draw-order note in Ops) *)
+    let v = Random.State.int rng 1000000 in
+    m.insert (Random.State.int rng size) v
   done;
   Backend.start_measuring ctx;
-  match inst with
-  | Mmap _ when batch > 1 ->
-      let heap = Backend.heap ctx in
-      batched_mod_loop ctx ~ops ~batch (fun b ->
-          let k = Random.State.int rng size in
-          if Random.State.bool rng then begin
-            let v = Random.State.int rng 1000000 in
-            Mod_core.Batch.stage b ~slot:ds_slot (fun version ->
-                Mod_map.insert_pure heap version k v);
-            true
-          end
-          else begin
-            (* read-your-writes: lookups see the staged (pending) version *)
-            ignore
-              (Mod_map.find_in heap
-                 (Mod_core.Batch.pending b ~slot:ds_slot)
-                 k
-                : int option);
-            false
-          end)
-  | Pmap _ when batch > 1 ->
-      batched_stm_loop ctx ~ops ~batch (fun () ->
-          let k = Random.State.int rng size in
-          if Random.State.bool rng then
-            map_insert ctx inst k (Random.State.int rng 1000000)
-          else map_lookup ctx inst k)
-  | _ ->
-      for _ = 1 to ops do
-        Backend.op_pause ctx;
-        let k = Random.State.int rng size in
-        if Random.State.bool rng then
-          map_insert ctx inst k (Random.State.int rng 1000000)
-        else map_lookup ctx inst k
-      done
-
-(* -- set ------------------------------------------------------------------ *)
-
-type set_instance = Mset of Mod_set.t | Pset of int
-
-let set_setup ctx ~size =
-  match Backend.kind ctx with
-  | Backend.Mod -> Mset (Mod_set.open_or_create ~persist:(Backend.persist ctx) (Backend.heap ctx) ~slot:ds_slot)
-  | Backend.Pmdk14 | Backend.Pmdk15 ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          let desc = Pm_set.create tx ~nbuckets:(max 64 size) in
-          Pmstm.Tx.add tx ~off:ds_slot ~words:1;
-          Pmstm.Tx.store tx ds_slot (Pmem.Word.of_ptr desc);
-          Pset desc)
-
-let set_add ctx inst k =
-  match inst with
-  | Mset s -> Mod_set.add s k
-  | Pset desc ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () -> ignore (Pm_set.insert tx desc k () : bool))
-
-let set_member ctx inst k =
-  match inst with
-  | Mset s -> ignore (Mod_set.mem s k : bool)
-  | Pset desc -> ignore (Pm_set.mem (Backend.heap ctx) desc k : bool)
+  Ops.run ~staged:Ops.Int_map.staged ctx ~ops ~batch m (fun m ->
+      let k = Random.State.int rng size in
+      if Random.State.bool rng then m.insert k (Random.State.int rng 1000000)
+      else m.find k)
 
 let set_run ?(batch = 1) ctx ~ops ~size =
-  let inst = set_setup ctx ~size in
+  let s = Ops.Int_set.open_ ctx ~size in
   let rng = Backend.rng ctx in
   for _ = 1 to size / 2 do
-    set_add ctx inst (Random.State.int rng size)
+    s.insert (Random.State.int rng size) ()
   done;
   Backend.start_measuring ctx;
-  match inst with
-  | Mset _ when batch > 1 ->
-      let heap = Backend.heap ctx in
-      batched_mod_loop ctx ~ops ~batch (fun b ->
-          let k = Random.State.int rng size in
-          if Random.State.bool rng then begin
-            Mod_core.Batch.stage b ~slot:ds_slot (fun version ->
-                Mod_set.add_pure heap version k);
-            true
-          end
-          else begin
-            ignore
-              (Mod_set.mem_in heap (Mod_core.Batch.pending b ~slot:ds_slot) k
-                : bool);
-            false
-          end)
-  | Pset _ when batch > 1 ->
-      batched_stm_loop ctx ~ops ~batch (fun () ->
-          let k = Random.State.int rng size in
-          if Random.State.bool rng then set_add ctx inst k
-          else set_member ctx inst k)
-  | _ ->
-      for _ = 1 to ops do
-        Backend.op_pause ctx;
-        let k = Random.State.int rng size in
-        if Random.State.bool rng then set_add ctx inst k
-        else set_member ctx inst k
-      done
+  Ops.run ~staged:Ops.Int_set.staged ctx ~ops ~batch s (fun s ->
+      let k = Random.State.int rng size in
+      if Random.State.bool rng then s.insert k () else s.find k)
 
-(* -- stack ---------------------------------------------------------------- *)
-
-type stack_instance = Mstack of Mod_core.Dstack.t | Pstack of int
-
-let stack_setup ctx =
-  match Backend.kind ctx with
-  | Backend.Mod ->
-      Mstack (Mod_core.Dstack.open_or_create ~persist:(Backend.persist ctx) (Backend.heap ctx) ~slot:ds_slot)
-  | Backend.Pmdk14 | Backend.Pmdk15 ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          let desc = Pmstm.Pm_stack.create tx in
-          Pmstm.Tx.add tx ~off:ds_slot ~words:1;
-          Pmstm.Tx.store tx ds_slot (Pmem.Word.of_ptr desc);
-          Pstack desc)
-
-let stack_push ctx inst v =
-  match inst with
-  | Mstack s -> Mod_core.Dstack.push s (Pmem.Word.of_int v)
-  | Pstack desc ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          Pmstm.Pm_stack.push tx desc (Pmem.Word.of_int v))
-
-let stack_pop ctx inst =
-  match inst with
-  | Mstack s -> ignore (Mod_core.Dstack.pop s : Pmem.Word.t option)
-  | Pstack desc ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          ignore (Pmstm.Pm_stack.pop tx desc : Pmem.Word.t option))
-
-let stack_is_empty ctx inst =
-  match inst with
-  | Mstack s -> Mod_core.Dstack.is_empty s
-  | Pstack desc -> Pmstm.Pm_stack.is_empty (Backend.heap ctx) desc
-
-let stack_run ?(batch = 1) ctx ~ops ~size =
-  let inst = stack_setup ctx in
+(* Stack and queue share their mix; an empty structure skips the coin. *)
+let seq_run open_ staged ?(batch = 1) ctx ~ops ~size =
+  let s : Ops.seq = open_ ctx in
   let rng = Backend.rng ctx in
   for i = 1 to size / 2 do
-    stack_push ctx inst i
+    s.push i
   done;
   Backend.start_measuring ctx;
-  match inst with
-  | Mstack _ when batch > 1 ->
-      let heap = Backend.heap ctx in
-      batched_mod_loop ctx ~ops ~batch (fun b ->
-          let pending = Mod_core.Batch.pending b ~slot:ds_slot in
-          (if Pfds.Pstack.is_empty pending || Random.State.bool rng then
-             let v = Pmem.Word.of_int (Random.State.int rng 1000000) in
-             Mod_core.Batch.stage b ~slot:ds_slot (fun version ->
-                 Pfds.Pstack.push heap version v)
-           else
-             Mod_core.Batch.stage b ~slot:ds_slot (fun version ->
-                 match Pfds.Pstack.pop heap version with
-                 | None -> version
-                 | Some (_, shadow) -> shadow));
-          true)
-  | Pstack _ when batch > 1 ->
-      batched_stm_loop ctx ~ops ~batch (fun () ->
-          if stack_is_empty ctx inst || Random.State.bool rng then
-            stack_push ctx inst (Random.State.int rng 1000000)
-          else stack_pop ctx inst)
-  | _ ->
-      for _ = 1 to ops do
-        Backend.op_pause ctx;
-        if stack_is_empty ctx inst || Random.State.bool rng then
-          stack_push ctx inst (Random.State.int rng 1000000)
-        else stack_pop ctx inst
-      done
+  Ops.run ~staged ctx ~ops ~batch s (fun s ->
+      if s.is_empty () || Random.State.bool rng then
+        s.push (Random.State.int rng 1000000)
+      else ignore (s.pop () : int option))
 
-(* -- queue ---------------------------------------------------------------- *)
-
-type queue_instance = Mqueue of Mod_core.Dqueue.t | Pqueue of int
-
-let queue_setup ctx =
-  match Backend.kind ctx with
-  | Backend.Mod ->
-      Mqueue (Mod_core.Dqueue.open_or_create ~persist:(Backend.persist ctx) (Backend.heap ctx) ~slot:ds_slot)
-  | Backend.Pmdk14 | Backend.Pmdk15 ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          let desc = Pmstm.Pm_queue.create tx in
-          Pmstm.Tx.add tx ~off:ds_slot ~words:1;
-          Pmstm.Tx.store tx ds_slot (Pmem.Word.of_ptr desc);
-          Pqueue desc)
-
-let queue_push ctx inst v =
-  match inst with
-  | Mqueue q -> Mod_core.Dqueue.enqueue q (Pmem.Word.of_int v)
-  | Pqueue desc ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          Pmstm.Pm_queue.enqueue tx desc (Pmem.Word.of_int v))
-
-let queue_pop ctx inst =
-  match inst with
-  | Mqueue q -> ignore (Mod_core.Dqueue.dequeue q : Pmem.Word.t option)
-  | Pqueue desc ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          ignore (Pmstm.Pm_queue.dequeue tx desc : Pmem.Word.t option))
-
-let queue_is_empty ctx inst =
-  match inst with
-  | Mqueue q -> Mod_core.Dqueue.is_empty q
-  | Pqueue desc -> Pmstm.Pm_queue.is_empty (Backend.heap ctx) desc
-
-let queue_run ?(batch = 1) ctx ~ops ~size =
-  let inst = queue_setup ctx in
-  let rng = Backend.rng ctx in
-  for i = 1 to size / 2 do
-    queue_push ctx inst i
-  done;
-  Backend.start_measuring ctx;
-  match inst with
-  | Mqueue _ when batch > 1 ->
-      let heap = Backend.heap ctx in
-      batched_mod_loop ctx ~ops ~batch (fun b ->
-          let pending = Mod_core.Batch.pending b ~slot:ds_slot in
-          (if Pfds.Pqueue.is_empty heap pending || Random.State.bool rng then
-             let v = Pmem.Word.of_int (Random.State.int rng 1000000) in
-             Mod_core.Batch.stage b ~slot:ds_slot (fun version ->
-                 Pfds.Pqueue.enqueue heap version v)
-           else
-             Mod_core.Batch.stage b ~slot:ds_slot (fun version ->
-                 match Pfds.Pqueue.dequeue heap version with
-                 | None -> version
-                 | Some (_, shadow) -> shadow));
-          true)
-  | Pqueue _ when batch > 1 ->
-      batched_stm_loop ctx ~ops ~batch (fun () ->
-          if queue_is_empty ctx inst || Random.State.bool rng then
-            queue_push ctx inst (Random.State.int rng 1000000)
-          else queue_pop ctx inst)
-  | _ ->
-      for _ = 1 to ops do
-        Backend.op_pause ctx;
-        if queue_is_empty ctx inst || Random.State.bool rng then
-          queue_push ctx inst (Random.State.int rng 1000000)
-        else queue_pop ctx inst
-      done
-
-(* -- vector --------------------------------------------------------------- *)
-
-type vector_instance = Mvec of Mod_core.Dvec.t | Pvec of int
-
-let vector_setup ctx ~size =
-  match Backend.kind ctx with
-  | Backend.Mod ->
-      let v = Mod_core.Dvec.open_or_create ~persist:(Backend.persist ctx) (Backend.heap ctx) ~slot:ds_slot in
-      for i = 1 to size do
-        Mod_core.Dvec.push_back v (Pmem.Word.of_int i)
-      done;
-      Mvec v
-  | Backend.Pmdk14 | Backend.Pmdk15 ->
-      let tx = Backend.tx ctx in
-      let desc =
-        Pmstm.Tx.run tx (fun () ->
-            let desc = Pmstm.Pm_array.create tx ~capacity:(max 16 size) in
-            Pmstm.Tx.add tx ~off:ds_slot ~words:1;
-            Pmstm.Tx.store tx ds_slot (Pmem.Word.of_ptr desc);
-            desc)
-      in
-      for i = 1 to size do
-        Pmstm.Tx.run tx (fun () ->
-            Pmstm.Pm_array.push_back tx desc (Pmem.Word.of_int i))
-      done;
-      Pvec desc
-
-let vector_write ctx inst i v =
-  match inst with
-  | Mvec vec -> Mod_core.Dvec.set vec i (Pmem.Word.of_int v)
-  | Pvec desc ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () -> Pmstm.Pm_array.set tx desc i (Pmem.Word.of_int v))
-
-let vector_read ctx inst i =
-  match inst with
-  | Mvec vec -> ignore (Mod_core.Dvec.get vec i : Pmem.Word.t)
-  | Pvec desc ->
-      ignore (Pmstm.Pm_array.get (Backend.heap ctx) desc i : Pmem.Word.t)
-
-let vector_swap ctx inst i j =
-  match inst with
-  | Mvec vec -> Mod_core.Dvec.swap vec i j
-  | Pvec desc ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () -> Pmstm.Pm_array.swap tx desc i j)
+let stack_run = seq_run Ops.stack Ops.stack_staged
+let queue_run = seq_run Ops.queue Ops.queue_staged
 
 let vector_run ?(batch = 1) ctx ~ops ~size =
-  let inst = vector_setup ctx ~size in
+  let v = Ops.vector ctx ~size in
   let rng = Backend.rng ctx in
   Backend.start_measuring ctx;
-  match inst with
-  | Mvec _ when batch > 1 ->
-      let heap = Backend.heap ctx in
-      batched_mod_loop ctx ~ops ~batch (fun b ->
-          let i = Random.State.int rng size in
-          if Random.State.bool rng then begin
-            let v = Pmem.Word.of_int (Random.State.int rng 1000000) in
-            Mod_core.Batch.stage b ~slot:ds_slot (fun version ->
-                Pfds.Pvec.set heap version i v);
-            true
-          end
-          else begin
-            ignore
-              (Pfds.Pvec.get heap (Mod_core.Batch.pending b ~slot:ds_slot) i
-                : Pmem.Word.t);
-            false
-          end)
-  | Pvec _ when batch > 1 ->
-      batched_stm_loop ctx ~ops ~batch (fun () ->
-          let i = Random.State.int rng size in
-          if Random.State.bool rng then
-            vector_write ctx inst i (Random.State.int rng 1000000)
-          else vector_read ctx inst i)
-  | _ ->
-      for _ = 1 to ops do
-        Backend.op_pause ctx;
-        let i = Random.State.int rng size in
-        if Random.State.bool rng then
-          vector_write ctx inst i (Random.State.int rng 1000000)
-        else vector_read ctx inst i
-      done
+  Ops.run ~staged:Ops.vector_staged ctx ~ops ~batch v (fun v ->
+      let i = Random.State.int rng size in
+      if Random.State.bool rng then v.write i (Random.State.int rng 1000000)
+      else v.read i)
 
-let vec_swap_run ctx ~ops ~size =
-  let inst = vector_setup ctx ~size in
+let vec_swap_run ?(batch = 1) ctx ~ops ~size =
+  let v = Ops.vector ctx ~size in
   let rng = Backend.rng ctx in
   Backend.start_measuring ctx;
-  for _ = 1 to ops do
-    Backend.op_pause ctx;
-    let i = Random.State.int rng size in
-    let j = Random.State.int rng size in
-    if i <> j then vector_swap ctx inst i j
-  done
+  Ops.run ctx ~ops ~batch v (fun v ->
+      let i = Random.State.int rng size in
+      let j = Random.State.int rng size in
+      if i <> j then v.swap i j)

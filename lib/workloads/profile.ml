@@ -26,73 +26,52 @@ let point label backend (flushes, fences) = { label; backend; flushes; fences }
 
 let map_insert backend ~samples ~size =
   let ctx = Backend.create backend in
-  let inst = Micro.map_setup ctx ~size in
+  let m = Ops.Int_map.open_ ctx ~size in
   let rng = Backend.rng ctx in
   for _ = 1 to size do
-    Micro.map_insert ctx inst (Random.State.int rng size) 1
+    m.insert (Random.State.int rng size) 1
   done;
   point "map-insert" backend
-    (measure ctx ~samples (fun _ ->
-         Micro.map_insert ctx inst (Random.State.int rng size) 2))
+    (measure ctx ~samples (fun _ -> m.insert (Random.State.int rng size) 2))
 
 let set_insert backend ~samples ~size =
   let ctx = Backend.create backend in
-  let inst = Micro.set_setup ctx ~size in
+  let s = Ops.Int_set.open_ ctx ~size in
   let rng = Backend.rng ctx in
   for _ = 1 to size do
-    Micro.set_add ctx inst (Random.State.int rng size)
+    s.insert (Random.State.int rng size) ()
   done;
   point "set-insert" backend
-    (measure ctx ~samples (fun _ ->
-         Micro.set_add ctx inst (Random.State.int rng size)))
+    (measure ctx ~samples (fun _ -> s.insert (Random.State.int rng size) ()))
 
-let queue_ops backend ~samples ~size =
+(* Push and pop of a stack or queue holding [size] + [samples] elements. *)
+let seq_ops name open_ backend ~samples ~size =
   let ctx = Backend.create backend in
-  let inst = Micro.queue_setup ctx in
+  let s : Ops.seq = open_ ctx in
   for i = 1 to size + samples do
-    Micro.queue_push ctx inst i
+    s.push i
   done;
-  let push =
-    point "queue-push" backend
-      (measure ctx ~samples (fun i -> Micro.queue_push ctx inst i))
-  in
+  let push = point (name ^ "-push") backend (measure ctx ~samples s.push) in
   let pop =
-    point "queue-pop" backend
-      (measure ctx ~samples (fun _ -> Micro.queue_pop ctx inst))
-  in
-  [ push; pop ]
-
-let stack_ops backend ~samples ~size =
-  let ctx = Backend.create backend in
-  let inst = Micro.stack_setup ctx in
-  for i = 1 to size + samples do
-    Micro.stack_push ctx inst i
-  done;
-  let push =
-    point "stack-push" backend
-      (measure ctx ~samples (fun i -> Micro.stack_push ctx inst i))
-  in
-  let pop =
-    point "stack-pop" backend
-      (measure ctx ~samples (fun _ -> Micro.stack_pop ctx inst))
+    point (name ^ "-pop") backend
+      (measure ctx ~samples (fun _ -> ignore (s.pop () : int option)))
   in
   [ push; pop ]
 
 let vector_ops backend ~samples ~size =
   let ctx = Backend.create backend in
-  let inst = Micro.vector_setup ctx ~size in
+  let v = Ops.vector ctx ~size in
   let rng = Backend.rng ctx in
   let write =
     point "vector-write" backend
-      (measure ctx ~samples (fun i ->
-           Micro.vector_write ctx inst (Random.State.int rng size) i))
+      (measure ctx ~samples (fun i -> v.write (Random.State.int rng size) i))
   in
   let swap =
     point "vec-swap" backend
       (measure ctx ~samples (fun _ ->
            let i = Random.State.int rng size in
            let j = (i + 1 + Random.State.int rng (size - 1)) mod size in
-           Micro.vector_swap ctx inst i j))
+           v.swap i j))
   in
   [ write; swap ]
 
@@ -100,8 +79,8 @@ let all ?(samples = 500) ?(size = 10_000) () =
   List.concat_map
     (fun backend ->
       [ map_insert backend ~samples ~size; set_insert backend ~samples ~size ]
-      @ queue_ops backend ~samples ~size
-      @ stack_ops backend ~samples ~size
+      @ seq_ops "queue" Ops.queue backend ~samples ~size
+      @ seq_ops "stack" Ops.stack backend ~samples ~size
       @ vector_ops backend ~samples ~size)
     [ Backend.Pmdk15; Backend.Mod ]
 

@@ -23,40 +23,92 @@ type result = {
          the run was started with ?metrics *)
 }
 
-let names =
-  [ "map"; "set"; "queue"; "stack"; "vector"; "vec-swap"; "bfs"; "vacation";
-    "memcached" ]
+(* A Table 2 workload as the runner sees it.  [scale] sets the iteration
+   count (the paper runs 1M of each), with per-workload adjustments for
+   the heavier applications; [run] returns the ops it measured. *)
+type workload = {
+  name : string;
+  stages : bool;  (* has a staged variant, so takes batch > 1 *)
+  honors_policy : bool;  (* opens its structure under the context's policy *)
+  run : batch:int -> Backend.t -> scale:int -> int;
+}
 
-(* Scale knobs per workload: the paper runs 1M iterations of each; [scale]
-   sets the iteration count here, with per-workload adjustments for the
-   heavier applications. *)
-let dispatch ?(batch = 1) name ~scale ctx =
-  let ops = scale in
-  match name with
-  | "map" -> (Micro.map_run ~batch ctx ~ops ~size:scale, ops)
-  | "set" -> (Micro.set_run ~batch ctx ~ops ~size:scale, ops)
-  | "queue" -> (Micro.queue_run ~batch ctx ~ops ~size:scale, ops)
-  | "stack" -> (Micro.stack_run ~batch ctx ~ops ~size:scale, ops)
-  | "vector" -> (Micro.vector_run ~batch ctx ~ops ~size:scale, ops)
-  | "vec-swap" -> (Micro.vec_swap_run ctx ~ops ~size:scale, ops)
-  | "bfs" ->
-      let nodes = max 64 (scale / 12) in
-      (Graph.run ctx ~nodes ~edges:scale, scale)
-  | "vacation" ->
-      let relations = max 64 (scale / 10) in
-      (Vacation.run ctx ~ops ~relations, ops)
-  | "memcached" ->
-      let ops = max 1 (scale / 5) in
-      let keyspace = max 64 (scale / 5) in
-      (Memcached.run ~batch ctx ~ops ~keyspace, ops)
-  | other -> invalid_arg (Printf.sprintf "Runner: unknown workload %S" other)
+let workloads =
+  let app name ~stages ~honors_policy run =
+    { name; stages; honors_policy; run }
+  in
+  let micro name ?(stages = true)
+      (run : ?batch:int -> Backend.t -> ops:int -> size:int -> unit) =
+    app name ~stages ~honors_policy:true (fun ~batch ctx ~scale ->
+        run ~batch ctx ~ops:scale ~size:scale;
+        scale)
+  in
+  [
+    micro "map" Micro.map_run;
+    micro "set" Micro.set_run;
+    micro "queue" Micro.queue_run;
+    micro "stack" Micro.stack_run;
+    micro "vector" Micro.vector_run;
+    micro "vec-swap" ~stages:false Micro.vec_swap_run;
+    app "bfs" ~stages:false ~honors_policy:false (fun ~batch:_ ctx ~scale ->
+        Graph.run ctx ~nodes:(max 64 (scale / 12)) ~edges:scale;
+        scale);
+    app "vacation" ~stages:false ~honors_policy:false
+      (fun ~batch:_ ctx ~scale ->
+        Vacation.run ctx ~ops:scale ~relations:(max 64 (scale / 10));
+        scale);
+    app "memcached" ~stages:true ~honors_policy:true (fun ~batch ctx ~scale ->
+        let ops = max 1 (scale / 5) in
+        Memcached.run ~batch ctx ~ops ~keyspace:(max 64 (scale / 5));
+        ops);
+  ]
+
+let names = List.map (fun w -> w.name) workloads
+
+let find name =
+  match List.find_opt (fun w -> w.name = name) workloads with
+  | Some w -> w
+  | None -> invalid_arg (Printf.sprintf "Runner: unknown workload %S" name)
+
+let takers p =
+  String.concat ", "
+    (List.filter_map (fun w -> if p w then Some w.name else None) workloads)
+
+(* Whether a run of [name] would honor [batch] and [persist]; a setting
+   the run would ignore is an error naming the workloads that take it. *)
+let check ~batch ?persist backend name =
+  let w = find name in
+  if batch > 1 && not w.stages then
+    Error
+      (Printf.sprintf
+         "%s has no staged variant, so --batch must be 1; --batch > 1 is \
+          taken by: %s"
+         name
+         (takers (fun w -> w.stages)))
+  else
+    match persist with
+    | Some Pmalloc.Heap.Backup when backend <> Backend.Mod ->
+        Error
+          (Printf.sprintf
+             "--persist backup is a MOD commit policy; %s ignores it (use \
+              --backend mod)"
+             (Backend.kind_name backend))
+    | Some Pmalloc.Heap.Backup when not w.honors_policy ->
+        Error
+          (Printf.sprintf
+             "%s ignores the commit policy; --persist backup is taken by: %s"
+             name
+             (takers (fun w -> w.honors_policy)))
+    | _ -> Ok ()
 
 (* Build the run's heap and attach its collector now; the returned thunk
    runs the workload on them.  A host timer around the thunk then times
-   the workload, not the allocation of the heap's arrays. *)
-let prepare ?(capacity_words = 1 lsl 21) ?(trace = false) ?(batch = 1)
-    ?metrics ?persist ?seed name backend ~scale =
-  let ctx = Backend.create ~capacity_words ~trace ?seed ?persist backend in
+   the workload, not the allocation of the heap's arrays.  A setting the
+   run would ignore ({!check}) raises [Invalid_argument]. *)
+let prepare ?(batch = 1) ?metrics ?persist ?seed name backend ~scale =
+  Result.iter_error invalid_arg (check ~batch ?persist backend name);
+  let w = find name in
+  let ctx = Backend.create ?seed ?persist backend in
   (* instance-scoped: the collector rides on this run's heap, so
      concurrent runs (shards) never fight over a process-wide slot *)
   let collector =
@@ -65,7 +117,7 @@ let prepare ?(capacity_words = 1 lsl 21) ?(trace = false) ?(batch = 1)
       metrics
   in
   fun () ->
-    let (), ops = dispatch ~batch name ~scale ctx in
+    let ops = w.run ~batch ctx ~scale in
     let telemetry = Option.map Telemetry.report collector in
     let s = Backend.stats ctx in
     let allocator = Pmalloc.Heap.allocator (Backend.heap ctx) in
@@ -89,15 +141,13 @@ let prepare ?(capacity_words = 1 lsl 21) ?(trace = false) ?(batch = 1)
       telemetry;
     }
 
-let run_one ?capacity_words ?trace ?batch ?metrics ?persist ?seed name backend
-    ~scale =
-  prepare ?capacity_words ?trace ?batch ?metrics ?persist ?seed name backend
-    ~scale ()
+let run_one ?batch ?metrics ?persist ?seed name backend ~scale =
+  prepare ?batch ?metrics ?persist ?seed name backend ~scale ()
 
 (* Same run, but also return the trace for consistency checking. *)
 let run_traced name backend ~scale =
-  let ctx = Backend.create ~capacity_words:(1 lsl 21) ~trace:true backend in
-  let (), _ops = dispatch name ~scale ctx in
+  let ctx = Backend.create ~trace:true backend in
+  ignore ((find name).run ~batch:1 ctx ~scale : int);
   Pmalloc.Heap.trace (Backend.heap ctx)
 
 let flush_fraction r = if r.ns_total = 0.0 then 0.0 else r.ns_flush /. r.ns_total

@@ -21,8 +21,9 @@ let live ctx = Pmalloc.Allocator.live_words (Pmalloc.Heap.allocator (Backend.hea
 
 (* Build to N elements, snapshot, continue to 2N, snapshot.  The footprint
    is measured relative to the post-create baseline so backend machinery
-   (the PMDK undo log block) is not charged to the datastructure. *)
-let grow structure backend ~n ~insert ~setup =
+   (the PMDK undo log block) is not charged to the datastructure.
+   [open_] opens the structure and returns its insert. *)
+let grow structure backend ~n open_ =
   let ctx = Backend.create ~capacity_words:(1 lsl 22) backend in
   let base =
     match backend with
@@ -31,13 +32,13 @@ let grow structure backend ~n ~insert ~setup =
         ignore (Backend.tx ctx : Pmstm.Tx.t);
         live ctx
   in
-  let inst = setup ctx in
+  let insert = open_ ctx in
   for i = 1 to n do
-    insert ctx inst i
+    insert i
   done;
   let words_at_n = live ctx - base in
   for i = n + 1 to 2 * n do
-    insert ctx inst i
+    insert i
   done;
   let words_at_2n = live ctx - base in
   {
@@ -48,56 +49,35 @@ let grow structure backend ~n ~insert ~setup =
     ratio = float_of_int words_at_2n /. float_of_int (max 1 words_at_n);
   }
 
-let map_row backend ~n =
-  grow "map" backend ~n
-    ~setup:(fun ctx -> Micro.map_setup ctx ~size:(2 * n))
-    ~insert:(fun ctx inst i -> Micro.map_insert ctx inst i i)
-
-let set_row backend ~n =
-  grow "set" backend ~n
-    ~setup:(fun ctx -> Micro.set_setup ctx ~size:(2 * n))
-    ~insert:(fun ctx inst i -> Micro.set_add ctx inst i)
-
-let stack_row backend ~n =
-  grow "stack" backend ~n
-    ~setup:(fun ctx -> Micro.stack_setup ctx)
-    ~insert:(fun ctx inst i -> Micro.stack_push ctx inst i)
-
-let queue_row backend ~n =
-  grow "queue" backend ~n
-    ~setup:(fun ctx -> Micro.queue_setup ctx)
-    ~insert:(fun ctx inst i -> Micro.queue_push ctx inst i)
-
-let vector_row backend ~n =
-  grow "vector" backend ~n
-    ~setup:(fun ctx -> Micro.vector_setup ctx ~size:1)
-    ~insert:(fun ctx inst i ->
-      match inst with
-      | Micro.Mvec v -> Mod_core.Dvec.push_back v (Pmem.Word.of_int i)
-      | Micro.Pvec desc ->
-          let tx = Backend.tx ctx in
-          Pmstm.Tx.run tx (fun () ->
-              Pmstm.Pm_array.push_back tx desc (Pmem.Word.of_int i)))
+let rows backend ~n =
+  [
+    grow "map" backend ~n (fun ctx ->
+        let m = Ops.Int_map.open_ ctx ~size:(2 * n) in
+        fun i -> m.insert i i);
+    grow "set" backend ~n (fun ctx ->
+        let s = Ops.Int_set.open_ ctx ~size:(2 * n) in
+        fun i -> s.insert i ());
+    grow "stack" backend ~n (fun ctx -> (Ops.stack ctx).push);
+    grow "queue" backend ~n (fun ctx -> (Ops.queue ctx).push);
+    grow "vector" backend ~n (fun ctx -> (Ops.vector ctx ~size:1).push_back);
+  ]
 
 (* Per-update shadow overhead: extra words a single insert allocates
    transiently, relative to the structure's size (the <0.01% claim). *)
 let shadow_overhead ~n =
   let ctx = Backend.create ~capacity_words:(1 lsl 22) Backend.Mod in
-  let inst = Micro.map_setup ctx ~size:(2 * n) in
+  let m = Ops.Int_map.open_ ctx ~size:(2 * n) in
   for i = 1 to n do
-    Micro.map_insert ctx inst i i
+    m.insert i i
   done;
   let before = live ctx in
   let alloc = Pmalloc.Heap.allocator (Backend.heap ctx) in
   let hw_before = Pmalloc.Allocator.high_water_words alloc in
-  Micro.map_insert ctx inst (n + 1) 0;
+  m.insert (n + 1) 0;
   let hw_after = Pmalloc.Allocator.high_water_words alloc in
   let transient = max (hw_after - hw_before) 0 in
   (transient, before)
 
 let table3 ?(n = 10_000) () =
-  List.concat_map
-    (fun backend ->
-      [ map_row backend ~n; set_row backend ~n; stack_row backend ~n;
-        queue_row backend ~n; vector_row backend ~n ])
+  List.concat_map (fun backend -> rows backend ~n)
     [ Backend.Mod; Backend.Pmdk15 ]

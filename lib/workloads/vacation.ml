@@ -12,7 +12,6 @@
 module Mod_tbl = Mod_core.Dmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int)
 module Pm_tbl = Pmstm.Pm_hashmap.Make (Pfds.Kv.Int) (Pfds.Kv.Int)
 
-let manager_slot = Micro.ds_slot
 let n_tables = 4
 let cars = 0
 let flights = 1
@@ -24,143 +23,134 @@ let pack ~avail ~price = (avail * 10_000) + price
 let avail_of v = v / 10_000
 let price_of v = v mod 10_000
 
-type instance = Mmgr | Pmgr of int array (* table descriptors *)
+(* The manager's operations, each one failure-atomic section. *)
+type ops = {
+  put : table:int -> int -> int -> unit;  (* one item row *)
+  reserve : table:int -> item:int -> cid:int -> unit;
+  delete_customer : int -> unit;
+}
 
 (* -- MOD: manager object + Composition interface ------------------------- *)
 
-let mod_setup heap =
+let mod_ops heap =
+  let slot = Backend.slot in
   let parent = Pfds.Node.alloc heap ~words:n_tables in
   for f = 0 to n_tables - 1 do
     Pfds.Node.set heap parent f (Mod_tbl.empty_version heap)
   done;
   Pfds.Node.finish heap parent;
-  Mod_core.Commit.single heap ~slot:manager_slot (Pmem.Word.of_ptr parent)
-
-let mod_field heap f =
-  let parent = Pmem.Word.to_ptr (Pmalloc.Heap.root_get heap manager_slot) in
-  Pfds.Node.get heap parent f
-
-(* One FASE: pure updates on the named tables, then CommitSiblings. *)
-let mod_commit heap fields =
-  Mod_core.Commit.siblings heap ~slot:manager_slot fields
+  Mod_core.Commit.single heap ~slot (Pmem.Word.of_ptr parent);
+  let field f =
+    Pfds.Node.get heap (Pmem.Word.to_ptr (Pmalloc.Heap.root_get heap slot)) f
+  in
+  (* one FASE: pure updates on the named tables, then CommitSiblings *)
+  let commit fields = Mod_core.Commit.siblings heap ~slot fields in
+  {
+    put =
+      (fun ~table item payload ->
+        let tbl' = Mod_tbl.insert_pure heap (field table) item payload in
+        commit [ (table, tbl') ]);
+    reserve =
+      (fun ~table ~item ~cid ->
+        let tbl = field table in
+        match Mod_tbl.find_in heap tbl item with
+        | Some v when avail_of v > 0 ->
+            let tbl' =
+              Mod_tbl.insert_pure heap tbl item
+                (pack ~avail:(avail_of v - 1) ~price:(price_of v))
+            in
+            let cust = field customers in
+            let count =
+              Option.value ~default:0 (Mod_tbl.find_in heap cust cid)
+            in
+            let cust' = Mod_tbl.insert_pure heap cust cid (count + 1) in
+            commit [ (table, tbl'); (customers, cust') ]
+        | Some _ | None -> ());
+    delete_customer =
+      (fun cid ->
+        let cust', removed = Mod_tbl.remove_pure heap (field customers) cid in
+        if removed then commit [ (customers, cust') ]);
+  }
 
 (* -- PMDK: four hashmaps under a parent block ----------------------------- *)
 
-let pmdk_setup ctx ~relations =
+let pmdk_ops ctx ~relations =
+  let heap = Backend.heap ctx in
+  let descs = Array.make n_tables 0 in
+  ignore
+    (Backend.publish ctx (fun tx ->
+         for f = 0 to n_tables - 1 do
+           descs.(f) <- Pm_tbl.create tx ~nbuckets:(max 64 relations)
+         done;
+         let parent =
+           Pmstm.Tx.alloc tx ~kind:Pmalloc.Block.Scanned ~words:n_tables
+         in
+         Array.iteri
+           (fun f d ->
+             Pmstm.Tx.store_fresh tx (parent + f) (Pmem.Word.of_ptr d))
+           descs;
+         parent)
+      : int);
   let tx = Backend.tx ctx in
-  Pmstm.Tx.run tx (fun () ->
-      let descs =
-        Array.init n_tables (fun _ ->
-            Pm_tbl.create tx ~nbuckets:(max 64 relations))
-      in
-      let parent = Pmstm.Tx.alloc tx ~kind:Pmalloc.Block.Scanned ~words:n_tables in
-      Array.iteri
-        (fun f d -> Pmstm.Tx.store_fresh tx (parent + f) (Pmem.Word.of_ptr d))
-        descs;
-      Pmstm.Tx.add tx ~off:manager_slot ~words:1;
-      Pmstm.Tx.store tx manager_slot (Pmem.Word.of_ptr parent);
-      Pmgr descs)
+  {
+    put =
+      (fun ~table item payload ->
+        Pmstm.Tx.run tx (fun () ->
+            ignore (Pm_tbl.insert tx descs.(table) item payload : bool)));
+    reserve =
+      (fun ~table ~item ~cid ->
+        Pmstm.Tx.run tx (fun () ->
+            match Pm_tbl.find heap descs.(table) item with
+            | Some v when avail_of v > 0 ->
+                ignore
+                  (Pm_tbl.insert tx descs.(table) item
+                     (pack ~avail:(avail_of v - 1) ~price:(price_of v))
+                    : bool);
+                let count =
+                  Option.value ~default:0
+                    (Pm_tbl.find heap descs.(customers) cid)
+                in
+                ignore
+                  (Pm_tbl.insert tx descs.(customers) cid (count + 1) : bool)
+            | Some _ | None -> ()));
+    delete_customer =
+      (fun cid ->
+        Pmstm.Tx.run tx (fun () ->
+            ignore (Pm_tbl.remove tx descs.(customers) cid : bool)));
+  }
 
 (* -- the operation mix ----------------------------------------------------- *)
 
-let make_reservation ctx inst ~relations rng =
-  let heap = Backend.heap ctx in
-  let table = Random.State.int rng 3 in
-  let item = Random.State.int rng relations in
-  let cid = Random.State.int rng relations in
-  match inst with
-  | Mmgr -> (
-      let tbl = mod_field heap table in
-      match Mod_tbl.find_in heap tbl item with
-      | Some v when avail_of v > 0 ->
-          let tbl' =
-            Mod_tbl.insert_pure heap tbl item
-              (pack ~avail:(avail_of v - 1) ~price:(price_of v))
-          in
-          let cust = mod_field heap customers in
-          let count =
-            Option.value ~default:0 (Mod_tbl.find_in heap cust cid)
-          in
-          let cust' = Mod_tbl.insert_pure heap cust cid (count + 1) in
-          mod_commit heap [ (table, tbl'); (customers, cust') ]
-      | Some _ | None -> ())
-  | Pmgr descs ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          match Pm_tbl.find heap descs.(table) item with
-          | Some v when avail_of v > 0 ->
-              ignore
-                (Pm_tbl.insert tx descs.(table) item
-                   (pack ~avail:(avail_of v - 1) ~price:(price_of v))
-                  : bool);
-              let count =
-                Option.value ~default:0 (Pm_tbl.find heap descs.(customers) cid)
-              in
-              ignore (Pm_tbl.insert tx descs.(customers) cid (count + 1) : bool)
-          | Some _ | None -> ())
-
-let delete_customer ctx inst ~relations rng =
-  let heap = Backend.heap ctx in
-  let cid = Random.State.int rng relations in
-  match inst with
-  | Mmgr ->
-      let cust = mod_field heap customers in
-      let cust', removed = Mod_tbl.remove_pure heap cust cid in
-      if removed then mod_commit heap [ (customers, cust') ]
-  | Pmgr descs ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          ignore (Pm_tbl.remove tx descs.(customers) cid : bool))
-
-let manage_tables ctx inst ~relations rng =
-  let heap = Backend.heap ctx in
-  let table = Random.State.int rng 3 in
-  let item = Random.State.int rng relations in
-  let price = 100 + Random.State.int rng 400 in
-  let avail = 50 + Random.State.int rng 50 in
-  match inst with
-  | Mmgr ->
-      let tbl = mod_field heap table in
-      let tbl' = Mod_tbl.insert_pure heap tbl item (pack ~avail ~price) in
-      mod_commit heap [ (table, tbl') ]
-  | Pmgr descs ->
-      let tx = Backend.tx ctx in
-      Pmstm.Tx.run tx (fun () ->
-          ignore (Pm_tbl.insert tx descs.(table) item (pack ~avail ~price) : bool))
-
 let run ctx ~ops ~relations =
-  let inst =
+  let v =
     match Backend.kind ctx with
-    | Backend.Mod ->
-        mod_setup (Backend.heap ctx);
-        Mmgr
-    | Backend.Pmdk14 | Backend.Pmdk15 -> pmdk_setup ctx ~relations
+    | Backend.Mod -> mod_ops (Backend.heap ctx)
+    | Backend.Pmdk14 | Backend.Pmdk15 -> pmdk_ops ctx ~relations
   in
   let rng = Backend.rng ctx in
   (* populate the three item tables *)
   for item = 0 to relations - 1 do
     let price = 100 + Random.State.int rng 400 in
     let avail = 10 + Random.State.int rng 90 in
-    let payload = pack ~avail ~price in
-    match inst with
-    | Mmgr ->
-        let heap = Backend.heap ctx in
-        for table = 0 to 2 do
-          let tbl' = Mod_tbl.insert_pure heap (mod_field heap table) item payload in
-          mod_commit heap [ (table, tbl') ]
-        done
-    | Pmgr descs ->
-        let tx = Backend.tx ctx in
-        for table = 0 to 2 do
-          Pmstm.Tx.run tx (fun () ->
-              ignore (Pm_tbl.insert tx descs.(table) item payload : bool))
-        done
+    for table = 0 to 2 do
+      v.put ~table item (pack ~avail ~price)
+    done
   done;
   Backend.start_measuring ctx;
-  for _ = 1 to ops do
-    Backend.op_pause ctx;
-    let dice = Random.State.int rng 100 in
-    if dice < 80 then make_reservation ctx inst ~relations rng
-    else if dice < 90 then delete_customer ctx inst ~relations rng
-    else manage_tables ctx inst ~relations rng
-  done
+  Ops.run ctx ~ops ~batch:1 v (fun v ->
+      let dice = Random.State.int rng 100 in
+      if dice < 80 then begin
+        let table = Random.State.int rng 3 in
+        let item = Random.State.int rng relations in
+        let cid = Random.State.int rng relations in
+        v.reserve ~table ~item ~cid
+      end
+      else if dice < 90 then v.delete_customer (Random.State.int rng relations)
+      else begin
+        (* manage the tables: re-price and restock one item *)
+        let table = Random.State.int rng 3 in
+        let item = Random.State.int rng relations in
+        let price = 100 + Random.State.int rng 400 in
+        let avail = 50 + Random.State.int rng 50 in
+        v.put ~table item (pack ~avail ~price)
+      end)

@@ -17,12 +17,9 @@ struct
   (* With [?persist:Backup] the slot is promoted before the suite runs,
      so every check below exercises the Backup commit path (op-log
      appends, checkpoint on add_many's batch) and the descriptor-aware
-     open/validate path.  With [~commit_mode:Cas] every Full-policy
-     commit routes its root swing through the counted-CAS record update
-     concurrent writers use, instead of the single-writer atomic store. *)
-  let run ?persist ?(commit_mode = Pmalloc.Heap.Swing) () =
+     open/validate path. *)
+  let run ?persist () =
     let heap = mk_heap () in
-    Pmalloc.Heap.set_commit_mode heap commit_mode;
     (match persist with
     | None -> ()
     | Some p -> ignore (D.open_or_create ~persist:p heap ~slot:0));
@@ -280,20 +277,6 @@ let () =
                Conf_seq.open_cases;
                Conf_pqueue.open_cases;
              ]) );
-      ( "durable-conformance-cas",
-        (let cas = Pmalloc.Heap.Cas in
-         [
-           Alcotest.test_case "dmap" `Quick (Conf_map.run ~commit_mode:cas);
-           Alcotest.test_case "dset" `Quick (Conf_set.run ~commit_mode:cas);
-           Alcotest.test_case "dvec" `Quick (Conf_vec.run ~commit_mode:cas);
-           Alcotest.test_case "dstack" `Quick
-             (Conf_stack.run ~commit_mode:cas);
-           Alcotest.test_case "dqueue" `Quick
-             (Conf_queue.run ~commit_mode:cas);
-           Alcotest.test_case "dseq" `Quick (Conf_seq.run ~commit_mode:cas);
-           Alcotest.test_case "dpqueue" `Quick
-             (Conf_pqueue.run ~commit_mode:cas);
-         ]) );
       (* Backup x concurrent commit: skipped by design, with the reason
          encoded as the Invalid_argument the combination raises -- a
          Backup slot's commit order is its op-log append order, which a

@@ -139,12 +139,12 @@ let graph_tests =
       (fun () ->
         let g = Workloads.Graph.rmat ~n:500 ~edges:4000 ~seed:5 in
         let src = Workloads.Graph.good_source g in
-        let ctx_mod = Workloads.Backend.create Workloads.Backend.Mod in
-        let reach_mod =
-          Workloads.Graph.bfs_mod (Workloads.Backend.heap ctx_mod) g ~src
+        let reach backend =
+          let ctx = Workloads.Backend.create backend in
+          Workloads.Graph.bfs (Workloads.Ops.queue ctx) g ~src
         in
-        let ctx_pm = Workloads.Backend.create Workloads.Backend.Pmdk15 in
-        let reach_pm = Workloads.Graph.bfs_pmdk ctx_pm g ~src in
+        let reach_mod = reach Workloads.Backend.Mod in
+        let reach_pm = reach Workloads.Backend.Pmdk15 in
         Alcotest.(check int) "same reachable count" reach_mod reach_pm;
         Alcotest.(check bool) "non-trivial" true (reach_mod > 10));
   ]
@@ -494,6 +494,24 @@ let cli_tests =
           (contains text "beyond the workload's last PM event");
         Alcotest.(check bool) "consistent" true (contains text "consistent"));
   ]
+  (* A setting the run would ignore is a usage error that names the
+     workloads taking it. *)
+  @ List.map
+      (fun (args, takers) ->
+        Alcotest.test_case ("run " ^ args ^ " is a usage error") `Quick
+          (fun () ->
+            let rc, text =
+              run_cmd ("../bin/modpm.exe run --ops 100 " ^ args)
+            in
+            Alcotest.(check int) "exit status" 2 rc;
+            Alcotest.(check bool) ("names " ^ takers) true
+              (contains text takers)))
+      [
+        ("vec-swap --batch 8", "map, set, queue, stack, vector, memcached");
+        ("vacation --persist backup", "queue, stack, vector, vec-swap");
+        ("bfs --persist backup", "queue, stack, vector, vec-swap");
+        ("map --backend pmdk15 --persist backup", "--backend mod");
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Golden: the simulated numbers, pinned                               *)

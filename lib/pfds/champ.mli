@@ -11,7 +11,9 @@ val bits_per_level : int
 val branch : int
 
 val popcount : int -> int
-(** Population count, used for bitmap-compressed slot indexing. *)
+(** Population count of a map below 2^32 (a node's datamap or nodemap, or
+    a masked part of one), used for bitmap-compressed slot indexing.  The
+    count is wrong for a value of 2^32 or more. *)
 
 module Make (K : Kv.CODEC) (V : Kv.CODEC) : sig
   type key = K.t

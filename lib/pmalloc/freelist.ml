@@ -23,6 +23,21 @@ let buckets = 24 (* power-of-two classes above exact_max *)
 
 type entry = { body : int; capacity : int; mutable dead : bool }
 
+(* The coalescing index's tables, keyed by word offset.  They are only
+   probed by key, never iterated, so the hash decides no result; a
+   multiply and a fold of the high bits into the low ones (the bucket
+   index is the low bits) keep it off the generic [caml_hash] and
+   [compare]. *)
+module Offsets = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x9E3779B97F4A7C1 in
+    h lxor (h lsr 29)
+end)
+
 type t = {
   exact : entry list array; (* index = capacity, 0..exact_max *)
   coarse : entry list array; (* index = log2 class *)
@@ -30,8 +45,8 @@ type t = {
   (* physical-neighbor index for coalescing: a live entry keyed by the
      first word of its extent (its header offset) and by one-past its
      last word *)
-  by_start : (int, entry) Hashtbl.t;
-  by_end : (int, entry) Hashtbl.t;
+  by_start : entry Offsets.t;
+  by_end : entry Offsets.t;
   mutable entries : int; (* live entries across all bins *)
   mutable coalesces : int; (* neighbor merges performed *)
   (* the bins [bin_insert] filled since the last [clear]: exact bin [c]
@@ -49,8 +64,8 @@ let create () =
     exact = Array.make (exact_max + 1) [];
     coarse = Array.make buckets [];
     free_words = 0;
-    by_start = Hashtbl.create 256;
-    by_end = Hashtbl.create 256;
+    by_start = Offsets.create 256;
+    by_end = Offsets.create 256;
     entries = 0;
     coalesces = 0;
     used = Array.make bins 0;
@@ -73,12 +88,12 @@ let use t bin =
 let few_entries = 8
 
 let clear t =
-  let few = Hashtbl.length t.by_start <= few_entries in
+  let few = Offsets.length t.by_start <= few_entries in
   let drop =
     List.iter (fun e ->
         if few && not e.dead then begin
-          Hashtbl.remove t.by_start (Block.header_of_body e.body);
-          Hashtbl.remove t.by_end (Block.header_of_body e.body + e.capacity)
+          Offsets.remove t.by_start (Block.header_of_body e.body);
+          Offsets.remove t.by_end (Block.header_of_body e.body + e.capacity)
         end)
   in
   for i = 0 to t.used_len - 1 do
@@ -95,8 +110,8 @@ let clear t =
     Bytes.unsafe_set t.bin_mark bin '\000'
   done;
   if not few then begin
-    Hashtbl.reset t.by_start;
-    Hashtbl.reset t.by_end
+    Offsets.reset t.by_start;
+    Offsets.reset t.by_end
   end;
   t.used_len <- 0;
   t.free_words <- 0;
@@ -110,8 +125,8 @@ let start_of e = Block.header_of_body e.body
 let end_of e = Block.header_of_body e.body + e.capacity
 
 let unhash t e =
-  Hashtbl.remove t.by_start (start_of e);
-  Hashtbl.remove t.by_end (end_of e)
+  Offsets.remove t.by_start (start_of e);
+  Offsets.remove t.by_end (end_of e)
 
 (* Remove a live entry that is being merged into a larger one.  Its bin
    cell stays behind marked dead and is dropped when a take reaches it. *)
@@ -131,8 +146,8 @@ let bin_insert t e =
     use t (exact_max + 1 + b);
     t.coarse.(b) <- e :: t.coarse.(b)
   end;
-  Hashtbl.replace t.by_start (start_of e) e;
-  Hashtbl.replace t.by_end (end_of e) e;
+  Offsets.replace t.by_start (start_of e) e;
+  Offsets.replace t.by_end (end_of e) e;
   t.free_words <- t.free_words + e.capacity;
   t.entries <- t.entries + 1
 
@@ -144,7 +159,7 @@ let insert t ~body ~capacity =
        lists never hold two adjacent live extents, so one probe per
        side is exhaustive *)
     let fin =
-      match Hashtbl.find_opt t.by_start fin with
+      match Offsets.find_opt t.by_start fin with
       | Some succ ->
           kill t succ;
           t.coalesces <- t.coalesces + 1;
@@ -152,7 +167,7 @@ let insert t ~body ~capacity =
       | None -> fin
     in
     let start =
-      match Hashtbl.find_opt t.by_end start with
+      match Offsets.find_opt t.by_end start with
       | Some pred ->
           kill t pred;
           t.coalesces <- t.coalesces + 1;

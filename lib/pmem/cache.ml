@@ -8,25 +8,39 @@
       to the durable image, exactly as hardware cache replacement can make
       un-flushed data durable at arbitrary times. *)
 
-(* Epoch-stamped tags give O(1) invalidation: a way's tag is
-   [base lor line], where [base] is the current epoch shifted above every
-   line address, and a tag below [base] is an invalid way.  [invalidate]
-   bumps [base], so every way of every set turns invalid at once without
-   touching the arrays -- the crash-point explorer drops a 33MB LLC
-   between samples this way.  Only a miss fills a way, always the first
-   invalid one, so the valid ways of a set stay a prefix of it and the
-   victim rule reads no stale [last_use].
+(* One int array, [blocks], holds a block of [2 * ways + 1] words per
+   claimed set: the set's [ways] stamped tags, then one stamp word per
+   way (the way's LRU stamp shifted left by one, its dirty bit in bit
+   0), then the count of valid ways.  A "way" below is the index of its
+   tag word in [blocks]; its stamp word sits [ways] words on.
 
-   A set owns no ways until its first fill claims the next [ways] entries
-   of the way arrays, which double by copying when full: a cache costs
-   what a run touches (a heap touches a few hundred of the LLC's 32,768
-   sets), not its geometry.  [rank] holds 16 bits per set: 1 + the order
-   in which the set was claimed, or 0 while it is unclaimed, so its first
-   way is (rank - 1) * [ways].  That is 64 KB for the LLC, which the GC
+   Epoch-stamped words give O(1) invalidation: a way's tag is
+   [base lor line], where [base] is the current epoch shifted above every
+   line address, and a tag below [base] is an invalid way.  The valid
+   count is stamped the same way, [base + count], and reads as 0 below
+   [base].  [invalidate] bumps [base], so every way of every set turns
+   invalid at once without touching the array -- the crash-point
+   explorer drops a 33MB LLC between samples this way.  Only a miss fills
+   a way, so the valid ways of a set stay a prefix of it: a fill takes
+   way [count] while the set has an invalid way, and the least recently
+   stamped way, a branch-free argmin over the stamp words, once it has
+   none.  That is exact LRU with the first invalid way preferred.
+
+   Stamps come from [tick], which only a stamp advances, so the way
+   stamped last holds the highest stamp of its set.  That is [recent]
+   after every operation below, so a hit on [recent] writes no stamp,
+   and [hit_run] stamps only a run that ends on the way before it.
+
+   A set owns no block until its first fill claims the next one, and
+   [blocks] doubles by copying when full: a cache costs what a run
+   touches (a heap touches a few hundred of the LLC's 32,768 sets), not
+   its geometry.  [rank] holds 16 bits per set: 1 + the order in which
+   the set was claimed, or 0 while it is unclaimed, so its block starts
+   at (rank - 1) * [block].  That is 64 KB for the LLC, which the GC
    does not scan.  A lookup in an unclaimed set is a miss that claims
-   nothing.  A claimed set's ways start with tag 0, invalid in every
-   epoch, so the victim rule picks exactly the way it would pick in an
-   eagerly built cache.
+   nothing.  A claimed block starts all zero: tags and count invalid in
+   every epoch, so the victim rule picks exactly the way it would pick
+   in an eagerly built cache.
 
    A lookup reads one way, not the set.  The way index holds one byte
    per line: the line's way, minus its set's first way, at the line's
@@ -38,17 +52,17 @@
    and none of them touches the index.  The bytes live in pages of
    [page_lines] lines, and [pages] covers the highest page filled yet
    (a page no fill has reached is [no_page], all zeros).  So [create]
-   allocates the set table and [ways] entries per way array; the first
-   fill in a page allocates its 1 KB, and a fill past the page table
-   grows it, at least doubling; a lookup allocates nothing.
+   allocates the set table and one block; the first fill in a page
+   allocates its 1 KB, and a fill past the page table grows it, at
+   least doubling; a lookup allocates nothing.
 
    [recent] and [prev] remember the last two ways that hit or filled, and
    [access] compares their tags with the stamped key before it reads the
    index: a remembered way whose tag equals the key is the line's way by
-   the same argument.  Way indices survive the arrays' growth, which
-   copies every entry to the same index, and a set's first way never
-   moves.  Two ways, because a block copy alternates between a source
-   line and a destination line. *)
+   the same argument.  Ways survive the array's growth, which copies
+   every word to the same index, and a set's block never moves.  Two
+   ways, because a block copy alternates between a source line and a
+   destination line. *)
 let line_bits = 40
 let line_span = 1 lsl line_bits
 let max_base = (max_int lsr line_bits) lsl line_bits
@@ -67,12 +81,11 @@ type t = {
   sets : int;
   set_mask : int; (* sets - 1: every set count is a power of two *)
   ways : int;
+  block : int; (* 2 * ways + 1: a claimed set's words in [blocks] *)
   rank : Bytes.t; (* per set, 16 bits: 1 + its claim order, 0 unclaimed *)
   mutable claimed : int; (* sets claimed *)
-  mutable tags : int array; (* stamped line, invalid below [base] *)
-  mutable dirty : bool array;
-  mutable last_use : int array; (* LRU timestamps *)
-  mutable tick : int;
+  mutable blocks : int array; (* per claimed set: tags, stamps, count *)
+  mutable tick : int; (* the latest stamp *)
   mutable base : int; (* current epoch lsl line_bits *)
   mutable recent : int; (* the way of the latest hit or fill *)
   mutable prev : int; (* the way of the one before it *)
@@ -84,15 +97,15 @@ let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
     invalid_arg "Cache.create: set count must be a power of two";
   if sets > 0xffff || ways < 1 || ways > 256 then
     invalid_arg "Cache.create: at most 65535 sets of 1 to 256 ways";
+  let block = (2 * ways) + 1 in
   {
     sets;
     set_mask = sets - 1;
     ways;
+    block;
     rank = Bytes.make (2 * sets) '\000';
     claimed = 0;
-    tags = Array.make ways 0;
-    dirty = Array.make ways false;
-    last_use = Array.make ways 0;
+    blocks = Array.make block 0;
     tick = 0;
     base = line_span;
     recent = 0;
@@ -102,9 +115,7 @@ let create ?(sets = Config.l1d_sets) ?(ways = Config.l1d_ways) () =
 
 (* Every set keeps its claim; its ways turn invalid and clean. *)
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) 0;
-  Array.fill t.dirty 0 (Array.length t.dirty) false;
-  Array.fill t.last_use 0 (Array.length t.last_use) 0;
+  Array.fill t.blocks 0 (Array.length t.blocks) 0;
   t.tick <- 0;
   t.base <- line_span
 
@@ -119,13 +130,16 @@ let invalidate t =
 (* The first way of [line]'s set, or a negative number while the set is
    unclaimed. *)
 let[@inline] first_way t line =
-  (Bytes.get_uint16_le t.rank ((line land t.set_mask) lsl 1) - 1) * t.ways
+  (Bytes.get_uint16_le t.rank ((line land t.set_mask) lsl 1) - 1) * t.block
 
 (* The way holding stamped tag [key] for [line], or -1: one of the two
-   remembered ways, else the indexed way if its tag is the key. *)
+   remembered ways, else the indexed way if its tag is the key.  Every
+   way read here lies inside [blocks]: [recent] and [prev] are ways, and
+   an index byte is below [ways]. *)
 let[@inline] lookup t line key =
-  if t.tags.(t.recent) = key then t.recent
-  else if t.tags.(t.prev) = key then t.prev
+  let b = t.blocks in
+  if Array.unsafe_get b t.recent = key then t.recent
+  else if Array.unsafe_get b t.prev = key then t.prev
   else
     let first = first_way t line in
     let p = line lsr page_bits in
@@ -136,7 +150,17 @@ let[@inline] lookup t line key =
         + Char.code
             (Bytes.unsafe_get t.pages.(p) (line land (page_lines - 1)))
       in
-      if t.tags.(i) = key then i else -1
+      if Array.unsafe_get b i = key then i else -1
+
+(* Give way [i] the next stamp, keeping its dirty bit and setting it on a
+   write. *)
+let[@inline] stamp t i ~write =
+  let tick = t.tick + 1 in
+  t.tick <- tick;
+  let s = i + t.ways in
+  let b = t.blocks in
+  Array.unsafe_set b s
+    ((tick lsl 1) lor (Array.unsafe_get b s land 1) lor Bool.to_int write)
 
 let[@inline] remember t i =
   if i <> t.recent then begin
@@ -151,29 +175,20 @@ let[@inline] remember t i =
 let hit = -1
 let miss = -2
 
-(* Give [line]'s set the next [ways] entries of the way arrays, doubling
-   them first when they are full.  The copy keeps every entry at its
-   index, so the set table, [recent] and [prev] stay valid. *)
+(* Give [line]'s set the next block of [blocks], doubling the array
+   first when it is full.  The copy keeps every word at its index, so the
+   set table, [recent] and [prev] stay valid. *)
 let[@inline never] claim t line =
-  let first = t.claimed * t.ways in
-  let len = Array.length t.tags in
-  if first + t.ways > len then begin
-    (* typed loops: [Array.blit] into a major-heap array runs the write
+  let first = t.claimed * t.block in
+  let len = Array.length t.blocks in
+  if first + t.block > len then begin
+    (* a typed loop: [Array.blit] into a major-heap array runs the write
        barrier on every word *)
-    let grow_ints (a : int array) =
-      let b = Array.make (2 * len) 0 in
-      for i = 0 to len - 1 do
-        Array.unsafe_set b i (Array.unsafe_get a i)
-      done;
-      b
-    in
-    let dirty = Array.make (2 * len) false in
+    let b = Array.make (2 * len) 0 in
     for i = 0 to len - 1 do
-      Array.unsafe_set dirty i (Array.unsafe_get t.dirty i)
+      Array.unsafe_set b i (Array.unsafe_get t.blocks i)
     done;
-    t.tags <- grow_ints t.tags;
-    t.dirty <- dirty;
-    t.last_use <- grow_ints t.last_use
+    t.blocks <- b
   end;
   t.claimed <- t.claimed + 1;
   Bytes.set_uint16_le t.rank ((line land t.set_mask) lsl 1) t.claimed;
@@ -203,55 +218,75 @@ let[@inline] index t line off =
   in
   Bytes.unsafe_set page (line land (page_lines - 1)) (Char.unsafe_chr off)
 
+(* The least recently used way of the full set whose first way is
+   [first] (the first on ties, which distinct stamps never make).  The
+   dirty bit below each stamp cannot reorder two distinct stamps. *)
+let[@inline] lru_way t first =
+  let b = t.blocks in
+  let stamps = first + t.ways in
+  let best = ref (Array.unsafe_get b stamps) and v = ref 0 in
+  for w = 1 to t.ways - 1 do
+    let d = Array.unsafe_get b (stamps + w) - !best in
+    (* -1 when way [w] is older than the best so far, else 0 *)
+    let older = d asr (Sys.int_size - 1) in
+    best := !best + (d land older);
+    v := !v lxor ((w lxor !v) land older)
+  done;
+  first + !v
+
 (* On a miss the victim is the first invalid way, else the
-   least-recently-used one (first on ties).  Out of line: [access] is
-   inlined into every load and store, and most of them hit. *)
+   least-recently-used one.  Out of line: [access] is inlined into every
+   load and store, and most of them hit. *)
 let[@inline never] fill t line key ~write =
   let base = t.base in
   let first =
     let f = first_way t line in
     if f >= 0 then f else claim t line
   in
-  let stop = first + t.ways in
-  let victim = ref first in
-  let best = ref max_int in
-  let w = ref first in
-  while !w < stop do
-    let i = !w in
-    if t.tags.(i) < base then begin
-      victim := i;
-      w := stop
+  let b = t.blocks in
+  let count = first + (2 * t.ways) in
+  let valid = Array.unsafe_get b count - base in
+  let i =
+    if valid < t.ways then begin
+      let v = Int.max valid 0 in
+      Array.unsafe_set b count (base + v + 1);
+      first + v
     end
-    else begin
-      let u = t.last_use.(i) in
-      if u < !best then begin
-        best := u;
-        victim := i
-      end;
-      incr w
-    end
-  done;
-  let i = !victim in
-  let old = t.tags.(i) in
-  let result = if old >= base && t.dirty.(i) then old - base else miss in
-  t.tags.(i) <- key;
-  t.dirty.(i) <- write;
-  t.last_use.(i) <- t.tick;
+    else lru_way t first
+  in
+  let old = Array.unsafe_get b i in
+  let result =
+    if old >= base && Array.unsafe_get b (i + t.ways) land 1 = 1 then
+      old - base
+    else miss
+  in
+  let tick = t.tick + 1 in
+  t.tick <- tick;
+  Array.unsafe_set b i key;
+  Array.unsafe_set b (i + t.ways) ((tick lsl 1) lor Bool.to_int write);
   index t line (i - first);
   remember t i;
   result
 
 let[@inline] access t ~line ~write =
-  t.tick <- t.tick + 1;
   let key = t.base lor line in
-  let i = lookup t line key in
-  if i >= 0 then begin
-    t.last_use.(i) <- t.tick;
-    if write then t.dirty.(i) <- true;
-    remember t i;
+  let r = t.recent in
+  if Array.unsafe_get t.blocks r = key then begin
+    if write then begin
+      let s = r + t.ways in
+      Array.unsafe_set t.blocks s (Array.unsafe_get t.blocks s lor 1)
+    end;
     hit
   end
-  else fill t line key ~write
+  else
+    let i = lookup t line key in
+    if i >= 0 then begin
+      stamp t i ~write;
+      t.prev <- r;
+      t.recent <- i;
+      hit
+    end
+    else fill t line key ~write
 
 (* -- line runs (see [Region.blit]) ---------------------------------------- *)
 
@@ -260,39 +295,43 @@ let[@inline] access t ~line ~write =
    an access of [line] and then one of another line, the one before. *)
 let[@inline] memo_way t line =
   let key = t.base lor line in
-  if t.tags.(t.recent) = key then t.recent
-  else if t.tags.(t.prev) = key then t.prev
+  if t.blocks.(t.recent) = key then t.recent
+  else if t.blocks.(t.prev) = key then t.prev
   else -1
 
 (* What [n] hits would leave that alternate between ways [a] and [b], [a]
-   first, starting right after a hit or fill of [b] (so [recent] is [b]):
-   [n] ticks, the last two stamps, and the memo holding the last way and
-   the other.  When [a] = [b] the run stays on one way, which the memo
-   already holds. *)
+   first, entered right after an access of [a] and then one of [b] (so
+   [recent] is [b] and [prev] is [a] unless they are one way).  A run
+   that ends on [b] leaves the recency order as it found it: [b], then
+   [a], hold their set's two highest stamps.  One that ends on [a] moves
+   [a] above [b] with one stamp.  When [a] = [b] the run stays on the
+   latest way. *)
 let[@inline] hit_run t ~a ~b n =
-  t.tick <- t.tick + n;
-  if a = b then t.last_use.(a) <- t.tick
-  else if n > 0 then begin
-    let odd = n land 1 = 1 in
-    let last = if odd then a else b and other = if odd then b else a in
-    t.last_use.(last) <- t.tick;
-    if n > 1 then t.last_use.(other) <- t.tick - 1;
-    t.prev <- other;
-    t.recent <- last
+  if n land 1 = 1 && a <> b then begin
+    stamp t a ~write:false;
+    t.prev <- b;
+    t.recent <- a
   end
 
 (* Mark a line clean in the cache (its data has been written back by a
    clwb+sfence), without evicting it: clwb writes back but need not evict. *)
 let mark_clean t ~line =
   let i = lookup t line (t.base lor line) in
-  if i >= 0 then t.dirty.(i) <- false
+  if i >= 0 then begin
+    let s = i + t.ways in
+    t.blocks.(s) <- t.blocks.(s) land lnot 1
+  end
 
 let resident t ~line = lookup t line (t.base lor line) >= 0
 
 let dirty_lines t =
   let acc = ref [] in
-  Array.iteri
-    (fun i tag ->
-      if tag >= t.base && t.dirty.(i) then acc := (tag - t.base) :: !acc)
-    t.tags;
+  for set = 0 to t.claimed - 1 do
+    let first = set * t.block in
+    for i = first to first + t.ways - 1 do
+      let tag = t.blocks.(i) in
+      if tag >= t.base && t.blocks.(i + t.ways) land 1 = 1 then
+        acc := (tag - t.base) :: !acc
+    done
+  done;
   !acc

@@ -241,6 +241,26 @@ let champ_tests =
           (M.find heap !root "missing"));
     QCheck_alcotest.to_alcotest champ_qcheck;
     QCheck_alcotest.to_alcotest champ_qcheck_dense;
+    (let naive v =
+       let n = ref 0 in
+       for i = 0 to 31 do
+         if (v lsr i) land 1 = 1 then incr n
+       done;
+       !n
+     in
+     Alcotest.test_case "popcount counts maps below 2^32" `Quick (fun () ->
+         List.iter
+           (fun v ->
+             Alcotest.(check int) (Printf.sprintf "%#x" v) (naive v)
+               (Pfds.Champ.popcount v))
+           [ 0; 1; 1 lsl 31; (1 lsl 31) - 1; (1 lsl 32) - 1; 0x55555555 ];
+         let rng = Random.State.make [| 17 |] in
+         for _ = 1 to 10_000 do
+           let v = Random.State.bits rng lor (Random.State.bits rng lsl 30) in
+           let v = v land ((1 lsl 32) - 1) in
+           Alcotest.(check int) (Printf.sprintf "%#x" v) (naive v)
+             (Pfds.Champ.popcount v)
+         done));
   ]
 
 (* -- persistent vector vs list model --------------------------------------- *)

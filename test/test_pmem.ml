@@ -319,6 +319,8 @@ module Cache_model = struct
         t.lru.(s) <- (line, write) :: kept;
         `Miss victim
 
+  let resident t ~line = lookup t.lru.(line mod t.sets) line <> None
+
   let mark_clean t ~line =
     let s = line mod t.sets in
     t.lru.(s) <- List.map (fun (l, d) -> (l, d && l <> line)) t.lru.(s)
@@ -330,18 +332,28 @@ module Cache_model = struct
       [] t.lru
 end
 
-(* Geometries of up to 256 sets.  Most lines fall in a few hot sets,
-   which fill and evict; the rest spread over four times as many lines
-   as sets, so sets are claimed out of index order and the way arrays
-   grow mid-trace, while full hot sets and the remembered ways point
-   into them.  Other lines exercise the way index: lines over the first
+(* Geometries of up to 256 sets of 1 to 16 ways.  Most lines fall in a
+   few hot sets, which fill and evict (a sweep of one hot set's lines
+   fills a 16-way set between two wipes); the rest spread over four
+   times as many lines as sets, so sets are claimed out of index order
+   and the block array grows mid-trace, while full hot sets and the
+   remembered ways point into it.  Other lines exercise the way index: lines over the first
    four index pages (a page can exist while a line's set is unclaimed),
    a hot set's lines a few pages on, and hot-set lines near 2^20, 2^21
    and 2^22, whose fills grow the page table.  Evictions, mark_clean,
    invalidations, resets and the epoch wrap then leave index entries
-   stale, which the lookup must read as misses. *)
+   stale, which the lookup must read as misses.  A line run accesses
+   [a], then [b], and then takes [hit_run] over the two remembered ways
+   as [Region.blit] does; the model sees its [n] alternating hits. *)
 let cache_model_tests =
   let open Pmem in
+  (* [Cache.access] on [c] as [Cache_model.access] reports it *)
+  let access_as_model c ~line ~write =
+    let r = Cache.access c ~line ~write in
+    if r = Cache.hit then `Hit
+    else if r = Cache.miss then `Miss None
+    else `Miss (Some r)
+  in
   let line_gen ~sets ~ways hot =
     QCheck.Gen.(
       let hot_line h = List.nth hot (h mod List.length hot) in
@@ -404,18 +416,50 @@ let cache_model_tests =
       let* n = int_range 2 24 in
       flatten_l (List.init n step))
   in
+  (* [a] then [b] as one run's head accesses, [b] on [a]'s line, in its
+     set or in another, then [n] run hits *)
+  let line_run_gen sets line =
+    QCheck.Gen.(
+      let* a = line in
+      let* b =
+        frequency
+          [
+            (1, return a);
+            (2, map (fun k -> a + (sets * (k + 1))) (int_bound 3));
+            (2, map (fun k -> a + 1 + (k mod max 1 (sets - 1))) (int_bound 7));
+          ]
+      in
+      let* wa = bool in
+      let* wb = bool in
+      map (fun n -> [ `Line_run (a, wa, b, wb, n) ]) (int_bound 24))
+  in
+  (* [2 * ways + 1] accesses among one hot set's [2 * ways + 1] lines *)
+  let sweep_gen ~sets ~ways hot =
+    QCheck.Gen.(
+      let* h = oneofl hot in
+      list_repeat ((2 * ways) + 1)
+        (map2
+           (fun k write -> `Access (h + (sets * k), write))
+           (int_bound (2 * ways))
+           bool))
+  in
   (* [Some k]: start the cache [k] invalidations short of its epoch
      wrap, so the trace's invalidations cross it *)
   let gen =
     QCheck.Gen.(
       let* log_sets = int_bound 8 in
       let sets = 1 lsl log_sets in
-      let* ways = int_range 1 4 in
+      let* ways = int_range 1 16 in
       let* hot = list_size (int_range 1 3) (int_bound (sets - 1)) in
       let line = line_gen ~sets ~ways hot in
       let segment =
         frequency
-          [ (3, map (fun op -> [ op ]) (op_gen line)); (1, run_gen sets line) ]
+          [
+            (6, map (fun op -> [ op ]) (op_gen line));
+            (2, run_gen sets line);
+            (1, line_run_gen sets line);
+            (1, sweep_gen ~sets ~ways hot);
+          ]
       in
       quad (return log_sets) (return ways)
         (frequency [ (3, return None); (1, map Option.some (int_bound 2)) ])
@@ -426,6 +470,9 @@ let cache_model_tests =
       | `Access (line, write) ->
           Printf.sprintf "%c%d" (if write then 'w' else 'r') line
       | `Mark_clean line -> Printf.sprintf "c%d" line
+      | `Line_run (a, wa, b, wb, n) ->
+          let rw w = if w then 'w' else 'r' in
+          Printf.sprintf "[%c%d %c%d run %d]" (rw wa) a (rw wb) b n
       | `Invalidate -> "I"
       | `Reset -> "R"
     in
@@ -453,18 +500,28 @@ let cache_model_tests =
                done)
              aged;
            let m = Cache_model.create ~sets ~ways in
+           let access line write =
+             access_as_model c ~line ~write = Cache_model.access m ~line ~write
+             && Cache.resident c ~line
+           in
            List.for_all
              (fun op ->
                match op with
-               | `Access (line, write) ->
-                   let r = Cache.access c ~line ~write in
-                   let got =
-                     if r = Cache.hit then `Hit
-                     else if r = Cache.miss then `Miss None
-                     else `Miss (Some r)
-                   in
-                   got = Cache_model.access m ~line ~write
-                   && Cache.resident c ~line
+               | `Access (line, write) -> access line write
+               | `Line_run (a, wa, b, wb, n) ->
+                   access a wa && access b wb
+                   &&
+                   let ma = Cache.memo_way c a and mb = Cache.memo_way c b in
+                   ma >= 0 = Cache_model.resident m ~line:a
+                   && mb >= 0
+                   && (ma < 0
+                      ||
+                      (Cache.hit_run c ~a:ma ~b:mb n;
+                       List.for_all
+                         (fun i ->
+                           let line = if i land 1 = 0 then a else b in
+                           Cache_model.access m ~line ~write:false = `Hit)
+                         (List.init n Fun.id)))
                | `Mark_clean line ->
                    Cache.mark_clean c ~line;
                    Cache_model.mark_clean m ~line;
@@ -479,6 +536,49 @@ let cache_model_tests =
                    Cache_model.clear m;
                    Cache.dirty_lines c = [])
              ops));
+    Alcotest.test_case "Table 1 L2 and LLC sets overflow in LRU order"
+      `Quick (fun () ->
+        (* 40 lines in each of four sets of each geometry, more than its
+           16 ways: random accesses (the low lines hot, a third of them
+           writes), then a cyclic sweep of 17 lines of one set, which
+           misses on every access under exact LRU *)
+        List.iter
+          (fun (sets, ways) ->
+            let c = Cache.create ~sets ~ways () in
+            let m = Cache_model.create ~sets ~ways in
+            let rng = Random.State.make [| sets |] in
+            let hot = [| 0; 1; sets / 2; sets - 1 |] in
+            let check line write =
+              let got = access_as_model c ~line ~write in
+              let want = Cache_model.access m ~line ~write in
+              if got <> want then
+                Alcotest.failf "%d sets: line %d %s" sets line
+                  (if got = `Hit then "hit, model missed" else "differs");
+              got
+            in
+            let victims = ref 0 in
+            for _ = 1 to 20_000 do
+              let k = Random.State.int rng 40 in
+              let k = if Random.State.bool rng then k / 4 else k in
+              let line = hot.(Random.State.int rng 4) + (sets * k) in
+              match check line (Random.State.int rng 3 = 0) with
+              | `Miss (Some _) -> incr victims
+              | _ -> ()
+            done;
+            Alcotest.(check bool)
+              (Printf.sprintf "%d sets: %d dirty victims" sets !victims)
+              true (!victims > 1000);
+            Alcotest.(check (list int)) "dirty lines"
+              (List.sort compare (Cache_model.dirty_lines m))
+              (List.sort compare (Cache.dirty_lines c));
+            for round = 1 to 3 do
+              for k = 0 to ways do
+                let line = hot.(2) + (sets * (100 + k)) in
+                if check line false = `Hit && round > 1 then
+                  Alcotest.failf "%d sets: sweep line %d hit" sets line
+              done
+            done)
+          [ (Config.l2_sets, Config.l2_ways); (Config.llc_sets, Config.llc_ways) ]);
     Alcotest.test_case "set count must be a power of two" `Quick (fun () ->
         Alcotest.check_raises "3 sets"
           (Invalid_argument "Cache.create: set count must be a power of two")

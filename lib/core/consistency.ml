@@ -56,7 +56,7 @@ let pp_report ppf r =
 
 (* The out-of-place check exempts the root directory; its size is the
    full dual-copy record area, not the slot count. *)
-let check ?(root_slots = Pmalloc.Heap.root_directory_words) trace =
+let check trace =
   let fresh : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
   let freed : (int, unit) Hashtbl.t = Hashtbl.create 4096 in
   (* line -> false when written but not yet flushed *)
@@ -89,7 +89,10 @@ let check ?(root_slots = Pmalloc.Heap.root_directory_words) trace =
         if !in_commit = 0 then
           Hashtbl.replace line_flushed (Pmem.Region.line_of_word off) false;
         if Hashtbl.mem freed off then note (Write_after_free { index; off })
-        else if !in_commit = 0 && off >= root_slots && not (Hashtbl.mem fresh off)
+        else if
+          !in_commit = 0
+          && off >= Pmalloc.Heap.root_directory_words
+          && not (Hashtbl.mem fresh off)
         then note (In_place_write { index; off })
     | Pmem.Trace.Flush { line } -> Hashtbl.replace line_flushed line true
     | Pmem.Trace.Fence ->

@@ -26,10 +26,9 @@ type report = {
 
 val ok : report -> bool
 
-(** [root_slots] is the first heap word -- everything below it is
-    root-directory space, exempt from the out-of-place rule (defaults to
-    {!Pmalloc.Heap.root_directory_words}, the size of the dual-copy
-    record area). *)
-val check : ?root_slots:int -> Pmem.Trace.t -> report
+(** Everything below {!Pmalloc.Heap.root_directory_words} (the
+    dual-copy record area) is root-directory space, exempt from the
+    out-of-place rule. *)
+val check : Pmem.Trace.t -> report
 val pp_violation : Format.formatter -> violation -> unit
 val pp_report : Format.formatter -> report -> unit

@@ -15,13 +15,6 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) = struct
   type elt = K.t * V.t
 
   let structure = "dmap"
-
-  let span t op f =
-    Pmalloc.Heap.span (Handle.heap t) ~structure ~op f
-
-  let span_n t op n f =
-    Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
-
   let handle t = t
   let empty_version _heap = T.empty
 
@@ -42,24 +35,19 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) = struct
 
   let apply heap version ~opcode ~a0 ~a1 =
     match opcode with
-    | 0 -> insert_pure heap version (K.read heap a0) (V.read heap a1)
-    | 1 -> fst (remove_pure heap version (K.read heap a0))
-    | _ -> Printf.ksprintf failwith "dmap: unknown log opcode %d" opcode
-
-  let tag = Commit.layout_tag "Dmap"
-
-  let reconstruct heap ~slot =
-    Commit.reconstruct heap ~slot ~tag ~apply:(apply heap)
+    | 0 -> Some (insert_pure heap version (K.read heap a0) (V.read heap a1))
+    | 1 -> Some (fst (remove_pure heap version (K.read heap a0)))
+    | _ -> None
 
   (* A null version is a valid (empty) map, so opening just binds the
      slot; the first insert installs the first node. *)
   let layout =
-    { Handle.name = "Dmap"; tag; shape = "CHAMP node (scanned block)";
-      words = None; empty = None; reconstruct }
+    Handle.layout ~name:"Dmap" ~shape:"CHAMP node (scanned block)" ~words:None
+      ~empty:None apply
 
   let open_or_create ?persist = Handle.open_or_create layout ?persist
   let open_result = Handle.open_result layout
-
+  let reconstruct = Handle.reconstruct layout
   let find_in heap version key = T.find heap version key
   let mem_in heap version key = T.mem heap version key
   let card_of heap version = T.cardinal heap version
@@ -69,53 +57,34 @@ module Make (K : Pfds.Kv.CODEC) (V : Pfds.Kv.CODEC) = struct
   (* -- Basic interface: each operation is a one-fence FASE -------------- *)
 
   let insert t key value =
-    span t "insert" (fun () ->
-        let heap = Handle.heap t in
-        let shadow =
-          Handle.pure t (fun cur -> insert_pure heap cur key value)
-        in
-        let entry =
-          match (K.log_word key, V.log_word value) with
-          | Some kw, Some vw -> Some (op_insert, kw, vw)
-          | _ -> None
-        in
-        Handle.commit ?entry t shadow)
+    let entry =
+      match (K.log_word key, V.log_word value) with
+      | Some kw, Some vw -> Some (op_insert, kw, vw)
+      | _ -> None
+    in
+    Handle.update t ~structure ~op:"insert" ?entry (fun heap cur ->
+        insert_pure heap cur key value)
 
   let remove t key =
-    span t "remove" (fun () ->
-        let heap = Handle.heap t in
-        let shadow, removed =
-          Handle.pure t (fun cur -> remove_pure heap cur key)
-        in
-        let entry =
-          match K.log_word key with
-          | Some kw -> Some (op_remove, kw, Pmem.Word.of_int 0)
-          | None -> None
-        in
-        if removed then Handle.commit ?entry t shadow;
-        removed)
-
-  (* -- Group commit: N updates, one one-fence FASE ----------------------- *)
+    let entry =
+      Option.map (fun kw -> (op_remove, kw, Pmem.Word.zero)) (K.log_word key)
+    in
+    Option.is_some
+      (Handle.take t ~structure ~op:"remove" ?entry (fun heap cur ->
+           match remove_pure heap cur key with
+           | shadow, true -> Some ((), shadow)
+           | _, false -> None))
 
   let insert_many t kvs =
-    match kvs with
-    | [] -> ()
-    | _ ->
-        span_n t "insert_many" (List.length kvs) (fun () ->
-            let heap = Handle.heap t in
-            let b = Batch.create heap in
-            List.iter
-              (fun (k, v) ->
-                Batch.stage b ~slot:(Handle.slot t) (fun version ->
-                    insert_pure heap version k v))
-              kvs;
-            ignore (Batch.commit b : Batch.commit_point))
+    Handle.many t ~structure ~op:"insert_many" add_pure kvs
 
   let find t key =
-    span t "find" (fun () -> find_in (Handle.heap t) (Handle.current t) key)
+    Handle.span t ~structure ~op:"find" (fun () ->
+        find_in (Handle.heap t) (Handle.current t) key)
 
   let mem t key =
-    span t "mem" (fun () -> mem_in (Handle.heap t) (Handle.current t) key)
+    Handle.span t ~structure ~op:"mem" (fun () ->
+        mem_in (Handle.heap t) (Handle.current t) key)
 
   (* O(n): cardinality is not materialized in the versioned state. *)
   let cardinal t = card_of (Handle.heap t) (Handle.current t)

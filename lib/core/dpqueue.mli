@@ -1,25 +1,15 @@
 (** MOD durable priority queue — a sixth datastructure produced by the
     paper's recipe (Section 4.2) from a purely functional leftist heap
-    ({!Pfds.Pheap}).  Conforms to {!Intf.DURABLE} with [elt = int]
-    (a priority; [add] = [insert]). *)
+    ({!Pfds.Pheap}).  [elt] is a priority; [add] = [insert].
+    [iter_elts] is unordered: the leftist heap has no cheap in-order
+    traversal short of draining it. *)
 
-type t = Handle.t
-type elt = int
-
-val structure : string
-val open_or_create :
-  ?persist:Pmalloc.Heap.policy -> Pmalloc.Heap.t -> slot:int -> t
-val open_result : Pmalloc.Heap.t -> slot:int -> (t, Error.t) result
-val reconstruct : Pmalloc.Heap.t -> slot:int -> unit
-val handle : t -> Handle.t
-val empty_version : Pmalloc.Heap.t -> Pmem.Word.t
+include Intf.DURABLE with type t = Handle.t and type elt = int
 
 (** {1 Composition interface} *)
 
 val insert_pure : Pmalloc.Heap.t -> Pmem.Word.t -> int -> Pmem.Word.t
 val delete_min_pure : Pmalloc.Heap.t -> Pmem.Word.t -> (int * Pmem.Word.t) option
-val add_pure : Pmalloc.Heap.t -> Pmem.Word.t -> elt -> Pmem.Word.t
-val size_in : Pmalloc.Heap.t -> Pmem.Word.t -> int
 
 (** {1 Basic interface} *)
 
@@ -27,16 +17,5 @@ val insert : t -> int -> unit
 val find_min : t -> int option
 val delete_min : t -> int option
 val insert_many : t -> int list -> unit
-val is_empty : t -> bool
 val cardinal : t -> int
 val fold : t -> (int -> 'a -> 'a) -> 'a -> 'a
-
-(** {1 Unified interface ({!Intf.DURABLE})} *)
-
-val add : t -> elt -> unit
-val add_many : t -> elt list -> unit
-val size : t -> int
-
-val iter_elts : t -> (elt -> unit) -> unit
-(** Unordered: the leftist heap has no cheap in-order traversal short of
-    draining it. *)

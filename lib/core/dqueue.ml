@@ -5,13 +5,6 @@ type t = Handle.t
 type elt = Pmem.Word.t
 
 let structure = "dqueue"
-
-let span t op f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op f
-
-let span_n t op n f =
-  Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
-
 let handle t = t
 let empty_version heap = Pfds.Pqueue.create heap
 let enqueue_pure = Pfds.Pqueue.enqueue
@@ -23,64 +16,39 @@ let add_pure = enqueue_pure
 let op_enqueue = 0
 let op_dequeue = 1
 
-let apply heap version ~opcode ~a0 ~a1 =
-  ignore a1;
+let apply heap version ~opcode ~a0 ~a1:_ =
   match opcode with
-  | 0 -> Pfds.Pqueue.enqueue heap version a0
+  | 0 -> Some (Pfds.Pqueue.enqueue heap version a0)
   | 1 -> (
       match Pfds.Pqueue.dequeue heap version with
-      | Some (_, shadow) -> shadow
-      | None -> version)
-  | _ -> Printf.ksprintf failwith "dqueue: unknown log opcode %d" opcode
-
-let tag = Commit.layout_tag "Dqueue"
-
-let reconstruct heap ~slot =
-  Commit.reconstruct heap ~slot ~tag ~apply:(apply heap)
-
-let entry_of_elt op w =
-  if Pmem.Word.is_ptr w then None else Some (op, w, Pmem.Word.of_int 0)
+      | Some (_, shadow) -> Some shadow
+      | None -> Some version)
+  | _ -> None
 
 (* A null slot gets the empty descriptor; under [Backup] the promotion
    commit anchors it. *)
 let layout =
-  { Handle.name = "Dqueue"; tag; shape = "queue descriptor (2 scanned words)";
-    words = Some 2; empty = Some empty_version; reconstruct }
+  Handle.layout ~name:"Dqueue" ~shape:"queue descriptor (2 scanned words)"
+    ~words:(Some 2) ~empty:(Some empty_version) apply
 
 let open_or_create ?persist = Handle.open_or_create layout ?persist
 let open_result = Handle.open_result layout
+let reconstruct = Handle.reconstruct layout
+
+(* -- Basic interface ------------------------------------------------------ *)
 
 let enqueue t w =
-  span t "enqueue" (fun () ->
-      let heap = Handle.heap t in
-      let shadow = Handle.pure t (fun cur -> Pfds.Pqueue.enqueue heap cur w) in
-      Handle.commit ?entry:(entry_of_elt op_enqueue w) t shadow)
+  Handle.update t ~structure ~op:"enqueue"
+    ?entry:(Handle.scalar_entry op_enqueue w Pmem.Word.zero)
+    (fun heap cur -> Pfds.Pqueue.enqueue heap cur w)
 
 let dequeue t =
-  span t "dequeue" (fun () ->
-      let heap = Handle.heap t in
-      match Handle.pure t (fun cur -> Pfds.Pqueue.dequeue heap cur) with
-      | None -> None
-      | Some (v, shadow) ->
-          Handle.commit
-            ~entry:(op_dequeue, Pmem.Word.of_int 0, Pmem.Word.of_int 0)
-            t shadow;
-          Some v)
+  Handle.take t ~structure ~op:"dequeue"
+    ~entry:(op_dequeue, Pmem.Word.zero, Pmem.Word.zero)
+    Pfds.Pqueue.dequeue
 
-(* Group commit: enqueue N elements in one one-fence FASE. *)
 let enqueue_many t ws =
-  match ws with
-  | [] -> ()
-  | _ ->
-      span_n t "enqueue_many" (List.length ws) (fun () ->
-          let heap = Handle.heap t in
-          let b = Batch.create heap in
-          List.iter
-            (fun w ->
-              Batch.stage b ~slot:(Handle.slot t) (fun version ->
-                  Pfds.Pqueue.enqueue heap version w))
-            ws;
-          ignore (Batch.commit b : Batch.commit_point))
+  Handle.many t ~structure ~op:"enqueue_many" enqueue_pure ws
 
 let is_empty t = Pfds.Pqueue.is_empty (Handle.heap t) (Handle.current t)
 let length t = Pfds.Pqueue.length (Handle.heap t) (Handle.current t)

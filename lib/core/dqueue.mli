@@ -1,17 +1,7 @@
 (** MOD durable queue: {!Pfds.Pqueue} (Okasaki batched queue) under
-    Functional Shadowing.  Conforms to {!Intf.DURABLE} with
-    [elt = Pmem.Word.t] ([add] = [enqueue]). *)
+    Functional Shadowing.  [add] = [enqueue]. *)
 
-type t = Handle.t
-type elt = Pmem.Word.t
-
-val structure : string
-val open_or_create :
-  ?persist:Pmalloc.Heap.policy -> Pmalloc.Heap.t -> slot:int -> t
-val open_result : Pmalloc.Heap.t -> slot:int -> (t, Error.t) result
-val reconstruct : Pmalloc.Heap.t -> slot:int -> unit
-val handle : t -> Handle.t
-val empty_version : Pmalloc.Heap.t -> Pmem.Word.t
+include Intf.DURABLE with type t = Handle.t and type elt = Pmem.Word.t
 
 (** {1 Composition interface} *)
 
@@ -20,22 +10,11 @@ val enqueue_pure : Pmalloc.Heap.t -> Pmem.Word.t -> Pmem.Word.t -> Pmem.Word.t
 val dequeue_pure :
   Pmalloc.Heap.t -> Pmem.Word.t -> (Pmem.Word.t * Pmem.Word.t) option
 
-val add_pure : Pmalloc.Heap.t -> Pmem.Word.t -> elt -> Pmem.Word.t
-val size_in : Pmalloc.Heap.t -> Pmem.Word.t -> int
-
 (** {1 Basic interface} *)
 
 val enqueue : t -> Pmem.Word.t -> unit
 val dequeue : t -> Pmem.Word.t option
 val enqueue_many : t -> Pmem.Word.t list -> unit
-val is_empty : t -> bool
 val length : t -> int
 val iter : t -> (Pmem.Word.t -> unit) -> unit
 val to_list : t -> Pmem.Word.t list
-
-(** {1 Unified interface ({!Intf.DURABLE})} *)
-
-val add : t -> elt -> unit
-val add_many : t -> elt list -> unit
-val size : t -> int
-val iter_elts : t -> (elt -> unit) -> unit

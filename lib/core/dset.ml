@@ -9,39 +9,33 @@ module Make (K : Pfds.Kv.CODEC) = struct
 
   let structure = "dset"
 
-  (* Spans here, not just in [M]: the outermost span owns the delta, so
-     set traffic is attributed to "dset", never double counted as
-     "dmap". *)
-  let span t op f =
-    Pmalloc.Heap.span (Handle.heap t) ~structure ~op f
-
-  let span_n t op n f =
-    Pmalloc.Heap.span (Handle.heap t) ~structure ~op ~ops:n f
-
   (* The map's layout under the set's own Backup tag, so neither opens
      the other's Backup slot. *)
-  let tag = Commit.layout_tag "Dset"
+  let layout =
+    Handle.layout ~name:"Dset" ~shape:"CHAMP node (scanned block)" ~words:None
+      ~empty:None M.apply
 
-  let reconstruct heap ~slot =
-    Commit.reconstruct heap ~slot ~tag ~apply:(M.apply heap)
-
-  let layout = { M.layout with Handle.name = "Dset"; tag; reconstruct }
   let open_or_create ?persist = Handle.open_or_create layout ?persist
   let open_result = Handle.open_result layout
+  let reconstruct = Handle.reconstruct layout
   let handle t = t
   let empty_version = M.empty_version
   let add_pure heap version key = M.insert_pure heap version key ()
   let remove_pure = M.remove_pure
   let mem_in = M.mem_in
   let size_in = M.size_in
-  let add t key = span t "add" (fun () -> M.insert t key ())
 
-  let add_many t ks =
-    span_n t "add_many" (List.length ks) (fun () ->
-        M.insert_many t (List.map (fun k -> (k, ())) ks))
+  (* The set's span encloses the map's, and the outermost span owns the
+     delta, so set traffic is attributed to "dset", never to "dmap". *)
+  let add t key =
+    Handle.span t ~structure ~op:"add" (fun () -> M.insert t key ())
 
-  let remove t key = span t "remove" (fun () -> M.remove t key)
-  let mem t key = span t "mem" (fun () -> M.mem t key)
+  let add_many t ks = Handle.many t ~structure ~op:"add_many" add_pure ks
+
+  let remove t key =
+    Handle.span t ~structure ~op:"remove" (fun () -> M.remove t key)
+
+  let mem t key = Handle.span t ~structure ~op:"mem" (fun () -> M.mem t key)
   let cardinal = M.cardinal
   let iter t fn = M.iter t (fun k () -> fn k)
   let fold t fn acc = M.fold t (fun k () acc -> fn k acc) acc

@@ -1,39 +1,19 @@
 (** MOD durable set: a {!Dmap} with unit values (the paper's set shares
-    the map's CHAMP implementation the same way).  Conforms to
-    {!Intf.DURABLE} with [elt = K.t]. *)
+    the map's CHAMP implementation the same way).  [elt] is a key. *)
 
 module Make (K : Pfds.Kv.CODEC) : sig
-  type t = Handle.t
-  type elt = K.t
-
-  val structure : string
-  val open_or_create :
-    ?persist:Pmalloc.Heap.policy -> Pmalloc.Heap.t -> slot:int -> t
-  val open_result : Pmalloc.Heap.t -> slot:int -> (t, Error.t) result
-  val reconstruct : Pmalloc.Heap.t -> slot:int -> unit
-  val handle : t -> Handle.t
-  val empty_version : Pmalloc.Heap.t -> Pmem.Word.t
+  include Intf.DURABLE with type t = Handle.t and type elt = K.t
 
   (** {1 Composition interface} *)
 
-  val add_pure : Pmalloc.Heap.t -> Pmem.Word.t -> K.t -> Pmem.Word.t
   val remove_pure : Pmalloc.Heap.t -> Pmem.Word.t -> K.t -> Pmem.Word.t * bool
   val mem_in : Pmalloc.Heap.t -> Pmem.Word.t -> K.t -> bool
-  val size_in : Pmalloc.Heap.t -> Pmem.Word.t -> int
 
   (** {1 Basic interface} *)
 
-  val add : t -> K.t -> unit
-  val add_many : t -> K.t list -> unit
   val remove : t -> K.t -> bool
   val mem : t -> K.t -> bool
   val cardinal : t -> int
   val iter : t -> (K.t -> unit) -> unit
   val fold : t -> (K.t -> 'a -> 'a) -> 'a -> 'a
-
-  (** {1 Unified interface ({!Intf.DURABLE})} *)
-
-  val size : t -> int
-  val is_empty : t -> bool
-  val iter_elts : t -> (elt -> unit) -> unit
 end

@@ -2,19 +2,9 @@
 
     The version word is the list head (null = empty): push allocates one
     node, pop shares the tail, each Basic-interface operation is a
-    one-fence FASE.  Conforms to {!Intf.DURABLE} with
-    [elt = Pmem.Word.t] ([add] = [push]). *)
+    one-fence FASE.  [add] = [push]. *)
 
-type t = Handle.t
-type elt = Pmem.Word.t
-
-val structure : string
-val open_or_create :
-  ?persist:Pmalloc.Heap.policy -> Pmalloc.Heap.t -> slot:int -> t
-val open_result : Pmalloc.Heap.t -> slot:int -> (t, Error.t) result
-val reconstruct : Pmalloc.Heap.t -> slot:int -> unit
-val handle : t -> Handle.t
-val empty_version : Pmalloc.Heap.t -> Pmem.Word.t
+include Intf.DURABLE with type t = Handle.t and type elt = Pmem.Word.t
 
 (** {1 Composition interface} *)
 
@@ -22,9 +12,6 @@ val push_pure : Pmalloc.Heap.t -> Pmem.Word.t -> Pmem.Word.t -> Pmem.Word.t
 
 val pop_pure :
   Pmalloc.Heap.t -> Pmem.Word.t -> (Pmem.Word.t * Pmem.Word.t) option
-
-val add_pure : Pmalloc.Heap.t -> Pmem.Word.t -> elt -> Pmem.Word.t
-val size_in : Pmalloc.Heap.t -> Pmem.Word.t -> int
 
 (** {1 Basic interface} *)
 
@@ -38,14 +25,6 @@ val pop : t -> Pmem.Word.t option
 
 val push_many : t -> Pmem.Word.t list -> unit
 val peek : t -> Pmem.Word.t option
-val is_empty : t -> bool
 val length : t -> int
 val iter : t -> (Pmem.Word.t -> unit) -> unit
 val to_list : t -> Pmem.Word.t list
-
-(** {1 Unified interface ({!Intf.DURABLE})} *)
-
-val add : t -> elt -> unit
-val add_many : t -> elt list -> unit
-val size : t -> int
-val iter_elts : t -> (elt -> unit) -> unit

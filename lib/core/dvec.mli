@@ -2,28 +2,16 @@
 
     The version word is the vector descriptor.  [swap] is the paper's
     Figure 7b multi-update FASE: two pure updates chained through an
-    intermediate shadow, one CommitSingle.  Conforms to {!Intf.DURABLE}
-    with [elt = Pmem.Word.t] ([add] = [push_back]). *)
+    intermediate shadow, one CommitSingle.  [add] = [push_back]. *)
 
-type t = Handle.t
-type elt = Pmem.Word.t
-
-val structure : string
-val open_or_create :
-  ?persist:Pmalloc.Heap.policy -> Pmalloc.Heap.t -> slot:int -> t
-val open_result : Pmalloc.Heap.t -> slot:int -> (t, Error.t) result
-val reconstruct : Pmalloc.Heap.t -> slot:int -> unit
-val handle : t -> Handle.t
+include Intf.DURABLE with type t = Handle.t and type elt = Pmem.Word.t
 
 (** {1 Composition interface} *)
 
-val empty_version : Pmalloc.Heap.t -> Pmem.Word.t
 val push_back_pure : Pmalloc.Heap.t -> Pmem.Word.t -> Pmem.Word.t -> Pmem.Word.t
 val set_pure : Pmalloc.Heap.t -> Pmem.Word.t -> int -> Pmem.Word.t -> Pmem.Word.t
 val pop_back_pure : Pmalloc.Heap.t -> Pmem.Word.t -> Pmem.Word.t * Pmem.Word.t
 val get_in : Pmalloc.Heap.t -> Pmem.Word.t -> int -> Pmem.Word.t
-val size_in : Pmalloc.Heap.t -> Pmem.Word.t -> int
-val add_pure : Pmalloc.Heap.t -> Pmem.Word.t -> elt -> Pmem.Word.t
 
 (** {1 Basic interface} *)
 
@@ -39,13 +27,5 @@ val push_back_many : t -> Pmem.Word.t list -> unit
 (** N pushes under one ordering point (group commit). *)
 
 val get : t -> int -> Pmem.Word.t
-val size : t -> int
-val is_empty : t -> bool
 val iter : t -> (Pmem.Word.t -> unit) -> unit
 val to_list : t -> Pmem.Word.t list
-
-(** {1 Unified interface ({!Intf.DURABLE})} *)
-
-val add : t -> elt -> unit
-val add_many : t -> elt list -> unit
-val iter_elts : t -> (elt -> unit) -> unit

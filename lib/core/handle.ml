@@ -32,12 +32,12 @@ let initialize t version =
    that is the whole point of the policy. *)
 let pure t f =
   match Pmalloc.Heap.get_policy t.heap t.slot with
-  | Pmalloc.Heap.Full -> f (current t)
+  | Pmalloc.Heap.Full -> f t.heap (current t)
   | Pmalloc.Heap.Backup ->
       Pmalloc.Heap.enter_backup_update t.heap;
       Fun.protect
         ~finally:(fun () -> Pmalloc.Heap.exit_backup_update t.heap)
-        (fun () -> f (current t))
+        (fun () -> f t.heap (current t))
 
 (* [entry] describes the operation as a Backup log record; [None] (blob
    arguments, multi-structure ops) forces a checkpoint on Backup slots.
@@ -73,6 +73,43 @@ let update_cas ?reclaim ?before_swing ?after_swing t ~build =
         "Handle.update_cas: Backup policy serializes commits through its op \
          log; the lock-free CAS root swing is Full-policy only"
 
+(* -- The Basic interface's FASEs (Section 4.2) ---------------------------- *)
+
+(* Every Basic entry point runs inside the heap's telemetry span under
+   its structure's label; the outermost span owns the delta. *)
+let span t ~structure ~op f = Pmalloc.Heap.span t.heap ~structure ~op f
+
+let update ?entry t ~structure ~op f =
+  Pmalloc.Heap.span t.heap ~structure ~op (fun () -> commit ?entry t (pure t f))
+
+(* A pop-like FASE: it commits only when [f] finds something to take. *)
+let take ?entry t ~structure ~op f =
+  Pmalloc.Heap.span t.heap ~structure ~op (fun () ->
+      match pure t f with
+      | None -> None
+      | Some (v, shadow) ->
+          commit ?entry t shadow;
+          Some v)
+
+(* Group commit: one batch, one ordering point for all of [xs]. *)
+let many t ~structure ~op f xs =
+  match xs with
+  | [] -> ()
+  | _ ->
+      Pmalloc.Heap.span t.heap ~structure ~op ~ops:(List.length xs) (fun () ->
+          let b = Batch.create t.heap in
+          List.iter
+            (fun x ->
+              Batch.stage b ~slot:t.slot (fun version -> f t.heap version x))
+            xs;
+          ignore (Batch.commit b : Batch.commit_point))
+
+(* A log entry holds scalars only; a pointer argument (a blob element)
+   forces a checkpoint instead. *)
+let scalar_entry opcode a0 a1 =
+  if Pmem.Word.is_ptr a0 || Pmem.Word.is_ptr a1 then None
+  else Some (opcode, a0, a1)
+
 (* -- Opening a structure's slot ------------------------------------------- *)
 
 type layout = {
@@ -81,8 +118,35 @@ type layout = {
   shape : string;
   words : int option;
   empty : (Pmalloc.Heap.t -> Pmem.Word.t) option;
-  reconstruct : Pmalloc.Heap.t -> slot:int -> unit;
+  apply :
+    Pmalloc.Heap.t ->
+    Pmem.Word.t ->
+    opcode:int ->
+    a0:Pmem.Word.t ->
+    a1:Pmem.Word.t ->
+    Pmem.Word.t option;
 }
+
+let layout ~name ~shape ~words ~empty apply =
+  { name; tag = Commit.layout_tag name; shape; words; empty; apply }
+
+(* An opcode the layout does not know can come from an untagged (pre-tag)
+   descriptor another structure wrote. *)
+let reconstruct layout heap ~slot =
+  Commit.reconstruct heap ~slot ~tag:layout.tag
+    ~apply:(fun version ~opcode ~a0 ~a1 ->
+      match layout.apply heap version ~opcode ~a0 ~a1 with
+      | Some next -> next
+      | None ->
+          raise
+            (Error.Error
+               (Error.Corrupt_root
+                  {
+                    slot;
+                    detail =
+                      Printf.sprintf "%s Backup log entry, unknown opcode %d"
+                        layout.name opcode;
+                  })))
 
 (* The commit-policy matrix every structure's open shares.  A null slot
    gets the layout's empty version, if it has one (null is the empty
@@ -102,7 +166,7 @@ let bind layout ?persist t =
   | Some Pmalloc.Heap.Backup, Pmalloc.Heap.Full ->
       install ();
       Commit.enable t.heap ~slot:t.slot ~tag:layout.tag
-  | _, Pmalloc.Heap.Backup -> layout.reconstruct t.heap ~slot:t.slot
+  | _, Pmalloc.Heap.Backup -> reconstruct layout t.heap ~slot:t.slot
 
 let open_or_create layout ?persist heap ~slot =
   let t = make heap ~slot in
@@ -204,8 +268,7 @@ let open_slot layout heap ~slot =
     else expect_shape layout t
 
 let open_result layout heap ~slot =
-  Result.map
-    (fun t ->
-      bind layout t;
-      t)
-    (open_slot layout heap ~slot)
+  Result.bind (open_slot layout heap ~slot) (fun t ->
+      match bind layout t with
+      | () -> Ok t
+      | exception Error.Error e -> Error e)

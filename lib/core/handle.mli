@@ -25,10 +25,10 @@ val initialize : t -> Pmem.Word.t -> unit
     [Invalid_argument] on Backup slots -- structures initialize before
     promoting. *)
 
-val pure : t -> (Pmem.Word.t -> 'a) -> 'a
-(** Run a pure update against {!current}.  On a Backup slot the update
-    runs inside the backup bracket, so its shadows' clwbs are parked in
-    the checkpoint backlog instead of issued. *)
+val pure : t -> (Pmalloc.Heap.t -> Pmem.Word.t -> 'a) -> 'a
+(** [pure t f] runs the pure update [f heap (current t)].  On a Backup
+    slot the update runs inside the backup bracket, so its shadows'
+    clwbs are parked in the checkpoint backlog instead of issued. *)
 
 val commit :
   ?intermediates:Pmem.Word.t list ->
@@ -55,24 +55,85 @@ val update_cas :
     whenever other writers can race this slot (see the reclamation
     contract on {!Commit.commit_cas}). *)
 
+(** {1 The Basic interface's FASEs (Section 4.2)}
+
+    Every structure's Basic entry point is one call to these: each runs
+    under the heap's telemetry span labelled [structure]/[op]
+    ({!Pmalloc.Heap.span}), and each update is {!pure} then {!commit}. *)
+
+val span :
+  t -> structure:string -> op:string -> (unit -> 'a) -> 'a
+(** A read path: [f] under the span. *)
+
+val update :
+  ?entry:int * Pmem.Word.t * Pmem.Word.t ->
+  t ->
+  structure:string ->
+  op:string ->
+  (Pmalloc.Heap.t -> Pmem.Word.t -> Pmem.Word.t) ->
+  unit
+(** The one-fence FASE: {!pure} [f], then {!commit} its shadow with the
+    Backup log [entry]. *)
+
+val take :
+  ?entry:int * Pmem.Word.t * Pmem.Word.t ->
+  t ->
+  structure:string ->
+  op:string ->
+  (Pmalloc.Heap.t -> Pmem.Word.t -> ('a * Pmem.Word.t) option) ->
+  'a option
+(** A pop-like FASE: {!pure} [f]; when it yields [Some (v, shadow)],
+    commit [shadow] and return [Some v]; on [None] commit nothing. *)
+
+val many :
+  t ->
+  structure:string ->
+  op:string ->
+  (Pmalloc.Heap.t -> Pmem.Word.t -> 'x -> Pmem.Word.t) ->
+  'x list ->
+  unit
+(** Group commit (Figure 8): stage [f heap version x] for each [x] on
+    one {!Batch} and retire them all under one ordering point, in one
+    span counting [List.length xs] ops.  An empty list does nothing. *)
+
+val scalar_entry :
+  int -> Pmem.Word.t -> Pmem.Word.t -> (int * Pmem.Word.t * Pmem.Word.t) option
+(** [scalar_entry opcode a0 a1]: the log entry, or [None] (a checkpoint
+    commit) when either argument is a pointer, such as a blob element. *)
+
 (** {1 Opening a structure's slot}
 
-    Every structure opens through these two functions, so the commit
-    policy matrix and the validated open are written once. *)
+    Every structure opens through these functions, so the commit policy
+    matrix, the validated open and the Backup log replay are written
+    once. *)
 
-type layout = {
-  name : string;  (** the structure's module, for error messages *)
-  tag : int;
-      (** the tag its Backup descriptors carry ({!Commit.layout_tag}):
-          a Backup slot tagged for another structure does not open *)
-  shape : string;  (** its root block, as a [Codec_mismatch] names it *)
-  words : int option;  (** the root block's size, when it is fixed *)
-  empty : (Pmalloc.Heap.t -> Pmem.Word.t) option;
-      (** the version a null slot is given; [None] when a null version
-          is the empty state *)
-  reconstruct : Pmalloc.Heap.t -> slot:int -> unit;
-      (** the structure's Backup log replay ({!Commit.reconstruct}) *)
-}
+type layout
+
+val layout :
+  name:string ->
+  shape:string ->
+  words:int option ->
+  empty:(Pmalloc.Heap.t -> Pmem.Word.t) option ->
+  (Pmalloc.Heap.t ->
+  Pmem.Word.t ->
+  opcode:int ->
+  a0:Pmem.Word.t ->
+  a1:Pmem.Word.t ->
+  Pmem.Word.t option) ->
+  layout
+(** [layout ~name ~shape ~words ~empty apply] describes a structure's
+    slot: [name] is its module, whose tag ({!Commit.layout_tag}) its
+    Backup descriptors carry; [shape] names its root block in a
+    [Codec_mismatch]; [words] is that block's size when it is fixed;
+    [empty] is the version a null slot is given ([None] when null is the
+    empty state); [apply] replays one Backup log entry on a version,
+    returning the owned successor, or [None] for an opcode the structure
+    does not define. *)
+
+val reconstruct : layout -> Pmalloc.Heap.t -> slot:int -> unit
+(** The layout's Backup log replay ({!Commit.reconstruct}).  An entry
+    whose opcode the layout does not define raises {!Error.Error}
+    [Corrupt_root], naming the layout. *)
 
 val open_or_create :
   layout -> ?persist:Pmalloc.Heap.policy -> Pmalloc.Heap.t -> slot:int -> t
@@ -89,4 +150,5 @@ val open_result :
     in range, readable, and either null or a pointer to an allocated
     [Scanned] block of [words] words ([Backup.desc_words] when the slot
     commits as Backup, with a descriptor untagged or tagged [tag];
-    another structure's descriptor is [Codec_mismatch]). *)
+    another structure's descriptor is [Codec_mismatch]).  An error the
+    log replay raises is returned as [Error]. *)

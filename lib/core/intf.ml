@@ -8,13 +8,13 @@
     that common shape once, with the historically divergent names
     unified ([add]/[add_pure]/[add_many] for the structure's natural
     insertion, [size] for cardinal/length, [iter_elts] for element
-    iteration), so generic code -- the signature-conformance tests, the
-    telemetry-driven workloads -- can be written once and instantiated
-    over all seven structures.
+    iteration), so generic code such as the signature-conformance tests
+    can be written once and instantiated over all seven structures.
 
-    Each structure's [.mli] keeps its domain-specific names ([push],
-    [enqueue], [find_min], ...) alongside the unified ones; [DURABLE] is
-    the intersection, not the whole surface. *)
+    Each structure's [.mli] opens with
+    [include Intf.DURABLE with type t = Handle.t and type elt = ...] and
+    adds its domain-specific names ([push], [enqueue], [find_min], ...);
+    [DURABLE] is the intersection, not the whole surface. *)
 
 module type DURABLE = sig
   type t
@@ -41,12 +41,14 @@ module type DURABLE = sig
   (** Like [open_or_create] (following the stored policy), but validates
       the slot first: range check, pointer check, and a best-effort
       shape check of the root block against this structure's layout
-      (the Backup descriptor's, when the slot commits as Backup). *)
+      (the Backup descriptor's, when the slot commits as Backup).  A
+      typed error the log replay raises is returned as [Error]. *)
 
   val reconstruct : Pmalloc.Heap.t -> slot:int -> unit
   (** Rebuild a Backup slot's volatile current version by replaying its
-      op log from the checkpoint anchor ({!Commit.reconstruct}).
-      Idempotent; a no-op on Full slots. *)
+      op log from the checkpoint anchor ({!Handle.reconstruct}).
+      Idempotent; a no-op on Full slots.  An entry whose opcode the
+      structure does not define raises {!Error.Error} [Corrupt_root]. *)
 
   val handle : t -> Handle.t
 

@@ -280,9 +280,8 @@ let truncate_journal t =
   retrying (fun () -> Unix.ftruncate t.jfd 0);
   fsync t.jfd
 
-(* Apply a committed journal's entries to the image file and to the given
-   in-memory image (if any); idempotent. *)
-let apply_journal t jwords ~new_capacity ~post_checksum ~into =
+(* Apply a committed journal's entries to the image file; idempotent. *)
+let apply_journal t jwords ~new_capacity ~post_checksum =
   let entry_words = 1 + Config.words_per_line in
   let nlines = jwords.(2) in
   if new_capacity > t.capacity then begin
@@ -297,11 +296,7 @@ let apply_journal t jwords ~new_capacity ~post_checksum ~into =
     let len = line_len ~cap:t.capacity line in
     put_words buf 0 jwords (base + 1) Config.words_per_line;
     seek t.fd (header_bytes + (line lsl Config.line_shift * word_bytes));
-    write_all t.fd (Bytes.sub buf 0 (len * word_bytes));
-    (match into with
-    | None -> ()
-    | Some words ->
-        copy_words jwords (base + 1) words (line lsl Config.line_shift) len)
+    write_all t.fd (Bytes.sub buf 0 (len * word_bytes))
   done;
   t.image_checksum <- post_checksum;
   write_header t.fd ~capacity:t.capacity ~image_checksum:post_checksum;
@@ -370,7 +365,7 @@ let open_ ~path =
       match read_journal ~path:jpath jfd with
       | Jnone, _, _, _ -> `None
       | Jcommitted n, jwords, new_capacity, post_checksum ->
-          apply_journal t jwords ~new_capacity ~post_checksum ~into:None;
+          apply_journal t jwords ~new_capacity ~post_checksum;
           `Replayed n
       | Jtorn, _, _, _ ->
           truncate_journal t;
@@ -494,7 +489,6 @@ type image = {
   i_words : int array;  (** effective image: a committed journal applied *)
   i_journal : journal_status;
   i_checksum_ok : bool;
-  i_bad_lines : int list;  (** lines whose content hash disagrees *)
 }
 
 (* Load the image without mutating anything on disk: a committed journal
@@ -536,23 +530,11 @@ let inspect ~path =
                     done;
                     (Jcommitted n, post_checksum, cap, grown))
       in
-      let bad_lines = ref [] in
-      let checksum_ok = checksum_of words capacity = expect_cs in
-      (* identify the damaged lines only when the totals disagree (the
-         per-line diff needs nothing more than the xor structure when a
-         single line is hit, but report conservatively: recompute is
-         already done; a mismatching total with no identified line still
-         reports not-ok) *)
-      if not checksum_ok then
-        (* without per-line reference hashes on disk we cannot name the
-           exact lines; report the whole-image mismatch *)
-        bad_lines := [];
       {
         i_capacity = capacity;
         i_words = words;
         i_journal = journal;
-        i_checksum_ok = checksum_ok;
-        i_bad_lines = !bad_lines;
+        i_checksum_ok = checksum_of words capacity = expect_cs;
       })
 
 (* Atomic whole-image rewrite (fsck --repair): write a fresh image to a

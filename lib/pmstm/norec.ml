@@ -57,7 +57,6 @@ type t = {
   heap : Pmalloc.Heap.t;
   log_body : int; (* redo-log block body offset *)
   log_capacity : int; (* total words in the log block *)
-  log_root_slot : int; (* directory slot keeping the log reachable *)
   mutable seq : int; (* the global sequence lock; odd = writer committing *)
   mutable yield : unit -> unit; (* cooperative backoff while locked *)
   mutable commits : int; (* writing commits (volatile diagnostic) *)
@@ -75,10 +74,10 @@ type tx = {
 (* The log must hold every buffered write of one transaction. *)
 let max_write_set t = (t.log_capacity - log_header_words) / 2
 
-let default_log_root_slot = Pmalloc.Heap.root_slots - 2
+(* The directory slot keeping the log reachable ({!Tx} uses the last). *)
+let log_root_slot = Pmalloc.Heap.root_slots - 2
 
-let create ?(log_capacity_words = 1 lsl 10)
-    ?(log_root_slot = default_log_root_slot) heap =
+let create ?(log_capacity_words = 1 lsl 10) heap =
   if log_capacity_words < log_header_words + 2 then
     invalid_arg "Norec.create: log capacity too small for one entry";
   let log_body =
@@ -96,7 +95,6 @@ let create ?(log_capacity_words = 1 lsl 10)
     heap;
     log_body;
     log_capacity = log_capacity_words;
-    log_root_slot;
     seq = 0;
     yield = (fun () -> ());
     commits = 0;
@@ -249,7 +247,7 @@ let run ?before_publish ?after_publish stm f =
    replaying over an image where the in-place apply already (partially)
    happened rewrites the same values.  Returns whether a log replayed.
    Called on the recovered heap before the reachability analysis. *)
-let recover ?(log_root_slot = default_log_root_slot) heap =
+let recover heap =
   let root = Pmalloc.Heap.root_get heap log_root_slot in
   if (not (Pmem.Word.is_ptr root)) || Pmem.Word.is_null root then false
   else begin

@@ -23,12 +23,10 @@ type t
 type tx
 (** One in-flight transaction (read set, buffered write set). *)
 
-val create : ?log_capacity_words:int -> ?log_root_slot:int -> Pmalloc.Heap.t -> t
+val create : ?log_capacity_words:int -> Pmalloc.Heap.t -> t
 (** Allocate the redo log and durably register it in the root directory
-    (default slot: [Pmalloc.Heap.root_slots - 2]; {!Tx} uses the last
-    slot) so recovery reachability keeps it alive. *)
-
-val default_log_root_slot : int
+    (slot [Pmalloc.Heap.root_slots - 2]; {!Tx} uses the last slot) so
+    recovery reachability keeps it alive. *)
 
 val heap : t -> Pmalloc.Heap.t
 
@@ -67,7 +65,7 @@ val commits : t -> int
 val aborts : t -> int
 (** Validation failures that forced a re-execution. *)
 
-val recover : ?log_root_slot:int -> Pmalloc.Heap.t -> bool
+val recover : Pmalloc.Heap.t -> bool
 (** Crash recovery: if the root directory points at a redo log whose
     checksum validates with a non-zero entry count, the crash landed
     between the publish fence and the durable retire -- replay the

@@ -33,7 +33,6 @@ type t = {
   mutable added : (int * int) list; (* snapshotted ranges *)
   mutable fresh : (int * int) list; (* blocks allocated in this tx (body, words) *)
   mutable to_free : int list; (* deferred frees, applied at commit *)
-  mutable check_adds : bool;
   (* deliberately ordering-broken variant (negative control for the
      crash-point explorer): skips the snapshot-before-store fences and
      never flushes in-place data at commit, the classic PM bug class the
@@ -73,8 +72,8 @@ let install_log heap ~capacity_words =
 
 (* The slot is bound in the root summary before the fence [Wal.create]
    issues, so registering the log adds no fence. *)
-let create ?(log_capacity_words = 1 lsl 16) ?(check_adds = true)
-    ?(broken_ordering = false) heap ~version =
+let create ?(log_capacity_words = 1 lsl 16) ?(broken_ordering = false) heap
+    ~version =
   Pmalloc.Heap.bind heap log_root_slot;
   let log = install_log heap ~capacity_words:log_capacity_words in
   {
@@ -87,7 +86,6 @@ let create ?(log_capacity_words = 1 lsl 16) ?(check_adds = true)
     added = [];
     fresh = [];
     to_free = [];
-    check_adds;
     broken_ordering;
   }
 
@@ -158,7 +156,7 @@ let load t off = Pmalloc.Heap.load t.heap off
 
 let store t off w =
   if t.depth = 0 then invalid_arg "Tx.store: no transaction in flight";
-  if t.check_adds && not (covered t.added off 1 || covered t.fresh off 1) then
+  if not (covered t.added off 1 || covered t.fresh off 1) then
     failwith
       (Printf.sprintf
          "Tx.store: unlogged in-place write at %d (missing Tx.add?)" off);
@@ -174,7 +172,7 @@ let alloc t ~kind ~words =
 (* Writes into freshly allocated blocks need no undo entry but must be
    flushed at commit. *)
 let store_fresh t off w =
-  if t.check_adds && not (covered t.fresh off 1) then
+  if not (covered t.fresh off 1) then
     failwith "Tx.store_fresh: target is not freshly allocated";
   Pmalloc.Heap.store t.heap off w;
   Hashtbl.replace t.dirty_lines (Pmem.Region.line_of_word off) ()

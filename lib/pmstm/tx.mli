@@ -21,13 +21,11 @@ exception Log_full
 
 val create :
   ?log_capacity_words:int ->
-  ?check_adds:bool ->
   ?broken_ordering:bool ->
   Pmalloc.Heap.t ->
   version:version ->
   t
-(** Allocate and durably register the undo log.  [check_adds] (default
-    true) makes [store] enforce the TX_ADD discipline; [broken_ordering]
+(** Allocate and durably register the undo log.  [broken_ordering]
     builds the deliberately buggy variant the crash-test negative
     controls expect to fail.  The last root slot keeps the log
     reachable across crashes, so a heap holds one [t] at a time: a
@@ -59,8 +57,8 @@ val add : t -> off:int -> words:int -> unit
 val load : t -> int -> Pmem.Word.t
 
 val store : t -> int -> Pmem.Word.t -> unit
-(** In-place transactional store; with [check_adds], raises [Failure]
-    if the target is neither snapshotted nor freshly allocated. *)
+(** In-place transactional store; raises [Failure] if the target is
+    neither snapshotted nor freshly allocated. *)
 
 val alloc : t -> kind:Pmalloc.Block.kind -> words:int -> int
 (** Transactional allocation, rolled back if the transaction aborts. *)

@@ -84,6 +84,36 @@ struct
     let t = D.open_or_create heap ~slot:0 in
     Alcotest.(check int) "size after reconstruction" 4 (D.size t)
 
+  (* A valid log entry whose opcode the structure does not define (as an
+     untagged descriptor another structure wrote can hold) is a typed
+     [Corrupt_root] naming the layout, from both open paths. *)
+  let unknown_opcode () =
+    let heap = backup_slot () in
+    let st = Option.get (Pmalloc.Heap.backup_state heap 0) in
+    Pmalloc.Backup.append heap ~log:st.Pmalloc.Heap.b_log
+      ~nonce:st.Pmalloc.Heap.b_nonce ~index:st.Pmalloc.Heap.b_count ~opcode:99
+      ~a0:Pmem.Word.zero ~a1:Pmem.Word.zero;
+    Pmalloc.Heap.sfence heap;
+    Pmalloc.Heap.clear_backup_runtime heap;
+    (match D.open_result heap ~slot:0 with
+    | Error (Mod_core.Error.Corrupt_root { slot; detail }) ->
+        Alcotest.(check int) "error names the slot" 0 slot;
+        Alcotest.(check string)
+          "error names the layout and the opcode"
+          (String.capitalize_ascii D.structure
+          ^ " Backup log entry, unknown opcode 99")
+          detail
+    | Ok _ -> Alcotest.failf "%s: unknown opcode replayed" D.structure
+    | Error e ->
+        Alcotest.failf "%s: wrong error %s" D.structure
+          (Mod_core.Error.to_string e));
+    match D.open_or_create heap ~slot:0 with
+    | exception Mod_core.Error.Error (Mod_core.Error.Corrupt_root _) -> ()
+    | exception e ->
+        Alcotest.failf "%s: open_or_create raised %s" D.structure
+          (Printexc.to_string e)
+    | _ -> Alcotest.failf "%s: unknown opcode replayed" D.structure
+
   (* This structure as the owner of a 5-element Backup slot, and as an
      opener of slot 0 through both open paths. *)
   let cross =
@@ -108,6 +138,8 @@ struct
         full_open_refused;
       Alcotest.test_case (D.structure ^ ": reopen reconstructs") `Quick
         reopen_reconstructs;
+      Alcotest.test_case (D.structure ^ ": unknown log opcode") `Quick
+        unknown_opcode;
     ]
 end
 

@@ -1,7 +1,8 @@
 (* Tests for the telemetry layer: histogram bucketing and percentiles,
    span attribution (sums to the global fence-stall counter, nested-span
-   suppression, null sink, foreign heaps, stats-reset rebase), and the
-   JSON / Prometheus exporters. *)
+   suppression, null sink, foreign heaps, stats-reset rebase, one row
+   per Basic entry point of each structure), and the JSON / Prometheus
+   exporters. *)
 
 module H = Telemetry.Histogram
 
@@ -201,6 +202,112 @@ let test_foreign_heap () =
       Alcotest.(check (float 1e-9)) "no stall charged" 0.0
         r.Telemetry.total_fence_stall_ns)
 
+(* Every Basic entry point of the seven structures, run once on its
+   structure's own heap ([*_many] with three elements), records exactly
+   one span under that structure's label: set traffic is never charged
+   to "dmap". *)
+let test_entry_point_rows () =
+  let module Iset = Mod_core.Dset.Make (Pfds.Kv.Int) in
+  let module St = Mod_core.Dstack in
+  let module Q = Mod_core.Dqueue in
+  let module Pq = Mod_core.Dpqueue in
+  let module V = Mod_core.Dvec in
+  let module Sq = Mod_core.Dseq in
+  let w = Pmem.Word.of_int in
+  let three = [ w 2; w 3; w 4 ] in
+  let cases =
+    [
+      ( "dmap",
+        (fun heap ->
+          let m = Imap.open_or_create heap ~slot:0 in
+          Imap.insert m 1 10;
+          Imap.insert_many m [ (2, 20); (3, 30); (4, 40) ];
+          ignore (Imap.find m 1 : int option);
+          ignore (Imap.mem m 2 : bool);
+          ignore (Imap.remove m 3 : bool)),
+        [ ("insert", 1); ("insert_many", 3); ("find", 1); ("mem", 1);
+          ("remove", 1) ] );
+      ( "dset",
+        (fun heap ->
+          let s = Iset.open_or_create heap ~slot:0 in
+          Iset.add s 1;
+          Iset.add_many s [ 2; 3; 4 ];
+          ignore (Iset.mem s 2 : bool);
+          ignore (Iset.remove s 3 : bool)),
+        [ ("add", 1); ("add_many", 3); ("mem", 1); ("remove", 1) ] );
+      ( "dstack",
+        (fun heap ->
+          let s = St.open_or_create heap ~slot:0 in
+          St.push s (w 1);
+          St.push_many s three;
+          ignore (St.peek s : Pmem.Word.t option);
+          ignore (St.pop s : Pmem.Word.t option)),
+        [ ("push", 1); ("push_many", 3); ("peek", 1); ("pop", 1) ] );
+      ( "dqueue",
+        (fun heap ->
+          let q = Q.open_or_create heap ~slot:0 in
+          Q.enqueue q (w 1);
+          Q.enqueue_many q three;
+          ignore (Q.dequeue q : Pmem.Word.t option)),
+        [ ("enqueue", 1); ("enqueue_many", 3); ("dequeue", 1) ] );
+      ( "dpqueue",
+        (fun heap ->
+          let pq = Pq.open_or_create heap ~slot:0 in
+          Pq.insert pq 1;
+          Pq.insert_many pq [ 2; 3; 4 ];
+          ignore (Pq.find_min pq : int option);
+          ignore (Pq.delete_min pq : int option)),
+        [ ("insert", 1); ("insert_many", 3); ("find_min", 1);
+          ("delete_min", 1) ] );
+      ( "dvec",
+        (fun heap ->
+          let v = V.open_or_create heap ~slot:0 in
+          V.push_back v (w 1);
+          V.push_back_many v three;
+          V.set v 0 (w 5);
+          V.swap v 0 1;
+          ignore (V.get v 2 : Pmem.Word.t);
+          ignore (V.pop_back v : Pmem.Word.t)),
+        [ ("push_back", 1); ("push_back_many", 3); ("set", 1); ("swap", 1);
+          ("get", 1); ("pop_back", 1) ] );
+      ( "dseq",
+        (fun heap ->
+          let sq = Sq.open_or_create heap ~slot:0 in
+          let other = Sq.open_or_create heap ~slot:1 in
+          Sq.push_back sq (w 1);
+          Sq.push_back_many sq three;
+          Sq.set sq 0 (w 5);
+          ignore (Sq.get sq 2 : Pmem.Word.t);
+          Sq.append sq other;
+          Sq.restrict sq ~pos:0 ~len:2),
+        [ ("push_back", 1); ("push_back_many", 3); ("set", 1); ("get", 1);
+          ("append", 1); ("restrict", 1) ] );
+    ]
+  in
+  let row structure op spans ops =
+    Printf.sprintf "%s/%s spans %d ops %d" structure op spans ops
+  in
+  List.iter
+    (fun (structure, run, ops) ->
+      let heap = mk_heap () in
+      with_collector heap (fun c ->
+          run heap;
+          let r = Telemetry.report c in
+          Alcotest.(check (list string))
+            (structure ^ " rows")
+            (List.sort compare
+               (List.map (fun (op, n) -> row structure op 1 n) ops))
+            (List.sort compare
+               (List.map
+                  (fun x -> row x.Telemetry.r_structure x.r_op x.r_spans x.r_ops)
+                  r.Telemetry.rows));
+          Alcotest.(check (float 1e-6))
+            (structure ^ ": attributed + unattributed = total")
+            r.Telemetry.total_fence_stall_ns
+            (r.Telemetry.attributed_fence_stall_ns
+            +. r.Telemetry.unattributed_fence_stall_ns)))
+    cases
+
 let test_stats_reset_rebase () =
   let heap = mk_heap () in
   with_collector heap (fun c ->
@@ -358,6 +465,8 @@ let () =
           Alcotest.test_case "stats reset rebases" `Quick
             test_stats_reset_rebase;
           Alcotest.test_case "gauges sampled" `Quick test_gauges_sampled;
+          Alcotest.test_case "one row per Basic entry point" `Quick
+            test_entry_point_rows;
         ] );
       ( "export",
         [
